@@ -29,11 +29,12 @@
 // This package instead maintains the scheduler's derived state
 // incrementally, at the events that change it:
 //
-//   - Query.availList/availPos index each query's needed, fully resident
-//     chunks. A part load, eviction or chunk consumption adjusts only the
-//     affected queries (O(queries) bit tests per part event), so starvation
-//     checks are O(1) flag reads and chooseAvailableChunk iterates one
-//     query's available chunks, not the pool.
+//   - Query.avail indexes each query's needed, fully resident chunks (a
+//     chunk-keyed heap, so the sequential pickers read their next chunk at
+//     the root). A part load, eviction or chunk consumption adjusts only
+//     the queries interested in that chunk, so starvation checks are O(1)
+//     flag reads and chooseAvailableChunk iterates one query's available
+//     chunks, not the pool.
 //   - Query.starved/almostStarved flip only when the availability count
 //     crosses the configured thresholds; each flip is folded into the
 //     per-chunk ABM.starvedInterest/almostInterest counters (alongside the
@@ -50,27 +51,33 @@
 //     making "is chunk c resident / in flight for these columns?" a single
 //     bit test, and bufcache.occupied lists the chunks with buffered parts
 //     so registration seeds availability without a table scan.
-//   - Victim selection is heap-ordered. The LRU policies pop off
-//     bufcache.lruHeap, an indexed heap maintained at every load, touch,
-//     unpin and evict; the relevance policy builds a keepRelevance heap
-//     once per eviction round with its scores frozen at build time and pops
-//     victims in O(log poolParts), instead of rescanning the pool per freed
-//     part.
+//   - Load-candidate ranking and victim selection are heap-ordered, on one
+//     indexedHeap implementation (heap.go). ABM.loadCands ranks the starved
+//     queries by a time-free transform of queryRelevance, re-keyed at the
+//     per-query events that move it. The LRU policies pop victims off
+//     bufcache.lru, maintained at every load, touch, unpin and evict. The
+//     relevance policy keeps every loaded part in relevStrategy.victims,
+//     ordered by keepRelevance: chunks whose counters or residency changed
+//     are marked dirty in O(1) and re-keyed at the start of the next
+//     eviction round, so scores are frozen per round — a mid-round
+//     starvation flip cannot reorder victims — at a cost proportional to
+//     what changed, not to the pool.
 //
 // The resulting per-decision cost is O(affected entries): selecting a load
-// candidate pops a heap of the starved queries and walks one query's
-// remaining range with O(1) scoring; selecting an available chunk walks
-// that query's available list; each eviction *selects* its victim in
-// O(log poolParts). (Executing an eviction still pays the cache's
-// order-preserving removal from its loaded-parts slice and the
-// per-registered-query availability update — linear walks with trivial
-// constants, kept because the DSM useless-column pass depends on the
-// slice's load order; see bufcache.evict.) Decision *outcomes* are
-// bit-identical to the rescanning implementation:
-// the eviction heap freezes scores and guards exactly where the old code
-// snapshotted its starvation caches, so mid-pass flips cannot change
-// victim choice, and every heap order embeds the historical (chunk, col)
-// tie-breaks.
+// candidate pops the candidate heap and walks one query's remaining range
+// with O(1) scoring; selecting an available chunk walks that query's
+// available chunks; each eviction *selects* its victim in O(log poolParts).
+// (Executing an eviction still pays the cache's order-preserving removal
+// from its loaded-parts slice — a linear walk with a trivial constant, kept
+// because the DSM useless-column pass depends on the slice's load order;
+// see bufcache.evict.) Every heap order is a strict total order embedding
+// the historical (registration seq) and (chunk, col) tie-breaks, so
+// decisions do not depend on heap layout or operation history.
+//
+// There is one decision path. The simulator (New) and the live engine
+// (NewLive) build the same state and run the same code, so the simulator's
+// decision golden, the paper's tables and the incremental-vs-linear audits
+// (AuditIncremental) all exercise what serves scans.
 package core
 
 import (
@@ -136,18 +143,6 @@ type Config struct {
 	// (live mode).
 	ChunkCost float64
 
-	// DecisionVersion selects the decision-compatibility contract. Version 1
-	// (the default for simulation ABMs) keeps every scheduling decision
-	// byte-identical to the checked-in golden: candidate ranking and victim
-	// selection run exactly the historical code paths. Version 2 (the
-	// default for live ABMs, which have no decision golden) is free to make
-	// equally-good decisions differently, which lets the relevance policy
-	// keep its candidate ranking and eviction heap fully incremental —
-	// O(log n) per decision with no per-round rebuilds — so scheduling cost
-	// stays flat into the thousands of streams. Zero resolves per
-	// constructor; explicit values pin either contract in either mode.
-	DecisionVersion int
-
 	// NoShortQueryPriority disables the -chunksNeeded(q) term of
 	// queryRelevance (ablation: queries are then served round-robin-ish by
 	// waiting time alone).
@@ -209,30 +204,22 @@ type ABM struct {
 
 	// loadCands indexes the registered queries that are starved AND still
 	// have a non-resident needed chunk — the exact candidate set of the
-	// relevance loader's NextLoad. Membership is re-derived by
-	// updateStarveFlags at every event that can change it, so a failing
-	// decision round (nothing loadable anywhere) is an O(1) empty-slice
-	// check instead of a walk over every registered query. Under decision
-	// version 1 the order is arbitrary (swap-remove) and NextLoad ranks
-	// candidates by (queryRelevance, registration seq), a total order
-	// independent of it. Under version 2 the slice is an indexed min-heap
-	// on Query.candKey (equivalent ranking, maintained incrementally) and
-	// Query.loadPos is the heap slot.
-	loadCands []*Query
+	// relevance loader's NextLoad — as a min-heap on (Query.candKey,
+	// registration seq), with Query.loadPos the heap slot. Membership is
+	// re-derived by updateStarveFlags at every event that can change it, so
+	// a failing decision round (nothing loadable anywhere) is an O(1)
+	// empty-heap check instead of a walk over every registered query.
+	loadCands indexedHeap[*Query, candOrder]
 	regSeq    int
-	// candDirty marks the v2 candidate heap stale: candKey embeds the
-	// registered-query count (the wait-normalisation denominator), so a
-	// register or unregister shifts every key. NextLoad re-keys and
-	// re-heapifies lazily — one rebuild per registry change, not per
-	// decision, and batched registrations amortise to one.
+	// candDirty marks the candidate keys stale: candKey embeds the
+	// registered-query count (the wait-normalisation denominator) and the
+	// chunk cost, so a register, unregister or SetChunkCost shifts every
+	// key. NextLoad re-keys and re-heapifies lazily — one rebuild per
+	// shift, not per decision, and batched registrations amortise to one.
 	candDirty bool
 	// candAside is NextLoad's scratch for popped candidates with nothing
 	// loadable; they are re-pushed after the decision.
 	candAside []*Query
-
-	// v2 is true when the effective DecisionVersion is >= 2 (see
-	// Config.DecisionVersion).
-	v2 bool
 
 	// blockedCount tracks how many registered queries are currently marked
 	// blocked (Query.SetBlocked), so the relevance policy's "is every query
@@ -255,13 +242,12 @@ type ABM struct {
 	// strict-total-order extremum, so decisions are order-independent.
 	chunkQueries [][]*Query
 
-	// vicDirty/vicDirtyList (allocated only for relevance ABMs under
-	// decision version 2) mark chunks whose interest counters or residency
-	// changed since the incremental victim heap last re-keyed them. Marking
-	// is O(1) at the sites that already touch the chunk; the heap re-keys
-	// the marked chunks' resident parts lazily at the next eviction round,
-	// so a round's cost is proportional to what actually changed, not to
-	// the pool.
+	// vicDirty/vicDirtyList (allocated only for relevance ABMs) mark chunks
+	// whose interest counters or residency changed since the incremental
+	// victim heap last re-keyed them. Marking is O(1) at the sites that
+	// already touch the chunk; the heap re-keys the marked chunks' resident
+	// parts lazily at the next eviction round, so a round's cost is
+	// proportional to what actually changed, not to the pool.
 	vicDirty     []bool
 	vicDirtyList []int
 
@@ -348,13 +334,8 @@ type strategy interface {
 	next(p *sim.Proc, q *Query) (chunk int, ok bool)
 }
 
-// New creates an ABM over the layout, backed by the simulated disk. Unless
-// the config pins a DecisionVersion, simulation ABMs run version 1: every
-// decision stays byte-identical to the checked-in golden.
+// New creates an ABM over the layout, backed by the simulated disk.
 func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
-	if cfg.DecisionVersion == 0 {
-		cfg.DecisionVersion = 1
-	}
 	a := newABM(env, layout, cfg)
 	a.env = env
 	a.disk = d
@@ -377,15 +358,11 @@ func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 // NewLive creates a simulation-free ABM: bookkeeping plus the policy
 // decision core, driven externally (by internal/engine) under the given
 // clock. Central loader processes are never started; the engine's
-// scheduler goroutine polls Policy().NextLoad instead. Unless the config
-// pins a DecisionVersion, live ABMs run version 2 (no decision golden binds
-// them), which keeps relevance candidate ranking and victim selection fully
-// incremental at high stream counts.
+// scheduler goroutine polls Policy().NextLoad instead. The decision state
+// is the one New builds: both worlds run the same code on the same
+// structures.
 func NewLive(clock Clock, layout storage.Layout, cfg Config) *ABM {
 	cfg.DisableLoader = true
-	if cfg.DecisionVersion == 0 {
-		cfg.DecisionVersion = 2
-	}
 	a := newABM(clock, layout, cfg)
 	if a.chunkCost == 0 {
 		// Waiting-time normalisation only; any plausible per-chunk load
@@ -410,13 +387,9 @@ func newABM(clock Clock, layout storage.Layout, cfg Config) *ABM {
 		chunkQueries:    make([][]*Query, layout.NumChunks()),
 		chunkCost:       cfg.ChunkCost,
 		timeBase:        time.Now(),
-		v2:              cfg.DecisionVersion >= 2,
 	}
 	if layout.Columnar() {
 		a.groupIdx = make(map[storage.ColSet]*colGroup)
-	}
-	if a.v2 && cfg.Policy == Relevance {
-		a.vicDirty = make([]bool, layout.NumChunks())
 	}
 	switch cfg.Policy {
 	case Normal:
@@ -426,6 +399,8 @@ func newABM(clock Clock, layout storage.Layout, cfg Config) *ABM {
 	case Elevator:
 		a.strat = &elevStrategy{a: a}
 	case Relevance:
+		a.vicDirty = make([]bool, layout.NumChunks())
+		a.vicDirtyList = make([]int, 0, layout.NumChunks())
 		a.relev = &relevStrategy{a: a}
 		a.strat = a.relev
 	default:
@@ -463,13 +438,13 @@ func (a *ABM) NewQuery(name string, ranges storage.RangeSet, cols storage.ColSet
 	q := &Query{
 		ID: a.nextID, Name: name, Ranges: ranges, Cols: cols,
 		needed:   make([]bool, a.layout.NumChunks()),
-		availPos: make([]int, a.layout.NumChunks()),
 		chunkPos: make([]int, a.layout.NumChunks()),
 		cursor:   ranges.Min(),
 		weight:   1,
 	}
-	for c := range q.availPos {
-		q.availPos[c] = -1
+	q.avail.ord.pos = make([]int, a.layout.NumChunks())
+	for c := range q.chunkPos {
+		q.avail.ord.pos[c] = -1
 		q.chunkPos[c] = -1
 	}
 	ranges.Each(func(c int) { q.needed[c] = true; q.neededCount++ })
@@ -508,15 +483,10 @@ func (a *ABM) Register(q *Query) {
 	cols := a.queryCols(q)
 	for _, c := range a.cache.occupiedChunks() {
 		if q.needs(c) && a.cache.chunkLoadedFor(cols, c) {
-			q.availPos[c] = len(q.availList)
-			q.availList = append(q.availList, c)
+			q.avail.items = append(q.avail.items, c)
 		}
 	}
-	if a.v2 {
-		for i := len(q.availList)/2 - 1; i >= 0; i-- {
-			q.availSiftDown(i)
-		}
-	}
+	q.avail.init()
 	a.updateStarveFlags(q)
 	a.refreshDemand(q)
 	a.strat.Register(q)
@@ -563,7 +533,7 @@ func (a *ABM) unregister(q *Query) {
 	q.SetBlocked(false)
 	q.abm = nil
 	q.waker = nil
-	a.dropLoadCand(q)
+	a.loadCands.remove(q)
 	a.leaveGroup(q.group)
 	q.group = nil
 	a.strat.Unregister(q)
@@ -671,7 +641,7 @@ func (a *ABM) queryCols(q *Query) storage.ColSet {
 // availableCount recounts the chunks that are needed by q and fully
 // resident for q's columns by scanning the loaded parts, stopping early at
 // limit. It is the from-scratch reference for the incrementally maintained
-// Query.availList (tests assert the two always agree); the scheduler itself
+// Query.avail (tests assert the two always agree); the scheduler itself
 // only reads the maintained state.
 func (a *ABM) availableCount(q *Query, limit int) int {
 	cols := a.queryCols(q)
@@ -739,46 +709,19 @@ func (a *ABM) updateStarveFlags(q *Query) {
 	// already buffered (the end-of-scan state most streams idle in at high
 	// concurrency) has nothing loadable, so the loader never needs to see
 	// it.
-	if member := starved && q.neededCount > len(q.availList); member != (q.loadPos >= 0) {
+	if member := starved && q.neededCount > q.available(); member != (q.loadPos >= 0) {
 		if member {
 			a.addLoadCand(q)
 		} else {
-			a.dropLoadCand(q)
+			a.loadCands.remove(q)
 		}
 	}
 }
 
-// dropLoadCand removes q from the loadCands index (swap-remove; under
-// decision version 2 the swapped-in query is sifted to keep the heap order).
-func (a *ABM) dropLoadCand(q *Query) {
-	i := q.loadPos
-	if i < 0 {
-		return
-	}
-	last := len(a.loadCands) - 1
-	moved := a.loadCands[last]
-	a.loadCands[i] = moved
-	moved.loadPos = i
-	a.loadCands = a.loadCands[:last]
-	q.loadPos = -1
-	if a.v2 && i < last && !a.candDirty {
-		if !a.candSiftDown(i) {
-			a.candSiftUp(i)
-		}
-	}
-}
-
-// addLoadCand inserts q into the loadCands index: plain append under
-// version 1, a keyed heap push under version 2.
+// addLoadCand keys q at the current scale and pushes it onto loadCands.
 func (a *ABM) addLoadCand(q *Query) {
-	q.loadPos = len(a.loadCands)
-	a.loadCands = append(a.loadCands, q)
-	if a.v2 {
-		q.candKey = a.candKeyOf(q)
-		if !a.candDirty {
-			a.candSiftUp(q.loadPos)
-		}
-	}
+	q.candKey = a.candKeyOf(q)
+	a.loadCands.push(q)
 }
 
 // candKeyOf maps queryRelevance to a time-free min-heap key: multiplying
@@ -799,24 +742,25 @@ func (a *ABM) candKeyOf(q *Query) float64 {
 	return k
 }
 
-// candLess is the v2 candidate-heap order: lowest key first (highest
-// relevance), registration sequence breaking exact ties — the same strict
-// total order version 1's candBefore sorts by.
-func candLess(x, y *Query) bool {
+// candOrder is the candidate-heap order: lowest key first (highest
+// relevance), registration sequence breaking exact ties — the order a
+// stable sort of the registry by queryRelevance would produce.
+type candOrder struct{}
+
+func (candOrder) before(x, y *Query) bool {
 	if x.candKey != y.candKey {
 		return x.candKey < y.candKey
 	}
 	return x.seq < y.seq
 }
 
+func (candOrder) slot(q *Query) *int { return &q.loadPos }
+
 // candFix re-sites q after its key inputs (remaining, lastService) changed.
 func (a *ABM) candFix(q *Query) {
-	if !a.v2 || q.loadPos < 0 || a.candDirty {
-		return
-	}
-	q.candKey = a.candKeyOf(q)
-	if !a.candSiftDown(q.loadPos) {
-		a.candSiftUp(q.loadPos)
+	if q.loadPos >= 0 {
+		q.candKey = a.candKeyOf(q)
+		a.loadCands.fix(q)
 	}
 }
 
@@ -824,56 +768,11 @@ func (a *ABM) candFix(q *Query) {
 // lazily by NextLoad after the key scale shifted (registry size or chunk
 // cost) — once per shift, not per decision.
 func (a *ABM) candRebuild() {
-	for _, q := range a.loadCands {
+	for _, q := range a.loadCands.items {
 		q.candKey = a.candKeyOf(q)
 	}
-	for i := len(a.loadCands)/2 - 1; i >= 0; i-- {
-		a.candSiftDown(i)
-	}
+	a.loadCands.init()
 	a.candDirty = false
-}
-
-// candPop removes and returns the best candidate (lowest key).
-func (a *ABM) candPop() *Query {
-	q := a.loadCands[0]
-	a.dropLoadCand(q)
-	return q
-}
-
-func (a *ABM) candSiftUp(i int) {
-	h := a.loadCands
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !candLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].loadPos, h[parent].loadPos = i, parent
-		i = parent
-	}
-}
-
-func (a *ABM) candSiftDown(i int) bool {
-	h := a.loadCands
-	n := len(h)
-	moved := false
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return moved
-		}
-		best := l
-		if r := l + 1; r < n && candLess(h[r], h[l]) {
-			best = r
-		}
-		if !candLess(h[best], h[i]) {
-			return moved
-		}
-		h[i], h[best] = h[best], h[i]
-		h[i].loadPos, h[best].loadPos = i, best
-		i = best
-		moved = true
-	}
 }
 
 // refreshDemand recomputes q's term of the maintained DemandBytes sum
@@ -890,9 +789,8 @@ func (a *ABM) refreshDemand(q *Query) {
 }
 
 // markVicDirty flags chunk c for re-keying in the incremental victim heap
-// (no-op unless the ABM maintains one: relevance policy under decision
-// version 2). O(1); the heap re-keys the chunk's resident parts at the next
-// eviction round.
+// (no-op unless the ABM maintains one: the relevance policy). O(1); the heap
+// re-keys the chunk's resident parts at the next eviction round.
 func (a *ABM) markVicDirty(c int) {
 	if a.vicDirty == nil || a.vicDirty[c] {
 		return
@@ -925,18 +823,11 @@ func (a *ABM) bumpNeededCounts(counts, groupCounts []int, q *Query, delta int) {
 	}
 }
 
-// gainAvailability records that chunk c became fully resident for q.
-// Under decision version 2 the availability list is an indexed min-heap on
-// the chunk id, so the sequential-order pickers read their next chunk at
-// the root; the per-stream waker (live engine) fires on every gain.
+// gainAvailability records that chunk c became fully resident for q; the
+// per-stream waker (live engine) fires on every gain.
 func (a *ABM) gainAvailability(q *Query, c int) {
-	if q.availPos[c] >= 0 {
+	if !q.avail.push(c) {
 		return
-	}
-	q.availPos[c] = len(q.availList)
-	q.availList = append(q.availList, c)
-	if a.v2 {
-		q.availSiftUp(len(q.availList) - 1)
 	}
 	a.updateStarveFlags(q)
 	if q.waker != nil {
@@ -947,22 +838,9 @@ func (a *ABM) gainAvailability(q *Query, c int) {
 // loseAvailability records that chunk c is no longer both needed by q and
 // fully resident (consumed, or a required part is about to be evicted).
 func (a *ABM) loseAvailability(q *Query, c int) {
-	i := q.availPos[c]
-	if i < 0 {
-		return
+	if q.avail.remove(c) {
+		a.updateStarveFlags(q)
 	}
-	last := len(q.availList) - 1
-	moved := q.availList[last]
-	q.availList[i] = moved
-	q.availPos[moved] = i
-	q.availList = q.availList[:last]
-	q.availPos[c] = -1
-	if a.v2 && i < last {
-		if !q.availSiftDown(i) {
-			q.availSiftUp(i)
-		}
-	}
-	a.updateStarveFlags(q)
 }
 
 // partBecameResident propagates one part load into the per-query
@@ -1002,9 +880,9 @@ func (a *ABM) partLeavingResidency(k partKey) {
 // evictPart evicts one part, keeping the availability state consistent.
 func (a *ABM) evictPart(k partKey) {
 	a.partLeavingResidency(k)
-	if a.vicDirty != nil {
+	if a.relev != nil {
 		a.markVicDirty(k.chunk)
-		a.relev.vicRemove(a.cache.parts[k])
+		a.relev.victims.remove(a.cache.parts[k])
 	}
 	a.cache.evict(k)
 	a.stats.Evictions++
@@ -1016,11 +894,11 @@ func (a *ABM) evictPart(k partKey) {
 // vicAdd enrols a freshly loaded part in the incremental victim heap
 // (no-op unless the ABM maintains one).
 func (a *ABM) vicAdd(k partKey) {
-	if a.vicDirty == nil {
+	if a.relev == nil {
 		return
 	}
 	a.markVicDirty(k.chunk)
-	a.relev.vicPush(a.cache.parts[k])
+	a.relev.victims.push(a.cache.parts[k])
 }
 
 // interested counts registered queries that still need chunk c; with a
@@ -1117,8 +995,8 @@ func (a *ABM) makeSpace(need int64, keep func(*part) bool) bool {
 	aside := a.evictAside[:0]
 	ok := true
 	for a.cache.free() < need {
-		p := a.cache.lruPop()
-		if p == nil {
+		p, found := a.cache.lru.pop()
+		if !found {
 			ok = false
 			break
 		}
@@ -1129,7 +1007,7 @@ func (a *ABM) makeSpace(need int64, keep func(*part) bool) bool {
 		a.evictPart(p.key)
 	}
 	for _, p := range aside {
-		a.cache.lruPush(p)
+		a.cache.lru.push(p)
 	}
 	a.evictAside = aside[:0]
 	return ok

@@ -36,7 +36,7 @@ func (a *ABM) AuditIncremental() error {
 	if err := a.auditChunkQueries(); err != nil {
 		return err
 	}
-	if err := a.auditV2Heaps(); err != nil {
+	if err := a.auditVictimHeap(); err != nil {
 		return err
 	}
 	return a.auditByteAccounting()
@@ -122,8 +122,11 @@ func (a *ABM) auditQueryAvailability() error {
 	for _, q := range a.queries {
 		req := b.requiredBits(a.queryCols(q))
 		avail := 0
-		inList := make(map[int]bool, len(q.availList))
-		for _, c := range q.availList {
+		if err := q.avail.audit("availability"); err != nil {
+			return fmt.Errorf("core: %s: %w", q.Name, err)
+		}
+		inList := make(map[int]bool, q.available())
+		for _, c := range q.avail.items {
 			inList[c] = true
 		}
 		for c := 0; c < n; c++ {
@@ -132,11 +135,11 @@ func (a *ABM) auditQueryAvailability() error {
 				avail++
 			}
 			if want != inList[c] {
-				return fmt.Errorf("core: %s availList membership of chunk %d = %v, recomputed %v",
+				return fmt.Errorf("core: %s availability membership of chunk %d = %v, recomputed %v",
 					q.Name, c, inList[c], want)
 			}
-			if inList[c] && (q.availPos[c] < 0 || q.availList[q.availPos[c]] != c) {
-				return fmt.Errorf("core: %s availPos[%d] inconsistent", q.Name, c)
+			if pos := q.avail.ord.pos[c]; !inList[c] && pos != -1 {
+				return fmt.Errorf("core: %s records slot %d for chunk %d, which is not in its availability heap", q.Name, pos, c)
 			}
 		}
 		// Cross-check against the independent pool-scan reference.
@@ -240,53 +243,86 @@ func (a *ABM) auditColGroups() error {
 }
 
 // auditLRUHeap checks the cache's LRU victim heap: exactly the loaded
-// parts, each at its recorded slot, with the heap order intact (every
-// parent at or before its children in (lastTouch, chunk, col) order).
+// parts, in (lastTouch, chunk, col) heap order.
 func (a *ABM) auditLRUHeap() error {
-	b := a.cache
+	return auditPartHeap(a.cache, &a.cache.lru, "LRU")
+}
+
+// auditPartHeap checks a heap that must hold exactly the loaded parts:
+// shape (order and slots), every loaded part at its recorded slot, and no
+// loading part enrolled.
+func auditPartHeap[O heapOrder[*part]](b *bufcache, h *indexedHeap[*part, O], name string) error {
+	if err := h.audit(name); err != nil {
+		return err
+	}
 	loaded := 0
 	for _, p := range b.loaded {
-		switch p.state {
-		case partLoaded:
-			loaded++
-			if p.lruIdx < 0 || p.lruIdx >= len(b.lruHeap) || b.lruHeap[p.lruIdx] != p {
-				return fmt.Errorf("core: loaded part %v not at its heap slot %d", p.key, p.lruIdx)
+		i := *h.ord.slot(p)
+		if p.state != partLoaded {
+			if i != -1 {
+				return fmt.Errorf("core: loading part %v sits in the %s heap", p.key, name)
 			}
-		case partLoading:
-			if p.lruIdx != -1 {
-				return fmt.Errorf("core: loading part %v sits in the LRU heap", p.key)
-			}
+			continue
+		}
+		loaded++
+		if i < 0 || i >= h.len() || h.items[i] != p {
+			return fmt.Errorf("core: loaded part %v not at its %s heap slot %d", p.key, name, i)
 		}
 	}
-	if len(b.lruHeap) != loaded {
-		return fmt.Errorf("core: LRU heap has %d entries, %d loaded parts", len(b.lruHeap), loaded)
-	}
-	for i := 1; i < len(b.lruHeap); i++ {
-		parent := (i - 1) / 2
-		if lruBefore(b.lruHeap[i], b.lruHeap[parent]) {
-			return fmt.Errorf("core: LRU heap order violated at slot %d (%v before parent %v)",
-				i, b.lruHeap[i].key, b.lruHeap[parent].key)
-		}
+	if h.len() != loaded {
+		return fmt.Errorf("core: %s heap has %d entries, %d loaded parts", name, h.len(), loaded)
 	}
 	return nil
 }
 
-// auditLoadCands checks the relevance loader's candidate index: exactly the
-// starved queries that still have a non-resident needed chunk.
+// auditLoadCands checks the relevance loader's candidate heap: exactly the
+// starved queries that still have a non-resident needed chunk, in heap
+// order, and — unless a re-key is pending — keyed at the current scale with
+// the root agreeing with a linear queryRelevance scan.
 func (a *ABM) auditLoadCands() error {
+	h := &a.loadCands
+	if err := h.audit("candidate"); err != nil {
+		return err
+	}
+	members := 0
 	for _, q := range a.queries {
 		member := q.starved && q.remaining() > q.available()
 		if member != (q.loadPos >= 0) {
 			return fmt.Errorf("core: %s loadCands membership = %v, want %v (starved=%v remaining=%d avail=%d)",
 				q.Name, q.loadPos >= 0, member, q.starved, q.remaining(), q.available())
 		}
-		if q.loadPos >= 0 && (q.loadPos >= len(a.loadCands) || a.loadCands[q.loadPos] != q) {
+		if !member {
+			continue
+		}
+		members++
+		if q.loadPos >= h.len() || h.items[q.loadPos] != q {
 			return fmt.Errorf("core: %s loadPos %d inconsistent", q.Name, q.loadPos)
 		}
 	}
-	for i, q := range a.loadCands {
-		if q.loadPos != i {
-			return fmt.Errorf("core: loadCands[%d] = %s with loadPos %d", i, q.Name, q.loadPos)
+	if h.len() != members {
+		return fmt.Errorf("core: candidate heap has %d entries, %d registered candidates", h.len(), members)
+	}
+	if a.candDirty {
+		return nil
+	}
+	for _, q := range h.items {
+		if want := a.candKeyOf(q); q.candKey != want {
+			return fmt.Errorf("core: %s candKey = %v, recomputed %v", q.Name, q.candKey, want)
+		}
+	}
+	// candKey is an exact algebraic transform of queryRelevance, but the two
+	// compute through different float operations, so the comparison carries
+	// a relative tolerance. The root is not compared with itself: under a
+	// wall clock two reads of its relevance differ.
+	if rs := a.relev; rs != nil && h.len() > 0 {
+		best := h.peek()
+		br := rs.queryRelevance(best)
+		for _, q := range h.items[1:] {
+			qr := rs.queryRelevance(q)
+			if tol := 1e-9 * (abs64(br) + abs64(qr) + 1); qr > br+tol {
+				return fmt.Errorf("core: candidate heap root %s (rel %v) loses to %s (rel %v)",
+					best.Name, br, q.Name, qr)
+			}
 		}
 	}
 	return nil
@@ -355,84 +391,30 @@ func (a *ABM) auditChunkQueries() error {
 	return nil
 }
 
-// auditV2Heaps checks the decision-version-2 incremental structures: the
-// per-query availability min-heaps, the candidate heap (keys, order, and its
-// argmin against a linear queryRelevance scan — the incremental-vs-reference
-// cross-check), and the relevance victim heap (membership, slots, order, and
-// non-dirty scores against the live keepRelevanceScore).
-func (a *ABM) auditV2Heaps() error {
-	if !a.v2 {
-		return nil
-	}
-	for _, q := range a.queries {
-		h := q.availList
-		for i := 1; i < len(h); i++ {
-			if h[i] < h[(i-1)/2] {
-				return fmt.Errorf("core: %s avail heap order violated at slot %d", q.Name, i)
-			}
-		}
-	}
-	if !a.candDirty {
-		for i, q := range a.loadCands {
-			if want := a.candKeyOf(q); q.candKey != want {
-				return fmt.Errorf("core: %s candKey = %v, recomputed %v", q.Name, q.candKey, want)
-			}
-			if i > 0 && candLess(a.loadCands[i], a.loadCands[(i-1)/2]) {
-				return fmt.Errorf("core: candidate heap order violated at slot %d (%s)", i, q.Name)
-			}
-		}
-		// Cross-check the heap argmin against a linear queryRelevance scan —
-		// the version-1 reference ranking. candKey is an exact algebraic
-		// transform of queryRelevance, but the two compute through different
-		// float operations, so the comparison carries a relative tolerance.
-		if rs := a.relev; rs != nil && len(a.loadCands) > 0 {
-			best := a.loadCands[0]
-			br := rs.queryRelevance(best)
-			for _, q := range a.loadCands {
-				if q == best {
-					continue
-				}
-				qr := rs.queryRelevance(q)
-				if tol := 1e-9 * (abs64(br) + abs64(qr) + 1); qr > br+tol {
-					return fmt.Errorf("core: candidate heap root %s (rel %v) loses to %s (rel %v)",
-						best.Name, br, q.Name, qr)
-				}
-			}
-		}
-	}
-	if a.vicDirty == nil {
-		return nil
-	}
+// auditVictimHeap checks the relevance policy's incremental victim heap:
+// exactly the loaded parts, in (vicScore, chunk, col) heap order, and every
+// part of a chunk not marked dirty carrying its live keepRelevance score.
+// The score check is exact only for NSM, whose score is purely
+// counter-derived; DSM scores legitimately lag the live resident-byte
+// denominator until they are popped.
+func (a *ABM) auditVictimHeap() error {
 	rs := a.relev
-	loaded := 0
-	for _, p := range a.cache.loaded {
-		switch p.state {
-		case partLoaded:
-			loaded++
-			if p.vicIdx < 0 || p.vicIdx >= len(rs.vHeap) || rs.vHeap[p.vicIdx] != p {
-				return fmt.Errorf("core: loaded part %v not at victim-heap slot %d", p.key, p.vicIdx)
-			}
-			// A chunk not marked dirty must carry its live keepRelevance
-			// score, modulo the frozen-DSM-terms contract: for NSM the score
-			// is purely counter-derived, so check it exactly there.
-			if !a.layout.Columnar() && !a.vicDirty[p.key.chunk] {
-				if want := rs.keepRelevanceScore(p); p.vicScore != want {
-					return fmt.Errorf("core: part %v vicScore = %v, live score %v (chunk not dirty)",
-						p.key, p.vicScore, want)
-				}
-			}
-		case partLoading:
-			if p.vicIdx != -1 {
-				return fmt.Errorf("core: loading part %v sits in the victim heap", p.key)
-			}
+	if rs == nil {
+		return nil
+	}
+	if err := auditPartHeap(a.cache, &rs.victims, "victim"); err != nil {
+		return err
+	}
+	if a.layout.Columnar() {
+		return nil
+	}
+	for _, p := range rs.victims.items {
+		if a.vicDirty[p.key.chunk] {
+			continue
 		}
-	}
-	if len(rs.vHeap) != loaded {
-		return fmt.Errorf("core: victim heap has %d entries, %d loaded parts", len(rs.vHeap), loaded)
-	}
-	for i := 1; i < len(rs.vHeap); i++ {
-		if vicBefore(rs.vHeap[i], rs.vHeap[(i-1)/2]) {
-			return fmt.Errorf("core: victim heap order violated at slot %d (%v)", i, rs.vHeap[i].key)
+		if want := rs.keepRelevanceScore(p); p.vicScore != want {
+			return fmt.Errorf("core: part %v vicScore = %v, live score %v (chunk not dirty)",
+				p.key, p.vicScore, want)
 		}
 	}
 	return nil

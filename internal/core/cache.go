@@ -20,6 +20,14 @@ func (k partKey) String() string {
 	return fmt.Sprintf("c%d/col%d", k.chunk, k.col)
 }
 
+// before is the victim heaps' deterministic tie-break: chunk, then column.
+func (k partKey) before(o partKey) bool {
+	if k.chunk != o.chunk {
+		return k.chunk < o.chunk
+	}
+	return k.col < o.col
+}
+
 type partState int
 
 const (
@@ -38,8 +46,8 @@ type part struct {
 	lruIdx    int     // slot in the cache's LRU victim heap, or -1
 
 	// vicIdx/vicScore site the part in the relevance policy's incremental
-	// victim heap (decision version 2 only): vicIdx is the heap slot or -1,
-	// vicScore the keepRelevance score the part was last keyed with.
+	// victim heap: vicIdx is the heap slot or -1, vicScore the keepRelevance
+	// score the part was last keyed with.
 	vicIdx   int
 	vicScore float64
 }
@@ -81,13 +89,13 @@ type bufcache struct {
 	occupied     []int            // chunks with >= 1 non-absent part
 	occupiedPos  []int            // chunk -> index in occupied, or -1
 
-	// lruHeap indexes every partLoaded part by (lastTouch, chunk, col), the
-	// LRU eviction order with the scheduler's deterministic tie-break. It is
+	// lru indexes every partLoaded part by (lastTouch, chunk, col), the LRU
+	// eviction order with the scheduler's deterministic tie-break. It is
 	// maintained at the events that change a part's recency — finishLoad,
 	// touch, unpin, evict — so selecting an LRU victim is a pop instead of a
 	// pool scan. part.lruIdx is the part's heap slot (-1 while absent,
 	// loading, or temporarily popped during an eviction pass).
-	lruHeap []*part
+	lru indexedHeap[*part, lruOrder]
 }
 
 func newBufcache(layout storage.Layout, capBytes int64) *bufcache {
@@ -277,7 +285,7 @@ func (b *bufcache) finishLoad(k partKey, now float64) {
 	p.lastTouch = now
 	b.loadingCols[k.chunk] &^= colBit(k.col)
 	b.residentCols[k.chunk] |= colBit(k.col)
-	b.lruPush(p)
+	b.lru.push(p)
 }
 
 // abortLoad rolls a loading part back to absent — beginLoad's exact
@@ -318,7 +326,7 @@ func (b *bufcache) evict(k partKey) int64 {
 		panic(fmt.Sprintf("core: evict(%v): not evictable", k))
 	}
 	delete(b.parts, k)
-	b.lruRemove(p)
+	b.lru.remove(p)
 	// Order-preserving compaction, deliberately not a swap-remove: the
 	// relevance policy's DSM useless-column eviction pass consumes this
 	// slice in load order, so reordering it would change which useless
@@ -360,7 +368,7 @@ func (b *bufcache) unpin(k partKey, now float64) {
 	}
 	p.pins--
 	p.lastTouch = now
-	b.lruFix(p)
+	b.lru.fix(p)
 }
 
 // pinAll pins and touches every part of chunk c a query with cols reads;
@@ -394,110 +402,23 @@ func (b *bufcache) unpinAll(cols storage.ColSet, c int, now float64) {
 func (b *bufcache) touch(k partKey, now float64) {
 	if p := b.parts[k]; p != nil {
 		p.lastTouch = now
-		b.lruFix(p)
+		b.lru.fix(p)
 	}
 }
 
-// ---- LRU victim heap --------------------------------------------------------
-
-// lruBefore is the LRU eviction order: least-recently-touched first, with
+// lruOrder is the LRU eviction order: least-recently-touched first, with
 // the scheduler's historical (chunk, col) tie-break for equal touch times
 // (virtual-time events commonly coincide in the simulator).
-func lruBefore(x, y *part) bool {
+type lruOrder struct{}
+
+func (lruOrder) before(x, y *part) bool {
 	if x.lastTouch != y.lastTouch {
 		return x.lastTouch < y.lastTouch
 	}
-	if x.key.chunk != y.key.chunk {
-		return x.key.chunk < y.key.chunk
-	}
-	return x.key.col < y.key.col
+	return x.key.before(y.key)
 }
 
-// lruPush inserts a loaded part into the victim heap.
-func (b *bufcache) lruPush(p *part) {
-	if p.lruIdx >= 0 {
-		return
-	}
-	p.lruIdx = len(b.lruHeap)
-	b.lruHeap = append(b.lruHeap, p)
-	b.lruUp(p.lruIdx)
-}
-
-// lruRemove deletes a part from the victim heap (no-op if absent, e.g. a
-// part popped by an in-progress eviction pass or still loading).
-func (b *bufcache) lruRemove(p *part) {
-	i := p.lruIdx
-	if i < 0 {
-		return
-	}
-	last := len(b.lruHeap) - 1
-	moved := b.lruHeap[last]
-	b.lruHeap[i] = moved
-	moved.lruIdx = i
-	b.lruHeap = b.lruHeap[:last]
-	p.lruIdx = -1
-	if i < last {
-		b.lruFix(moved)
-	}
-}
-
-// lruPop removes and returns the least-recently-touched loaded part, or nil
-// when the heap is empty.
-func (b *bufcache) lruPop() *part {
-	if len(b.lruHeap) == 0 {
-		return nil
-	}
-	p := b.lruHeap[0]
-	b.lruRemove(p)
-	return p
-}
-
-// lruFix restores the heap invariant around a part whose recency changed.
-func (b *bufcache) lruFix(p *part) {
-	if p.lruIdx < 0 {
-		return
-	}
-	if !b.lruDown(p.lruIdx) {
-		b.lruUp(p.lruIdx)
-	}
-}
-
-func (b *bufcache) lruUp(i int) {
-	h := b.lruHeap
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !lruBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].lruIdx, h[parent].lruIdx = i, parent
-		i = parent
-	}
-}
-
-// lruDown sifts slot i towards the leaves; it reports whether it moved.
-func (b *bufcache) lruDown(i int) bool {
-	h := b.lruHeap
-	n := len(h)
-	moved := false
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return moved
-		}
-		best := left
-		if right := left + 1; right < n && lruBefore(h[right], h[left]) {
-			best = right
-		}
-		if !lruBefore(h[best], h[i]) {
-			return moved
-		}
-		h[i], h[best] = h[best], h[i]
-		h[i].lruIdx, h[best].lruIdx = i, best
-		i = best
-		moved = true
-	}
-}
+func (lruOrder) slot(p *part) *int { return &p.lruIdx }
 
 // free returns the unreserved capacity in bytes. It can be negative after a
 // resize below the current usage; every space check compares free() against

@@ -101,26 +101,13 @@ func (s *elevStrategy) PickAvailable(q *Query) int {
 			return e.chunk
 		}
 	}
-	// Lowest-index available chunk, straight from the query's maintained
-	// availability list (order-independent minimum). Under decision
-	// version 2 the list is a chunk-keyed min-heap, so the minimum is its
-	// root.
-	chunk := -1
-	if a.v2 {
-		if len(q.availList) > 0 {
-			chunk = q.availList[0]
-		}
-	} else {
-		for _, c := range q.availList {
-			if q.needs(c) && (chunk < 0 || c < chunk) {
-				chunk = c
-			}
-		}
+	// Lowest-index available chunk: the root of the query's chunk-keyed
+	// availability heap.
+	if q.avail.len() == 0 {
+		return -1
 	}
-	if chunk >= 0 {
-		a.stats.BufferHits++
-	}
-	return chunk
+	a.stats.BufferHits++
+	return q.avail.peek()
 }
 
 // nextToLoad finds the next chunk in cursor order that some query needs and

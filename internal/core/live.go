@@ -97,7 +97,7 @@ func (a *ABM) queryChunkBytes(q *Query) float64 {
 func (a *ABM) SetChunkCost(c float64) {
 	if c > 0 {
 		a.chunkCost = c
-		// The v2 candidate keys embed the cost; re-key lazily.
+		// The candidate keys embed the cost; re-key lazily.
 		a.candDirty = true
 	}
 }

@@ -23,15 +23,15 @@ type Query struct {
 	needed      []bool
 	neededCount int
 
-	// availList/availPos index the needed chunks currently fully resident
-	// for the query's columns (availPos[c] is c's slot in availList, or -1).
-	// The ABM maintains them at load/evict/consume/register events, so
-	// starvation checks are O(1) flag reads and chunk selection iterates
-	// only this query's available chunks — never the whole pool.
-	availList []int
-	availPos  []int
+	// avail indexes the needed chunks currently fully resident for the
+	// query's columns as a min-heap on the chunk id (avail.ord.pos[c] is c's
+	// heap slot, or -1), so the sequential-order pickers read their next
+	// chunk at the root. The ABM maintains it at load/evict/consume/register
+	// events, so starvation checks are O(1) flag reads and chunk selection
+	// iterates only this query's available chunks — never the whole pool.
+	avail indexedHeap[int, availOrder]
 
-	// starved/almostStarved mirror len(availList) against the configured
+	// starved/almostStarved mirror avail.len() against the configured
 	// starvation thresholds; the ABM folds every flip into its per-chunk
 	// starved/almost-starved interest counters.
 	starved       bool
@@ -46,13 +46,11 @@ type Query struct {
 	// loader's tie-break for equal queryRelevance (historically, the
 	// registry iteration order of a stable sort).
 	seq int
-	// loadPos is the query's slot in the ABM's loadCands index (the
-	// starved queries with something left to load), or -1. Maintained by
+	// loadPos is the query's slot in the ABM's loadCands heap (the starved
+	// queries with something left to load), or -1. Maintained by
 	// updateStarveFlags at every availability or consumption event.
-	// Under decision version 2 loadCands is a min-heap keyed by candKey
-	// and loadPos is the heap slot.
 	loadPos int
-	// candKey is the query's v2 candidate-heap key: an affine transform of
+	// candKey is the query's loadCands key: an affine transform of
 	// -queryRelevance whose time term cancels across candidates, so the key
 	// only changes when the query's remaining count or service stamp does.
 	candKey float64
@@ -78,7 +76,7 @@ type Query struct {
 	// as if it had remaining/w chunks left. SLO tiers set it (>1 for
 	// interactive traffic); the default 1 is exact float identity with the
 	// unweighted formula, and because the division touches only the
-	// remaining term, the v2 candidate key stays a time-free transform.
+	// remaining term, the candidate key stays a time-free transform.
 	weight float64
 
 	enterTime   float64
@@ -126,7 +124,7 @@ func (q *Query) markConsumed(c int) {
 func (q *Query) remaining() int { return q.neededCount }
 
 // available returns the maintained count of needed, fully resident chunks.
-func (q *Query) available() int { return len(q.availList) }
+func (q *Query) available() int { return q.avail.len() }
 
 // done reports whether the scan has consumed everything.
 func (q *Query) finished() bool { return q.neededCount == 0 }
@@ -187,46 +185,12 @@ func (q *Query) Weight() float64 { return q.weight }
 // itself a gain event. Nil uninstalls.
 func (q *Query) SetWaker(fn func()) { q.waker = fn }
 
-// availSiftUp/availSiftDown maintain the decision-version-2 shape of
-// availList: an indexed min-heap on the chunk id (availPos doubles as the
-// heap slot), so the lowest available chunk sits at the root and membership
-// changes cost O(log available) instead of leaving the pickers to walk the
-// list. Version 1 keeps the historical unordered swap-remove list.
-func (q *Query) availSiftUp(i int) {
-	h := q.availList
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		q.availPos[h[i]], q.availPos[h[parent]] = i, parent
-		i = parent
-	}
-}
+// availOrder orders a query's available chunks by chunk id; pos[c] is
+// chunk c's heap slot.
+type availOrder struct{ pos []int }
 
-func (q *Query) availSiftDown(i int) bool {
-	h := q.availList
-	n := len(h)
-	moved := false
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return moved
-		}
-		best := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			best = r
-		}
-		if h[i] <= h[best] {
-			return moved
-		}
-		h[i], h[best] = h[best], h[i]
-		q.availPos[h[i]], q.availPos[h[best]] = i, best
-		i = best
-		moved = true
-	}
-}
+func (availOrder) before(x, y int) bool { return x < y }
+func (o availOrder) slot(c int) *int    { return &o.pos[c] }
 
 // remainingSet materialises the still-needed chunks as a RangeSet (used by
 // attach overlap estimation).

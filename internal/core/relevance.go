@@ -21,147 +21,30 @@ const qMax = 1024.0
 // All starvation and interest state is maintained incrementally by the ABM
 // (see the package comment); the strategy reads Query.starved/almostStarved
 // flags, the per-chunk interest counters and the DSM column-group index
-// instead of rescanning the pool or the query registry. Victim selection
-// runs over a priority heap built once per eviction round, so each evicted
-// part costs O(log poolParts) instead of a pool rescan.
+// instead of rescanning the pool or the query registry.
 type relevStrategy struct {
 	a *ABM
 
-	// Scratch buffers reused across decisions to keep the hot paths
-	// allocation-free. keepHeap holds the current pass's eligible victims;
-	// keepUseful and keepTrigger hold the entries the guarded pass
-	// protects, melded into the heap when the relaxed and last-resort
-	// passes widen eligibility.
-	cands        []loadCand
-	keepHeap     []keepEntry
-	keepUseful   []keepEntry
-	keepTrigger  []keepEntry
+	// evictScratch snapshots the loaded parts for the DSM useless-column
+	// pass, which evicts while it walks.
 	evictScratch []*part
 
-	// Decision-version-2 incremental victim heap: vHeap holds every loaded
-	// part, min-ordered by (vicScore, chunk, col). Scores are re-keyed
-	// lazily — the ABM marks chunks dirty at the O(1) sites that change
-	// their counters or residency, and flushVicDirty re-keys just those
-	// chunks' parts at the start of an eviction round — so a round costs
-	// O(changed + evicted × log pool) instead of a full pool walk. vicE and
-	// vicCols hold the per-chunk frozen DSM terms (almost-starved count and
-	// column union) between flushes. The aside slices park entries a pass
-	// must not evict; every parked entry is re-pushed before EnsureSpace
-	// returns, so the heap is complete between rounds.
-	vHeap     []*part
+	// victims holds every loaded part, min-ordered by (vicScore, chunk,
+	// col). Scores are re-keyed lazily — the ABM marks chunks dirty at the
+	// O(1) sites that change their counters or residency, and flushVicDirty
+	// re-keys just those chunks' parts at the start of an eviction round —
+	// so a round costs O(changed + evicted × log pool) instead of a full
+	// pool walk. vicE and vicCols hold the per-chunk frozen DSM terms
+	// (almost-starved count and column union) between flushes. The aside
+	// slices park entries a pass must not evict; every parked entry is
+	// re-pushed before EnsureSpace returns, so the heap is complete between
+	// rounds.
+	victims   indexedHeap[*part, vicOrder]
 	vicE      []float64
 	vicCols   []storage.ColSet
 	vicAsideB []*part
 	vicUseful []*part
 	vicTrig   []*part
-}
-
-// loadCand is one starved query awaiting service, with its priority and its
-// collection (registration) order — the historical tie-break for equal
-// relevance.
-type loadCand struct {
-	q   *Query
-	rel float64
-	idx int
-}
-
-// candBefore orders load candidates by relevance descending, collection
-// order ascending: exactly the sequence the old stable insertion sort
-// produced.
-func candBefore(x, y loadCand) bool {
-	if x.rel != y.rel {
-		return x.rel > y.rel
-	}
-	return x.idx < y.idx
-}
-
-// candDown sifts slot i of a loadCand max-heap towards the leaves.
-func candDown(h []loadCand, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		best := l
-		if r := l + 1; r < n && candBefore(h[r], h[l]) {
-			best = r
-		}
-		if !candBefore(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-// keepEntry is one victim candidate in the per-eviction-round keepRelevance
-// heap. Its relevance terms are frozen when the heap is built — the exact
-// point the rescanning implementation snapshotted the starvation state — so
-// mid-round starvation flips cannot change victim choice. The DSM score's
-// denominator (resident bytes of the frozen column union) stays live:
-// evictions within the round shrink it, monotonically raising the score,
-// which the pop loop revalidates lazily.
-type keepEntry struct {
-	p     *part
-	score float64
-	// e and cols freeze the DSM terms: the number of almost-starved
-	// queries needing the chunk and the union of their column sets.
-	e    float64
-	cols storage.ColSet
-}
-
-func keepBefore(x, y keepEntry) bool {
-	if x.score != y.score {
-		return x.score < y.score
-	}
-	if x.p.key.chunk != y.p.key.chunk {
-		return x.p.key.chunk < y.p.key.chunk
-	}
-	return x.p.key.col < y.p.key.col
-}
-
-func keepDown(h []keepEntry, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		best := l
-		if r := l + 1; r < n && keepBefore(h[r], h[l]) {
-			best = r
-		}
-		if !keepBefore(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-func (s *relevStrategy) keepPush(en keepEntry) {
-	h := append(s.keepHeap, en)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !keepBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	s.keepHeap = h
-}
-
-func (s *relevStrategy) keepPop() keepEntry {
-	h := s.keepHeap
-	en := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	s.keepHeap = h[:n]
-	keepDown(s.keepHeap, 0)
-	return en
 }
 
 func (s *relevStrategy) Register(q *Query)    {}
@@ -196,8 +79,8 @@ func (s *relevStrategy) next(p *sim.Proc, q *Query) (int, bool) {
 
 // PickAvailable returns the resident needed chunk with the highest
 // useRelevance, or -1 if none is available. Candidates come straight from
-// the query's maintained availability list; the winner (max score, lowest
-// chunk on ties) is independent of list order.
+// the query's maintained availability heap; the winner (max score, lowest
+// chunk on ties) is independent of its layout.
 func (s *relevStrategy) PickAvailable(q *Query) int {
 	a := s.a
 	var start time.Duration
@@ -209,7 +92,7 @@ func (s *relevStrategy) PickAvailable(q *Query) int {
 		// NSM useRelevance is qMax - interested(c): maximising it is
 		// minimising the interest count, so the loop stays in integers.
 		bestCount := 0
-		for _, c := range q.availList {
+		for _, c := range q.avail.items {
 			if !q.needed[c] {
 				continue // defensive: availability normally retires via Release
 			}
@@ -220,7 +103,7 @@ func (s *relevStrategy) PickAvailable(q *Query) int {
 		}
 	} else {
 		bestScore := 0.0
-		for _, c := range q.availList {
+		for _, c := range q.avail.items {
 			if !q.needed[c] {
 				continue
 			}
@@ -296,47 +179,14 @@ func (s *relevStrategy) loader(p *sim.Proc) {
 // NextLoad combines chooseQueryToProcess and chooseChunkToLoad: starved
 // queries are ranked by queryRelevance, and the best loadable chunk of the
 // best query wins; if the best query has nothing loadable (everything in
-// flight), the next query is considered. The starved set comes from the
-// maintained per-query flags, and the ranking pops off a max-heap —
-// typically only the top candidate is examined, where the old
-// implementation insertion-sorted all O(starved²) of them.
+// flight), the next query is considered. The ranking is the maintained
+// loadCands heap — keyed by candKey, a time-free transform of
+// queryRelevance re-keyed at the per-query events that move it — so the
+// common round pops one candidate in O(log starved) with no per-round
+// rebuild or scoring pass. Candidates with nothing loadable are set aside
+// and re-pushed after the decision; a registry-size or chunk-cost shift
+// re-keys the whole heap once, lazily.
 func (s *relevStrategy) NextLoad() (LoadDecision, bool) {
-	a := s.a
-	if a.v2 {
-		return s.nextLoadV2()
-	}
-	s.cands = s.cands[:0]
-	// loadCands is the maintained candidate index: the starved queries
-	// with a non-resident needed chunk. A round with nothing loadable
-	// anywhere is an empty walk here — the state most decision rounds hit
-	// at high concurrency — instead of a scan over every registered query.
-	for _, q := range a.loadCands {
-		s.cands = append(s.cands, loadCand{q, s.queryRelevance(q), q.seq})
-	}
-	h := s.cands
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		candDown(h, i)
-	}
-	for n := len(h); n > 0; n-- {
-		cd := h[0]
-		h[0] = h[n-1]
-		candDown(h[:n-1], 0)
-		if c, cols, ok := s.chooseChunkToLoad(cd.q); ok {
-			return LoadDecision{Query: cd.q, Chunk: c, Cols: cols}, true
-		}
-	}
-	return LoadDecision{}, false
-}
-
-// nextLoadV2 is NextLoad on the incrementally maintained candidate heap
-// (decision version 2): loadCands is already a min-heap on candKey — a
-// time-free transform of queryRelevance, re-keyed at the per-query events
-// that move it — so the common round pops one candidate in O(log starved)
-// with no per-round rebuild or scoring pass at all. Candidates with nothing
-// loadable (all remaining work in flight) are set aside and re-pushed after
-// the decision; a registry-size or chunk-cost shift re-keys the whole heap
-// once, lazily.
-func (s *relevStrategy) nextLoadV2() (LoadDecision, bool) {
 	a := s.a
 	if a.candDirty {
 		a.candRebuild()
@@ -344,13 +194,14 @@ func (s *relevStrategy) nextLoadV2() (LoadDecision, bool) {
 	aside := a.candAside[:0]
 	var d LoadDecision
 	ok := false
-	for len(a.loadCands) > 0 {
-		q := a.candPop()
+	for !ok {
+		q, found := a.loadCands.pop()
+		if !found {
+			break
+		}
 		aside = append(aside, q)
 		if c, cols, got := s.chooseChunkToLoad(q); got {
-			d = LoadDecision{Query: q, Chunk: c, Cols: cols}
-			ok = true
-			break
+			d, ok = LoadDecision{Query: q, Chunk: c, Cols: cols}, true
 		}
 	}
 	for _, q := range aside {
@@ -442,9 +293,19 @@ func (s *relevStrategy) loadRelevance(c int, q *Query) (float64, storage.ColSet)
 // query is blocked (a DSM corner the paper's greedy approach misses), a
 // final pass relaxes the usefulness guard to avoid deadlock.
 //
-// Victim selection pops off a min-heap of keepEntry built once per call
-// (the old per-victim pool rescans, flattened); all three passes share the
-// heap, parking kept entries on an aside list between passes.
+// Victims pop off the incrementally maintained victim heap, which persists
+// across rounds: a round starts by re-keying only the chunks whose counters
+// or residency changed since the last one (flushVicDirty) — so scores are
+// frozen per round exactly as a build-from-scratch heap would freeze them —
+// then pops in keepRelevance order. Protection guards are evaluated at pop:
+// hard-ineligible parts (pinned, loading, assembling, fresh) are parked for
+// the whole call, chunks useful to a starved query until the relaxed pass,
+// and chunks the trigger needs until the last-resort pass; both widenings
+// require every registered query to be blocked (an O(1) counter read). DSM
+// scores whose resident-byte denominator shrank mid-round can only have
+// grown, so a popped entry with a stale score is re-keyed and re-pushed:
+// the first entry popped with a current score is the exact minimum. Every
+// parked entry is re-pushed before returning.
 func (s *relevStrategy) EnsureSpace(need int64, trigger *Query) bool {
 	a := s.a
 	var start time.Duration
@@ -475,51 +336,6 @@ func (s *relevStrategy) EnsureSpace(need int64, trigger *Query) bool {
 		}
 	}
 
-	if a.v2 {
-		return s.ensureSpaceV2(need, trigger)
-	}
-
-	// Guarded pass: the heap starts with only the unprotected entries;
-	// chunks the trigger needs or a starved query still wants sit in the
-	// keepTrigger/keepUseful buckets.
-	s.buildKeepHeap(trigger)
-	if s.evictFromKeepHeap(need) {
-		return true
-	}
-	if a.blockedCount != len(a.queries) {
-		return false // progress is still possible; wait instead
-	}
-	// Relaxed pass, every query blocked: chunks useful to starved queries
-	// become eligible (avoiding the DSM-corner deadlock the paper's greedy
-	// approach misses) — still sparing chunks the trigger itself needs.
-	s.meldKeep(s.keepUseful)
-	s.keepUseful = s.keepUseful[:0]
-	if s.evictFromKeepHeap(need) {
-		return true
-	}
-	// Last resort, still with every query blocked: evict anything unpinned
-	// (even chunks the trigger needs) — without this, a buffer filled
-	// entirely with the trigger's own partial chunks wedges the loader.
-	s.meldKeep(s.keepTrigger)
-	s.keepTrigger = s.keepTrigger[:0]
-	return s.evictFromKeepHeap(need)
-}
-
-// ensureSpaceV2 is EnsureSpace on the incrementally maintained victim heap
-// (decision version 2). The heap persists across rounds; a round starts by
-// re-keying only the chunks whose counters or residency changed since the
-// last one (flushVicDirty), then pops victims in keepRelevance order.
-// Protection guards are evaluated at pop instead of frozen at a build walk:
-// hard-ineligible parts (pinned, loading, assembling, fresh) are parked for
-// the whole call, chunks the trigger needs are spared until the last-resort
-// pass, and chunks useful to a starved query until the relaxed pass —
-// mirroring version 1's three passes, with the same all-queries-blocked
-// precondition (an O(1) counter read) before the widenings. DSM scores
-// whose resident-byte denominator shrank mid-round re-key monotonically at
-// pop, exactly as version 1's lazy revalidation. Every parked entry is
-// re-pushed before returning, so the heap is complete between rounds.
-func (s *relevStrategy) ensureSpaceV2(need int64, trigger *Query) bool {
-	a := s.a
 	s.flushVicDirty()
 	columnar := a.layout.Columnar()
 	blocked := s.vicAsideB[:0]
@@ -532,29 +348,25 @@ func (s *relevStrategy) ensureSpaceV2(need int64, trigger *Query) bool {
 			ok = true
 			break
 		}
-		if len(s.vHeap) == 0 {
-			if pass == 0 {
-				if a.blockedCount != len(a.queries) {
-					break // progress is still possible; wait instead
-				}
-				pass = 1
-				for _, p := range useful {
-					s.vicPush(p)
-				}
-				useful = useful[:0]
-				continue
+		p, found := s.victims.pop()
+		if !found {
+			// The pass ran dry. Widen eligibility only while every query is
+			// blocked; otherwise progress is still possible and the caller
+			// waits instead.
+			if pass == 2 || a.blockedCount != len(a.queries) {
+				break
 			}
-			if pass == 1 {
-				pass = 2
-				for _, p := range trig {
-					s.vicPush(p)
-				}
-				trig = trig[:0]
-				continue
+			pass++
+			widen := &useful
+			if pass == 2 {
+				widen = &trig
 			}
-			break
+			for _, p := range *widen {
+				s.victims.push(p)
+			}
+			*widen = (*widen)[:0]
+			continue
 		}
-		p := s.vicPop()
 		if a.blockedFromEviction(p) {
 			blocked = append(blocked, p)
 			continue
@@ -563,7 +375,7 @@ func (s *relevStrategy) ensureSpaceV2(need int64, trigger *Query) bool {
 		if columnar {
 			if cur := s.vicScoreDSM(c); cur > p.vicScore {
 				p.vicScore = cur
-				s.vicPush(p)
+				s.victims.push(p)
 				continue
 			}
 		}
@@ -577,14 +389,10 @@ func (s *relevStrategy) ensureSpaceV2(need int64, trigger *Query) bool {
 		}
 		a.evictPart(p.key)
 	}
-	for _, p := range blocked {
-		s.vicPush(p)
-	}
-	for _, p := range useful {
-		s.vicPush(p)
-	}
-	for _, p := range trig {
-		s.vicPush(p)
+	for _, aside := range [...][]*part{blocked, useful, trig} {
+		for _, p := range aside {
+			s.victims.push(p)
+		}
 	}
 	s.vicAsideB, s.vicUseful, s.vicTrig = blocked[:0], useful[:0], trig[:0]
 	return ok
@@ -623,8 +431,7 @@ func (s *relevStrategy) flushVicDirty() {
 }
 
 // vicScoreDSM scores chunk c's parts over the frozen almost-starved terms
-// and the live resident bytes of the frozen column union (the denominator
-// version 1 also keeps live within a round).
+// and the live resident bytes of the frozen column union.
 func (s *relevStrategy) vicScoreDSM(c int) float64 {
 	pe := float64(s.cachedBytes(c, s.vicCols[c]))
 	if pe < 1 {
@@ -633,202 +440,26 @@ func (s *relevStrategy) vicScoreDSM(c int) float64 {
 	return s.vicE[c] / pe
 }
 
-// vicBefore is the victim order: lowest keepRelevance first, (chunk, col)
-// breaking ties — identical to keepBefore.
-func vicBefore(x, y *part) bool {
+// vicOrder is the victim order: lowest keepRelevance first, (chunk, col)
+// breaking ties.
+type vicOrder struct{}
+
+func (vicOrder) before(x, y *part) bool {
 	if x.vicScore != y.vicScore {
 		return x.vicScore < y.vicScore
 	}
-	if x.key.chunk != y.key.chunk {
-		return x.key.chunk < y.key.chunk
-	}
-	return x.key.col < y.key.col
+	return x.key.before(y.key)
 }
 
-func (s *relevStrategy) vicPush(p *part) {
-	if p.vicIdx >= 0 {
-		return
-	}
-	p.vicIdx = len(s.vHeap)
-	s.vHeap = append(s.vHeap, p)
-	s.vicUp(p.vicIdx)
-}
+func (vicOrder) slot(p *part) *int { return &p.vicIdx }
 
-// vicRemove deletes a part from the victim heap (no-op if absent, e.g. a
-// part popped by the in-progress eviction pass).
-func (s *relevStrategy) vicRemove(p *part) {
-	i := p.vicIdx
-	if i < 0 {
-		return
-	}
-	last := len(s.vHeap) - 1
-	moved := s.vHeap[last]
-	s.vHeap[i] = moved
-	moved.vicIdx = i
-	s.vHeap = s.vHeap[:last]
-	p.vicIdx = -1
-	if i < last {
-		if !s.vicDown(i) {
-			s.vicUp(i)
-		}
-	}
-}
-
-func (s *relevStrategy) vicPop() *part {
-	p := s.vHeap[0]
-	s.vicRemove(p)
-	return p
-}
-
-// vicFix re-keys an enrolled part and restores the heap order around it.
+// vicFix re-keys a part and, if it is enrolled, restores the heap order
+// around it.
 func (s *relevStrategy) vicFix(p *part, score float64) {
-	if p == nil {
-		return
+	if p != nil {
+		p.vicScore = score
+		s.victims.fix(p)
 	}
-	p.vicScore = score
-	if p.vicIdx < 0 {
-		return
-	}
-	if !s.vicDown(p.vicIdx) {
-		s.vicUp(p.vicIdx)
-	}
-}
-
-func (s *relevStrategy) vicUp(i int) {
-	h := s.vHeap
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !vicBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].vicIdx, h[parent].vicIdx = i, parent
-		i = parent
-	}
-}
-
-func (s *relevStrategy) vicDown(i int) bool {
-	h := s.vHeap
-	n := len(h)
-	moved := false
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return moved
-		}
-		best := l
-		if r := l + 1; r < n && vicBefore(h[r], h[l]) {
-			best = r
-		}
-		if !vicBefore(h[best], h[i]) {
-			return moved
-		}
-		h[i], h[best] = h[best], h[i]
-		h[i].vicIdx, h[best].vicIdx = i, best
-		i = best
-		moved = true
-	}
-}
-
-// buildKeepHeap snapshots the evictable pool into the keepRelevance victim
-// heap: one entry per eligible loaded part, scored and guarded with the
-// counter values of this instant — exactly what the rescanning
-// implementation's refreshStarvation froze. Ineligible parts (pinned,
-// loading, assembling, fresh) are excluded up front; none of those
-// conditions can change within an eviction round. Entries the guarded pass
-// protects are bucketed by protection level instead of heaped, so the
-// common pass pops only true candidates; the later passes meld the buckets
-// in as their eligibility widens.
-func (s *relevStrategy) buildKeepHeap(trigger *Query) {
-	a := s.a
-	heap := s.keepHeap[:0]
-	useful := s.keepUseful[:0]
-	trig := s.keepTrigger[:0]
-	columnar := a.layout.Columnar()
-	// Hoist the exclusion-guard state and counter slices out of the loop:
-	// this walk runs once per eviction round over the whole pool and is the
-	// round's dominant cost.
-	assembling := len(a.assembling) > 0
-	freshGuard := len(a.fresh) > 0
-	triggerNeeded := trigger.needed
-	almost, interest, starvedInt := a.almostInterest, a.interestCount, a.starvedInterest
-	for _, pt := range a.cache.loaded {
-		if pt.state != partLoaded || pt.pins != 0 ||
-			(assembling && a.assembling[pt.key] > 0) {
-			continue
-		}
-		c := pt.key.chunk
-		if freshGuard && a.fresh[c] && interest[c] > 0 {
-			continue
-		}
-		en := keepEntry{p: pt}
-		if !columnar {
-			en.score = float64(almost[c])*qMax + float64(interest[c])
-		} else {
-			n, cols := a.almostNeeding(c)
-			en.e, en.cols = float64(n), cols
-			en.score = s.keepScoreDSM(&en)
-		}
-		switch {
-		case triggerNeeded[c]:
-			trig = append(trig, en)
-		case starvedInt[c] > 0:
-			useful = append(useful, en)
-		default:
-			heap = append(heap, en)
-		}
-	}
-	s.keepHeap, s.keepUseful, s.keepTrigger = heap, useful, trig
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		keepDown(heap, i)
-	}
-}
-
-// meldKeep adds a protection bucket to the victim heap (the next pass's
-// wider eligibility) and restores the heap order.
-func (s *relevStrategy) meldKeep(bucket []keepEntry) {
-	s.keepHeap = append(s.keepHeap, bucket...)
-	for i := len(s.keepHeap)/2 - 1; i >= 0; i-- {
-		keepDown(s.keepHeap, i)
-	}
-}
-
-// keepScoreDSM recomputes a frozen entry's score over the live resident
-// bytes of its column union.
-func (s *relevStrategy) keepScoreDSM(en *keepEntry) float64 {
-	pe := float64(s.cachedBytes(en.p.key.chunk, en.cols))
-	if pe < 1 {
-		pe = 1
-	}
-	return en.e / pe
-}
-
-// evictFromKeepHeap evicts the lowest-keepRelevance victims off the heap
-// until free() >= need, or reports failure when the heap runs dry. DSM
-// scores are revalidated at pop: an eviction can only shrink a sibling
-// part's resident bytes, so scores grow monotonically within a round and a
-// popped entry whose stored score is stale is simply re-keyed and
-// re-pushed — the first entry popped with a current score is the exact
-// minimum the old linear rescan found, including its (chunk, col)
-// tie-break.
-func (s *relevStrategy) evictFromKeepHeap(need int64) bool {
-	a := s.a
-	columnar := a.layout.Columnar()
-	for a.cache.free() < need {
-		if len(s.keepHeap) == 0 {
-			return false
-		}
-		en := s.keepPop()
-		if columnar {
-			if cur := s.keepScoreDSM(&en); cur > en.score {
-				en.score = cur
-				s.keepPush(en)
-				continue
-			}
-		}
-		a.evictPart(en.p.key)
-	}
-	return true
 }
 
 // colUseless reports whether no registered query that needs the chunk reads
@@ -844,10 +475,9 @@ func (s *relevStrategy) colUseless(k partKey) bool {
 // keepRelevanceScore is the eviction score: lower evicts first. NSM
 // (Figure 3): almost-starved interest (a counter read) dominates, total
 // interest breaks ties. DSM (Figure 11): almost-starved queries served per
-// cached byte, via the column-group index. It reads the live counters; the
-// eviction heap freezes these values per round at build time (the old
-// snapshot point), so mid-round starvation flips cannot change victim
-// choice.
+// cached byte, via the column-group index. It reads the live counters —
+// the first-principles reference the audits hold the victim heap's frozen
+// per-round scores against.
 func (s *relevStrategy) keepRelevanceScore(pt *part) float64 {
 	a := s.a
 	c := pt.key.chunk

@@ -1,0 +1,165 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"coopscan/internal/disk"
+	"coopscan/internal/sim"
+	"coopscan/internal/storage"
+)
+
+// TestSimAndLiveABMsDecideIdentically is the standing sim↔live oracle: an
+// ABM built by New (the constructor behind every experiment and the decision
+// golden) and one built by NewLive (the constructor behind every served
+// scan) are driven through the same seeded script under a shared manual
+// clock, and must produce the same sequence of load decisions, chunk picks,
+// eviction-pass outcomes and evicted parts. The script uses only the
+// SchedulerPolicy surface and the live entry points, the way the engine's
+// scheduler and stream goroutines do.
+func TestSimAndLiveABMsDecideIdentically(t *testing.T) {
+	for _, pol := range Policies {
+		for _, columnar := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/columnar=%v", pol, columnar), func(t *testing.T) {
+				for seed := int64(0); seed < 8; seed++ {
+					var layout storage.Layout = nsmTestLayout(24)
+					bufChunks := int64(6)
+					buf := layout.ChunkBytes(0, 0) * bufChunks
+					if columnar {
+						layout = dsmTestLayout(24, 4)
+						buf = layout.ChunkBytes(0, storage.AllCols(4)) * bufChunks
+					}
+					cfg := Config{Policy: pol, BufferBytes: buf, DisableLoader: true, ChunkCost: 0.01}
+					clk := &stepClock{}
+
+					env := sim.NewEnv()
+					simABM := New(env, disk.New(env, disk.Params{Bandwidth: 50 << 20, SeekTime: 1e-3}), layout, cfg)
+					simABM.clock = clk
+					simTrace := runDecisionScript(t, simABM, clk, seed)
+
+					clk.now = 0
+					liveTrace := runDecisionScript(t, NewLive(clk, layout, cfg), clk, seed)
+
+					for i := 0; i < len(simTrace) || i < len(liveTrace); i++ {
+						if i >= len(simTrace) || i >= len(liveTrace) || simTrace[i] != liveTrace[i] {
+							t.Fatalf("seed %d: traces diverge at event %d of %d/%d:\n  sim:  %s\n  live: %s",
+								seed, i, len(simTrace), len(liveTrace), at(simTrace, i), at(liveTrace, i))
+						}
+					}
+					if len(simTrace) < 200 {
+						t.Fatalf("seed %d: script produced only %d events", seed, len(simTrace))
+					}
+				}
+			})
+		}
+	}
+}
+
+func at(trace []string, i int) string {
+	if i < len(trace) {
+		return trace[i]
+	}
+	return "<end of trace>"
+}
+
+// runDecisionScript drives a through a seeded sequence of registrations,
+// load issues and completions, deliveries and forced eviction passes, and
+// returns every decision it observed.
+func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64) []string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed*6151 + 3))
+	pol := a.Policy()
+	numChunks := a.layout.NumChunks()
+	var trace []string
+	a.SetEvictHook(func(chunk, col int) {
+		trace = append(trace, fmt.Sprintf("evict c%d/%d", chunk, col))
+	})
+
+	type stream struct {
+		q      *Query
+		pinned int
+	}
+	var streams []*stream
+	var inflight []LoadDecision
+	registered := 0
+
+	for step := 0; step < 600; step++ {
+		clk.now += rng.Float64() * 0.02
+		switch op := rng.Intn(10); {
+		case op < 1 || len(streams) == 0: // register
+			if len(streams) >= 6 {
+				continue
+			}
+			s := rng.Intn(numChunks)
+			e := s + 1 + rng.Intn(numChunks-s)
+			var cols storage.ColSet
+			if a.layout.Columnar() {
+				cols = storage.Cols(rng.Intn(4), rng.Intn(4))
+			}
+			q := a.NewQuery(fmt.Sprintf("q%d", registered), rangeOf(s, e), cols)
+			if rng.Intn(3) == 0 {
+				q.SetWeight(4)
+			}
+			registered++
+			a.Register(q)
+			streams = append(streams, &stream{q: q, pinned: -1})
+		case op < 4: // issue a load, as the engine's scheduler does
+			if len(inflight) >= 3 {
+				continue
+			}
+			d, ok := pol.NextLoad()
+			if !ok {
+				trace = append(trace, "load none")
+				continue
+			}
+			if need := a.ColdBytes(d.Chunk, d.Cols); need > 0 && a.FreeBytes() < need {
+				a.MarkAssembling(d.Chunk, d.Cols)
+				ok := pol.EnsureSpace(need, d.Query)
+				a.UnmarkAssembling(d.Chunk, d.Cols)
+				if !ok {
+					trace = append(trace, fmt.Sprintf("load c%d %v for %s: no space", d.Chunk, d.Cols, d.Query.Name))
+					continue
+				}
+			}
+			pol.CommitLoad(d)
+			d.Cols = a.BeginLoad(d)
+			inflight = append(inflight, d)
+			trace = append(trace, fmt.Sprintf("load c%d %v for %s", d.Chunk, d.Cols, d.Query.Name))
+		case op < 6: // land a random in-flight load
+			if len(inflight) == 0 {
+				continue
+			}
+			i := rng.Intn(len(inflight))
+			a.FinishLoad(inflight[i])
+			inflight = append(inflight[:i], inflight[i+1:]...)
+		case op < 9: // advance one stream a half-step: release, or pick and pin
+			i := rng.Intn(len(streams))
+			st := streams[i]
+			if st.pinned >= 0 {
+				a.Release(st.q, st.pinned)
+				st.pinned = -1
+				if st.q.Finished() {
+					a.Finish(st.q)
+					streams = append(streams[:i], streams[i+1:]...)
+				}
+				continue
+			}
+			c := pol.PickAvailable(st.q)
+			trace = append(trace, fmt.Sprintf("pick %s c%d", st.q.Name, c))
+			st.q.SetBlocked(c < 0)
+			if c >= 0 {
+				a.Pin(st.q, c)
+				st.pinned = c
+			}
+		default: // force an eviction pass on behalf of a random stream
+			trigger := streams[rng.Intn(len(streams))].q
+			need := a.FreeBytes() + a.UsedBytes()/3 + 1
+			trace = append(trace, fmt.Sprintf("ensure %d for %s: %v", need, trigger.Name, pol.EnsureSpace(need, trigger)))
+		}
+		if step%25 == 0 {
+			auditIncrementalState(t, a, fmt.Sprintf("seed %d step %d", seed, step))
+		}
+	}
+	return trace
+}

@@ -40,62 +40,25 @@ func referenceVictim(a *ABM, keep func(*part) bool, score func(*part) float64) *
 // refLRUScore is the old lruScore.
 func refLRUScore(p *part) float64 { return p.lastTouch }
 
-// heapVictimLRU selects the next LRU victim the way makeSpace now does —
-// popping the cache's maintained heap — but over a copy, so the live state
-// is untouched.
-func heapVictimLRU(a *ABM, keep func(*part) bool) *part {
-	h := append([]*part(nil), a.cache.lruHeap...)
-	pop := func() *part {
-		p := h[0]
-		n := len(h) - 1
-		h[0] = h[n]
-		h = h[:n]
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				break
-			}
-			best := l
-			if r := l + 1; r < len(h) && lruBefore(h[r], h[l]) {
-				best = r
-			}
-			if !lruBefore(h[best], h[i]) {
-				break
-			}
-			h[i], h[best] = h[best], h[i]
-			i = best
-		}
-		return p
-	}
-	for len(h) > 0 {
-		p := pop()
-		if a.blockedFromEviction(p) || (keep != nil && keep(p)) {
-			continue
-		}
-		return p
-	}
-	return nil
-}
-
-// heapVictimKeep selects the relevance policy's next victim for the given
-// pass (0 guarded, 1 relaxed, 2 last-resort) from a freshly built keep
-// heap, without evicting.
-func heapVictimKeep(rs *relevStrategy, trigger *Query, pass int) *part {
-	rs.buildKeepHeap(trigger)
-	ens := append([]keepEntry(nil), rs.keepHeap...)
-	if pass >= 1 {
-		ens = append(ens, rs.keepUseful...)
-	}
-	if pass >= 2 {
-		ens = append(ens, rs.keepTrigger...)
-	}
+// heapVictim selects the next victim the way the eviction passes do — pop
+// the maintained heap in order, set aside what the pass must not evict —
+// and pushes everything back, so the live state is untouched (a heap's pop
+// order does not depend on its layout).
+func heapVictim[O heapOrder[*part]](a *ABM, h *indexedHeap[*part, O], keep func(*part) bool) *part {
+	var popped []*part
 	var victim *part
-	var best keepEntry
-	for _, en := range ens {
-		if victim == nil || keepBefore(en, best) {
-			victim, best = en.p, en
+	for victim == nil {
+		p, ok := h.pop()
+		if !ok {
+			break
 		}
+		popped = append(popped, p)
+		if !a.blockedFromEviction(p) && (keep == nil || !keep(p)) {
+			victim = p
+		}
+	}
+	for _, p := range popped {
+		h.push(p)
 	}
 	return victim
 }
@@ -153,27 +116,31 @@ func auditVictimSelection(t *testing.T, a *ABM, when string) {
 		func(p *part) bool { return p.key.chunk%3 == 0 },
 	} {
 		want := referenceVictim(a, keep, refLRUScore)
-		got := heapVictimLRU(a, keep)
+		got := heapVictim(a, &a.cache.lru, keep)
 		if want != got {
 			t.Fatalf("%s: LRU victim = %v, reference %v", when, keyOf(got), keyOf(want))
 		}
 	}
-	// Relevance class: all three passes against every registered trigger.
+	// Relevance class: the victim heap's pop order under each pass's guard
+	// (guarded, relaxed, last-resort) against every registered trigger. An
+	// eviction round starts with flushVicDirty, which brings every frozen
+	// score up to the live keepRelevanceScore the reference minimises.
 	rs, ok := a.strat.(*relevStrategy)
 	if !ok {
 		return
 	}
+	rs.flushVicDirty()
 	for _, trigger := range a.queries {
-		refGuards := []func(*part) bool{
+		guards := []func(*part) bool{
 			func(p *part) bool {
 				return trigger.needs(p.key.chunk) || a.starvedInterest[p.key.chunk] > 0
 			},
 			func(p *part) bool { return trigger.needs(p.key.chunk) },
 			nil,
 		}
-		for pass, refKeep := range refGuards {
-			want := referenceVictim(a, refKeep, rs.keepRelevanceScore)
-			got := heapVictimKeep(rs, trigger, pass)
+		for pass, keep := range guards {
+			want := referenceVictim(a, keep, rs.keepRelevanceScore)
+			got := heapVictim(a, &rs.victims, keep)
 			if want != got {
 				t.Fatalf("%s: keepRelevance victim (trigger %s, pass %d) = %v, reference %v",
 					when, trigger.Name, pass, keyOf(got), keyOf(want))
@@ -230,23 +197,20 @@ func keyOf(p *part) interface{} {
 
 // TestVictimSelectionMatchesLinearReference drives arbitrary event
 // sequences through NSM and DSM relevance fixtures, cross-checking every
-// selection structure (LRU heap, keepRelevance heap, column-group reads,
+// selection structure (LRU heap, victim heap, column-group reads,
 // incremental counters) against the linear-scan reference after every
 // event.
 func TestVictimSelectionMatchesLinearReference(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
-		for _, version := range []int{1, 2} {
-			columnar, version := columnar, version
-			t.Run(fmt.Sprintf("columnar=%v/v%d", columnar, version), func(t *testing.T) {
-				for seed := int64(0); seed < 10; seed++ {
-					runVictimCrossCheck(t, columnar, version, seed)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
+			for seed := int64(0); seed < 10; seed++ {
+				runVictimCrossCheck(t, columnar, seed)
+			}
+		})
 	}
 }
 
-func runVictimCrossCheck(t *testing.T, columnar bool, version int, seed int64) {
+func runVictimCrossCheck(t *testing.T, columnar bool, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed*104729 + 17))
 	numChunks := 8 + rng.Intn(24)
@@ -267,7 +231,6 @@ func runVictimCrossCheck(t *testing.T, columnar bool, version int, seed int64) {
 	}
 	a := New(env, d, layout, Config{
 		Policy: Relevance, BufferBytes: buf, DisableLoader: true,
-		DecisionVersion: version,
 	})
 	rs := a.strat.(*relevStrategy)
 

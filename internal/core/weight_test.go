@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"coopscan/internal/storage"
-)
+import "testing"
 
 // TestWeightBiasesQueryRelevance: at equal remaining work and service time, a
 // higher-weight query must outrank a weight-1 one, and the weighted relevance
@@ -55,7 +51,7 @@ func TestWeightDefaultIsIdentity(t *testing.T) {
 }
 
 // TestWeightSetterGuards: SetWeight must reject non-positive weights and
-// post-registration changes (the v2 candidate heap is keyed at Register).
+// post-registration changes (the candidate heap is keyed at Register).
 func TestWeightSetterGuards(t *testing.T) {
 	f := newPolicyFixture(t, nsmTestLayout(20), Relevance, 8)
 	q := f.abm.NewQuery("q", rangeOf(0, 10), 0)
@@ -74,14 +70,13 @@ func TestWeightSetterGuards(t *testing.T) {
 	mustPanic("after Register", func() { q.SetWeight(2) })
 }
 
-// TestWeightV2CandidateHeap: under decision version 2 the candidate heap's
-// argmin must agree with a linear scan of the weighted queryRelevance, and
-// the incremental audit must stay clean while weighted and unweighted
-// queries mix. The weighted key stays a time-free transform because the
-// weight divides only the remaining term.
-func TestWeightV2CandidateHeap(t *testing.T) {
-	layout := nsmTestLayout(64)
-	f := newPolicyFixtureV2(t, layout, 8)
+// TestWeightCandidateHeap: the candidate heap's argmin must agree with a
+// linear scan of the weighted queryRelevance, and the incremental audit must
+// stay clean while weighted and unweighted queries mix. The weighted key
+// stays a time-free transform because the weight divides only the remaining
+// term.
+func TestWeightCandidateHeap(t *testing.T) {
+	f := newPolicyFixture(t, nsmTestLayout(64), Relevance, 8)
 	rs := f.abm.strat.(*relevStrategy)
 
 	weights := []float64{1, 4, 1, 8, 2, 1}
@@ -97,14 +92,14 @@ func TestWeightV2CandidateHeap(t *testing.T) {
 	}
 
 	// The popped candidate must be the linear-scan argmax of the weighted
-	// relevance (ties by seq), exactly what nextLoadV2 relies on.
+	// relevance (ties by seq), exactly what NextLoad relies on.
 	d, ok := rs.NextLoad()
 	if !ok {
 		t.Fatal("NextLoad found no candidate")
 	}
 	best := bestByLinearScan(rs)
 	if d.Query != best {
-		t.Errorf("v2 NextLoad picked %s, linear weighted scan picks %s", d.Query.Name, best.Name)
+		t.Errorf("NextLoad picked %s, linear weighted scan picks %s", d.Query.Name, best.Name)
 	}
 	// The highest weight/remaining ratio wins here: q3 (weight 8).
 	if d.Query.Name != "q3" {
@@ -116,15 +111,6 @@ func TestWeightV2CandidateHeap(t *testing.T) {
 }
 
 var names = []string{"q0", "q1", "q2", "q3", "q4", "q5"}
-
-func newPolicyFixtureV2(t *testing.T, layout storage.Layout, bufChunks int) *policyFixture {
-	t.Helper()
-	f := newPolicyFixture(t, layout, Relevance, bufChunks)
-	f.abm.cfg.DecisionVersion = 2
-	f.abm.v2 = true
-	f.abm.candDirty = true
-	return f
-}
 
 func bestByLinearScan(rs *relevStrategy) *Query {
 	var best *Query

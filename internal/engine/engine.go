@@ -22,10 +22,8 @@ type Config struct {
 	// once (default 4; 1 reproduces the original one-read-at-a-time
 	// scheduler).
 	InFlightDepth int
-	// StarveThreshold, ElevatorWindow and Prefetch forward to core.Config.
+	// StarveThreshold forwards to core.Config.
 	StarveThreshold int
-	ElevatorWindow  int
-	Prefetch        int
 	// ReadBandwidth forwards to ServerConfig.ReadBandwidth: an optional
 	// per-load-stream device bandwidth model (bytes/s, 0 = off).
 	ReadBandwidth int64
@@ -66,8 +64,6 @@ func New(tf *TableFile, cfg Config) (*Engine, error) {
 		BufferBytes:       cfg.BufferBytes,
 		InFlightDepth:     cfg.InFlightDepth,
 		StarveThreshold:   cfg.StarveThreshold,
-		ElevatorWindow:    cfg.ElevatorWindow,
-		Prefetch:          cfg.Prefetch,
 		ReadBandwidth:     cfg.ReadBandwidth,
 		LoadRetries:       cfg.LoadRetries,
 		RetryBackoff:      cfg.RetryBackoff,

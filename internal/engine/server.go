@@ -84,10 +84,8 @@ type ServerConfig struct {
 	// sees overlapping requests even when a single stream cannot saturate
 	// it.
 	InFlightDepth int
-	// StarveThreshold, ElevatorWindow and Prefetch forward to core.Config.
+	// StarveThreshold forwards to core.Config.
 	StarveThreshold int
-	ElevatorWindow  int
-	Prefetch        int
 	// MeasureScheduling forwards to core.Config: every table's ABM then
 	// meters the wall-clock cost of its scheduling decisions (NextLoad,
 	// EnsureSpace, PickAvailable), surfaced per table in ServerStats — the
@@ -467,8 +465,6 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	s.mgr = core.NewLiveManager(wallClock{start: s.start}, core.Config{
 		Policy:            cfg.Policy,
 		StarveThreshold:   cfg.StarveThreshold,
-		ElevatorWindow:    cfg.ElevatorWindow,
-		Prefetch:          cfg.Prefetch,
 		MeasureScheduling: cfg.MeasureScheduling,
 	})
 	s.mgr.SetMetrics(managerMetrics(cfg.Obs))

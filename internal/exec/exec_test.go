@@ -265,24 +265,6 @@ func TestOrderedAggPanics(t *testing.T) {
 	}
 }
 
-func TestMergeJoin(t *testing.T) {
-	l := []int64{1, 2, 2, 4, 6}
-	lv := []int64{10, 20, 21, 40, 60}
-	r := []int64{2, 2, 3, 4, 6, 6}
-	rv := []int64{200, 201, 300, 400, 600, 601}
-	var pairs [][3]int64
-	n := MergeJoin(l, lv, r, rv, func(k, a, b int64) { pairs = append(pairs, [3]int64{k, a, b}) })
-	if n != 7 { // key2: 2×2=4, key4: 1, key6: 1×2=2
-		t.Errorf("matches = %d, want 7", n)
-	}
-	if len(pairs) != 7 {
-		t.Errorf("emitted %d pairs", len(pairs))
-	}
-	if MergeJoin(nil, nil, r, rv, nil) != 0 {
-		t.Error("empty left should match nothing")
-	}
-}
-
 func TestCMJOutOfOrderEqualsInOrder(t *testing.T) {
 	g := testGen()
 	rows := g.Table().Rows

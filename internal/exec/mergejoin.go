@@ -5,47 +5,6 @@ import (
 	"sort"
 )
 
-// MergeJoin joins two key-sorted inputs and calls emit for every matching
-// pair's value combination. It is the order-aware operator the paper says
-// attach/elevator handle by wrapping around the table; under relevance it
-// requires the inner side in memory (see CMJ below).
-func MergeJoin(lkeys, lvals, rkeys, rvals []int64, emit func(key, lval, rval int64)) int {
-	if len(lkeys) != len(lvals) || len(rkeys) != len(rvals) {
-		panic("exec: MergeJoin input length mismatch")
-	}
-	matches := 0
-	i, j := 0, 0
-	for i < len(lkeys) && j < len(rkeys) {
-		switch {
-		case lkeys[i] < rkeys[j]:
-			i++
-		case lkeys[i] > rkeys[j]:
-			j++
-		default:
-			// Emit the cross product of the equal-key runs.
-			k := lkeys[i]
-			i2 := i
-			for i2 < len(lkeys) && lkeys[i2] == k {
-				i2++
-			}
-			j2 := j
-			for j2 < len(rkeys) && rkeys[j2] == k {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					matches++
-					if emit != nil {
-						emit(k, lvals[a], rvals[b])
-					}
-				}
-			}
-			i, j = i2, j2
-		}
-	}
-	return matches
-}
-
 // OrdersDim is an in-memory dimension table for Cooperative Merge Join: the
 // paper's join index stores the physical row-id #order in lineitem, so the
 // clustered foreign-key join becomes an array lookup that works for chunks

@@ -104,6 +104,14 @@ func TestClientDisconnectStorm(t *testing.T) {
 	}
 	wg.Wait()
 
+	// The clients returning is not the accounting barrier: a handler whose
+	// client hung up records its outcome only when its next write fails. A
+	// handler records before it releases its admission slot, so the gate
+	// running empty is.
+	waitFor(t, func() bool {
+		ss := f.Sessions()
+		return ss.Live == 0 && ss.Queued == 0
+	})
 	ss := f.Sessions()
 	b := ss.Tiers["batch"]
 	if b.Admitted != clients {
