@@ -1,22 +1,20 @@
-// Package bufferpool implements a classic page-granularity buffer manager
-// with pluggable replacement (LRU, MRU, Clock) and pin counts — the
-// "standard buffer manager" of the paper's §7.1, on top of which the Active
-// Buffer Manager can be layered in an existing RDBMS: ABM requests a range
-// of pages, the pool reads and pins them (at arbitrary frame positions),
-// and ABM frees them when it decides to evict the chunk.
+// Package bufferpool is the paper's §7.1 illustration: a classic
+// page-granularity buffer manager with pin counts and LRU replacement — the
+// "standard buffer manager" of an existing RDBMS — and the ChunkView through
+// which an Active Buffer Manager layered on top of one would request a range
+// of pages, receive them pinned (at arbitrary frame positions) and free them
+// when it evicts the chunk.
 //
-// The chunk-granularity cache inside internal/core supersedes this for the
-// simulation experiments; this package exists as the integration substrate
-// (and documents the PostgreSQL-prototype path the paper describes), with
-// the ChunkView type providing exactly the pin-a-range/release-a-range
-// interface §7.1 sketches.
+// Nothing on the live path uses it. The engine has no pre-existing buffer
+// manager to accommodate: its ABM is the only residency authority and a
+// resident part owns its frame directly (internal/engine/frames.go). The
+// package is kept for the bench suite's bufferpool.pin_release_ns probe,
+// which compiles against New, PinRange and ChunkView.Release.
 package bufferpool
 
 import (
 	"errors"
 	"fmt"
-
-	"coopscan/internal/obs"
 )
 
 // PageID identifies a page on the underlying store.
@@ -25,23 +23,12 @@ type PageID int64
 // Replacement selects a victim frame among the unpinned resident pages.
 type Replacement int
 
-// Supported replacement policies. The paper's §3 observes that classic work
-// suggested LRU or MRU for scans, both of which share poorly; Clock is the
-// common LRU approximation.
-const (
-	LRU Replacement = iota
-	MRU
-	Clock
-)
+// LRU is the one supported replacement policy.
+const LRU Replacement = iota
 
 func (r Replacement) String() string {
-	switch r {
-	case LRU:
+	if r == LRU {
 		return "lru"
-	case MRU:
-		return "mru"
-	case Clock:
-		return "clock"
 	}
 	return fmt.Sprintf("replacement(%d)", int(r))
 }
@@ -53,9 +40,7 @@ var ErrNoFrame = errors.New("bufferpool: all frames pinned")
 type Reader func(id PageID) ([]byte, error)
 
 // Stats counts pool activity. BytesLoaded sums the sizes of the pages read
-// on misses — with per-column pages of different sizes (DSM tables store a
-// wide filler column next to narrow ones), it is the byte-accurate "real
-// I/O" counter that Misses × page-size used to approximate.
+// on misses.
 type Stats struct {
 	Hits        int
 	Misses      int
@@ -64,77 +49,32 @@ type Stats struct {
 }
 
 type frame struct {
-	id       PageID
 	data     []byte
 	pins     int
-	lastUsed int64 // logical tick of last access
-	loadedAt int64
-	refBit   bool // Clock's second-chance bit
+	lastUsed int64 // logical tick of last access; unique per frame
 }
 
 // Pool is a fixed-capacity page buffer.
 type Pool struct {
 	capacity int
-	policy   Replacement
 	read     Reader
-
-	frames map[PageID]*frame
-	order  []*frame // stable order for deterministic victim scans
-	tick   int64
-	hand   int // Clock hand
-	stats  Stats
-
-	// onEvict, when set, observes every frame eviction with the page's id
-	// and its data buffer. The buffer is exclusively the observer's after
-	// the call (the frame is gone), so callers use it to recycle page
-	// buffers instead of re-allocating per read.
-	onEvict func(id PageID, data []byte)
-
-	// pinned counts resident pages with pins > 0, maintained incrementally
-	// on the 0↔1 pin transitions so the metrics gauge never needs a scan.
-	pinned int
-	m      Metrics
+	frames   map[PageID]*frame
+	tick     int64
+	stats    Stats
 }
-
-// Metrics observes the pool live. The handles are obs metric series
-// (nil-safe), so the zero value disables observation; the engine resolves
-// them from its registry and installs them with SetMetrics. Gauges track
-// page counts (occupancy, pinned); counters mirror Stats cumulatively.
-type Metrics struct {
-	Resident    *obs.Gauge
-	Pinned      *obs.Gauge
-	Hits        *obs.Counter
-	Misses      *obs.Counter
-	Evictions   *obs.Counter
-	BytesLoaded *obs.Counter
-}
-
-// SetMetrics installs the pool's metric handles (see Metrics) and primes the
-// gauges with the current state. The zero value turns observation back off.
-func (p *Pool) SetMetrics(m Metrics) {
-	p.m = m
-	m.Resident.Set(int64(len(p.frames)))
-	m.Pinned.Set(int64(p.pinned))
-}
-
-// SetEvictObserver installs the frame-eviction observer (see Pool.onEvict).
-// Pass nil to remove it.
-func (p *Pool) SetEvictObserver(fn func(id PageID, data []byte)) { p.onEvict = fn }
 
 // New creates a pool holding up to capacity pages, loading misses with read.
 func New(capacity int, policy Replacement, read Reader) *Pool {
 	if capacity < 1 {
 		panic("bufferpool: capacity < 1")
 	}
+	if policy != LRU {
+		panic(fmt.Sprintf("bufferpool: unsupported %v", policy))
+	}
 	if read == nil {
 		panic("bufferpool: nil reader")
 	}
-	return &Pool{
-		capacity: capacity,
-		policy:   policy,
-		read:     read,
-		frames:   make(map[PageID]*frame, capacity),
-	}
+	return &Pool{capacity: capacity, read: read, frames: make(map[PageID]*frame, capacity)}
 }
 
 // Pin returns the page's contents with its pin count incremented, loading
@@ -144,18 +84,11 @@ func (p *Pool) Pin(id PageID) ([]byte, error) {
 	p.tick++
 	if f, ok := p.frames[id]; ok {
 		p.stats.Hits++
-		p.m.Hits.Inc()
 		f.pins++
-		if f.pins == 1 {
-			p.pinned++
-			p.m.Pinned.Add(1)
-		}
 		f.lastUsed = p.tick
-		f.refBit = true
 		return f.data, nil
 	}
 	p.stats.Misses++
-	p.m.Misses.Inc()
 	if len(p.frames) >= p.capacity {
 		if err := p.evictOne(); err != nil {
 			return nil, err
@@ -166,14 +99,8 @@ func (p *Pool) Pin(id PageID) ([]byte, error) {
 		return nil, fmt.Errorf("bufferpool: load page %d: %w", id, err)
 	}
 	p.stats.BytesLoaded += int64(len(data))
-	p.m.BytesLoaded.Add(int64(len(data)))
-	f := &frame{id: id, data: data, pins: 1, lastUsed: p.tick, loadedAt: p.tick, refBit: true}
-	p.frames[id] = f
-	p.order = append(p.order, f)
-	p.pinned++
-	p.m.Pinned.Add(1)
-	p.m.Resident.Set(int64(len(p.frames)))
-	return f.data, nil
+	p.frames[id] = &frame{data: data, pins: 1, lastUsed: p.tick}
+	return data, nil
 }
 
 // Unpin releases one pin of the page.
@@ -183,105 +110,29 @@ func (p *Pool) Unpin(id PageID) {
 		panic(fmt.Sprintf("bufferpool: Unpin(%d) without pin", id))
 	}
 	f.pins--
-	if f.pins == 0 {
-		p.pinned--
-		p.m.Pinned.Add(-1)
-	}
-}
-
-// Contains reports whether the page is resident (pinned or not).
-func (p *Pool) Contains(id PageID) bool {
-	_, ok := p.frames[id]
-	return ok
 }
 
 // Resident returns the number of resident pages.
 func (p *Pool) Resident() int { return len(p.frames) }
 
-// Pinned returns the number of resident pages with at least one pin.
-func (p *Pool) Pinned() int { return p.pinned }
-
 // Stats returns a copy of the counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// evictOne removes one unpinned page according to the policy.
+// evictOne removes the least recently used unpinned page. Ticks are unique,
+// so the victim does not depend on map iteration order.
 func (p *Pool) evictOne() error {
-	switch p.policy {
-	case Clock:
-		return p.evictClock()
-	default:
-		return p.evictByRecency()
-	}
-}
-
-func (p *Pool) evictByRecency() error {
-	var victim *frame
-	for _, f := range p.order {
-		if f.pins > 0 {
-			continue
-		}
-		if victim == nil {
-			victim = f
-			continue
-		}
-		if p.policy == LRU && f.lastUsed < victim.lastUsed {
-			victim = f
-		}
-		if p.policy == MRU && f.lastUsed > victim.lastUsed {
-			victim = f
+	victim, oldest := PageID(0), int64(-1)
+	for id, f := range p.frames {
+		if f.pins == 0 && (oldest < 0 || f.lastUsed < oldest) {
+			victim, oldest = id, f.lastUsed
 		}
 	}
-	if victim == nil {
+	if oldest < 0 {
 		return ErrNoFrame
 	}
-	p.remove(victim)
-	return nil
-}
-
-func (p *Pool) evictClock() error {
-	if len(p.order) == 0 {
-		return ErrNoFrame
-	}
-	// Two full sweeps: the first clears reference bits, the second must
-	// find a victim unless everything is pinned.
-	for sweep := 0; sweep < 2*len(p.order); sweep++ {
-		if p.hand >= len(p.order) {
-			p.hand = 0
-		}
-		f := p.order[p.hand]
-		if f.pins > 0 {
-			p.hand++
-			continue
-		}
-		if f.refBit {
-			f.refBit = false
-			p.hand++
-			continue
-		}
-		p.remove(f)
-		return nil
-	}
-	return ErrNoFrame
-}
-
-func (p *Pool) remove(f *frame) {
-	delete(p.frames, f.id)
-	for i, of := range p.order {
-		if of == f {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			if p.hand > i {
-				p.hand--
-			}
-			break
-		}
-	}
+	delete(p.frames, victim)
 	p.stats.Evictions++
-	p.m.Evictions.Inc()
-	p.m.Resident.Set(int64(len(p.frames)))
-	if p.onEvict != nil {
-		p.onEvict(f.id, f.data)
-		f.data = nil
-	}
+	return nil
 }
 
 // ChunkView is the §7.1 integration surface: ABM "requests a range of data

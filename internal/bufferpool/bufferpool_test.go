@@ -50,51 +50,9 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	p.Unpin(1)
 	mustPin(t, p, 3) // evicts 2
 	p.Unpin(3)
-	if !p.Contains(1) || p.Contains(2) || !p.Contains(3) {
+	if !contains(p, 1) || contains(p, 2) || !contains(p, 3) {
 		t.Errorf("residency after LRU eviction wrong: 1=%v 2=%v 3=%v",
-			p.Contains(1), p.Contains(2), p.Contains(3))
-	}
-}
-
-func TestMRUEvictsMostRecent(t *testing.T) {
-	reads := 0
-	p := New(2, MRU, testReader(&reads))
-	mustPin(t, p, 1)
-	p.Unpin(1)
-	mustPin(t, p, 2)
-	p.Unpin(2)
-	mustPin(t, p, 3) // MRU evicts 2 (most recently used)
-	p.Unpin(3)
-	if !p.Contains(1) || p.Contains(2) {
-		t.Errorf("MRU should keep the older page: 1=%v 2=%v", p.Contains(1), p.Contains(2))
-	}
-}
-
-func TestClockGivesSecondChance(t *testing.T) {
-	reads := 0
-	p := New(3, Clock, testReader(&reads))
-	for id := PageID(1); id <= 3; id++ {
-		mustPin(t, p, id)
-		p.Unpin(id)
-	}
-	// First eviction sweeps all reference bits clear, then evicts page 1.
-	mustPin(t, p, 4)
-	p.Unpin(4)
-	if p.Contains(1) || !p.Contains(2) || !p.Contains(3) {
-		t.Fatalf("first clock eviction wrong: 1=%v 2=%v 3=%v",
-			p.Contains(1), p.Contains(2), p.Contains(3))
-	}
-	// Touch page 2: its reference bit now saves it from the next sweep,
-	// which must take page 3 (bit clear) instead — the second chance.
-	mustPin(t, p, 2)
-	p.Unpin(2)
-	mustPin(t, p, 5)
-	p.Unpin(5)
-	if !p.Contains(2) || p.Contains(3) {
-		t.Errorf("second chance wrong: 2=%v 3=%v", p.Contains(2), p.Contains(3))
-	}
-	if p.Resident() != 3 {
-		t.Errorf("resident = %d", p.Resident())
+			contains(p, 1), contains(p, 2), contains(p, 3))
 	}
 }
 
@@ -105,7 +63,7 @@ func TestPinnedPagesNeverEvicted(t *testing.T) {
 	mustPin(t, p, 2)
 	p.Unpin(2)
 	mustPin(t, p, 3) // must evict 2, not pinned 1
-	if !p.Contains(1) || p.Contains(2) {
+	if !contains(p, 1) || contains(p, 2) {
 		t.Error("pinned page was evicted")
 	}
 	if _, err := p.Pin(4); !errors.Is(err, ErrNoFrame) {
@@ -153,7 +111,7 @@ func TestPinRangeAndRelease(t *testing.T) {
 		p.Unpin(id)
 	}
 	for id := PageID(10); id < 14; id++ {
-		if !p.Contains(id) {
+		if !contains(p, id) {
 			t.Errorf("pinned range page %d evicted", id)
 		}
 	}
@@ -163,7 +121,7 @@ func TestPinRangeAndRelease(t *testing.T) {
 		mustPin(t, p, id)
 		p.Unpin(id)
 	}
-	if p.Contains(10) {
+	if contains(p, 10) {
 		t.Error("released range should be evictable")
 	}
 }
@@ -178,7 +136,7 @@ func TestPinRangeFailureUnwinds(t *testing.T) {
 	// The one successfully pinned page must have been unpinned again:
 	// filling the pool should evict it.
 	mustPin(t, p, 60)
-	if p.Contains(0) {
+	if contains(p, 0) {
 		t.Error("partial range pin leaked")
 	}
 	p.Unpin(60)
@@ -186,31 +144,28 @@ func TestPinRangeFailureUnwinds(t *testing.T) {
 }
 
 func TestCapacityNeverExceeded(t *testing.T) {
-	for _, pol := range []Replacement{LRU, MRU, Clock} {
-		reads := 0
-		p := New(3, pol, testReader(&reads))
-		for i := 0; i < 50; i++ {
-			id := PageID(i % 7)
-			if _, err := p.Pin(id); err != nil {
-				t.Fatalf("%v: %v", pol, err)
-			}
-			p.Unpin(id)
-			if p.Resident() > 3 {
-				t.Fatalf("%v: resident %d > capacity", pol, p.Resident())
-			}
+	reads := 0
+	p := New(3, LRU, testReader(&reads))
+	for i := 0; i < 50; i++ {
+		id := PageID(i % 7)
+		if _, err := p.Pin(id); err != nil {
+			t.Fatal(err)
 		}
-		st := p.Stats()
-		if st.Hits+st.Misses != 50 {
-			t.Errorf("%v: accounting %+v", pol, st)
+		p.Unpin(id)
+		if p.Resident() > 3 {
+			t.Fatalf("resident %d > capacity", p.Resident())
 		}
+	}
+	st := p.Stats()
+	if st.Hits+st.Misses != 50 {
+		t.Errorf("accounting %+v", st)
 	}
 }
 
 func TestQuickPoolInvariants(t *testing.T) {
-	f := func(ops []uint8, polSeed uint8) bool {
-		pol := Replacement(polSeed % 3)
+	f := func(ops []uint8) bool {
 		reads := 0
-		p := New(4, pol, testReader(&reads))
+		p := New(4, LRU, testReader(&reads))
 		pins := map[PageID]int{}
 		for _, op := range ops {
 			id := PageID(op % 11)
@@ -231,7 +186,7 @@ func TestQuickPoolInvariants(t *testing.T) {
 			if p.Resident() > 4 {
 				return false
 			}
-			if !p.Contains(id) {
+			if !contains(p, id) {
 				return false
 			}
 		}
@@ -253,14 +208,18 @@ func distinctPinned(pins map[PageID]int) int {
 }
 
 func TestReplacementString(t *testing.T) {
-	for r, want := range map[Replacement]string{LRU: "lru", MRU: "mru", Clock: "clock"} {
-		if r.String() != want {
-			t.Errorf("%d = %q", int(r), r.String())
-		}
+	if LRU.String() != "lru" {
+		t.Errorf("LRU = %q", LRU.String())
 	}
 	if Replacement(9).String() == "" {
 		t.Error("unknown policy should stringify")
 	}
+}
+
+// contains reports whether the page is resident (pinned or not).
+func contains(p *Pool, id PageID) bool {
+	_, ok := p.frames[id]
+	return ok
 }
 
 func mustPin(t *testing.T, p *Pool, id PageID) {

@@ -61,6 +61,17 @@ func (a *ABM) AuditDrained() error {
 	return a.auditByteAccounting()
 }
 
+// EachPart reports every non-absent part: its key (col is -1 for an NSM
+// chunk), the buffer bytes its reservation accounts, and whether it is
+// resident (false: still loading). The live engine's frame audit walks it to
+// check that every reservation is backed by exactly one frame of that size.
+func (a *ABM) EachPart(fn func(chunk, col int, bytes int64, resident bool)) {
+	for k, p := range a.cache.parts {
+		first, last := a.cache.pageRange(k)
+		fn(k.chunk, k.col, (last-first)*a.cache.pageBytes, p.state == partLoaded)
+	}
+}
+
 // auditResidency recomputes the per-chunk residency index from the parts
 // map.
 func (a *ABM) auditResidency() error {

@@ -13,13 +13,14 @@ import (
 // file remains owned by the caller (it is not closed by Close or
 // DetachTable).
 //
+// Tables of any chunk geometry mix under the one budget: frames are drawn
+// per part size, so a table with smaller (or larger) chunks than its
+// neighbours needs nothing but its share of the bytes.
+//
 // Attach fails typed: ErrClosed after shutdown, ErrTableExists when the
 // name serves a live table (or one still draining out of DetachTable), and
-// ErrAttachIncompatible when the table cannot run under this server — a
-// page smaller than the frame size the shared pool was built for (the pool
-// cannot grow; a smaller page would let the byte budget outrun the frame
-// budget, and bufferpool.ErrNoFrame is fatal), or a buffer budget that no
-// longer covers the two-chunk floor of every attached table.
+// ErrAttachIncompatible for an empty name or a buffer budget that no longer
+// covers the two-chunk floor of every attached table.
 func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
@@ -27,9 +28,6 @@ func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		if s.err != nil {
-			return 0, s.err
-		}
 		return 0, ErrClosed
 	}
 	if _, ok := s.names[name]; ok {
@@ -37,11 +35,6 @@ func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 	}
 	if _, draining := s.mgr.For(name); draining {
 		return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
-	}
-	for j := 0; j < NumCols; j++ {
-		if sz := tf.ColStripeBytes(j); sz < s.minPage {
-			return 0, fmt.Errorf("%w: %q page %d bytes < pool frame %d", ErrAttachIncompatible, name, sz, s.minPage)
-		}
 	}
 	floor := 2 * tf.ChunkBytes()
 	for _, t := range s.tables {
@@ -57,7 +50,6 @@ func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 	t := s.newTable(idx, name, tf)
 	s.tables = append(s.tables, t)
 	s.names[name] = idx
-	s.addStripeSizes(tf)
 	s.mgr.Rebalance(s.cfg.BufferBytes)
 	if s.o.tracer != nil {
 		s.o.schedTrack.Instant("attach", obs.Args{"table": name, "slot": idx})
@@ -71,9 +63,9 @@ func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 // future registrations against it fail with ErrTableDetached, parked
 // streams wake and return the same typed error, the scheduler stops
 // issuing its loads, and — once its last in-flight load lands and its last
-// stream unregisters — the scheduler finalises the slot (releases the
-// pinned views, clears the quarantine state, returns the grant to the
-// arbiter and shuts the ABM down). The slot stays behind as a tombstone;
+// stream unregisters — the scheduler finalises the slot (returns its
+// frames, clears the quarantine state, returns the grant to the arbiter and
+// shuts the ABM down). The slot stays behind as a tombstone;
 // the freed budget is rebalanced to the remaining tables. Returns
 // ErrUnknownTable for a name not live, ErrClosed if the server shuts down
 // before the drain completes.
@@ -81,9 +73,6 @@ func (s *Server) DetachTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		if s.err != nil {
-			return s.err
-		}
 		return ErrClosed
 	}
 	i, ok := s.names[name]
@@ -104,9 +93,6 @@ func (s *Server) DetachTable(name string) error {
 		s.detachCond.Wait()
 	}
 	if !t.detached {
-		if s.err != nil {
-			return s.err
-		}
 		return ErrClosed
 	}
 	return nil
@@ -114,20 +100,19 @@ func (s *Server) DetachTable(name string) error {
 
 // finalizeDetaches retires every detaching table that has quiesced — no
 // in-flight loads, no registered streams (queued registrations were failed
-// by the drainRegs call preceding this one). Finalisation releases the
-// table's pinned part views (the frames become ordinary LRU victims),
-// clears its quarantine map, detaches the ABM from the budget arbiter
-// (which shuts it down) and rebalances the freed grant to the remaining
-// tables. Runs in the scheduler loop under mu.
+// by the drainRegs call preceding this one). Finalisation returns the
+// table's frames to the allocator (which drops the free frames of a size
+// class this was the last table to use), clears its quarantine map,
+// detaches the ABM from the budget arbiter (which shuts it down) and
+// rebalances the freed grant to the remaining tables. Runs in the scheduler
+// loop under mu.
 func (s *Server) finalizeDetaches() {
 	for _, t := range s.tables {
 		if !t.detaching || t.detached || t.inflight > 0 || len(t.streams) > 0 {
 			continue
 		}
-		for k, v := range t.views {
-			v.Release()
-			delete(t.views, k)
-		}
+		s.releaseFrames(t)
+		s.frames.release(partSizes(t.tf))
 		for k := range t.quarantine {
 			delete(t.quarantine, k)
 		}

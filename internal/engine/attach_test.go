@@ -161,7 +161,7 @@ func TestDetachUnderTraffic(t *testing.T) {
 }
 
 // TestAttachTypedErrors covers Attach's rejection paths: duplicate names,
-// budget floors, undersized pages and closed servers.
+// empty names, budget floors and closed servers.
 func TestAttachTypedErrors(t *testing.T) {
 	const rows, tpc = 8_000, 1000
 	tf0 := newTestFile(t, rows, tpc, 7)
@@ -188,13 +188,6 @@ func TestAttachTypedErrors(t *testing.T) {
 	if _, err := srv.Attach("b", tfB); !errors.Is(err, ErrAttachIncompatible) {
 		t.Errorf("over budget floor: err = %v, want ErrAttachIncompatible", err)
 	}
-	// Smaller tuples-per-chunk means smaller column stripes than the pool's
-	// frame size: incompatible.
-	tfSmall := newTestFile(t, rows, tpc/4, 10)
-	if _, err := srv.Attach("small", tfSmall); !errors.Is(err, ErrAttachIncompatible) {
-		t.Errorf("undersized pages: err = %v, want ErrAttachIncompatible", err)
-	}
-
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +196,56 @@ func TestAttachTypedErrors(t *testing.T) {
 	}
 	if err := srv.DetachTable("a"); !errors.Is(err, ErrClosed) {
 		t.Errorf("detach after close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestAttachSmallerChunks attaches a table whose chunks — and so its
+// frames — are a quarter the size of the resident table's, and scans both
+// concurrently under the one budget: frames are drawn per part size, so
+// chunk geometry is no attach restriction.
+func TestAttachSmallerChunks(t *testing.T) {
+	const rows, tpc = 16_000, 1000
+	tf0 := newTestFile(t, rows, tpc, 7)
+	tfSmall := newTestFile(t, rows, tpc/4, 10)
+	srv, err := NewServer(ServerConfig{Policy: core.Relevance, BufferBytes: 5 * tf0.ChunkBytes()}, tf0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	small, err := srv.Attach("small", tfSmall)
+	if err != nil {
+		t.Fatalf("Attach with smaller chunks: %v", err)
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for i, tf := range []*TableFile{tf0, tfSmall} {
+			table := []int{0, small}[i]
+			want := exec.Q6Result{}
+			for _, r := range chunkQ6Baseline(t, tf) {
+				want.Add(r)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var got exec.Q6Result
+				if _, err := srv.Scan(table, fmt.Sprintf("t%dr%d", table, round), rangeSet(0, tf.NumChunks()), Q6Cols(),
+					func(c int, d ChunkData) { got.Add(Q6Chunk(d, exec.DefaultQ6())) }); err != nil {
+					t.Errorf("scan table %d: %v", table, err)
+				} else if got != want {
+					t.Errorf("table %d: Q6 = %+v, want %+v", table, got, want)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if err := srv.AuditTables(); err != nil {
+		t.Errorf("audit: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AuditDrained(); err != nil {
+		t.Errorf("drained audit: %v", err)
 	}
 }
 

@@ -46,11 +46,11 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 
 	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()})
+			srv, err := NewServer(ServerConfig{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer eng.Close()
+			defer srv.Close()
 			var wg sync.WaitGroup
 			errs := make([]error, streams)
 			for s := 0; s < streams; s++ {
@@ -70,7 +70,7 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 						for c := start; c < end; c++ {
 							want.Merge(exec.Q1Chunk(gen, int64(c)*tpc, tf.Layout().ChunkTuples(c), 700, 2))
 						}
-						st, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q1Cols(),
+						st, err := srv.Scan(0, fmt.Sprintf("s%d", s), rangeSet(start, end), Q1Cols(),
 							func(c int, d ChunkData) {
 								if d.Cols() != Q1Cols() {
 									errs[s] = fmt.Errorf("stream %d: delivered cols %v, want %v", s, d.Cols(), Q1Cols())
@@ -97,7 +97,7 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 							want.Add(q6Base[c])
 						}
 						var got exec.Q6Result
-						_, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q6Cols(),
+						_, err := srv.Scan(0, fmt.Sprintf("s%d", s), rangeSet(start, end), Q6Cols(),
 							func(c int, d ChunkData) {
 								if d.Has(ColTax) || d.Has(ColComment) {
 									errs[s] = fmt.Errorf("stream %d: undeclared column delivered", s)
@@ -120,8 +120,8 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			stats := eng.Stats()
-			if stats.ABM.Loads == 0 || stats.Pool.Misses == 0 {
+			stats := srv.Stats()
+			if stats.Tables[0].ABM.Loads == 0 || stats.Pool.Misses == 0 {
 				t.Errorf("no real I/O recorded: %+v", stats)
 			}
 		})
@@ -148,7 +148,7 @@ func TestDSMColumnSelectiveIO(t *testing.T) {
 	useful := make(map[Format]int64)
 	for _, format := range []Format{NSM, DSM} {
 		tf := newTestFileFormat(t, format, rows, tpc, 17)
-		eng, err := New(tf, Config{Policy: core.Relevance, BufferBytes: 16 * tf.ChunkBytes()})
+		srv, err := NewServer(ServerConfig{Policy: core.Relevance, BufferBytes: 16 * tf.ChunkBytes()}, tf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestDSMColumnSelectiveIO(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				st, err := eng.Scan(fmt.Sprintf("q6-%d", s), rangeSet(0, tf.NumChunks()), Q6Cols(),
+				st, err := srv.Scan(0, fmt.Sprintf("q6-%d", s), rangeSet(0, tf.NumChunks()), Q6Cols(),
 					func(_ int, d ChunkData) { Q6Chunk(d, pred) })
 				mu.Lock()
 				defer mu.Unlock()
@@ -172,8 +172,8 @@ func TestDSMColumnSelectiveIO(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		read[format] = eng.Stats().Pool.BytesLoaded
-		eng.Close()
+		read[format] = srv.Stats().Pool.BytesLoaded
+		srv.Close()
 	}
 	if read[NSM] == 0 || read[DSM] == 0 {
 		t.Fatalf("no bytes recorded: nsm=%d dsm=%d", read[NSM], read[DSM])
@@ -198,8 +198,8 @@ func TestDSMColumnSelectiveIO(t *testing.T) {
 // TestDSMIndependentColumnEviction drives the relevance eviction path
 // directly: with one column of every chunk still needed by a registered
 // query and a sibling column needed by nobody, EnsureSpace must evict the
-// useless column parts — releasing their buffer-pool views — while the
-// needed column's parts (and views) stay resident.
+// useless column parts — returning their frames — while the needed
+// column's parts (and frames) stay resident.
 func TestDSMIndependentColumnEviction(t *testing.T) {
 	const rows, tpc = 12_000, 1000
 	tf := newTestFileFormat(t, DSM, rows, tpc, 23)
@@ -217,7 +217,7 @@ func TestDSMIndependentColumnEviction(t *testing.T) {
 	resident := func(col int) []int {
 		var out []int
 		for c := 0; c < tf.NumChunks(); c++ {
-			if _, ok := tbl.views[partID{chunk: c, col: col}]; ok {
+			if _, ok := tbl.frames[partID{chunk: c, col: col}]; ok {
 				out = append(out, c)
 			}
 		}

@@ -305,7 +305,7 @@ func TestScanAfterCloseReturnsErrClosed(t *testing.T) {
 // streams on both tables — one aimed at the dead part, one cancelled mid-
 // flight — across several seeds and policies. Every surviving stream must be
 // byte-identical to the fault-free golden, the incremental scheduler state
-// must audit clean mid-flight and after the drain, at least 100 faults must
+// and the frame accounting must audit clean mid-flight and after the drain, at least 100 faults must
 // actually have been injected, and the server must close with no global
 // failure and no leaked budget.
 func TestFaultSoak(t *testing.T) {
@@ -366,6 +366,9 @@ func runFaultSoak(t *testing.T, seed uint64, pol core.Policy) {
 		for _, tbl := range srv.tables {
 			if err := tbl.abm.AuditIncremental(); err != nil && auditErr == nil {
 				auditErr = fmt.Errorf("%s: %w", tbl.name, err)
+			}
+			if err := tbl.auditFrames(); err != nil && auditErr == nil {
+				auditErr = err
 			}
 		}
 	}
@@ -485,14 +488,7 @@ func runFaultSoak(t *testing.T, seed uint64, pol core.Policy) {
 			t.Errorf("%s = %d, want %d (FaultStats disagrees with scrape)", c.metric, got, c.want)
 		}
 	}
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	for _, tbl := range srv.tables {
-		if err := tbl.abm.AuditDrained(); err != nil {
-			t.Errorf("%s drained audit: %v", tbl.name, err)
-		}
-		if free := tbl.abm.FreeBytes(); free < 0 {
-			t.Errorf("%s over budget after drain: free = %d", tbl.name, free)
-		}
+	if err := srv.AuditDrained(); err != nil {
+		t.Errorf("drained audit: %v", err)
 	}
 }

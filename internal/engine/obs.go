@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"coopscan/internal/bufferpool"
 	"coopscan/internal/core"
 	"coopscan/internal/obs"
 )
@@ -36,16 +35,22 @@ type serverObs struct {
 	pinSeconds        *obs.Histogram
 	readBytes         *obs.Counter
 	decodedBytes      *obs.Counter
-	recycleGets       *obs.Counter
-	recycleAllocs     *obs.Counter
 
-	// Fault counters mirror FaultStats one to one and stay unlabelled, so a
-	// registry scrape can be compared exactly against Server.Stats().Faults.
-	retries        *obs.Counter
-	checksumErrors *obs.Counter
-	quarantined    *obs.Counter
-	failedScans    *obs.Counter
-	cancelledScans *obs.Counter
+	// The fault tallies are FaultStats (Server.Stats assembles it from their
+	// counts) and stay unlabelled, so a registry scrape can be compared
+	// exactly against Server.Stats().Faults.
+	retries        tally
+	checksumErrors tally
+	quarantined    tally
+	failedScans    tally
+	cancelledScans tally
+
+	// The pool tallies and levels are PoolStats, in parts, fed from three
+	// sites: a load landing (misses, loaded, resident), the ABM's evict hook
+	// (evictions, resident) and a delivery's pin/unpin (hits; pinned on a
+	// frame's 0↔1 transitions).
+	hits, misses, evictions, loaded tally
+	resident, pinned                level
 
 	schedSeconds *obs.HistogramVec // {table, policy}
 	scanSeconds  *obs.HistogramVec // {table, policy}
@@ -53,6 +58,32 @@ type serverObs struct {
 	prunedChunks *obs.CounterVec   // {table, policy}
 
 	schedTrack obs.Track
+}
+
+// tally is one per-server event count together with the registry series that
+// exports it: add is the only place either moves, so Server.Stats and a
+// /metrics scrape cannot drift apart. The count is what Stats reports (a
+// registry may outlive the server and accumulate across several); the series
+// is nil — a no-op — without a registry. Guarded by the server mutex.
+type tally struct {
+	n int64
+	c *obs.Counter
+}
+
+func (t *tally) add(d int64) {
+	t.n += d
+	t.c.Add(d)
+}
+
+// level is tally's up-and-down sibling, exported as a gauge.
+type level struct {
+	n int64
+	g *obs.Gauge
+}
+
+func (l *level) add(d int64) {
+	l.n += d
+	l.g.Add(d)
 }
 
 // tableObs is one table's pre-resolved slice of the server metrics — the
@@ -77,31 +108,39 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) serverObs {
 		o.inflight = reg.Gauge("coopscan_load_inflight",
 			"Loads issued to workers and not yet completed or aborted.")
 		o.readSeconds = reg.Histogram("coopscan_load_read_seconds",
-			"Wall time of coalesced load reads, verify time excluded (includes the device-model sleep).", obs.IOBuckets)
+			"Wall time of a load's part reads, verify and decompress time excluded (includes the device-model sleep).", obs.IOBuckets)
 		o.verifySeconds = reg.Histogram("coopscan_load_verify_seconds",
 			"Wall time of per-page checksum verification, accumulated per load read.", obs.IOBuckets)
 		o.decompressSeconds = reg.Histogram("coopscan_load_decompress_seconds",
-			"Wall time spent decompressing v4 extents into page buffers, accumulated per load read.", obs.IOBuckets)
+			"Wall time spent decompressing v4 extents into frames, accumulated per load read.", obs.IOBuckets)
 		o.pinSeconds = reg.Histogram("coopscan_load_pin_seconds",
-			"Wall time of a load completion's pin-and-commit section.", obs.SchedBuckets)
+			"Wall time of a load completion's commit section under the server lock (frame publish + FinishLoad).", obs.SchedBuckets)
 		o.readBytes = reg.Counter("coopscan_load_read_bytes_total",
 			"Bytes read from table files by load workers (stored/disk bytes: compressed widths on v4 tables).")
 		o.decodedBytes = reg.Counter("coopscan_load_decoded_bytes_total",
-			"Bytes staged into page buffers after decompression (equals read bytes on raw tables).")
-		o.recycleGets = reg.Counter("coopscan_recycle_gets_total",
-			"Page buffers drawn from the recycle pools.")
-		o.recycleAllocs = reg.Counter("coopscan_recycle_allocs_total",
-			"Recycle-pool draws that allocated a fresh buffer (recycle misses).")
-		o.retries = reg.Counter("coopscan_fault_retries_total",
-			"Load attempts repeated after a read, verify or pin failure.")
-		o.checksumErrors = reg.Counter("coopscan_fault_checksum_errors_total",
+			"Bytes decoded into frames by load reads (equals read bytes on raw tables).")
+		o.retries.c = reg.Counter("coopscan_fault_retries_total",
+			"Load attempts repeated after a read or verify failure.")
+		o.checksumErrors.c = reg.Counter("coopscan_fault_checksum_errors_total",
 			"Load attempts rejected by page checksum verification.")
-		o.quarantined = reg.Counter("coopscan_fault_quarantined_parts_total",
+		o.quarantined.c = reg.Counter("coopscan_fault_quarantined_parts_total",
 			"Parts taken out of service after a load exhausted its retries.")
-		o.failedScans = reg.Counter("coopscan_fault_failed_scans_total",
+		o.failedScans.c = reg.Counter("coopscan_fault_failed_scans_total",
 			"Scans failed because their range needed a quarantined part.")
-		o.cancelledScans = reg.Counter("coopscan_fault_cancelled_scans_total",
+		o.cancelledScans.c = reg.Counter("coopscan_fault_cancelled_scans_total",
 			"Scans that returned early on context cancellation.")
+		o.resident.g = reg.Gauge("coopscan_pool_resident_pages",
+			"Resident parts (NSM chunks, DSM column stripes), each holding one frame.")
+		o.pinned.g = reg.Gauge("coopscan_pool_pinned_pages",
+			"Resident parts some scan is currently processing.")
+		o.hits.c = reg.Counter("coopscan_pool_hits_total",
+			"Parts handed to scans from resident frames.")
+		o.misses.c = reg.Counter("coopscan_pool_misses_total",
+			"Parts landed by loads.")
+		o.evictions.c = reg.Counter("coopscan_pool_evictions_total",
+			"Parts evicted by the ABM.")
+		o.loaded.c = reg.Counter("coopscan_pool_loaded_bytes_total",
+			"Decoded bytes of the parts landed by loads.")
 		o.schedSeconds = reg.HistogramVec("coopscan_sched_decision_seconds",
 			"Wall time of scheduler decisions that committed a load.", obs.SchedBuckets, "table", "policy")
 		o.scanSeconds = reg.HistogramVec("coopscan_scan_seconds",
@@ -115,28 +154,6 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) serverObs {
 		o.schedTrack = tracer.NewTrack("scheduler")
 	}
 	return o
-}
-
-// poolMetrics resolves the shared page pool's metric series (all nil when
-// reg is).
-func poolMetrics(reg *obs.Registry) bufferpool.Metrics {
-	if reg == nil {
-		return bufferpool.Metrics{}
-	}
-	return bufferpool.Metrics{
-		Resident: reg.Gauge("coopscan_pool_resident_pages",
-			"Pages resident in the shared pool."),
-		Pinned: reg.Gauge("coopscan_pool_pinned_pages",
-			"Resident pages with at least one pin."),
-		Hits: reg.Counter("coopscan_pool_hits_total",
-			"Page pins served from a resident frame."),
-		Misses: reg.Counter("coopscan_pool_misses_total",
-			"Page pins that had to load the page."),
-		Evictions: reg.Counter("coopscan_pool_evictions_total",
-			"Frames evicted to make room."),
-		BytesLoaded: reg.Counter("coopscan_pool_loaded_bytes_total",
-			"Bytes entering the pool on misses."),
-	}
 }
 
 // managerMetrics resolves the budget arbiter's metric series (all nil when

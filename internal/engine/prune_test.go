@@ -66,11 +66,11 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 
 	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()})
+			srv, err := NewServer(ServerConfig{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer eng.Close()
+			defer srv.Close()
 			var wg sync.WaitGroup
 			errs := make([]error, streams)
 			for s := 0; s < streams; s++ {
@@ -90,7 +90,7 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 						for c := start; c < end; c++ {
 							want.Merge(exec.Q1Chunk(gen, int64(c)*tpc, tf.Layout().ChunkTuples(c), 700, 2))
 						}
-						if _, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q1Cols(),
+						if _, err := srv.Scan(0, fmt.Sprintf("s%d", s), rangeSet(start, end), Q1Cols(),
 							func(c int, d ChunkData) { got.Merge(Q1Chunk(d, 700, 2)) }); err != nil {
 							errs[s] = err
 							return
@@ -108,7 +108,7 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 							want.Add(q6Base[c])
 						}
 						var got exec.Q6Result
-						if _, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q6Cols(),
+						if _, err := srv.Scan(0, fmt.Sprintf("s%d", s), rangeSet(start, end), Q6Cols(),
 							func(c int, d ChunkData) {
 								if d.Has(ColTax) || d.Has(ColComment) {
 									errs[s] = fmt.Errorf("stream %d: undeclared column delivered", s)
@@ -130,13 +130,13 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			stats := eng.Stats()
-			if stats.ABM.Loads == 0 || stats.Pool.Misses == 0 {
+			stats := srv.Stats()
+			if stats.Tables[0].ABM.Loads == 0 || stats.Pool.Misses == 0 {
 				t.Errorf("no real I/O recorded: %+v", stats)
 			}
 			// The device paid compressed widths: disk bytes must be positive
 			// and strictly below the decompressed bytes the ABM accounts.
-			ts := eng.Server().Stats().Tables[0]
+			ts := srv.Stats().Tables[0]
 			if ts.DiskBytesRead <= 0 || ts.DiskBytesRead >= ts.ABM.BytesRead {
 				t.Errorf("DiskBytesRead = %d, ABM.BytesRead = %d: want 0 < disk < decoded",
 					ts.DiskBytesRead, ts.ABM.BytesRead)
@@ -163,12 +163,11 @@ func TestZonemapPruningSelectivity(t *testing.T) {
 
 	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()})
+			srv, err := NewServer(ServerConfig{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer eng.Close()
-			srv := eng.Server()
+			defer srv.Close()
 
 			var unpruned exec.Q6Result
 			if _, err := srv.Scan(0, "unpruned", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
@@ -225,12 +224,11 @@ func TestPruningEdgeCases(t *testing.T) {
 	n := v4.NumChunks()
 	pred := exec.DefaultQ6()
 
-	eng, err := New(v4, Config{Policy: core.Normal, BufferBytes: 4 * v4.ChunkBytes()})
+	srv, err := NewServer(ServerConfig{Policy: core.Normal, BufferBytes: 4 * v4.ChunkBytes()}, v4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	srv := eng.Server()
+	defer srv.Close()
 
 	t.Run("prunes everything", func(t *testing.T) {
 		// Shipdate far above the generator domain: every chunk's bounds
@@ -293,12 +291,12 @@ func TestPruningEdgeCases(t *testing.T) {
 	})
 
 	t.Run("raw v3 table ignores predicates", func(t *testing.T) {
-		rawEng, err := New(raw, Config{Policy: core.Normal, BufferBytes: 4 * raw.ChunkBytes()})
+		rawSrv, err := NewServer(ServerConfig{Policy: core.Normal, BufferBytes: 4 * raw.ChunkBytes()}, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rawEng.Close()
-		st, err := rawEng.Server().ScanWith(context.Background(), ScanRequest{
+		defer rawSrv.Close()
+		st, err := rawSrv.ScanWith(context.Background(), ScanRequest{
 			Name: "v3-pred", Ranges: rangeSet(0, n), Cols: Q6Cols(), Preds: Q6Preds(pred),
 		}, nil)
 		if err != nil {
@@ -307,7 +305,7 @@ func TestPruningEdgeCases(t *testing.T) {
 		if st.Chunks != n {
 			t.Errorf("v3 predicated scan delivered %d chunks, want all %d (no bounds, no pruning)", st.Chunks, n)
 		}
-		if got := rawEng.Server().Stats().Tables[0].ChunksPruned; got != 0 {
+		if got := rawSrv.Stats().Tables[0].ChunksPruned; got != 0 {
 			t.Errorf("v3 table ChunksPruned = %d, want 0", got)
 		}
 	})

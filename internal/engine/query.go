@@ -44,7 +44,7 @@ func ProjectionBytes(cols storage.ColSet) int64 {
 
 // ChunkData is one delivered chunk's contents: the pinned column stripes of
 // a resident chunk, valid for the duration of the OnChunk callback (the
-// ABM's pins guarantee the underlying buffer-pool pages cannot be evicted
+// ABM's pins guarantee the parts' frames cannot be evicted and reused
 // while the query processes them). Only the columns the scan declared are
 // populated — on a DSM table the other columns were never read from disk.
 type ChunkData struct {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"coopscan/internal/bufferpool"
 	"coopscan/internal/core"
 	"coopscan/internal/obs"
 	"coopscan/internal/storage"
@@ -53,19 +52,11 @@ var (
 	// ErrTableExists: Attach under a name already serving a live table (or
 	// one still draining out of a DetachTable in progress).
 	ErrTableExists = errors.New("engine: table already attached")
-	// ErrAttachIncompatible: the table cannot run under this server — its
-	// pages are smaller than the frame size the shared pool was built for,
-	// or the buffer budget cannot cover the two-chunk floor of every
-	// attached table plus this one.
+	// ErrAttachIncompatible: the table cannot run under this server — it was
+	// given an empty name, or the buffer budget cannot cover the two-chunk
+	// floor of every attached table plus this one.
 	ErrAttachIncompatible = errors.New("engine: table incompatible with server")
 )
-
-// pageStride namespaces buffer-pool PageIDs per table: table t's page p
-// has the global id t*pageStride + p. One pool serves every table — the
-// paper's premise that all scans compete for a single underlying buffer
-// manager — and the stride keeps per-table page spaces disjoint (no real
-// table comes near 2^40 stripes).
-const pageStride = int64(1) << 40
 
 // ServerConfig parameterises a multi-table live server.
 type ServerConfig struct {
@@ -102,7 +93,7 @@ type ServerConfig struct {
 	// ~200 MiB/s RAID figure so live numbers are comparable to the
 	// paper's.
 	ReadBandwidth int64
-	// LoadRetries caps how many times a failed load's reads and pins are
+	// LoadRetries caps how many times a failed load's reads are
 	// retried before the parts it covers are quarantined (default 4, so a
 	// load gets 5 attempts in total — enough to outlast any transient fault
 	// an injector caps at 2 failures per offset).
@@ -112,9 +103,9 @@ type ServerConfig struct {
 	// 100 × base. Tests shrink it to keep fault soaks fast.
 	RetryBackoff time.Duration
 	// Obs, when non-nil, is the metrics registry the server instruments
-	// itself into: scheduler decision latency, load read/verify/pin latency
+	// itself into: scheduler decision latency, load read/verify/commit latency
 	// and bytes, in-flight depth, fault counters, per-scan wall latency,
-	// the shared pool's occupancy and the arbiter's grants. One registry may
+	// resident and pinned parts and the arbiter's grants. One registry may
 	// serve several sequential servers (counters accumulate, Prometheus
 	// style). Nil disables metrics at nil-check cost.
 	Obs *obs.Registry
@@ -129,11 +120,6 @@ const (
 	defaultInFlightDepth = 4
 	defaultLoadRetries   = 4
 	defaultRetryBackoff  = time.Millisecond
-	// attachFrameSlack reserves pool frames for the integer-rounding
-	// crumbs of tables attached at runtime (construction sizes one crumb
-	// per initial table; Attach cannot grow the pool, so the headroom is
-	// banked up front).
-	attachFrameSlack = 16
 )
 
 // TableStats is one table's share of a server's counters.
@@ -149,7 +135,7 @@ type TableStats struct {
 	SchedCalls int64
 	// DiskBytesRead is the stored bytes load workers transferred for this
 	// table: compressed widths on v4 files, so it diverges from
-	// ABM.BytesRead (which accounts the decompressed pool footprint)
+	// ABM.BytesRead (which accounts the decoded frame footprint)
 	// exactly by the compression ratio.
 	DiskBytesRead int64
 	// ChunksPruned counts chunks removed from scan registrations by
@@ -160,8 +146,8 @@ type TableStats struct {
 // FaultStats counts the server's fault-handling activity. All fields are
 // cumulative since server start.
 type FaultStats struct {
-	// Retries is the number of load attempts repeated after a read, verify
-	// or pin failure.
+	// Retries is the number of load attempts repeated after a read or
+	// verify failure.
 	Retries int64
 	// ChecksumErrors counts load attempts rejected by page checksum
 	// verification (ErrChecksum somewhere in the failure chain).
@@ -177,34 +163,55 @@ type FaultStats struct {
 	CancelledScans int64
 }
 
+// PoolStats counts the buffer's activity in parts (NSM chunks, DSM column
+// stripes) — the unit the ABM loads, pins and evicts, each resident part
+// holding one frame. Hits ÷ Misses is the sharing fan-out: deliveries per
+// load.
+type PoolStats struct {
+	// Hits counts parts handed to scans from resident frames.
+	Hits int
+	// Misses counts parts landed by loads; BytesLoaded sums their decoded
+	// sizes.
+	Misses int
+	// Evictions counts parts the ABM evicted.
+	Evictions   int
+	BytesLoaded int64
+	// Resident and Pinned are instantaneous: parts resident, and resident
+	// parts some scan is processing right now.
+	Resident int
+	Pinned   int
+}
+
 // ServerStats aggregates a run's counters: per-table ABM decisions plus the
-// shared page pool's real I/O and the fault-handling counters.
+// buffer's part traffic and the fault-handling counters.
 type ServerStats struct {
 	Tables []TableStats
-	Pool   bufferpool.Stats
+	Pool   PoolStats
 	Faults FaultStats
 }
 
-// partID identifies one pinned unit in a table's view map: a (chunk,
-// column) part in DSM, the whole chunk (col == -1) in NSM — mirroring the
-// ABM's part keys, so the evict hook's (chunk, col) maps directly to the
-// view to release.
+// partID identifies one part in a table's frame map: a (chunk, column)
+// part in DSM, the whole chunk (col == -1) in NSM — the ABM's part keys, so
+// the evict hook's (chunk, col) names the frame to return.
 type partID struct{ chunk, col int }
 
 // serverTable is one attached table: its file, its live ABM (own chunk map,
 // query registry and policy state, per the paper's §7.1 "separate
-// statistics and meta-data for each" table) and its pinned part views.
+// statistics and meta-data for each" table) and its resident parts' frames.
 type serverTable struct {
 	idx  int
 	tf   *TableFile
 	abm  *core.ABM
 	pol  core.SchedulerPolicy
 	name string
-	// views maps each ABM-resident part to its pinned page range in the
-	// shared pool: one view per NSM chunk, one view per DSM (chunk, column)
-	// part — so a column part can be evicted (view released) while a
-	// sibling column of the same chunk stays pinned and resident.
-	views map[partID]*bufferpool.ChunkView
+	// frames maps each ABM-resident part to its frame: one per NSM chunk,
+	// one per DSM (chunk, column) part — so a column part can be evicted
+	// (frame returned) while a sibling column of the same chunk stays
+	// resident. framesOut counts the frames this table has drawn and not
+	// returned: the resident ones here plus those travelling on in-flight
+	// load jobs. Both guarded by the server mutex.
+	frames    map[partID]*frame
+	framesOut int
 	// quarantine holds the parts whose loads exhausted their retries,
 	// mapped to the final failure. The scheduler refuses decisions naming
 	// them and scans that still need them fail with ErrChunkUnavailable;
@@ -234,18 +241,20 @@ type serverTable struct {
 	// detaching is set by DetachTable: the scheduler stops issuing the
 	// table's loads, queued and future registrations fail with
 	// ErrTableDetached, and parked streams wake to observe it. detached is
-	// set when the scheduler finalises the quiesced table (views released,
+	// set when the scheduler finalises the quiesced table (frames returned,
 	// quarantine cleared, grant returned to the arbiter, ABM shut down);
-	// the slot then stays behind as a tombstone — table indexes are never
-	// reused, so per-table pool page namespaces stay disjoint for the
-	// server's lifetime.
+	// the slot then stays behind as a tombstone — table indexes are stable
+	// for the server's lifetime.
 	detaching, detached bool
 }
 
-// partPages returns the global pool-page run backing one part.
-func (t *serverTable) partPages(chunk, col int) (first bufferpool.PageID, count int) {
-	f, n := t.tf.PartPages(chunk, col)
-	return bufferpool.PageID(int64(t.idx)*pageStride + f), n
+// partBytes returns the decoded size of one part — its frame size and the
+// bytes its ABM reservation holds.
+func (t *serverTable) partBytes(col int) int64 {
+	if col < 0 {
+		return t.tf.ChunkBytes()
+	}
+	return t.tf.ColStripeBytes(col)
 }
 
 // eachPart invokes fn for every ABM part of a load job: the single
@@ -261,12 +270,8 @@ func (t *serverTable) eachPart(marked storage.ColSet, fn func(col int)) {
 // decisionQuarantined reports whether a load decision names a quarantined
 // part; such decisions are never committed.
 func (t *serverTable) decisionQuarantined(d core.LoadDecision) bool {
-	if t.tf.Format() == NSM {
-		_, bad := t.quarantine[partID{chunk: d.Chunk, col: -1}]
-		return bad
-	}
 	bad := false
-	d.Cols.Each(func(col int) {
+	t.eachPart(d.Cols, func(col int) {
 		if _, q := t.quarantine[partID{chunk: d.Chunk, col: col}]; q {
 			bad = true
 		}
@@ -275,21 +280,34 @@ func (t *serverTable) decisionQuarantined(d core.LoadDecision) bool {
 }
 
 // loadJob is one issued load travelling from the scheduler to a worker: the
-// decision is already committed and its buffer space reserved (BeginLoad),
-// so the worker only performs the file reads and lands the completion.
-// marked is the column set BeginLoad actually transitioned to loading (zero
-// for NSM); the worker reads, pins and finishes exactly those parts, so an
-// overlapping in-flight load of a sibling column is never committed early.
+// decision is already committed, its buffer space reserved (BeginLoad) and
+// one frame drawn per part, so the worker only performs the file reads and
+// lands the completion. marked is the column set BeginLoad actually
+// transitioned to loading (zero for NSM); the worker reads and finishes
+// exactly those parts, so an overlapping in-flight load of a sibling column
+// is never committed early.
 type loadJob struct {
-	t       *serverTable
-	d       core.LoadDecision
-	marked  storage.ColSet
-	missing []bufferpool.PageID
+	t      *serverTable
+	d      core.LoadDecision
+	marked storage.ColSet
+	// parts are the job's frames, one per marked part. They stay on the job
+	// across retries — a part already read keeps its bytes, only failed
+	// parts are re-read — until the load commits them into the table's frame
+	// map or aborts and returns them.
+	parts []loadPart
 	// lane is the job's load-pipeline trace track (zero, and thus no-op,
 	// when tracing is off); issuedAt timestamps the issue for the queued
 	// span and is set only when observability is enabled.
 	lane     obs.Track
 	issuedAt time.Time
+}
+
+// loadPart is one part of a load job: its column (-1 for an NSM chunk), its
+// frame, and whether the frame already holds the part's verified bytes.
+type loadPart struct {
+	col  int
+	f    *frame
+	read bool
 }
 
 // wallClock is the live ABM clock: seconds since server start.
@@ -307,8 +325,8 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // loads' file reads. The scheduler round-robins NextLoad over the per-table
 // ABMs and keeps up to InFlightDepth loads outstanding; each BeginLoad
 // reserves its buffer space up front, so the decision state stays coherent
-// while several reads are in flight, and completions commit (FinishLoad +
-// pin) in whatever order the reads land. A freshly landed chunk is
+// while several reads are in flight, and completions commit (frame publish
+// + FinishLoad) in whatever order the reads land. A freshly landed chunk is
 // eviction-protected until first pinned, per load — the same rule the
 // single-load engine enforced, now held for every member of the in-flight
 // set.
@@ -317,22 +335,25 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // chunk; on a DSM table a load is the per-column extents of the decision's
 // column set (the relevance policy loads the union of the overlapping
 // starved queries' columns, Figure 11), each extent read with one
-// positioned read and pinned as its own view — so queries pay only for the
-// columns they project, and eviction retires column parts independently.
+// positioned read into its own frame — so queries pay only for the columns
+// they project, and eviction retires column parts independently.
 //
-// All shared state (the ABMs, the policy state, the shared page pool, the
-// part views and the budget arbiter) is guarded by mu; workers drop the
-// lock for the real file reads and queries drop it while processing
-// delivered chunks, so decision making, I/O depth and query CPU all
-// overlap.
+// The ABMs are the only residency and eviction authority: a resident part
+// owns one frame of its decoded size (see frame), drawn from the frame
+// allocator after BeginLoad reserved its bytes and returned by the ABM's
+// evict hook, so the bytes held in frames are the bytes the ABMs account.
+//
+// All shared state (the ABMs, the policy state, the frame maps and
+// allocator and the budget arbiter) is guarded by mu; workers drop the lock
+// for the real file reads and queries drop it while processing delivered
+// chunks, so decision making, I/O depth and query CPU all overlap.
 //
 // The budget arbiter (core.Manager.Rebalance) runs inside the scheduler
 // loop: whenever demand shifts, tables with starving streams are granted
 // budget taken from idle or coasting ones, with the constraint that a
 // table's grant never drops below its current usage — shrinks materialise
-// as the table drains. The shared pool is sized for the total budget, so
-// the arbiter's invariant (grants sum to the budget) is what keeps every
-// PinRange satisfiable.
+// as the table drains. The arbiter's invariant (grants sum to the budget)
+// is therefore the bound on frame memory.
 type Server struct {
 	cfg ServerConfig
 
@@ -354,20 +375,14 @@ type Server struct {
 	// quiesced detach, and on shutdown so no caller waits on a dead
 	// scheduler.
 	detachCond *sync.Cond
-	// minPage is the page size the pool's frame capacity was computed
-	// from; Attach rejects tables with smaller pages, which could need
-	// more frames than the pool owns (bufferpool.ErrNoFrame is fatal).
-	minPage int64
-	pool    *bufferpool.Pool
+	// frames is the frame allocator every table's loads draw from.
+	frames frameAlloc
 	// regQueue holds stream registrations awaiting the scheduler: streams
 	// append a request, signal the scheduler and park on the request's own
 	// cond; the scheduler drains the whole batch at its loop top under one
 	// arbiter pass, so a thousand streams starting together cost one
 	// rebalance instead of a thundering herd of them.
 	regQueue []*regRequest
-	// staging carries pre-read page contents from the workers' unlocked
-	// file reads into the pool's reader; accessed only under mu.
-	staging map[bufferpool.PageID][]byte
 	// rr rotates the scheduler's table scan so no table monopolises the
 	// load queue.
 	rr int
@@ -381,7 +396,6 @@ type Server struct {
 	demand []int64
 
 	closed bool
-	err    error
 
 	// start anchors wall-clock uptime (and the ABM clock's zero).
 	start time.Time
@@ -389,9 +403,6 @@ type Server struct {
 	// see internal/engine/obs.go).
 	o serverObs
 
-	// faults are the fault-handling counters (retries, quarantines,
-	// cancellations); guarded by mu.
-	faults FaultStats
 	// jitter randomises retry backoff so concurrent failed loads do not
 	// retry in lockstep; drawn under mu.
 	jitter *rand.Rand
@@ -400,17 +411,6 @@ type Server struct {
 	schedDone chan struct{}
 	workerWG  sync.WaitGroup
 	closeOnce sync.Once
-
-	// stripeBufs recycles page buffers per page size: the pool's evict
-	// observer feeds frames back, workers draw read buffers out. At steady
-	// state (pool full, every load evicting) the read path allocates
-	// nothing, which matters on the multi-table bench where stripe churn
-	// is hundreds of MiB per run. Coalesced multi-page reads allocate one
-	// slab and sub-slice it; the sub-slices recycle like any other page
-	// buffer of their size. Workers read the map without the server lock,
-	// so a runtime Attach introducing a new page size publishes a fresh
-	// copy through the atomic pointer instead of mutating in place.
-	stripeBufs atomic.Pointer[map[int64]*sync.Pool]
 
 	// loadHook, when set (tests only), runs in a worker goroutine between
 	// the unlocked read and the locked completion of every load — the seam
@@ -437,14 +437,8 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 		cfg.RetryBackoff = defaultRetryBackoff
 	}
 	var floor int64
-	minPage := tfs[0].ColStripeBytes(0)
 	for _, tf := range tfs {
 		floor += 2 * tf.ChunkBytes()
-		for j := 0; j < NumCols; j++ {
-			if s := tf.ColStripeBytes(j); s < minPage {
-				minPage = s
-			}
-		}
 	}
 	if cfg.BufferBytes < floor {
 		return nil, fmt.Errorf("engine: buffer %d bytes < two chunks per table (%d)", cfg.BufferBytes, floor)
@@ -452,12 +446,11 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		names:     make(map[string]int),
-		staging:   make(map[bufferpool.PageID][]byte),
+		frames:    newFrameAlloc(cfg.Obs),
 		jitter:    rand.New(rand.NewSource(1)),
 		loadCh:    make(chan loadJob, cfg.InFlightDepth),
 		schedDone: make(chan struct{}),
 		start:     time.Now(),
-		minPage:   minPage,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.detachCond = sync.NewCond(&s.mu)
@@ -468,27 +461,12 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 		MeasureScheduling: cfg.MeasureScheduling,
 	})
 	s.mgr.SetMetrics(managerMetrics(cfg.Obs))
-	empty := make(map[int64]*sync.Pool)
-	s.stripeBufs.Store(&empty)
 	for i, tf := range tfs {
 		name := fmt.Sprintf("%s#%d", tf.Layout().Table().Name, i)
 		s.tables = append(s.tables, s.newTable(i, name, tf))
 		s.names[name] = i
-		s.addStripeSizes(tf)
 	}
 	s.mgr.Rebalance(cfg.BufferBytes)
-	// The shared pool is sized for the whole budget (in frames of the
-	// smallest page), plus slack for the arbiter's integer-rounding
-	// crumbs (one per table, plus headroom for runtime attaches) and the
-	// in-flight loads' staging turnover.
-	frames := int(cfg.BufferBytes/minPage) + cfg.InFlightDepth*NumCols + len(tfs) + attachFrameSlack
-	s.pool = bufferpool.New(frames, bufferpool.LRU, s.readPage)
-	s.pool.SetMetrics(poolMetrics(cfg.Obs))
-	s.pool.SetEvictObserver(func(_ bufferpool.PageID, data []byte) {
-		if p := s.bufPool(int64(len(data))); p != nil {
-			p.Put(data)
-		}
-	})
 	for i := 0; i < cfg.InFlightDepth; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -504,25 +482,25 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	t := &serverTable{
 		idx: idx, tf: tf, name: name,
-		views:      make(map[partID]*bufferpool.ChunkView),
+		frames:     make(map[partID]*frame),
 		quarantine: make(map[partID]error),
 		streams:    make(map[*core.Query]*sync.Cond),
 	}
+	s.frames.retain(partSizes(tf))
 	t.abm = s.mgr.AttachAs(name, tf.Layout(), 2*tf.ChunkBytes())
 	// Normalise relevance waiting time by a ~1 GB/s chunk load.
 	t.abm.SetChunkCost(float64(tf.ChunkBytes()) / 1e9)
 	t.pol = t.abm.Policy()
 	t.abm.SetEvictHook(func(chunk, col int) {
 		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
-		// column part: release its pinned page range so the shared pool
-		// may reuse the frames. Sibling columns of the same chunk keep
-		// their own views. Runs under mu, from an EnsureSpace inside
-		// the scheduler.
+		// column part: return its frame for the next load of that size.
+		// Sibling columns of the same chunk keep theirs. Runs under mu,
+		// from an EnsureSpace inside the scheduler.
 		k := partID{chunk: chunk, col: col}
-		if v := t.views[k]; v != nil {
-			v.Release()
-			delete(t.views, k)
-		}
+		s.returnFrame(t, t.frames[k])
+		delete(t.frames, k)
+		s.o.evictions.add(1)
+		s.o.resident.add(-1)
 		if s.o.tracer != nil {
 			s.o.schedTrack.Instant("evict", obs.Args{"table": t.name, "chunk": chunk, "col": col})
 		}
@@ -534,63 +512,31 @@ func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	return t
 }
 
-// bufPool returns the recycle pool for page buffers of the given size, or
-// nil if no attached table uses it. Safe without the server lock: the map
-// behind the atomic pointer is never mutated after publication.
-func (s *Server) bufPool(size int64) *sync.Pool {
-	return (*s.stripeBufs.Load())[size]
+// drawFrame draws the frame for one part of t whose load is being issued;
+// returnFrame gives one back (eviction, abort, detach, shutdown). Together
+// they keep t.framesOut, the audited count of frames t holds. Callers hold
+// mu.
+func (s *Server) drawFrame(t *serverTable, col int) *frame {
+	t.framesOut++
+	return s.frames.get(t.partBytes(col))
 }
 
-// addStripeSizes publishes recycle pools for any of tf's page sizes not yet
-// registered, copy-on-write so unlocked workers keep reading a consistent
-// map. Callers hold mu (which serialises writers).
-func (s *Server) addStripeSizes(tf *TableFile) {
-	old := *s.stripeBufs.Load()
-	var fresh map[int64]*sync.Pool
-	for j := 0; j < NumCols; j++ {
-		size := tf.ColStripeBytes(j)
-		if _, ok := old[size]; ok {
-			continue
-		}
-		if fresh == nil {
-			fresh = make(map[int64]*sync.Pool, len(old)+NumCols)
-			for k, v := range old {
-				fresh[k] = v
-			}
-		}
-		if _, ok := fresh[size]; ok {
-			continue
-		}
-		fresh[size] = &sync.Pool{New: func() any {
-			s.o.recycleAllocs.Inc()
-			return make([]byte, size)
-		}}
-	}
-	if fresh != nil {
-		s.stripeBufs.Store(&fresh)
-	}
+func (s *Server) returnFrame(t *serverTable, f *frame) {
+	t.framesOut--
+	s.frames.put(f)
 }
 
-// readPage is the shared pool's miss handler. Workers pre-read cold pages
-// outside the server lock and park them in staging; the synchronous
-// fallback below is reachable only when PinRange itself victimises a
-// not-yet-pinned resident page of the very part it is pinning (the
-// worker's pre-commit probe catches every earlier eviction), so it reads
-// at most a page or two, rarely.
-func (s *Server) readPage(id bufferpool.PageID) ([]byte, error) {
-	if b, ok := s.staging[id]; ok {
-		delete(s.staging, id)
-		return b, nil
+// releaseFrames returns every resident frame of t — a table being finalised
+// out of a detach, or any table at shutdown. A scan still inside a delivery
+// at shutdown keeps its pinned frames' bytes alive by reference; no load
+// can draw them again, because the scheduler is already gone. Callers hold
+// mu.
+func (s *Server) releaseFrames(t *serverTable) {
+	s.o.resident.add(-int64(len(t.frames)))
+	for k, f := range t.frames {
+		delete(t.frames, k)
+		s.returnFrame(t, f)
 	}
-	t := s.tables[int(int64(id)/pageStride)]
-	local := int64(id) % pageStride
-	s.o.recycleGets.Inc()
-	buf := s.bufPool(t.tf.PageBytes(local)).Get().([]byte)
-	if err := t.tf.ReadPage(local, buf); err != nil {
-		s.bufPool(int64(len(buf))).Put(buf)
-		return nil, err
-	}
-	return buf, nil
 }
 
 // scheduler is the live ABM decision loop: it drains the registration
@@ -678,8 +624,9 @@ func (s *Server) wakeAllStreams() {
 // AuditTables cross-checks every table ABM's incrementally maintained
 // scheduler structures (counters, demand sums, availability and candidate
 // heaps, victim heap) against a linear recomputation from first principles,
-// under the server lock. It is the soak harness's mid-flight invariant
-// probe; production code never calls it.
+// and the table's frames against the ABM's parts, under the server lock. It
+// is the soak harness's mid-flight invariant probe; production code never
+// calls it.
 func (s *Server) AuditTables() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -690,23 +637,70 @@ func (s *Server) AuditTables() error {
 		if err := t.abm.AuditIncremental(); err != nil {
 			return fmt.Errorf("engine: table %s: %w", t.name, err)
 		}
+		if err := t.auditFrames(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// auditFrames checks the one-part-one-frame invariant against the ABM:
+// every resident part has a frame of exactly the bytes its reservation
+// accounts, no frame backs a part the ABM does not hold resident, and the
+// frames the table has drawn are exactly its resident plus loading parts
+// (the latter travelling on in-flight load jobs).
+func (t *serverTable) auditFrames() error {
+	resident, loading := 0, 0
+	var err error
+	t.abm.EachPart(func(chunk, col int, bytes int64, isResident bool) {
+		if !isResident {
+			loading++
+			return
+		}
+		resident++
+		if f := t.frames[partID{chunk: chunk, col: col}]; f == nil {
+			err = fmt.Errorf("engine: table %s: resident part (%d,%d) has no frame", t.name, chunk, col)
+		} else if int64(len(f.buf)) != bytes || bytes != t.partBytes(col) {
+			err = fmt.Errorf("engine: table %s: part (%d,%d) frame %d bytes, ABM accounts %d, part is %d",
+				t.name, chunk, col, len(f.buf), bytes, t.partBytes(col))
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if len(t.frames) != resident {
+		return fmt.Errorf("engine: table %s: %d frames published, %d parts resident", t.name, len(t.frames), resident)
+	}
+	if t.framesOut != resident+loading {
+		return fmt.Errorf("engine: table %s: %d frames outstanding, %d parts resident + %d loading",
+			t.name, t.framesOut, resident, loading)
 	}
 	return nil
 }
 
 // AuditDrained checks the quiescent-state invariants once every scan has
 // returned and no load is in flight: no pins or loading parts left behind,
-// no leaked assembly marks, byte accounting intact, and no table over its
-// budget. Like AuditTables it exists for the soak harness.
+// no leaked assembly marks, byte accounting intact, no table over its
+// budget, and no frame held by anything but a resident part — none stranded
+// on a load job, none pinned, none on a detached slot. Like AuditTables it
+// exists for the soak harness.
 func (s *Server) AuditDrained() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, t := range s.tables {
+		if t.framesOut != len(t.frames) {
+			return fmt.Errorf("engine: table %s: %d frames outstanding, %d resident after drain", t.name, t.framesOut, len(t.frames))
+		}
+		for k, f := range t.frames {
+			if f.pins != 0 {
+				return fmt.Errorf("engine: table %s: part (%d,%d) frame holds %d pins after drain", t.name, k.chunk, k.col, f.pins)
+			}
+		}
 		if t.detached {
-			// A tombstoned slot must hold no pinned views (finalisation
-			// released them) — a leak here would strand pool frames forever.
-			if len(t.views) != 0 {
-				return fmt.Errorf("engine: detached table %s still holds %d views", t.name, len(t.views))
+			// A tombstoned slot must hold no frames (finalisation returned
+			// them) — a leak here would strand their memory forever.
+			if len(t.frames) != 0 {
+				return fmt.Errorf("engine: detached table %s still holds %d frames", t.name, len(t.frames))
 			}
 			continue
 		}
@@ -823,21 +817,16 @@ func (s *Server) issueOne() bool {
 			}
 		}
 		t.pol.CommitLoad(d)
-		marked := t.abm.BeginLoad(d)
-		var missing []bufferpool.PageID
-		t.eachPart(marked, func(col int) {
-			first, count := t.partPages(d.Chunk, col)
-			for id := first; id < first+bufferpool.PageID(count); id++ {
-				if !s.pool.Contains(id) {
-					missing = append(missing, id)
-				}
-			}
+		job := loadJob{t: t, d: d, marked: t.abm.BeginLoad(d)}
+		// The bytes are reserved; draw the frames they pay for.
+		job.parts = make([]loadPart, 0, max(1, job.marked.Count()))
+		t.eachPart(job.marked, func(col int) {
+			job.parts = append(job.parts, loadPart{col: col, f: s.drawFrame(t, col)})
 		})
 		s.inFlight++
 		t.inflight++
 		s.o.inflight.Add(1)
 		s.rr = (i + 1) % n
-		job := loadJob{t: t, d: d, marked: marked, missing: missing}
 		if s.o.enabled {
 			job.issuedAt = time.Now()
 			t.o.sched.Observe(job.issuedAt.Sub(decStart).Seconds())
@@ -854,77 +843,58 @@ func (s *Server) issueOne() bool {
 }
 
 // worker executes issued loads: the real file reads happen without the
-// server lock, then the completion — staging the bytes into the pool,
-// pinning the marked parts' page ranges and FinishLoad — commits under it.
-// Completions land in read-completion order, not issue order; the ABM's
-// part states (marked loading at issue) keep the two decoupled.
+// server lock, straight into the job's frames; then the completion —
+// publishing the frames in the table's frame map and FinishLoad — commits
+// under it. Completions land in read-completion order, not issue order; the
+// ABM's part states (marked loading at issue) keep the two decoupled.
 //
-// A load is its own fault domain. A failed read, checksum verification or
-// pin retries with bounded exponential backoff (the job stays counted in
+// A load is its own fault domain. A failed read or checksum verification
+// retries with bounded exponential backoff (the job stays counted in
 // inFlight, so the scheduler never over-issues while it heals); a load that
-// exhausts its retries — or fails during shutdown — is aborted: its ABM
-// reservation is rolled back (core.AbortLoad, so the budget never leaks)
-// and the failing part is quarantined. Only bufferpool.ErrNoFrame still
-// takes the whole server down: it means the frame accounting itself is
-// violated, which no retry can mend.
+// exhausts its retries — or fails during shutdown — is aborted: its frames
+// return to the allocator, its ABM reservation is rolled back
+// (core.AbortLoad, so the budget never leaks) and the failing part is
+// quarantined. No load failure takes the server down.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for job := range s.loadCh {
-		bufs, iost, err := s.readMissing(job.t, job.missing)
+		iost, err := s.readParts(job)
 		if job.lane != (obs.Track{}) {
-			// Lane spans: queue wait, then the coalesced read with its
-			// accumulated verify time rendered as a trailing span.
-			if iost.bytes > 0 {
-				job.lane.SpanAt("queued", job.issuedAt, iost.start, nil)
-				vStart := iost.end.Add(-iost.verify - iost.decomp)
-				job.lane.SpanAt("read", iost.start, vStart, obs.Args{"bytes": iost.bytes, "disk": iost.diskBytes})
-				if iost.decomp > 0 {
-					dEnd := vStart.Add(iost.decomp)
-					job.lane.SpanAt("decompress", vStart, dEnd, nil)
-					job.lane.SpanAt("verify", dEnd, iost.end, nil)
-				} else {
-					job.lane.SpanAt("verify", vStart, iost.end, nil)
-				}
+			// Lane spans: queue wait, then the reads with their accumulated
+			// verify and decompress time rendered as trailing spans.
+			job.lane.SpanAt("queued", job.issuedAt, iost.start, nil)
+			vStart := iost.end.Add(-iost.verify - iost.decomp)
+			job.lane.SpanAt("read", iost.start, vStart, obs.Args{"bytes": iost.bytes, "disk": iost.diskBytes})
+			if iost.decomp > 0 {
+				dEnd := vStart.Add(iost.decomp)
+				job.lane.SpanAt("decompress", vStart, dEnd, nil)
+				job.lane.SpanAt("verify", dEnd, iost.end, nil)
 			} else {
-				job.lane.Span("queued", job.issuedAt, nil)
+				job.lane.SpanAt("verify", vStart, iost.end, nil)
 			}
 		}
 		if s.loadHook != nil {
 			s.loadHook(job.t.idx, job.d.Chunk)
 		}
 		s.mu.Lock()
-		for id, b := range bufs {
-			s.staging[id] = b
-		}
-		for attempt := 0; ; attempt++ {
-			if err == nil {
-				if err = s.completeLoad(job); err == nil {
-					break // committed
-				}
-			}
+		for attempt := 0; err != nil; attempt++ {
 			if errors.Is(err, ErrChecksum) || errors.Is(err, ErrCorrupt) {
-				s.faults.ChecksumErrors++
-				s.o.checksumErrors.Inc()
-			}
-			if errors.Is(err, bufferpool.ErrNoFrame) {
-				// Frame accounting invariant violated — not an I/O fault,
-				// and retrying cannot help. The one load failure that still
-				// fails the whole server, with table/chunk context.
-				s.abortJob(job, nil)
-				s.fail(fmt.Errorf("engine: load %s chunk %d: %w", job.t.name, job.d.Chunk, err))
-				break
+				s.o.checksumErrors.add(1)
 			}
 			if s.closed || attempt >= s.cfg.LoadRetries {
-				s.abortJob(job, err)
 				break
 			}
-			s.faults.Retries++
-			s.o.retries.Inc()
+			s.o.retries.add(1)
 			pause := s.retryPause(attempt)
 			s.mu.Unlock()
 			time.Sleep(pause)
+			_, err = s.readParts(job)
 			s.mu.Lock()
-			err = nil
+		}
+		if err == nil {
+			s.completeLoad(job)
+		} else {
+			s.abortJob(job, err)
 		}
 		job.t.releaseLane(job.lane)
 		s.inFlight--
@@ -937,67 +907,23 @@ func (s *Server) worker() {
 	}
 }
 
-// completeLoad lands one issued load under the server lock: top up any page
-// that went missing while the read was in flight, pin the marked parts'
-// page ranges, and FinishLoad. On any failure it unwinds the pins it took
-// and returns the error for the worker's retry loop; already-staged pages
-// stay staged, so a retry re-reads only what is actually missing.
-func (s *Server) completeLoad(job loadJob) error {
-	// Pages resident at issue time may have been pool-evicted while the
-	// read was in flight (they are unpinned, so prime LRU victims under
-	// load churn). Re-read any such page without the lock — and under
-	// the device model — before committing, so the locked PinRange
-	// below stays free of synchronous I/O.
-	for {
-		var gone []bufferpool.PageID
-		job.t.eachPart(job.marked, func(col int) {
-			first, count := job.t.partPages(job.d.Chunk, col)
-			for id := first; id < first+bufferpool.PageID(count); id++ {
-				if _, staged := s.staging[id]; !staged && !s.pool.Contains(id) {
-					gone = append(gone, id)
-				}
-			}
-		})
-		if len(gone) == 0 {
-			break
-		}
-		s.mu.Unlock()
-		more, _, err := s.readMissing(job.t, gone)
-		s.mu.Lock()
-		for id, b := range more {
-			s.staging[id] = b
-		}
-		if err != nil {
-			return err
-		}
-	}
-	var pinStart time.Time
+// completeLoad lands one fully read load under the server lock: publish its
+// frames in the table's frame map and FinishLoad. Nothing here can fail or
+// touch the file — the frames were drawn at issue and filled outside the
+// lock.
+func (s *Server) completeLoad(job loadJob) {
+	var commitStart time.Time
 	if s.o.enabled {
-		pinStart = time.Now()
+		commitStart = time.Now()
 	}
-	var pinned []partID
-	var pinErr error
-	job.t.eachPart(job.marked, func(col int) {
-		if pinErr != nil {
-			return
-		}
-		first, count := job.t.partPages(job.d.Chunk, col)
-		view, err := s.pool.PinRange(first, first+bufferpool.PageID(count))
-		if err != nil {
-			pinErr = fmt.Errorf("engine: pin %s chunk %d col %d: %w", job.t.name, job.d.Chunk, col, err)
-			return
-		}
-		k := partID{chunk: job.d.Chunk, col: col}
-		job.t.views[k] = view
-		pinned = append(pinned, k)
-	})
-	if pinErr != nil {
-		for _, k := range pinned {
-			job.t.views[k].Release()
-			delete(job.t.views, k)
-		}
-		return pinErr
+	var bytes int64
+	for _, p := range job.parts {
+		job.t.frames[partID{chunk: job.d.Chunk, col: p.col}] = p.f
+		bytes += int64(len(p.f.buf))
 	}
+	s.o.misses.add(int64(len(job.parts)))
+	s.o.loaded.add(bytes)
+	s.o.resident.add(int64(len(job.parts)))
 	// Commit only the parts this job marked: a sibling in-flight load
 	// of the same chunk's other columns finishes its own parts.
 	// FinishLoad fires the waker of every query that gained availability,
@@ -1008,12 +934,11 @@ func (s *Server) completeLoad(job loadJob) error {
 	job.t.abm.FinishLoad(fin)
 	if s.o.enabled {
 		now := time.Now()
-		s.o.pinSeconds.Observe(now.Sub(pinStart).Seconds())
+		s.o.pinSeconds.Observe(now.Sub(commitStart).Seconds())
 		if job.lane != (obs.Track{}) {
-			job.lane.SpanAt("pin", pinStart, now, obs.Args{"chunk": job.d.Chunk})
+			job.lane.SpanAt("pin", commitStart, now, obs.Args{"chunk": job.d.Chunk})
 		}
 	}
-	return nil
 }
 
 // retryPause returns the backoff before retry `attempt`: exponential in the
@@ -1029,35 +954,23 @@ func (s *Server) retryPause(attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + s.jitter.Float64()))
 }
 
-// abortJob rolls back a load that cannot complete: its staged pages return
-// to the recycle pools, its ABM reservation is released (AbortLoad — the
-// space un-reserve that keeps the budget from leaking), and, when cause is
-// non-nil, the failing part is quarantined so the scheduler stops
-// re-proposing it and the scans that need it fail fast. Blocked scans are
-// woken to observe the quarantine. Called under mu.
+// abortJob rolls back a load that cannot complete: its frames return to the
+// allocator, its ABM reservation is released (AbortLoad — the space
+// un-reserve that keeps the budget from leaking), and the failing part is
+// quarantined so the scheduler stops re-proposing it and the scans that
+// need it fail fast. Blocked scans are woken to observe the quarantine.
+// Called under mu.
 func (s *Server) abortJob(job loadJob, cause error) {
-	job.t.eachPart(job.marked, func(col int) {
-		first, count := job.t.partPages(job.d.Chunk, col)
-		for id := first; id < first+bufferpool.PageID(count); id++ {
-			if b, ok := s.staging[id]; ok {
-				delete(s.staging, id)
-				if p := s.bufPool(int64(len(b))); p != nil {
-					p.Put(b)
-				}
-			}
-		}
-	})
+	for _, p := range job.parts {
+		s.returnFrame(job.t, p.f)
+	}
 	fin := job.d
 	fin.Cols = job.marked
 	job.t.abm.AbortLoad(fin)
-	if cause == nil {
-		return
-	}
-	for _, k := range s.quarantineTargets(job, cause) {
+	for _, k := range quarantineTargets(job, cause) {
 		if _, dup := job.t.quarantine[k]; !dup {
 			job.t.quarantine[k] = cause
-			s.faults.QuarantinedParts++
-			s.o.quarantined.Inc()
+			s.o.quarantined.add(1)
 			if s.o.tracer != nil {
 				s.o.schedTrack.Instant("quarantine", obs.Args{"table": job.t.name, "chunk": k.chunk, "col": k.col})
 			}
@@ -1074,51 +987,49 @@ func (s *Server) abortJob(job loadJob, cause error) {
 // exact part of the failing page when the error chain carries one (reads
 // and checksum verification tag failures with *PageError), else — for
 // errors with no page attribution — every part the job covered.
-func (s *Server) quarantineTargets(job loadJob, cause error) []partID {
+func quarantineTargets(job loadJob, cause error) []partID {
 	var pe *PageError
 	if errors.As(cause, &pe) {
 		chunk, col := job.t.tf.PagePart(pe.Page)
 		return []partID{{chunk: chunk, col: col}}
 	}
-	var out []partID
-	job.t.eachPart(job.marked, func(col int) {
-		out = append(out, partID{chunk: job.d.Chunk, col: col})
-	})
+	out := make([]partID, len(job.parts))
+	for i, p := range job.parts {
+		out[i] = partID{chunk: job.d.Chunk, col: p.col}
+	}
 	return out
 }
 
-// ioStats carries one readMissing call's measurements out for metric
-// observation and trace rendering: the read's wall interval, the bytes
-// handed back, and the slices of the interval spent verifying checksums
-// and decompressing v4 extents (accumulated across the call's page runs).
-// diskBytes is what the device transferred — the stored (compressed on v4)
-// widths — and is counted even when observability is off, because the
-// per-table disk accounting feeds TableStats; everything else is zero when
-// the call had nothing to read or observability is off.
+// ioStats carries one readParts call's measurements out for metric
+// observation and trace rendering: the reads' wall interval, the bytes
+// decoded into frames, and the slices of the interval spent verifying
+// checksums and decompressing v4 extents (accumulated across the call's
+// parts). diskBytes is what the device transferred — the stored (compressed
+// on v4) widths — and is counted even when observability is off, because
+// the per-table disk accounting feeds TableStats; everything else is zero
+// when observability is off.
 type ioStats struct {
 	start, end time.Time
-	bytes      int64 // decompressed bytes staged into page buffers
+	bytes      int64 // decoded bytes read into frames
 	diskBytes  int64 // stored bytes the device actually served
 	verify     time.Duration
 	decomp     time.Duration
 }
 
-// readMissing reads the listed pages from the table file into recycled
-// page buffers. Runs of consecutive page indexes — an NSM chunk's stripes,
-// or the multi-stripe extent of a wide DSM column — are coalesced into a
-// single positioned read (one slab, sub-sliced per page), so a part load
-// costs one pread per on-disk extent rather than one per stripe. A failing
-// run does not stop the others: the successfully read pages come back
-// alongside the first error, so the retry loop stages them and each retry
-// re-reads only what is still missing — every faulty extent advances
+// readParts reads every not-yet-read part of the job from the table file
+// straight into its frame: one positioned read per part — an NSM chunk's
+// stripes or a DSM column extent are one contiguous page run — verified
+// and, on a v4 table, decoded on the way in, while disk, the device-
+// bandwidth model and diskBytes pay the stored widths. A failing part does
+// not stop the others: the parts that read keep their bytes across the
+// retry, which re-reads only the failures — every faulty extent advances
 // through its transient-fault window in parallel instead of one extent per
-// retry. Called without the server lock; multiple workers read concurrently
-// through ReadAt. When observability is enabled it also observes the read,
-// verify and byte metrics and reports its measurements.
-func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[bufferpool.PageID][]byte, ioStats, error) {
-	if len(missing) == 0 {
-		return nil, ioStats{}, nil
-	}
+// retry. The first error comes back. Called without the server lock; only
+// the worker owning the job touches its parts until the load commits. When
+// observability is enabled it also observes the read, verify and byte
+// metrics and reports its measurements.
+func (s *Server) readParts(job loadJob) (ioStats, error) {
+	t := job.t
 	var iost ioStats
 	var verify, decomp *time.Duration
 	if s.o.enabled {
@@ -1126,24 +1037,38 @@ func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[b
 		verify = &iost.verify
 		decomp = &iost.decomp
 	}
-	out := make(map[bufferpool.PageID][]byte, len(missing))
 	var firstErr error
-	for i := 0; i < len(missing); {
-		j := i + 1
-		for j < len(missing) && missing[j] == missing[j-1]+1 {
-			j++
+	for i := range job.parts {
+		p := &job.parts[i]
+		if p.read {
+			continue
 		}
-		if err := s.readRun(t, missing[i:j], out, verify, decomp, &iost.diskBytes); err != nil && firstErr == nil {
-			firstErr = err
+		start := time.Now()
+		first, count := t.tf.PartPages(job.d.Chunk, p.col)
+		stored := t.tf.StoredRunBytes(first, count)
+		iost.diskBytes += stored
+		if err := t.tf.readPageRange(first, count, p.f.buf, verify, decomp); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("engine: read %s pages [%d,%d): %w", t.name, first, first+int64(count), err)
+			}
+			continue
 		}
-		i = j
+		p.read = true
+		iost.bytes += int64(len(p.f.buf))
+		if bw := s.cfg.ReadBandwidth; bw > 0 {
+			// Device model: this load stream moves at bw bytes/s over the
+			// stored widths — a compressed extent costs its compressed size.
+			// Sleep off whatever the page cache served faster than that.
+			if budget := time.Duration(float64(stored) / float64(bw) * float64(time.Second)); budget > 0 {
+				if spent := time.Since(start); spent < budget {
+					time.Sleep(budget - spent)
+				}
+			}
+		}
 	}
 	t.diskRead.Add(iost.diskBytes)
 	if s.o.enabled {
 		iost.end = time.Now()
-		for _, b := range out {
-			iost.bytes += int64(len(b))
-		}
 		s.o.readBytes.Add(iost.diskBytes)
 		s.o.decodedBytes.Add(iost.bytes)
 		s.o.readSeconds.Observe((iost.end.Sub(iost.start) - iost.verify - iost.decomp).Seconds())
@@ -1152,71 +1077,7 @@ func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[b
 			s.o.decompressSeconds.Observe(iost.decomp.Seconds())
 		}
 	}
-	return out, iost, firstErr
-}
-
-// readRun reads one run of consecutive pages: a single page draws its
-// buffer from the recycle pool; a longer run is one coalesced positioned
-// read into a slab whose per-page sub-slices enter the recycle economy on
-// eviction like any other page buffer. Buffers are always decompressed
-// (fixed-width) pages — on a v4 table the read path inflates the stored
-// extents on the way in — while disk, the device-bandwidth model and
-// diskBytes pay the stored widths. verify and decomp, when non-nil,
-// accumulate the wall time spent on checksum verification and extent
-// decompression.
-func (s *Server) readRun(t *serverTable, run []bufferpool.PageID, out map[bufferpool.PageID][]byte, verify, decomp *time.Duration, diskBytes *int64) error {
-	start := time.Now()
-	first := int64(run[0]) % pageStride
-	stored := t.tf.StoredRunBytes(first, len(run))
-	*diskBytes += stored
-	if len(run) == 1 {
-		s.o.recycleGets.Inc()
-		buf := s.bufPool(t.tf.PageBytes(first)).Get().([]byte)
-		if err := t.tf.readPageRange(first, 1, buf, verify, decomp); err != nil {
-			return fmt.Errorf("engine: read %s page %d: %w", t.name, first, err)
-		}
-		out[run[0]] = buf
-	} else {
-		var total int64
-		for _, id := range run {
-			total += t.tf.PageBytes(int64(id) % pageStride)
-		}
-		slab := make([]byte, total)
-		if err := t.tf.readPageRange(first, len(run), slab, verify, decomp); err != nil {
-			return fmt.Errorf("engine: read %s pages [%d,%d): %w", t.name, first, first+int64(len(run)), err)
-		}
-		var off int64
-		for _, id := range run {
-			n := t.tf.PageBytes(int64(id) % pageStride)
-			out[id] = slab[off : off+n : off+n]
-			off += n
-		}
-	}
-	if bw := s.cfg.ReadBandwidth; bw > 0 {
-		// Device model: this load stream moves at bw bytes/s over the
-		// stored widths — a compressed extent costs its compressed size.
-		// Sleep off whatever the page cache served faster than that.
-		if budget := time.Duration(float64(stored) / float64(bw) * float64(time.Second)); budget > 0 {
-			if spent := time.Since(start); spent < budget {
-				time.Sleep(budget - spent)
-			}
-		}
-	}
-	return nil
-}
-
-// fail records a fatal, server-wide error and wakes everyone. This is the
-// last resort reserved for violated invariants (frame accounting); ordinary
-// I/O failures stay inside their load's fault domain (retry → quarantine)
-// and never come here. Callers hold mu.
-func (s *Server) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-	s.closed = true
-	s.cond.Signal()
-	s.detachCond.Broadcast()
-	s.wakeAllStreams()
+	return iost, firstErr
 }
 
 // quarantineError returns the typed failure for the first quarantined part
@@ -1443,10 +1304,10 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	}
 	dsm := t.tf.Format() == DSM
 	projBytes := ProjectionBytes(cols)
-	var scratch [][]byte
-	if dsm {
-		scratch = make([][]byte, NumCols)
-	}
+	// held are the frames of the chunk being delivered (one on NSM, one per
+	// projected column on DSM); scratch is the delivery's column index.
+	held := make([]*frame, 0, NumCols)
+	scratch := make([][]byte, NumCols)
 	if s.o.enabled {
 		scanStart := time.Now()
 		defer func() { t.o.scan.Observe(time.Since(scanStart).Seconds()) }()
@@ -1471,15 +1332,11 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	}
 	s.mu.Lock()
 	if s.closed {
-		// A scan entered after Close (or after a fatal failure) must not
-		// register a query on a dead server: the scheduler is gone, so the
-		// query could never be served or unregistered.
-		err := s.err
+		// A scan entered after Close must not register a query on a dead
+		// server: the scheduler is gone, so the query could never be served
+		// or unregistered.
 		s.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return core.Stats{}, err
+		return core.Stats{}, ErrClosed
 	}
 	// Queue the registration for the scheduler and park until it is served:
 	// the scheduler drains the whole queue in one batch (one arbiter pass
@@ -1499,9 +1356,6 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		// The server closed — or the table detached — before the
 		// registration was served.
 		err := reg.err
-		if err == nil {
-			err = s.err
-		}
 		s.mu.Unlock()
 		if err == nil {
 			err = ErrClosed
@@ -1514,20 +1368,15 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			closeWait()
 			delete(t.streams, q)
 			st := t.abm.Finish(q)
-			err := s.err
 			s.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
 			st.BytesUseful = useful
-			return st, err
+			return st, ErrClosed
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			closeWait()
 			delete(t.streams, q)
 			st := t.abm.Finish(q)
-			s.faults.CancelledScans++
-			s.o.cancelledScans.Inc()
+			s.o.cancelledScans.add(1)
 			s.cond.Signal()
 			s.mu.Unlock()
 			st.BytesUseful = useful
@@ -1548,8 +1397,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			closeWait()
 			delete(t.streams, q)
 			st := t.abm.Finish(q)
-			s.faults.FailedScans++
-			s.o.failedScans.Inc()
+			s.o.failedScans.add(1)
 			s.cond.Signal()
 			s.mu.Unlock()
 			st.BytesUseful = useful
@@ -1584,14 +1432,24 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		tuples := t.tf.Layout().ChunkTuples(c)
 		var data ChunkData
 		if dsm {
-			// Per-column views: deliver exactly the projection.
+			// Per-column frames: deliver exactly the projection.
 			cols.Each(func(col int) {
-				scratch[col] = t.views[partID{chunk: c, col: col}].Data[0]
+				f := t.frames[partID{chunk: c, col: col}]
+				held = append(held, f)
+				scratch[col] = f.buf
 			})
 			data = ChunkData{stripes: scratch, cols: cols, tuples: tuples}
 		} else {
-			// The NSM chunk view's pages are the stripes in column order.
-			data = ChunkData{stripes: t.views[partID{chunk: c, col: -1}].Data, cols: storage.AllCols(NumCols), tuples: tuples}
+			// The NSM chunk frame holds the stripes in column order.
+			f := t.frames[partID{chunk: c, col: -1}]
+			held = append(held, f)
+			data = ChunkData{stripes: t.tf.stripes(scratch[:0], f.buf), cols: storage.AllCols(NumCols), tuples: tuples}
+		}
+		s.o.hits.add(int64(len(held)))
+		for _, f := range held {
+			if f.pins++; f.pins == 1 {
+				s.o.pinned.add(1)
+			}
 		}
 		useful += tuples * projBytes
 		t.o.useful.Add(tuples * projBytes)
@@ -1611,6 +1469,12 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		}
 		s.mu.Lock()
 		t.abm.Release(q, c)
+		for _, f := range held {
+			if f.pins--; f.pins == 0 {
+				s.o.pinned.add(-1)
+			}
+		}
+		held = held[:0]
 		// The release unpins the chunk: a scheduler parked on a failed
 		// EnsureSpace may now find a victim. Availability of other streams
 		// only shrinks here, so no stream wake is needed.
@@ -1624,8 +1488,8 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	return st, nil
 }
 
-// Stats returns the server's counters: one entry per table plus the shared
-// pool's totals.
+// Stats returns the server's counters: one entry per table plus the
+// buffer's part traffic and the fault counters.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1633,7 +1497,23 @@ func (s *Server) Stats() ServerStats {
 }
 
 func (s *Server) statsLocked() ServerStats {
-	out := ServerStats{Pool: s.pool.Stats(), Faults: s.faults}
+	out := ServerStats{
+		Pool: PoolStats{
+			Hits:        int(s.o.hits.n),
+			Misses:      int(s.o.misses.n),
+			Evictions:   int(s.o.evictions.n),
+			BytesLoaded: s.o.loaded.n,
+			Resident:    int(s.o.resident.n),
+			Pinned:      int(s.o.pinned.n),
+		},
+		Faults: FaultStats{
+			Retries:          s.o.retries.n,
+			ChecksumErrors:   s.o.checksumErrors.n,
+			QuarantinedParts: s.o.quarantined.n,
+			FailedScans:      s.o.failedScans.n,
+			CancelledScans:   s.o.cancelledScans.n,
+		},
+	}
 	for _, t := range s.tables {
 		if t.detached {
 			continue
@@ -1652,14 +1532,6 @@ func (s *Server) statsLocked() ServerStats {
 	return out
 }
 
-// PoolStatus is the shared pool's slice of a Status snapshot: the cumulative
-// Stats counters plus the instantaneous occupancy.
-type PoolStatus struct {
-	bufferpool.Stats
-	Resident int
-	Pinned   int
-}
-
 // Status is the server's live snapshot — the JSON document /statusz serves
 // and the CLIs' shared report renders: identity (policy, uptime), the
 // instantaneous scheduler state, and the same per-table/pool/fault counters
@@ -1669,7 +1541,7 @@ type Status struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	InFlight      int          `json:"in_flight"`
 	Tables        []TableStats `json:"tables"`
-	Pool          PoolStatus   `json:"pool"`
+	Pool          PoolStats    `json:"pool"`
 	Faults        FaultStats   `json:"faults"`
 }
 
@@ -1683,7 +1555,7 @@ func (s *Server) StatusSnapshot() Status {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		InFlight:      s.inFlight,
 		Tables:        st.Tables,
-		Pool:          PoolStatus{Stats: st.Pool, Resident: s.pool.Resident(), Pinned: s.pool.Pinned()},
+		Pool:          st.Pool,
 		Faults:        st.Faults,
 	}
 }
@@ -1705,10 +1577,10 @@ func (s *Server) Budgets() []int64 {
 // Close is a graceful drain: it stops the scheduler from issuing new
 // loads, lets the workers finish (commit) or abort their in-flight loads
 // — a load mid-retry aborts instead of sleeping out its backoff — wakes
-// every waiter, joins the workers, and releases all part views.
-// Outstanding Scans are woken and return ErrClosed; scans entered after
-// Close return ErrClosed immediately. The returned error is nil unless the
-// server died of a fatal invariant violation (Server.fail).
+// every waiter, joins the workers, and returns every frame. Outstanding
+// Scans are woken and return ErrClosed; scans entered after Close return
+// ErrClosed immediately. The error is always nil: no failure is fatal to
+// the server (load failures stay in their load's fault domain).
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -1723,13 +1595,8 @@ func (s *Server) Close() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for _, t := range s.tables {
-			for k, v := range t.views {
-				v.Release()
-				delete(t.views, k)
-			}
+			s.releaseFrames(t)
 		}
 	})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	return nil
 }

@@ -5,11 +5,11 @@
 // Where internal/core runs the policies inside a discrete-event simulator,
 // the engine drives the *same* Active Buffer Manager bookkeeping and the
 // *same* policy decision core (core.SchedulerPolicy — Normal, Attach,
-// Elevator and Relevance) over real bytes: chunk parts live in a page-
-// granularity bufferpool.Pool, pinned through bufferpool.ChunkView exactly
-// as the paper's §7.1 sketches for layering ABM on an existing RDBMS buffer
-// manager, and queries (TPC-H Q6/Q1-style aggregations from internal/exec's
-// kernels) compute true results from the file's contents.
+// Elevator and Relevance) over real bytes: the ABM is the buffer manager —
+// every resident chunk part owns one frame of its decoded size, drawn from
+// a small size-classed allocator (frames.go) and returned when the ABM
+// evicts the part — and queries (TPC-H Q6/Q1-style aggregations from
+// internal/exec's kernels) compute true results from the file's contents.
 //
 // # Design notes
 //
@@ -20,8 +20,8 @@
 // the ABM's part states keep the decision machine coherent. Each table has
 // its own live ABM (the paper's §7.1 "separate statistics and meta-data
 // for each" table); one shared buffer budget is moved between them by the
-// demand-driven arbiter in core.Manager.Rebalance. Engine is the
-// single-table convenience wrapper. An optional device-bandwidth model
+// demand-driven arbiter in core.Manager.Rebalance. An optional
+// device-bandwidth model
 // (ServerConfig.ReadBandwidth) restores the paper's premise — device
 // bandwidth as the scarce resource — when the table files sit in the OS
 // page cache, where re-reads would otherwise be free.
@@ -38,9 +38,11 @@
 //     all of column 1's. A (chunk, column) stripe is an independently
 //     addressable extent, so a query's I/O cost is its projection width.
 //
-// One stripe is one buffer-pool page either way; a storage.NSMLayout or
-// chunk-aligned storage.DSMLayout describes the geometry, so the ABM
-// schedules over a real file exactly like a simulated table.
+// One stripe is one page of the file's addressing either way, and an ABM
+// part is one contiguous run of pages (PartPages): the whole chunk in NSM,
+// one column stripe in DSM. A storage.NSMLayout or chunk-aligned
+// storage.DSMLayout describes the geometry, so the ABM schedules over a
+// real file exactly like a simulated table.
 package engine
 
 import (
@@ -162,8 +164,8 @@ const (
 	// extent is stored compressed under a per-column compress.Scheme, with a
 	// per-extent length directory and a per-column zonemap footer between
 	// the checksum table and the data region. Checksums cover the stored
-	// (compressed) bytes; readers decompress at pin time into fixed-width
-	// page buffers, so everything downstream of the read path is unchanged.
+	// (compressed) bytes; readers decompress at load time into fixed-width
+	// frames, so everything downstream of the read path is unchanged.
 	tableVersionCompressed = 4
 	headerBytes            = 64
 )
@@ -206,7 +208,7 @@ var (
 	ErrTruncated = errors.New("engine: truncated table file")
 	// ErrChecksum: a page's stored checksum does not match its bytes — a torn
 	// write, bit-flip, or corrupted read. Loads verify every page before
-	// staging it, so corrupt data never reaches a query kernel.
+	// committing it, so corrupt data never reaches a query kernel.
 	ErrChecksum = errors.New("engine: page checksum mismatch")
 )
 
@@ -234,11 +236,10 @@ func (e *PageError) Unwrap() error { return e.Err }
 // geometry is described by a storage.Layout so the ABM schedules over it
 // exactly like a simulated table.
 //
-// The unit of addressing is the page: one (chunk, column) stripe, which is
-// also one buffer-pool page of the live engine. Page p's size and file
-// position depend on the format (see PageBytes/PartPages); consecutive page
-// indexes are always contiguous in the file, so a run of pages can be read
-// with a single positioned read (ReadPageRange).
+// The unit of addressing is the page: one (chunk, column) stripe. Page p's
+// size and file position depend on the format (see PageBytes/PartPages);
+// consecutive page indexes are always contiguous in the file, so a run of
+// pages can be read with a single positioned read (ReadPageRange).
 type TableFile struct {
 	f              *os.File
 	r              io.ReaderAt // page-read path; WrapReader swaps in fault injection
@@ -288,11 +289,11 @@ func (t *TableFile) WrapReader(wrap func(io.ReaderAt) io.ReaderAt) {
 func (t *TableFile) Format() Format { return t.format }
 
 // ColStripeBytes returns the size of one (chunk, column) stripe — the
-// buffer-pool page size of that column.
+// page size of that column, and the frame size of its DSM parts.
 func (t *TableFile) ColStripeBytes(col int) int64 { return t.tuplesPerChunk * colWidths[col] }
 
-// ChunkBytes returns the on-disk size of one full chunk (all NumCols
-// stripes) — the buffer demand of an NSM chunk part.
+// ChunkBytes returns the decoded size of one full chunk (all NumCols
+// stripes) — the buffer demand, and frame size, of an NSM chunk part.
 func (t *TableFile) ChunkBytes() int64 { return t.tuplesPerChunk * TupleBytes() }
 
 // Layout returns the chunk/extent geometry the ABM schedules against: an
@@ -414,6 +415,18 @@ func (t *TableFile) PartPages(chunk, col int) (first int64, count int) {
 	return int64(chunk) * NumCols, NumCols
 }
 
+// stripes appends the per-column sub-slices of an NSM chunk buffer (one
+// PartPages(chunk, -1) run, ChunkBytes long) to dst, in column order — the
+// shape ChunkData hands the kernels.
+func (t *TableFile) stripes(dst [][]byte, chunk []byte) [][]byte {
+	for j := 0; j < NumCols; j++ {
+		off := t.stripeOff[j]
+		end := off + t.ColStripeBytes(j)
+		dst = append(dst, chunk[off:end:end])
+	}
+	return dst
+}
+
 // PagePart is PartPages' inverse: the ABM part page p belongs to —
 // (chunk, col) in DSM, (chunk, -1) in NSM.
 func (t *TableFile) PagePart(p int64) (chunk, col int) {
@@ -432,18 +445,13 @@ func (t *TableFile) PartFileRange(chunk, col int) (off, size int64) {
 	return off, t.StoredRunBytes(first, count)
 }
 
-// ReadPage reads page p into buf, which must be PageBytes(p) long. It is
-// safe for concurrent use (ReadAt).
-func (t *TableFile) ReadPage(p int64, buf []byte) error {
-	return t.ReadPageRange(p, 1, buf)
-}
-
 // ReadPageRange reads count consecutive pages starting at page first into
 // buf (their summed sizes long) with a single positioned read — the
 // coalesced per-extent read of the live load path. Every page's checksum is
 // verified against the file's checksum table before the bytes are accepted;
 // a mismatch (or a read error) comes back tagged with the failing page as a
-// *PageError, so callers can retry or quarantine precisely.
+// *PageError, so callers can retry or quarantine precisely. It is safe for
+// concurrent use (ReadAt).
 func (t *TableFile) ReadPageRange(first int64, count int, buf []byte) error {
 	return t.readPageRange(first, count, buf, nil, nil)
 }

@@ -113,7 +113,7 @@ func TestReadPageChecksumMismatch(t *testing.T) {
 			}
 			defer re.Close()
 			buf := make([]byte, re.PageBytes(badPage))
-			err = re.ReadPage(badPage, buf)
+			err = re.ReadPageRange(badPage, 1, buf)
 			if !errors.Is(err, ErrChecksum) {
 				t.Fatalf("corrupt page read error = %v, want ErrChecksum", err)
 			}
@@ -129,7 +129,7 @@ func TestReadPageChecksumMismatch(t *testing.T) {
 					continue
 				}
 				b := make([]byte, re.PageBytes(p))
-				if err := re.ReadPage(p, b); err != nil {
+				if err := re.ReadPageRange(p, 1, b); err != nil {
 					t.Fatalf("clean page %d failed: %v", p, err)
 				}
 			}
@@ -153,7 +153,7 @@ func TestChecksumTableCorruption(t *testing.T) {
 	}
 	defer re.Close()
 	buf := make([]byte, re.PageBytes(badPage))
-	if err := re.ReadPage(badPage, buf); !errors.Is(err, ErrChecksum) {
+	if err := re.ReadPageRange(badPage, 1, buf); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("read under corrupt checksum entry = %v, want ErrChecksum", err)
 	}
 }

@@ -78,8 +78,8 @@ func TestTableFileRoundTrip(t *testing.T) {
 						t.Fatalf("NSM PartPages count = %d, want %d", count, NumCols)
 					}
 					buf := make([]byte, re.PageBytes(page))
-					if err := re.ReadPage(page, buf); err != nil {
-						t.Fatalf("ReadPage(%d,%d): %v", c, j, err)
+					if err := re.ReadPageRange(page, 1, buf); err != nil {
+						t.Fatalf("ReadPageRange(%d,%d): %v", c, j, err)
 					}
 					want := wantStripe(t, re, c, j)
 					if string(buf) != string(want) {
@@ -168,8 +168,8 @@ func TestTableFileCoalescedRead(t *testing.T) {
 	for p := first; p < first+int64(count); p++ {
 		n := tf.PageBytes(p)
 		buf := make([]byte, n)
-		if err := tf.ReadPage(p, buf); err != nil {
-			t.Fatalf("ReadPage(%d): %v", p, err)
+		if err := tf.ReadPageRange(p, 1, buf); err != nil {
+			t.Fatalf("ReadPageRange(%d): %v", p, err)
 		}
 		if string(buf) != string(slab[off:off+n]) {
 			t.Fatalf("page %d differs between coalesced and single read", p)
@@ -192,8 +192,8 @@ func readChunkDataCols(t testing.TB, tf *TableFile, c int, cols storage.ColSet) 
 			first, _ := tf.PartPages(c, -1)
 			page = first + int64(j)
 		}
-		if err := tf.ReadPage(page, stripes[j]); err != nil {
-			t.Fatalf("ReadPage: %v", err)
+		if err := tf.ReadPageRange(page, 1, stripes[j]); err != nil {
+			t.Fatalf("ReadPageRange: %v", err)
 		}
 	})
 	return ChunkData{stripes: stripes, cols: cols, tuples: tf.Layout().ChunkTuples(c)}
@@ -277,7 +277,7 @@ func TestCommentFillerRoundTrip(t *testing.T) {
 	tf := newTestFileFormat(t, DSM, 2_000, 512, 99)
 	first, _ := tf.PartPages(1, ColComment)
 	buf := make([]byte, tf.ColStripeBytes(ColComment))
-	if err := tf.ReadPage(first, buf); err != nil {
+	if err := tf.ReadPageRange(first, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	w := ColWidth(ColComment)

@@ -64,12 +64,12 @@ func TestCompressedRoundTrip(t *testing.T) {
 		t.Helper()
 		for p := int64(0); p < tf.NumPages(); p++ {
 			want := make([]byte, raw.PageBytes(p))
-			if err := raw.ReadPage(p, want); err != nil {
-				t.Fatalf("raw ReadPage(%d): %v", p, err)
+			if err := raw.ReadPageRange(p, 1, want); err != nil {
+				t.Fatalf("raw ReadPageRange(%d): %v", p, err)
 			}
 			got := make([]byte, tf.PageBytes(p))
-			if err := tf.ReadPage(p, got); err != nil {
-				t.Fatalf("v4 ReadPage(%d): %v", p, err)
+			if err := tf.ReadPageRange(p, 1, got); err != nil {
+				t.Fatalf("v4 ReadPageRange(%d): %v", p, err)
 			}
 			if !bytes.Equal(got, want) {
 				c, j := tf.PagePart(p)
@@ -112,7 +112,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 		var off int64
 		for p := first; p < first+count; p++ {
 			want := make([]byte, raw.PageBytes(p))
-			if err := raw.ReadPage(p, want); err != nil {
+			if err := raw.ReadPageRange(p, 1, want); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got[off:off+int64(len(want))], want) {
@@ -300,7 +300,7 @@ func TestCompressedCorruptExtent(t *testing.T) {
 		}
 		defer re.Close()
 		buf := make([]byte, re.PageBytes(badPage))
-		err = re.ReadPage(badPage, buf)
+		err = re.ReadPageRange(badPage, 1, buf)
 		if !errors.Is(err, want) {
 			t.Fatalf("corrupt extent read error = %v, want %v", err, want)
 		}
@@ -314,7 +314,7 @@ func TestCompressedCorruptExtent(t *testing.T) {
 				continue
 			}
 			b := make([]byte, re.PageBytes(p))
-			if err := re.ReadPage(p, b); err != nil {
+			if err := re.ReadPageRange(p, 1, b); err != nil {
 				t.Fatalf("clean page %d failed: %v", p, err)
 			}
 		}
