@@ -1,35 +1,19 @@
-# Build, test and benchmark entry points. `make bench-json` writes the
-# benchmark record of the current PR to BENCH_PR<n>.json so the perf
-# trajectory is tracked in-repo from PR 1 onward; since PR 2 the record
-# includes BenchmarkLiveEngine — the first real (non-simulated) numbers —
-# PR 3 adds BenchmarkMultiTableLive (shared-budget multi-table server,
-# `make bench-multi` → BENCH_PR3.json), PR 4 adds the scheduler
-# scaling sweeps (sim 64..512 queries + chunk sweep, live 64/256 streams,
-# `make bench-sched` → BENCH_PR4.json), PR 5 adds the DSM live
-# tables comparison (`make bench-dsm` → BENCH_PR5.json: BenchmarkLiveEngine
-# nsm/dsm × policy, plus the Q6-only BenchmarkLiveColumnIO bytes-read
-# pair whose dsm/nsm ratio must stay ≤ 0.45), and PR 6 re-runs the same
-# DSM pair fault-free after the checksummed-page/fault-domain changes
-# (`make bench-fault` → BENCH_PR6.json; overhead vs BENCH_PR5.json must
-# stay < 5%), and PR 7 adds the observability on/off A/B
-# (`make bench-obs` → BENCH_PR7.json; instrumented median must stay
-# within 2% of dark), and PR 8 pushes the scheduler sweeps an order of
-# magnitude further (sim 4096/8192 queries, live 512/2048/4096 streams,
-# `make bench-scale` → BENCH_PR8.json; sched-ns/decision must stay within
-# 1.5× from 512 to 4096 live streams) guarded by the randomized multi-seed
-# soak harness (`make soak-rand SEEDS=...`), and PR 10 adds the compressed
-# v4 storage A/B (`make bench-compress` → BENCH_PR10.json: Q6-only raw vs
-# compressed vs compressed+zonemap-pruned under a 64 MiB/s device model;
-# compressed disk-MiB/op must stay ≤ 0.5× raw and the pruned variant must
-# skip ≥ 60% of registered chunks). See docs/BENCHMARKS.md for the
-# trajectory and repro commands.
+# Build, test and benchmark entry points. There is one benchmark: the fixed
+# suite under bench/ that BENCHMARK.json declares (`make bench-record`,
+# `make bench-compare BASE=... CHANGE=...`; method in bench/README.md,
+# trajectory in docs/BENCHMARKS.md). The go-test benchmarks that remain at
+# the root are guards, not records: bench-sched fences the simulator's
+# decision cost, bench-obs and bench-compress are opt-in A/Bs the suite does
+# not cover yet. BENCH_PR1-10.json at the root are history; nothing writes
+# them any more.
 
 GO        ?= go
 BENCHTIME ?= 3x
-BENCH_OUT ?= BENCH_PR8.json
 SEEDS     ?= 1,2,3,4,5,6,7,8
+# Where bench-record writes; .bench_build/ is the suite's ignored scratch.
+RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench test-race test-serve vet fmt-check soak soak-rand bench bench-live bench-multi bench-sched bench-dsm bench-fault bench-obs bench-scale bench-compress bench-json
+.PHONY: build test test-bench test-race test-serve vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-sched bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -84,81 +68,52 @@ soak:
 soak-rand:
 	$(GO) test -race -count=1 -run 'TestSoakRand' -v ./internal/soak/ -args -soak.seeds=$(SEEDS)
 
+# Determinism is asserted, not claimed: every seed's core-layer soak runs
+# twice and the two event digests (every proposal, veto, landing, pick,
+# eviction and grant, in order) must be equal.
+test-soak-nondeterminism:
+	$(GO) test -count=1 -run 'TestSoakCoreDeterministic' -v ./internal/soak/ -args -soak.seeds=$(SEEDS)
+
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) .
+# The suite: 5 untraced + 1 traced run per workload, written as one record.
+bench-record:
+	bash bench/run.sh record -out $(RECORD)
 
-# End-to-end live engine comparison (all four policies over a real table
-# file on $$TMPDIR; see live_bench_test.go).
-bench-live:
-	$(GO) test -run '^$$' -bench BenchmarkLiveEngine -benchmem -benchtime $(BENCHTIME) .
+# Per (workload, metric) verdicts between two records:
+#
+#	make bench-compare BASE=bench/baseline/9d347f9.json CHANGE=.bench_build/record-abc1234.json
+bench-compare:
+	bash bench/run.sh compare $(BASE) $(CHANGE)
 
-# Multi-table live server: every policy × in-flight depth {1,4} over two
-# real table files sharing one arbitrated buffer budget; the JSON record is
-# the PR 3 perf artifact (see multi_bench_test.go).
-bench-multi:
-	$(GO) test -run '^$$' -bench BenchmarkMultiTableLive -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR3.json
-
-# Scheduler decision-cost sweeps (the PR 4 perf artifact): the simulator's
-# BenchmarkSchedulerScaling at 64/256/512 queries plus chunk-count sweep,
-# and the live multi-table server at 64/256 streams with MeasureScheduling
-# on. The JSON record is BENCH_PR4.json; the sched-ns/decision metric must
-# stay flat (or logarithmic) as concurrency grows.
+# Scheduler decision-cost fence (simulator side): TestSchedScalingGuard
+# compares the q512/q64 per-decision ratio measured in one process against
+# the flat PR-4 baseline, so a reintroduced linear walk fails it even on a
+# noisy box; the sweep prints sched-ns/decision from 64 to 8192 queries and
+# across chunk counts for a human to read.
 bench-sched:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerScaling|BenchmarkLiveSchedulerScaling' -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR4.json
+	$(GO) test -run 'TestSchedScalingGuard' -count=1 -v .
+	$(GO) test -run '^$$' -bench BenchmarkSchedulerScaling -benchmem -benchtime $(BENCHTIME) .
 
-# DSM live tables (the PR 5 perf artifact): the full live workload over
-# NSM and DSM files for every policy, plus the Q6-only column-I/O pair.
-# Acceptance: BenchmarkLiveColumnIO dsm MiB-read/op ≤ 0.45 × nsm, and
-# relevance still beats normal on the dsm wall-clock totals.
-bench-dsm:
-	$(GO) test -run '^$$' -bench 'BenchmarkLiveEngine|BenchmarkLiveColumnIO' -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR5.json
-
-# Fault-tolerance overhead guard (the PR 6 perf artifact): the identical
-# bench set as bench-dsm, re-run fault-free after per-page CRC32-C checksums
-# and the per-load fault domain landed on the read path. Acceptance: within
-# 5% of the PR-5 numbers on an interleaved same-machine A/B (run-to-run
-# noise on a shared box exceeds 5%; see docs/BENCHMARKS.md) — verification
-# is one hardware-accelerated CRC pass per loaded page, retries cost
-# nothing when nothing fails.
-bench-fault:
-	$(GO) test -run '^$$' -bench 'BenchmarkLiveEngine|BenchmarkLiveColumnIO' -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR6.json
-
-# Observability overhead guard (the PR 7 perf artifact): the heaviest
-# multi-table bench run dark vs fully instrumented (metrics registry +
-# pprof scan labels + tracer to io.Discard), shared files and plans, plus
-# the enforcement test TestObsOverheadAB — interleaved off/on rounds with
-# alternating order, medians compared, fail at ≥2% overhead. The A/B needs
+# Observability overhead guard: the `coopscan multi -read-mbps 200`
+# workload run dark vs fully instrumented (metrics registry + pprof scan
+# labels + tracer to io.Discard), shared files and plans, plus the
+# enforcement test TestObsOverheadAB — interleaved off/on rounds with
+# alternating order, medians compared, fail at >=2% overhead. The A/B needs
 # an otherwise idle machine to mean anything, hence its own target.
 bench-obs:
-	COOPSCAN_OBS_AB=1 $(GO) test -run 'TestObsOverheadAB' -count=1 -v -bench 'BenchmarkObsOverhead' -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR7.json
+	COOPSCAN_OBS_AB=1 $(GO) test -run 'TestObsOverheadAB' -count=1 -v -bench 'BenchmarkObsOverhead' -benchmem -benchtime $(BENCHTIME) .
 
-# 10k-stream scheduler scale (the PR 8 perf artifact): the simulator sweep
-# extended to 4096/8192 queries and the live server pushed to 512/2048/4096
-# concurrent scan goroutines with short per-stream ranges (see
-# live_sched_bench_test.go). Acceptance: sched-ns/decision within 1.5× from
-# streams512 to streams4096 — the registration batch, per-stream wakeup
-# conds, per-query availability heaps and incremental victim heap remove
-# every per-decision linear walk, so decision cost no longer grows with the
-# stream count.
-bench-scale:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerScaling|BenchmarkLiveSchedulerScale' -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR8.json
-
-# Compressed-extent storage A/B (the PR 10 perf artifact): the Q6-only
-# live workload over a raw DSM file, its compressed (v4) twin, and the
-# compressed file with Q6 zonemap predicates registered — all under a
-# 64 MiB/s modelled device, where stored bytes are the scarce resource.
-# Acceptance: compressed disk-MiB/op ≤ 0.5 × raw (measured ~0.13 — the Q6
-# projection compresses harder than the table average), decoded-MiB/op
-# comparable between raw and compressed (same fixed-width pool pages), and
-# the pruned variant skips ≥ 60% of registered chunks with unchanged
-# aggregates (see compress_bench_test.go).
+# Compressed-extent storage A/B: the Q6-only live workload over a raw DSM
+# file, its compressed (v4) twin, and the compressed file with Q6 zonemap
+# predicates registered — all under a 64 MiB/s modelled device, where
+# stored bytes are the scarce resource. Acceptance: compressed disk-MiB/op
+# <= 0.5 x raw (measured ~0.13), and the pruned variant skips >= 60% of
+# registered chunks with unchanged aggregates (see compress_bench_test.go).
+# It is the only guard on compressed storage behind a scarce device until
+# the suite grows a workload for that regime.
 bench-compress:
-	$(GO) test -run '^$$' -bench BenchmarkLiveCompressedIO -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR10.json
-
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -json . > $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench BenchmarkLiveCompressedIO -benchmem -benchtime $(BENCHTIME) .

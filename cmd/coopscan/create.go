@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -9,44 +10,42 @@ import (
 	"coopscan/internal/engine"
 )
 
+// createOpts is what `coopscan create` parses from its arguments.
+type createOpts struct {
+	file  string
+	table tableFlags
+}
+
+// parseCreate parses the arguments of create, where -compress implies -dsm
+// instead of requiring it; a mistake ends the process with status 2.
+func parseCreate(args []string) *createOpts {
+	o := &createOpts{}
+	fs := flag.NewFlagSet("create", flag.ExitOnError)
+	fs.StringVar(&o.file, "file", "", "table file path to create (required; refuses to overwrite)")
+	o.table.register(fs)
+	fs.Lookup("compress").Usage = "store DSM extents compressed with per-column schemes and zonemaps (v4; implies -dsm)"
+	fs.Parse(args)
+	if o.file == "" {
+		exit("create", 2, errors.New("-file is required"))
+	}
+	o.table.dsm = o.table.dsm || o.table.compress
+	return o
+}
+
 // runCreate is the `coopscan create` subcommand: it generates a table file
 // ahead of time — NSM, DSM, or compressed DSM (v4) — so live/multi/serve
 // runs can point -file at it instead of generating on first use. For
 // compressed tables it reports the per-column schemes and the stored
 // footprint against the raw DSM equivalent.
 func runCreate(args []string) {
-	fs := flag.NewFlagSet("create", flag.ExitOnError)
-	file := fs.String("file", "", "table file path to create (required; refuses to overwrite)")
-	dsm := fs.Bool("dsm", false, "store the table column-major (DSM)")
-	compress := fs.Bool("compress", false, "store DSM extents compressed with per-column schemes and zonemaps (v4; implies -dsm)")
-	rows := fs.Int64("rows", 1_500_000, "table rows")
-	tpc := fs.Int64("tuples-per-chunk", 32768, "tuples per chunk")
-	seed := fs.Uint64("seed", 1, "generator seed")
-	fs.Parse(args)
-
-	if *file == "" {
-		fmt.Fprintln(os.Stderr, "coopscan create: -file is required")
-		os.Exit(2)
-	}
-	if _, err := os.Stat(*file); err == nil {
-		fmt.Fprintf(os.Stderr, "coopscan create: %s already exists (refusing to overwrite)\n", *file)
-		os.Exit(1)
-	}
-	format := engine.NSM
-	if *dsm || *compress {
-		format = engine.DSM
+	o := parseCreate(args)
+	if _, err := os.Stat(o.file); err == nil {
+		exit("create", 1, fmt.Errorf("%s already exists (refusing to overwrite)", o.file))
 	}
 	start := time.Now()
-	var tf *engine.TableFile
-	var err error
-	if *compress {
-		tf, err = engine.CreateCompressed(*file, *rows, *tpc, *seed)
-	} else {
-		tf, err = engine.CreateFormat(*file, format, *rows, *tpc, *seed)
-	}
+	tf, err := o.table.create(o.file, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan create:", err)
-		os.Exit(1)
+		exit("create", 1, err)
 	}
 	defer tf.Close()
 

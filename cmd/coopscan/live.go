@@ -1,138 +1,134 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
+	"coopscan/internal/core"
 	"coopscan/internal/engine"
 	"coopscan/internal/iofault"
 )
 
-// runLive is the `coopscan live` subcommand: it generates (or reuses) a
-// real chunked table file and runs N concurrent query streams over it in
-// wall-clock time under one or all scheduling policies, reporting
-// per-query latency, aggregate bandwidth and the useful-bytes fraction
-// (bytes the queries' projections consumed vs bytes read off the device).
-// With -dsm the file is stored column-major, so queries read only the
-// columns they project — the paper's §5 DSM cooperative scans — and the
-// useful fraction approaches 1 where the NSM run pays the full row width.
-func runLive(args []string) {
-	fs := flag.NewFlagSet("live", flag.ExitOnError)
-	file := fs.String("file", "", "table file path (default: a per-shape file under $TMPDIR, created on demand)")
-	dsm := fs.Bool("dsm", false, "store/open the table column-major (DSM): queries pay only for the columns they read")
-	compressFlag := fs.Bool("compress", false, "store/open the table with compressed extents and zonemaps (v4; requires -dsm)")
-	prune := fs.Bool("prune", false, "register Q6 scans with predicate ranges so zonemaps prune non-matching chunks")
-	rows := fs.Int64("rows", 1_500_000, "table rows when creating the file")
-	tpc := fs.Int64("tuples-per-chunk", 32768, "tuples per chunk when creating the file")
-	seed := fs.Uint64("seed", 1, "generator and workload seed")
-	bufferMB := fs.Int64("buffer-mb", 16, "buffer budget in MiB")
-	inflight := fs.Int("inflight", 4, "bounded in-flight load queue depth (1 = serial loads)")
-	readMBs := fs.Int64("read-mbps", 0, "per-load-stream device bandwidth model in MiB/s (0 = page-cache speed)")
-	streams := fs.Int("streams", 8, "concurrent query streams")
-	queries := fs.Int("queries", 2, "queries per stream")
-	policy := fs.String("policy", "all", "normal|attach|elevator|relevance|all")
-	stagger := fs.Duration("stagger", 20*time.Millisecond, "delay between stream starts")
-	measureSched := fs.Bool("measure-sched", false, "meter scheduling decisions and report sched-ns/decision")
-	httpAddr := fs.String("http", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. :9090)")
-	tracePath := fs.String("trace", "", "write a Perfetto-loadable scan-timeline trace to this file")
-	faultPlan := fs.String("fault-plan", "", "injected-fault plan, e.g. transient=0.2,short=0.05,corrupt=0.01,latency=0.1:2ms,bad=OFF:LEN (empty = no faults)")
-	faultSeed := fs.Uint64("fault-seed", 1, "fault injection seed (same plan+seed injects identically)")
-	verbose := fs.Bool("v", false, "print per-query latencies")
-	fs.Parse(args)
+// liveOpts is what `coopscan live` and `coopscan multi` parse from their
+// arguments, and the spec of the policy runs that follow. The two are one
+// command: live is the one-table case, naming its table with -file where
+// multi names a set with -dir and -tables.
+type liveOpts struct {
+	cmd                 string // "live" or "multi"
+	file, dir           string
+	tables              int
+	table               tableFlags
+	server              serverFlags
+	policies            []core.Policy
+	streams, queries    int
+	stagger             time.Duration
+	measureSched        bool
+	httpAddr, tracePath string
+	verbose             bool
+}
 
-	policies, err := parsePolicies(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan live:", err)
-		os.Exit(2)
+// parseLive parses the arguments of live or multi; a mistake ends the
+// process with status 2.
+func parseLive(cmd string, args []string) *liveOpts {
+	o := &liveOpts{cmd: cmd, tables: 1}
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	bufferMB := int64(16)
+	if cmd == "multi" {
+		bufferMB = 24
+		fs.StringVar(&o.dir, "dir", "", "directory for the table files (default $TMPDIR, created on demand)")
+		fs.IntVar(&o.tables, "tables", 2, "number of tables")
+	} else {
+		fs.StringVar(&o.file, "file", "", "table file path (default: a per-shape file under $TMPDIR, created on demand)")
 	}
-	if *compressFlag && !*dsm {
-		fmt.Fprintln(os.Stderr, "coopscan live: -compress requires -dsm (compressed extents are column-major)")
-		os.Exit(2)
+	o.table.register(fs)
+	o.server.register(fs, "all", bufferMB)
+	fs.IntVar(&o.streams, "streams", 8, "concurrent query streams per table")
+	fs.IntVar(&o.queries, "queries", 2, "queries per stream")
+	fs.DurationVar(&o.stagger, "stagger", 20*time.Millisecond, "delay between stream starts")
+	fs.BoolVar(&o.measureSched, "measure-sched", false, "meter scheduling decisions and report sched-ns/decision")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. :9090)")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Perfetto-loadable scan-timeline trace to this file")
+	fs.BoolVar(&o.verbose, "v", false, "print per-query latencies")
+	fs.Parse(args)
+	var err error
+	if o.policies, err = parsePolicies(o.server.policy); err != nil {
+		exit(cmd, 2, err)
 	}
-	format := engine.NSM
-	if *dsm {
-		format = engine.DSM
+	if o.tables < 1 {
+		exit(cmd, 2, errors.New("need at least one table"))
 	}
-	tf, err := openOrCreate(*file, format, *compressFlag, *rows, *tpc, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan live:", err)
-		os.Exit(1)
+	return o
+}
+
+// header prints what is about to run.
+func (o *liveOpts) header(tfs []*engine.TableFile) {
+	tf := tfs[0]
+	var raw int64
+	for _, tf := range tfs {
+		raw += int64(tf.NumChunks()) * tf.ChunkBytes()
 	}
-	defer tf.Close()
-	injectors, err := applyFaultPlan(*faultPlan, *faultSeed, tf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan live:", err)
-		os.Exit(2)
+	if o.cmd == "multi" {
+		fmt.Printf("tables: %d × %d rows (%s, %d chunks × %s each, %s total)\n",
+			o.tables, o.table.rows, describeFormat(tf), tf.NumChunks(), fmtBytes(tf.ChunkBytes()), fmtBytes(raw))
+		fmt.Printf("workload: %d streams × %d queries per table, %s shared buffer, in-flight depth %d, stagger %v\n",
+			o.streams, o.queries, fmtBytes(o.server.bufferMB<<20), o.server.inflight, o.stagger)
+		return
 	}
-	rig, err := newObsRig(*httpAddr, *tracePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan live:", err)
-		os.Exit(2)
-	}
-	defer rig.Close()
 	fmt.Printf("table: %s (%s, %d rows, %d chunks × %s, %s total)\n",
-		tf.Path(), describeFormat(tf), tf.Rows(), tf.NumChunks(), fmtBytes(tf.ChunkBytes()),
-		fmtBytes(int64(tf.NumChunks())*tf.ChunkBytes()))
+		tf.Path(), describeFormat(tf), tf.Rows(), tf.NumChunks(), fmtBytes(tf.ChunkBytes()), fmtBytes(raw))
 	if tf.Compressed() {
-		raw := int64(tf.NumChunks()) * tf.ChunkBytes()
 		fmt.Printf("stored: %s of %s raw (%.2fx compression)\n",
 			fmtBytes(tf.StoredBytes()), fmtBytes(raw), float64(raw)/float64(tf.StoredBytes()))
 	}
-	fmt.Printf("workload: %d streams × %d queries, %s buffer, stagger %v\n", *streams, *queries, fmtBytes(*bufferMB<<20), *stagger)
+	fmt.Printf("workload: %d streams × %d queries, %s buffer, stagger %v\n",
+		o.streams, o.queries, fmtBytes(o.server.bufferMB<<20), o.stagger)
+}
+
+// runLive is the `coopscan live` and `coopscan multi` subcommands: real
+// chunked table files, generated or reused, served by one engine.Server
+// under a single shared buffer budget, with N concurrent query streams per
+// table running in wall-clock time under one or all scheduling policies.
+// It reports per-query latency, aggregate bandwidth and the useful-bytes
+// fraction (bytes the queries' projections consumed vs bytes read off the
+// device). With -dsm the files are stored column-major, so queries read
+// only the columns they project — the paper's §5 DSM cooperative scans.
+// With several tables this is the paper's §7 scenario executed for real:
+// per-table ABMs, the demand-driven budget arbiter, and a bounded
+// in-flight load queue overlapping reads across tables.
+func runLive(cmd string, args []string) {
+	o := parseLive(cmd, args)
+	paths := []string{o.file}
+	if cmd == "multi" {
+		paths = o.table.generated(cmd, o.dir, o.tables)
+	} else if o.file == "" {
+		paths[0] = filepath.Join(os.TempDir(), o.table.name(cmd)+".tbl")
+	}
+	tfs := o.table.open(cmd, paths)
+	defer closeAll(tfs)
+	injectors := o.server.inject(cmd, tfs)
+	rig, err := newObsRig(o.httpAddr, o.tracePath)
+	if err != nil {
+		exit(cmd, 2, err)
+	}
+	defer rig.Close()
+	o.header(tfs)
 	if injectors != nil {
-		fmt.Printf("faults: plan %q, seed %d\n", *faultPlan, *faultSeed)
+		fmt.Printf("faults: plan %q, seed %d\n", o.server.faultPlan, o.server.faultSeed)
 	}
 	fmt.Println()
 
-	for _, pol := range policies {
-		res, err := runPolicy(runSpec{
-			tfs:          []*engine.TableFile{tf},
-			policy:       pol,
-			bufferBytes:  *bufferMB << 20,
-			inflight:     *inflight,
-			readBW:       *readMBs << 20,
-			streams:      *streams,
-			queries:      *queries,
-			seed:         *seed,
-			stagger:      *stagger,
-			measureSched: *measureSched,
-			faulty:       injectors != nil,
-			prune:        *prune,
-			verbose:      *verbose,
-		}, rig)
+	for _, pol := range o.policies {
+		res, err := runPolicy(o, tfs, pol, injectors != nil, rig)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coopscan live:", err)
-			os.Exit(1)
+			exit(cmd, 1, err)
 		}
 		fmt.Print(res)
 	}
 	printInjectorStats(injectors)
-}
-
-// applyFaultPlan parses a -fault-plan string and, when it injects anything,
-// installs one deterministic injector per table (seeded seed+i). Returns nil
-// injectors for an empty plan.
-func applyFaultPlan(planStr string, seed uint64, tfs ...*engine.TableFile) ([]*iofault.Injector, error) {
-	plan, err := iofault.ParsePlan(planStr)
-	if err != nil {
-		return nil, err
-	}
-	if plan.Zero() {
-		return nil, nil
-	}
-	injs := make([]*iofault.Injector, len(tfs))
-	for i, tf := range tfs {
-		i := i
-		tf.WrapReader(func(r io.ReaderAt) io.ReaderAt {
-			injs[i] = iofault.New(r, plan, seed+uint64(i))
-			return injs[i]
-		})
-	}
-	return injs, nil
 }
 
 // printInjectorStats reports the cumulative injection counters (all policy
@@ -154,45 +150,4 @@ func printInjectorStats(injs []*iofault.Injector) {
 	}
 	fmt.Printf("injected: %d faults over %d reads (%d transient, %d short, %d corrupt, %d bad-range) + %d delays\n",
 		total.Injected(), total.Reads, total.Transients, total.Shorts, total.Corruptions, total.BadReads, total.Delays)
-}
-
-// openOrCreate opens the table file, generating it only when the path does
-// not exist yet. An existing file that fails to open, or that stores the
-// other physical format (including compressed vs raw), is an error — never
-// overwritten (the user may have pointed -file at something else entirely).
-func openOrCreate(path string, format engine.Format, compressed bool, rows, tpc int64, seed uint64) (*engine.TableFile, error) {
-	if path == "" {
-		shape := format.String()
-		if compressed {
-			shape += "c"
-		}
-		path = filepath.Join(os.TempDir(), fmt.Sprintf("coopscan-live-%s-%d-%d-%d.tbl", shape, rows, tpc, seed))
-	}
-	if _, err := os.Stat(path); err == nil {
-		tf, err := engine.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		if tf.Format() != format || tf.Compressed() != compressed {
-			tf.Close()
-			return nil, fmt.Errorf("%s stores %s, want %s (pick another -file or remove it)",
-				path, describeFormat(tf), wantShape(format, compressed))
-		}
-		return tf, nil
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	fmt.Printf("generating %s ...\n", path)
-	if compressed {
-		return engine.CreateCompressed(path, rows, tpc, seed)
-	}
-	return engine.CreateFormat(path, format, rows, tpc, seed)
-}
-
-// wantShape renders the requested physical shape for error messages.
-func wantShape(format engine.Format, compressed bool) string {
-	if compressed {
-		return fmt.Sprintf("%s compressed", format)
-	}
-	return format.String()
 }

@@ -88,25 +88,21 @@ func catalogue() []experiment {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "create" {
-		runCreate(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "live" {
-		runLive(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "multi" {
-		runMulti(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		runServe(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scan" {
-		runScanClient(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch cmd, args := os.Args[1], os.Args[2:]; cmd {
+		case "create":
+			runCreate(args)
+			return
+		case "live", "multi":
+			runLive(cmd, args)
+			return
+		case "serve":
+			runServe(args)
+			return
+		case "scan":
+			runScanClient(args)
+			return
+		}
 	}
 	exp := flag.String("exp", "", "experiment to run (see -list), or 'all'")
 	quick := flag.Bool("quick", false, "run the scaled-down configuration")

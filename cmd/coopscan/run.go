@@ -13,70 +13,46 @@ import (
 	"coopscan/internal/exec"
 )
 
-// runSpec parameterises one policy run of the shared live runner: the
-// tables to serve (one for `live`, several for `multi`), the server shape,
-// and the workload. Per-table workloads are seeded seed+table, so a
-// single-table run reproduces the historical `live` seeding exactly.
-type runSpec struct {
-	tfs          []*engine.TableFile
-	policy       core.Policy
-	bufferBytes  int64
-	inflight     int
-	readBW       int64
-	streams      int
-	queries      int
-	seed         uint64
-	stagger      time.Duration
-	measureSched bool
-	faulty       bool
-	prune        bool
-	verbose      bool
-}
-
-// runPolicy builds one engine.Server over the spec's tables, drives the
-// planned workload (streams × queries per table, staggered starts) to
-// completion, and returns the outcomes with the server's final /statusz
-// snapshot. It is the one runner behind both the live and multi
-// subcommands.
-func runPolicy(spec runSpec, rig *obsRig) (*runResult, error) {
-	cfg := engine.ServerConfig{
-		Policy:            spec.policy,
-		BufferBytes:       spec.bufferBytes,
-		InFlightDepth:     spec.inflight,
-		ReadBandwidth:     spec.readBW,
-		MeasureScheduling: spec.measureSched,
-		Obs:               rig.registry(),
-		Trace:             rig.trace(),
-	}
-	srv, err := engine.NewServer(cfg, spec.tfs...)
+// runPolicy builds one engine.Server over the tables, drives the planned
+// workload (streams × queries per table, staggered starts; per-table
+// workloads seeded seed+table, so a single-table run reproduces the
+// historical `live` seeding exactly) to completion, and returns the outcomes
+// with the server's final /statusz snapshot. faulty says a fault plan is
+// active. It is the one runner behind both the live and multi subcommands.
+func runPolicy(o *liveOpts, tfs []*engine.TableFile, pol core.Policy, faulty bool, rig *obsRig) (*runResult, error) {
+	cfg := o.server.config(pol)
+	cfg.MeasureScheduling = o.measureSched
+	cfg.Obs = rig.registry()
+	cfg.Trace = rig.trace()
+	srv, err := engine.NewServer(cfg, tfs...)
 	if err != nil {
 		return nil, err
 	}
 	rig.setServer(srv)
 	defer rig.setServer(nil)
 	defer srv.Close()
-	res := &runResult{policy: spec.policy, verbose: spec.verbose, perTable: make([][]liveOutcome, len(spec.tfs))}
+	res := &runResult{policy: pol, verbose: o.verbose, perTable: make([][]liveOutcome, len(tfs))}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var firstErr error
 	start := time.Now()
-	for table := range spec.tfs {
+	for table := range tfs {
 		table := table
 		// Each table runs the standard planned workload, seeded per table so
 		// streams over different tables are decorrelated.
-		plan := engine.PlanWorkload(spec.tfs[table].NumChunks(), spec.streams, spec.queries, spec.seed+uint64(table))
+		plan := engine.PlanWorkload(tfs[table].NumChunks(), o.streams, o.queries, o.table.seed+uint64(table))
 		for s := range plan {
 			s := s
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				time.Sleep(time.Duration(s) * spec.stagger)
+				time.Sleep(time.Duration(s) * o.stagger)
 				for _, q := range plan[s] {
 					qStart := time.Now()
 					req := engine.ScanRequest{
 						Table: table, Name: q.Name, Ranges: q.Ranges, Cols: q.Cols,
 					}
-					if spec.prune && !q.Slow {
+					if o.server.prune && !q.Slow {
 						// FAST streams run the Q6 kernel; handing its filter
 						// ranges to the engine lets zonemaps drop chunks that
 						// cannot match before they reach the scheduler.
@@ -88,7 +64,7 @@ func runPolicy(spec runSpec, rig *obsRig) (*runResult, error) {
 						// Under an active fault plan a quarantined part fails
 						// exactly the scans that need it; that is the designed
 						// outcome, not a run-aborting error.
-						if spec.faulty && errors.Is(err, engine.ErrChunkUnavailable) {
+						if faulty && errors.Is(err, engine.ErrChunkUnavailable) {
 							res.unavailable++
 						} else if firstErr == nil {
 							firstErr = err

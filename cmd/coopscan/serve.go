@@ -8,15 +8,50 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
+	"coopscan/internal/core"
 	"coopscan/internal/engine"
 	"coopscan/internal/obs"
 	"coopscan/internal/serve"
 )
+
+// serveOpts is what `coopscan serve` parses from its arguments.
+type serveOpts struct {
+	addr, files                           string
+	tables                                int
+	table                                 tableFlags
+	server                                serverFlags
+	policy                                core.Policy
+	maxLive, maxQueue                     int
+	heartbeat, writeTimeout, drainTimeout time.Duration
+}
+
+// parseServe parses the arguments of serve; a mistake ends the process
+// with status 2.
+func parseServe(args []string) *serveOpts {
+	o := &serveOpts{}
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
+	fs.StringVar(&o.files, "file", "", "comma-separated table file paths (default: -tables generated files under $TMPDIR)")
+	fs.IntVar(&o.tables, "tables", 1, "number of tables to generate when -file is empty")
+	o.table.register(fs)
+	o.server.register(fs, "relevance", 24)
+	fs.IntVar(&o.maxLive, "max-live", 64, "admission ceiling: concurrently running scan sessions")
+	fs.IntVar(&o.maxQueue, "max-queue", 0, "admission wait-queue bound (0 = 4×max-live, <0 = shed at the ceiling)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 5*time.Second, "idle heartbeat interval on scan streams (<0 disables)")
+	fs.DurationVar(&o.writeTimeout, "write-timeout", 10*time.Second, "per-write client stall bound; a blown deadline cancels the scan (<0 disables)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound on shutdown; stragglers are cancelled at the deadline")
+	fs.Parse(args)
+	policies, err := parsePolicies(o.server.policy)
+	if err != nil || len(policies) != 1 {
+		exit("serve", 2, errors.New("-policy must name exactly one policy"))
+	}
+	o.policy = policies[0]
+	return o
+}
 
 // runServe is the `coopscan serve` subcommand: the cooperative-scan engine
 // behind the HTTP/2 chunked-streaming front-end. Tables come from -file
@@ -27,105 +62,46 @@ import (
 // /admin/detach for table churn on the running server. SIGINT/SIGTERM
 // triggers a graceful drain bounded by -drain-timeout.
 func runServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	files := fs.String("file", "", "comma-separated table file paths (default: -tables generated files under $TMPDIR)")
-	dsm := fs.Bool("dsm", false, "store/open generated tables column-major (DSM)")
-	compressFlag := fs.Bool("compress", false, "store/open generated tables with compressed extents and zonemaps (v4; requires -dsm)")
-	prune := fs.Bool("prune", false, "register Q6-aggregating scans with predicate ranges so zonemaps prune non-matching chunks")
-	tables := fs.Int("tables", 1, "number of tables to generate when -file is empty")
-	rows := fs.Int64("rows", 1_500_000, "rows per generated table")
-	tpc := fs.Int64("tuples-per-chunk", 32768, "tuples per chunk for generated tables")
-	seed := fs.Uint64("seed", 1, "generator seed")
-	policy := fs.String("policy", "relevance", "normal|attach|elevator|relevance")
-	bufferMB := fs.Int64("buffer-mb", 24, "shared buffer budget in MiB")
-	inflight := fs.Int("inflight", 4, "bounded in-flight load queue depth")
-	readMBs := fs.Int64("read-mbps", 0, "per-load-stream device bandwidth model in MiB/s (0 = page-cache speed)")
-	maxLive := fs.Int("max-live", 64, "admission ceiling: concurrently running scan sessions")
-	maxQueue := fs.Int("max-queue", 0, "admission wait-queue bound (0 = 4×max-live, <0 = shed at the ceiling)")
-	heartbeat := fs.Duration("heartbeat", 5*time.Second, "idle heartbeat interval on scan streams (<0 disables)")
-	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "per-write client stall bound; a blown deadline cancels the scan (<0 disables)")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on shutdown; stragglers are cancelled at the deadline")
-	faultPlan := fs.String("fault-plan", "", "injected-fault plan, e.g. transient=0.2,short=0.05,corrupt=0.01,latency=0.1:2ms,bad=OFF:LEN (empty = no faults)")
-	faultSeed := fs.Uint64("fault-seed", 1, "fault injection seed (per-table injectors seeded seed+i)")
-	fs.Parse(args)
-
-	policies, err := parsePolicies(*policy)
-	if err != nil || len(policies) != 1 {
-		fmt.Fprintln(os.Stderr, "coopscan serve: -policy must name exactly one policy")
-		os.Exit(2)
-	}
+	o := parseServe(args)
 	var tfs []*engine.TableFile
-	if *files != "" {
-		for _, p := range strings.Split(*files, ",") {
-			tf, err := engine.Open(strings.TrimSpace(p))
+	if o.files == "" {
+		tfs = o.table.open("serve", o.table.generated("serve", "", o.tables))
+	}
+	for _, p := range strings.Split(o.files, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			tf, err := engine.Open(p)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "coopscan serve:", err)
-				os.Exit(1)
+				exit("serve", 1, err)
 			}
-			defer tf.Close()
-			tfs = append(tfs, tf)
-		}
-	} else {
-		if *compressFlag && !*dsm {
-			fmt.Fprintln(os.Stderr, "coopscan serve: -compress requires -dsm (compressed extents are column-major)")
-			os.Exit(2)
-		}
-		format := engine.NSM
-		if *dsm {
-			format = engine.DSM
-		}
-		shape := format.String()
-		if *compressFlag {
-			shape += "c"
-		}
-		for i := 0; i < *tables; i++ {
-			path := filepath.Join(os.TempDir(), fmt.Sprintf("coopscan-serve-%s-%d-%d-%d-t%d.tbl", shape, *rows, *tpc, *seed, i))
-			tf, err := openOrCreate(path, format, *compressFlag, *rows, *tpc, *seed+uint64(i))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "coopscan serve:", err)
-				os.Exit(1)
-			}
-			defer tf.Close()
 			tfs = append(tfs, tf)
 		}
 	}
-	injectors, err := applyFaultPlan(*faultPlan, *faultSeed, tfs...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan serve:", err)
-		os.Exit(2)
-	}
+	defer closeAll(tfs)
+	injectors := o.server.inject("serve", tfs)
 
 	reg := obs.NewRegistry()
-	eng, err := engine.NewServer(engine.ServerConfig{
-		Policy:        policies[0],
-		BufferBytes:   *bufferMB << 20,
-		InFlightDepth: *inflight,
-		ReadBandwidth: *readMBs << 20,
-		Obs:           reg,
-	}, tfs...)
+	cfg := o.server.config(o.policy)
+	cfg.Obs = reg
+	eng, err := engine.NewServer(cfg, tfs...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan serve:", err)
-		os.Exit(1)
+		exit("serve", 1, err)
 	}
 	front, err := serve.New(serve.Config{
 		Engine:       eng,
-		MaxLive:      *maxLive,
-		MaxQueue:     *maxQueue,
-		Heartbeat:    *heartbeat,
-		WriteTimeout: *writeTimeout,
-		PruneQ6:      *prune,
+		MaxLive:      o.maxLive,
+		MaxQueue:     o.maxQueue,
+		Heartbeat:    o.heartbeat,
+		WriteTimeout: o.writeTimeout,
+		PruneQ6:      o.server.prune,
 		Obs:          reg,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan serve:", err)
-		os.Exit(1)
+		exit("serve", 1, err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan serve:", err)
-		os.Exit(1)
+		exit("serve", 1, err)
 	}
 	srv := front.Server()
 	for i, tf := range tfs {
@@ -133,9 +109,9 @@ func runServe(args []string) {
 			eng.TableName(i), tf.Path(), describeFormat(tf), tf.NumChunks(), fmtBytes(tf.ChunkBytes()))
 	}
 	fmt.Printf("serving: http://%s/scan  (h2c; also /metrics /statusz /debug/pprof /admin/attach /admin/detach)\n", ln.Addr())
-	fmt.Printf("admission: %d live, queue %d, policy %v, %s buffer\n", *maxLive, *maxQueue, policies[0], fmtBytes(*bufferMB<<20))
+	fmt.Printf("admission: %d live, queue %d, policy %v, %s buffer\n", o.maxLive, o.maxQueue, o.policy, fmtBytes(o.server.bufferMB<<20))
 	if injectors != nil {
-		fmt.Printf("faults: plan %q, seed %d\n", *faultPlan, *faultSeed)
+		fmt.Printf("faults: plan %q, seed %d\n", o.server.faultPlan, o.server.faultSeed)
 	}
 
 	done := make(chan error, 1)
@@ -144,12 +120,11 @@ func runServe(args []string) {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigs:
-		fmt.Printf("\n%v: draining (bound %v)...\n", sig, *drainTimeout)
+		fmt.Printf("\n%v: draining (bound %v)...\n", sig, o.drainTimeout)
 	case err := <-done:
-		fmt.Fprintln(os.Stderr, "coopscan serve:", err)
-		os.Exit(1)
+		exit("serve", 1, err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if err := front.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "coopscan serve: drain:", err)
@@ -183,14 +158,12 @@ func runScanClient(args []string) {
 	quiet := fs.Bool("q", false, "suppress per-chunk lines")
 	fs.Parse(args)
 	if *table == "" {
-		fmt.Fprintln(os.Stderr, "coopscan scan: -table is required")
-		os.Exit(2)
+		exit("scan", 2, errors.New("-table is required"))
 	}
 
 	t, err := serve.ParseTier(*tier)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coopscan scan:", err)
-		os.Exit(2)
+		exit("scan", 2, err)
 	}
 	startAt := time.Now()
 	res, err := serve.RunScan(context.Background(), nil, *url, serve.ScanParams{
@@ -207,8 +180,7 @@ func runScanClient(args []string) {
 			fmt.Fprintf(os.Stderr, "coopscan scan: shed by admission control; retry after %v\n", shed.RetryAfter)
 			os.Exit(3)
 		}
-		fmt.Fprintln(os.Stderr, "coopscan scan:", err)
-		os.Exit(1)
+		exit("scan", 1, err)
 	}
 	elapsed := time.Since(startAt)
 	tr := res.Trailer

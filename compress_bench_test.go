@@ -1,9 +1,9 @@
 // BenchmarkLiveCompressedIO is the PR 10 perf artifact: the Q6-only live
-// workload (every planned query forced FAST, as in BenchmarkLiveColumnIO)
-// interleaved over a raw DSM file and its compressed (v4) twin — same
-// rows, same seed, byte-identical decoded pages — under a modelled device
-// bandwidth of 64 MiB/s, the `-read-mbps 64` scarcity where stored bytes
-// are the resource that matters. Each sub-benchmark reports
+// workload (every planned query forced FAST) interleaved over a raw DSM
+// file and its compressed (v4) twin — same rows, same seed, byte-identical
+// decoded pages — under a modelled device bandwidth of 64 MiB/s, the
+// `-read-mbps 64` scarcity where stored bytes are the resource that
+// matters. Each sub-benchmark reports
 //
 //   - disk-MiB/op — stored bytes the load workers actually transferred
 //     (compressed widths on v4, decoded widths on raw); the acceptance
@@ -33,18 +33,30 @@ import (
 	"coopscan/internal/exec"
 )
 
-// compressBenchReadBW is the modelled per-load-stream device bandwidth:
-// scarce enough that stored-byte savings show up in wall clock, fast
-// enough that the benchmark stays minutes, not hours.
-const compressBenchReadBW = 64 << 20
+const (
+	liveBenchRows    = 786_432
+	liveBenchTPC     = 16_384 // 48 chunks × 1.75 MiB ≈ 84 MiB table
+	liveBenchStreams = 8
+	liveBenchQueries = 2
+	liveBenchSeed    = 1
+	// compressBenchReadBW is the modelled per-load-stream device
+	// bandwidth: scarce enough that stored-byte savings show up in wall
+	// clock, fast enough that the benchmark stays minutes, not hours.
+	compressBenchReadBW = 64 << 20
+)
 
-// compressBenchFile builds the compressed (v4) twin of liveBenchFile's DSM
-// table: same rows, tuples-per-chunk and seed, so decoded pages are
-// byte-identical and the A/B isolates the storage format.
-func compressBenchFile(b *testing.B) *engine.TableFile {
+// compressBenchFile builds the raw DSM table or its compressed (v4) twin:
+// same rows, tuples-per-chunk and seed, so decoded pages are byte-identical
+// and the A/B isolates the storage format.
+func compressBenchFile(b *testing.B, compressed bool) *engine.TableFile {
 	b.Helper()
-	tf, err := engine.CreateCompressed(filepath.Join(b.TempDir(), "live-dsmc.tbl"),
-		liveBenchRows, liveBenchTPC, liveBenchSeed)
+	var tf *engine.TableFile
+	var err error
+	if compressed {
+		tf, err = engine.CreateCompressed(filepath.Join(b.TempDir(), "live-dsmc.tbl"), liveBenchRows, liveBenchTPC, liveBenchSeed)
+	} else {
+		tf, err = engine.CreateFormat(filepath.Join(b.TempDir(), "live-dsm.tbl"), engine.DSM, liveBenchRows, liveBenchTPC, liveBenchSeed)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,9 +64,8 @@ func compressBenchFile(b *testing.B) *engine.TableFile {
 	return tf
 }
 
-// runServerBenchWorkload is runLiveBenchWorkload over a Server: same
-// staggered streams, same kernels, plus optional predicate ranges on the
-// FAST (here: all) queries.
+// runServerBenchWorkload runs the plan's staggered streams over the server
+// with the Q6 kernel, plus optional predicate ranges on the queries.
 func runServerBenchWorkload(b *testing.B, srv *engine.Server, plan [][]engine.PlannedQuery, preds []engine.PredRange) int64 {
 	b.Helper()
 	pred := exec.DefaultQ6()
@@ -104,12 +115,7 @@ func BenchmarkLiveCompressedIO(b *testing.B) {
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			var tf *engine.TableFile
-			if v.compressed {
-				tf = compressBenchFile(b)
-			} else {
-				tf = liveBenchFile(b, engine.DSM)
-			}
+			tf := compressBenchFile(b, v.compressed)
 			plan := engine.PlanWorkload(tf.NumChunks(), liveBenchStreams, liveBenchQueries, liveBenchSeed)
 			for s := range plan {
 				for qi := range plan[s] {

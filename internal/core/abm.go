@@ -204,7 +204,7 @@ type ABM struct {
 
 	// loadCands indexes the registered queries that are starved AND still
 	// have a non-resident needed chunk — the exact candidate set of the
-	// relevance loader's NextLoad — as a min-heap on (Query.candKey,
+	// relevance loader's nextLoad — as a min-heap on (Query.candKey,
 	// registration seq), with Query.loadPos the heap slot. Membership is
 	// re-derived by updateStarveFlags at every event that can change it, so
 	// a failing decision round (nothing loadable anywhere) is an O(1)
@@ -214,10 +214,10 @@ type ABM struct {
 	// candDirty marks the candidate keys stale: candKey embeds the
 	// registered-query count (the wait-normalisation denominator) and the
 	// chunk cost, so a register, unregister or SetChunkCost shifts every
-	// key. NextLoad re-keys and re-heapifies lazily — one rebuild per
+	// key. nextLoad re-keys and re-heapifies lazily — one rebuild per
 	// shift, not per decision, and batched registrations amortise to one.
 	candDirty bool
-	// candAside is NextLoad's scratch for popped candidates with nothing
+	// candAside is nextLoad's scratch for popped candidates with nothing
 	// loadable; they are re-pushed after the decision.
 	candAside []*Query
 
@@ -288,6 +288,10 @@ type ABM struct {
 	// sim mode.
 	fresh map[int]bool
 
+	// openLoads counts the tickets IssueLoad handed out that have not been
+	// landed; AuditDrained requires zero.
+	openLoads int
+
 	// activity is the global "something changed" broadcast: chunk loaded,
 	// chunk consumed, query registered/unregistered. Blocked parties wake
 	// and re-examine the world; the simulation kernel makes this pattern
@@ -296,7 +300,7 @@ type ABM struct {
 	activity *sim.Signal
 
 	// onEvict, when set, observes every part eviction (live mode: the
-	// engine releases the part's pinned buffer-pool pages there).
+	// engine returns the part's frame there).
 	onEvict func(chunk, col int)
 
 	closed bool
@@ -325,13 +329,19 @@ type ABM struct {
 	chunkCost float64
 }
 
-// strategy is the per-policy behaviour behind ABM.Next: the shared
-// SchedulerPolicy decision core plus the sim-only blocking delivery loop.
+// strategy is one policy's full decision core: the SchedulerPolicy surface
+// callers outside the package see, plus the load-side half only the ABM's
+// own load step (proposeLoad, IssueLoad, loader) may call.
 type strategy interface {
 	SchedulerPolicy
-	// next blocks until a chunk is deliverable to q and returns it with its
-	// parts pinned; ok=false means the scan has consumed its whole range.
-	next(p *sim.Proc, q *Query) (chunk int, ok bool)
+	// nextLoad picks the most valuable chunk to load right now, or ok=false
+	// when nothing is loadable (nothing starved, window full, or all
+	// remaining work already resident or in flight).
+	nextLoad() (LoadDecision, bool)
+	// commitLoad records that the decision is about to be executed (buffer
+	// space has been ensured): the elevator logs the interested queries and
+	// advances its cursor here.
+	commitLoad(d LoadDecision)
 }
 
 // New creates an ABM over the layout, backed by the simulated disk.
@@ -344,21 +354,16 @@ func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 		avg := layout.ChunkBytes(0, storage.AllCols(min(layout.Table().NumColumns(), storage.MaxColumns)))
 		a.chunkCost = d.TransferTime(maxI64(avg, 1))
 	}
-	if !a.cfg.DisableLoader {
-		switch s := a.strat.(type) {
-		case *elevStrategy:
-			env.Process("abm-elevator", s.loader)
-		case *relevStrategy:
-			env.Process("abm-relevance", s.loader)
-		}
+	if _, demand := a.strat.(*seqStrategy); !demand && !a.cfg.DisableLoader {
+		env.Process("abm-"+a.cfg.Policy.String(), a.loader)
 	}
 	return a
 }
 
 // NewLive creates a simulation-free ABM: bookkeeping plus the policy
 // decision core, driven externally (by internal/engine) under the given
-// clock. Central loader processes are never started; the engine's
-// scheduler goroutine polls Policy().NextLoad instead. The decision state
+// clock. The central loader process is never started; the engine's
+// scheduler goroutine calls IssueLoad instead. The decision state
 // is the one New builds: both worlds run the same code on the same
 // structures.
 func NewLive(clock Clock, layout storage.Layout, cfg Config) *ABM {
@@ -561,7 +566,10 @@ func (a *ABM) Next(p *sim.Proc, q *Query) (int, bool) {
 	if q.finished() {
 		return 0, false
 	}
-	return a.strat.next(p, q)
+	if s, demand := a.strat.(*seqStrategy); demand {
+		return s.next(p, q)
+	}
+	return a.awaitAvailable(p, q)
 }
 
 // Release returns chunk c after processing: parts are unpinned, the chunk
@@ -765,7 +773,7 @@ func (a *ABM) candFix(q *Query) {
 }
 
 // candRebuild re-keys every candidate and restores the heap order; called
-// lazily by NextLoad after the key scale shifted (registry size or chunk
+// lazily by nextLoad after the key scale shifted (registry size or chunk
 // cost) — once per shift, not per decision.
 func (a *ABM) candRebuild() {
 	for _, q := range a.loadCands.items {
@@ -912,43 +920,102 @@ func (a *ABM) interested(c int, overlap storage.ColSet) int {
 	return a.interestedOverlap(c, overlap)
 }
 
-// loadParts loads the absent parts of chunk c for cols, charging disk time
-// to process p and attributing requests to query attr (may be nil). Parts
-// are loaded smallest-first (the paper's DSM column load order). The caller
-// must have ensured buffer space. Returns the number of I/O requests issued.
-func (a *ABM) loadParts(p *sim.Proc, c int, cols storage.ColSet, attr *Query) int {
+// beginPart transitions one absent part to loading: its buffer space is
+// reserved and each contiguous cold run — one I/O request — is charged to
+// the system counters and to query attr (may be nil). It returns the runs
+// to read. finishPart lands the part: resident, visible to the interested
+// queries' availability state and enrolled as an eviction candidate. Every
+// load, simulated or live, goes through this pair, so the I/O accounting
+// exists once.
+func (a *ABM) beginPart(k partKey, attr *Query) []storage.Extent {
+	runs := a.cache.coldRuns(k)
+	for _, r := range runs {
+		a.stats.IORequests++
+		a.stats.BytesRead += r.Size
+		if attr != nil {
+			attr.ios++
+			attr.bytesRead += r.Size
+		}
+	}
+	a.cache.beginLoad(k, a.clock.Now())
+	return runs
+}
+
+func (a *ABM) finishPart(k partKey) {
+	a.cache.finishLoad(k, a.clock.Now())
+	a.partBecameResident(k)
+	a.vicAdd(k)
+	a.stats.Loads++
+}
+
+// loadParts is the simulator's "do the read and land it": it loads the
+// absent parts of chunk c for cols one at a time, smallest first (the
+// paper's DSM column load order), charging disk time to process p, and
+// broadcasts after each part so queries needing few columns wake early.
+// The caller must have ensured buffer space.
+func (a *ABM) loadParts(p *sim.Proc, c int, cols storage.ColSet, attr *Query) {
 	var kb [storage.MaxColumns]partKey
 	keys := a.cache.partsInto(kb[:0], cols, c)
-	// Smallest column first, so queries needing few columns wake earlier.
 	sortPartsBySize(a.cache, keys)
-	requests := 0
+	tag := "abm"
+	if attr != nil {
+		tag = attr.Name
+	}
 	for _, k := range keys {
 		if a.cache.state(k) != partAbsent {
 			continue
 		}
-		runs := a.cache.coldRuns(k)
-		a.cache.beginLoad(k, a.clock.Now())
-		for _, r := range runs {
-			tag := "abm"
-			if attr != nil {
-				tag = attr.Name
-			}
+		for _, r := range a.beginPart(k, attr) {
 			a.disk.Read(p, r.Pos, r.Size, c, tag)
-			requests++
-			a.stats.IORequests++
-			a.stats.BytesRead += r.Size
-			if attr != nil {
-				attr.ios++
-				attr.bytesRead += r.Size
-			}
 		}
-		a.cache.finishLoad(k, a.clock.Now())
-		a.partBecameResident(k)
-		a.vicAdd(k)
-		a.stats.Loads++
+		a.finishPart(k)
 		a.broadcast()
 	}
-	return requests
+}
+
+// loader is the central ABM loader process of the elevator and relevance
+// policies (Figure 3 main()): decide, make room, commit, load, signal. It
+// shares the deciding half with the live engine's IssueLoad; the rest
+// differs from a ticket in ways the decision golden pins. Parts land one at
+// a time through loadParts, where a ticket lands all of its parts at once.
+// The eviction pass runs whenever the pool is short of the cold bytes —
+// also for a zero-byte load over a pool a boundary page has overcommitted,
+// which IssueLoad lets through — and without the §6.2 sibling marks. The
+// one-tick yield after the load, which lets the signalled queries pin the
+// chunk before the next round's eviction pass, stands in for the
+// fresh-load guard Load.Finish sets.
+func (a *ABM) loader(p *sim.Proc) {
+	for !a.closed {
+		d, need, ok := a.proposeLoad(nil)
+		if !ok || (a.cache.free() < need && !a.strat.EnsureSpace(need, d.Query)) {
+			// blockForNextQuery: nothing loadable, or no room until a
+			// query releases a chunk.
+			a.activity.Wait(p)
+			continue
+		}
+		a.strat.commitLoad(d)
+		a.loadParts(p, d.Chunk, d.Cols, d.Query)
+		p.Wait(0)
+	}
+}
+
+// awaitAvailable is the CScan side of the central-loader policies
+// (selectChunk of Figure 3): deliver what the policy picks, pinned, or
+// block until the loader's next broadcast — every registration, release
+// and load completion sends one.
+func (a *ABM) awaitAvailable(p *sim.Proc, q *Query) (int, bool) {
+	for {
+		if q.finished() {
+			return 0, false
+		}
+		if c := a.strat.PickAvailable(q); c >= 0 {
+			a.Pin(q, c)
+			return c, true
+		}
+		q.SetBlocked(true)
+		a.activity.Wait(p)
+		q.SetBlocked(false)
+	}
 }
 
 // coldBytesFor returns the cold bytes required to make chunk c resident

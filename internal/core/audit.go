@@ -43,10 +43,14 @@ func (a *ABM) AuditIncremental() error {
 }
 
 // AuditDrained checks the quiescent-state invariants that must hold once
-// every scan has finished and no load is in flight: no pins, no loading
-// parts, no leaked assembly marks, and byte accounting intact. A failure
-// here is a leak — space a dead scan or aborted load still holds.
+// every scan has finished and no load is in flight: every load ticket
+// landed, no pins, no loading parts, no leaked assembly marks, and byte
+// accounting intact. A failure here is a leak — space a dead scan or
+// aborted load still holds.
 func (a *ABM) AuditDrained() error {
+	if a.openLoads != 0 {
+		return fmt.Errorf("core: %d load tickets never landed", a.openLoads)
+	}
 	for _, p := range a.cache.loadedParts() {
 		if p.pins != 0 {
 			return fmt.Errorf("core: part %v holds %d pins after drain", p.key, p.pins)

@@ -137,15 +137,10 @@ func (b *bufcache) requiredBits(cols storage.ColSet) storage.ColSet {
 	return cols
 }
 
-// partsFor returns the parts query cols need for chunk c: per-column in
-// DSM, a single col==-1 part in NSM. It allocates; hot paths use partsInto
-// or the residency bit sets instead.
-func (b *bufcache) partsFor(cols storage.ColSet, c int) []partKey {
-	return b.partsInto(make([]partKey, 0, cols.Count()+1), cols, c)
-}
-
-// partsInto is partsFor into a caller-provided scratch buffer (typically a
-// stack array), so the scheduling hot paths stay allocation-free.
+// partsInto returns the parts query cols need for chunk c — per-column in
+// DSM, a single col==-1 part in NSM — in a caller-provided scratch buffer
+// (typically a stack array), so the scheduling hot paths stay
+// allocation-free.
 func (b *bufcache) partsInto(buf []partKey, cols storage.ColSet, c int) []partKey {
 	buf = buf[:0]
 	if !b.layout.Columnar() {

@@ -147,13 +147,13 @@ func TestCacheColdRunsSplitAroundWarmPages(t *testing.T) {
 
 func TestCachePartsForNSMvsDSM(t *testing.T) {
 	nb := newBufcache(nsmTestLayout(2), 2<<20)
-	if parts := nb.partsFor(storage.Cols(0, 1, 2), 1); len(parts) != 1 || parts[0].col != -1 {
-		t.Errorf("NSM partsFor = %v", parts)
+	if parts := nb.partsInto(nil, storage.Cols(0, 1, 2), 1); len(parts) != 1 || parts[0].col != -1 {
+		t.Errorf("NSM partsInto = %v", parts)
 	}
 	db := newBufcache(dsmTestLayout(2, 4), 100<<20)
-	parts := db.partsFor(storage.Cols(0, 2), 1)
+	parts := db.partsInto(nil, storage.Cols(0, 2), 1)
 	if len(parts) != 2 || parts[0].col != 0 || parts[1].col != 2 {
-		t.Errorf("DSM partsFor = %v", parts)
+		t.Errorf("DSM partsInto = %v", parts)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"coopscan/internal/sim"
 	"coopscan/internal/storage"
 )
 
@@ -71,25 +70,6 @@ func (s *elevStrategy) outstandingChunk(c int) bool {
 	return false
 }
 
-// next delivers loader-loaded chunks in load (cursor) order; if none of the
-// outstanding chunks is q's, any other resident needed chunk (a leftover
-// from earlier in the sweep) is used as a buffer hit.
-func (s *elevStrategy) next(p *sim.Proc, q *Query) (int, bool) {
-	a := s.a
-	for {
-		if q.finished() {
-			return 0, false
-		}
-		if c := s.PickAvailable(q); c >= 0 {
-			a.Pin(q, c)
-			return c, true
-		}
-		q.SetBlocked(true)
-		a.activity.Wait(p)
-		q.SetBlocked(false)
-	}
-}
-
 // PickAvailable prefers the query's outstanding loader-loaded chunks (in
 // load order), falling back to any other resident needed chunk — a
 // leftover from earlier in the sweep, counted as a buffer hit.
@@ -143,11 +123,11 @@ func (a *ABM) colsOrNSM(cols storage.ColSet) storage.ColSet {
 	return cols
 }
 
-// NextLoad picks the next cursor-order chunk some query needs that still
+// nextLoad picks the next cursor-order chunk some query needs that still
 // requires I/O, attributed to the first interested query; ok=false when no
 // query is registered, the window of outstanding loads is full, or nothing
 // needs I/O.
-func (s *elevStrategy) NextLoad() (LoadDecision, bool) {
+func (s *elevStrategy) nextLoad() (LoadDecision, bool) {
 	a := s.a
 	if len(a.queries) == 0 || len(s.outstanding) >= a.cfg.ElevatorWindow {
 		return LoadDecision{}, false
@@ -166,10 +146,10 @@ func (s *elevStrategy) NextLoad() (LoadDecision, bool) {
 	return LoadDecision{Query: attr, Chunk: c, Cols: a.colsOrNSM(cols)}, true
 }
 
-// CommitLoad records the interested queries — they are the ones the
+// commitLoad records the interested queries — they are the ones the
 // elevator waits for before letting the chunk go — and advances the sweep
 // cursor past the chunk.
-func (s *elevStrategy) CommitLoad(d LoadDecision) {
+func (s *elevStrategy) commitLoad(d LoadDecision) {
 	a := s.a
 	entry := &elevEntry{chunk: d.Chunk}
 	for _, q := range a.queries {
@@ -186,25 +166,4 @@ func (s *elevStrategy) CommitLoad(d LoadDecision) {
 func (s *elevStrategy) EnsureSpace(need int64, _ *Query) bool {
 	keep := func(pt *part) bool { return s.outstandingChunk(pt.key.chunk) }
 	return s.a.makeSpace(need, keep)
-}
-
-func (s *elevStrategy) loader(p *sim.Proc) {
-	a := s.a
-	for !a.closed {
-		d, ok := s.NextLoad()
-		if !ok {
-			a.activity.Wait(p)
-			continue
-		}
-		need := a.coldBytesFor(d.Chunk, d.Cols)
-		if a.cache.free() < need && !s.EnsureSpace(need, d.Query) {
-			a.activity.Wait(p)
-			continue
-		}
-		s.CommitLoad(d)
-		a.loadParts(p, d.Chunk, d.Cols, d.Query)
-		// Let the signalled queries pin the chunk before the next load's
-		// eviction pass runs.
-		p.Wait(0)
-	}
 }

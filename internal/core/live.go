@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"time"
+
 	"coopscan/internal/storage"
 )
 
@@ -12,19 +15,13 @@ import (
 // Policy exposes the decision core of the configured policy.
 func (a *ABM) Policy() SchedulerPolicy { return a.strat }
 
-// ColdBytes returns the bytes that still need I/O to make chunk c resident
-// for cols (zero for NSM).
-func (a *ABM) ColdBytes(c int, cols storage.ColSet) int64 {
-	return a.coldBytesFor(c, cols)
-}
-
 // FreeBytes returns the unreserved buffer capacity. It is negative while the
 // ABM holds more than a freshly shrunk budget; loads must then evict (or
 // wait) until the pool drains under the new cap.
 func (a *ABM) FreeBytes() int64 { return a.cache.free() }
 
 // UsedBytes returns the reserved bytes: resident parts plus the space held
-// by in-flight BeginLoad reservations.
+// by in-flight load tickets.
 func (a *ABM) UsedBytes() int64 { return a.cache.used() }
 
 // BufferBytes returns the current buffer budget.
@@ -104,27 +101,116 @@ func (a *ABM) SetChunkCost(c float64) {
 
 // SetEvictHook installs an observer invoked for every part eviction with
 // the part's (chunk, column) key; column is -1 for NSM parts. The live
-// engine releases the part's pinned buffer-pool pages there.
+// engine returns the part's frame there.
 func (a *ABM) SetEvictHook(h func(chunk, col int)) { a.onEvict = h }
 
-// MarkAssembling protects the parts of (chunk, cols) from eviction while a
-// load of that chunk is being prepared — the paper's §6.2 rule that "the
-// already-loaded part of the chunk is marked as used, which prohibits its
-// eviction". The live engine wraps the EnsureSpace call between a load
-// decision and its BeginLoad in a Mark/Unmark pair: a DSM chunk can be
-// partially resident, and an eviction pass that victimised the resident
-// sibling columns would silently widen the load beyond the space just
-// ensured (the cold-byte count was taken before the pass). The simulator's
-// demand-scan path (ensureChunkDemand) uses the same marks.
-func (a *ABM) MarkAssembling(c int, cols storage.ColSet) {
+// Load is the ticket of one issued load: the decision is committed, the
+// absent parts it covers are marked loading and their buffer space is
+// reserved. The holder reads exactly the parts Decision names, then lands
+// the ticket with Finish or Abort — once; a second landing panics, and a
+// ticket never landed fails AuditDrained.
+type Load struct {
+	a      *ABM
+	d      LoadDecision
+	landed bool
+}
+
+// Decision returns what to read: Chunk, the attributed Query, and Cols
+// narrowed to the parts this ticket transitioned to loading (zero for NSM,
+// whose single pseudo-column part is implied). With several loads in
+// flight a DSM proposal can name a column a sibling ticket is already
+// reading; that column is the sibling's to land, and is not in Cols here.
+func (l *Load) Decision() LoadDecision { return l.d }
+
+// IssueLoad is the ABM loader's one step (Figure 3 main() up to loadChunk):
+// ask the policy for the most valuable load, let accept veto it (nil
+// accepts everything), make room for its cold bytes, commit it with the
+// policy and reserve its parts. It returns nil when nothing was issued: the
+// policy proposed nothing (accept was not called), accept refused, or
+// everything evictable is pinned or protected — retry after a release. The
+// caller performs the reads through its own substrate and lands the ticket;
+// nothing here blocks.
+//
+// The eviction pass runs with the chunk's resident sibling parts marked as
+// used — the paper's §6.2 rule that "the already-loaded part of the chunk
+// is marked as used, which prohibits its eviction": a DSM chunk can be
+// partially resident, and victimising those parts would widen the load
+// beyond the cold bytes just counted.
+func (a *ABM) IssueLoad(accept func(LoadDecision) bool) *Load {
+	d, need, ok := a.proposeLoad(accept)
+	if !ok {
+		return nil
+	}
+	if need > 0 && a.cache.free() < need {
+		a.markAssembling(d.Chunk, d.Cols)
+		ok := a.strat.EnsureSpace(need, d.Query)
+		a.unmarkAssembling(d.Chunk, d.Cols)
+		if !ok {
+			return nil
+		}
+	}
+	a.strat.commitLoad(d)
+	d.Cols = a.beginLoad(d)
+	a.openLoads++
+	return &Load{a: a, d: d}
+}
+
+// proposeLoad is the deciding half of a load, shared by IssueLoad and the
+// simulator's loader process: the policy's proposal, the caller's veto, and
+// the cold bytes the load must find room for. The scheduling-cost window
+// around the load decision lives here and nowhere else.
+func (a *ABM) proposeLoad(accept func(LoadDecision) bool) (d LoadDecision, need int64, ok bool) {
+	var start time.Duration
+	if a.cfg.MeasureScheduling {
+		start = a.schedStart()
+	}
+	d, ok = a.strat.nextLoad()
+	if a.cfg.MeasureScheduling {
+		a.schedEnd(start)
+	}
+	if !ok || (accept != nil && !accept(d)) {
+		return d, 0, false
+	}
+	return d, a.coldBytesFor(d.Chunk, d.Cols), true
+}
+
+// Finish lands the ticket's parts: they become resident and every query
+// that gained the chunk is woken through its waker. The chunk is then
+// protected from eviction until a query pins it: the live engine's next
+// eviction pass may run before any woken query goroutine reacquires the
+// lock, and must not evict what was just loaded for them.
+func (l *Load) Finish() {
+	l.land()
+	l.a.finishLoad(l.d)
+}
+
+// Abort rolls the ticket back: its parts return from loading to absent and
+// their reservation is released, so a load whose reads failed never leaks
+// budget. The parts stay re-loadable; quarantining them is the caller's
+// call.
+func (l *Load) Abort() {
+	l.land()
+	l.a.abortLoad(l.d)
+}
+
+func (l *Load) land() {
+	if l.landed {
+		panic(fmt.Sprintf("core: load of chunk %d landed twice", l.d.Chunk))
+	}
+	l.landed = true
+	l.a.openLoads--
+}
+
+// markAssembling protects the parts of (chunk, cols) from eviction while
+// they are gathered into a complete chunk; unmarkAssembling releases them.
+func (a *ABM) markAssembling(c int, cols storage.ColSet) {
 	var kb [storage.MaxColumns]partKey
 	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(cols), c) {
 		a.assembling[k]++
 	}
 }
 
-// UnmarkAssembling releases MarkAssembling's eviction protection.
-func (a *ABM) UnmarkAssembling(c int, cols storage.ColSet) {
+func (a *ABM) unmarkAssembling(c int, cols storage.ColSet) {
 	var kb [storage.MaxColumns]partKey
 	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(cols), c) {
 		if a.assembling[k]--; a.assembling[k] == 0 {
@@ -133,41 +219,21 @@ func (a *ABM) UnmarkAssembling(c int, cols storage.ColSet) {
 	}
 }
 
-// BeginLoad marks the absent parts of the decision's chunk as loading and
-// reserves their buffer space; the caller then performs the reads through
-// its own substrate (the engine's page pool knows better than the ABM
-// which pages are physically cached). Chunk-level I/O accounting
-// (requests, bytes, per-query attribution) happens here, mirroring the
-// simulation's loadParts. The caller must have ensured space
-// (FreeBytes() >= ColdBytes) and must call FinishLoad after the reads
-// complete, with the decision's Cols narrowed to the returned set.
-//
-// The return value is the column set of the parts this call transitioned
-// to loading (zero for NSM, whose single pseudo-column part is implied).
-// With several loads in flight, a DSM decision can name a column another
-// in-flight load is already reading (the policies only require that *some*
-// part of the chunk still needs I/O); the caller must read and FinishLoad
-// only the parts it marked, or it would commit a sibling load's columns
-// before their reads landed.
-func (a *ABM) BeginLoad(d LoadDecision) storage.ColSet {
-	cols := a.colsOrNSM(d.Cols)
+// beginLoad marks the absent parts of the decision's chunk as loading,
+// reserves their buffer space and charges their cold runs to the
+// decision's query. It returns the column set of the parts it transitioned
+// (zero for NSM); finishLoad and abortLoad take the decision narrowed to
+// that set.
+func (a *ABM) beginLoad(d LoadDecision) storage.ColSet {
 	var kb [storage.MaxColumns]partKey
-	keys := a.cache.partsInto(kb[:0], cols, d.Chunk)
+	keys := a.cache.partsInto(kb[:0], a.colsOrNSM(d.Cols), d.Chunk)
 	sortPartsBySize(a.cache, keys)
 	var marked storage.ColSet
 	for _, k := range keys {
 		if a.cache.state(k) != partAbsent {
 			continue
 		}
-		for _, r := range a.cache.coldRuns(k) {
-			a.stats.IORequests++
-			a.stats.BytesRead += r.Size
-			if d.Query != nil {
-				d.Query.ios++
-				d.Query.bytesRead += r.Size
-			}
-		}
-		a.cache.beginLoad(k, a.clock.Now())
+		a.beginPart(k, d.Query)
 		if k.col >= 0 {
 			marked = marked.Add(k.col)
 		}
@@ -175,45 +241,22 @@ func (a *ABM) BeginLoad(d LoadDecision) storage.ColSet {
 	return marked
 }
 
-// FinishLoad transitions the parts BeginLoad marked to resident and
-// propagates availability to the interested queries. Callers with several
-// loads in flight must pass the decision with Cols narrowed to BeginLoad's
-// return value, so a job never commits parts a sibling job is reading.
-func (a *ABM) FinishLoad(d LoadDecision) {
-	cols := a.colsOrNSM(d.Cols)
+func (a *ABM) finishLoad(d LoadDecision) {
 	var kb [storage.MaxColumns]partKey
-	keys := a.cache.partsInto(kb[:0], cols, d.Chunk)
-	for _, k := range keys {
-		if a.cache.state(k) != partLoading {
-			continue
+	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(d.Cols), d.Chunk) {
+		if a.cache.state(k) == partLoading {
+			a.finishPart(k)
 		}
-		a.cache.finishLoad(k, a.clock.Now())
-		a.partBecameResident(k)
-		a.vicAdd(k)
-		a.stats.Loads++
 	}
-	// Protect the fresh chunk from eviction until a query pins it: the live
-	// engine's next eviction pass may run before any woken query goroutine
-	// reacquires the lock, and must not evict what was just loaded for them
-	// (the sim loaders guarantee this by yielding after each load).
 	a.fresh[d.Chunk] = true
 }
 
-// AbortLoad rolls back a failed BeginLoad: every part the load marked (pass
-// the decision with Cols narrowed to BeginLoad's return value, exactly as
-// FinishLoad requires) returns from loading to absent and its buffer
-// reservation is released. This is the live engine's fault path — a load
-// whose reads exhausted their retries must give the space back, or the
-// budget leaks a dead reservation forever (the §6.2 lesson, in reverse).
-// The parts stay re-loadable; quarantining them is the caller's call.
-func (a *ABM) AbortLoad(d LoadDecision) {
-	cols := a.colsOrNSM(d.Cols)
+func (a *ABM) abortLoad(d LoadDecision) {
 	var kb [storage.MaxColumns]partKey
-	for _, k := range a.cache.partsInto(kb[:0], cols, d.Chunk) {
-		if a.cache.state(k) != partLoading {
-			continue
+	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(d.Cols), d.Chunk) {
+		if a.cache.state(k) == partLoading {
+			a.cache.abortLoad(k)
 		}
-		a.cache.abortLoad(k)
 	}
 }
 

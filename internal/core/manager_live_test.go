@@ -84,7 +84,7 @@ func TestLiveManagerRebalanceNeverShrinksBelowUsage(t *testing.T) {
 	// respect even though the table has no demand).
 	cold.SetBufferBytes(8 << 20)
 	for c := 0; c < 8; c++ {
-		cold.BeginLoad(LoadDecision{Chunk: c})
+		cold.beginLoad(LoadDecision{Chunk: c})
 	}
 	if got := cold.UsedBytes(); got != 8<<20 {
 		t.Fatalf("cold usage = %d, want 8 MiB", got)
@@ -108,7 +108,7 @@ func TestLiveManagerRebalanceNeverShrinksBelowUsage(t *testing.T) {
 	// As the cold table drains, re-running the arbiter hands the freed
 	// bytes to the starved table.
 	for c := 0; c < 8; c++ {
-		cold.FinishLoad(LoadDecision{Chunk: c})
+		cold.finishLoad(LoadDecision{Chunk: c})
 	}
 	for _, pt := range cold.cache.loadedParts() {
 		cold.evictPart(pt.key)
@@ -144,7 +144,7 @@ func TestLiveManagerRebalanceOverageNeverCutsBelowFloor(t *testing.T) {
 	// b's 1 MiB of headroom.
 	abms[0].SetBufferBytes(6 << 20)
 	for c := 0; c < 6; c++ {
-		abms[0].BeginLoad(LoadDecision{Chunk: c})
+		abms[0].beginLoad(LoadDecision{Chunk: c})
 	}
 	registerFullScan(abms[1], "bq")
 
@@ -167,8 +167,8 @@ func TestLiveABMDrainExcess(t *testing.T) {
 	m, hot, cold := liveManagerPair(t)
 	cold.SetBufferBytes(8 << 20)
 	for c := 0; c < 8; c++ {
-		cold.BeginLoad(LoadDecision{Chunk: c})
-		cold.FinishLoad(LoadDecision{Chunk: c})
+		cold.beginLoad(LoadDecision{Chunk: c})
+		cold.finishLoad(LoadDecision{Chunk: c})
 	}
 	cold.SetBufferBytes(4 << 20)
 	if cold.FreeBytes() >= 0 {

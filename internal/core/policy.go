@@ -3,24 +3,21 @@ package core
 import "coopscan/internal/storage"
 
 // This file defines the simulation-free decision core of the scheduling
-// policies. Historically every policy lived inside the discrete-event
-// simulator: its scoring and selection logic was interleaved with virtual-
-// time blocking (sim.Signal waits) and simulated disk reads. The live
-// engine (internal/engine) executes cooperative scans over real files with
-// real goroutines, and must make the *same* decisions — so the decision
-// logic is factored behind SchedulerPolicy, which both worlds call:
+// policies. The simulator and the live engine (internal/engine, real files
+// and goroutines) must make the *same* decisions, so the decision logic is
+// factored out of all waiting and I/O:
 //
-//   - the sim driver's strategy loops (seq/elevator/relevance next+loader)
-//     call NextLoad/CommitLoad/PickAvailable/EnsureSpace between virtual-
-//     time waits, exactly where they used to inline the logic;
-//   - the live engine's scheduler goroutine calls NextLoad/CommitLoad/
-//     EnsureSpace around real file reads, and its per-query goroutines call
-//     PickAvailable between condition-variable waits.
+//   - the load side — which chunk to load, what to evict for it — is driven
+//     only by the ABM's own load step (proposeLoad, behind IssueLoad and
+//     the simulator's loader process), so there is one sequence and no
+//     caller can re-spell it;
+//   - the scan side is SchedulerPolicy: the sim's CScan loop and the live
+//     engine's per-query goroutines call PickAvailable between their
+//     (virtual- or wall-clock) waits.
 //
 // Every method is synchronous and non-blocking: it reads and updates ABM
 // bookkeeping (registered queries, residency bit sets, interest counters,
-// availability lists) and returns immediately. All virtual- or wall-clock
-// waiting stays in the callers.
+// availability lists) and returns immediately.
 
 // Clock is the scheduler's notion of time, in seconds: virtual time in the
 // simulator (sim.Env implements it), wall-clock seconds since engine start
@@ -39,9 +36,10 @@ type LoadDecision struct {
 	Cols  storage.ColSet
 }
 
-// SchedulerPolicy is the decision core of one scheduling policy over one
-// ABM's state. Callers must serialise all calls (the simulator is single-
-// threaded by construction; the live engine holds its mutex).
+// SchedulerPolicy is the part of one policy's decision core that callers
+// outside the ABM's load step use (the rest is the unexported strategy).
+// Callers must serialise all calls (the simulator is single-threaded by
+// construction; the live engine holds its mutex).
 type SchedulerPolicy interface {
 	// Register installs policy-specific state for a newly registered query
 	// (e.g. the attach policy picks the overlapping scan to join).
@@ -51,15 +49,6 @@ type SchedulerPolicy interface {
 	// Consumed is invoked after q released chunk c.
 	Consumed(q *Query, c int)
 
-	// NextLoad picks the most valuable chunk to load right now, or ok=false
-	// when nothing is loadable (nothing starved, window full, or all
-	// remaining work already resident or in flight).
-	NextLoad() (LoadDecision, bool)
-	// CommitLoad records that the decision is about to be executed (buffer
-	// space has been ensured): the elevator logs the interested queries and
-	// advances its cursor here. Callers must invoke it exactly once per
-	// executed decision, after EnsureSpace and before the load.
-	CommitLoad(d LoadDecision)
 	// PickAvailable returns the resident chunk q should consume next, or -1
 	// if none is deliverable. Policies may advance per-query cursor state,
 	// so callers must pin and deliver the returned chunk.

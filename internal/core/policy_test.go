@@ -273,7 +273,7 @@ func TestDSMColUselessDetection(t *testing.T) {
 func TestSmallestColumnLoadsFirst(t *testing.T) {
 	layout := dsmTestLayout(6, 4)
 	b := newBufcache(layout, 1<<30)
-	keys := b.partsFor(storage.Cols(0, 1, 2, 3), 2)
+	keys := b.partsInto(nil, storage.Cols(0, 1, 2, 3), 2)
 	sortPartsBySize(b, keys)
 	for i := 1; i < len(keys); i++ {
 		if b.extentOf(keys[i-1]).Size > b.extentOf(keys[i]).Size {

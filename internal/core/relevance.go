@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"time"
 
-	"coopscan/internal/sim"
 	"coopscan/internal/storage"
 )
 
@@ -51,31 +50,11 @@ func (s *relevStrategy) Register(q *Query)    {}
 func (s *relevStrategy) Unregister(q *Query)  {}
 func (s *relevStrategy) Consumed(*Query, int) {}
 
-// CommitLoad is a no-op: relevance keeps no per-load bookkeeping beyond
+// commitLoad is a no-op: relevance keeps no per-load bookkeeping beyond
 // what the cache state transitions already record.
-func (s *relevStrategy) CommitLoad(LoadDecision) {}
+func (s *relevStrategy) commitLoad(LoadDecision) {}
 
 // ---- CScan side -----------------------------------------------------------
-
-// next implements selectChunk/chooseAvailableChunk of Figure 3.
-func (s *relevStrategy) next(p *sim.Proc, q *Query) (int, bool) {
-	a := s.a
-	for {
-		if q.finished() {
-			return 0, false
-		}
-		c := s.PickAvailable(q)
-		if c >= 0 {
-			a.Pin(q, c)
-			return c, true
-		}
-		// waitForChunk: the ABM loader is woken by the broadcasts that
-		// accompany every registration, release and load completion.
-		q.SetBlocked(true)
-		a.activity.Wait(p)
-		q.SetBlocked(false)
-	}
-}
 
 // PickAvailable returns the resident needed chunk with the highest
 // useRelevance, or -1 if none is available. Candidates come straight from
@@ -148,35 +127,7 @@ func (s *relevStrategy) cachedBytes(c int, cols storage.ColSet) int64 {
 
 // ---- ABM loader side ------------------------------------------------------
 
-func (s *relevStrategy) loader(p *sim.Proc) {
-	a := s.a
-	for !a.closed {
-		var start time.Duration
-		if a.cfg.MeasureScheduling {
-			start = a.schedStart()
-		}
-		d, ok := s.NextLoad()
-		if a.cfg.MeasureScheduling {
-			a.schedEnd(start)
-		}
-		if !ok {
-			// blockForNextQuery: nothing is starved (or nothing loadable).
-			a.activity.Wait(p)
-			continue
-		}
-		need := a.coldBytesFor(d.Chunk, d.Cols)
-		if a.cache.free() < need && !s.EnsureSpace(need, d.Query) {
-			a.activity.Wait(p)
-			continue
-		}
-		a.loadParts(p, d.Chunk, d.Cols, d.Query)
-		// Yield for one tick so the queries just signalled can pin the
-		// chunk before the next decision round considers evicting it.
-		p.Wait(0)
-	}
-}
-
-// NextLoad combines chooseQueryToProcess and chooseChunkToLoad: starved
+// nextLoad combines chooseQueryToProcess and chooseChunkToLoad: starved
 // queries are ranked by queryRelevance, and the best loadable chunk of the
 // best query wins; if the best query has nothing loadable (everything in
 // flight), the next query is considered. The ranking is the maintained
@@ -186,7 +137,7 @@ func (s *relevStrategy) loader(p *sim.Proc) {
 // rebuild or scoring pass. Candidates with nothing loadable are set aside
 // and re-pushed after the decision; a registry-size or chunk-cost shift
 // re-keys the whole heap once, lazily.
-func (s *relevStrategy) NextLoad() (LoadDecision, bool) {
+func (s *relevStrategy) nextLoad() (LoadDecision, bool) {
 	a := s.a
 	if a.candDirty {
 		a.candRebuild()

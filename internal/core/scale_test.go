@@ -20,8 +20,8 @@ func TestLiveABMSetBufferBytesShrinkUnderPinnedLoad(t *testing.T) {
 	q := registerFullScan(a, "q")
 	const chunk = 1 << 20
 	for c := 0; c < 4; c++ {
-		a.BeginLoad(LoadDecision{Chunk: c})
-		a.FinishLoad(LoadDecision{Chunk: c})
+		a.beginLoad(LoadDecision{Chunk: c})
+		a.finishLoad(LoadDecision{Chunk: c})
 	}
 	pol := a.Policy()
 	pinned := pol.PickAvailable(q)
@@ -148,8 +148,8 @@ func TestLiveManagerRebalanceHighStreamCounts(t *testing.T) {
 	// Put real usage on one table and rebalance again: the clamp path must
 	// keep the sum within budget with the full population still registered.
 	for c := 0; c < 2; c++ {
-		abms[0].BeginLoad(LoadDecision{Chunk: c})
-		abms[0].FinishLoad(LoadDecision{Chunk: c})
+		abms[0].beginLoad(LoadDecision{Chunk: c})
+		abms[0].finishLoad(LoadDecision{Chunk: c})
 	}
 	grants = m.Rebalance(total)
 	sum = 0

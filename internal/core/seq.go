@@ -19,7 +19,7 @@ import (
 // Both are demand-driven: in the simulator the query process itself issues
 // the chunk loads, with a small asynchronous read-ahead so CPU work
 // overlaps I/O. In the live engine the same cursor-order decisions are
-// executed by the central scheduler goroutine via NextLoad, which serves
+// executed by the central scheduler goroutine via IssueLoad, which serves
 // the registered queries' demand (plus read-ahead) round-robin — the
 // wall-clock equivalent of independent demand reads interleaving at the
 // device.
@@ -27,8 +27,8 @@ type seqStrategy struct {
 	a      *ABM
 	attach bool
 
-	// rr rotates NextLoad's starting query so no stream monopolises the
-	// live loader (sim runs never call NextLoad).
+	// rr rotates nextLoad's starting query so no stream monopolises the
+	// live loader (sim runs never call nextLoad).
 	rr int
 }
 
@@ -78,11 +78,11 @@ func (s *seqStrategy) Unregister(*Query) {}
 
 func (s *seqStrategy) Consumed(*Query, int) {}
 
-// NextLoad serves the queries' sequential demand centrally (live engine
+// nextLoad serves the queries' sequential demand centrally (live engine
 // only): round-robin over the registered queries, each contributing its
 // next needed chunk plus Prefetch read-ahead positions, first chunk that
 // still needs I/O wins.
-func (s *seqStrategy) NextLoad() (LoadDecision, bool) {
+func (s *seqStrategy) nextLoad() (LoadDecision, bool) {
 	a := s.a
 	n := len(a.queries)
 	for off := 0; off < n; off++ {
@@ -105,8 +105,8 @@ func (s *seqStrategy) NextLoad() (LoadDecision, bool) {
 	return LoadDecision{}, false
 }
 
-// CommitLoad is a no-op for the sequential policies.
-func (s *seqStrategy) CommitLoad(LoadDecision) {}
+// commitLoad is a no-op for the sequential policies.
+func (s *seqStrategy) commitLoad(LoadDecision) {}
 
 // PickAvailable delivers the next chunk in (possibly wrapped) cursor order
 // once it is fully resident, advancing the cursor (live engine only; the
@@ -213,19 +213,8 @@ func (s *seqStrategy) chunkResidentOrLoading(c int, cols storage.ColSet) bool {
 // pure buffer hit (no I/O issued by this call).
 func (a *ABM) ensureChunkDemand(p *sim.Proc, q *Query, c int) bool {
 	cols := a.queryCols(q)
-	keys := a.cache.partsFor(cols, c)
-	mark := func() {
-		for _, k := range keys {
-			a.assembling[k]++
-		}
-	}
-	unmark := func() {
-		for _, k := range keys {
-			if a.assembling[k]--; a.assembling[k] == 0 {
-				delete(a.assembling, k)
-			}
-		}
-	}
+	mark := func() { a.markAssembling(c, cols) }
+	unmark := func() { a.unmarkAssembling(c, cols) }
 	mark()
 	defer unmark()
 	hit := true

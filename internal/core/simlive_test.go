@@ -14,10 +14,14 @@ import (
 // ABM built by New (the constructor behind every experiment and the decision
 // golden) and one built by NewLive (the constructor behind every served
 // scan) are driven through the same seeded script under a shared manual
-// clock, and must produce the same sequence of load decisions, chunk picks,
-// eviction-pass outcomes and evicted parts. The script uses only the
-// SchedulerPolicy surface and the live entry points, the way the engine's
-// scheduler and stream goroutines do.
+// clock, and must produce the same sequence of load decisions, vetoes,
+// landings, chunk picks, eviction-pass outcomes and evicted parts. The
+// script drives loads through IssueLoad tickets, the way the engine's
+// scheduler does.
+//
+// A third run holds the ticket against the call sequence it replaced
+// (refIssueLoad), so the oracle covers the load protocol and not only the
+// decisions inside it.
 func TestSimAndLiveABMsDecideIdentically(t *testing.T) {
 	for _, pol := range Policies {
 		for _, columnar := range []bool{false, true} {
@@ -36,22 +40,79 @@ func TestSimAndLiveABMsDecideIdentically(t *testing.T) {
 					env := sim.NewEnv()
 					simABM := New(env, disk.New(env, disk.Params{Bandwidth: 50 << 20, SeekTime: 1e-3}), layout, cfg)
 					simABM.clock = clk
-					simTrace := runDecisionScript(t, simABM, clk, seed)
+					simTrace := runDecisionScript(t, simABM, clk, seed, ticketIssue)
 
 					clk.now = 0
-					liveTrace := runDecisionScript(t, NewLive(clk, layout, cfg), clk, seed)
+					liveTrace := runDecisionScript(t, NewLive(clk, layout, cfg), clk, seed, ticketIssue)
+					clk.now = 0
+					refTrace := runDecisionScript(t, NewLive(clk, layout, cfg), clk, seed, refIssueLoad)
 
-					for i := 0; i < len(simTrace) || i < len(liveTrace); i++ {
-						if i >= len(simTrace) || i >= len(liveTrace) || simTrace[i] != liveTrace[i] {
-							t.Fatalf("seed %d: traces diverge at event %d of %d/%d:\n  sim:  %s\n  live: %s",
-								seed, i, len(simTrace), len(liveTrace), at(simTrace, i), at(liveTrace, i))
-						}
-					}
+					requireSameTrace(t, seed, "sim", simTrace, "live", liveTrace)
+					requireSameTrace(t, seed, "old sequence", refTrace, "ticket", liveTrace)
 					if len(simTrace) < 200 {
 						t.Fatalf("seed %d: script produced only %d events", seed, len(simTrace))
 					}
 				}
 			})
+		}
+	}
+}
+
+func requireSameTrace(t *testing.T, seed int64, an string, a []string, bn string, b []string) {
+	t.Helper()
+	for i := 0; i < len(a) || i < len(b); i++ {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			t.Fatalf("seed %d: traces diverge at event %d of %d/%d:\n  %s: %s\n  %s: %s",
+				seed, i, len(a), len(b), an, at(a, i), bn, at(b, i))
+		}
+	}
+}
+
+// issueFunc is one way of issuing a load: like IssueLoad, it calls accept
+// with the policy's proposal (if there is one) and returns the decision as
+// issued and how to land it, or a nil land when nothing was issued.
+type issueFunc func(a *ABM, accept func(LoadDecision) bool) (LoadDecision, func(abort bool))
+
+// ticketIssue issues through the product's one load step.
+func ticketIssue(a *ABM, accept func(LoadDecision) bool) (LoadDecision, func(abort bool)) {
+	ld := a.IssueLoad(accept)
+	if ld == nil {
+		return LoadDecision{}, nil
+	}
+	return ld.Decision(), func(abort bool) {
+		if abort {
+			ld.Abort()
+		} else {
+			ld.Finish()
+		}
+	}
+}
+
+// refIssueLoad spells the call sequence every driver hand-rolled before the
+// ticket existed, over the primitives it wrapped: decide, count the cold
+// bytes, shield the resident siblings around the eviction pass, commit,
+// reserve, and land with the columns narrowed by hand to what the
+// reservation marked. It is the reference IssueLoad is held against.
+func refIssueLoad(a *ABM, accept func(LoadDecision) bool) (LoadDecision, func(abort bool)) {
+	d, ok := a.strat.nextLoad()
+	if !ok || !accept(d) {
+		return d, nil
+	}
+	if need := a.coldBytesFor(d.Chunk, d.Cols); need > 0 && a.FreeBytes() < need {
+		a.markAssembling(d.Chunk, d.Cols)
+		ok := a.strat.EnsureSpace(need, d.Query)
+		a.unmarkAssembling(d.Chunk, d.Cols)
+		if !ok {
+			return d, nil
+		}
+	}
+	a.strat.commitLoad(d)
+	d.Cols = a.beginLoad(d)
+	return d, func(abort bool) {
+		if abort {
+			a.abortLoad(d)
+		} else {
+			a.finishLoad(d)
 		}
 	}
 }
@@ -64,9 +125,10 @@ func at(trace []string, i int) string {
 }
 
 // runDecisionScript drives a through a seeded sequence of registrations,
-// load issues and completions, deliveries and forced eviction passes, and
-// returns every decision it observed.
-func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64) []string {
+// load issues (some vetoed), completions (some aborted), deliveries and
+// forced eviction passes, and returns every decision it observed plus the
+// closing I/O counters.
+func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64, issue issueFunc) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed*6151 + 3))
 	pol := a.Policy()
@@ -81,7 +143,7 @@ func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64) []strin
 		pinned int
 	}
 	var streams []*stream
-	var inflight []LoadDecision
+	var inflight []func(abort bool)
 	registered := 0
 
 	for step := 0; step < 600; step++ {
@@ -108,30 +170,28 @@ func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64) []strin
 			if len(inflight) >= 3 {
 				continue
 			}
-			d, ok := pol.NextLoad()
-			if !ok {
+			veto := rng.Intn(12) == 0
+			var proposed *LoadDecision
+			d, land := issue(a, func(d LoadDecision) bool { proposed = &d; return !veto })
+			switch {
+			case proposed == nil:
 				trace = append(trace, "load none")
-				continue
+			case veto:
+				trace = append(trace, fmt.Sprintf("load c%d %v for %s: vetoed", proposed.Chunk, proposed.Cols, proposed.Query.Name))
+			case land == nil:
+				trace = append(trace, fmt.Sprintf("load c%d %v for %s: no space", proposed.Chunk, proposed.Cols, proposed.Query.Name))
+			default:
+				inflight = append(inflight, land)
+				trace = append(trace, fmt.Sprintf("load c%d %v (proposed %v) for %s", d.Chunk, d.Cols, proposed.Cols, d.Query.Name))
 			}
-			if need := a.ColdBytes(d.Chunk, d.Cols); need > 0 && a.FreeBytes() < need {
-				a.MarkAssembling(d.Chunk, d.Cols)
-				ok := pol.EnsureSpace(need, d.Query)
-				a.UnmarkAssembling(d.Chunk, d.Cols)
-				if !ok {
-					trace = append(trace, fmt.Sprintf("load c%d %v for %s: no space", d.Chunk, d.Cols, d.Query.Name))
-					continue
-				}
-			}
-			pol.CommitLoad(d)
-			d.Cols = a.BeginLoad(d)
-			inflight = append(inflight, d)
-			trace = append(trace, fmt.Sprintf("load c%d %v for %s", d.Chunk, d.Cols, d.Query.Name))
-		case op < 6: // land a random in-flight load
+		case op < 6: // land a random in-flight load, now and then as a failure
 			if len(inflight) == 0 {
 				continue
 			}
 			i := rng.Intn(len(inflight))
-			a.FinishLoad(inflight[i])
+			abort := rng.Intn(8) == 0
+			inflight[i](abort)
+			trace = append(trace, fmt.Sprintf("land #%d abort=%v", i, abort))
 			inflight = append(inflight[:i], inflight[i+1:]...)
 		case op < 9: // advance one stream a half-step: release, or pick and pin
 			i := rng.Intn(len(streams))
@@ -161,5 +221,5 @@ func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64) []strin
 			auditIncrementalState(t, a, fmt.Sprintf("seed %d step %d", seed, step))
 		}
 	}
-	return trace
+	return append(trace, fmt.Sprintf("stats %+v", a.Stats()))
 }

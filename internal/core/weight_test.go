@@ -92,18 +92,18 @@ func TestWeightCandidateHeap(t *testing.T) {
 	}
 
 	// The popped candidate must be the linear-scan argmax of the weighted
-	// relevance (ties by seq), exactly what NextLoad relies on.
-	d, ok := rs.NextLoad()
+	// relevance (ties by seq), exactly what nextLoad relies on.
+	d, ok := rs.nextLoad()
 	if !ok {
-		t.Fatal("NextLoad found no candidate")
+		t.Fatal("nextLoad found no candidate")
 	}
 	best := bestByLinearScan(rs)
 	if d.Query != best {
-		t.Errorf("NextLoad picked %s, linear weighted scan picks %s", d.Query.Name, best.Name)
+		t.Errorf("nextLoad picked %s, linear weighted scan picks %s", d.Query.Name, best.Name)
 	}
 	// The highest weight/remaining ratio wins here: q3 (weight 8).
 	if d.Query.Name != "q3" {
-		t.Errorf("NextLoad picked %s, want q3 (weight 8)", d.Query.Name)
+		t.Errorf("nextLoad picked %s, want q3 (weight 8)", d.Query.Name)
 	}
 	if err := f.abm.AuditIncremental(); err != nil {
 		t.Fatalf("audit after weighted decision: %v", err)

@@ -233,7 +233,7 @@ func TestDSMIndependentColumnEviction(t *testing.T) {
 	// useless-column pass must take tax parts first.
 	q := tbl.abm.NewQuery("probe", rangeSet(0, tf.NumChunks()), storage.Cols(ColShipDate))
 	tbl.abm.Register(q)
-	if !tbl.pol.EnsureSpace(int64(len(taxBefore))*tf.ColStripeBytes(ColTax)+tbl.abm.FreeBytes(), q) {
+	if !tbl.abm.Policy().EnsureSpace(int64(len(taxBefore))*tf.ColStripeBytes(ColTax)+tbl.abm.FreeBytes(), q) {
 		t.Fatal("EnsureSpace failed with evictable useless columns available")
 	}
 	shipAfter, taxAfter := resident(ColShipDate), resident(ColTax)

@@ -5,7 +5,7 @@ import "coopscan/internal/obs"
 // frame is the buffer of one ABM part — an NSM chunk or a DSM column stripe,
 // always exactly one TableFile.PartPages run: one contiguous slice of the
 // part's decoded size. A frame is drawn when its part's load is issued
-// (after BeginLoad reserved the bytes), filled by a load worker outside the
+// (after the load ticket reserved the bytes), filled by a load worker outside the
 // server lock, published in its table's frame map when the load commits, and
 // returned when the ABM evicts the part or the load aborts. Nothing else
 // holds part bytes, so the ABM's byte accounting is the engine's memory.

@@ -114,7 +114,7 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) serverObs {
 		o.decompressSeconds = reg.Histogram("coopscan_load_decompress_seconds",
 			"Wall time spent decompressing v4 extents into frames, accumulated per load read.", obs.IOBuckets)
 		o.pinSeconds = reg.Histogram("coopscan_load_pin_seconds",
-			"Wall time of a load completion's commit section under the server lock (frame publish + FinishLoad).", obs.SchedBuckets)
+			"Wall time of a load completion's commit section under the server lock (frame publish + Load.Finish).", obs.SchedBuckets)
 		o.readBytes = reg.Counter("coopscan_load_read_bytes_total",
 			"Bytes read from table files by load workers (stored/disk bytes: compressed widths on v4 tables).")
 		o.decodedBytes = reg.Counter("coopscan_load_decoded_bytes_total",

@@ -75,12 +75,11 @@ type ServerConfig struct {
 	// sees overlapping requests even when a single stream cannot saturate
 	// it.
 	InFlightDepth int
-	// StarveThreshold forwards to core.Config.
-	StarveThreshold int
 	// MeasureScheduling forwards to core.Config: every table's ABM then
-	// meters the wall-clock cost of its scheduling decisions (NextLoad,
-	// EnsureSpace, PickAvailable), surfaced per table in ServerStats — the
-	// live-engine counterpart of the simulator's Figure-8 measurement.
+	// meters the wall-clock cost of its scheduling decisions (the load
+	// decision, EnsureSpace, PickAvailable), surfaced per table in
+	// ServerStats — the live-engine counterpart of the simulator's Figure-8
+	// measurement.
 	MeasureScheduling bool
 	// ReadBandwidth, when positive, models the device: each in-flight load
 	// stream is limited to this many bytes per second (the worker sleeps
@@ -202,7 +201,6 @@ type serverTable struct {
 	idx  int
 	tf   *TableFile
 	abm  *core.ABM
-	pol  core.SchedulerPolicy
 	name string
 	// frames maps each ABM-resident part to its frame: one per NSM chunk,
 	// one per DSM (chunk, column) part — so a column part can be evicted
@@ -257,40 +255,43 @@ func (t *serverTable) partBytes(col int) int64 {
 	return t.tf.ColStripeBytes(col)
 }
 
-// eachPart invokes fn for every ABM part of a load job: the single
-// pseudo-column part in NSM, one part per marked column in DSM.
-func (t *serverTable) eachPart(marked storage.ColSet, fn func(col int)) {
+// eachPart invokes fn for every ABM part a load decision covers: the single
+// pseudo-column part in NSM, one part per column in DSM.
+func (t *serverTable) eachPart(cols storage.ColSet, fn func(col int)) {
 	if t.tf.Format() == NSM {
 		fn(-1)
 		return
 	}
-	marked.Each(fn)
+	cols.Each(fn)
 }
 
-// decisionQuarantined reports whether a load decision names a quarantined
-// part; such decisions are never committed.
-func (t *serverTable) decisionQuarantined(d core.LoadDecision) bool {
-	bad := false
-	t.eachPart(d.Cols, func(col int) {
-		if _, q := t.quarantine[partID{chunk: d.Chunk, col: col}]; q {
-			bad = true
-		}
-	})
-	return bad
+// loadable is the scheduler's veto over load proposals: one naming a
+// quarantined part is never committed. The table then stays parked until
+// the affected scans observe the quarantine (they are woken when it is
+// imposed), fail, and unregister; the policy's next proposal no longer
+// wants the dead part.
+func (t *serverTable) loadable(d core.LoadDecision) bool {
+	ok := true
+	if len(t.quarantine) > 0 {
+		t.eachPart(d.Cols, func(col int) {
+			if _, bad := t.quarantine[partID{chunk: d.Chunk, col: col}]; bad {
+				ok = false
+			}
+		})
+	}
+	return ok
 }
 
 // loadJob is one issued load travelling from the scheduler to a worker: the
-// decision is already committed, its buffer space reserved (BeginLoad) and
-// one frame drawn per part, so the worker only performs the file reads and
-// lands the completion. marked is the column set BeginLoad actually
-// transitioned to loading (zero for NSM); the worker reads and finishes
-// exactly those parts, so an overlapping in-flight load of a sibling column
-// is never committed early.
+// ticket says the decision is committed and its buffer space reserved, and
+// one frame is drawn per part it covers, so the worker only performs the
+// file reads and lands the ticket. The ticket names exactly the parts this
+// load transitioned to loading, so an overlapping in-flight load of a
+// sibling column is never committed early.
 type loadJob struct {
-	t      *serverTable
-	d      core.LoadDecision
-	marked storage.ColSet
-	// parts are the job's frames, one per marked part. They stay on the job
+	t  *serverTable
+	ld *core.Load
+	// parts are the job's frames, one per ticket part. They stay on the job
 	// across retries — a part already read keeps its bytes, only failed
 	// parts are re-read — until the load commits them into the table's frame
 	// map or aborts and returns them.
@@ -322,14 +323,14 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // Concurrency model: one goroutine per Scan call (the query streams), one
 // scheduler goroutine that owns every load and eviction *decision* across
 // all tables, and InFlightDepth worker goroutines that execute the issued
-// loads' file reads. The scheduler round-robins NextLoad over the per-table
-// ABMs and keeps up to InFlightDepth loads outstanding; each BeginLoad
-// reserves its buffer space up front, so the decision state stays coherent
-// while several reads are in flight, and completions commit (frame publish
-// + FinishLoad) in whatever order the reads land. A freshly landed chunk is
-// eviction-protected until first pinned, per load — the same rule the
-// single-load engine enforced, now held for every member of the in-flight
-// set.
+// loads' file reads. The scheduler round-robins core.ABM.IssueLoad over the
+// per-table ABMs and keeps up to InFlightDepth loads outstanding; each
+// ticket reserves its buffer space up front, so the decision state stays
+// coherent while several reads are in flight, and completions commit (frame
+// publish + Load.Finish) in whatever order the reads land. A freshly landed
+// chunk is eviction-protected until first pinned, per load — the same rule
+// the single-load engine enforced, now held for every member of the
+// in-flight set.
 //
 // Tables are NSM or DSM per file. On an NSM table a load is the whole
 // chunk; on a DSM table a load is the per-column extents of the decision's
@@ -340,8 +341,9 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 //
 // The ABMs are the only residency and eviction authority: a resident part
 // owns one frame of its decoded size (see frame), drawn from the frame
-// allocator after BeginLoad reserved its bytes and returned by the ABM's
-// evict hook, so the bytes held in frames are the bytes the ABMs account.
+// allocator after the load ticket reserved its bytes and returned by the
+// ABM's evict hook, so the bytes held in frames are the bytes the ABMs
+// account.
 //
 // All shared state (the ABMs, the policy state, the frame maps and
 // allocator and the budget arbiter) is guarded by mu; workers drop the lock
@@ -457,7 +459,6 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	s.o = newServerObs(cfg.Obs, cfg.Trace)
 	s.mgr = core.NewLiveManager(wallClock{start: s.start}, core.Config{
 		Policy:            cfg.Policy,
-		StarveThreshold:   cfg.StarveThreshold,
 		MeasureScheduling: cfg.MeasureScheduling,
 	})
 	s.mgr.SetMetrics(managerMetrics(cfg.Obs))
@@ -490,7 +491,6 @@ func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	t.abm = s.mgr.AttachAs(name, tf.Layout(), 2*tf.ChunkBytes())
 	// Normalise relevance waiting time by a ~1 GB/s chunk load.
 	t.abm.SetChunkCost(float64(tf.ChunkBytes()) / 1e9)
-	t.pol = t.abm.Policy()
 	t.abm.SetEvictHook(func(chunk, col int) {
 		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
 		// column part: return its frame for the next load of that size.
@@ -774,9 +774,10 @@ func demandShifted(old, new int64) bool {
 	return d*8 >= old
 }
 
-// issueOne asks the tables round-robin for their next load decision,
-// commits the first one whose buffer space can be ensured, and hands the
-// read to a worker. It reports whether a load was issued.
+// issueOne asks the tables round-robin for a load ticket and hands the
+// first one issued to a worker. A table whose proposal names a quarantined
+// part, or whose pool cannot make room, is skipped this round; the others
+// still get their turn. It reports whether a load was issued.
 func (s *Server) issueOne() bool {
 	n := len(s.tables)
 	for off := 0; off < n; off++ {
@@ -789,38 +790,15 @@ func (s *Server) issueOne() bool {
 		if s.o.enabled {
 			decStart = time.Now()
 		}
-		d, ok := t.pol.NextLoad()
-		if !ok {
+		ld := t.abm.IssueLoad(t.loadable)
+		if ld == nil {
 			continue
 		}
-		if len(t.quarantine) > 0 && t.decisionQuarantined(d) {
-			// The decision names an unloadable part. Don't commit it —
-			// leave the table parked until the affected scans observe the
-			// quarantine (they are woken when it is imposed), fail, and
-			// unregister; the policy's next decision then no longer wants
-			// the dead part. Other tables still get their turn below.
-			continue
-		}
-		need := t.abm.ColdBytes(d.Chunk, d.Cols)
-		if need > 0 && t.abm.FreeBytes() < need {
-			// Shield the chunk's resident sibling parts while evicting: a
-			// DSM chunk can be partially resident, and victimising those
-			// parts would widen the load beyond the `need` just ensured
-			// (the §6.2 mark-as-used rule; see core.MarkAssembling).
-			t.abm.MarkAssembling(d.Chunk, d.Cols)
-			ok := t.pol.EnsureSpace(need, d.Query)
-			t.abm.UnmarkAssembling(d.Chunk, d.Cols)
-			if !ok {
-				// Everything evictable in this table is pinned or protected:
-				// skip it until a release, but let other tables proceed.
-				continue
-			}
-		}
-		t.pol.CommitLoad(d)
-		job := loadJob{t: t, d: d, marked: t.abm.BeginLoad(d)}
+		d := ld.Decision()
+		job := loadJob{t: t, ld: ld}
 		// The bytes are reserved; draw the frames they pay for.
-		job.parts = make([]loadPart, 0, max(1, job.marked.Count()))
-		t.eachPart(job.marked, func(col int) {
+		job.parts = make([]loadPart, 0, max(1, d.Cols.Count()))
+		t.eachPart(d.Cols, func(col int) {
 			job.parts = append(job.parts, loadPart{col: col, f: s.drawFrame(t, col)})
 		})
 		s.inFlight++
@@ -844,16 +822,17 @@ func (s *Server) issueOne() bool {
 
 // worker executes issued loads: the real file reads happen without the
 // server lock, straight into the job's frames; then the completion —
-// publishing the frames in the table's frame map and FinishLoad — commits
-// under it. Completions land in read-completion order, not issue order; the
-// ABM's part states (marked loading at issue) keep the two decoupled.
+// publishing the frames in the table's frame map and landing the ticket —
+// commits under it. Completions land in read-completion order, not issue
+// order; the ABM's part states (marked loading at issue) keep the two
+// decoupled.
 //
 // A load is its own fault domain. A failed read or checksum verification
 // retries with bounded exponential backoff (the job stays counted in
 // inFlight, so the scheduler never over-issues while it heals); a load that
 // exhausts its retries — or fails during shutdown — is aborted: its frames
-// return to the allocator, its ABM reservation is rolled back
-// (core.AbortLoad, so the budget never leaks) and the failing part is
+// return to the allocator, its ticket is aborted (the ABM reservation is
+// rolled back, so the budget never leaks) and the failing part is
 // quarantined. No load failure takes the server down.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
@@ -874,7 +853,7 @@ func (s *Server) worker() {
 			}
 		}
 		if s.loadHook != nil {
-			s.loadHook(job.t.idx, job.d.Chunk)
+			s.loadHook(job.t.idx, job.ld.Decision().Chunk)
 		}
 		s.mu.Lock()
 		for attempt := 0; err != nil; attempt++ {
@@ -901,42 +880,39 @@ func (s *Server) worker() {
 		job.t.inflight--
 		s.o.inflight.Add(-1)
 		// A slot freed: only the scheduler cares. Streams interested in the
-		// landed chunk were woken by their queries' wakers in FinishLoad.
+		// landed chunk were woken by their queries' wakers in Load.Finish.
 		s.cond.Signal()
 		s.mu.Unlock()
 	}
 }
 
 // completeLoad lands one fully read load under the server lock: publish its
-// frames in the table's frame map and FinishLoad. Nothing here can fail or
-// touch the file — the frames were drawn at issue and filled outside the
-// lock.
+// frames in the table's frame map and finish the ticket. Nothing here can
+// fail or touch the file — the frames were drawn at issue and filled outside
+// the lock.
 func (s *Server) completeLoad(job loadJob) {
 	var commitStart time.Time
 	if s.o.enabled {
 		commitStart = time.Now()
 	}
 	var bytes int64
+	chunk := job.ld.Decision().Chunk
 	for _, p := range job.parts {
-		job.t.frames[partID{chunk: job.d.Chunk, col: p.col}] = p.f
+		job.t.frames[partID{chunk: chunk, col: p.col}] = p.f
 		bytes += int64(len(p.f.buf))
 	}
 	s.o.misses.add(int64(len(job.parts)))
 	s.o.loaded.add(bytes)
 	s.o.resident.add(int64(len(job.parts)))
-	// Commit only the parts this job marked: a sibling in-flight load
-	// of the same chunk's other columns finishes its own parts.
-	// FinishLoad fires the waker of every query that gained availability,
-	// so exactly the interested streams wake; the worker signals the
-	// scheduler when it returns the in-flight slot.
-	fin := job.d
-	fin.Cols = job.marked
-	job.t.abm.FinishLoad(fin)
+	// Finish fires the waker of every query that gained availability, so
+	// exactly the interested streams wake; the worker signals the scheduler
+	// when it returns the in-flight slot.
+	job.ld.Finish()
 	if s.o.enabled {
 		now := time.Now()
 		s.o.pinSeconds.Observe(now.Sub(commitStart).Seconds())
 		if job.lane != (obs.Track{}) {
-			job.lane.SpanAt("pin", commitStart, now, obs.Args{"chunk": job.d.Chunk})
+			job.lane.SpanAt("pin", commitStart, now, obs.Args{"chunk": chunk})
 		}
 	}
 }
@@ -955,8 +931,8 @@ func (s *Server) retryPause(attempt int) time.Duration {
 }
 
 // abortJob rolls back a load that cannot complete: its frames return to the
-// allocator, its ABM reservation is released (AbortLoad — the space
-// un-reserve that keeps the budget from leaking), and the failing part is
+// allocator, its ticket is aborted (the space un-reserve that keeps the
+// budget from leaking), and the failing part is
 // quarantined so the scheduler stops re-proposing it and the scans that
 // need it fail fast. Blocked scans are woken to observe the quarantine.
 // Called under mu.
@@ -964,9 +940,7 @@ func (s *Server) abortJob(job loadJob, cause error) {
 	for _, p := range job.parts {
 		s.returnFrame(job.t, p.f)
 	}
-	fin := job.d
-	fin.Cols = job.marked
-	job.t.abm.AbortLoad(fin)
+	job.ld.Abort()
 	for _, k := range quarantineTargets(job, cause) {
 		if _, dup := job.t.quarantine[k]; !dup {
 			job.t.quarantine[k] = cause
@@ -993,9 +967,10 @@ func quarantineTargets(job loadJob, cause error) []partID {
 		chunk, col := job.t.tf.PagePart(pe.Page)
 		return []partID{{chunk: chunk, col: col}}
 	}
+	chunk := job.ld.Decision().Chunk
 	out := make([]partID, len(job.parts))
 	for i, p := range job.parts {
-		out[i] = partID{chunk: job.d.Chunk, col: p.col}
+		out[i] = partID{chunk: chunk, col: p.col}
 	}
 	return out
 }
@@ -1038,13 +1013,14 @@ func (s *Server) readParts(job loadJob) (ioStats, error) {
 		decomp = &iost.decomp
 	}
 	var firstErr error
+	chunk := job.ld.Decision().Chunk
 	for i := range job.parts {
 		p := &job.parts[i]
 		if p.read {
 			continue
 		}
 		start := time.Now()
-		first, count := t.tf.PartPages(job.d.Chunk, p.col)
+		first, count := t.tf.PartPages(chunk, p.col)
 		stored := t.tf.StoredRunBytes(first, count)
 		iost.diskBytes += stored
 		if err := t.tf.readPageRange(first, count, p.f.buf, verify, decomp); err != nil {
@@ -1363,47 +1339,38 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		return core.Stats{}, err
 	}
 	q := reg.q
+	// leave is the stream's one exit: close an open wait span, unregister
+	// the query, count the outcome, and wake the scheduler — a departing
+	// query shifts demand and may be what a detach is quiescing on (after
+	// Close the scheduler is gone and the signal finds no waiter).
+	leave := func(err error, outcome *tally) (core.Stats, error) {
+		closeWait()
+		delete(t.streams, q)
+		st := t.abm.Finish(q)
+		if outcome != nil {
+			outcome.add(1)
+		}
+		s.cond.Signal()
+		s.mu.Unlock()
+		st.BytesUseful = useful
+		return st, err
+	}
 	for !q.Finished() {
 		if s.closed {
-			closeWait()
-			delete(t.streams, q)
-			st := t.abm.Finish(q)
-			s.mu.Unlock()
-			st.BytesUseful = useful
-			return st, ErrClosed
+			return leave(ErrClosed, nil)
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			closeWait()
-			delete(t.streams, q)
-			st := t.abm.Finish(q)
-			s.o.cancelledScans.add(1)
-			s.cond.Signal()
-			s.mu.Unlock()
-			st.BytesUseful = useful
-			return st, fmt.Errorf("engine: scan %q: %w", name, cerr)
+			return leave(fmt.Errorf("engine: scan %q: %w", name, cerr), &s.o.cancelledScans)
 		}
 		if t.detaching {
 			// The table is being detached: unregister so the scheduler can
 			// quiesce and finalise it, and fail typed.
-			closeWait()
-			delete(t.streams, q)
-			st := t.abm.Finish(q)
-			s.cond.Signal()
-			s.mu.Unlock()
-			st.BytesUseful = useful
-			return st, fmt.Errorf("engine: scan %q: %w: table %s", name, ErrTableDetached, t.name)
+			return leave(fmt.Errorf("engine: scan %q: %w: table %s", name, ErrTableDetached, t.name), nil)
 		}
 		if qerr := s.quarantineError(t, q); qerr != nil {
-			closeWait()
-			delete(t.streams, q)
-			st := t.abm.Finish(q)
-			s.o.failedScans.add(1)
-			s.cond.Signal()
-			s.mu.Unlock()
-			st.BytesUseful = useful
-			return st, qerr
+			return leave(qerr, &s.o.failedScans)
 		}
-		c := t.pol.PickAvailable(q)
+		c := t.abm.Policy().PickAvailable(q)
 		if c < 0 {
 			// The blocked flag must be visible to the scheduler before it
 			// re-evaluates eviction (the relevance relaxation passes fire
@@ -1480,12 +1447,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		// only shrinks here, so no stream wake is needed.
 		s.cond.Signal()
 	}
-	delete(t.streams, q)
-	st := t.abm.Finish(q)
-	s.cond.Signal()
-	s.mu.Unlock()
-	st.BytesUseful = useful
-	return st, nil
+	return leave(nil, nil)
 }
 
 // Stats returns the server's counters: one entry per table plus the

@@ -5,12 +5,11 @@
 //
 //   - RunCore drives a live-mode core.Manager and its ABMs directly,
 //     single-threaded, mirroring the engine's legal call sequences
-//     (NextLoad → EnsureSpace → CommitLoad → BeginLoad → FinishLoad,
-//     PickAvailable → Pin → Release) with tables attaching and detaching
-//     mid-run — and audits every incrementally maintained structure
-//     against a linear recomputation (core.ABM.AuditIncremental, which
-//     includes the incremental-vs-linear candidate argmin and victim-score
-//     cross-checks) at a fixed op cadence.
+//     (IssueLoad → Load.Finish/Abort, PickAvailable → Pin → Release) with
+//     tables attaching and detaching mid-run — and audits every
+//     incrementally maintained structure against a linear recomputation
+//     (core.ABM.AuditIncremental, which includes the incremental-vs-linear
+//     candidate argmin and victim-score cross-checks) at a fixed op cadence.
 //
 //   - RunEngine runs real engine.Servers over generated table files with
 //     iofault injection and concurrent streams (some cancelled mid-scan),
@@ -18,12 +17,15 @@
 //     audits mid-flight through Server.AuditTables, and checks the
 //     drained-state leak and budget invariants after Close.
 //
-// Both runners are deterministic per seed. `make soak-rand SEEDS=...` runs
-// them race-enabled across a seed list via TestSoakRand.
+// `make soak-rand SEEDS=...` runs them race-enabled across a seed list via
+// TestSoakRand. RunCore is deterministic per seed and proves it: it folds
+// every event into CoreReport.Digest, and TestSoakCoreDeterministic (`make
+// test-soak-nondeterminism`) runs each seed twice and compares.
 package soak
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 
 	"coopscan/internal/colstore/compress"
@@ -99,13 +101,11 @@ type CoreReport struct {
 	Loads      int
 	Aborts     int
 	Rebalances int
-}
-
-// soakLoad is one in-flight load: the committed decision plus the column
-// set BeginLoad actually marked (what FinishLoad/AbortLoad must be told).
-type soakLoad struct {
-	d      core.LoadDecision
-	marked storage.ColSet
+	// Digest folds every event of the run, in order — table attach and
+	// detach, registration, each load proposal and what became of it
+	// (issued, vetoed, no room), landing or abort, chunk pick, eviction,
+	// arbiter grants. Two runs of one seed must agree on it.
+	Digest uint64
 }
 
 // soakQuery is one registered query stream: at most one pinned chunk at a
@@ -120,14 +120,13 @@ type soakQuery struct {
 type soakTable struct {
 	name       string
 	abm        *core.ABM
-	pol        core.SchedulerPolicy
 	layout     storage.Layout
 	columnar   bool
 	chunks     int
 	ncols      int
 	chunkBytes int64
 	queries    []*soakQuery
-	inflight   []soakLoad
+	inflight   []*core.Load
 }
 
 // RunCore executes one seeded core-layer soak and returns its report. Any
@@ -149,6 +148,8 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 	var rep CoreReport
 	var tables []*soakTable
 	nextID := 0
+	digest := fnv.New64a()
+	event := func(format string, args ...any) { fmt.Fprintf(digest, format+"\n", args...) }
 
 	// One fixed budget for the whole run, generous enough that Rebalance is
 	// never under-provisioned at MaxTables (floors are two chunks each).
@@ -167,6 +168,7 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 	rebalance := func(op int) error {
 		grants := mgr.Rebalance(total)
 		rep.Rebalances++
+		event("rebalance %v", grants)
 		for i, g := range grants {
 			if g < 0 {
 				return fmt.Errorf("soak: op %d: negative grant %d for table %d", op, g, i)
@@ -199,9 +201,10 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		}
 		t.abm = mgr.AttachAs(name, t.layout, 2*t.chunkBytes)
 		t.abm.SetChunkCost(float64(t.chunkBytes) / 1e9)
-		t.pol = t.abm.Policy()
+		t.abm.SetEvictHook(func(chunk, col int) { event("evict %s c%d/%d", name, chunk, col) })
 		tables = append(tables, t)
 		rep.Attaches++
+		event("attach %s columnar=%v chunks=%d cols=%d", name, t.columnar, t.chunks, t.ncols)
 		return rebalance(op)
 	}
 
@@ -216,6 +219,7 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 			mgr.Detach(t.name)
 			tables = append(tables[:i], tables[i+1:]...)
 			rep.Detaches++
+			event("detach %s", t.name)
 			return rebalance(op)
 		}
 		return nil
@@ -236,36 +240,34 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		t.abm.Register(q)
 		t.queries = append(t.queries, &soakQuery{q: q, pinned: -1})
 		rep.Registered++
+		event("register %s %v %v", q.Name, rs, cols)
 	}
 
 	finish := func(t *soakTable, i int) {
 		sq := t.queries[i]
 		t.abm.Finish(sq.q)
 		t.queries = append(t.queries[:i], t.queries[i+1:]...)
+		event("finish %s", sq.q.Name)
 	}
 
 	// issue mirrors the engine's issueOne for one table, bounded to four
-	// loads in flight like the engine's default depth.
+	// loads in flight like the engine's default depth; now and then it
+	// vetoes the proposal, as the engine does for a quarantined part.
 	issue := func(t *soakTable) {
 		if len(t.inflight) >= 4 {
 			return
 		}
-		d, ok := t.pol.NextLoad()
-		if !ok {
+		veto := rng.Intn(16) == 0
+		ld := t.abm.IssueLoad(func(d core.LoadDecision) bool {
+			event("propose %s c%d %v for %s veto=%v", t.name, d.Chunk, d.Cols, d.Query.Name, veto)
+			return !veto
+		})
+		if ld == nil {
+			event("issue %s: nothing", t.name)
 			return
 		}
-		need := t.abm.ColdBytes(d.Chunk, d.Cols)
-		if need > 0 && t.abm.FreeBytes() < need {
-			t.abm.MarkAssembling(d.Chunk, d.Cols)
-			ok := t.pol.EnsureSpace(need, d.Query)
-			t.abm.UnmarkAssembling(d.Chunk, d.Cols)
-			if !ok {
-				return
-			}
-		}
-		t.pol.CommitLoad(d)
-		marked := t.abm.BeginLoad(d)
-		t.inflight = append(t.inflight, soakLoad{d: d, marked: marked})
+		event("issue %s c%d %v", t.name, ld.Decision().Chunk, ld.Decision().Cols)
+		t.inflight = append(t.inflight, ld)
 	}
 
 	// land completes (or, rarely, aborts) a random in-flight load, in
@@ -278,15 +280,15 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		i := rng.Intn(len(t.inflight))
 		ld := t.inflight[i]
 		t.inflight = append(t.inflight[:i], t.inflight[i+1:]...)
-		fin := ld.d
-		fin.Cols = ld.marked
 		if rng.Intn(10) == 0 {
-			t.abm.AbortLoad(fin)
+			ld.Abort()
 			rep.Aborts++
+			event("abort %s #%d", t.name, i)
 			return
 		}
-		t.abm.FinishLoad(fin)
+		ld.Finish()
 		rep.Loads++
+		event("land %s #%d", t.name, i)
 	}
 
 	// deliver advances one query stream a half-step: release the pinned
@@ -310,7 +312,8 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 			}
 			return
 		}
-		c := t.pol.PickAvailable(sq.q)
+		c := t.abm.Policy().PickAvailable(sq.q)
+		event("pick %s c%d", sq.q.Name, c)
 		if c < 0 {
 			sq.q.SetBlocked(true)
 			sq.blocked = true
@@ -404,9 +407,7 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 	// query, and hold the quiescent-state invariants on every table.
 	for _, t := range tables {
 		for _, ld := range t.inflight {
-			fin := ld.d
-			fin.Cols = ld.marked
-			t.abm.AbortLoad(fin)
+			ld.Abort()
 			rep.Aborts++
 		}
 		t.inflight = nil
@@ -435,6 +436,8 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		if free := t.abm.FreeBytes(); free < 0 {
 			return rep, fmt.Errorf("soak: drained: table %s over budget: free = %d", t.name, free)
 		}
+		event("drained %s %+v", t.name, t.abm.Stats())
 	}
+	rep.Digest = digest.Sum64()
 	return rep, nil
 }

@@ -101,3 +101,30 @@ func TestSoakRand(t *testing.T) {
 		})
 	}
 }
+
+// TestSoakCoreDeterministic asserts what the harness's replay-by-seed story
+// rests on: two core-layer runs of one seed fold the same events in the same
+// order. A map iteration, a clock read or any other ambient input leaking
+// into a decision shows up as a digest mismatch (`make
+// test-soak-nondeterminism`).
+func TestSoakCoreDeterministic(t *testing.T) {
+	seen := map[uint64]uint64{}
+	for _, seed := range seedList(t) {
+		cfg := CoreConfig{Seed: seed, Policy: core.Policies[int(seed)%len(core.Policies)]}
+		first, err := RunCore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := RunCore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != second {
+			t.Errorf("seed %d is not deterministic:\n  first:  %+v\n  second: %+v", seed, first, second)
+		}
+		if other, dup := seen[first.Digest]; dup {
+			t.Errorf("seeds %d and %d share digest %#x: the digest does not see the op sequence", other, seed, first.Digest)
+		}
+		seen[first.Digest] = seed
+	}
+}

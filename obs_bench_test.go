@@ -1,5 +1,5 @@
 // BenchmarkObsOverhead measures what the observability stack costs the
-// hot path: the exact BenchmarkMultiTableLive workload (two tables, one
+// hot path: the `coopscan multi -read-mbps 200` workload (two tables, one
 // arbitrated budget, 16 streams, 200 MiB/s device model) run dark versus
 // run with the full stack on — metrics registry, per-scan pprof labels and
 // the scan-timeline tracer. The off/on pair shares table files and plans,
@@ -26,6 +26,16 @@ import (
 	"coopscan/internal/engine"
 	"coopscan/internal/exec"
 	"coopscan/internal/obs"
+)
+
+const (
+	multiBenchTables  = 2
+	multiBenchRows    = 786_432
+	multiBenchTPC     = 16_384 // 48 chunks × 896 KiB ≈ 42 MiB per table
+	multiBenchStreams = 8      // per table
+	multiBenchQueries = 2
+	multiBenchSeed    = 1
+	multiBenchReadBW  = 200 << 20 // device model: 200 MiB/s per load stream
 )
 
 // obsBenchRig is one side of the A/B pair: dark (nil registry and tracer)
