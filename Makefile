@@ -3,8 +3,8 @@
 # `make bench-compare BASE=... CHANGE=...`; method in bench/README.md,
 # trajectory in docs/BENCHMARKS.md). The go-test benchmarks that remain at
 # the root are guards, not records: bench-sched fences the simulator's
-# decision cost, bench-obs and bench-compress are opt-in A/Bs the suite does
-# not cover yet. BENCH_PR1-10.json at the root are history; nothing writes
+# decision cost, bench-kernels is the kernels' iteration tool, bench-obs and
+# bench-compress are opt-in A/Bs the suite does not cover yet. BENCH_PR1-10.json at the root are history; nothing writes
 # them any more.
 
 GO        ?= go
@@ -13,7 +13,7 @@ SEEDS     ?= 1,2,3,4,5,6,7,8
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench test-race test-serve vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-sched bench-obs bench-compress
+.PHONY: build test test-bench test-race test-serve vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -31,9 +31,12 @@ test-bench:
 # The live engine is the repo's first truly concurrent code; its tests (and
 # the core arbiter state they drive) must stay race-clean. bufferpool is no
 # longer on the live path (the ABM owns its frames) but stays in the list
-# while the bench suite's pin_release_ns probe compiles against it.
+# while the bench suite's pin_release_ns probe compiles against it. exec and
+# compress are here for checkptr (on under -race): it is the machine check on
+# the tree's one unsafe conversion, the []int64 <-> []byte part views of
+# internal/engine/alias.go that the kernels and decoders read and write.
 test-race:
-	$(GO) test -race ./internal/engine/... ./internal/bufferpool/... ./internal/core/... ./internal/obs/... ./internal/soak/... ./internal/serve/...
+	$(GO) test -race ./internal/engine/... ./internal/bufferpool/... ./internal/core/... ./internal/obs/... ./internal/soak/... ./internal/serve/... ./internal/exec/... ./internal/colstore/compress/...
 
 # The HTTP/2 serving front-end (PR 9, internal/serve) under the race
 # detector: exact-bounded overload admission, the 1000-client disconnect
@@ -97,6 +100,13 @@ bench-compare:
 bench-sched:
 	$(GO) test -run 'TestSchedScalingGuard' -count=1 -v .
 	$(GO) test -run '^$$' -bench BenchmarkSchedulerScaling -benchmem -benchtime $(BENCHTIME) .
+
+# Kernel micro-benchmarks (internal/exec/kernel_bench_test.go): Q6Kernel and
+# Q1Kernel over one 16 384-row table, date-clustered (most vectors exit after
+# the date pass) and shuffled (every vector runs every pass), in ns/tuple. For
+# iterating on a kernel without the 20 s suite; not a record.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'Benchmark(Q6|Q1)Kernel' -benchmem -benchtime $(BENCHTIME) ./internal/exec/
 
 # Observability overhead guard: the `coopscan multi -read-mbps 200`
 # workload run dark vs fully instrumented (metrics registry + pprof scan

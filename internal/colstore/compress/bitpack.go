@@ -1,6 +1,6 @@
 package compress
 
-import "sync"
+import "encoding/binary"
 
 // Bit-packing primitives: fixed-width little-endian packing of uint64 values
 // into a byte stream. Width 0 is legal and encodes a stream of zeros in no
@@ -40,43 +40,34 @@ func packBits(dst []byte, values []uint64, width uint) []byte {
 	return dst
 }
 
-// u64Scratch pools the unpacked-codes scratch the decoders burn through one
-// buffer per extent on the live read path.
-var u64Scratch = sync.Pool{New: func() any { return new([]uint64) }}
-
-// getScratch returns a zeroed []uint64 of length n, reusing pooled backing
-// arrays when large enough. Pair with putScratch.
-func getScratch(n int) []uint64 {
-	p := u64Scratch.Get().(*[]uint64)
-	if cap(*p) < n {
-		return make([]uint64, n)
-	}
-	s := (*p)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func putScratch(s []uint64) {
-	u64Scratch.Put(&s)
-}
-
-// unpackBits reads n values of the given bit width from src into out (which
-// must have length n and be zeroed). It returns the values and the number of
-// bytes consumed.
-func unpackBits(out []uint64, src []byte, n int, width uint) ([]uint64, int) {
+// unpackBits reads n values of the given bit width from src into out[:n] as
+// raw bit patterns — the decoders unpack straight into their output vector
+// and finish it in place, so decoding has no scratch and no second buffer —
+// and returns the number of bytes consumed.
+func unpackBits(out []int64, src []byte, n int, width uint) int {
 	if width > 64 {
 		panic("compress: bit width > 64")
 	}
+	out = out[:n]
 	if width == 0 {
-		return out, 0
+		clear(out)
+		return 0
 	}
 	if need := (n*int(width) + 7) / 8; len(src) < need {
 		panic("compress: bit stream truncated")
 	}
-	bitPos := 0
-	for i := 0; i < n; i++ {
+	bitPos, i := 0, 0
+	if width <= 57 {
+		// A value of up to 57 bits starting at any bit of a byte lies inside
+		// the 8 bytes from that byte on: one load, shift and mask per value
+		// for as long as 8 bytes remain; the byte-wise loop takes the tail.
+		mask := uint64(1)<<width - 1
+		for ; i < n && bitPos/8+8 <= len(src); i++ {
+			out[i] = int64(binary.LittleEndian.Uint64(src[bitPos/8:]) >> uint(bitPos%8) & mask)
+			bitPos += int(width)
+		}
+	}
+	for ; i < n; i++ {
 		var v uint64
 		got := uint(0)
 		for got < width {
@@ -91,9 +82,9 @@ func unpackBits(out []uint64, src []byte, n int, width uint) ([]uint64, int) {
 			got += take
 			bitPos += int(take)
 		}
-		out[i] = v
+		out[i] = int64(v)
 	}
-	return out, (bitPos + 7) / 8
+	return (bitPos + 7) / 8
 }
 
 // bitsFor returns the minimal width that can represent v.

@@ -280,25 +280,24 @@ func decodePFOR(out []int64, src []byte, n int, width uint, delta bool) ([]int64
 	if (n*int(width)+7)/8+12*nexc > len(src) {
 		return nil, ErrCorrupt
 	}
-	u, consumed := unpackBits(getScratch(n), src, n, width)
-	defer putScratch(u)
-	src = src[consumed:]
+	// Unpack into out, patch the exceptions, then finish in place.
+	src = src[unpackBits(out, src, n, width):]
 	for i := 0; i < nexc; i++ {
 		pos := int(binary.LittleEndian.Uint32(src[12*i:]))
 		if pos >= n {
 			return nil, ErrCorrupt
 		}
-		u[pos] = binary.LittleEndian.Uint64(src[12*i+4:])
+		out[pos] = int64(binary.LittleEndian.Uint64(src[12*i+4:]))
 	}
 	if delta {
 		prev := int64(0)
-		for i, v := range u {
-			prev += unzigzag(v)
+		for i, v := range out {
+			prev += unzigzag(uint64(v))
 			out[i] = prev
 		}
 	} else {
-		for i, v := range u {
-			out[i] = int64(base) + int64(v)
+		for i := range out {
+			out[i] += int64(base)
 		}
 	}
 	return out, nil
@@ -346,21 +345,19 @@ func decodeIntDict(out []int64, src []byte, n int, width uint) ([]int64, error) 
 	if dn < 0 || dn > len(src)/8 { // divide: 8*dn overflows on adversarial sizes
 		return nil, ErrCorrupt
 	}
-	dict := make([]int64, dn)
-	for i := range dict {
-		dict[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-	}
+	dict := src[:8*dn]
 	src = src[8*dn:]
 	if len(src) < (n*int(width)+7)/8 {
 		return nil, ErrCorrupt
 	}
-	codes, _ := unpackBits(getScratch(n), src, n, width)
-	defer putScratch(codes)
-	for i, c := range codes {
-		if c >= uint64(dn) {
+	// Unpack the codes into out, then replace each by its dictionary entry,
+	// read where it lies.
+	unpackBits(out, src, n, width)
+	for i, c := range out {
+		if uint64(c) >= uint64(dn) {
 			return nil, ErrCorrupt
 		}
-		out[i] = dict[c]
+		out[i] = int64(binary.LittleEndian.Uint64(dict[8*c:]))
 	}
 	return out, nil
 }
@@ -479,11 +476,11 @@ func decodeStringDict(src []byte, n int, width uint) ([]string, error) {
 	if len(src) < (n*int(width)+7)/8 {
 		return nil, ErrCorrupt
 	}
-	codes, _ := unpackBits(getScratch(n), src, n, width)
-	defer putScratch(codes)
+	codes := make([]int64, n)
+	unpackBits(codes, src, n, width)
 	out := make([]string, n)
 	for i, c := range codes {
-		if c >= uint64(dn) {
+		if uint64(c) >= uint64(dn) {
 			return nil, ErrCorrupt
 		}
 		out[i] = dict[c]

@@ -215,12 +215,12 @@ func TestQuickBitPack(t *testing.T) {
 			}
 		}
 		packed := packBits(nil, values, width)
-		got, consumed := unpackBits(make([]uint64, len(values)), packed, len(values), width)
-		if consumed != len(packed) {
+		got := make([]int64, len(values))
+		if consumed := unpackBits(got, packed, len(values), width); consumed != len(packed) {
 			return false
 		}
 		for i := range values {
-			if got[i] != values[i] {
+			if uint64(got[i]) != values[i] {
 				return false
 			}
 		}

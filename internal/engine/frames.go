@@ -3,19 +3,26 @@ package engine
 import "coopscan/internal/obs"
 
 // frame is the buffer of one ABM part — an NSM chunk or a DSM column stripe,
-// always exactly one TableFile.PartPages run: one contiguous slice of the
-// part's decoded size. A frame is drawn when its part's load is issued
-// (after the load ticket reserved the bytes), filled by a load worker outside the
-// server lock, published in its table's frame map when the load commits, and
-// returned when the ABM evicts the part or the load aborts. Nothing else
-// holds part bytes, so the ABM's byte accounting is the engine's memory.
+// always exactly one TableFile.PartPages run: one contiguous typed column
+// vector of the part's decoded size (every part is whole 8-byte words: the
+// int64 columns, the four-word comment filler, whole NSM chunks). The load
+// path reads and decodes straight into it — wordBytes (alias.go) is the byte
+// view pread and the checksums take — and the kernels read it as it is. A
+// frame is drawn when its part's load is issued (after the load ticket
+// reserved the bytes), filled by a load worker outside the server lock,
+// published in its table's frame map when the load commits, and returned
+// when the ABM evicts the part or the load aborts. Nothing else holds part
+// bytes, so the ABM's byte accounting is the engine's memory.
 type frame struct {
-	buf []byte
+	vals []int64
 	// pins counts the scans currently inside a delivery of this part. The
 	// ABM's own pin counts are what protect the part from eviction; this
 	// one feeds the pinned-parts gauge on its 0↔1 transitions.
 	pins int
 }
+
+// bytes returns the frame's size: the decoded bytes of its part.
+func (f *frame) bytes() int64 { return int64(len(f.vals)) * 8 }
 
 // frameAlloc is the engine's frame allocator: a free list per part size
 // (size class), so at steady state — buffer full, every load preceded by an
@@ -83,13 +90,16 @@ func (a *frameAlloc) get(size int64) *frame {
 		return f
 	}
 	a.allocs.add(1)
-	return &frame{buf: make([]byte, size)}
+	if size%8 != 0 {
+		panic("engine: a part's size is not whole 8-byte words")
+	}
+	return &frame{vals: make([]int64, size/8)}
 }
 
 // put returns a frame to its class's free list (or to the garbage collector
 // when the class has already been dropped).
 func (a *frameAlloc) put(f *frame) {
-	if c := a.classes[int64(len(f.buf))]; c != nil {
+	if c := a.classes[f.bytes()]; c != nil {
 		c.free = append(c.free, f)
 	}
 }

@@ -91,7 +91,7 @@ func TestFrameAllocationsBounded(t *testing.T) {
 			defer srv.mu.Unlock()
 			held := make(map[int64]int) // size class -> frames resident
 			for _, f := range srv.tables[0].frames {
-				held[int64(len(f.buf))]++
+				held[f.bytes()]++
 			}
 			total := 0
 			for size, c := range srv.frames.classes {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"math"
 
 	"coopscan/internal/exec"
@@ -42,15 +41,21 @@ func ProjectionBytes(cols storage.ColSet) int64 {
 	return w
 }
 
-// ChunkData is one delivered chunk's contents: the pinned column stripes of
-// a resident chunk, valid for the duration of the OnChunk callback (the
-// ABM's pins guarantee the parts' frames cannot be evicted and reused
-// while the query processes them). Only the columns the scan declared are
+// ChunkData is one delivered chunk's contents: the pinned typed column
+// vectors of a resident chunk. Only the columns the scan declared are
 // populated — on a DSM table the other columns were never read from disk.
+//
+// A ChunkData, and every slice Ints or Col returns, is valid for the
+// duration of the OnChunk callback and no longer: the slices are the parts'
+// frames themselves (on NSM, windows of the chunk's one frame), which the
+// scan's pins keep from being evicted and refilled only until the callback
+// returns. They are shared with every other scan delivered the same chunk,
+// so a callback reads them and never writes; a result it keeps is a value it
+// computed (an aggregate, a CRC), not a slice.
 type ChunkData struct {
-	stripes [][]byte       // indexed by column; nil when not delivered
-	cols    storage.ColSet // the delivered columns
-	tuples  int64          // valid rows in this chunk (the last chunk is short)
+	vecs   [][]int64      // indexed by column; nil when not delivered
+	cols   storage.ColSet // the delivered columns
+	tuples int64          // valid rows in this chunk (the last chunk is short)
 }
 
 // Tuples returns the number of valid rows in the chunk.
@@ -62,71 +67,37 @@ func (d ChunkData) Cols() storage.ColSet { return d.cols }
 // Has reports whether column col was delivered.
 func (d ChunkData) Has(col int) bool { return d.cols.Has(col) }
 
-// Int64 returns row i of the stored 8-byte column col (not the comment
-// filler, whose tuples are wider).
-func (d ChunkData) Int64(col int, i int64) int64 {
-	return int64(binary.LittleEndian.Uint64(d.stripes[col][i*8:]))
+// Ints returns the valid rows of the stored 8-byte column col as a typed
+// vector, Tuples long — what the kernels read (nil if the column was not
+// delivered). The comment filler, whose tuples are four words wide, has no
+// such view; use Col.
+func (d ChunkData) Ints(col int) []int64 {
+	if d.vecs[col] == nil || colWidths[col] != 8 {
+		return nil
+	}
+	return d.vecs[col][:d.tuples]
 }
 
-// Col returns the raw little-endian stripe of a stored column (nil if the
-// column was not delivered).
-func (d ChunkData) Col(col int) []byte { return d.stripes[col] }
+// Col returns the whole stripe of a stored column as raw little-endian
+// bytes, zero padding of a short last chunk included (nil if the column was
+// not delivered): the view receipts and byte-for-byte comparisons take.
+func (d ChunkData) Col(col int) []byte { return wordBytes(d.vecs[col]) }
 
-// Q6Chunk evaluates the FAST query (TPC-H Q6) over one delivered chunk,
-// straight from the pinned buffer bytes. It computes the same aggregate as
-// exec.Q6Chunk does over the generator, so live results can be verified
-// against the simulation substrate. The chunk must carry Q6Cols.
+// Q6Chunk evaluates the FAST query (TPC-H Q6) over one delivered chunk with
+// the vectorised kernel, straight from the pinned frames. It computes the
+// same aggregate as exec.Q6Chunk does over the generator, so live results
+// can be verified against the simulation substrate. The chunk must carry
+// Q6Cols.
 func Q6Chunk(d ChunkData, pred exec.Q6Predicate) exec.Q6Result {
-	dates, disc := d.Col(ColShipDate), d.Col(ColDiscount)
-	qty, price := d.Col(ColQuantity), d.Col(ColExtendedPrice)
-	var res exec.Q6Result
-	for i := int64(0); i < d.tuples; i++ {
-		date := int64(binary.LittleEndian.Uint64(dates[i*8:]))
-		dc := int64(binary.LittleEndian.Uint64(disc[i*8:]))
-		q := int64(binary.LittleEndian.Uint64(qty[i*8:]))
-		if date >= pred.DateLo && date < pred.DateHi &&
-			dc >= pred.DiscLo && dc <= pred.DiscHi && q < pred.MaxQty {
-			res.Revenue += int64(binary.LittleEndian.Uint64(price[i*8:])) * dc
-			res.Rows++
-		}
-	}
-	return res
+	return exec.Q6Kernel(d.Ints(ColShipDate), d.Ints(ColDiscount),
+		d.Ints(ColQuantity), d.Ints(ColExtendedPrice), pred)
 }
 
 // Q1Chunk evaluates the SLOW query (TPC-H Q1 with extraArith rounds of
 // additional arithmetic per row) over one delivered chunk, mirroring
 // exec.Q1Chunk. The chunk must carry Q1Cols.
 func Q1Chunk(d ChunkData, dateMax int64, extraArith int) exec.Q1Result {
-	res := make(exec.Q1Result, 4)
-	for i := int64(0); i < d.tuples; i++ {
-		if d.Int64(ColShipDate, i) > dateMax {
-			continue
-		}
-		qty := d.Int64(ColQuantity, i)
-		price := d.Int64(ColExtendedPrice, i)
-		disc := d.Int64(ColDiscount, i)
-		tax := d.Int64(ColTax, i)
-		discPrice := price * (100 - disc) / 100
-		charge := discPrice * (100 + tax) / 100
-		x := charge
-		for r := 0; r < extraArith; r++ {
-			x = x*31 + qty
-			x ^= x >> 7
-		}
-		if x == -1 {
-			continue // practically never; keeps x live
-		}
-		k := [2]byte{byte(d.Int64(ColReturnFlag, i)), byte(d.Int64(ColLineStatus, i))}
-		grp, ok := res[k]
-		if !ok {
-			grp = &exec.Q1Group{Flag: k[0], Status: k[1]}
-			res[k] = grp
-		}
-		grp.Count++
-		grp.SumQty += qty
-		grp.SumBase += price
-		grp.SumDisc += discPrice
-		grp.SumCharge += charge
-	}
-	return res
+	return exec.Q1Kernel(d.Ints(ColShipDate), d.Ints(ColQuantity), d.Ints(ColExtendedPrice),
+		d.Ints(ColDiscount), d.Ints(ColTax), d.Ints(ColReturnFlag), d.Ints(ColLineStatus),
+		dateMax, extraArith)
 }

@@ -660,9 +660,9 @@ func (t *serverTable) auditFrames() error {
 		resident++
 		if f := t.frames[partID{chunk: chunk, col: col}]; f == nil {
 			err = fmt.Errorf("engine: table %s: resident part (%d,%d) has no frame", t.name, chunk, col)
-		} else if int64(len(f.buf)) != bytes || bytes != t.partBytes(col) {
+		} else if f.bytes() != bytes || bytes != t.partBytes(col) {
 			err = fmt.Errorf("engine: table %s: part (%d,%d) frame %d bytes, ABM accounts %d, part is %d",
-				t.name, chunk, col, len(f.buf), bytes, t.partBytes(col))
+				t.name, chunk, col, f.bytes(), bytes, t.partBytes(col))
 		}
 	})
 	if err != nil {
@@ -899,7 +899,7 @@ func (s *Server) completeLoad(job loadJob) {
 	chunk := job.ld.Decision().Chunk
 	for _, p := range job.parts {
 		job.t.frames[partID{chunk: chunk, col: p.col}] = p.f
-		bytes += int64(len(p.f.buf))
+		bytes += p.f.bytes()
 	}
 	s.o.misses.add(int64(len(job.parts)))
 	s.o.loaded.add(bytes)
@@ -1023,14 +1023,14 @@ func (s *Server) readParts(job loadJob) (ioStats, error) {
 		first, count := t.tf.PartPages(chunk, p.col)
 		stored := t.tf.StoredRunBytes(first, count)
 		iost.diskBytes += stored
-		if err := t.tf.readPageRange(first, count, p.f.buf, verify, decomp); err != nil {
+		if err := t.tf.readPageRange(first, count, p.f.vals, verify, decomp); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("engine: read %s pages [%d,%d): %w", t.name, first, first+int64(count), err)
 			}
 			continue
 		}
 		p.read = true
-		iost.bytes += int64(len(p.f.buf))
+		iost.bytes += p.f.bytes()
 		if bw := s.cfg.ReadBandwidth; bw > 0 {
 			// Device model: this load stream moves at bw bytes/s over the
 			// stored widths — a compressed extent costs its compressed size.
@@ -1283,7 +1283,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	// held are the frames of the chunk being delivered (one on NSM, one per
 	// projected column on DSM); scratch is the delivery's column index.
 	held := make([]*frame, 0, NumCols)
-	scratch := make([][]byte, NumCols)
+	scratch := make([][]int64, NumCols)
 	if s.o.enabled {
 		scanStart := time.Now()
 		defer func() { t.o.scan.Observe(time.Since(scanStart).Seconds()) }()
@@ -1403,14 +1403,14 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			cols.Each(func(col int) {
 				f := t.frames[partID{chunk: c, col: col}]
 				held = append(held, f)
-				scratch[col] = f.buf
+				scratch[col] = f.vals
 			})
-			data = ChunkData{stripes: scratch, cols: cols, tuples: tuples}
+			data = ChunkData{vecs: scratch, cols: cols, tuples: tuples}
 		} else {
 			// The NSM chunk frame holds the stripes in column order.
 			f := t.frames[partID{chunk: c, col: -1}]
 			held = append(held, f)
-			data = ChunkData{stripes: t.tf.stripes(scratch[:0], f.buf), cols: storage.AllCols(NumCols), tuples: tuples}
+			data = ChunkData{vecs: t.tf.stripes(scratch[:0], f.vals), cols: storage.AllCols(NumCols), tuples: tuples}
 		}
 		s.o.hits.add(int64(len(held)))
 		for _, f := range held {

@@ -266,15 +266,10 @@ type TableFile struct {
 	extLen  []int64
 	extOff  []int64
 	zones   [NumCols]*storage.ZoneMap
-	// decScratch pools the per-read stored-byte and decoded-value scratch
-	// the v4 read path burns through one of per coalesced run.
-	decScratch sync.Pool
-}
-
-// decBuf is the pooled per-read scratch of the v4 decode path.
-type decBuf struct {
-	raw  []byte
-	vals []int64
+	// storedScratch pools the stored-byte scratch (*[]byte) the v4 read path
+	// preads one coalesced run of compressed extents into; the decoded values
+	// go straight into the caller's words.
+	storedScratch sync.Pool
 }
 
 // WrapReader redirects all page reads through wrap(current reader) — the
@@ -415,13 +410,13 @@ func (t *TableFile) PartPages(chunk, col int) (first int64, count int) {
 	return int64(chunk) * NumCols, NumCols
 }
 
-// stripes appends the per-column sub-slices of an NSM chunk buffer (one
+// stripes appends the per-column vectors of an NSM chunk frame (one
 // PartPages(chunk, -1) run, ChunkBytes long) to dst, in column order — the
-// shape ChunkData hands the kernels.
-func (t *TableFile) stripes(dst [][]byte, chunk []byte) [][]byte {
+// shape ChunkData hands the kernels. Stripe offsets are whole words.
+func (t *TableFile) stripes(dst [][]int64, chunk []int64) [][]int64 {
 	for j := 0; j < NumCols; j++ {
-		off := t.stripeOff[j]
-		end := off + t.ColStripeBytes(j)
+		off := t.stripeOff[j] / 8
+		end := off + t.ColStripeBytes(j)/8
 		dst = append(dst, chunk[off:end:end])
 	}
 	return dst
@@ -452,25 +447,36 @@ func (t *TableFile) PartFileRange(chunk, col int) (off, size int64) {
 // a mismatch (or a read error) comes back tagged with the failing page as a
 // *PageError, so callers can retry or quarantine precisely. It is safe for
 // concurrent use (ReadAt).
+//
+// buf is landed on as int64 words by the same routine that fills the
+// engine's frames, so it must start on an 8-byte boundary (any whole
+// allocation does; an odd sub-slice gets ErrUnaligned, never a misread).
 func (t *TableFile) ReadPageRange(first int64, count int, buf []byte) error {
-	return t.readPageRange(first, count, buf, nil, nil)
+	dst, err := bytesWords(buf)
+	if err != nil {
+		return err
+	}
+	return t.readPageRange(first, count, dst, nil, nil)
 }
 
-// readPageRange is ReadPageRange with wall-time collectors: when verify or
-// decomp are non-nil, the time spent in checksum verification and (on v4
-// files) extent decompression is added to them, so the instrumented load
-// path can report read, verify and decompress latency separately.
-func (t *TableFile) readPageRange(first int64, count int, buf []byte, verify, decomp *time.Duration) error {
+// readPageRange is the one landing routine — of ReadPageRange's byte
+// buffers and of the load path's frames alike — with wall-time collectors:
+// when verify or decomp are non-nil, the time spent in checksum verification
+// and (on v4 files) extent decompression is added to them, so the
+// instrumented load path can report read, verify and decompress latency
+// separately. dst is the pages' decoded words.
+func (t *TableFile) readPageRange(first int64, count int, dst []int64, verify, decomp *time.Duration) error {
 	var want int64
 	for p := first; p < first+int64(count); p++ {
 		want += t.PageBytes(p)
 	}
-	if int64(len(buf)) != want {
-		return fmt.Errorf("engine: ReadPageRange buffer %d bytes, want %d", len(buf), want)
+	if int64(len(dst))*8 != want {
+		return fmt.Errorf("engine: ReadPageRange buffer %d bytes, want %d", len(dst)*8, want)
 	}
 	if t.version == tableVersionCompressed {
-		return t.readPageRangeV4(first, count, buf, verify, decomp)
+		return t.readPageRangeV4(first, count, dst, verify, decomp)
 	}
+	buf := wordBytes(dst)
 	if _, err := t.r.ReadAt(buf, t.dataOff+t.pageOffset(first)); err != nil {
 		return &PageError{Page: first, Err: err}
 	}
@@ -485,9 +491,7 @@ func (t *TableFile) readPageRange(first int64, count int, buf []byte, verify, de
 			if verify != nil {
 				*verify += time.Since(vstart)
 			}
-			chunk, col := t.PagePart(p)
-			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
-				t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
+			return t.checksumError(p, got)
 		}
 		off += n
 	}
@@ -497,24 +501,32 @@ func (t *TableFile) readPageRange(first int64, count int, buf []byte, verify, de
 	return nil
 }
 
+// checksumError is the typed failure of page p whose bytes summed to got.
+func (t *TableFile) checksumError(p int64, got uint64) error {
+	chunk, col := t.PagePart(p)
+	return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
+		t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
+}
+
 // readPageRangeV4 is the compressed read path: one positioned read of the
 // coalesced stored run into pooled scratch, per-extent CRC over the stored
-// bytes, then per-extent decode into the caller's fixed-width page buffer.
-// CRC failures surface as ErrChecksum and post-CRC decode failures as
+// bytes, then per-extent decode straight into the caller's words — the
+// codec's output is the part, there is no second pass over the values. CRC
+// failures surface as ErrChecksum and post-CRC decode failures as
 // ErrCorrupt, both wrapped in a *PageError naming the precise page, so the
 // engine retries or quarantines exactly the affected (chunk, column) part
 // and a corrupt extent can never decode into wrong tuples.
-func (t *TableFile) readPageRangeV4(first int64, count int, buf []byte, verify, decomp *time.Duration) error {
+func (t *TableFile) readPageRangeV4(first int64, count int, dst []int64, verify, decomp *time.Duration) error {
 	stored := t.StoredRunBytes(first, count)
-	sc, _ := t.decScratch.Get().(*decBuf)
+	sc, _ := t.storedScratch.Get().(*[]byte)
 	if sc == nil {
-		sc = &decBuf{}
+		sc = new([]byte)
 	}
-	defer t.decScratch.Put(sc)
-	if int64(cap(sc.raw)) < stored {
-		sc.raw = make([]byte, stored)
+	defer t.storedScratch.Put(sc)
+	if int64(cap(*sc)) < stored {
+		*sc = make([]byte, stored)
 	}
-	raw := sc.raw[:stored]
+	raw := (*sc)[:stored]
 	if _, err := t.r.ReadAt(raw, t.dataOff+t.extOff[first]); err != nil {
 		return &PageError{Page: first, Err: err}
 	}
@@ -529,34 +541,30 @@ func (t *TableFile) readPageRangeV4(first int64, count int, buf []byte, verify, 
 		if verify != nil {
 			*verify += time.Since(vstart)
 		}
-		chunk, col := t.PagePart(p)
 		if got != t.sums[p] {
-			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
-				t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
+			return t.checksumError(p, got)
 		}
-		n := t.PageBytes(p)
-		dst := buf[off : off+n]
+		n := t.PageBytes(p) / 8
+		// Capped at the page, so an extent claiming more values than a stripe
+		// decodes elsewhere (and fails the length check) instead of running
+		// over the next page's words.
+		page := dst[off : off+n : off+n]
 		var dstart time.Time
 		if decomp != nil {
 			dstart = time.Now()
 		}
+		chunk, col := t.PagePart(p)
 		if t.schemes[col] == schemeIdentity {
-			copy(dst, ext)
+			copy(wordBytes(page), ext)
 		} else {
-			vals, err := compress.DecodeIntsInto(sc.vals, ext)
+			vals, err := compress.DecodeIntsInto(page, ext)
 			if err != nil {
 				return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decode: %w",
 					t.path, p, chunk, col, err)}
 			}
-			if cap(vals) > cap(sc.vals) {
-				sc.vals = vals
-			}
 			if int64(len(vals)) != t.tuplesPerChunk {
 				return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decoded %d values, want %d: %w",
 					t.path, p, chunk, col, len(vals), t.tuplesPerChunk, ErrCorrupt)}
-			}
-			for i, v := range vals {
-				binary.LittleEndian.PutUint64(dst[i*8:], uint64(v))
 			}
 		}
 		if decomp != nil {
@@ -647,6 +655,9 @@ func CreateFormat(path string, format Format, rows, tuplesPerChunk int64, seed u
 	}
 	if format != NSM && format != DSM {
 		return nil, fmt.Errorf("engine: Create with unknown format %d", int(format))
+	}
+	if err := checkByteOrder(); err != nil {
+		return nil, err
 	}
 	table := tpch.LineitemTable(1)
 	table.Rows = rows
@@ -751,6 +762,9 @@ func pickScheme(sample []int64) byte {
 func CreateCompressed(path string, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
 	if rows <= 0 || tuplesPerChunk <= 0 {
 		return nil, fmt.Errorf("engine: CreateCompressed(rows=%d, tuplesPerChunk=%d)", rows, tuplesPerChunk)
+	}
+	if err := checkByteOrder(); err != nil {
+		return nil, err
 	}
 	table := tpch.LineitemTable(1)
 	table.Rows = rows
@@ -916,8 +930,13 @@ func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk i
 // version, column count, format, geometry, exact file size, and a fully
 // readable checksum table. Failures come back as typed errors (ErrBadMagic,
 // ErrBadVersion, ErrBadGeometry, ErrTruncated) wrapped with path context —
-// a torn, truncated, or foreign file is an error, never a panic.
+// a torn, truncated, or foreign file is an error, never a panic. A
+// big-endian host gets ErrByteOrder: parts are read in place as native
+// words.
 func Open(path string) (*TableFile, error) {
+	if err := checkByteOrder(); err != nil {
+		return nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -178,13 +178,15 @@ func TestTableFileCoalescedRead(t *testing.T) {
 	}
 }
 
-// readChunkData assembles a ChunkData straight from the file (bypassing the
-// engine) for kernel verification, delivering the requested columns.
+// readChunkDataCols assembles a ChunkData straight from the file (bypassing
+// the engine) for kernel verification, delivering the requested columns: each
+// stripe is read as bytes through the public ReadPageRange and viewed as
+// words through the same alias helper the load path's frames use.
 func readChunkDataCols(t testing.TB, tf *TableFile, c int, cols storage.ColSet) ChunkData {
 	t.Helper()
-	stripes := make([][]byte, NumCols)
+	vecs := make([][]int64, NumCols)
 	cols.Each(func(j int) {
-		stripes[j] = make([]byte, tf.ColStripeBytes(j))
+		stripe := make([]byte, tf.ColStripeBytes(j))
 		var page int64
 		if tf.Format() == DSM {
 			page, _ = tf.PartPages(c, j)
@@ -192,11 +194,15 @@ func readChunkDataCols(t testing.TB, tf *TableFile, c int, cols storage.ColSet) 
 			first, _ := tf.PartPages(c, -1)
 			page = first + int64(j)
 		}
-		if err := tf.ReadPageRange(page, 1, stripes[j]); err != nil {
+		if err := tf.ReadPageRange(page, 1, stripe); err != nil {
 			t.Fatalf("ReadPageRange: %v", err)
 		}
+		var err error
+		if vecs[j], err = bytesWords(stripe); err != nil {
+			t.Fatal(err)
+		}
 	})
-	return ChunkData{stripes: stripes, cols: cols, tuples: tf.Layout().ChunkTuples(c)}
+	return ChunkData{vecs: vecs, cols: cols, tuples: tf.Layout().ChunkTuples(c)}
 }
 
 // readChunkData is readChunkDataCols over every stored column.

@@ -59,12 +59,19 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		t.Fatalf("queued session: %v", err)
 	}
 
-	// D: interactive session straight through the free slot.
+	// D: interactive session straight through the free slot. B's client
+	// returns at the trailer line; its handler gives the slot back a moment
+	// later (after joining its heartbeat goroutine), so wait for that, or D
+	// is sometimes counted as queued.
+	waitFor(t, func() bool { return fx.f.gate.status().live == 0 })
 	if _, err := RunScan(context.Background(), nil, fx.url, ScanParams{
 		Table: table, Name: "vip", Tier: TierInteractive,
 	}, nil); err != nil {
 		t.Fatalf("interactive session: %v", err)
 	}
+
+	// Likewise D's handler may still hold its slot (the live gauge).
+	waitFor(t, func() bool { return fx.f.gate.status().live == 0 })
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -338,11 +338,12 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }
 
-// chunkCRC is the per-chunk receipt checksum: CRC-32 (IEEE) over the valid
-// prefix (Tuples × column width) of each projected column, ascending
-// column order. Clients can recompute it from a local copy of the table to
-// verify the stream byte-for-byte.
-func chunkCRC(cols storage.ColSet, d engine.ChunkData) uint32 {
+// ChunkCRC is the (chunk, projection) receipt checksum: CRC-32 (IEEE) over
+// the valid prefix (Tuples × column width) of each projected column,
+// ascending column order. Clients can recompute it from a local copy of the
+// table to verify the stream byte-for-byte; it is the one spelling of the
+// receipt, shared by the front-end and everything that checks it.
+func ChunkCRC(cols storage.ColSet, d engine.ChunkData) uint32 {
 	crc := uint32(0)
 	cols.Each(func(col int) {
 		valid := d.Tuples() * engine.ColWidth(col)
@@ -617,7 +618,7 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w 
 	var chunks int
 	var tuples int64
 	st, err := f.eng.ScanWith(ctx, req, func(c int, d engine.ChunkData) {
-		crc := chunkCRC(req.Cols, d)
+		crc := ChunkCRC(req.Cols, d)
 		if doQ6 {
 			agg.Add(engine.Q6Chunk(d, exec.DefaultQ6()))
 		}

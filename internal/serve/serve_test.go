@@ -45,7 +45,7 @@ func goldenScan(t *testing.T, tf *engine.TableFile, cols storage.ColSet) (map[in
 	crcs := make(map[int]uint32)
 	var agg exec.Q6Result
 	_, err = eng.Scan(0, "golden", storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), cols, func(c int, d engine.ChunkData) {
-		crcs[c] = chunkCRC(cols, d)
+		crcs[c] = ChunkCRC(cols, d)
 		if cols.Intersect(engine.Q6Cols()) == engine.Q6Cols() {
 			agg.Add(engine.Q6Chunk(d, exec.DefaultQ6()))
 		}

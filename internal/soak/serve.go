@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -70,11 +69,7 @@ func goldenOf(tf *engine.TableFile) (*tableGolden, error) {
 	g := &tableGolden{crcs: make([]uint32, tf.NumChunks()), q6: make([]exec.Q6Result, tf.NumChunks())}
 	cols := engine.Q6Cols()
 	_, err = eng.Scan(0, "golden", storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), cols, func(c int, d engine.ChunkData) {
-		crc := uint32(0)
-		cols.Each(func(col int) {
-			crc = crc32.Update(crc, crc32.IEEETable, d.Col(col)[:d.Tuples()*engine.ColWidth(col)])
-		})
-		g.crcs[c] = crc
+		g.crcs[c] = serve.ChunkCRC(cols, d)
 		g.q6[c] = engine.Q6Chunk(d, exec.DefaultQ6())
 	})
 	if err != nil {
