@@ -10,10 +10,11 @@
 GO        ?= go
 BENCHTIME ?= 3x
 SEEDS     ?= 1,2,3,4,5,6,7,8
+FUZZTIME  ?= 10s
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench test-race test-serve vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-sched bench-kernels bench-obs bench-compress
+.PHONY: build test test-bench test-race test-serve test-fault-units fuzz-open vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -58,6 +59,33 @@ vet:
 # drain with zero budget leak (see internal/engine/fault_test.go).
 soak:
 	$(GO) test -race -count=1 -run 'TestFaultSoak' -v ./internal/engine/
+
+# The fault-domain unit tests CI's fault-soak job runs beside the soak: typed
+# on-disk failures (torn headers, damaged metadata, checksum mismatches,
+# undecodable extents), transient-fault healing, quarantine, cancellation.
+# `go test -run` passes when a name matches nothing, so the list would go
+# stale silently after a rename; this target fails unless the -v output
+# shows every listed test passing.
+FAULT_UNITS = TestScanSurvivesTransientFaults TestQuarantineIsolatesPersistentFault \
+	TestOnDiskCorruptionSurfacesAsChecksum TestScanContextCancellation \
+	TestOpenTypedErrors TestCompressedOpenTypedErrors \
+	TestReadPageChecksumMismatch TestCompressedCorruptExtent TestCompressedCreateRejectsBadGeometry
+empty :=
+space := $(empty) $(empty)
+test-fault-units:
+	@out=$$($(GO) test -race -count=1 -v -run '^($(subst $(space),|,$(strip $(FAULT_UNITS))))$$' ./internal/engine/ 2>&1) || { echo "$$out"; exit 1; }; \
+	for t in $(FAULT_UNITS); do \
+		echo "$$out" | grep -q -- "^--- PASS: $$t " || { echo "$$out"; echo "$$t did not run: FAULT_UNITS in the Makefile is stale"; exit 1; }; \
+	done; \
+	echo "$$out" | grep -- '^--- PASS\|^ok'
+
+# Fuzz the one opener: header and metadata-region damage, truncation and
+# extension over a file of every stored shape; Open answers with a typed
+# error or a table every part of which reads or fails as a *PageError (see
+# internal/engine/fuzz_test.go). Findings land under
+# internal/engine/testdata/fuzz/FuzzOpen and then run as plain tests.
+fuzz-open:
+	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/engine/
 
 # Randomized multi-seed soak (the PR-8 harness, internal/soak): per seed a
 # core-layer driver runs thousands of seeded register/scan/cancel/detach/
@@ -118,8 +146,9 @@ bench-obs:
 	COOPSCAN_OBS_AB=1 $(GO) test -run 'TestObsOverheadAB' -count=1 -v -bench 'BenchmarkObsOverhead' -benchmem -benchtime $(BENCHTIME) .
 
 # Compressed-extent storage A/B: the Q6-only live workload over a raw DSM
-# file, its compressed (v4) twin, and the compressed file with Q6 zonemap
-# predicates registered — all under a 64 MiB/s modelled device, where
+# file (every column identity), its compressed twin (the same format, the
+# columns under their sampled schemes), and the compressed file with Q6
+# zonemap predicates registered — all under a 64 MiB/s modelled device, where
 # stored bytes are the scarce resource. Acceptance: compressed disk-MiB/op
 # <= 0.5 x raw (measured ~0.13), and the pruned variant skips >= 60% of
 # registered chunks with unchanged aggregates (see compress_bench_test.go).

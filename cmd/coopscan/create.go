@@ -23,7 +23,7 @@ func parseCreate(args []string) *createOpts {
 	fs := flag.NewFlagSet("create", flag.ExitOnError)
 	fs.StringVar(&o.file, "file", "", "table file path to create (required; refuses to overwrite)")
 	o.table.register(fs)
-	fs.Lookup("compress").Usage = "store DSM extents compressed with per-column schemes and zonemaps (v4; implies -dsm)"
+	fs.Lookup("compress").Usage = "store DSM extents compressed under per-column schemes (implies -dsm)"
 	fs.Parse(args)
 	if o.file == "" {
 		exit("create", 2, errors.New("-file is required"))
@@ -33,7 +33,7 @@ func parseCreate(args []string) *createOpts {
 }
 
 // runCreate is the `coopscan create` subcommand: it generates a table file
-// ahead of time — NSM, DSM, or compressed DSM (v4) — so live/multi/serve
+// ahead of time — NSM, DSM, or compressed DSM — so live/multi/serve
 // runs can point -file at it instead of generating on first use. For
 // compressed tables it reports the per-column schemes and the stored
 // footprint against the raw DSM equivalent.

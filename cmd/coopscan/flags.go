@@ -23,7 +23,7 @@ type tableFlags struct {
 
 func (f *tableFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.dsm, "dsm", false, "store/open generated tables column-major (DSM): queries pay only for the columns they read")
-	fs.BoolVar(&f.compress, "compress", false, "store/open generated tables with compressed extents and zonemaps (v4; requires -dsm)")
+	fs.BoolVar(&f.compress, "compress", false, "store/open generated tables with extents compressed under per-column schemes (requires -dsm)")
 	fs.Int64Var(&f.rows, "rows", 1_500_000, "rows per generated table")
 	fs.Int64Var(&f.tpc, "tuples-per-chunk", 32768, "tuples per chunk of a generated table")
 	fs.Uint64Var(&f.seed, "seed", 1, "generator seed (and workload seed, where the subcommand runs one)")
@@ -84,9 +84,11 @@ func (f tableFlags) open(cmd string, paths []string) []*engine.TableFile {
 }
 
 // openOrCreate opens the table file, generating it only when the path does
-// not exist yet. An existing file that fails to open, or that stores the
-// other physical format (including compressed vs raw), is an error — never
-// overwritten (the user may have pointed -file at something else entirely).
+// not exist yet. An existing file that fails to open (one written in an
+// older format version included: the error says to remove and regenerate
+// it), or that stores the other physical format (including compressed vs
+// raw), is an error — never overwritten (the user may have pointed -file at
+// something else entirely).
 func (f tableFlags) openOrCreate(path string, offset uint64) (*engine.TableFile, error) {
 	if _, err := os.Stat(path); err == nil {
 		tf, err := engine.Open(path)
@@ -137,7 +139,7 @@ func (f *serverFlags) register(fs *flag.FlagSet, policy string, bufferMB int64) 
 	fs.Int64Var(&f.bufferMB, "buffer-mb", bufferMB, "buffer budget in MiB, shared by all tables and arbitrated between them")
 	fs.IntVar(&f.inflight, "inflight", 4, "bounded in-flight load queue depth (1 = serial loads)")
 	fs.Int64Var(&f.readMBs, "read-mbps", 0, "per-load-stream device bandwidth model in MiB/s (0 = page-cache speed)")
-	fs.BoolVar(&f.prune, "prune", false, "register Q6 scans with predicate ranges so zonemaps prune non-matching chunks")
+	fs.BoolVar(&f.prune, "prune", false, "register Q6 scans with predicate ranges so zonemaps prune non-matching chunks (every table file carries zonemaps)")
 	fs.StringVar(&f.faultPlan, "fault-plan", "", "injected-fault plan, e.g. transient=0.2,short=0.05,corrupt=0.01,latency=0.1:2ms,bad=OFF:LEN (empty = no faults)")
 	fs.Uint64Var(&f.faultSeed, "fault-seed", 1, "fault injection seed (per-table injectors seeded seed+i; same plan+seed injects identically)")
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -134,5 +136,36 @@ func TestUsageFailures(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Errorf("usage failures left %d files behind", len(left))
+	}
+}
+
+// TestOpenOrCreateKeepsOldFormatFile: a table file written in a format
+// version this build does not read is neither opened nor regenerated over —
+// the user is told to remove it — while a missing path is generated and a
+// second call reuses it.
+func TestOpenOrCreateKeepsOldFormatFile(t *testing.T) {
+	f := tableFlags{rows: 2_000, tpc: 500, seed: 3}
+	path := filepath.Join(t.TempDir(), "t.tbl")
+	for i := 0; i < 2; i++ {
+		tf, err := f.openOrCreate(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf.Close()
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old[8] = 3 // the header's version word: the format before this one
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.openOrCreate(path, 0)
+	if !errors.Is(err, engine.ErrBadVersion) || !strings.Contains(err.Error(), "remove the file and regenerate it") {
+		t.Fatalf("openOrCreate over a version-3 file: %v, want ErrBadVersion with the regenerate hint", err)
+	}
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
+		t.Fatal("openOrCreate overwrote the old-format file")
 	}
 }

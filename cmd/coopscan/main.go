@@ -14,12 +14,13 @@
 //
 //	coopscan live                  # 8 streams, all policies, tmp table file
 //	coopscan live -policy relevance -streams 16 -buffer-mb 32
-//	coopscan live -dsm -compress -prune   # compressed v4 extents + zonemap pruning
+//	coopscan live -prune           # zonemap pruning (every table file carries zonemaps)
+//	coopscan live -dsm -compress -prune   # the same over compressed extents
 //	coopscan multi                 # 2 tables × 8 streams, shared budget
 //	coopscan multi -tables 3 -inflight 8 -buffer-mb 48
 //
-// The create subcommand pre-generates a table file (NSM, DSM, or
-// compressed DSM with per-column schemes and zonemaps):
+// The create subcommand pre-generates a table file (NSM, DSM, or DSM
+// compressed under per-column schemes; all three carry zonemaps):
 //
 //	coopscan create -file lineitem.tbl -dsm -compress
 //

@@ -107,8 +107,9 @@ func (r *runResult) tableLine(table int, outs []liveOutcome) string {
 
 // diskLine renders the stored-vs-decoded byte accounting and the
 // zonemap-pruning counter, or nothing when no table diverges from the raw
-// path (raw files read decoded widths and prune nothing, so the line only
-// appears for compressed or predicated runs).
+// unpredicated path (raw files read decoded widths, and nothing prunes
+// without -prune, so the line only appears for compressed or predicated
+// runs).
 func diskLine(tables []engine.TableStats) string {
 	var disk, decoded, pruned int64
 	for _, ts := range tables {

@@ -1,12 +1,12 @@
 // BenchmarkLiveCompressedIO is the PR 10 perf artifact: the Q6-only live
 // workload (every planned query forced FAST) interleaved over a raw DSM
-// file and its compressed (v4) twin — same rows, same seed, byte-identical
+// file and its compressed twin — same rows, same seed, byte-identical
 // decoded pages — under a modelled device bandwidth of 64 MiB/s, the
 // `-read-mbps 64` scarcity where stored bytes are the resource that
 // matters. Each sub-benchmark reports
 //
 //   - disk-MiB/op — stored bytes the load workers actually transferred
-//     (compressed widths on v4, decoded widths on raw); the acceptance
+//     (compressed widths on the twin, decoded widths on raw); the acceptance
 //     ratio compressed/raw must come in ≤ 0.5 (measured ~0.13: the Q6
 //     projection compresses harder than the table average),
 //   - decoded-MiB/op — bufferpool footprint after decompression, which
@@ -45,9 +45,9 @@ const (
 	compressBenchReadBW = 64 << 20
 )
 
-// compressBenchFile builds the raw DSM table or its compressed (v4) twin:
-// same rows, tuples-per-chunk and seed, so decoded pages are byte-identical
-// and the A/B isolates the storage format.
+// compressBenchFile builds the raw DSM table or its compressed twin: same
+// rows, tuples-per-chunk and seed, so decoded pages are byte-identical and
+// the A/B isolates the columns' schemes.
 func compressBenchFile(b *testing.B, compressed bool) *engine.TableFile {
 	b.Helper()
 	var tf *engine.TableFile

@@ -152,16 +152,13 @@ type Scan struct {
 	OnChunk func(chunk int, firstRow, rows int64)
 }
 
-// System is an assembled simulation: a disk, a CPU pool, an ABM over one
-// layout, and a set of query streams. Build with NewSystem, add streams,
-// then call Run exactly once.
-type System struct {
-	env    *sim.Env
-	dsk    *disk.Disk
-	cpu    *sim.Resource
-	abm    *core.ABM
-	layout Layout
-	cfg    Config
+// simRun is what System and MultiSystem share: the simulated hardware, the
+// stream bookkeeping and the per-scan result slots.
+type simRun struct {
+	env *sim.Env
+	dsk *disk.Disk
+	cpu *sim.Resource
+	cfg Config
 
 	nStreams int
 	pending  int
@@ -172,6 +169,94 @@ type System struct {
 type scanSlot struct {
 	stream int
 	stats  ScanStats
+}
+
+// addStream schedules one stream: scans run sequentially from virtual time
+// startAt, scan i against the ABM and layout target(i) names, each with its
+// pro-rata CPU cost and row-range OnChunk hook; the last stream to finish
+// calls shutdown.
+func (r *simRun) addStream(startAt float64, scans []Scan, target func(i int) (*core.ABM, Layout), shutdown func()) {
+	if r.ran {
+		panic("coopscan: AddStream after Run")
+	}
+	if len(scans) == 0 {
+		panic("coopscan: empty stream")
+	}
+	for _, sc := range scans {
+		if sc.Ranges.Empty() {
+			panic(fmt.Sprintf("coopscan: scan %q has no ranges", sc.Name))
+		}
+	}
+	streamIdx := r.nStreams
+	r.nStreams++
+	base := len(r.results)
+	for range scans {
+		r.results = append(r.results, scanSlot{stream: streamIdx})
+	}
+	r.pending++
+	r.env.ProcessAt(fmt.Sprintf("stream-%d", streamIdx), startAt, func(p *sim.Proc) {
+		for i, sc := range scans {
+			abm, layout := target(i)
+			fullTuples := layout.ChunkTuples(0)
+			q := abm.NewQuery(sc.Name, sc.Ranges, sc.Columns)
+			opts := core.ScanOptions{CPU: r.cpu, Quantum: r.cfg.CPUQuantum}
+			if sc.CPUPerChunk > 0 {
+				per := sc.CPUPerChunk
+				opts.Cost = func(_ int, tuples int64) float64 {
+					if fullTuples <= 0 {
+						return per
+					}
+					return per * float64(tuples) / float64(fullTuples)
+				}
+			}
+			if sc.OnChunk != nil {
+				hook := sc.OnChunk
+				opts.OnChunk = func(chunk int) {
+					hook(chunk, int64(chunk)*fullTuples, layout.ChunkTuples(chunk))
+				}
+			}
+			r.results[base+i].stats = core.RunCScan(p, abm, q, opts)
+		}
+		r.pending--
+		if r.pending == 0 {
+			shutdown()
+		}
+	})
+}
+
+// run executes all streams to completion, once, and assembles the report
+// around the buffer-manager counters system reads afterwards.
+func (r *simRun) run(system func() SystemStats) (*Report, error) {
+	if r.ran {
+		return nil, fmt.Errorf("coopscan: Run called twice")
+	}
+	if r.nStreams == 0 {
+		return nil, fmt.Errorf("coopscan: no streams added")
+	}
+	r.ran = true
+	if err := r.env.Run(0); err != nil {
+		return nil, fmt.Errorf("coopscan: simulation stuck: %w", err)
+	}
+	rep := &Report{
+		System:         system(),
+		Disk:           r.dsk.Stats(),
+		Elapsed:        r.env.Now(),
+		CPUUtilisation: r.cpu.Utilisation(),
+	}
+	for _, slot := range r.results {
+		rep.Scans = append(rep.Scans, slot.stats)
+		rep.Streams = append(rep.Streams, slot.stream)
+	}
+	return rep, nil
+}
+
+// System is an assembled simulation: a disk, a CPU pool, an ABM over one
+// layout, and a set of query streams. Build with NewSystem, add streams,
+// then call Run exactly once.
+type System struct {
+	simRun
+	abm    *core.ABM
+	layout Layout
 }
 
 // NewSystem creates a system over the layout.
@@ -195,58 +280,16 @@ func NewSystem(layout Layout, cfg Config) *System {
 		Prefetch:        cfg.Prefetch,
 	})
 	return &System{
-		env: env, dsk: d, cpu: env.NewResource("cpu", cfg.CPUCores),
-		abm: abm, layout: layout, cfg: cfg,
+		simRun: simRun{env: env, dsk: d, cpu: env.NewResource("cpu", cfg.CPUCores), cfg: cfg},
+		abm:    abm, layout: layout,
 	}
 }
 
 // AddStream schedules scans to run sequentially, starting at virtual time
 // startAt seconds — the paper's notion of a query stream.
 func (s *System) AddStream(startAt float64, scans ...Scan) {
-	if s.ran {
-		panic("coopscan: AddStream after Run")
-	}
-	if len(scans) == 0 {
-		panic("coopscan: empty stream")
-	}
-	streamIdx := s.nStreams
-	s.nStreams++
-	base := len(s.results)
-	for _, sc := range scans {
-		s.results = append(s.results, scanSlot{stream: streamIdx})
-		if sc.Ranges.Empty() {
-			panic(fmt.Sprintf("coopscan: scan %q has no ranges", sc.Name))
-		}
-	}
-	s.pending++
 	scans = append([]Scan(nil), scans...)
-	fullTuples := s.layout.ChunkTuples(0)
-	s.env.ProcessAt(fmt.Sprintf("stream-%d", streamIdx), startAt, func(p *sim.Proc) {
-		for i, sc := range scans {
-			q := s.abm.NewQuery(sc.Name, sc.Ranges, sc.Columns)
-			opts := core.ScanOptions{CPU: s.cpu, Quantum: s.cfg.CPUQuantum}
-			if sc.CPUPerChunk > 0 {
-				per := sc.CPUPerChunk
-				opts.Cost = func(_ int, tuples int64) float64 {
-					if fullTuples <= 0 {
-						return per
-					}
-					return per * float64(tuples) / float64(fullTuples)
-				}
-			}
-			if sc.OnChunk != nil {
-				hook := sc.OnChunk
-				opts.OnChunk = func(chunk int) {
-					hook(chunk, int64(chunk)*fullTuples, s.layout.ChunkTuples(chunk))
-				}
-			}
-			s.results[base+i].stats = core.RunCScan(p, s.abm, q, opts)
-		}
-		s.pending--
-		if s.pending == 0 {
-			s.abm.Shutdown()
-		}
-	})
+	s.addStream(startAt, scans, func(int) (*core.ABM, Layout) { return s.abm, s.layout }, s.abm.Shutdown)
 }
 
 // Report is the outcome of a Run.
@@ -266,29 +309,7 @@ type Report struct {
 
 // Run executes all streams to completion and returns the report. It can be
 // called once per System.
-func (s *System) Run() (*Report, error) {
-	if s.ran {
-		return nil, fmt.Errorf("coopscan: Run called twice")
-	}
-	if s.nStreams == 0 {
-		return nil, fmt.Errorf("coopscan: no streams added")
-	}
-	s.ran = true
-	if err := s.env.Run(0); err != nil {
-		return nil, fmt.Errorf("coopscan: simulation stuck: %w", err)
-	}
-	rep := &Report{
-		System:         s.abm.Stats(),
-		Disk:           s.dsk.Stats(),
-		Elapsed:        s.env.Now(),
-		CPUUtilisation: s.cpu.Utilisation(),
-	}
-	for _, slot := range s.results {
-		rep.Scans = append(rep.Scans, slot.stats)
-		rep.Streams = append(rep.Streams, slot.stream)
-	}
-	return rep, nil
-}
+func (s *System) Run() (*Report, error) { return s.run(s.abm.Stats) }
 
 // Pace makes Run sleep factor×(virtual seconds) of wall time between
 // events, so examples can animate a simulation; call before Run.

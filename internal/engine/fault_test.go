@@ -237,7 +237,7 @@ func TestScanContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
-	_, err = srv.ScanContext(ctx, 0, "cancelled", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+	_, err = srv.ScanWith(ctx, ScanRequest{Name: "cancelled", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 		delivered++
 		cancel()
 	})
@@ -258,7 +258,7 @@ func TestScanContextCancellation(t *testing.T) {
 	// A context already expired at entry fails before any delivery.
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	st, err := srv.ScanContext(expired, 0, "expired", rangeSet(0, n), Q6Cols(), func(int, ChunkData) {
+	st, err := srv.ScanWith(expired, ScanRequest{Name: "expired", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(int, ChunkData) {
 		t.Error("expired context delivered a chunk")
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -409,7 +409,7 @@ func runFaultSoak(t *testing.T, seed uint64, pol core.Policy) {
 				defer cancel()
 			}
 			delivered := 0
-			_, errs[i] = srv.ScanContext(ctx, sc.table, sc.name, sc.ranges, sc.cols, func(c int, d ChunkData) {
+			_, errs[i] = srv.ScanWith(ctx, ScanRequest{Table: sc.table, Name: sc.name, Ranges: sc.ranges, Cols: sc.cols}, func(c int, d ChunkData) {
 				results[i].Add(Q6Chunk(d, exec.DefaultQ6()))
 				delivered++
 				if sc.cancel {

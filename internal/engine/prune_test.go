@@ -1,5 +1,5 @@
-// Compressed live-path and zonemap-pruning tests: the engine over v4 files
-// must deliver golden-checked results under every policy, pruned scans must
+// Compressed live-path and zonemap-pruning tests: the engine over compressed
+// files must deliver golden-checked results under every policy, pruned scans must
 // register only the chunks whose persisted bounds can match — without ever
 // changing a query's aggregate — and the disk-byte accounting must show the
 // compressed widths the device actually paid.
@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -214,13 +215,12 @@ func TestZonemapPruningSelectivity(t *testing.T) {
 
 // TestPruningEdgeCases covers the pruning contract around the happy path:
 // an all-excluding predicate completes with zero chunks and no
-// registration, predicates on columns without bounds (v3 files, the
-// comment filler) prune nothing, and out-of-range predicate columns are
-// rejected as invalid.
+// registration, a predicate on the column without bounds (the comment
+// filler) prunes nothing, every stored shape of one seed prunes alike, and
+// out-of-range predicate columns are rejected as invalid.
 func TestPruningEdgeCases(t *testing.T) {
 	const rows, tpc = 16_000, 1000
 	v4 := newTestFileCompressed(t, rows, tpc, 9)
-	raw := newTestFileFormat(t, DSM, rows, tpc, 9)
 	n := v4.NumChunks()
 	pred := exec.DefaultQ6()
 
@@ -290,23 +290,42 @@ func TestPruningEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("raw v3 table ignores predicates", func(t *testing.T) {
-		rawSrv, err := NewServer(ServerConfig{Policy: core.Normal, BufferBytes: 4 * raw.ChunkBytes()}, raw)
-		if err != nil {
-			t.Fatal(err)
+	t.Run("raw and compressed twins prune the same chunk set", func(t *testing.T) {
+		// Every file carries bounds, computed from the same values: an NSM
+		// file, a raw DSM file and a compressed DSM file of one seed keep
+		// exactly the chunks the compressed one does, and pruning changes no
+		// aggregate.
+		want := wantPrunedChunks(v4, Q6Preds(pred))
+		if len(want) == 0 || len(want) == n {
+			t.Fatalf("predicate keeps %d of %d chunks: nothing to compare", len(want), n)
 		}
-		defer rawSrv.Close()
-		st, err := rawSrv.ScanWith(context.Background(), ScanRequest{
-			Name: "v3-pred", Ranges: rangeSet(0, n), Cols: Q6Cols(), Preds: Q6Preds(pred),
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Chunks != n {
-			t.Errorf("v3 predicated scan delivered %d chunks, want all %d (no bounds, no pruning)", st.Chunks, n)
-		}
-		if got := rawSrv.Stats().Tables[0].ChunksPruned; got != 0 {
-			t.Errorf("v3 table ChunksPruned = %d, want 0", got)
+		for _, shape := range storedShapes {
+			name, tf := shape.name, shape.create(t, rows, tpc, 9)
+			twin := newTestServer(t, ServerConfig{Policy: core.Normal, BufferBytes: 4 * tf.ChunkBytes()}, tf)
+			var unpruned, pruned exec.Q6Result
+			if _, err := twin.Scan(0, "unpruned", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+				unpruned.Add(Q6Chunk(d, pred))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			delivered := map[int]bool{}
+			if _, err := twin.ScanWith(context.Background(), ScanRequest{
+				Name: "pruned", Ranges: rangeSet(0, n), Cols: Q6Cols(), Preds: Q6Preds(pred),
+			}, func(c int, d ChunkData) {
+				delivered[c] = true
+				pruned.Add(Q6Chunk(d, pred))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(delivered, want) {
+				t.Errorf("%s delivered chunks %v, want %v", name, delivered, want)
+			}
+			if pruned != unpruned {
+				t.Errorf("%s pruned Q6 = %+v, want %+v (pruning changed the aggregate)", name, pruned, unpruned)
+			}
+			if got := twin.Stats().Tables[0].ChunksPruned; got != int64(n-len(want)) {
+				t.Errorf("%s ChunksPruned = %d, want %d", name, got, n-len(want))
+			}
 		}
 	})
 }

@@ -19,7 +19,7 @@ import (
 // immediately by a Scan entered after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrChunkUnavailable is returned by Scan/ScanContext when a part the scan
+// ErrChunkUnavailable is returned by Scan/ScanWith when a part the scan
 // still needs was quarantined: a load of it exhausted its retries against a
 // persistent fault. Only scans whose remaining range and column set touch
 // the quarantined part fail; sibling queries, other chunks and other tables
@@ -1049,7 +1049,7 @@ func (s *Server) readParts(job loadJob) (ioStats, error) {
 		s.o.decodedBytes.Add(iost.bytes)
 		s.o.readSeconds.Observe((iost.end.Sub(iost.start) - iost.verify - iost.decomp).Seconds())
 		s.o.verifySeconds.Observe(iost.verify.Seconds())
-		if t.tf.Compressed() {
+		if iost.decomp > 0 {
 			s.o.decompressSeconds.Observe(iost.decomp.Seconds())
 		}
 	}
@@ -1120,28 +1120,17 @@ func (s *Server) TableName(i int) string {
 // projection still drives the useful-bytes accounting in the returned
 // stats. It blocks until the scan has consumed its whole range and returns
 // the query's statistics (times are wall-clock seconds since server
-// start). Scan is ScanContext without a deadline.
+// start). Scan is ScanWith under the background context.
 func (s *Server) Scan(table int, name string, ranges storage.RangeSet, cols storage.ColSet, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
-	return s.ScanContext(context.Background(), table, name, ranges, cols, onChunk)
-}
-
-// ScanContext is Scan under a context: when ctx is cancelled or its
-// deadline passes, the scan — even one parked on its stream's condition
-// variable waiting for a chunk that may never load — wakes, unregisters its
-// query, releases nothing it still holds (pins are only held inside a
-// delivery, never across the wait), and returns ctx's error. Cancellation
-// is observed between chunk deliveries: an onChunk already in progress runs
-// to completion. A nil ctx is Background.
-func (s *Server) ScanContext(ctx context.Context, table int, name string, ranges storage.RangeSet, cols storage.ColSet, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
-	return s.ScanWith(ctx, ScanRequest{Table: table, Name: name, Ranges: ranges, Cols: cols}, onChunk)
+	return s.ScanWith(context.Background(), ScanRequest{Table: table, Name: name, Ranges: ranges, Cols: cols}, onChunk)
 }
 
 // PredRange is one conjunct of a scan's predicate: column Col's value lies
 // in [Lo, Hi], inclusive. The engine uses it only to prune — chunks whose
 // persisted zonemap bounds cannot intersect the interval are dropped from
 // the registration — so a predicate is always safe to pass: tuple-level
-// filtering stays the kernel's job, and on tables without bounds (v3 files,
-// the comment column) the predicate simply prunes nothing.
+// filtering stays the kernel's job, and on the one column without bounds
+// (the comment filler) the predicate simply prunes nothing.
 type PredRange struct {
 	Col    int
 	Lo, Hi int64
@@ -1169,8 +1158,13 @@ type ScanRequest struct {
 	Preds []PredRange
 }
 
-// ScanWith is ScanContext with per-request options (currently the SLO
-// weight); the serve front-end's session path.
+// ScanWith is the full scan request — per-request options included — under
+// a context: when ctx is cancelled or its deadline passes, the scan — even
+// one parked on its stream's condition variable waiting for a chunk that may
+// never load — wakes, unregisters its query, releases nothing it still holds
+// (pins are only held inside a delivery, never across the wait), and returns
+// ctx's error. Cancellation is observed between chunk deliveries: an onChunk
+// already in progress runs to completion. A nil ctx is Background.
 func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1206,10 +1200,10 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 		return core.Stats{}, fmt.Errorf("%w: scan %q reads columns %v beyond the stored %d", ErrInvalidColumns, req.Name, bad, NumCols)
 	}
 	// Zonemap pruning: drop every chunk whose persisted bounds exclude a
-	// predicate before the query ever reaches the scheduler. Predicates
-	// over columns without bounds (v3 files, the comment filler) prune
-	// nothing — they are hints, never filters, so correctness cannot
-	// depend on them. An empty Lo>Hi interval legitimately prunes
+	// predicate before the query ever reaches the scheduler. A predicate
+	// over the column without bounds (the comment filler) prunes nothing —
+	// predicates are hints, never filters, so correctness cannot depend on
+	// them. An empty Lo>Hi interval legitimately prunes
 	// everything (e.g. a quantity filter below the column's domain).
 	if len(req.Preds) > 0 {
 		for _, p := range req.Preds {

@@ -26,10 +26,12 @@
 // bandwidth as the scarce resource — when the table files sit in the OS
 // page cache, where re-reads would otherwise be free.
 //
-// TableFile (this file) is the storage format: a 64-byte header, a
-// per-page checksum table, then NumChunks × NumCols fixed-size column
-// stripes of deterministic tpch-generated data, in one of two physical
-// orders:
+// TableFile (this file) is the storage format, and there is one: a 64-byte
+// header, a metadata region (per-page checksums, per-column schemes,
+// per-page extent lengths, per-column zonemap bounds — see
+// docs/ARCHITECTURE.md), then NumChunks × NumCols column stripes of
+// deterministic tpch-generated data, each stored either as its raw bytes
+// (identity) or under a per-column codec, in one of two physical orders:
 //
 //   - NSM: chunk-major (PAX-style) — all of chunk 0's stripes, then all of
 //     chunk 1's. A chunk is one contiguous region; loading it means loading
@@ -54,6 +56,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -158,25 +161,25 @@ func (f Format) String() string {
 }
 
 const (
-	tableMagic   = uint64(0x434f4f504c495645) // "COOPLIVE"
-	tableVersion = 3                          // v3: per-page checksum table after the header
-	// tableVersionCompressed is the v4 DSM-only format: each (chunk,column)
-	// extent is stored compressed under a per-column compress.Scheme, with a
-	// per-extent length directory and a per-column zonemap footer between
-	// the checksum table and the data region. Checksums cover the stored
-	// (compressed) bytes; readers decompress at load time into fixed-width
-	// frames, so everything downstream of the read path is unchanged.
-	tableVersionCompressed = 4
-	headerBytes            = 64
+	tableMagic = uint64(0x434f4f504c495645) // "COOPLIVE"
+	// fileVersion is the one format this build writes and reads. Every
+	// (chunk, column) stripe is an extent stored under its column's scheme —
+	// identity (the raw stripe bytes) or a compress.Scheme — with a checksum
+	// over the stored bytes, a stored length and persisted zonemap bounds in
+	// the metadata region between the header and the data. Readers land
+	// every extent as fixed-width words, so everything downstream of the
+	// read path sees decoded stripes whatever the file stores.
+	fileVersion = 4
+	headerBytes = 64
 )
 
 // schemeIdentity marks a column whose extents are stored as the raw stripe
-// bytes (no codec): the comment filler, and any column where the sampled
-// codecs fail to beat raw. It deliberately does not collide with the
-// compress.Scheme space.
+// bytes (no codec): every column of a file created without compression, the
+// comment filler, and any column where the sampled codecs fail to beat raw.
+// It deliberately does not collide with the compress.Scheme space.
 const schemeIdentity = 0xFF
 
-// schemeTableBytes is the v4 per-column scheme table size, padded to an
+// schemeTableBytes is the per-column scheme table size, padded to an
 // 8-byte boundary so the extent directory after it stays aligned.
 const schemeTableBytes = (NumCols + 7) &^ 7
 
@@ -184,8 +187,8 @@ const schemeTableBytes = (NumCols + 7) &^ 7
 // CRC32-C is hardware-accelerated on amd64/arm64 (~30 GB/s vs ~2 GB/s for
 // the table-driven CRC64), which is what keeps verification invisible next
 // to page-cache read speed. Each sum still occupies a fixed 8-byte slot in
-// the file's checksum table (zero-extended), so the v3 layout has room for
-// a wider checksum without moving the data region.
+// the file's checksum table (zero-extended), so the layout has room for a
+// wider checksum without moving the data region.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // pageChecksum is the per-page checksum as stored in the file's table.
@@ -198,7 +201,8 @@ var (
 	// foreign, or the header itself was torn).
 	ErrBadMagic = errors.New("engine: bad table file magic")
 	// ErrBadVersion: a table file, but a format version this build does not
-	// read.
+	// read. Table files are a deterministic function of (rows,
+	// tuples-per-chunk, seed): remove the file and regenerate it.
 	ErrBadVersion = errors.New("engine: unsupported table file version")
 	// ErrBadGeometry: header fields that cannot describe a real table
 	// (non-positive sizes, wrong column count, unknown format, or a file
@@ -212,7 +216,7 @@ var (
 	ErrChecksum = errors.New("engine: page checksum mismatch")
 )
 
-// ErrCorrupt re-exports the codec's decode failure: a v4 extent whose stored
+// ErrCorrupt re-exports the codec's decode failure: a coded extent whose stored
 // bytes passed their CRC but do not decode to exactly one stripe of values.
 // Like ErrChecksum it arrives wrapped in a *PageError, so the load path
 // quarantines the precise (chunk, column) part instead of delivering wrong
@@ -230,16 +234,17 @@ type PageError struct {
 func (e *PageError) Error() string { return e.Err.Error() }
 func (e *PageError) Unwrap() error { return e.Err }
 
-// TableFile is a table stored as a real chunked file: a 64-byte header, a
-// checksum table (one CRC32-C per page, in an 8-byte slot), then NumChunks × NumCols column
-// stripes in chunk-major (NSM) or column-major (DSM) order. Chunk/extent
-// geometry is described by a storage.Layout so the ABM schedules over it
-// exactly like a simulated table.
+// TableFile is a table stored as a real chunked file: a 64-byte header, the
+// metadata region, then NumChunks × NumCols extents in chunk-major (NSM) or
+// column-major (DSM) order. Chunk/extent geometry is described by a
+// storage.Layout so the ABM schedules over it exactly like a simulated
+// table.
 //
 // The unit of addressing is the page: one (chunk, column) stripe. Page p's
-// size and file position depend on the format (see PageBytes/PartPages);
-// consecutive page indexes are always contiguous in the file, so a run of
-// pages can be read with a single positioned read (ReadPageRange).
+// decoded size depends on its column (PageBytes), its stored size and file
+// position on the extent directory; consecutive page indexes are always
+// contiguous in the file, so a run of pages can be read with a single
+// positioned read (ReadPageRange).
 type TableFile struct {
 	f              *os.File
 	r              io.ReaderAt // page-read path; WrapReader swaps in fault injection
@@ -248,27 +253,27 @@ type TableFile struct {
 	tuplesPerChunk int64
 	seed           uint64
 	format         Format
-	version        int
 	layout         storage.Layout
 	numChunks      int
-	dataOff        int64          // data region start: header + checksum table (+ v4 directories)
-	sums           []uint64       // per-page checksums (page-index order)
-	stripeOff      [NumCols]int64 // NSM: stripe j's offset within a chunk
-	colBase        [NumCols]int64 // DSM: column j's offset within the data region
+	dataOff        int64          // data region start: header + metadata region
+	stripeOff      [NumCols]int64 // NSM: stripe j's offset within a decoded chunk
 
-	// v4 (compressed) state. schemes holds each column's compress.Scheme
-	// byte (schemeIdentity for raw-stored columns); extLen/extOff are the
-	// stored length and data-region offset of every page in page-index
-	// order (offsets are prefix sums, so consecutive pages stay contiguous
-	// and coalesced run reads still work); zones are the persisted
-	// per-column chunk bounds (nil for the comment filler and on v3 files).
+	// The metadata region, as loadMeta parsed it. schemes holds each
+	// column's compress.Scheme byte (schemeIdentity for raw-stored columns)
+	// and coded whether any column has one; sums are the per-page checksums
+	// of the stored bytes; extOff[p] is page p's offset within the data
+	// region, with one entry past the last page (prefix sums of the stored
+	// lengths, so consecutive pages are contiguous and a run coalesces into
+	// one read); zones are the per-column chunk bounds (nil for the comment
+	// filler, whose bytes are not ordered values).
 	schemes [NumCols]byte
-	extLen  []int64
+	coded   bool
+	sums    []uint64
 	extOff  []int64
 	zones   [NumCols]*storage.ZoneMap
-	// storedScratch pools the stored-byte scratch (*[]byte) the v4 read path
-	// preads one coalesced run of compressed extents into; the decoded values
-	// go straight into the caller's words.
+	// storedScratch pools the stored-byte scratch (*[]byte) a run holding a
+	// coded extent is read into; the decoded values go straight into the
+	// caller's words. Identity runs never touch it.
 	storedScratch sync.Pool
 }
 
@@ -316,86 +321,60 @@ func (t *TableFile) Path() string { return t.path }
 // Close closes the underlying file.
 func (t *TableFile) Close() error { return t.f.Close() }
 
+// pageStripe returns the chunk and stored column whose stripe is page p:
+// pages run column-major in DSM, chunk-major in NSM.
+func (t *TableFile) pageStripe(p int64) (chunk, col int) {
+	if t.format == DSM {
+		return int(p % int64(t.numChunks)), int(p / int64(t.numChunks))
+	}
+	return int(p / NumCols), int(p % NumCols)
+}
+
 // pageCol returns the column a page belongs to.
 func (t *TableFile) pageCol(p int64) int {
-	if t.format == DSM {
-		return int(p / int64(t.numChunks))
-	}
-	return int(p % NumCols)
+	_, col := t.pageStripe(p)
+	return col
 }
 
 // PageBytes returns the size of page p as the engine buffers it: always the
-// decompressed fixed-width stripe, whatever is stored on disk.
+// decoded fixed-width stripe, whatever is stored on disk.
 func (t *TableFile) PageBytes(p int64) int64 { return t.ColStripeBytes(t.pageCol(p)) }
 
-// StoredPageBytes returns the bytes page p occupies on disk: the compressed
-// extent length on v4 files, PageBytes otherwise. This is what the device
+// StoredPageBytes returns the bytes page p occupies on disk: PageBytes for
+// an identity extent, the coded length otherwise. This is what the device
 // (and the -read-mbps bandwidth model) actually pays per page.
-func (t *TableFile) StoredPageBytes(p int64) int64 {
-	if t.version == tableVersionCompressed {
-		return t.extLen[p]
-	}
-	return t.PageBytes(p)
-}
+func (t *TableFile) StoredPageBytes(p int64) int64 { return t.StoredRunBytes(p, 1) }
 
 // StoredRunBytes sums StoredPageBytes over a run of consecutive pages.
 func (t *TableFile) StoredRunBytes(first int64, count int) int64 {
-	var total int64
-	for p := first; p < first+int64(count); p++ {
-		total += t.StoredPageBytes(p)
-	}
-	return total
+	return t.extOff[first+int64(count)] - t.extOff[first]
 }
 
-// Compressed reports whether the file stores v4 compressed extents.
-func (t *TableFile) Compressed() bool { return t.version == tableVersionCompressed }
+// Compressed reports whether any column is stored under a codec.
+func (t *TableFile) Compressed() bool { return t.coded }
 
 // StoredBytes returns the size of the on-disk data region: the sum of every
-// stored extent. On v3 files this equals NumChunks×ChunkBytes; on v4 files
-// it is the compressed footprint the ratio reports compare against raw.
-func (t *TableFile) StoredBytes() int64 {
-	if t.version == tableVersionCompressed {
-		return t.StoredRunBytes(0, int(t.NumPages()))
-	}
-	return int64(t.numChunks) * t.ChunkBytes()
-}
+// stored extent — NumChunks×ChunkBytes when every column is identity, the
+// compressed footprint the ratio reports compare against it otherwise.
+func (t *TableFile) StoredBytes() int64 { return t.extOff[t.NumPages()] }
 
 // ColScheme returns the compress.Scheme column col's extents are stored
-// under, with ok=false when the column is stored as raw stripe bytes
-// (identity columns on v4 files, and every column on v3 files).
+// under, with ok=false when the column is stored as raw stripe bytes.
 func (t *TableFile) ColScheme(col int) (compress.Scheme, bool) {
-	if t.version != tableVersionCompressed || t.schemes[col] == schemeIdentity {
+	if t.schemes[col] == schemeIdentity {
 		return 0, false
 	}
 	return compress.Scheme(t.schemes[col]), true
 }
 
-// ZoneMap returns the persisted per-chunk bounds of column col, or nil when
-// the file carries none (v3 files, and the comment filler whose bytes are
-// not ordered values). The returned map is shared and must not be mutated.
+// ZoneMap returns the persisted per-chunk bounds of column col, or nil for
+// the one column that carries none (the comment filler, whose bytes are not
+// ordered values). The returned map is shared and must not be mutated.
 func (t *TableFile) ZoneMap(col int) *storage.ZoneMap {
 	if col < 0 || col >= NumCols {
 		return nil
 	}
 	return t.zones[col]
-}
-
-// pageOffset returns page p's position within the data region. Consecutive
-// pages are contiguous in both formats (stripes tile the chunk in NSM, the
-// column in DSM, and chunks/columns tile the file — and the v4 extent
-// directory is built as prefix sums in page order), which is what lets
-// ReadPageRange coalesce a run of pages into one positioned read.
-func (t *TableFile) pageOffset(p int64) int64 {
-	if t.version == tableVersionCompressed {
-		return t.extOff[p]
-	}
-	if t.format == DSM {
-		col := int(p / int64(t.numChunks))
-		chunk := p % int64(t.numChunks)
-		return t.colBase[col] + chunk*t.ColStripeBytes(col)
-	}
-	chunk := p / NumCols
-	return chunk*t.ChunkBytes() + t.stripeOff[p%NumCols]
 }
 
 // PartPages returns the page run backing one ABM part: the whole chunk
@@ -425,10 +404,11 @@ func (t *TableFile) stripes(dst [][]int64, chunk []int64) [][]int64 {
 // PagePart is PartPages' inverse: the ABM part page p belongs to —
 // (chunk, col) in DSM, (chunk, -1) in NSM.
 func (t *TableFile) PagePart(p int64) (chunk, col int) {
-	if t.format == DSM {
-		return int(p % int64(t.numChunks)), int(p / int64(t.numChunks))
+	chunk, col = t.pageStripe(p)
+	if t.format == NSM {
+		col = -1
 	}
-	return int(p / NumCols), -1
+	return chunk, col
 }
 
 // PartFileRange returns the absolute file byte range of one ABM part — the
@@ -436,12 +416,11 @@ func (t *TableFile) PagePart(p int64) (chunk, col int) {
 // (chunk, column) part.
 func (t *TableFile) PartFileRange(chunk, col int) (off, size int64) {
 	first, count := t.PartPages(chunk, col)
-	off = t.dataOff + t.pageOffset(first)
-	return off, t.StoredRunBytes(first, count)
+	return t.dataOff + t.extOff[first], t.StoredRunBytes(first, count)
 }
 
 // ReadPageRange reads count consecutive pages starting at page first into
-// buf (their summed sizes long) with a single positioned read — the
+// buf (their summed decoded sizes long) with a single positioned read — the
 // coalesced per-extent read of the live load path. Every page's checksum is
 // verified against the file's checksum table before the bytes are accepted;
 // a mismatch (or a read error) comes back tagged with the failing page as a
@@ -459,119 +438,117 @@ func (t *TableFile) ReadPageRange(first int64, count int, buf []byte) error {
 	return t.readPageRange(first, count, dst, nil, nil)
 }
 
+// identityRun reports whether every page of the run is stored as its raw
+// stripe bytes, read from the file's own scheme table. Only DSM files are
+// coded, and there a run of pages spans a run of columns.
+func (t *TableFile) identityRun(first int64, count int) bool {
+	if !t.coded {
+		return true
+	}
+	for j, last := t.pageCol(first), t.pageCol(first+int64(count)-1); j <= last; j++ {
+		if t.schemes[j] != schemeIdentity {
+			return false
+		}
+	}
+	return true
+}
+
+// extent returns page p's stored bytes within run, the stored bytes of a run
+// of pages that starts at page first.
+func (t *TableFile) extent(run []byte, first, p int64) []byte {
+	return run[t.extOff[p]-t.extOff[first] : t.extOff[p+1]-t.extOff[first]]
+}
+
+// lap adds the wall time since start to *d, when the caller collects it.
+func lap(d *time.Duration, start time.Time) {
+	if d != nil {
+		*d += time.Since(start)
+	}
+}
+
 // readPageRange is the one landing routine — of ReadPageRange's byte
-// buffers and of the load path's frames alike — with wall-time collectors:
-// when verify or decomp are non-nil, the time spent in checksum verification
-// and (on v4 files) extent decompression is added to them, so the
-// instrumented load path can report read, verify and decompress latency
-// separately. dst is the pages' decoded words.
+// buffers and of the load path's frames alike: one positioned read of the
+// coalesced stored run, a CRC over every extent's stored bytes, and the
+// pages' decoded words in dst. An identity run is read straight into dst
+// and verified in place; a run holding a coded extent is read into pooled
+// scratch and decoded into dst — the codec's output is the part, there is
+// no second pass over the values. CRC failures surface as ErrChecksum and
+// post-CRC decode failures as ErrCorrupt, both wrapped in a *PageError
+// naming the precise page, so the engine retries or quarantines exactly the
+// affected part and a corrupt extent can never decode into wrong tuples.
+// When verify or decomp are non-nil, the time spent verifying and decoding
+// is added to them, so the instrumented load path can report read, verify
+// and decompress latency separately.
 func (t *TableFile) readPageRange(first int64, count int, dst []int64, verify, decomp *time.Duration) error {
+	end := first + int64(count)
 	var want int64
-	for p := first; p < first+int64(count); p++ {
+	for p := first; p < end; p++ {
 		want += t.PageBytes(p)
 	}
 	if int64(len(dst))*8 != want {
 		return fmt.Errorf("engine: ReadPageRange buffer %d bytes, want %d", len(dst)*8, want)
 	}
-	if t.version == tableVersionCompressed {
-		return t.readPageRangeV4(first, count, dst, verify, decomp)
+	stored := wordBytes(dst)
+	inPlace := t.identityRun(first, count)
+	if !inPlace {
+		sc, _ := t.storedScratch.Get().(*[]byte)
+		if sc == nil {
+			sc = new([]byte)
+		}
+		defer t.storedScratch.Put(sc)
+		n := t.StoredRunBytes(first, count)
+		if int64(cap(*sc)) < n {
+			*sc = make([]byte, n)
+		}
+		stored = (*sc)[:n]
 	}
-	buf := wordBytes(dst)
-	if _, err := t.r.ReadAt(buf, t.dataOff+t.pageOffset(first)); err != nil {
+	if _, err := t.r.ReadAt(stored, t.dataOff+t.extOff[first]); err != nil {
 		return &PageError{Page: first, Err: err}
 	}
-	var vstart time.Time
-	if verify != nil {
-		vstart = time.Now()
+	start := time.Now()
+	for p := first; p < end; p++ {
+		if got := pageChecksum(t.extent(stored, first, p)); got != t.sums[p] {
+			lap(verify, start)
+			chunk, col := t.PagePart(p)
+			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
+				t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
+		}
 	}
+	lap(verify, start)
+	if inPlace {
+		return nil
+	}
+	start = time.Now()
+	err := t.decodeRun(first, end, dst, stored)
+	lap(decomp, start)
+	return err
+}
+
+// decodeRun decodes the verified stored bytes of pages [first, end) into
+// their words in dst.
+func (t *TableFile) decodeRun(first, end int64, dst []int64, stored []byte) error {
 	var off int64
-	for p := first; p < first+int64(count); p++ {
-		n := t.PageBytes(p)
-		if got := pageChecksum(buf[off : off+n]); got != t.sums[p] {
-			if verify != nil {
-				*verify += time.Since(vstart)
-			}
-			return t.checksumError(p, got)
-		}
-		off += n
-	}
-	if verify != nil {
-		*verify += time.Since(vstart)
-	}
-	return nil
-}
-
-// checksumError is the typed failure of page p whose bytes summed to got.
-func (t *TableFile) checksumError(p int64, got uint64) error {
-	chunk, col := t.PagePart(p)
-	return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
-		t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
-}
-
-// readPageRangeV4 is the compressed read path: one positioned read of the
-// coalesced stored run into pooled scratch, per-extent CRC over the stored
-// bytes, then per-extent decode straight into the caller's words — the
-// codec's output is the part, there is no second pass over the values. CRC
-// failures surface as ErrChecksum and post-CRC decode failures as
-// ErrCorrupt, both wrapped in a *PageError naming the precise page, so the
-// engine retries or quarantines exactly the affected (chunk, column) part
-// and a corrupt extent can never decode into wrong tuples.
-func (t *TableFile) readPageRangeV4(first int64, count int, dst []int64, verify, decomp *time.Duration) error {
-	stored := t.StoredRunBytes(first, count)
-	sc, _ := t.storedScratch.Get().(*[]byte)
-	if sc == nil {
-		sc = new([]byte)
-	}
-	defer t.storedScratch.Put(sc)
-	if int64(cap(*sc)) < stored {
-		*sc = make([]byte, stored)
-	}
-	raw := (*sc)[:stored]
-	if _, err := t.r.ReadAt(raw, t.dataOff+t.extOff[first]); err != nil {
-		return &PageError{Page: first, Err: err}
-	}
-	var off, roff int64
-	for p := first; p < first+int64(count); p++ {
-		ext := raw[roff : roff+t.extLen[p]]
-		var vstart time.Time
-		if verify != nil {
-			vstart = time.Now()
-		}
-		got := pageChecksum(ext)
-		if verify != nil {
-			*verify += time.Since(vstart)
-		}
-		if got != t.sums[p] {
-			return t.checksumError(p, got)
-		}
+	for p := first; p < end; p++ {
+		ext := t.extent(stored, first, p)
 		n := t.PageBytes(p) / 8
 		// Capped at the page, so an extent claiming more values than a stripe
 		// decodes elsewhere (and fails the length check) instead of running
 		// over the next page's words.
 		page := dst[off : off+n : off+n]
-		var dstart time.Time
-		if decomp != nil {
-			dstart = time.Now()
-		}
-		chunk, col := t.PagePart(p)
+		off += n
+		chunk, col := t.pageStripe(p)
 		if t.schemes[col] == schemeIdentity {
 			copy(wordBytes(page), ext)
-		} else {
-			vals, err := compress.DecodeIntsInto(page, ext)
-			if err != nil {
-				return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decode: %w",
-					t.path, p, chunk, col, err)}
-			}
-			if int64(len(vals)) != t.tuplesPerChunk {
-				return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decoded %d values, want %d: %w",
-					t.path, p, chunk, col, len(vals), t.tuplesPerChunk, ErrCorrupt)}
-			}
+			continue
 		}
-		if decomp != nil {
-			*decomp += time.Since(dstart)
+		vals, err := compress.DecodeIntsInto(page, ext)
+		if err == nil && int64(len(vals)) != t.tuplesPerChunk {
+			err = fmt.Errorf("decoded %d values, want %d: %w", len(vals), t.tuplesPerChunk, ErrCorrupt)
 		}
-		off += n
-		roff += t.extLen[p]
+		if err != nil {
+			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decode: %w",
+				t.path, p, chunk, col, err)}
+		}
 	}
 	return nil
 }
@@ -616,11 +593,15 @@ func fillerWord(seed uint64, row int64, k int) uint64 {
 }
 
 // fillStripe renders the stripe of column j, chunk c (n valid tuples) into
-// buf, zero-padding the short last chunk.
-func fillStripe(gen *tpch.Generator, seed uint64, c int, j int, tpc int64, n int64, vals []int64, buf []byte) {
+// buf, zero-padding the short last chunk (in vals too), and returns the
+// bounds of the valid values — the chunk's zonemap entry, taken in the loop
+// that already visits each value. The comment filler holds no ordered
+// values: its bounds are the whole int64 range.
+func fillStripe(gen *tpch.Generator, seed uint64, c int, j int, tpc int64, n int64, vals []int64, buf []byte) (lo, hi int64) {
 	start := int64(c) * tpc
 	w := colWidths[j]
 	if j == ColComment {
+		lo, hi = math.MinInt64, math.MaxInt64
 		words := int(w / 8)
 		for i := int64(0); i < n; i++ {
 			for k := 0; k < words; k++ {
@@ -628,112 +609,32 @@ func fillStripe(gen *tpch.Generator, seed uint64, c int, j int, tpc int64, n int
 			}
 		}
 	} else {
+		lo, hi = math.MaxInt64, math.MinInt64
 		gen.Column(tpchCols[j], start, vals[:n])
-		for i := int64(0); i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*w:], uint64(vals[i]))
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[int64(i)*w:], uint64(v))
+			lo, hi = min(lo, v), max(hi, v)
 		}
+		clear(vals[n:])
 	}
-	for i := n * w; i < int64(len(buf)); i++ {
-		buf[i] = 0
-	}
+	clear(buf[n*w:])
+	return lo, hi
 }
 
-// Create generates an NSM (chunk-major) table file of the given row count
-// at path: real TPC-H lineitem-like data from the deterministic tpch
-// generator, written chunk by chunk. Files are padded to whole chunks
-// (trailing rows of the last chunk are zero).
-func Create(path string, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
-	return CreateFormat(path, NSM, rows, tuplesPerChunk, seed)
-}
-
-// CreateFormat is Create with an explicit physical format: chunk-major NSM
-// stripes, or column-major DSM extents (each column contiguous, so queries
-// read only the columns they project).
+// CreateFormat generates a table file of the given row count at path, every
+// column stored as its raw stripe bytes: real TPC-H lineitem-like data from
+// the deterministic tpch generator, in chunk-major NSM stripes or
+// column-major DSM extents (each column contiguous, so queries read only
+// the columns they project). Files are padded to whole chunks (trailing
+// rows of the last chunk are zero).
 func CreateFormat(path string, format Format, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
-	if rows <= 0 || tuplesPerChunk <= 0 {
-		return nil, fmt.Errorf("engine: Create(rows=%d, tuplesPerChunk=%d)", rows, tuplesPerChunk)
-	}
-	if format != NSM && format != DSM {
-		return nil, fmt.Errorf("engine: Create with unknown format %d", int(format))
-	}
-	if err := checkByteOrder(); err != nil {
-		return nil, err
-	}
-	table := tpch.LineitemTable(1)
-	table.Rows = rows
-	gen := tpch.NewGenerator(table, seed)
+	return create(path, format, rows, tuplesPerChunk, seed, false)
+}
 
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	// On any failure below, remove the partial file: a truncated table at
-	// this path would make every later Open fail instead of regenerating.
-	abort := func(err error) (*TableFile, error) {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint64(hdr[0:], tableMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], tableVersion)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(rows))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(tuplesPerChunk))
-	binary.LittleEndian.PutUint64(hdr[32:], seed)
-	binary.LittleEndian.PutUint64(hdr[40:], NumCols)
-	binary.LittleEndian.PutUint64(hdr[48:], uint64(format))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return abort(err)
-	}
-
-	t := newTableFile(f, path, format, rows, tuplesPerChunk, seed, tableVersion)
-	// Reserve the checksum table with zeros; the real sums are computed as
-	// the stripes stream out and written in place before the final sync, so
-	// a crash mid-create can never leave valid-looking checksums.
-	sumBytes := make([]byte, t.NumPages()*8)
-	if _, err := w.Write(sumBytes); err != nil {
-		return abort(err)
-	}
-	vals := make([]int64, tuplesPerChunk)
-	stripe := make([]byte, tuplesPerChunk*maxColWidth())
-	writeStripe := func(c, j, page int) error {
-		buf := stripe[:t.ColStripeBytes(j)]
-		fillStripe(gen, seed, c, j, tuplesPerChunk, t.layout.ChunkTuples(c), vals, buf)
-		t.sums[page] = pageChecksum(buf)
-		_, err := w.Write(buf)
-		return err
-	}
-	if format == DSM {
-		for j := 0; j < NumCols; j++ {
-			for c := 0; c < t.numChunks; c++ {
-				if err := writeStripe(c, j, j*t.numChunks+c); err != nil {
-					return abort(err)
-				}
-			}
-		}
-	} else {
-		for c := 0; c < t.numChunks; c++ {
-			for j := 0; j < NumCols; j++ {
-				if err := writeStripe(c, j, c*NumCols+j); err != nil {
-					return abort(err)
-				}
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return abort(err)
-	}
-	for p, sum := range t.sums {
-		binary.LittleEndian.PutUint64(sumBytes[p*8:], sum)
-	}
-	if _, err := f.WriteAt(sumBytes, headerBytes); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	return t, nil
+// CreateCompressed is CreateFormat(DSM) with each column stored under the
+// cheapest scheme sampled from its first chunk.
+func CreateCompressed(path string, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
+	return create(path, DSM, rows, tuplesPerChunk, seed, true)
 }
 
 // pickScheme chooses the cheapest codec for one column from a sampled
@@ -751,187 +652,160 @@ func pickScheme(sample []int64) byte {
 	return best
 }
 
-// CreateCompressed generates a v4 DSM table file: the same deterministic
-// lineitem-like data as CreateFormat(DSM, ...), but each (chunk, column)
-// extent is stored compressed under a per-column scheme sampled from the
-// first chunk, with per-extent CRCs over the stored bytes, a length
-// directory, and persisted per-column zonemap bounds over each chunk's
-// valid tuples (the short last chunk's zero padding is excluded from the
-// bounds but included in the encoded values, so every extent decodes to
-// exactly one fixed-width stripe).
-func CreateCompressed(path string, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
-	if rows <= 0 || tuplesPerChunk <= 0 {
-		return nil, fmt.Errorf("engine: CreateCompressed(rows=%d, tuplesPerChunk=%d)", rows, tuplesPerChunk)
+// create is the one writer. It is crash-safe: the file is written and
+// synced under the sibling name path+".tmp" — whatever holds that name, a
+// stale temporary from a killed create included, is overwritten — renamed
+// onto path, and the directory synced, so path either does not change or
+// names a complete table. A failure up to the rename leaves path untouched
+// and removes the temporary; a failed directory sync after it is returned
+// with the complete table left at path.
+func create(path string, format Format, rows, tuplesPerChunk int64, seed uint64, compressed bool) (*TableFile, error) {
+	switch {
+	case rows <= 0 || tuplesPerChunk <= 0:
+		return nil, fmt.Errorf("engine: create %s: rows=%d, tuplesPerChunk=%d", path, rows, tuplesPerChunk)
+	case format != NSM && format != DSM:
+		return nil, fmt.Errorf("engine: create %s: unknown format %d", path, int(format))
+	case compressed && format != DSM:
+		return nil, fmt.Errorf("engine: create %s: compressed extents are column-major, got %s", path, format)
 	}
 	if err := checkByteOrder(); err != nil {
 		return nil, err
 	}
-	table := tpch.LineitemTable(1)
-	table.Rows = rows
-	gen := tpch.NewGenerator(table, seed)
-
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return nil, err
 	}
-	abort := func(err error) (*TableFile, error) {
+	t := newTableFile(f, path, format, rows, tuplesPerChunk, seed)
+	if err = t.write(compressed); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		f.Close()
-		os.Remove(path)
+		os.Remove(tmp)
 		return nil, err
 	}
-	t := newTableFile(f, path, DSM, rows, tuplesPerChunk, seed, tableVersionCompressed)
-
-	// Sample the first chunk of every value column to fix its scheme.
-	vals := make([]int64, tuplesPerChunk)
-	n0 := t.layout.ChunkTuples(0)
-	for j := 0; j < NumCols; j++ {
-		if j == ColComment {
-			t.schemes[j] = schemeIdentity
-			continue
-		}
-		gen.Column(tpchCols[j], 0, vals[:n0])
-		for i := n0; i < tuplesPerChunk; i++ {
-			vals[i] = 0
-		}
-		t.schemes[j] = pickScheme(vals)
-	}
-
-	w := bufio.NewWriterSize(f, 1<<20)
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint64(hdr[0:], tableMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], tableVersionCompressed)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(rows))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(tuplesPerChunk))
-	binary.LittleEndian.PutUint64(hdr[32:], seed)
-	binary.LittleEndian.PutUint64(hdr[40:], NumCols)
-	binary.LittleEndian.PutUint64(hdr[48:], uint64(DSM))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return abort(err)
-	}
-	// Reserve every directory (checksums, schemes, extent lengths, zonemaps)
-	// with zeros; the real contents are written in place before the final
-	// sync, so a crash mid-create can never leave a valid-looking file.
-	meta := make([]byte, t.dataOff-headerBytes)
-	if _, err := w.Write(meta); err != nil {
-		return abort(err)
-	}
-
-	for j := range t.zones {
-		if j != ColComment {
-			t.zones[j] = storage.NewZoneMap(t.numChunks)
-		}
-	}
-	stripe := make([]byte, tuplesPerChunk*maxColWidth())
-	for j := 0; j < NumCols; j++ {
-		for c := 0; c < t.numChunks; c++ {
-			page := int64(j)*int64(t.numChunks) + int64(c)
-			buf := stripe[:t.ColStripeBytes(j)]
-			nc := t.layout.ChunkTuples(c)
-			fillStripe(gen, seed, c, j, tuplesPerChunk, nc, vals, buf)
-			stored := buf
-			if j != ColComment {
-				for i := int64(0); i < nc; i++ {
-					t.zones[j].Observe(c, vals[i])
-				}
-				if t.schemes[j] != schemeIdentity {
-					for i := nc; i < tuplesPerChunk; i++ {
-						vals[i] = 0
-					}
-					enc, err := compress.EncodeInts(compress.Scheme(t.schemes[j]), vals)
-					if err != nil {
-						return abort(err)
-					}
-					stored = enc
-				}
-			}
-			t.sums[page] = pageChecksum(stored)
-			t.extLen[page] = int64(len(stored))
-			if _, err := w.Write(stored); err != nil {
-				return abort(err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return abort(err)
-	}
-	var off int64
-	for p := range t.extOff {
-		t.extOff[p] = off
-		off += t.extLen[p]
-	}
-
-	// Write the real directories in place: checksums, schemes, extent
-	// lengths, then the zonemap footer.
-	for p, sum := range t.sums {
-		binary.LittleEndian.PutUint64(meta[p*8:], sum)
-	}
-	schemeOff := t.NumPages() * 8
-	for j := 0; j < NumCols; j++ {
-		meta[schemeOff+int64(j)] = t.schemes[j]
-	}
-	extOff := schemeOff + schemeTableBytes
-	for p, l := range t.extLen {
-		binary.LittleEndian.PutUint64(meta[extOff+int64(p)*8:], uint64(l))
-	}
-	zoneOff := extOff + t.NumPages()*8
-	for j := 0; j < NumCols; j++ {
-		for c := 0; c < t.numChunks; c++ {
-			lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-			if t.zones[j] != nil {
-				lo, hi = t.zones[j].Bounds(c)
-			}
-			e := zoneOff + (int64(j)*int64(t.numChunks)+int64(c))*16
-			binary.LittleEndian.PutUint64(meta[e:], uint64(lo))
-			binary.LittleEndian.PutUint64(meta[e+8:], uint64(hi))
-		}
-	}
-	if _, err := f.WriteAt(meta, headerBytes); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
+	if err = syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return t, nil
 }
 
-// newTableFile assembles the in-memory descriptor: layout plus the
-// per-format stripe position tables (and, for v4, the empty extent
-// directory the creator or opener fills in).
-func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk int64, seed uint64, version int) *TableFile {
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// metaOffsets returns where the scheme table, the extent-length directory
+// and the zonemap footer begin within the metadata region, which starts
+// with the checksum table at headerBytes.
+func (t *TableFile) metaOffsets() (schemes, extLens, zones int64) {
+	schemes = t.NumPages() * 8
+	extLens = schemes + schemeTableBytes
+	return schemes, extLens, extLens + t.NumPages()*8
+}
+
+// write streams the file out — header, metadata region, then every extent in
+// page order — and syncs it. Each column's scheme is identity, or with
+// compressed the cheapest sampled from its first chunk. Bounds cover each
+// chunk's valid tuples only; the short last chunk's zero padding is part of
+// the stored values, so every extent decodes to exactly one fixed-width
+// stripe. The metadata is reserved with zeros, filled as the extents stream
+// out, written in place at the end, and then parsed by the loader Open uses,
+// so the descriptor returned is the one a reader of these bytes gets.
+func (t *TableFile) write(compressed bool) error {
+	table := tpch.LineitemTable(1)
+	table.Rows = t.rows
+	gen := tpch.NewGenerator(table, t.seed)
+	tpc := t.tuplesPerChunk
+
+	head := make([]byte, t.dataOff)
+	for i, v := range []uint64{tableMagic, fileVersion, uint64(t.rows), uint64(tpc), t.seed, NumCols, uint64(t.format)} {
+		binary.LittleEndian.PutUint64(head[i*8:], v)
+	}
+	meta := head[headerBytes:]
+	schemeOff, extOff, zoneOff := t.metaOffsets()
+	schemes := meta[schemeOff:][:NumCols]
+	vals := make([]int64, tpc)
+	for j := range schemes {
+		schemes[j] = schemeIdentity
+		if compressed && j != ColComment {
+			n0 := t.layout.ChunkTuples(0)
+			gen.Column(tpchCols[j], 0, vals[:n0])
+			clear(vals[n0:])
+			schemes[j] = pickScheme(vals)
+		}
+	}
+
+	w := bufio.NewWriterSize(t.f, 1<<20)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	stripe := make([]byte, tpc*maxColWidth())
+	for p := int64(0); p < t.NumPages(); p++ {
+		c, j := t.pageStripe(p)
+		ext := stripe[:t.ColStripeBytes(j)]
+		lo, hi := fillStripe(gen, t.seed, c, j, tpc, t.layout.ChunkTuples(c), vals, ext)
+		if schemes[j] != schemeIdentity {
+			var err error
+			if ext, err = compress.EncodeInts(compress.Scheme(schemes[j]), vals); err != nil {
+				return err
+			}
+		}
+		binary.LittleEndian.PutUint64(meta[p*8:], pageChecksum(ext))
+		binary.LittleEndian.PutUint64(meta[extOff+p*8:], uint64(len(ext)))
+		zone := meta[zoneOff+(int64(j)*int64(t.numChunks)+int64(c))*16:]
+		binary.LittleEndian.PutUint64(zone, uint64(lo))
+		binary.LittleEndian.PutUint64(zone[8:], uint64(hi))
+		if _, err := w.Write(ext); err != nil {
+			return err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if _, err := t.f.WriteAt(meta, headerBytes); err != nil {
+		return err
+	}
+	if err := t.f.Sync(); err != nil {
+		return err
+	}
+	return t.loadMeta(meta)
+}
+
+// newTableFile assembles the in-memory descriptor of a file's geometry:
+// layout, data-region offset and the NSM stripe positions. The metadata
+// region's contents are loadMeta's.
+func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk int64, seed uint64) *TableFile {
 	t := &TableFile{
 		f: f, r: f, path: path, rows: rows, tuplesPerChunk: tuplesPerChunk,
-		seed: seed, format: format, version: version,
+		seed: seed, format: format,
 	}
 	t.layout = newLayout(format, rows, tuplesPerChunk)
 	t.numChunks = t.layout.NumChunks()
-	t.dataOff = headerBytes + t.NumPages()*8
-	if version == tableVersionCompressed {
-		// v4 interposes the scheme table, the per-extent length directory
-		// and the zonemap footer between the checksum table and the data.
-		t.dataOff += schemeTableBytes + t.NumPages()*8 + int64(NumCols)*int64(t.numChunks)*16
-		t.extLen = make([]int64, t.NumPages())
-		t.extOff = make([]int64, t.NumPages())
-	}
-	t.sums = make([]uint64, t.NumPages())
+	_, _, zoneOff := t.metaOffsets()
+	t.dataOff = headerBytes + zoneOff + t.NumPages()*16
 	var off int64
 	for j := 0; j < NumCols; j++ {
 		t.stripeOff[j] = off
 		off += t.ColStripeBytes(j)
 	}
-	off = 0
-	for j := 0; j < NumCols; j++ {
-		t.colBase[j] = off
-		off += int64(t.numChunks) * t.ColStripeBytes(j)
-	}
 	return t
 }
 
 // Open opens an existing table file and validates it strictly: magic,
-// version, column count, format, geometry, exact file size, and a fully
-// readable checksum table. Failures come back as typed errors (ErrBadMagic,
-// ErrBadVersion, ErrBadGeometry, ErrTruncated) wrapped with path context —
-// a torn, truncated, or foreign file is an error, never a panic. A
-// big-endian host gets ErrByteOrder: parts are read in place as native
+// version, column count, format, geometry, every directory of the metadata
+// region and the exact file size. Failures come back as typed errors
+// (ErrBadMagic, ErrBadVersion, ErrBadGeometry, ErrTruncated) wrapped with
+// path context — a torn, truncated, or foreign file is an error, never a
+// panic, and nothing is allocated that the file's own size does not bound.
+// A big-endian host gets ErrByteOrder: parts are read in place as native
 // words.
 func Open(path string) (*TableFile, error) {
 	if err := checkByteOrder(); err != nil {
@@ -941,122 +815,109 @@ func Open(path string) (*TableFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: short header (%v): %w", path, err, ErrTruncated)
-	}
-	if got := binary.LittleEndian.Uint64(hdr[0:]); got != tableMagic {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: magic %#x: %w", path, got, ErrBadMagic)
-	}
-	version := binary.LittleEndian.Uint64(hdr[8:])
-	if version != tableVersion && version != tableVersionCompressed {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: version %d (want %d or %d): %w", path, version, tableVersion, tableVersionCompressed, ErrBadVersion)
-	}
-	if nc := binary.LittleEndian.Uint64(hdr[40:]); nc != NumCols {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: stores %d columns, want %d: %w", path, nc, NumCols, ErrBadGeometry)
-	}
-	format := Format(binary.LittleEndian.Uint64(hdr[48:]))
-	if format != NSM && format != DSM {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: unknown format %d: %w", path, int(format), ErrBadGeometry)
-	}
-	if version == tableVersionCompressed && format != DSM {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: compressed v4 requires DSM, got %s: %w", path, format, ErrBadGeometry)
-	}
-	rows := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	tuplesPerChunk := int64(binary.LittleEndian.Uint64(hdr[24:]))
-	// Validate before building the layout: the layout constructors panic on
-	// non-positive sizes, and a corrupt header must surface as an error.
-	if rows <= 0 || tuplesPerChunk <= 0 {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: bad geometry (rows=%d, tuplesPerChunk=%d): %w", path, rows, tuplesPerChunk, ErrBadGeometry)
-	}
-	t := newTableFile(f, path, format, rows, tuplesPerChunk,
-		binary.LittleEndian.Uint64(hdr[32:]), int(version))
-	st, err := f.Stat()
+	t, err := openFile(f, path)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("engine: %s: stat: %w", path, err)
-	}
-	// The metadata region (checksum table, plus the v4 directories) must be
-	// fully present before its contents can be trusted.
-	if st.Size() < t.dataOff {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: %d bytes, want at least %d of metadata: %w", path, st.Size(), t.dataOff, ErrTruncated)
-	}
-	meta := make([]byte, t.dataOff-headerBytes)
-	if _, err := f.ReadAt(meta, headerBytes); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: checksum table: %v: %w", path, err, ErrTruncated)
-	}
-	for p := range t.sums {
-		t.sums[p] = binary.LittleEndian.Uint64(meta[p*8:])
-	}
-	want := t.dataOff + int64(t.numChunks)*t.ChunkBytes()
-	if t.version == tableVersionCompressed {
-		if err := t.loadV4Directories(meta); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("engine: %s: %w", path, err)
-		}
-		want = t.dataOff + t.StoredRunBytes(0, int(t.NumPages()))
-	}
-	if st.Size() < want {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: %d bytes, want %d: %w", path, st.Size(), want, ErrTruncated)
-	}
-	if st.Size() != want {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: %d bytes, header promises %d: %w", path, st.Size(), want, ErrBadGeometry)
+		return nil, fmt.Errorf("engine: %s: %w", path, err)
 	}
 	return t, nil
 }
 
-// loadV4Directories parses and validates the v4 scheme table, extent length
-// directory and zonemap footer out of the metadata region (everything
-// between the header and the data). Directory inconsistencies are geometry
-// errors: nothing here is trusted to size a read or an allocation until it
-// has been cross-checked against the fixed stripe geometry.
-func (t *TableFile) loadV4Directories(meta []byte) error {
-	schemeOff := t.NumPages() * 8
+func openFile(f *os.File, path string) (*TableFile, error) {
+	var hdr [headerBytes]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return nil, fmt.Errorf("short header (%v): %w", err, ErrTruncated)
+	}
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(hdr[i*8:]) }
+	if got := word(0); got != tableMagic {
+		return nil, fmt.Errorf("magic %#x: %w", got, ErrBadMagic)
+	}
+	if v := word(1); v != fileVersion {
+		return nil, fmt.Errorf("format version %d, this build reads only %d: remove the file and regenerate it: %w", v, fileVersion, ErrBadVersion)
+	}
+	if nc := word(5); nc != NumCols {
+		return nil, fmt.Errorf("stores %d columns, want %d: %w", nc, NumCols, ErrBadGeometry)
+	}
+	format := Format(word(6))
+	if format != NSM && format != DSM {
+		return nil, fmt.Errorf("unknown format %d: %w", int(format), ErrBadGeometry)
+	}
+	rows, tuplesPerChunk := int64(word(2)), int64(word(3))
+	// Validate before building the layout: the layout constructors panic on
+	// non-positive sizes, and a corrupt header must surface as an error.
+	if rows <= 0 || tuplesPerChunk <= 0 {
+		return nil, fmt.Errorf("bad geometry (rows=%d, tuplesPerChunk=%d): %w", rows, tuplesPerChunk, ErrBadGeometry)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("stat: %w", err)
+	}
+	// Nor may the header size anything before the file is seen to hold it:
+	// every chunk has an entry in each directory of the metadata region and
+	// one identity stripe of the comment filler in the data, so the file's
+	// size bounds both the chunk count and the chunk size (compared by
+	// division: a torn header's products overflow).
+	chunks := (rows-1)/tuplesPerChunk + 1
+	if room := st.Size() - headerBytes - schemeTableBytes; chunks > room/(NumCols*32) || tuplesPerChunk > room/maxColWidth() {
+		return nil, fmt.Errorf("%d bytes cannot hold %d chunks of %d tuples: %w", st.Size(), chunks, tuplesPerChunk, ErrTruncated)
+	}
+	t := newTableFile(f, path, format, rows, tuplesPerChunk, word(4))
+	meta := make([]byte, t.dataOff-headerBytes)
+	if _, err := f.ReadAt(meta, headerBytes); err != nil {
+		return nil, fmt.Errorf("metadata region: %v: %w", err, ErrTruncated)
+	}
+	if err := t.loadMeta(meta); err != nil {
+		return nil, err
+	}
+	if want := t.dataOff + t.StoredBytes(); st.Size() < want {
+		return nil, fmt.Errorf("%d bytes, want %d: %w", st.Size(), want, ErrTruncated)
+	} else if st.Size() != want {
+		return nil, fmt.Errorf("%d bytes, header promises %d: %w", st.Size(), want, ErrBadGeometry)
+	}
+	return t, nil
+}
+
+// loadMeta parses and validates the metadata region (everything between the
+// header and the data): checksum table, scheme table, extent-length
+// directory, zonemap footer. Inconsistencies are geometry errors: nothing
+// here is trusted to size a read or an allocation until it has been
+// cross-checked against the fixed stripe geometry.
+func (t *TableFile) loadMeta(meta []byte) error {
+	schemeOff, extOff, zoneOff := t.metaOffsets()
 	for j := 0; j < NumCols; j++ {
 		s := meta[schemeOff+int64(j)]
 		switch {
 		case s == schemeIdentity:
+		case t.format == NSM:
+			return fmt.Errorf("NSM column %d: scheme %#x (NSM stripes are identity): %w", j, s, ErrBadGeometry)
 		case j == ColComment:
 			return fmt.Errorf("comment column scheme %#x (want identity): %w", s, ErrBadGeometry)
 		case compress.Scheme(s) == compress.Raw || compress.Scheme(s) == compress.PFOR ||
 			compress.Scheme(s) == compress.PFORDelta || compress.Scheme(s) == compress.PDict:
+			t.coded = true
 		default:
 			return fmt.Errorf("column %d: unknown compression scheme %#x: %w", j, s, ErrBadGeometry)
 		}
 		t.schemes[j] = s
 	}
-	extOff := schemeOff + schemeTableBytes
-	var off int64
+	t.sums = make([]uint64, t.NumPages())
+	t.extOff = make([]int64, t.NumPages()+1)
 	for p := int64(0); p < t.NumPages(); p++ {
+		t.sums[p] = binary.LittleEndian.Uint64(meta[p*8:])
 		l := int64(binary.LittleEndian.Uint64(meta[extOff+p*8:]))
 		raw := t.PageBytes(p)
-		col := t.pageCol(p)
 		// Identity extents are exactly one raw stripe; codec extents carry
 		// at least a header and never usefully exceed the raw stripe by
 		// more than the worst-case codec overhead.
-		if t.schemes[col] == schemeIdentity {
+		if t.schemes[t.pageCol(p)] == schemeIdentity {
 			if l != raw {
 				return fmt.Errorf("page %d: identity extent %d bytes, want %d: %w", p, l, raw, ErrBadGeometry)
 			}
 		} else if l <= 0 || l > 2*raw+64 {
 			return fmt.Errorf("page %d: extent length %d out of range (raw stripe %d): %w", p, l, raw, ErrBadGeometry)
 		}
-		t.extLen[p] = l
-		t.extOff[p] = off
-		off += l
+		t.extOff[p+1] = t.extOff[p] + l
 	}
-	zoneOff := extOff + t.NumPages()*8
 	for j := 0; j < NumCols; j++ {
 		if j == ColComment {
 			continue

@@ -3,9 +3,13 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"coopscan/internal/colstore/compress"
 )
 
 // mutatedCopy writes a mutated copy of tf's bytes into a fresh temp file and
@@ -23,116 +27,127 @@ func mutatedCopy(t *testing.T, tf *TableFile, mutate func(raw []byte) []byte) st
 	return path
 }
 
-// TestOpenTypedErrors pins Open's strict validation: every way a file can be
-// torn, truncated, foreign or stale surfaces as its typed error, never a
-// panic or a silently short table.
-func TestOpenTypedErrors(t *testing.T) {
-	tf := newTestFile(t, 4_000, 500, 21)
-	cases := []struct {
-		name   string
-		mutate func(raw []byte) []byte
-		want   error
-	}{
-		{"torn header", func(raw []byte) []byte { return raw[:headerBytes/2] }, ErrTruncated},
-		{"truncated checksum table", func(raw []byte) []byte { return raw[:headerBytes+8] }, ErrTruncated},
-		{"truncated data", func(raw []byte) []byte { return raw[:len(raw)-1] }, ErrTruncated},
-		{"zero filled", func(raw []byte) []byte { return make([]byte, len(raw)) }, ErrBadMagic},
-		{"foreign magic", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[0:], 0xDEADBEEF)
-			return raw
-		}, ErrBadMagic},
-		{"stale version", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[8:], tableVersion-1)
-			return raw
-		}, ErrBadVersion},
-		{"future version", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[8:], tableVersionCompressed+1)
-			return raw
-		}, ErrBadVersion},
-		{"compressed version on NSM", func(raw []byte) []byte {
-			// v4 is DSM-only: an NSM file whose version says compressed is
-			// a geometry contradiction, not a readable table.
-			binary.LittleEndian.PutUint64(raw[8:], tableVersionCompressed)
-			return raw
-		}, ErrBadGeometry},
-		{"zero rows", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[16:], 0)
-			return raw
-		}, ErrBadGeometry},
-		{"wrong column count", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[40:], NumCols+1)
-			return raw
-		}, ErrBadGeometry},
-		{"unknown format", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[48:], 7)
-			return raw
-		}, ErrBadGeometry},
-		{"trailing garbage", func(raw []byte) []byte { return append(raw, 0, 0, 0, 0, 0, 0, 0, 0) }, ErrBadGeometry},
+// openCase is one way of damaging a table file and the typed error Open
+// must answer it with.
+type openCase struct {
+	name   string
+	only   string // a storedShapes name, when the damage exists in one shape only
+	mutate func(tf *TableFile, raw []byte) []byte
+	want   error
+}
+
+// runOpenCases damages a file of every stored shape in every listed way and
+// checks Open refuses each with its typed error, never a panic or a
+// silently short table.
+func runOpenCases(t *testing.T, cases []openCase) {
+	files := make([]*TableFile, len(storedShapes))
+	for i, shape := range storedShapes {
+		files[i] = shape.create(t, 8_000, 500, 21)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := mutatedCopy(t, tf, tc.mutate)
-			got, err := Open(path)
-			if err == nil {
-				got.Close()
-				t.Fatalf("Open accepted a %s file", tc.name)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("Open error = %v, want %v", err, tc.want)
+			for i, shape := range storedShapes {
+				if tc.only != "" && tc.only != shape.name {
+					continue
+				}
+				path := mutatedCopy(t, files[i], func(raw []byte) []byte { return tc.mutate(files[i], raw) })
+				got, err := Open(path)
+				if err == nil {
+					got.Close()
+					t.Errorf("%s: Open accepted the file", shape.name)
+				} else if !errors.Is(err, tc.want) {
+					t.Errorf("%s: Open error = %v, want %v", shape.name, err, tc.want)
+				} else if tc.want == ErrBadVersion && !strings.Contains(err.Error(), "regenerate") {
+					t.Errorf("%s: %q does not tell the user to regenerate the file", shape.name, err)
+				}
 			}
 		})
 	}
 }
 
-// TestReadPageChecksumMismatch flips one data byte on disk and verifies the
-// read of exactly that page fails with ErrChecksum — tagged with the right
-// page via PageError — while every other page still reads cleanly.
-func TestReadPageChecksumMismatch(t *testing.T) {
-	for _, format := range []Format{NSM, DSM} {
-		t.Run(format.String(), func(t *testing.T) {
-			tf := newTestFileFormat(t, format, 4_000, 500, 33)
-			const chunk, col = 2, 1
-			badPage, _ := tf.PartPages(chunk, partColFor(format, col))
-			if format == NSM {
-				badPage += col
+// putWord returns a mutation storing v as the little-endian word at off.
+func putWord(off int64, v uint64) func(*TableFile, []byte) []byte {
+	return func(_ *TableFile, raw []byte) []byte {
+		binary.LittleEndian.PutUint64(raw[off:], v)
+		return raw
+	}
+}
+
+// TestOpenTypedErrors pins Open's strict validation of the header and the
+// file's size: every way a file can be torn, truncated, foreign or stale
+// surfaces as its typed error. (The metadata region's directories are
+// TestCompressedOpenTypedErrors'.)
+func TestOpenTypedErrors(t *testing.T) {
+	runOpenCases(t, []openCase{
+		{name: "torn header", mutate: func(_ *TableFile, raw []byte) []byte { return raw[:headerBytes/2] }, want: ErrTruncated},
+		{name: "truncated checksum table", mutate: func(_ *TableFile, raw []byte) []byte { return raw[:headerBytes+8] }, want: ErrTruncated},
+		{name: "truncated data", mutate: func(_ *TableFile, raw []byte) []byte { return raw[:len(raw)-1] }, want: ErrTruncated},
+		{name: "zero filled", mutate: func(_ *TableFile, raw []byte) []byte { return make([]byte, len(raw)) }, want: ErrBadMagic},
+		{name: "foreign magic", mutate: putWord(0, 0xDEADBEEF), want: ErrBadMagic},
+		// The format before this one: it gets no reader, only the hint.
+		{name: "stale version", mutate: putWord(8, fileVersion-1), want: ErrBadVersion},
+		{name: "future version", mutate: putWord(8, fileVersion+1), want: ErrBadVersion},
+		{name: "non-identity scheme on NSM", only: "nsm", mutate: func(tf *TableFile, raw []byte) []byte {
+			// The writer stores NSM stripes as identity only, so the reader
+			// takes nothing else: a known codec there is still a geometry
+			// contradiction, not a readable table.
+			schemeOff, _, _ := metaOffsets(tf)
+			raw[schemeOff+ColShipDate] = byte(compress.PFOR)
+			return raw
+		}, want: ErrBadGeometry},
+		{name: "zero rows", mutate: putWord(16, 0), want: ErrBadGeometry},
+		{name: "wrong column count", mutate: putWord(40, NumCols+1), want: ErrBadGeometry},
+		{name: "unknown format", mutate: putWord(48, 7), want: ErrBadGeometry},
+		{name: "trailing garbage", mutate: func(_ *TableFile, raw []byte) []byte { return append(raw, 0, 0, 0, 0, 0, 0, 0, 0) }, want: ErrBadGeometry},
+		// A header sizing more than the file holds is refused before
+		// anything is allocated from it (FuzzOpen's first finding).
+		{name: "rows beyond the file", mutate: putWord(16, math.MaxInt64), want: ErrTruncated},
+		{name: "chunk beyond the file", mutate: putWord(24, math.MaxInt64), want: ErrTruncated},
+	})
+}
+
+// checkCorruptPage opens the damaged file at path and verifies that reading
+// badPage fails with want, tagged with exactly that page via PageError,
+// while every other page still reads cleanly.
+func checkCorruptPage(t *testing.T, path string, badPage int64, want error) {
+	t.Helper()
+	re, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer re.Close()
+	for p := int64(0); p < re.NumPages(); p++ {
+		err := re.ReadPageRange(p, 1, make([]byte, re.PageBytes(p)))
+		if p != badPage {
+			if err != nil {
+				t.Fatalf("clean page %d failed: %v", p, err)
 			}
-			off, _ := tf.PartFileRange(chunk, partColFor(format, col))
+			continue
+		}
+		var pe *PageError
+		if !errors.Is(err, want) || !errors.As(err, &pe) || pe.Page != badPage {
+			t.Fatalf("corrupt page %d read error = %v, want %v tagged with the page", badPage, err, want)
+		}
+	}
+}
+
+// TestReadPageChecksumMismatch flips one stored byte on disk and verifies
+// the read of exactly that page fails with ErrChecksum in every stored
+// shape.
+func TestReadPageChecksumMismatch(t *testing.T) {
+	for _, shape := range storedShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			tf := shape.create(t, 4_000, 500, 33)
+			const chunk, col = 2, 1
+			badPage := stripePage(tf, chunk, col)
+			if c, _ := tf.PagePart(badPage); c != chunk {
+				t.Fatalf("PagePart(%d) chunk = %d, want %d", badPage, c, chunk)
+			}
 			path := mutatedCopy(t, tf, func(raw []byte) []byte {
-				if format == NSM {
-					// Aim inside stripe `col` of the chunk's run.
-					for j := 0; j < col; j++ {
-						off += tf.ColStripeBytes(j)
-					}
-				}
-				raw[off+5] ^= 0x01
+				raw[tf.dataOff+tf.extOff[badPage]+5] ^= 0x01
 				return raw
 			})
-			re, err := Open(path)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			defer re.Close()
-			buf := make([]byte, re.PageBytes(badPage))
-			err = re.ReadPageRange(badPage, 1, buf)
-			if !errors.Is(err, ErrChecksum) {
-				t.Fatalf("corrupt page read error = %v, want ErrChecksum", err)
-			}
-			var pe *PageError
-			if !errors.As(err, &pe) || pe.Page != badPage {
-				t.Fatalf("error %v not tagged with page %d", err, badPage)
-			}
-			if c, _ := re.PagePart(pe.Page); c != chunk {
-				t.Fatalf("PagePart(%d) chunk = %d, want %d", pe.Page, c, chunk)
-			}
-			for p := int64(0); p < re.NumPages(); p++ {
-				if p == badPage {
-					continue
-				}
-				b := make([]byte, re.PageBytes(p))
-				if err := re.ReadPageRange(p, 1, b); err != nil {
-					t.Fatalf("clean page %d failed: %v", p, err)
-				}
-			}
+			checkCorruptPage(t, path, badPage, ErrChecksum)
 		})
 	}
 }
@@ -141,19 +156,13 @@ func TestReadPageChecksumMismatch(t *testing.T) {
 // itself also fails the affected page with ErrChecksum: the page data is
 // fine, but its provenance cannot be trusted.
 func TestChecksumTableCorruption(t *testing.T) {
-	tf := newTestFileFormat(t, DSM, 4_000, 500, 17)
-	const badPage = 3
-	path := mutatedCopy(t, tf, func(raw []byte) []byte {
-		raw[headerBytes+badPage*8] ^= 0xFF
-		return raw
-	})
-	re, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer re.Close()
-	buf := make([]byte, re.PageBytes(badPage))
-	if err := re.ReadPageRange(badPage, 1, buf); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("read under corrupt checksum entry = %v, want ErrChecksum", err)
+	for _, shape := range storedShapes {
+		tf := shape.create(t, 4_000, 500, 17)
+		const badPage = 3
+		path := mutatedCopy(t, tf, func(raw []byte) []byte {
+			raw[headerBytes+badPage*8] ^= 0xFF
+			return raw
+		})
+		checkCorruptPage(t, path, badPage, ErrChecksum)
 	}
 }

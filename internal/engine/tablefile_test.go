@@ -17,16 +17,42 @@ func newTestFile(t testing.TB, rows, tuplesPerChunk int64, seed uint64) *TableFi
 	return newTestFileFormat(t, NSM, rows, tuplesPerChunk, seed)
 }
 
-// newTestFileFormat creates a small table file of the given format.
+// newTestFileFormat creates a small table file of the given format, every
+// column identity.
 func newTestFileFormat(t testing.TB, format Format, rows, tuplesPerChunk int64, seed uint64) *TableFile {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "live-"+format.String()+".tbl")
-	tf, err := CreateFormat(path, format, rows, tuplesPerChunk, seed)
+	tf, err := CreateFormat(filepath.Join(t.TempDir(), "live.tbl"), format, rows, tuplesPerChunk, seed)
 	if err != nil {
 		t.Fatalf("CreateFormat(%v): %v", format, err)
 	}
 	t.Cleanup(func() { tf.Close() })
 	return tf
+}
+
+// newTestFileCompressed creates a small compressed DSM table file.
+func newTestFileCompressed(t testing.TB, rows, tuplesPerChunk int64, seed uint64) *TableFile {
+	t.Helper()
+	tf, err := CreateCompressed(filepath.Join(t.TempDir(), "live.tbl"), rows, tuplesPerChunk, seed)
+	if err != nil {
+		t.Fatalf("CreateCompressed: %v", err)
+	}
+	t.Cleanup(func() { tf.Close() })
+	return tf
+}
+
+// storedShapes are the three shapes the one format stores a table in — an
+// NSM file and a DSM file of identity columns, whose parts are read in
+// place, and a DSM file of coded columns, decoded into the frame — and the
+// table the format's tests are driven over.
+var storedShapes = []struct {
+	name   string
+	create func(t testing.TB, rows, tpc int64, seed uint64) *TableFile
+}{
+	{"nsm", newTestFile},
+	{"dsm", func(t testing.TB, rows, tpc int64, seed uint64) *TableFile {
+		return newTestFileFormat(t, DSM, rows, tpc, seed)
+	}},
+	{"dsm-compressed", newTestFileCompressed},
 }
 
 // wantStripe renders the expected bytes of (chunk, col) straight from the
@@ -42,11 +68,24 @@ func wantStripe(t testing.TB, tf *TableFile, c, j int) []byte {
 	return buf
 }
 
+// stripePage is the page holding the stripe of (chunk c, column j).
+func stripePage(tf *TableFile, c, j int) int64 {
+	first, _ := tf.PartPages(c, partColFor(tf.Format(), j))
+	if tf.Format() == NSM {
+		first += int64(j) // stripe j within the chunk's run
+	}
+	return first
+}
+
+// TestTableFileRoundTrip: in every stored shape, fresh from the writer and
+// reopened, the header fields survive and every stripe decodes to exactly
+// the generator's values (zero-padded in the short last chunk), addressed
+// through the format's page mapping.
 func TestTableFileRoundTrip(t *testing.T) {
 	const rows, tpc = 10_000, 1024
-	for _, format := range []Format{NSM, DSM} {
-		t.Run(format.String(), func(t *testing.T) {
-			tf := newTestFileFormat(t, format, rows, tpc, 42)
+	for _, shape := range storedShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			tf := shape.create(t, rows, tpc, 42)
 			if got := tf.NumChunks(); got != 10 {
 				t.Fatalf("NumChunks = %d, want 10", got)
 			}
@@ -55,35 +94,32 @@ func TestTableFileRoundTrip(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			defer re.Close()
-			if re.Rows() != rows || re.TuplesPerChunk() != tpc || re.Seed() != 42 || re.Format() != format {
+			if re.Rows() != rows || re.TuplesPerChunk() != tpc || re.Seed() != 42 || re.Format() != tf.Format() {
 				t.Fatalf("reopened meta = (%d, %d, %d, %v)", re.Rows(), re.TuplesPerChunk(), re.Seed(), re.Format())
 			}
-			if format == DSM && !re.Layout().Columnar() {
-				t.Fatal("DSM file reopened with a non-columnar layout")
+			if re.Layout().Columnar() != (tf.Format() == DSM) {
+				t.Fatalf("%v file reopened with Columnar() = %v", tf.Format(), re.Layout().Columnar())
 			}
-
-			// Every stripe must hold exactly the generator's values
-			// (zero-padded in the short last chunk), addressed through the
-			// format's page mapping.
-			for c := 0; c < re.NumChunks(); c++ {
-				for j := 0; j < NumCols; j++ {
-					first, count := re.PartPages(c, partColFor(format, j))
-					var page int64
-					if format == DSM {
-						page = first // one page per (chunk, col) part
-					} else {
-						page = first + int64(j) // stripe j within the chunk's run
-					}
-					if format == NSM && count != NumCols {
-						t.Fatalf("NSM PartPages count = %d, want %d", count, NumCols)
-					}
-					buf := make([]byte, re.PageBytes(page))
-					if err := re.ReadPageRange(page, 1, buf); err != nil {
-						t.Fatalf("ReadPageRange(%d,%d): %v", c, j, err)
-					}
-					want := wantStripe(t, re, c, j)
-					if string(buf) != string(want) {
-						t.Fatalf("%v chunk %d col %d: stripe bytes differ", format, c, j)
+			if _, count := re.PartPages(0, partColFor(tf.Format(), 0)); tf.Format() == NSM && count != NumCols {
+				t.Fatalf("NSM PartPages count = %d, want %d", count, NumCols)
+			}
+			if re.Compressed() != (shape.name == "dsm-compressed") || re.Compressed() != tf.Compressed() {
+				t.Fatalf("Compressed() = %v created, %v reopened", tf.Compressed(), re.Compressed())
+			}
+			if !re.Compressed() && re.StoredBytes() != int64(re.NumChunks())*re.ChunkBytes() {
+				t.Fatalf("identity file stores %d bytes, want %d", re.StoredBytes(), int64(re.NumChunks())*re.ChunkBytes())
+			}
+			for _, f := range []*TableFile{tf, re} {
+				for c := 0; c < f.NumChunks(); c++ {
+					for j := 0; j < NumCols; j++ {
+						page := stripePage(f, c, j)
+						buf := make([]byte, f.PageBytes(page))
+						if err := f.ReadPageRange(page, 1, buf); err != nil {
+							t.Fatalf("ReadPageRange(%d,%d): %v", c, j, err)
+						}
+						if string(buf) != string(wantStripe(t, f, c, j)) {
+							t.Fatalf("chunk %d col %d: stripe bytes differ", c, j)
+						}
 					}
 				}
 			}
@@ -122,13 +158,14 @@ func TestOpenRejectsCorruptGeometry(t *testing.T) {
 
 // TestTableFilePageGeometry pins the page-addressing invariants the load
 // path relies on: consecutive pages are contiguous in the file (so runs
-// coalesce into one pread) and the DSM layout's extents match PartPages.
+// coalesce into one pread), an identity page stores exactly its decoded
+// bytes, and the DSM layout's extents match PartPages.
 func TestTableFilePageGeometry(t *testing.T) {
 	for _, format := range []Format{NSM, DSM} {
 		tf := newTestFileFormat(t, format, 5_000, 512, 3)
 		var off int64
 		for p := int64(0); p < tf.NumPages(); p++ {
-			if got := tf.pageOffset(p); got != off {
+			if got := tf.extOff[p]; got != off {
 				t.Fatalf("%v page %d at offset %d, want %d (pages not contiguous)", format, p, got, off)
 			}
 			off += tf.PageBytes(p)
@@ -142,7 +179,7 @@ func TestTableFilePageGeometry(t *testing.T) {
 						t.Fatalf("DSM extent (%d,%d) size %d, want stripe %d", c, j, e.Size, tf.ColStripeBytes(j))
 					}
 					first, _ := tf.PartPages(c, j)
-					if got := tf.pageOffset(first); got != e.Pos {
+					if got := tf.extOff[first]; got != e.Pos {
 						t.Fatalf("DSM extent (%d,%d) at %d, file page at %d", c, j, e.Pos, got)
 					}
 				}
@@ -187,14 +224,7 @@ func readChunkDataCols(t testing.TB, tf *TableFile, c int, cols storage.ColSet) 
 	vecs := make([][]int64, NumCols)
 	cols.Each(func(j int) {
 		stripe := make([]byte, tf.ColStripeBytes(j))
-		var page int64
-		if tf.Format() == DSM {
-			page, _ = tf.PartPages(c, j)
-		} else {
-			first, _ := tf.PartPages(c, -1)
-			page = first + int64(j)
-		}
-		if err := tf.ReadPageRange(page, 1, stripe); err != nil {
+		if err := tf.ReadPageRange(stripePage(tf, c, j), 1, stripe); err != nil {
 			t.Fatalf("ReadPageRange: %v", err)
 		}
 		var err error

@@ -1,16 +1,15 @@
-// Compressed (v4) table-file tests: the decompressed page view must be
-// byte-identical to a raw DSM file of the same (rows, tpc, seed); stored
-// bytes must actually shrink; persisted zonemap bounds must match the
-// generator; Open must reject every torn directory with a typed error; and
-// corruption of stored extents must surface as ErrChecksum/ErrCorrupt,
-// never as decoded garbage.
+// Coded-extent and metadata-region tests: the decoded page view of a
+// compressed file must be byte-identical to its identity twin of the same
+// (rows, tpc, seed); stored bytes must actually shrink; persisted zonemap
+// bounds must match the generator in every stored shape; Open must reject
+// every torn directory with a typed error; corruption of stored extents
+// must surface as ErrChecksum/ErrCorrupt, never as decoded garbage; and a
+// create either completes or leaves nothing behind.
 package engine
 
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-
 	"math"
 	"os"
 	"path/filepath"
@@ -19,32 +18,20 @@ import (
 	"coopscan/internal/colstore/compress"
 )
 
-// newTestFileCompressed creates a small v4 compressed DSM table file in a
-// test temp dir.
-func newTestFileCompressed(t testing.TB, rows, tuplesPerChunk int64, seed uint64) *TableFile {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "live-v4.tbl")
-	tf, err := CreateCompressed(path, rows, tuplesPerChunk, seed)
-	if err != nil {
-		t.Fatalf("CreateCompressed: %v", err)
-	}
-	t.Cleanup(func() { tf.Close() })
-	return tf
-}
-
-// v4MetaOffsets returns the absolute file offsets of the v4 scheme table,
-// extent-length directory and zonemap footer, straight from the layout
+// metaOffsets returns the absolute file offsets of the scheme table, the
+// extent-length directory and the zonemap footer, straight from the layout
 // contract (header, sums, schemes, extent lengths, zonemaps, data).
-func v4MetaOffsets(tf *TableFile) (schemeOff, extOff, zoneOff int64) {
+func metaOffsets(tf *TableFile) (schemeOff, extOff, zoneOff int64) {
 	schemeOff = headerBytes + tf.NumPages()*8
 	extOff = schemeOff + schemeTableBytes
 	zoneOff = extOff + tf.NumPages()*8
 	return
 }
 
-// TestCompressedRoundTrip pins the core v4 contract: every decompressed
-// page is byte-identical to the same page of a raw DSM file built from the
-// same (rows, tpc, seed), both fresh from Create and after reopening.
+// TestCompressedRoundTrip is the twin oracle: every decoded page of a
+// compressed file is byte-identical to the same page of the identity DSM
+// file built from the same (rows, tpc, seed), both fresh from Create and
+// after reopening.
 func TestCompressedRoundTrip(t *testing.T) {
 	const rows, tpc = 20_000, 1000
 	raw := newTestFileFormat(t, DSM, rows, tpc, 7)
@@ -159,208 +146,232 @@ func TestCompressedDiskRatio(t *testing.T) {
 }
 
 // TestCompressedZoneMaps verifies the persisted per-chunk bounds against the
-// generator: for every stored column and chunk, the footer's [lo, hi] must
-// be exactly the min/max of the values the chunk holds — and the comment
-// filler must have no zonemap at all.
+// generator, in every stored shape, fresh and reopened: for every stored
+// column and chunk, the footer's [lo, hi] must be exactly the min/max of
+// the values the chunk holds — and the comment filler, alone, must have no
+// zonemap at all.
 func TestCompressedZoneMaps(t *testing.T) {
-	const rows, tpc = 20_000, 1000
-	v4 := newTestFileCompressed(t, rows, tpc, 11)
-	raw := newTestFileFormat(t, DSM, rows, tpc, 11)
-	if raw.ZoneMap(ColShipDate) != nil {
-		t.Error("raw v3 file has a zonemap")
-	}
-	if v4.ZoneMap(ColComment) != nil {
-		t.Error("comment column has a zonemap")
-	}
-	re, err := Open(v4.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for _, tf := range []*TableFile{v4, re} {
-		for j := 0; j < NumCols; j++ {
-			if j == ColComment {
-				continue
-			}
-			zm := tf.ZoneMap(j)
-			if zm == nil {
-				t.Fatalf("col %s: no zonemap", colNames[j])
-			}
-			for c := 0; c < tf.NumChunks(); c++ {
-				stripe := wantStripe(t, tf, c, j)
-				n := tf.Layout().ChunkTuples(c)
-				wantLo, wantHi := int64(math.MaxInt64), int64(math.MinInt64)
-				for i := int64(0); i < n; i++ {
-					v := int64(binary.LittleEndian.Uint64(stripe[i*8:]))
-					if v < wantLo {
-						wantLo = v
-					}
-					if v > wantHi {
-						wantHi = v
-					}
+	for _, shape := range storedShapes {
+		created := shape.create(t, 20_000, 1000, 11)
+		re, err := Open(created.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		for _, tf := range []*TableFile{created, re} {
+			for j := 0; j < NumCols; j++ {
+				zm := tf.ZoneMap(j)
+				if (zm == nil) != (j == ColComment) {
+					t.Fatalf("%s col %s: zonemap %v, want one for every column but the comment filler", shape.name, colNames[j], zm)
 				}
-				lo, hi := zm.Bounds(c)
-				if lo != wantLo || hi != wantHi {
-					t.Fatalf("col %s chunk %d bounds [%d, %d], want [%d, %d]",
-						colNames[j], c, lo, hi, wantLo, wantHi)
+				if zm == nil {
+					continue
+				}
+				for c := 0; c < tf.NumChunks(); c++ {
+					stripe := wantStripe(t, tf, c, j)
+					n := tf.Layout().ChunkTuples(c)
+					wantLo, wantHi := int64(math.MaxInt64), int64(math.MinInt64)
+					for i := int64(0); i < n; i++ {
+						v := int64(binary.LittleEndian.Uint64(stripe[i*8:]))
+						wantLo, wantHi = min(wantLo, v), max(wantHi, v)
+					}
+					if lo, hi := zm.Bounds(c); lo != wantLo || hi != wantHi {
+						t.Fatalf("%s col %s chunk %d bounds [%d, %d], want [%d, %d]",
+							shape.name, colNames[j], c, lo, hi, wantLo, wantHi)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestCompressedOpenTypedErrors pins Open's validation of the v4
-// directories: every inconsistent scheme byte, extent length or zonemap
-// bound is a typed geometry error, and torn files stay ErrTruncated.
+// TestCompressedOpenTypedErrors pins Open's validation of the metadata
+// region in every stored shape: every inconsistent scheme byte, extent
+// length or zonemap bound is a typed geometry error, and torn files stay
+// ErrTruncated. The damaged extents are (chunk 1, shipdate) — coded in the
+// compressed shape — and (chunk 0, comment), identity in all three.
 func TestCompressedOpenTypedErrors(t *testing.T) {
-	tf := newTestFileCompressed(t, 8_000, 500, 21)
-	schemeOff, extOff, zoneOff := v4MetaOffsets(tf)
-	// A codec page to corrupt: (chunk 1, shipdate) — shipdate compresses.
-	codecPage, _ := tf.PartPages(1, ColShipDate)
-	if s, ok := tf.ColScheme(ColShipDate); !ok {
-		t.Fatalf("shipdate unexpectedly identity (scheme %v); pick another column", s)
+	extLen := func(tf *TableFile, raw []byte, page int64) []byte {
+		_, extOff, _ := metaOffsets(tf)
+		return raw[extOff+page*8:]
 	}
-	// An identity page: the comment column is always stored raw.
-	idPage, _ := tf.PartPages(0, ColComment)
-	cases := []struct {
-		name   string
-		mutate func(raw []byte) []byte
-		want   error
-	}{
-		{"truncated data", func(raw []byte) []byte { return raw[:len(raw)-1] }, ErrTruncated},
-		{"truncated directories", func(raw []byte) []byte { return raw[:zoneOff+8] }, ErrTruncated},
-		{"trailing garbage", func(raw []byte) []byte { return append(raw, 0, 0, 0, 0, 0, 0, 0, 0) }, ErrBadGeometry},
-		{"unknown scheme byte", func(raw []byte) []byte {
-			raw[schemeOff+int64(ColShipDate)] = 0x77
+	shipPage := func(tf *TableFile) int64 { return stripePage(tf, 1, ColShipDate) }
+	runOpenCases(t, []openCase{
+		// What the file's size must be is read from the extent directory.
+		{name: "truncated data", mutate: func(_ *TableFile, raw []byte) []byte { return raw[:len(raw)-1] }, want: ErrTruncated},
+		{name: "trailing garbage", mutate: func(_ *TableFile, raw []byte) []byte { return append(raw, 0, 0, 0, 0, 0, 0, 0, 0) }, want: ErrBadGeometry},
+		{name: "truncated directories", mutate: func(tf *TableFile, raw []byte) []byte {
+			_, _, zoneOff := metaOffsets(tf)
+			return raw[:zoneOff+8]
+		}, want: ErrTruncated},
+		{name: "unknown scheme byte", mutate: func(tf *TableFile, raw []byte) []byte {
+			schemeOff, _, _ := metaOffsets(tf)
+			raw[schemeOff+ColShipDate] = 0x77
 			return raw
-		}, ErrBadGeometry},
-		{"codec on comment column", func(raw []byte) []byte {
-			raw[schemeOff+int64(ColComment)] = byte(compress.PFOR)
+		}, want: ErrBadGeometry},
+		{name: "codec on comment column", mutate: func(tf *TableFile, raw []byte) []byte {
+			schemeOff, _, _ := metaOffsets(tf)
+			raw[schemeOff+ColComment] = byte(compress.PFOR)
 			return raw
-		}, ErrBadGeometry},
-		{"identity extent length mismatch", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[extOff+idPage*8:], uint64(tf.PageBytes(idPage)-8))
+		}, want: ErrBadGeometry},
+		{name: "identity extent length mismatch", mutate: func(tf *TableFile, raw []byte) []byte {
+			page := stripePage(tf, 0, ColComment)
+			binary.LittleEndian.PutUint64(extLen(tf, raw, page), uint64(tf.PageBytes(page)-8))
 			return raw
-		}, ErrBadGeometry},
-		{"zero extent length", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[extOff+codecPage*8:], 0)
+		}, want: ErrBadGeometry},
+		{name: "zero extent length", mutate: func(tf *TableFile, raw []byte) []byte {
+			binary.LittleEndian.PutUint64(extLen(tf, raw, shipPage(tf)), 0)
 			return raw
-		}, ErrBadGeometry},
-		{"oversized extent length", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[extOff+codecPage*8:], uint64(4*tf.PageBytes(codecPage)))
+		}, want: ErrBadGeometry},
+		{name: "oversized extent length", mutate: func(tf *TableFile, raw []byte) []byte {
+			binary.LittleEndian.PutUint64(extLen(tf, raw, shipPage(tf)), uint64(4*tf.PageBytes(shipPage(tf))))
 			return raw
-		}, ErrBadGeometry},
-		{"extent length off by one", func(raw []byte) []byte {
-			// Plausible per extent, but the directory no longer sums to the
-			// file's data size: one byte of the file is now unaccounted for.
-			l := binary.LittleEndian.Uint64(raw[extOff+codecPage*8:])
-			binary.LittleEndian.PutUint64(raw[extOff+codecPage*8:], l-1)
+		}, want: ErrBadGeometry},
+		{name: "extent length off by one", mutate: func(tf *TableFile, raw []byte) []byte {
+			// Plausible for a coded extent, but the directory no longer sums
+			// to the file's data size: one byte is now unaccounted for.
+			l := binary.LittleEndian.Uint64(extLen(tf, raw, shipPage(tf)))
+			binary.LittleEndian.PutUint64(extLen(tf, raw, shipPage(tf)), l-1)
 			return raw
-		}, ErrBadGeometry},
-		{"inverted zonemap bounds", func(raw []byte) []byte {
+		}, want: ErrBadGeometry},
+		{name: "inverted zonemap bounds", mutate: func(tf *TableFile, raw []byte) []byte {
+			_, _, zoneOff := metaOffsets(tf)
 			e := zoneOff + (int64(ColShipDate)*int64(tf.NumChunks())+2)*16
 			binary.LittleEndian.PutUint64(raw[e:], uint64(100))
 			binary.LittleEndian.PutUint64(raw[e+8:], uint64(50))
 			return raw
-		}, ErrBadGeometry},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := mutatedCopy(t, tf, tc.mutate)
-			got, err := Open(path)
-			if err == nil {
-				got.Close()
-				t.Fatalf("Open accepted a v4 file with %s", tc.name)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("Open error = %v, want %v", err, tc.want)
-			}
-		})
-	}
+		}, want: ErrBadGeometry},
+	})
 }
 
-// TestCompressedCorruptExtent covers both corruption layers of a v4 read: a
-// flipped stored byte fails the page's CRC (ErrChecksum), and a flipped
-// byte whose checksum entry was "fixed" to match — silent media corruption
-// past the CRC — fails structurally in the decoder (ErrCorrupt). Neither
-// may ever decode into wrong tuples, and both tag the exact page.
+// TestCompressedCorruptExtent covers both corruption layers of a coded
+// extent's read: a flipped stored byte fails the page's CRC (ErrChecksum),
+// and a flipped byte whose checksum entry was "fixed" to match — silent
+// media corruption past the CRC — fails structurally in the decoder
+// (ErrCorrupt). Neither may ever decode into wrong tuples, and both tag the
+// exact page.
 func TestCompressedCorruptExtent(t *testing.T) {
 	tf := newTestFileCompressed(t, 8_000, 500, 33)
+	if _, coded := tf.ColScheme(ColShipDate); !coded {
+		t.Fatal("shipdate unexpectedly identity; pick another column")
+	}
 	badPage, _ := tf.PartPages(2, ColShipDate)
 	off, size := tf.PartFileRange(2, ColShipDate)
 	if size != tf.StoredPageBytes(badPage) {
 		t.Fatalf("PartFileRange size %d != StoredPageBytes %d", size, tf.StoredPageBytes(badPage))
 	}
-
-	check := func(t *testing.T, path string, want error) {
-		t.Helper()
-		re, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		defer re.Close()
-		buf := make([]byte, re.PageBytes(badPage))
-		err = re.ReadPageRange(badPage, 1, buf)
-		if !errors.Is(err, want) {
-			t.Fatalf("corrupt extent read error = %v, want %v", err, want)
-		}
-		var pe *PageError
-		if !errors.As(err, &pe) || pe.Page != badPage {
-			t.Fatalf("error %v not tagged with page %d", err, badPage)
-		}
-		// Every other page still reads cleanly and correctly.
-		for p := int64(0); p < re.NumPages(); p++ {
-			if p == badPage {
-				continue
-			}
-			b := make([]byte, re.PageBytes(p))
-			if err := re.ReadPageRange(p, 1, b); err != nil {
-				t.Fatalf("clean page %d failed: %v", p, err)
-			}
-		}
+	// forge damages the extent, then fixes the checksum entry so
+	// verification passes and the decoder is the last line of defense.
+	forge := func(damage func(ext []byte)) string {
+		return mutatedCopy(t, tf, func(raw []byte) []byte {
+			ext := raw[off : off+size]
+			damage(ext)
+			binary.LittleEndian.PutUint64(raw[headerBytes+badPage*8:], pageChecksum(ext))
+			return raw
+		})
 	}
 
 	t.Run("checksum", func(t *testing.T) {
 		path := mutatedCopy(t, tf, func(raw []byte) []byte {
-			raw[off+int64(size)/2] ^= 0x01
+			raw[off+size/2] ^= 0x01
 			return raw
 		})
-		check(t, path, ErrChecksum)
+		checkCorruptPage(t, path, badPage, ErrChecksum)
 	})
 	t.Run("structural", func(t *testing.T) {
-		path := mutatedCopy(t, tf, func(raw []byte) []byte {
-			// Corrupt the extent's codec header (value count), then forge the
-			// checksum entry so verification passes and the decoder is the
-			// last line of defense.
-			ext := raw[off : off+int64(size)]
-			binary.LittleEndian.PutUint64(ext[2:], uint64(1)<<40)
-			binary.LittleEndian.PutUint64(raw[headerBytes+badPage*8:], pageChecksum(ext))
-			return raw
-		})
-		check(t, path, ErrCorrupt)
+		// The codec header's value count, far beyond a stripe.
+		path := forge(func(ext []byte) { binary.LittleEndian.PutUint64(ext[2:], uint64(1)<<40) })
+		checkCorruptPage(t, path, badPage, ErrCorrupt)
 	})
 	t.Run("short decode", func(t *testing.T) {
-		path := mutatedCopy(t, tf, func(raw []byte) []byte {
-			// A structurally valid extent that decodes to too few values must
-			// be rejected: the page mapping is fixed-width.
-			ext := raw[off : off+int64(size)]
-			binary.LittleEndian.PutUint64(ext[2:], uint64(tf.TuplesPerChunk()-1))
-			binary.LittleEndian.PutUint64(raw[headerBytes+badPage*8:], pageChecksum(ext))
-			return raw
-		})
-		check(t, path, ErrCorrupt)
+		// A structurally valid extent that decodes to too few values must
+		// be rejected: the page mapping is fixed-width.
+		path := forge(func(ext []byte) { binary.LittleEndian.PutUint64(ext[2:], uint64(tf.TuplesPerChunk()-1)) })
+		checkCorruptPage(t, path, badPage, ErrCorrupt)
 	})
 }
 
-// TestCompressedCreateRejectsNSM pins the v4 format boundary: compressed
-// extents are a DSM feature, and geometry errors from Create must not leave
-// a partial file behind.
-func TestCompressedCreateRejectsBadGeometry(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.tbl")
-	if _, err := CreateCompressed(path, 0, 500, 1); err == nil {
-		t.Fatal("CreateCompressed(rows=0) succeeded")
+// dirNames lists the directory entries of dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("failed create left a partial file behind (stat err = %v)", err)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestCompressedCreateRejectsBadGeometry: a create that fails — bad
+// geometry, compression asked of NSM, a parent directory that is missing or
+// not writable — leaves nothing at path and no temporary beside it.
+func TestCompressedCreateRejectsBadGeometry(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bad.tbl")
+	readOnly := filepath.Join(dir, "ro")
+	if err := os.Mkdir(readOnly, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	fails := map[string]func() (*TableFile, error){
+		"zero rows":         func() (*TableFile, error) { return CreateCompressed(path, 0, 500, 1) },
+		"zero chunk":        func() (*TableFile, error) { return CreateFormat(path, DSM, 500, 0, 1) },
+		"unknown format":    func() (*TableFile, error) { return CreateFormat(path, Format(7), 500, 100, 1) },
+		"compress with NSM": func() (*TableFile, error) { return create(path, NSM, 500, 100, 1, true) },
+		"missing parent": func() (*TableFile, error) {
+			return CreateFormat(filepath.Join(dir, "absent", "t.tbl"), NSM, 500, 100, 1)
+		},
+	}
+	if os.Geteuid() != 0 { // root writes through the mode bits
+		fails["unwritable parent"] = func() (*TableFile, error) { return CreateFormat(filepath.Join(readOnly, "t.tbl"), NSM, 500, 100, 1) }
+	}
+	for name, fail := range fails {
+		if tf, err := fail(); err == nil {
+			tf.Close()
+			t.Fatalf("%s: create succeeded", name)
+		}
+		if got := dirNames(t, dir); len(got) != 1 || len(dirNames(t, readOnly)) != 0 {
+			t.Fatalf("%s: failed create left %v behind", name, got)
+		}
+	}
+}
+
+// TestCreateReplacesAtomically: a create builds the file under a sibling
+// temporary name and renames it into place, so a successful one leaves
+// exactly one file, a stale temporary from a killed create is replaced, and
+// whatever sat at path before (a complete older table here) is replaced
+// whole — read through to the last chunk, never a mix.
+func TestCreateReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.tbl")
+	if err := os.WriteFile(path+".tmp", []byte("torn by a killed create"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for seed, shape := range []struct {
+		format     Format
+		compressed bool
+	}{{NSM, false}, {DSM, true}} {
+		tf, err := create(path, shape.format, 3_000, 500, uint64(seed), shape.compressed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dirNames(t, dir); len(got) != 1 || got[0] != "t.tbl" {
+			t.Fatalf("create left %v, want exactly t.tbl", got)
+		}
+		// The descriptor create returns reads the renamed file, as a fresh
+		// Open does.
+		re, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*TableFile{tf, re} {
+			last := f.NumChunks() - 1
+			if got := readChunkData(t, f, last).Col(ColTax); string(got) != string(wantStripe(t, f, last, ColTax)) {
+				t.Fatalf("seed %d: last chunk differs from the generator", seed)
+			}
+			f.Close()
+		}
 	}
 }

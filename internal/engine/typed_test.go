@@ -86,22 +86,6 @@ func sameQ1(a, b exec.Q1Result) bool {
 	return true
 }
 
-// typedFormats are the three stored shapes a part reaches a kernel from: an
-// NSM chunk frame windowed per column, raw DSM stripes read in place, and v4
-// extents decoded into the frame.
-var typedFormats = []struct {
-	name   string
-	create func(t testing.TB, rows, tpc int64, seed uint64) *TableFile
-}{
-	{"nsm", func(t testing.TB, rows, tpc int64, seed uint64) *TableFile {
-		return newTestFileFormat(t, NSM, rows, tpc, seed)
-	}},
-	{"dsm", func(t testing.TB, rows, tpc int64, seed uint64) *TableFile {
-		return newTestFileFormat(t, DSM, rows, tpc, seed)
-	}},
-	{"dsm-v4", newTestFileCompressed},
-}
-
 // TestLiveKernelsMatchParentByteLoops is this change's old-vs-new: every one
 // of 48 chunks (the last one short), delivered by a live server whose buffer
 // is a sixth of the table so frames recycle, is folded by the typed kernels
@@ -119,7 +103,7 @@ func TestLiveKernelsMatchParentByteLoops(t *testing.T) {
 		exec.DefaultQ6(),
 		{DateLo: tpch.DateMin, DateHi: tpch.DateMax + 1, DiscLo: 5, DiscHi: 7, MaxQty: 24},
 	}
-	for _, f := range typedFormats {
+	for _, f := range storedShapes {
 		t.Run(f.name, func(t *testing.T) {
 			tf := f.create(t, rows, tpc, 77)
 			if tf.NumChunks() != chunks {
@@ -158,7 +142,7 @@ func TestLiveKernelsMatchParentByteLoops(t *testing.T) {
 // is accepted back as words — and the checked direction of the alias refuses
 // the buffers that are not, with the typed error, through the public entry.
 func TestFrameViewsAligned(t *testing.T) {
-	for _, f := range typedFormats {
+	for _, f := range storedShapes {
 		t.Run(f.name, func(t *testing.T) {
 			tf := f.create(t, 7_777, 500, 5) // a short last chunk
 			for _, size := range partSizes(tf) {
@@ -256,55 +240,76 @@ func TestHostByteOrder(t *testing.T) {
 	}
 }
 
-// TestV4LoadLandsInFrame: a compressed part load decodes straight into the
-// frame. Cold — a freshly opened file, nothing pooled — it allocates less
-// than one decoded stripe, so no scratch of decoded values exists anywhere
-// to copy from (the parent decoded into a pooled []int64 and wrote every
-// value a second time into the frame); warm it allocates nothing; and it
-// writes its page's words and no others.
+// TestV4LoadLandsInFrame: a part load lands in the frame, whichever way
+// the file stores it. An identity part — the whole chunk of an NSM file, a
+// stripe of a DSM one, the comment filler of a compressed one — is read
+// straight into the frame: cold it allocates no copy of the part and the
+// stored-byte scratch is never touched. A coded part decodes straight into the frame:
+// cold — a freshly opened file, nothing pooled — it allocates less than one
+// decoded stripe, so no scratch of decoded values exists anywhere to copy
+// from. Warm, neither allocates; and a load writes its part's words and no
+// others.
 func TestV4LoadLandsInFrame(t *testing.T) {
-	path := newTestFileCompressed(t, 8_000, 1000, 3).Path()
-	for _, col := range []int{ColShipDate, ColExtendedPrice, ColReturnFlag, ColComment} {
-		tf, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
+	for _, shape := range storedShapes {
+		created := shape.create(t, 8_000, 1000, 3)
+		cols := []int{ColShipDate, ColExtendedPrice, ColReturnFlag, ColComment}
+		if created.Format() == NSM {
+			cols = cols[:1] // one part per chunk, whatever the column
 		}
-		defer tf.Close()
-		first, count := tf.PartPages(3, col)
-		n := int(tf.ColStripeBytes(col) / 8)
-		arena := make([]int64, 3*n)
-		for i := range arena {
-			arena[i] = -0x5555
-		}
-		fr := &frame{vals: arena[n : 2*n : 2*n]}
-		load := func() {
-			if err := tf.readPageRange(first, count, fr.vals, nil, nil); err != nil {
+		for _, col := range cols {
+			tf, err := Open(created.Path())
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		load()
-		runtime.ReadMemStats(&after)
-		if _, coded := tf.ColScheme(col); coded {
-			if cold := int64(after.TotalAlloc - before.TotalAlloc); cold >= fr.bytes() {
-				t.Errorf("column %d: the first load allocated %d bytes, a decoded stripe is %d: decode is not landing in the frame",
-					col, cold, fr.bytes())
+			defer tf.Close()
+			first, count := tf.PartPages(3, partColFor(tf.Format(), col))
+			_, coded := tf.ColScheme(col)
+			n := int(tf.ColStripeBytes(col) / 8)
+			if tf.Format() == NSM {
+				n = int(tf.ChunkBytes() / 8)
 			}
-		}
-		if a := testing.AllocsPerRun(50, load); a != 0 {
-			t.Errorf("column %d: %v allocs per steady-state part load, want 0", col, a)
-		}
-		want, err := bytesWords(readChunkDataCols(t, tf, 3, storage.Cols(col)).Col(col))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range arena {
-			switch {
-			case i >= n && i < 2*n && v != want[i-n]:
-				t.Fatalf("column %d word %d = %d, want %d", col, i-n, v, want[i-n])
-			case (i < n || i >= 2*n) && v != -0x5555:
-				t.Fatalf("column %d: the load wrote outside its frame at word %d", col, i-n)
+			arena := make([]int64, 3*n)
+			for i := range arena {
+				arena[i] = -0x5555
+			}
+			fr := &frame{vals: arena[n : 2*n : 2*n]}
+			load := func() {
+				if err := tf.readPageRange(first, count, fr.vals, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			load()
+			runtime.ReadMemStats(&after)
+			cold := int64(after.TotalAlloc - before.TotalAlloc)
+			// TotalAlloc is process-wide, so the bound is one part's bytes, not
+			// zero: other goroutines may allocate meanwhile, but a scratch copy
+			// of the part cannot hide under it.
+			if cold >= fr.bytes() {
+				t.Errorf("%s column %d: the first load allocated %d bytes, the part is %d: it is not landing in the frame",
+					shape.name, col, cold, fr.bytes())
+			}
+			if !coded && tf.storedScratch.Get() != nil {
+				t.Errorf("%s column %d: the first load of an identity part pooled scratch: it is not read in place", shape.name, col)
+			}
+			if a := testing.AllocsPerRun(50, load); a != 0 {
+				t.Errorf("%s column %d: %v allocs per steady-state part load, want 0", shape.name, col, a)
+			}
+			want := readChunkDataCols(t, tf, 3, storage.Cols(col)).vecs[col]
+			if tf.Format() == NSM {
+				want = nil
+				for _, vec := range readChunkData(t, tf, 3).vecs {
+					want = append(want, vec...)
+				}
+			}
+			for i, v := range arena {
+				switch {
+				case i >= n && i < 2*n && v != want[i-n]:
+					t.Fatalf("%s column %d word %d = %d, want %d", shape.name, col, i-n, v, want[i-n])
+				case (i < n || i >= 2*n) && v != -0x5555:
+					t.Fatalf("%s column %d: the load wrote outside its frame at word %d", shape.name, col, i-n)
+				}
 			}
 		}
 	}

@@ -25,7 +25,7 @@ import (
 func newTestTable(t *testing.T, rows, tpc int64, seed uint64) *engine.TableFile {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), fmt.Sprintf("tbl-%d.coop", seed))
-	tf, err := engine.Create(path, rows, tpc, seed)
+	tf, err := engine.CreateFormat(path, engine.NSM, rows, tpc, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

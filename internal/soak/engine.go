@@ -58,10 +58,10 @@ type engineStream struct {
 }
 
 // RunEngine executes one seeded engine-layer soak: an NSM table, a raw DSM
-// table and a compressed (v4) DSM table — all fault-injected, so corrupted
+// table and a compressed DSM table — all fault-injected, so corrupted
 // compressed extents must heal through CRC-verified retries — under one
 // server, concurrent streams with random ranges — some cancelled mid-scan,
-// some registering Q6 predicate ranges that zonemap-prune the v4 table — a
+// some registering Q6 predicate ranges that zonemap-prune their table — a
 // background auditor freezing and cross-checking the incremental scheduler
 // state while loads retry around it, golden verification of every
 // surviving stream, and the drained-state leak and budget audit after
@@ -159,7 +159,7 @@ func RunEngine(cfg EngineConfig) (EngineReport, error) {
 			for c := a; c < b; c++ {
 				st.want.Add(goldens[ti][c])
 			}
-			if specs[ti].compressed && rng.Intn(2) == 0 {
+			if rng.Intn(2) == 0 {
 				// Zonemap pruning only removes chunks whose bounds exclude
 				// the Q6 filters — chunks that contribute zero — so the
 				// fault-free golden over the full range still holds.
@@ -170,28 +170,6 @@ func RunEngine(cfg EngineConfig) (EngineReport, error) {
 		}
 		streams[s] = st
 	}
-
-	// Background auditor: periodically freeze the world and recompute every
-	// incremental structure from first principles while loads are read,
-	// retried and completed around it.
-	auditDone := make(chan struct{})
-	var auditErr error
-	var auditWG sync.WaitGroup
-	auditWG.Add(1)
-	go func() {
-		defer auditWG.Done()
-		for {
-			select {
-			case <-auditDone:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			rep.Audits++
-			if err := srv.AuditTables(); err != nil && auditErr == nil {
-				auditErr = err
-			}
-		}
-	}()
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(streams))
@@ -218,6 +196,29 @@ func RunEngine(cfg EngineConfig) (EngineReport, error) {
 			})
 		}()
 	}
+
+	// Background auditor: freeze the world and recompute every incremental
+	// structure from first principles while loads are read, retried and
+	// completed around it — once as the streams start, so a run that pruning
+	// cuts to a few milliseconds is still audited, then periodically.
+	auditDone := make(chan struct{})
+	var auditErr error
+	var auditWG sync.WaitGroup
+	auditWG.Add(1)
+	go func() {
+		defer auditWG.Done()
+		for {
+			rep.Audits++
+			if err := srv.AuditTables(); err != nil && auditErr == nil {
+				auditErr = err
+			}
+			select {
+			case <-auditDone:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
 	wg.Wait()
 	close(auditDone)
 	auditWG.Wait()

@@ -139,7 +139,7 @@ func RunServe(cfg ServeConfig) (ServeReport, error) {
 		}
 	}
 	extraPath := filepath.Join(dir, "extra.tbl")
-	extraTF, err := engine.Create(extraPath, 8_000, tpc, cfg.Seed+997)
+	extraTF, err := engine.CreateFormat(extraPath, engine.NSM, 8_000, tpc, cfg.Seed+997)
 	if err != nil {
 		return rep, err
 	}

@@ -15,17 +15,9 @@ import (
 // (chunk map, query registry, policy state); the device arbitrates between
 // them and the buffer budget is split proportionally to table footprint.
 type MultiSystem struct {
-	env *sim.Env
-	dsk *disk.Disk
-	cpu *sim.Resource
-	mgr *core.Manager
-	cfg Config
-
-	layouts  map[string]Layout
-	nStreams int
-	pending  int
-	results  []scanSlot
-	ran      bool
+	simRun
+	mgr     *core.Manager
+	layouts map[string]Layout
 }
 
 // TableScan is a Scan targeted at a named table of a MultiSystem.
@@ -70,8 +62,8 @@ func NewMultiSystem(layouts []Layout, cfg Config) *MultiSystem {
 	}
 	shares := core.SplitBuffer(cfg.BufferBytes, maxChunk, layouts...)
 	ms := &MultiSystem{
-		env: env, dsk: d, cpu: env.NewResource("cpu", cfg.CPUCores),
-		mgr: mgr, cfg: cfg, layouts: make(map[string]Layout, len(layouts)),
+		simRun: simRun{env: env, dsk: d, cpu: env.NewResource("cpu", cfg.CPUCores), cfg: cfg},
+		mgr:    mgr, layouts: make(map[string]Layout, len(layouts)),
 	}
 	for i, l := range layouts {
 		ms.layouts[l.Table().Name] = l
@@ -88,80 +80,19 @@ func (ms *MultiSystem) UseCScan(table string) bool { return ms.mgr.UseCScan(tabl
 
 // AddStream schedules table-scans to run sequentially from startAt.
 func (ms *MultiSystem) AddStream(startAt float64, scans ...TableScan) {
-	if ms.ran {
-		panic("coopscan: AddStream after Run")
-	}
-	if len(scans) == 0 {
-		panic("coopscan: empty stream")
-	}
-	for _, sc := range scans {
+	plain := make([]Scan, len(scans))
+	tables := make([]string, len(scans))
+	for i, sc := range scans {
 		if _, ok := ms.layouts[sc.Table]; !ok {
 			panic(fmt.Sprintf("coopscan: unknown table %q", sc.Table))
 		}
-		if sc.Ranges.Empty() {
-			panic(fmt.Sprintf("coopscan: scan %q has no ranges", sc.Name))
-		}
+		plain[i], tables[i] = sc.Scan, sc.Table
 	}
-	streamIdx := ms.nStreams
-	ms.nStreams++
-	base := len(ms.results)
-	for range scans {
-		ms.results = append(ms.results, scanSlot{stream: streamIdx})
-	}
-	ms.pending++
-	scans = append([]TableScan(nil), scans...)
-	ms.env.ProcessAt(fmt.Sprintf("stream-%d", streamIdx), startAt, func(p *sim.Proc) {
-		for i, sc := range scans {
-			layout := ms.layouts[sc.Table]
-			abm, _ := ms.mgr.For(sc.Table)
-			fullTuples := layout.ChunkTuples(0)
-			q := abm.NewQuery(sc.Name, sc.Ranges, sc.Columns)
-			opts := core.ScanOptions{CPU: ms.cpu, Quantum: ms.cfg.CPUQuantum}
-			if sc.CPUPerChunk > 0 {
-				per := sc.CPUPerChunk
-				opts.Cost = func(_ int, tuples int64) float64 {
-					if fullTuples <= 0 {
-						return per
-					}
-					return per * float64(tuples) / float64(fullTuples)
-				}
-			}
-			if sc.OnChunk != nil {
-				hook := sc.OnChunk
-				opts.OnChunk = func(chunk int) {
-					hook(chunk, int64(chunk)*fullTuples, layout.ChunkTuples(chunk))
-				}
-			}
-			ms.results[base+i].stats = core.RunCScan(p, abm, q, opts)
-		}
-		ms.pending--
-		if ms.pending == 0 {
-			ms.mgr.Shutdown()
-		}
-	})
+	ms.addStream(startAt, plain, func(i int) (*core.ABM, Layout) {
+		abm, _ := ms.mgr.For(tables[i])
+		return abm, ms.layouts[tables[i]]
+	}, ms.mgr.Shutdown)
 }
 
 // Run executes all streams and returns the combined report.
-func (ms *MultiSystem) Run() (*Report, error) {
-	if ms.ran {
-		return nil, fmt.Errorf("coopscan: Run called twice")
-	}
-	if ms.nStreams == 0 {
-		return nil, fmt.Errorf("coopscan: no streams added")
-	}
-	ms.ran = true
-	if err := ms.env.Run(0); err != nil {
-		return nil, fmt.Errorf("coopscan: simulation stuck: %w", err)
-	}
-	rep := &Report{
-		System:         ms.mgr.Stats(),
-		Disk:           ms.dsk.Stats(),
-		Elapsed:        ms.env.Now(),
-		CPUUtilisation: ms.cpu.Utilisation(),
-	}
-	for _, slot := range ms.results {
-		rep.Scans = append(rep.Scans, slot.stats)
-		rep.Streams = append(rep.Streams, slot.stream)
-	}
-	return rep, nil
-}
+func (ms *MultiSystem) Run() (*Report, error) { return ms.run(ms.mgr.Stats) }

@@ -116,8 +116,8 @@ func obsBenchSetup(tb testing.TB) ([]*engine.TableFile, [][][]engine.PlannedQuer
 	tfs := make([]*engine.TableFile, multiBenchTables)
 	plans := make([][][]engine.PlannedQuery, multiBenchTables)
 	for i := range tfs {
-		tf, err := engine.Create(filepath.Join(tb.TempDir(), fmt.Sprintf("obs%d.tbl", i)),
-			multiBenchRows, multiBenchTPC, multiBenchSeed+uint64(i))
+		tf, err := engine.CreateFormat(filepath.Join(tb.TempDir(), fmt.Sprintf("obs%d.tbl", i)),
+			engine.NSM, multiBenchRows, multiBenchTPC, multiBenchSeed+uint64(i))
 		if err != nil {
 			tb.Fatal(err)
 		}
