@@ -14,7 +14,7 @@ FUZZTIME  ?= 10s
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench test-race test-serve test-fault-units fuzz-open vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-sched bench-kernels bench-obs bench-compress
+.PHONY: build test test-bench test-race test-serve test-fault-units fuzz-open fuzz-scan vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,14 @@ test-fault-units:
 fuzz-open:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/engine/
 
+# Fuzz the /scan query surface: raw query strings (table, start, end, cols,
+# agg, tier, deadline_ms, name) against handleScan on a tiny live engine —
+# never a panic, always a typed 4xx JSON body or a well-formed NDJSON stream
+# whose receipts equal the streamed reference (internal/serve/fuzz_test.go).
+# Findings land under internal/serve/testdata/fuzz/FuzzScanQuery.
+fuzz-scan:
+	$(GO) test -run '^$$' -fuzz FuzzScanQuery -fuzztime $(FUZZTIME) ./internal/serve/
+
 # Randomized multi-seed soak (the PR-8 harness, internal/soak): per seed a
 # core-layer driver runs thousands of seeded register/scan/cancel/detach/
 # attach operations over mixed NSM+DSM layouts with incremental-vs-linear
@@ -119,6 +127,19 @@ bench-record:
 #	make bench-compare BASE=bench/baseline/9d347f9.json CHANGE=.bench_build/record-abc1234.json
 bench-compare:
 	bash bench/run.sh compare $(BASE) $(CHANGE)
+
+# Paired runs, the method a claimed gain rests on: one untraced run of
+# WORKLOAD per seed on each of two checkouts, each built from its own source,
+# alternating which goes first; prints every run, then median, quartiles and
+# wins per end-to-end metric, and fails on a wrong answer or a failed scan
+# (tools/bench-pairs.sh). PARENT is a second checkout of the parent commit
+# (`git clone`, not a worktree); ten pairs at the suite's window by default:
+#
+#	make bench-pairs PARENT=/root/scratch/parent WORKLOAD=serve-dsmz
+#	make bench-pairs PARENT=../parent WORKLOAD=nsm-io PAIR_SECONDS=8 PAIR_SEEDS="1 2 3 4"
+PAIR_CHANGE ?= .
+bench-pairs:
+	bash tools/bench-pairs.sh $(PARENT) $(PAIR_CHANGE) $(WORKLOAD) $(PAIR_SECONDS) $(PAIR_SEEDS)
 
 # Scheduler decision-cost fence (simulator side): TestSchedScalingGuard
 # compares the q512/q64 per-decision ratio measured in one process against

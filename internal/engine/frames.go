@@ -1,6 +1,10 @@
 package engine
 
-import "coopscan/internal/obs"
+import (
+	"sync/atomic"
+
+	"coopscan/internal/obs"
+)
 
 // frame is the buffer of one ABM part — an NSM chunk or a DSM column stripe,
 // always exactly one TableFile.PartPages run: one contiguous typed column
@@ -19,7 +23,17 @@ type frame struct {
 	// ABM's own pin counts are what protect the part from eviction; this
 	// one feeds the pinned-parts gauge on its 0↔1 transitions.
 	pins int
+	// crcs memoises ChunkData.ColCRC for this residency: slot j holds the
+	// CRC-32 (IEEE) of column j's valid prefix on an NSM chunk frame, slot 0
+	// that of the one column a DSM part is; crcValid marks a filled slot.
+	// Cleared when the allocator hands the frame to a new load (under the
+	// server mutex), filled without it by whichever scans pinning the part
+	// ask first — racing fillers store the same value.
+	crcs [NumCols]atomic.Uint64
 }
+
+// crcValid is the filled bit of a frame.crcs slot; the sum is the low word.
+const crcValid = 1 << 32
 
 // bytes returns the frame's size: the decoded bytes of its part.
 func (f *frame) bytes() int64 { return int64(len(f.vals)) * 8 }
@@ -81,12 +95,16 @@ func (a *frameAlloc) release(sizes []int64) {
 }
 
 // get draws a frame of exactly size bytes from its class's free list,
-// allocating when the list is empty.
+// allocating when the list is empty. The frame's CRC memo comes back clear:
+// whatever the previous tenant's scans left there describes other bytes.
 func (a *frameAlloc) get(size int64) *frame {
 	a.gets.add(1)
 	if c := a.classes[size]; c != nil && len(c.free) > 0 {
 		f := c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
+		for j := range f.crcs {
+			f.crcs[j].Store(0)
+		}
 		return f
 	}
 	a.allocs.add(1)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"coopscan/internal/core"
 	"coopscan/internal/obs"
@@ -56,6 +57,7 @@ type serverObs struct {
 	scanSeconds  *obs.HistogramVec // {table, policy}
 	usefulBytes  *obs.CounterVec   // {table}
 	prunedChunks *obs.CounterVec   // {table, policy}
+	receiptCRCs  *obs.CounterVec   // {table, outcome}
 
 	schedTrack obs.Track
 }
@@ -73,6 +75,25 @@ type tally struct {
 func (t *tally) add(d int64) {
 	t.n += d
 	t.c.Add(d)
+}
+
+// sharedTally is tally for an event counted outside the server mutex.
+type sharedTally struct {
+	n atomic.Int64
+	c *obs.Counter
+}
+
+func (t *sharedTally) add(d int64) {
+	t.n.Add(d)
+	t.c.Add(d)
+}
+
+// receiptMeter counts one table's ChunkData.ColCRC calls by outcome: sums
+// computed from a part's bytes, and sums reused from the part's memo. At a
+// sharing fan-out of F deliveries per load, reused ÷ (computed + reused)
+// sits near 1 − 1/F when every scan asks for receipts.
+type receiptMeter struct {
+	computed, reused sharedTally
 }
 
 // level is tally's up-and-down sibling, exported as a gauge.
@@ -94,7 +115,6 @@ type tableObs struct {
 	sched  *obs.Histogram
 	scan   *obs.Histogram
 	useful *obs.Counter
-	pruned *obs.Counter
 
 	lanes     []obs.Track
 	laneCount int
@@ -149,6 +169,8 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) serverObs {
 			"Delivered bytes the scans' projections actually needed.", "table")
 		o.prunedChunks = reg.CounterVec("coopscan_chunks_pruned_total",
 			"Chunks zonemap-pruned out of scan registrations before reaching the scheduler.", "table", "policy")
+		o.receiptCRCs = reg.CounterVec("coopscan_receipt_crcs_total",
+			"Per-column receipt CRCs scans asked of delivered parts: computed from the part's bytes, or reused from the sum an earlier scan left on the resident part.", "table", "outcome")
 	}
 	if tracer != nil {
 		o.schedTrack = tracer.NewTrack("scheduler")

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"hash/crc32"
 	"math"
+	"sync/atomic"
 
 	"coopscan/internal/exec"
 	"coopscan/internal/storage"
@@ -52,10 +54,18 @@ func ProjectionBytes(cols storage.ColSet) int64 {
 // returns. They are shared with every other scan delivered the same chunk,
 // so a callback reads them and never writes; a result it keeps is a value it
 // computed (an aggregate, a CRC), not a slice.
+//
+// What the engine itself may keep on a part for its consumers to share is
+// the same kind of thing: a pure function of the part's bytes, valid for one
+// residency (ColCRC is the first).
 type ChunkData struct {
 	vecs   [][]int64      // indexed by column; nil when not delivered
 	cols   storage.ColSet // the delivered columns
 	tuples int64          // valid rows in this chunk (the last chunk is short)
+	// memo[col] is the slot of col's part that remembers ColCRC(col) (see
+	// frame.crcs); receipts counts how often it was filled and found filled.
+	memo     []*atomic.Uint64
+	receipts *receiptMeter
 }
 
 // Tuples returns the number of valid rows in the chunk.
@@ -82,6 +92,24 @@ func (d ChunkData) Ints(col int) []int64 {
 // bytes, zero padding of a short last chunk included (nil if the column was
 // not delivered): the view receipts and byte-for-byte comparisons take.
 func (d ChunkData) Col(col int) []byte { return wordBytes(d.vecs[col]) }
+
+// ColCRC returns the CRC-32 (IEEE) of the valid prefix — Tuples × ColWidth
+// bytes — of delivered column col. The sum is a function of the part alone,
+// so it is taken once per residency: the first scan to ask hashes the bytes
+// and leaves the sum on the part's frame, every other scan delivered the
+// part while it stays resident reads it back. Nothing waits: two scans
+// asking at once both hash, and store the same word.
+func (d ChunkData) ColCRC(col int) uint32 {
+	slot := d.memo[col]
+	if v := slot.Load(); v&crcValid != 0 {
+		d.receipts.reused.add(1)
+		return uint32(v)
+	}
+	crc := crc32.ChecksumIEEE(d.Col(col)[:d.tuples*colWidths[col]])
+	slot.Store(crcValid | uint64(crc))
+	d.receipts.computed.add(1)
+	return crc
+}
 
 // Q6Chunk evaluates the FAST query (TPC-H Q6) over one delivered chunk with
 // the vectorised kernel, straight from the pinned frames. It computes the

@@ -140,6 +140,12 @@ type TableStats struct {
 	// ChunksPruned counts chunks removed from scan registrations by
 	// zonemap pruning — work the scheduler never saw.
 	ChunksPruned int64
+	// ReceiptCRCsComputed and ReceiptCRCsReused count ChunkData.ColCRC
+	// calls: per-column sums hashed from a part's bytes, and sums read back
+	// from the memo an earlier scan left on the resident part — CPU work
+	// shared between consumers the way Pool.Hits ÷ Pool.Misses is I/O shared.
+	ReceiptCRCsComputed int64
+	ReceiptCRCsReused   int64
 }
 
 // FaultStats counts the server's fault-handling activity. All fields are
@@ -230,12 +236,15 @@ type serverTable struct {
 	// the server mutex.
 	inflight int
 	// diskRead accumulates the stored bytes load workers transferred for
-	// this table (compressed widths on v4 files); pruned accumulates the
-	// chunks zonemap pruning removed from scan registrations. Both are
-	// atomics because they are bumped outside the server mutex (workers
-	// and the pre-registration scan path).
+	// this table (compressed widths on v4 files); pruned counts the chunks
+	// zonemap pruning removed from scan registrations. Both are bumped
+	// outside the server mutex (workers and the pre-registration scan
+	// path).
 	diskRead atomic.Int64
-	pruned   atomic.Int64
+	pruned   sharedTally
+	// receipts meters the table's ColCRC calls (scans bump it from their
+	// callbacks, outside the server mutex).
+	receipts receiptMeter
 	// detaching is set by DetachTable: the scheduler stops issuing the
 	// table's loads, queued and future registrations fail with
 	// ErrTableDetached, and parked streams wake to observe it. detached is
@@ -508,7 +517,9 @@ func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	t.o.sched = s.o.schedSeconds.With(name, s.cfg.Policy.String())
 	t.o.scan = s.o.scanSeconds.With(name, s.cfg.Policy.String())
 	t.o.useful = s.o.usefulBytes.With(name)
-	t.o.pruned = s.o.prunedChunks.With(name, s.cfg.Policy.String())
+	t.pruned.c = s.o.prunedChunks.With(name, s.cfg.Policy.String())
+	t.receipts.computed.c = s.o.receiptCRCs.With(name, "computed")
+	t.receipts.reused.c = s.o.receiptCRCs.With(name, "reused")
 	return t
 }
 
@@ -1220,8 +1231,7 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 			kept = kept.Intersect(zm.Prune(p.Lo, p.Hi))
 		}
 		if skipped := req.Ranges.Len() - kept.Len(); skipped > 0 {
-			t.pruned.Add(int64(skipped))
-			t.o.pruned.Add(int64(skipped))
+			t.pruned.add(int64(skipped))
 		}
 		if kept.Empty() {
 			// Every requested chunk's bounds exclude the predicate: the
@@ -1275,9 +1285,11 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	dsm := t.tf.Format() == DSM
 	projBytes := ProjectionBytes(cols)
 	// held are the frames of the chunk being delivered (one on NSM, one per
-	// projected column on DSM); scratch is the delivery's column index.
+	// projected column on DSM); scratch is the delivery's column index and
+	// memo its index of the frames' receipt-sum slots.
 	held := make([]*frame, 0, NumCols)
 	scratch := make([][]int64, NumCols)
+	memo := make([]*atomic.Uint64, NumCols)
 	if s.o.enabled {
 		scanStart := time.Now()
 		defer func() { t.o.scan.Observe(time.Since(scanStart).Seconds()) }()
@@ -1391,20 +1403,24 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		// overlaps with this chunk's processing.
 		s.cond.Signal()
 		tuples := t.tf.Layout().ChunkTuples(c)
-		var data ChunkData
+		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, receipts: &t.receipts}
 		if dsm {
 			// Per-column frames: deliver exactly the projection.
 			cols.Each(func(col int) {
 				f := t.frames[partID{chunk: c, col: col}]
 				held = append(held, f)
 				scratch[col] = f.vals
+				memo[col] = &f.crcs[0]
 			})
-			data = ChunkData{vecs: scratch, cols: cols, tuples: tuples}
 		} else {
 			// The NSM chunk frame holds the stripes in column order.
 			f := t.frames[partID{chunk: c, col: -1}]
 			held = append(held, f)
-			data = ChunkData{vecs: t.tf.stripes(scratch[:0], f.vals), cols: storage.AllCols(NumCols), tuples: tuples}
+			data.vecs = t.tf.stripes(scratch[:0], f.vals)
+			data.cols = storage.AllCols(NumCols)
+			for j := range memo {
+				memo[j] = &f.crcs[j]
+			}
 		}
 		s.o.hits.add(int64(len(held)))
 		for _, f := range held {
@@ -1482,7 +1498,10 @@ func (s *Server) statsLocked() ServerStats {
 			SchedNanos:    schedDur.Nanoseconds(),
 			SchedCalls:    schedCalls,
 			DiskBytesRead: t.diskRead.Load(),
-			ChunksPruned:  t.pruned.Load(),
+			ChunksPruned:  t.pruned.n.Load(),
+
+			ReceiptCRCsComputed: t.receipts.computed.n.Load(),
+			ReceiptCRCsReused:   t.receipts.reused.n.Load(),
 		})
 	}
 	return out

@@ -18,12 +18,16 @@ var updateGolden = flag.Bool("update", false, "rewrite the metrics exposition go
 
 // TestMetricsExpositionGolden drives a deterministic session sequence
 // through the front-end — one queued-then-expired deadline, one queued
-// completion, one shed, one interactive completion — and compares the full
-// Prometheus exposition byte-for-byte against the golden file.
+// completion, one shed, one interactive completion — and compares the
+// front-end's full Prometheus exposition byte-for-byte against the golden
+// file, followed by the one engine family the sequence pins exactly: the
+// receipt sums, all computed by the first completed session over the
+// four-chunk table and all reused by the second, which finds it resident.
+// (The engine's other families carry wall-clock histograms.)
 func TestMetricsExpositionGolden(t *testing.T) {
 	tf := newTestTable(t, 4_000, 1000, 32)
-	reg := obs.NewRegistry()
-	fx := newFixture(t, engine.ServerConfig{}, Config{MaxLive: 1, MaxQueue: 1, Obs: reg}, tf)
+	reg, engReg := obs.NewRegistry(), obs.NewRegistry()
+	fx := newFixture(t, engine.ServerConfig{Obs: engReg}, Config{MaxLive: 1, MaxQueue: 1, Obs: reg}, tf)
 	table := fx.eng.TableName(0)
 
 	// Hold the only live slot via the gate directly, so the HTTP sessions
@@ -77,6 +81,15 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
+	var eb strings.Builder
+	if err := engReg.WritePrometheus(&eb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.SplitAfter(eb.String(), "\n") {
+		if strings.Contains(line, "coopscan_receipt_crcs_total") {
+			sb.WriteString(line)
+		}
+	}
 	got := sb.String()
 	const goldenPath = "testdata/metrics_golden.txt"
 	if *updateGolden {
@@ -102,14 +115,14 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var status struct {
-		Engine   json.RawMessage `json:"engine"`
-		Sessions SessionsStatus  `json:"sessions"`
+		Engine   engine.Status  `json:"engine"`
+		Sessions SessionsStatus `json:"sessions"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatalf("decode statusz: %v", err)
 	}
-	if len(status.Engine) == 0 {
-		t.Error("statusz missing engine section")
+	if tables := status.Engine.Tables; len(tables) != 1 || tables[0].ReceiptCRCsComputed != 16 || tables[0].ReceiptCRCsReused != 16 {
+		t.Errorf("statusz engine tables %+v, want one with 16 receipt sums computed and 16 reused", tables)
 	}
 	ss := status.Sessions
 	if ss.MaxLive != 1 || ss.Live != 0 || ss.PeakLive != 1 {

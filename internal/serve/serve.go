@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"net/http"
 	"runtime/pprof"
 	"strconv"
@@ -338,20 +338,6 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }
 
-// ChunkCRC is the (chunk, projection) receipt checksum: CRC-32 (IEEE) over
-// the valid prefix (Tuples × column width) of each projected column,
-// ascending column order. Clients can recompute it from a local copy of the
-// table to verify the stream byte-for-byte; it is the one spelling of the
-// receipt, shared by the front-end and everything that checks it.
-func ChunkCRC(cols storage.ColSet, d engine.ChunkData) uint32 {
-	crc := uint32(0)
-	cols.Each(func(col int) {
-		valid := d.Tuples() * engine.ColWidth(col)
-		crc = crc32.Update(crc, crc32.IEEETable, d.Col(col)[:valid])
-	})
-	return crc
-}
-
 // parseCols maps the cols query parameter to a column set: a named
 // projection (q6, q1, all; empty means q6) or a comma-separated list of
 // column indices.
@@ -448,6 +434,9 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "bad deadline_ms parameter")
 			return
 		}
+		// Beyond 292 years the product overflows into a deadline already
+		// past; that far out, the longest Duration is the same promise.
+		d = min(d, math.MaxInt64/int64(time.Millisecond))
 		var cancelDl context.CancelFunc
 		ctx, cancelDl = context.WithTimeout(ctx, time.Duration(d)*time.Millisecond)
 		defer cancelDl()

@@ -18,6 +18,7 @@ import (
 	"coopscan/internal/engine"
 	"coopscan/internal/exec"
 	"coopscan/internal/obs"
+	"coopscan/internal/serve/servetest"
 	"coopscan/internal/storage"
 )
 
@@ -33,8 +34,10 @@ func newTestTable(t *testing.T, rows, tpc int64, seed uint64) *engine.TableFile 
 	return tf
 }
 
-// goldenScan computes the reference per-chunk CRCs and Q6 aggregate by
-// scanning the file through a private, immediately-closed engine.
+// goldenScan computes the reference per-chunk CRCs (streamed from the bytes
+// by servetest.ReferenceChunkCRC, not by the ChunkCRC under test) and Q6
+// aggregate by scanning the file through a private, immediately-closed
+// engine.
 func goldenScan(t *testing.T, tf *engine.TableFile, cols storage.ColSet) (map[int]uint32, exec.Q6Result) {
 	t.Helper()
 	eng, err := engine.NewServer(engine.ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
@@ -45,7 +48,7 @@ func goldenScan(t *testing.T, tf *engine.TableFile, cols storage.ColSet) (map[in
 	crcs := make(map[int]uint32)
 	var agg exec.Q6Result
 	_, err = eng.Scan(0, "golden", storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), cols, func(c int, d engine.ChunkData) {
-		crcs[c] = ChunkCRC(cols, d)
+		crcs[c] = servetest.ReferenceChunkCRC(cols, d)
 		if cols.Intersect(engine.Q6Cols()) == engine.Q6Cols() {
 			agg.Add(engine.Q6Chunk(d, exec.DefaultQ6()))
 		}

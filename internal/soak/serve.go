@@ -21,6 +21,7 @@ import (
 	"coopscan/internal/exec"
 	"coopscan/internal/iofault"
 	"coopscan/internal/serve"
+	"coopscan/internal/serve/servetest"
 	"coopscan/internal/storage"
 )
 
@@ -59,7 +60,8 @@ type tableGolden struct {
 
 // goldenOf scans tf through a private clean engine (before any fault
 // wrapping) and records the per-chunk receipts the front-end must
-// reproduce.
+// reproduce — streamed from the bytes by the reference, not by the code
+// under test.
 func goldenOf(tf *engine.TableFile) (*tableGolden, error) {
 	eng, err := engine.NewServer(engine.ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 	if err != nil {
@@ -69,7 +71,7 @@ func goldenOf(tf *engine.TableFile) (*tableGolden, error) {
 	g := &tableGolden{crcs: make([]uint32, tf.NumChunks()), q6: make([]exec.Q6Result, tf.NumChunks())}
 	cols := engine.Q6Cols()
 	_, err = eng.Scan(0, "golden", storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), cols, func(c int, d engine.ChunkData) {
-		g.crcs[c] = serve.ChunkCRC(cols, d)
+		g.crcs[c] = servetest.ReferenceChunkCRC(cols, d)
 		g.q6[c] = engine.Q6Chunk(d, exec.DefaultQ6())
 	})
 	if err != nil {
