@@ -14,7 +14,7 @@ FUZZTIME  ?= 10s
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench test-race test-serve test-fault-units fuzz-open fuzz-scan vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
+.PHONY: build test test-bench examples-check loc test-race test-serve test-fault-units fuzz-open fuzz-scan vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,29 @@ test: build test-bench
 test-bench:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# The five examples are deterministic simulations; their stdout is checked in
+# under examples/testdata/ so a change to the simulated system that moves a
+# number a reader would see fails here (~18 s). After an intended change:
+# `go run ./examples/NAME > examples/testdata/NAME.txt`, and state the diff.
+EXAMPLES = quickstart multitable columnstore orderedagg warehouse
+examples-check:
+	@for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e | diff -u examples/testdata/$$e.txt - \
+			|| { echo "examples/$$e: stdout differs from examples/testdata/$$e.txt"; exit 1; }; \
+	done; echo "examples-check: $(words $(EXAMPLES)) examples match examples/testdata/"
+
+# The line ledger CHANGES.md records per PR: non-test Go lines per package
+# directory, their total outside bench/, and bench/ (a nested module with its
+# own rules) on its own line. The round's target is fewer lines at equal suite
+# numbers, so the count is printed by a machine, in CI too, not by hand.
+LOC_FIND = -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'
+loc:
+	@for d in $$(find . $(LOC_FIND) ! -path './bench/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 $(LOC_FIND) | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total outside bench/\n' $$(find . $(LOC_FIND) ! -path './bench/*' | xargs cat | wc -l)
+	@printf '%6d bench/\n' $$(find ./bench $(LOC_FIND) | xargs cat | wc -l)
 
 # The live engine is the repo's first truly concurrent code; its tests (and
 # the core arbiter state they drive) must stay race-clean. bufferpool is no

@@ -29,10 +29,21 @@ package experiments
 //
 //     Without -capture the capture test skips, so normal runs pay only the
 //     conformance diff.
+//
+//   - testdata/timing_baseline.txt (same pair: -capture-timing=FILE and
+//     TestTimingBaselineConformance) pins what the decision golden cannot
+//     see: every virtual-time result, at full precision. Average stream
+//     time and normalised latency are float sums folded in completion
+//     order and total time is the last event's clock, so a refactor that
+//     reorders processes, streams' RNG draws or the outcome fold moves a
+//     bit here while leaving every load and eviction count alone. The
+//     queries= column is an FNV-1a digest of the per-query outcomes in the
+//     order Spec.Run reports them.
 
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,7 +53,10 @@ import (
 	"coopscan/internal/workload"
 )
 
-var captureFile = flag.String("capture", "", "write decision baseline to this file")
+var (
+	captureFile       = flag.String("capture", "", "write decision baseline to this file")
+	captureTimingFile = flag.String("capture-timing", "", "write timing baseline to this file")
+)
 
 // writeDecisionBaseline dumps the decision-observable outcomes of the
 // quick experiment configurations.
@@ -66,16 +80,51 @@ func writeDecisionBaseline(w io.Writer) {
 	}
 }
 
+// writeTimingBaseline dumps the virtual-time results of the same quick
+// configurations as hex floats (%x is exact).
+func writeTimingBaseline(w io.Writer) {
+	dump := func(tag string, results []workload.Result) {
+		for _, r := range results {
+			h := fnv.New64a()
+			for _, q := range r.Queries {
+				fmt.Fprintf(h, "%d %s %s %x %x %d\n", q.Stream, q.Template.Name(), q.Stats.Query,
+					q.Stats.Latency(), q.Normalized, q.Stats.IOs)
+			}
+			fmt.Fprintf(w, "%s %v stream_t=%x norm_lat=%x total_t=%x cpu=%x queries=%016x\n",
+				tag, r.Policy, r.AvgStreamTime, r.AvgNormLatency, r.TotalTime, r.CPUUse, h.Sum64())
+		}
+	}
+	dump("table2", Table2(QuickTable2()).Results)
+	dump("table3", Table3(QuickTable3()).Results)
+	for _, row := range Table4(QuickTable4()).Rows {
+		fmt.Fprintf(w, "table4 %s %v lat=%x sd=%x\n", row.Variant, row.Policy, row.AvgLatency, row.StdDev)
+	}
+	o := QuickSchedScaling()
+	for _, n := range o.Queries {
+		dump(fmt.Sprintf("schedscale q=%d", n), []workload.Result{schedScalingSpec(o, n, o.Chunks).Run()})
+	}
+}
+
 func TestCaptureDecisionBaseline(t *testing.T) {
-	if *captureFile == "" {
-		t.Skip("pass -capture=FILE to record the decision baseline")
+	if *captureFile == "" && *captureTimingFile == "" {
+		t.Skip("pass -capture=FILE / -capture-timing=FILE to record a baseline")
 	}
-	f, err := os.Create(*captureFile)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		path  string
+		write func(io.Writer)
+	}{{*captureFile, writeDecisionBaseline}, {*captureTimingFile, writeTimingBaseline}} {
+		if c.path == "" {
+			continue
+		}
+		f, err := os.Create(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.write(f)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer f.Close()
-	writeDecisionBaseline(f)
 }
 
 // TestDecisionBaselineConformance asserts the simulator's scheduling
@@ -83,13 +132,23 @@ func TestCaptureDecisionBaseline(t *testing.T) {
 // SchedulerPolicy extraction (and any future policy refactor) must not
 // alter a single load, eviction or buffer hit.
 func TestDecisionBaselineConformance(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "decision_baseline.txt")
+	conform(t, "decision_baseline.txt", writeDecisionBaseline)
+}
+
+// TestTimingBaselineConformance asserts the simulator's virtual-time
+// results are bit-identical to the committed golden.
+func TestTimingBaselineConformance(t *testing.T) {
+	conform(t, "timing_baseline.txt", writeTimingBaseline)
+}
+
+func conform(t *testing.T, name string, write func(io.Writer)) {
+	goldenPath := filepath.Join("testdata", name)
 	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read golden baseline: %v", err)
 	}
 	var got strings.Builder
-	writeDecisionBaseline(&got)
+	write(&got)
 	if got.String() == string(golden) {
 		return
 	}
@@ -107,5 +166,5 @@ func TestDecisionBaselineConformance(t *testing.T) {
 			t.Errorf("line %d:\n  got:  %s\n  want: %s", i+1, g, w)
 		}
 	}
-	t.Fatalf("scheduling decisions drifted from %s; if intentional, regenerate with -capture and commit", goldenPath)
+	t.Fatalf("simulator results drifted from %s; if intentional, regenerate with -capture / -capture-timing and commit", goldenPath)
 }

@@ -93,8 +93,8 @@ func SchedScaling(o SchedScalingOpts) *SchedScalingResult {
 	return out
 }
 
-// schedScalingPoint measures one (queries, chunks) combination.
-func schedScalingPoint(o SchedScalingOpts, n, chunks int) SchedScalingPoint {
+// schedScalingSpec is the workload of one (queries, chunks) combination.
+func schedScalingSpec(o SchedScalingOpts, n, chunks int) workload.Spec {
 	chunkBytes := o.TableBytes / int64(chunks)
 	rows := o.TableBytes / int64(PAXTupleBytes)
 	tab := tpch.LineitemTable(float64(rows) / tpch.RowsPerSF)
@@ -102,7 +102,7 @@ func schedScalingPoint(o SchedScalingOpts, n, chunks int) SchedScalingPoint {
 	var mix workload.Mix
 	mix.Label = fmt.Sprintf("F-%g×%d", o.ScanPct, n)
 	mix.Templates = []workload.Template{{Speed: workload.Fast, Percent: o.ScanPct}}
-	spec := workload.Spec{
+	return workload.Spec{
 		Layout:            layout,
 		BufferBytes:       o.TableBytes / 2,
 		Streams:           n,
@@ -114,7 +114,11 @@ func schedScalingPoint(o SchedScalingOpts, n, chunks int) SchedScalingPoint {
 		Policy:            core.Relevance,
 		MeasureScheduling: true,
 	}
-	res := spec.Run()
+}
+
+// schedScalingPoint measures one (queries, chunks) combination.
+func schedScalingPoint(o SchedScalingOpts, n, chunks int) SchedScalingPoint {
+	res := schedScalingSpec(o, n, chunks).Run()
 	pt := SchedScalingPoint{
 		Queries: n, Chunks: chunks, Decisions: res.SchedCalls,
 		SchedMS:    res.SchedNanos / 1e6,
