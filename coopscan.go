@@ -32,12 +32,10 @@
 package coopscan
 
 import (
-	"fmt"
-
 	"coopscan/internal/core"
 	"coopscan/internal/disk"
-	"coopscan/internal/sim"
 	"coopscan/internal/storage"
+	"coopscan/internal/workload"
 )
 
 // Policy selects the I/O scheduling policy (the paper's §3-§4).
@@ -152,144 +150,43 @@ type Scan struct {
 	OnChunk func(chunk int, firstRow, rows int64)
 }
 
-// simRun is what System and MultiSystem share: the simulated hardware, the
-// stream bookkeeping and the per-scan result slots.
-type simRun struct {
-	env *sim.Env
-	dsk *disk.Disk
-	cpu *sim.Resource
-	cfg Config
-
-	nStreams int
-	pending  int
-	results  []scanSlot
-	ran      bool
-}
-
-type scanSlot struct {
-	stream int
-	stats  ScanStats
-}
-
-// addStream schedules one stream: scans run sequentially from virtual time
-// startAt, scan i against the ABM and layout target(i) names, each with its
-// pro-rata CPU cost and row-range OnChunk hook; the last stream to finish
-// calls shutdown.
-func (r *simRun) addStream(startAt float64, scans []Scan, target func(i int) (*core.ABM, Layout), shutdown func()) {
-	if r.ran {
-		panic("coopscan: AddStream after Run")
-	}
-	if len(scans) == 0 {
-		panic("coopscan: empty stream")
-	}
-	for _, sc := range scans {
-		if sc.Ranges.Empty() {
-			panic(fmt.Sprintf("coopscan: scan %q has no ranges", sc.Name))
-		}
-	}
-	streamIdx := r.nStreams
-	r.nStreams++
-	base := len(r.results)
-	for range scans {
-		r.results = append(r.results, scanSlot{stream: streamIdx})
-	}
-	r.pending++
-	r.env.ProcessAt(fmt.Sprintf("stream-%d", streamIdx), startAt, func(p *sim.Proc) {
-		for i, sc := range scans {
-			abm, layout := target(i)
-			fullTuples := layout.ChunkTuples(0)
-			q := abm.NewQuery(sc.Name, sc.Ranges, sc.Columns)
-			opts := core.ScanOptions{CPU: r.cpu, Quantum: r.cfg.CPUQuantum}
-			if sc.CPUPerChunk > 0 {
-				per := sc.CPUPerChunk
-				opts.Cost = func(_ int, tuples int64) float64 {
-					if fullTuples <= 0 {
-						return per
-					}
-					return per * float64(tuples) / float64(fullTuples)
-				}
-			}
-			if sc.OnChunk != nil {
-				hook := sc.OnChunk
-				opts.OnChunk = func(chunk int) {
-					hook(chunk, int64(chunk)*fullTuples, layout.ChunkTuples(chunk))
-				}
-			}
-			r.results[base+i].stats = core.RunCScan(p, abm, q, opts)
-		}
-		r.pending--
-		if r.pending == 0 {
-			shutdown()
-		}
-	})
-}
-
-// run executes all streams to completion, once, and assembles the report
-// around the buffer-manager counters system reads afterwards.
-func (r *simRun) run(system func() SystemStats) (*Report, error) {
-	if r.ran {
-		return nil, fmt.Errorf("coopscan: Run called twice")
-	}
-	if r.nStreams == 0 {
-		return nil, fmt.Errorf("coopscan: no streams added")
-	}
-	r.ran = true
-	if err := r.env.Run(0); err != nil {
-		return nil, fmt.Errorf("coopscan: simulation stuck: %w", err)
-	}
-	rep := &Report{
-		System:         system(),
-		Disk:           r.dsk.Stats(),
-		Elapsed:        r.env.Now(),
-		CPUUtilisation: r.cpu.Utilisation(),
-	}
-	for _, slot := range r.results {
-		rep.Scans = append(rep.Scans, slot.stats)
-		rep.Streams = append(rep.Streams, slot.stream)
-	}
-	return rep, nil
+// newSim assembles the one simulated system (workload.System) over the
+// layouts. Zero fields pass through: the defaults Config documents are
+// applied there, in the one defaults table.
+func newSim(cfg Config, layouts ...Layout) *workload.System {
+	return workload.Spec{
+		Policy:          cfg.Policy,
+		BufferBytes:     cfg.BufferBytes,
+		CPUCores:        cfg.CPUCores,
+		DiskParams:      cfg.Disk,
+		CPUQuantum:      cfg.CPUQuantum,
+		StarveThreshold: cfg.StarveThreshold,
+		ElevatorWindow:  cfg.ElevatorWindow,
+		Prefetch:        cfg.Prefetch,
+	}.NewSystem(layouts...)
 }
 
 // System is an assembled simulation: a disk, a CPU pool, an ABM over one
 // layout, and a set of query streams. Build with NewSystem, add streams,
 // then call Run exactly once.
 type System struct {
-	simRun
-	abm    *core.ABM
-	layout Layout
+	sim   *workload.System
+	table string
 }
 
 // NewSystem creates a system over the layout.
 func NewSystem(layout Layout, cfg Config) *System {
-	if cfg.CPUCores == 0 {
-		cfg.CPUCores = 2
-	}
-	if cfg.Disk.Bandwidth == 0 {
-		cfg.Disk = disk.DefaultParams()
-	}
-	if cfg.CPUQuantum == 0 {
-		cfg.CPUQuantum = 0.01
-	}
-	env := sim.NewEnv()
-	d := disk.New(env, cfg.Disk)
-	abm := core.New(env, d, layout, core.Config{
-		Policy:          cfg.Policy,
-		BufferBytes:     cfg.BufferBytes,
-		StarveThreshold: cfg.StarveThreshold,
-		ElevatorWindow:  cfg.ElevatorWindow,
-		Prefetch:        cfg.Prefetch,
-	})
-	return &System{
-		simRun: simRun{env: env, dsk: d, cpu: env.NewResource("cpu", cfg.CPUCores), cfg: cfg},
-		abm:    abm, layout: layout,
-	}
+	return &System{sim: newSim(cfg, layout), table: layout.Table().Name}
 }
 
 // AddStream schedules scans to run sequentially, starting at virtual time
 // startAt seconds — the paper's notion of a query stream.
 func (s *System) AddStream(startAt float64, scans ...Scan) {
-	scans = append([]Scan(nil), scans...)
-	s.addStream(startAt, scans, func(int) (*core.ABM, Layout) { return s.abm, s.layout }, s.abm.Shutdown)
+	ts := make([]workload.TableScan, len(scans))
+	for i, sc := range scans {
+		ts[i] = workload.TableScan{Table: s.table, Scan: workload.Scan(sc)}
+	}
+	s.sim.AddStream(startAt, ts...)
 }
 
 // Report is the outcome of a Run.
@@ -309,8 +206,13 @@ type Report struct {
 
 // Run executes all streams to completion and returns the report. It can be
 // called once per System.
-func (s *System) Run() (*Report, error) { return s.run(s.abm.Stats) }
+func (s *System) Run() (*Report, error) { return run(s.sim) }
+
+func run(sim *workload.System) (*Report, error) {
+	rep, err := sim.Run()
+	return (*Report)(rep), err
+}
 
 // Pace makes Run sleep factor×(virtual seconds) of wall time between
 // events, so examples can animate a simulation; call before Run.
-func (s *System) Pace(factor float64) { s.env.Pace = factor }
+func (s *System) Pace(factor float64) { s.sim.Pace(factor) }

@@ -150,11 +150,6 @@ type Config struct {
 	// NoWaitPromotion disables the waiting-time term of queryRelevance
 	// (ablation: long queries can starve behind a stream of short ones).
 	NoWaitPromotion bool
-
-	// DisableLoader suppresses the central loader process of the elevator
-	// and relevance policies; loads must then be driven externally. Used
-	// by white-box tests that probe the relevance functions directly.
-	DisableLoader bool
 }
 
 // Defaults fills in zero fields.
@@ -344,8 +339,19 @@ type strategy interface {
 	commitLoad(d LoadDecision)
 }
 
-// New creates an ABM over the layout, backed by the simulated disk.
+// New creates an ABM over the layout, backed by the simulated disk, and
+// starts the central loader process of the elevator and relevance policies.
 func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
+	a := newSim(env, d, layout, cfg)
+	if _, demand := a.strat.(*seqStrategy); !demand {
+		env.Process("abm-"+a.cfg.Policy.String(), a.loader)
+	}
+	return a
+}
+
+// newSim is New without the loader process: loads must then be driven
+// externally, as the white-box tests that probe the relevance functions do.
+func newSim(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 	a := newABM(env, layout, cfg)
 	a.env = env
 	a.disk = d
@@ -353,9 +359,6 @@ func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 	if a.chunkCost == 0 {
 		avg := layout.ChunkBytes(0, storage.AllCols(min(layout.Table().NumColumns(), storage.MaxColumns)))
 		a.chunkCost = d.TransferTime(maxI64(avg, 1))
-	}
-	if _, demand := a.strat.(*seqStrategy); !demand && !a.cfg.DisableLoader {
-		env.Process("abm-"+a.cfg.Policy.String(), a.loader)
 	}
 	return a
 }
@@ -367,7 +370,6 @@ func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 // is the one New builds: both worlds run the same code on the same
 // structures.
 func NewLive(clock Clock, layout storage.Layout, cfg Config) *ABM {
-	cfg.DisableLoader = true
 	a := newABM(clock, layout, cfg)
 	if a.chunkCost == 0 {
 		// Waiting-time normalisation only; any plausible per-chunk load

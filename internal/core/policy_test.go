@@ -25,7 +25,7 @@ func newPolicyFixture(t *testing.T, layout storage.Layout, policy Policy, bufChu
 	} else {
 		buf = layout.ChunkBytes(0, 0) * int64(bufChunks)
 	}
-	return &policyFixture{env: env, abm: New(env, d, layout, Config{Policy: policy, BufferBytes: buf, DisableLoader: true})}
+	return &policyFixture{env: env, abm: newSim(env, d, layout, Config{Policy: policy, BufferBytes: buf})}
 }
 
 // load force-loads chunk parts synchronously (zero-size reads would distort

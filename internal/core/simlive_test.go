@@ -34,11 +34,11 @@ func TestSimAndLiveABMsDecideIdentically(t *testing.T) {
 						layout = dsmTestLayout(24, 4)
 						buf = layout.ChunkBytes(0, storage.AllCols(4)) * bufChunks
 					}
-					cfg := Config{Policy: pol, BufferBytes: buf, DisableLoader: true, ChunkCost: 0.01}
+					cfg := Config{Policy: pol, BufferBytes: buf, ChunkCost: 0.01}
 					clk := &stepClock{}
 
 					env := sim.NewEnv()
-					simABM := New(env, disk.New(env, disk.Params{Bandwidth: 50 << 20, SeekTime: 1e-3}), layout, cfg)
+					simABM := newSim(env, disk.New(env, disk.Params{Bandwidth: 50 << 20, SeekTime: 1e-3}), layout, cfg)
 					simABM.clock = clk
 					simTrace := runDecisionScript(t, simABM, clk, seed, ticketIssue)
 

@@ -229,9 +229,7 @@ func runVictimCrossCheck(t *testing.T, columnar bool, seed int64) {
 	} else {
 		buf = layout.ChunkBytes(0, 0) * int64(3+rng.Intn(numChunks/2+1))
 	}
-	a := New(env, d, layout, Config{
-		Policy: Relevance, BufferBytes: buf, DisableLoader: true,
-	})
+	a := newSim(env, d, layout, Config{Policy: Relevance, BufferBytes: buf})
 	rs := a.strat.(*relevStrategy)
 
 	randCols := func() storage.ColSet {

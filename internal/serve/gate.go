@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -101,8 +102,8 @@ const (
 
 // waiter is one session parked in the admission queue. ch is buffered so
 // the promoter never blocks on a waiter that is concurrently cancelling;
-// done marks the waiter decided (admitted, failed or cancelled) so the
-// lazy queue slices can skip it.
+// done marks the waiter decided (admitted or failed) and out of its queue,
+// so a cancellation that lost the race takes the decision from ch.
 type waiter struct {
 	tier Tier
 	ch   chan error
@@ -119,9 +120,8 @@ type gate struct {
 	live     int
 	peak     int
 	draining bool
-	queues   [numTiers][]*waiter
-	depth    [numTiers]int // live (non-cancelled) waiters per tier
-	queued   int           // sum of depth
+	queues   [numTiers][]*waiter // undecided waiters only, FIFO
+	queued   int                 // waiters over all queues
 
 	// ewma smooths the interval between Release calls — the session drain
 	// rate the retry-after hint is derived from.
@@ -140,8 +140,15 @@ func newGate(maxLive, maxQueue int) *gate {
 
 func (g *gate) changedLocked() {
 	if g.notify != nil {
-		g.notify(g.live, g.depth)
+		g.notify(g.live, g.depthLocked())
 	}
+}
+
+func (g *gate) depthLocked() (depth [numTiers]int) {
+	for t, q := range g.queues {
+		depth[t] = len(q)
+	}
+	return depth
 }
 
 // Admit blocks until the session may run (returns nil; the caller must
@@ -170,7 +177,6 @@ func (g *gate) Admit(ctx context.Context, tier Tier) (waited bool, err error) {
 	}
 	w := &waiter{tier: tier, ch: make(chan error, 1)}
 	g.queues[tier] = append(g.queues[tier], w)
-	g.depth[tier]++
 	g.queued++
 	g.changedLocked()
 	g.mu.Unlock()
@@ -187,8 +193,9 @@ func (g *gate) Admit(ctx context.Context, tier Tier) (waited bool, err error) {
 			g.mu.Unlock()
 			return true, <-w.ch
 		}
-		w.done = true // left in place; popLocked skips it
-		g.depth[tier]--
+		// Leave the queue now: a saturated gate nobody releases never
+		// reaches popLocked, and maxQueue bounds only what is counted.
+		g.queues[tier] = slices.DeleteFunc(g.queues[tier], func(x *waiter) bool { return x == w })
 		g.queued--
 		g.changedLocked()
 		g.mu.Unlock()
@@ -233,18 +240,13 @@ func (g *gate) promoteLocked() {
 	}
 }
 
-// popLocked removes and returns the highest-priority live waiter, skipping
-// cancelled ones left behind in the slices.
+// popLocked removes and returns the highest-priority waiter.
 func (g *gate) popLocked() *waiter {
 	for t := int(numTiers) - 1; t >= 0; t-- {
-		for len(g.queues[t]) > 0 {
+		if len(g.queues[t]) > 0 {
 			w := g.queues[t][0]
 			g.queues[t][0] = nil
 			g.queues[t] = g.queues[t][1:]
-			if w.done {
-				continue
-			}
-			g.depth[t]--
 			g.queued--
 			return w
 		}
@@ -259,14 +261,10 @@ func (g *gate) Drain() {
 	g.draining = true
 	for t := range g.queues {
 		for _, w := range g.queues[t] {
-			if w == nil || w.done {
-				continue
-			}
 			w.done = true
 			w.ch <- ErrDraining
 		}
 		g.queues[t] = nil
-		g.depth[t] = 0
 	}
 	g.queued = 0
 	g.changedLocked()
@@ -302,5 +300,5 @@ type gateStatus struct {
 func (g *gate) status() gateStatus {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return gateStatus{live: g.live, peak: g.peak, queued: g.queued, depth: g.depth, draining: g.draining}
+	return gateStatus{live: g.live, peak: g.peak, queued: g.queued, depth: g.depthLocked(), draining: g.draining}
 }

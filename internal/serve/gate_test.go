@@ -170,3 +170,58 @@ func TestGateRetryAfterTracksDrainRate(t *testing.T) {
 	}
 	g.mu.Unlock()
 }
+
+// TestGateCancelledWaitersAreBounded holds the ceiling with no release — the
+// saturated state where nothing reaches popLocked — and runs 10 000
+// queue-then-cancel admissions around three waiters that stay. The queue
+// slice must never hold more than maxQueue waiters (it used to keep every
+// cancelled one), and the survivors must keep their FIFO order.
+func TestGateCancelledWaitersAreBounded(t *testing.T) {
+	for _, tier := range []Tier{TierBatch, TierInteractive} {
+		t.Run(tier.String(), func(t *testing.T) {
+			const maxQueue = 4
+			g := newGate(1, maxQueue)
+			if _, err := g.Admit(context.Background(), TierBatch); err != nil {
+				t.Fatal(err)
+			}
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			var survivors []chan error
+			storm := func(n int) {
+				for i := 0; i < n; i++ {
+					if waited, err := g.Admit(cancelled, tier); !waited || !errors.Is(err, context.Canceled) {
+						t.Fatalf("cancelled admission: waited=%v err=%v", waited, err)
+					}
+					g.mu.Lock()
+					got := len(g.queues[tier])
+					g.mu.Unlock()
+					if got > maxQueue {
+						t.Fatalf("queue slice holds %d waiters with %d live, bound %d", got, len(survivors), maxQueue)
+					}
+				}
+			}
+			for _, n := range []int{3000, 3000, 4000} {
+				survivors = append(survivors, admitAsync(g, context.Background(), tier))
+				waitDepth(t, g, tier, len(survivors))
+				storm(n)
+			}
+			if st := g.status(); st.queued != len(survivors) || st.depth[tier] != len(survivors) {
+				t.Fatalf("status %+v, want %d queued", st, len(survivors))
+			}
+			// Each release promotes exactly the oldest survivor.
+			for i, ch := range survivors {
+				g.Release()
+				if err := <-ch; err != nil {
+					t.Fatalf("survivor %d: %v", i, err)
+				}
+				for j := i + 1; j < len(survivors); j++ {
+					select {
+					case err := <-survivors[j]:
+						t.Fatalf("survivor %d decided (%v) before survivor %d's turn", j, err, i+1)
+					default:
+					}
+				}
+			}
+		})
+	}
+}

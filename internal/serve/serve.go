@@ -66,40 +66,47 @@ type session struct {
 	cancel context.CancelFunc
 }
 
-// tierCounters are a tier's cumulative session counts, kept independent of
-// the optional obs registry so /statusz always has them.
-type tierCounters struct {
-	admitted         atomic.Int64
-	queued           atomic.Int64
-	shed             atomic.Int64
-	deadlineExceeded atomic.Int64
-	disconnected     atomic.Int64
-	completed        atomic.Int64
+// tierCount is one session outcome counted per tier. The registry series
+// /metrics exports is the counter /statusz reads, so the two cannot drift
+// apart; it is resolved at the tier's first event and kept, because the
+// exposition lists a (family, tier) pair only once it has happened.
+type tierCount struct {
+	vec    *obs.CounterVec
+	series [numTiers]atomic.Pointer[obs.Counter]
 }
 
-// metrics are the obs-registry mirrors of the session counters.
-type metrics struct {
-	admitted     *obs.CounterVec
-	queued       *obs.CounterVec
-	shed         *obs.CounterVec
-	deadline     *obs.CounterVec
-	disconnected *obs.CounterVec
-	completed    *obs.CounterVec
-	depth        *obs.GaugeVec
-	live         *obs.Gauge
-}
-
-func newMetrics(r *obs.Registry) *metrics {
-	return &metrics{
-		admitted:     r.CounterVec("coopscan_serve_sessions_admitted_total", "Scan sessions admitted past the gate.", "tier"),
-		queued:       r.CounterVec("coopscan_serve_sessions_queued_total", "Scan sessions that waited in the admission queue.", "tier"),
-		shed:         r.CounterVec("coopscan_serve_sessions_shed_total", "Scan sessions shed with a retry-after hint.", "tier"),
-		deadline:     r.CounterVec("coopscan_serve_sessions_deadline_exceeded_total", "Scan sessions that hit their deadline queued or mid-scan.", "tier"),
-		disconnected: r.CounterVec("coopscan_serve_sessions_disconnected_total", "Scan sessions whose client vanished mid-stream.", "tier"),
-		completed:    r.CounterVec("coopscan_serve_sessions_completed_total", "Scan sessions that streamed their full range.", "tier"),
-		depth:        r.GaugeVec("coopscan_serve_queue_depth", "Sessions waiting in the admission queue.", "tier"),
-		live:         r.Gauge("coopscan_serve_live_sessions", "Scan sessions currently admitted."),
+func (n *tierCount) inc(t Tier) {
+	c := n.series[t].Load()
+	if c == nil {
+		c = n.vec.With(t.String()) // the same series to every racing first caller
+		n.series[t].Store(c)
 	}
+	c.Inc()
+}
+
+func (n *tierCount) value(t Tier) int64 { return n.series[t].Load().Value() }
+
+// ledger is the front-end's one set of session counts and occupancy gauges.
+type ledger struct {
+	admitted, queued, shed, deadline, disconnected, completed tierCount
+
+	depth [numTiers]*obs.Gauge
+	live  *obs.Gauge
+}
+
+func newLedger(r *obs.Registry) *ledger {
+	l := &ledger{live: r.Gauge("coopscan_serve_live_sessions", "Scan sessions currently admitted.")}
+	l.admitted.vec = r.CounterVec("coopscan_serve_sessions_admitted_total", "Scan sessions admitted past the gate.", "tier")
+	l.queued.vec = r.CounterVec("coopscan_serve_sessions_queued_total", "Scan sessions that waited in the admission queue.", "tier")
+	l.shed.vec = r.CounterVec("coopscan_serve_sessions_shed_total", "Scan sessions shed with a retry-after hint.", "tier")
+	l.deadline.vec = r.CounterVec("coopscan_serve_sessions_deadline_exceeded_total", "Scan sessions that hit their deadline queued or mid-scan.", "tier")
+	l.disconnected.vec = r.CounterVec("coopscan_serve_sessions_disconnected_total", "Scan sessions whose client vanished mid-stream.", "tier")
+	l.completed.vec = r.CounterVec("coopscan_serve_sessions_completed_total", "Scan sessions that streamed their full range.", "tier")
+	depth := r.GaugeVec("coopscan_serve_queue_depth", "Sessions waiting in the admission queue.", "tier")
+	for t := range l.depth {
+		l.depth[t] = depth.With(Tier(t).String())
+	}
+	return l
 }
 
 // Frontend is the HTTP front-end: GET /scan streams NDJSON chunk receipts
@@ -113,11 +120,10 @@ type Frontend struct {
 	heartbeat    time.Duration
 	writeTimeout time.Duration
 	pruneQ6      bool
-	m            *metrics
-	obsOn        bool
+	led          *ledger
+	obsOn        bool // label session goroutines for pprof
 
-	tiers [numTiers]tierCounters
-	seq   atomic.Int64
+	seq atomic.Int64
 
 	mu       sync.Mutex
 	closed   bool
@@ -157,13 +163,16 @@ func New(cfg Config) (*Frontend, error) {
 		sessions:     make(map[*session]struct{}),
 		owned:        make(map[string]*engine.TableFile),
 	}
-	if cfg.Obs != nil {
-		f.m = newMetrics(cfg.Obs)
-		f.gate.notify = func(live int, depth [numTiers]int) {
-			f.m.live.Set(int64(live))
-			for t := Tier(0); t < numTiers; t++ {
-				f.m.depth.With(t.String()).Set(int64(depth[t]))
-			}
+	// Without a registry to export to, the ledger counts into a private one.
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	f.led = newLedger(reg)
+	f.gate.notify = func(live int, depth [numTiers]int) {
+		f.led.live.Set(int64(live))
+		for t, g := range f.led.depth {
+			g.Set(int64(depth[t]))
 		}
 	}
 	f.mux = http.NewServeMux()
@@ -222,14 +231,13 @@ func (f *Frontend) Sessions() SessionsStatus {
 		Tiers:    make(map[string]TierStatus, numTiers),
 	}
 	for t := Tier(0); t < numTiers; t++ {
-		c := &f.tiers[t]
 		out.Tiers[t.String()] = TierStatus{
-			Admitted:         c.admitted.Load(),
-			Queued:           c.queued.Load(),
-			Shed:             c.shed.Load(),
-			DeadlineExceeded: c.deadlineExceeded.Load(),
-			Disconnected:     c.disconnected.Load(),
-			Completed:        c.completed.Load(),
+			Admitted:         f.led.admitted.value(t),
+			Queued:           f.led.queued.value(t),
+			Shed:             f.led.shed.value(t),
+			DeadlineExceeded: f.led.deadline.value(t),
+			Disconnected:     f.led.disconnected.value(t),
+			Completed:        f.led.completed.value(t),
 			QueueDepth:       gs.depth[t],
 		}
 	}
@@ -374,7 +382,6 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tc := &f.tiers[tier]
 	tableName := q.Get("table")
 	if tableName == "" {
 		httpError(w, http.StatusBadRequest, "missing table parameter")
@@ -466,19 +473,13 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 
 	waited, err := f.gate.Admit(ctx, tier)
 	if waited {
-		tc.queued.Add(1)
-		if f.m != nil {
-			f.m.queued.With(tier.String()).Inc()
-		}
+		f.led.queued.inc(tier)
 	}
 	if err != nil {
 		var shed *ShedError
 		switch {
 		case errors.As(err, &shed):
-			tc.shed.Add(1)
-			if f.m != nil {
-				f.m.shed.With(tier.String()).Inc()
-			}
+			f.led.shed.inc(tier)
 			secs := int64(shed.RetryAfter.Round(time.Second) / time.Second)
 			if secs < 1 {
 				secs = 1
@@ -491,24 +492,15 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrDraining):
 			httpError(w, http.StatusServiceUnavailable, ErrDraining.Error())
 		case errors.Is(err, context.DeadlineExceeded):
-			tc.deadlineExceeded.Add(1)
-			if f.m != nil {
-				f.m.deadline.With(tier.String()).Inc()
-			}
+			f.led.deadline.inc(tier)
 			httpError(w, http.StatusGatewayTimeout, "deadline exceeded in admission queue")
 		default: // client vanished while queued
-			tc.disconnected.Add(1)
-			if f.m != nil {
-				f.m.disconnected.With(tier.String()).Inc()
-			}
+			f.led.disconnected.inc(tier)
 		}
 		return
 	}
 	defer f.gate.Release()
-	tc.admitted.Add(1)
-	if f.m != nil {
-		f.m.admitted.With(tier.String()).Inc()
-	}
+	f.led.admitted.inc(tier)
 
 	req := engine.ScanRequest{
 		Table:  slot,
@@ -529,11 +521,11 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 		TuplesPerChunk: tf.TuplesPerChunk(),
 	}
 	if !f.obsOn {
-		f.runSession(ctx, cancel, w, tc, tier, req, hdr, doQ6)
+		f.runSession(ctx, cancel, w, tier, req, hdr, doQ6)
 		return
 	}
 	pprof.Do(ctx, pprof.Labels("session", name, "tier", tier.String()), func(ctx context.Context) {
-		f.runSession(ctx, cancel, w, tc, tier, req, hdr, doQ6)
+		f.runSession(ctx, cancel, w, tier, req, hdr, doQ6)
 	})
 }
 
@@ -541,7 +533,7 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 // interleaved with heartbeats, then a trailer with totals or the error.
 // Every write carries the stall deadline; a failed write cancels the scan
 // so the engine releases the query and its budget.
-func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, tc *tierCounters, tier Tier, req engine.ScanRequest, hdr Header, doQ6 bool) {
+func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, tier Tier, req engine.ScanRequest, hdr Header, doQ6 bool) {
 	rc := http.NewResponseController(w)
 	var wmu sync.Mutex
 	writeLine := func(v any) error {
@@ -568,10 +560,7 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w 
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := writeLine(hdr); err != nil {
-		tc.disconnected.Add(1)
-		if f.m != nil {
-			f.m.disconnected.With(tier.String()).Inc()
-		}
+		f.led.disconnected.inc(tier)
 		return
 	}
 
@@ -620,23 +609,14 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w 
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			tc.deadlineExceeded.Add(1)
-			if f.m != nil {
-				f.m.deadline.With(tier.String()).Inc()
-			}
+			f.led.deadline.inc(tier)
 		case errors.Is(err, context.Canceled):
-			tc.disconnected.Add(1)
-			if f.m != nil {
-				f.m.disconnected.With(tier.String()).Inc()
-			}
+			f.led.disconnected.inc(tier)
 		}
 		writeLine(Trailer{Error: err.Error(), Chunks: chunks, Tuples: tuples})
 		return
 	}
-	tc.completed.Add(1)
-	if f.m != nil {
-		f.m.completed.With(tier.String()).Inc()
-	}
+	f.led.completed.inc(tier)
 	tr := Trailer{Done: true, Chunks: chunks, Tuples: tuples, IOs: st.IOs, BytesRead: st.BytesRead}
 	if doQ6 {
 		tr.Q6Revenue, tr.Q6Rows = agg.Revenue, agg.Rows

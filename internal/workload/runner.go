@@ -7,7 +7,6 @@ import (
 
 	"coopscan/internal/core"
 	"coopscan/internal/disk"
-	"coopscan/internal/sim"
 	"coopscan/internal/storage"
 )
 
@@ -126,11 +125,8 @@ type Result struct {
 	AvgNormLatency float64
 	TotalTime      float64
 	CPUUse         float64
-	IORequests     int
-	BytesRead      int64
-	Loads          int
-	Evictions      int
-	BufferHits     int
+	// The ABM counters: Loads, IORequests, BytesRead, Evictions, BufferHits.
+	core.SystemStats
 
 	Queries []QueryOutcome
 	Classes []ClassStats
@@ -141,39 +137,11 @@ type Result struct {
 	SchedCalls int64
 }
 
-// system is one assembled simulation instance.
-type system struct {
-	env *sim.Env
-	dsk *disk.Disk
-	cpu *sim.Resource
-	abm *core.ABM
-}
-
-func (s Spec) build() *system {
-	env := sim.NewEnv()
-	d := disk.New(env, s.DiskParams)
-	if s.TraceDisk > 0 {
-		d.EnableTrace(s.TraceDisk)
-	}
-	abm := core.New(env, d, s.Layout, core.Config{
-		Policy:            s.Policy,
-		BufferBytes:       s.BufferBytes,
-		MeasureScheduling: s.MeasureScheduling,
-		ElevatorWindow:    s.ElevatorWindow,
-		StarveThreshold:   s.StarveThreshold,
-		Prefetch:          s.Prefetch,
-
-		NoShortQueryPriority: s.NoShortQueryPriority,
-		NoWaitPromotion:      s.NoWaitPromotion,
-	})
-	return &system{env: env, dsk: d, cpu: env.NewResource("cpu", s.CPUCores), abm: abm}
-}
-
 // fullRowChunkTime is the transfer time of one full-width chunk of logical
 // data, the unit the CPU factors are calibrated against. For DSM this uses
 // the compressed per-column densities, not the block-rounded physical
 // extents: CPU cost tracks tuples processed, not I/O units.
-func (s Spec) fullRowChunkTime(sys *system) float64 {
+func (s Spec) fullRowChunkTime(sys *System) float64 {
 	var bytes float64
 	if d, ok := s.Layout.(*storage.DSMLayout); ok {
 		perTuple := 0.0
@@ -187,20 +155,18 @@ func (s Spec) fullRowChunkTime(sys *system) float64 {
 	return sys.dsk.TransferTime(int64(bytes))
 }
 
-// costModel builds the per-chunk CPU cost for a speed class.
-func (s Spec) costModel(sys *system, speed Speed) core.CostModel {
+// scan is template t as one scan of sys over ranges: the class's columns
+// and its per-chunk CPU cost, the speed's factor times the chunk transfer
+// time.
+func (s Spec) scan(sys *System, t Template, name string, ranges storage.RangeSet) TableScan {
 	factor := s.FastCPUFactor
-	if speed == Slow {
+	if t.Speed == Slow {
 		factor = s.SlowCPUFactor
 	}
-	perChunk := factor * s.fullRowChunkTime(sys)
-	fullTuples := s.Layout.ChunkTuples(0)
-	return func(_ int, tuples int64) float64 {
-		if fullTuples <= 0 {
-			return perChunk
-		}
-		return perChunk * float64(tuples) / float64(fullTuples)
-	}
+	return TableScan{Table: s.Layout.Table().Name, Scan: Scan{
+		Name: name, Ranges: ranges, Columns: s.colsFor(t),
+		CPUPerChunk: factor * s.fullRowChunkTime(sys),
+	}}
 }
 
 // defaultCols selects DSM columns per speed: Q6 reads 4 columns, Q1 seven.
@@ -216,17 +182,17 @@ func defaultCols(layout storage.Layout, speed Speed) storage.ColSet {
 	return storage.AllCols(take)
 }
 
+// chunksFor is how many chunks template t reads of the layout: its
+// percentage of the relation, rounded, at least one.
+func chunksFor(layout storage.Layout, t Template) int {
+	n := layout.NumChunks()
+	return min(max(int(math.Round(float64(n)*t.Percent/100)), 1), n)
+}
+
 // rangeFor draws the random chunk range for a template ("reading X% of the
 // full relation from a random location").
 func rangeFor(layout storage.Layout, t Template, r *RNG) storage.RangeSet {
-	n := layout.NumChunks()
-	chunks := int(math.Round(float64(n) * t.Percent / 100))
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > n {
-		chunks = n
-	}
+	n, chunks := layout.NumChunks(), chunksFor(layout, t)
 	start := 0
 	if n > chunks {
 		start = r.Intn(n - chunks + 1)
@@ -239,34 +205,15 @@ func rangeFor(layout storage.Layout, t Template, r *RNG) storage.RangeSet {
 // baseline of the paper's "norm. lat." columns.
 func (s Spec) Standalone(t Template) float64 {
 	s = s.withDefaults()
-	solo := s
-	solo.Policy = core.Normal
-	sys := solo.build()
-	cols := s.colsFor(t)
-	n := s.Layout.NumChunks()
-	chunks := int(math.Round(float64(n) * t.Percent / 100))
-	if chunks < 1 {
-		chunks = 1
+	s.Policy = core.Normal
+	sys := s.NewSystem(s.Layout)
+	head := storage.NewRangeSet(storage.Range{Start: 0, End: chunksFor(s.Layout, t)})
+	sys.AddStream(0, s.scan(sys, t, t.Name(), head))
+	rep, err := sys.Run()
+	if err != nil {
+		panic(fmt.Sprintf("workload: standalone run: %v", err))
 	}
-	if chunks > n {
-		chunks = n
-	}
-	ranges := storage.NewRangeSet(storage.Range{Start: 0, End: chunks})
-	var latency float64
-	sys.env.Process("standalone", func(p *sim.Proc) {
-		q := sys.abm.NewQuery(t.Name(), ranges, cols)
-		st := core.RunCScan(p, sys.abm, q, core.ScanOptions{
-			CPU:     sys.cpu,
-			Cost:    solo.costModel(sys, t.Speed),
-			Quantum: s.CPUQuantum,
-		})
-		latency = st.Latency()
-		sys.abm.Shutdown()
-	})
-	if err := sys.env.Run(0); err != nil {
-		panic(fmt.Sprintf("workload: standalone run stuck: %v", err))
-	}
-	return latency
+	return rep.Scans[0].Latency()
 }
 
 func (s Spec) colsFor(t Template) storage.ColSet {
@@ -296,63 +243,52 @@ func (s Spec) Run() Result {
 		}
 	}
 
-	sys := s.build()
-	outcomes := make([]QueryOutcome, 0, s.Streams*s.QueriesPerStream)
-	streamTimes := make([]float64, s.Streams)
-	remaining := s.Streams
+	// Each stream draws its templates and ranges from its own generator, so
+	// drawing them all up front is the draw order a lazy stream would see.
+	sys := s.NewSystem(s.Layout)
+	templates := make([]Template, 0, s.Streams*s.QueriesPerStream)
 	for st := 0; st < s.Streams; st++ {
-		st := st
 		streamRNG := NewRNG(s.Seed*1_000_003 + uint64(st))
-		delay := float64(st/s.StreamBatch) * s.StreamDelay
-		sys.env.ProcessAt(fmt.Sprintf("stream-%d", st), delay, func(p *sim.Proc) {
-			start := p.Now()
-			for qi := 0; qi < s.QueriesPerStream; qi++ {
-				t := s.Mix.Templates[streamRNG.Intn(len(s.Mix.Templates))]
-				ranges := rangeFor(s.Layout, t, streamRNG)
-				name := fmt.Sprintf("%s#s%dq%d", t.Name(), st, qi)
-				q := sys.abm.NewQuery(name, ranges, s.colsFor(t))
-				stats := core.RunCScan(p, sys.abm, q, core.ScanOptions{
-					CPU:     sys.cpu,
-					Cost:    s.costModel(sys, t.Speed),
-					Quantum: s.CPUQuantum,
-				})
-				outcomes = append(outcomes, QueryOutcome{
-					Template:   t,
-					Stream:     st,
-					Stats:      stats,
-					Normalized: stats.Latency() / baselines[t.Name()],
-				})
-			}
-			streamTimes[st] = p.Now() - start
-			remaining--
-			if remaining == 0 {
-				sys.abm.Shutdown()
-			}
+		scans := make([]TableScan, s.QueriesPerStream)
+		for qi := range scans {
+			t := s.Mix.Templates[streamRNG.Intn(len(s.Mix.Templates))]
+			templates = append(templates, t)
+			scans[qi] = s.scan(sys, t, fmt.Sprintf("%s#s%dq%d", t.Name(), st, qi), rangeFor(s.Layout, t, streamRNG))
+		}
+		sys.AddStream(float64(st/s.StreamBatch)*s.StreamDelay, scans...)
+	}
+	rep, err := sys.Run()
+	if err != nil {
+		panic(fmt.Sprintf("workload: %v run: %v", s.Policy, err))
+	}
+	// Outcomes fold in completion order: the averages below are float sums.
+	outcomes := make([]QueryOutcome, 0, len(templates))
+	for _, i := range sys.finished {
+		t, stats := templates[i], rep.Scans[i]
+		outcomes = append(outcomes, QueryOutcome{
+			Template:   t,
+			Stream:     rep.Streams[i],
+			Stats:      stats,
+			Normalized: stats.Latency() / baselines[t.Name()],
 		})
 	}
-	if err := sys.env.Run(0); err != nil {
-		panic(fmt.Sprintf("workload: %v run stuck: %v", s.Policy, err))
-	}
 
-	res := Result{Policy: s.Policy, Mix: s.Mix.Label, Queries: outcomes}
-	for _, t := range streamTimes {
-		res.AvgStreamTime += t
+	res := Result{Policy: s.Policy, Mix: s.Mix.Label, Queries: outcomes, SystemStats: rep.System}
+	// A stream's time runs from its first scan's registration to its last
+	// scan's end.
+	for st, q := 0, s.QueriesPerStream; st < s.Streams; st++ {
+		res.AvgStreamTime += rep.Scans[(st+1)*q-1].Done - rep.Scans[st*q].Enter
 	}
 	res.AvgStreamTime /= float64(s.Streams)
 	for _, o := range outcomes {
 		res.AvgNormLatency += o.Normalized
 	}
 	res.AvgNormLatency /= float64(len(outcomes))
-	res.TotalTime = sys.env.Now()
-	res.CPUUse = sys.cpu.Utilisation()
-	sysStats := sys.abm.Stats()
-	res.IORequests = sysStats.IORequests
-	res.BytesRead = sysStats.BytesRead
-	res.Loads = sysStats.Loads
-	res.Evictions = sysStats.Evictions
-	res.BufferHits = sysStats.BufferHits
+	res.TotalTime = rep.Elapsed
+	res.CPUUse = rep.CPUUtilisation
 	res.DiskTrace = sys.dsk.Trace()
-	schedDur, schedCalls := sys.abm.SchedulingCost()
+	abm, _ := sys.mgr.For(s.Layout.Table().Name)
+	schedDur, schedCalls := abm.SchedulingCost()
 	res.SchedNanos = float64(schedDur.Nanoseconds())
 	res.SchedCalls = schedCalls
 	res.Classes = classStats(outcomes, baselines)

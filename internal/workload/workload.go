@@ -13,17 +13,20 @@
 //
 // # Design notes
 //
-// The package is deliberately split from both execution worlds: it decides
-// *what* to run (query classes, ranges, stream composition, seeds) and
-// *how to score it* (normalised latency divides each query's latency by
-// its range size, so short and long scans are comparable), while the
-// simulator's driver and the live engine's planner (engine.PlanWorkload)
-// decide how to execute. Determinism is load-bearing everywhere: streams
-// derive their RNG from (seed, stream index), so any experiment, CLI run
-// or benchmark that names the same spec re-executes byte-identical
-// workloads — which is what lets the decision-baseline golden pin
-// scheduler behaviour across refactors, and lets `coopscan live`/`multi`
-// report numbers for exactly the workload the recorded benchmarks ran.
+// The package decides *what* to run (query classes, ranges, stream
+// composition, seeds) and *how to score it* (normalised latency divides each
+// query's latency by its class's standalone cold time, so short and long
+// scans are comparable). It also holds the one assembled simulation
+// (System, system.go): Spec.Run, Spec.Standalone and the public
+// coopscan.System / MultiSystem all build that machine and drive their
+// streams through it; the live engine's planner (engine.PlanWorkload)
+// decides how to execute on real files. Determinism is load-bearing
+// everywhere: streams derive their RNG from (seed, stream index), so any
+// experiment, CLI run or benchmark that names the same spec re-executes
+// byte-identical workloads — which is what lets the decision and timing
+// goldens pin scheduler behaviour across refactors, and lets `coopscan
+// live`/`multi` report numbers for exactly the workload the recorded
+// benchmarks ran.
 package workload
 
 import (
