@@ -14,7 +14,7 @@ FUZZTIME  ?= 10s
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench examples-check loc test-race test-serve test-fault-units fuzz-open fuzz-scan vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
+.PHONY: build test test-bench examples-check loc test-race test-serve test-fault-units fuzz-open fuzz-scan fuzz-decode vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,15 @@ fuzz-open:
 fuzz-scan:
 	$(GO) test -run '^$$' -fuzz FuzzScanQuery -fuzztime $(FUZZTIME) ./internal/serve/
 
+# Fuzz the codec's decoder against the decoder it replaced
+# (internal/colstore/compress/reference_test.go): arbitrary buffers, both
+# fail with ErrCorrupt or both return the same values — unsorted and
+# duplicate exception positions, codes past the dictionary, truncated tails,
+# dirty and undersized destinations. Findings land under
+# internal/colstore/compress/testdata/fuzz/FuzzDecodeDifferential.
+fuzz-decode:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDifferential -fuzztime $(FUZZTIME) ./internal/colstore/compress/
+
 # Randomized multi-seed soak (the PR-8 harness, internal/soak): per seed a
 # core-layer driver runs thousands of seeded register/scan/cancel/detach/
 # attach operations over mixed NSM+DSM layouts with incremental-vs-linear
@@ -173,12 +182,16 @@ bench-sched:
 	$(GO) test -run 'TestSchedScalingGuard' -count=1 -v .
 	$(GO) test -run '^$$' -bench BenchmarkSchedulerScaling -benchmem -benchtime $(BENCHTIME) .
 
-# Kernel micro-benchmarks (internal/exec/kernel_bench_test.go): Q6Kernel and
-# Q1Kernel over one 16 384-row table, date-clustered (most vectors exit after
-# the date pass) and shuffled (every vector runs every pass), in ns/tuple. For
-# iterating on a kernel without the 20 s suite; not a record.
+# Kernel micro-benchmarks, for iterating in seconds without the 20 s suite;
+# not a record. internal/exec/kernel_bench_test.go: Q6Kernel and Q1Kernel over
+# one 16 384-row table, date-clustered (most vectors exit after the date pass)
+# and shuffled (every vector runs every pass), in ns/tuple.
+# internal/colstore/compress/lineitem_bench_test.go: decode and encode of one
+# 16 384-value stripe of each stored lineitem column under the scheme the
+# table writer picks for it, in ns/value.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Benchmark(Q6|Q1)Kernel' -benchmem -benchtime $(BENCHTIME) ./internal/exec/
+	$(GO) test -run '^$$' -bench 'Benchmark(Decode|Encode)Lineitem' -benchmem -benchtime $(BENCHTIME) ./internal/colstore/compress/
 
 # Observability overhead guard: the `coopscan multi -read-mbps 200`
 # workload run dark vs fully instrumented (metrics registry + pprof scan

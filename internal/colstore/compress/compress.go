@@ -102,10 +102,10 @@ func DecodeInts(buf []byte) ([]int64, error) {
 }
 
 // DecodeIntsInto decompresses like DecodeInts but reuses dst's backing array
-// when it is large enough, so hot decode loops (the live engine decompresses
-// one extent per pinned page) can hold per-worker scratch instead of
-// allocating per call. The returned slice is the decoded data; dst's contents
-// are overwritten.
+// when it is large enough, so a hot decode loop allocates nothing: the live
+// engine hands it the words of the buffer frame the part lands in, and the
+// codec's output is the part. The returned slice is the decoded data; dst's
+// contents are overwritten, also when decoding fails.
 func DecodeIntsInto(dst []int64, buf []byte) ([]int64, error) {
 	s, width, n, rest, err := readHeader(buf)
 	if err != nil {
@@ -145,9 +145,7 @@ func decodeRaw(out []int64, src []byte, n int) ([]int64, error) {
 	if len(src) < 8*n {
 		return nil, ErrCorrupt
 	}
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-	}
+	unpack64(out, src, 0)
 	return out, nil
 }
 
@@ -235,7 +233,6 @@ func pforPayload(scheme Scheme, u []uint64, base uint64) []byte {
 	if bestWidth < 64 {
 		maxFit = (uint64(1) << bestWidth) - 1
 	}
-	packed := make([]uint64, n)
 	type exception struct {
 		pos int
 		val uint64
@@ -243,10 +240,8 @@ func pforPayload(scheme Scheme, u []uint64, base uint64) []byte {
 	var excs []exception
 	for i, v := range u {
 		if v > maxFit {
-			packed[i] = 0
 			excs = append(excs, exception{i, v})
-		} else {
-			packed[i] = v
+			u[i] = 0 // an exception's packed slot holds zero
 		}
 	}
 
@@ -257,7 +252,7 @@ func pforPayload(scheme Scheme, u []uint64, base uint64) []byte {
 	var e4 [4]byte
 	binary.LittleEndian.PutUint32(e4[:], uint32(len(excs)))
 	out = append(out, e4[:]...)
-	out = packBits(out, packed, bestWidth)
+	out = packBits(out, u, bestWidth)
 	for _, e := range excs {
 		binary.LittleEndian.PutUint32(e4[:], uint32(e.pos))
 		out = append(out, e4[:]...)
@@ -267,6 +262,22 @@ func pforPayload(scheme Scheme, u []uint64, base uint64) []byte {
 	return out
 }
 
+// blockValues is how many values the decoders that finish a value after
+// unpacking it work on at a time: 4 KiB of output, so the finishing loop
+// finds in L1 what the unpack loop just stored, and a column makes one trip
+// through memory. A multiple of 8, so every block starts on a byte of the
+// packed stream.
+const blockValues = 512
+
+// decodePFOR decodes a PFOR or PFOR-DELTA payload: base, exception count,
+// packed values, exception list of (position, value) pairs. PFOR adds the
+// base as it unpacks and patches its exceptions, base added, afterwards: the
+// patches are independent stores. PFOR-DELTA must see a patched delta before
+// the running sum passes it, so it works a block at a time — unpack, patch
+// from a cursor over the exception list, sum — which needs the list's
+// positions strictly ascending, as the encoder writes them. Any other list
+// (duplicates, where the last entry wins; unsorted) is decoded the long way:
+// unpack everything, patch in list order, sum.
 func decodePFOR(out []int64, src []byte, n int, width uint, delta bool) ([]int64, error) {
 	if n == 0 {
 		return out[:0], nil
@@ -277,30 +288,58 @@ func decodePFOR(out []int64, src []byte, n int, width uint, delta bool) ([]int64
 	base := binary.LittleEndian.Uint64(src[0:8])
 	nexc := int(binary.LittleEndian.Uint32(src[8:12]))
 	src = src[12:]
-	if (n*int(width)+7)/8+12*nexc > len(src) {
+	packed := packedLen(n, width)
+	if packed+12*nexc > len(src) {
 		return nil, ErrCorrupt
 	}
-	// Unpack into out, patch the exceptions, then finish in place.
-	src = src[unpackBits(out, src, n, width):]
-	for i := 0; i < nexc; i++ {
-		pos := int(binary.LittleEndian.Uint32(src[12*i:]))
+	excs := src[packed:][:12*nexc]
+	ascending := true
+	for e, last := excs, -1; len(e) >= 12; e = e[12:] {
+		pos := int(binary.LittleEndian.Uint32(e))
 		if pos >= n {
 			return nil, ErrCorrupt
 		}
-		out[pos] = int64(binary.LittleEndian.Uint64(src[12*i+4:]))
+		ascending = ascending && pos > last
+		last = pos
 	}
-	if delta {
-		prev := int64(0)
-		for i, v := range out {
-			prev += unzigzag(uint64(v))
-			out[i] = prev
+	if !delta || !ascending {
+		if delta {
+			base = 0
 		}
-	} else {
-		for i := range out {
-			out[i] += int64(base)
+		unpackAdd(out, src, width, base)
+		for e := excs; len(e) >= 12; e = e[12:] {
+			out[binary.LittleEndian.Uint32(e)] = int64(binary.LittleEndian.Uint64(e[4:]) + base)
 		}
+		if delta {
+			prefixSum(out, 0)
+		}
+		return out, nil
+	}
+	sum := int64(0)
+	for i := 0; i < n; i += blockValues {
+		end := min(i+blockValues, n)
+		blk := out[i:end]
+		unpackAdd(blk, src[i/8*int(width):], width, 0)
+		for ; len(excs) >= 12; excs = excs[12:] {
+			pos := int(binary.LittleEndian.Uint32(excs))
+			if pos >= end {
+				break
+			}
+			blk[pos-i] = int64(binary.LittleEndian.Uint64(excs[4:]))
+		}
+		sum = prefixSum(blk, sum)
 	}
 	return out, nil
+}
+
+// prefixSum replaces each zigzagged delta in vals by the running sum that
+// starts at sum, and returns where it ends.
+func prefixSum(vals []int64, sum int64) int64 {
+	for i, v := range vals {
+		sum += unzigzag(uint64(v))
+		vals[i] = sum
+	}
+	return sum
 }
 
 func encodeIntDict(values []int64) ([]byte, error) {
@@ -336,28 +375,49 @@ func encodeIntDict(values []int64) ([]byte, error) {
 	return packBits(out, codes, width), nil
 }
 
+// decodeIntDict decodes a PDICT payload: entry count, entries, packed codes.
+// It unpacks a block of codes into the output and replaces each by its
+// entry while the block is in L1. A dictionary of up to 256 entries — the
+// flag columns the scheme exists for — is copied once into a table on the
+// stack, which a code indexes without a bounds check; a larger one is read
+// where it lies.
 func decodeIntDict(out []int64, src []byte, n int, width uint) ([]int64, error) {
 	if len(src) < 8 {
 		return nil, ErrCorrupt
 	}
-	dn := int(binary.LittleEndian.Uint64(src[0:8]))
+	dn := binary.LittleEndian.Uint64(src[0:8])
 	src = src[8:]
-	if dn < 0 || dn > len(src)/8 { // divide: 8*dn overflows on adversarial sizes
+	if dn > uint64(len(src)/8) { // divide: 8*dn overflows on adversarial sizes
 		return nil, ErrCorrupt
 	}
 	dict := src[:8*dn]
 	src = src[8*dn:]
-	if len(src) < (n*int(width)+7)/8 {
+	if len(src) < packedLen(n, width) {
 		return nil, ErrCorrupt
 	}
-	// Unpack the codes into out, then replace each by its dictionary entry,
-	// read where it lies.
-	unpackBits(out, src, n, width)
-	for i, c := range out {
-		if uint64(c) >= uint64(dn) {
-			return nil, ErrCorrupt
+	var table [256]int64
+	small := dn <= uint64(len(table))
+	if small {
+		unpack64(table[:dn], dict, 0)
+	}
+	for i := 0; i < n; i += blockValues {
+		blk := out[i:min(i+blockValues, n)]
+		unpackAdd(blk, src[i/8*int(width):], width, 0)
+		if small {
+			for j, c := range blk {
+				if uint64(c) >= dn {
+					return nil, ErrCorrupt
+				}
+				blk[j] = table[uint8(c)]
+			}
+			continue
 		}
-		out[i] = int64(binary.LittleEndian.Uint64(dict[8*c:]))
+		for j, c := range blk {
+			if uint64(c) >= dn {
+				return nil, ErrCorrupt
+			}
+			blk[j] = int64(binary.LittleEndian.Uint64(dict[8*c:]))
+		}
 	}
 	return out, nil
 }
@@ -473,11 +533,11 @@ func decodeStringDict(src []byte, n int, width uint) ([]string, error) {
 		dict[i] = string(src[:l])
 		src = src[l:]
 	}
-	if len(src) < (n*int(width)+7)/8 {
+	if len(src) < packedLen(n, width) {
 		return nil, ErrCorrupt
 	}
 	codes := make([]int64, n)
-	unpackBits(codes, src, n, width)
+	unpackAdd(codes, src, width, 0)
 	out := make([]string, n)
 	for i, c := range codes {
 		if uint64(c) >= uint64(dn) {

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -215,10 +216,11 @@ func TestQuickBitPack(t *testing.T) {
 			}
 		}
 		packed := packBits(nil, values, width)
-		got := make([]int64, len(values))
-		if consumed := unpackBits(got, packed, len(values), width); consumed != len(packed) {
+		if len(packed) != packedLen(len(values), width) || !bytes.Equal(packed, refPackBits(nil, values, width)) {
 			return false
 		}
+		got := make([]int64, len(values))
+		unpackAdd(got, packed, width, 0)
 		for i := range values {
 			if uint64(got[i]) != values[i] {
 				return false

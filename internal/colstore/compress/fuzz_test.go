@@ -59,6 +59,7 @@ func FuzzDecodeInts(f *testing.F) {
 	f.Add(huge)
 	f.Add([]byte{byte(PFOR), 200, 8, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{7, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	addLineitemWidthSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecodeInts(data)
 		if err != nil {

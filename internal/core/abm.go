@@ -267,12 +267,13 @@ type ABM struct {
 	groups   []*colGroup
 	groupIdx map[storage.ColSet]*colGroup
 
-	// assembling marks parts a demand-driven scan is currently gathering
-	// into a complete chunk; eviction avoids them (the paper's §6.2
-	// "already-loaded part of the chunk is marked as used, which prohibits
-	// its eviction"). Queries release their marks when they cannot obtain
-	// buffer space, so assembly degrades to serial rather than deadlocking.
-	assembling map[partKey]int
+	// assembling lists the chunks being gathered into completeness, one
+	// entry per gatherer: a demand-driven scan of the simulator's
+	// normal/attach policies, or an open load ticket of the live engine.
+	// Eviction avoids their parts (see assemblingPart). Scans release their
+	// marks when they cannot obtain buffer space, so assembly degrades to
+	// serial rather than deadlocking; a ticket holds its mark for one read.
+	assembling []assembly
 
 	// fresh marks chunks the live engine finished loading that no query has
 	// pinned yet; eviction avoids them while some query still needs them.
@@ -389,7 +390,6 @@ func newABM(clock Clock, layout storage.Layout, cfg Config) *ABM {
 		interestCount:   make([]int, layout.NumChunks()),
 		starvedInterest: make([]int, layout.NumChunks()),
 		almostInterest:  make([]int, layout.NumChunks()),
-		assembling:      make(map[partKey]int),
 		fresh:           make(map[int]bool),
 		chunkQueries:    make([][]*Query, layout.NumChunks()),
 		chunkCost:       cfg.ChunkCost,
@@ -1042,13 +1042,49 @@ func (a *ABM) coldBytesFor(c int, cols storage.ColSet) int64 {
 func evictable(p *part) bool { return p.state == partLoaded && p.pins == 0 }
 
 // blockedFromEviction reports the policy-independent victim exclusions:
-// pinned or still-loading parts, parts under demand-scan assembly, and
-// live-engine loads no query has pinned yet. The assembly map is consulted
-// only while some scan is assembling (it is empty under the central-loader
-// policies), so the common path is pure field reads.
+// pinned or still-loading parts, parts of a chunk under assembly, and
+// live-engine loads no query has pinned yet.
 func (a *ABM) blockedFromEviction(p *part) bool {
-	return !evictable(p) || (len(a.assembling) > 0 && a.assembling[p.key] > 0) ||
-		a.freshUnpinned(p.key.chunk)
+	return !evictable(p) || a.assemblingPart(p.key) || a.freshUnpinned(p.key.chunk)
+}
+
+// assembly is one gatherer's claim on a chunk: the columns it is making
+// resident (zero for the single part of a row-wise chunk).
+type assembly struct {
+	chunk int
+	cols  storage.ColSet
+}
+
+// markAssembling protects the parts of (chunk, cols) from eviction while
+// they are gathered into a complete chunk — the paper's §6.2 rule that "the
+// already-loaded part of the chunk is marked as used, which prohibits its
+// eviction"; unmarkAssembling releases one such claim.
+func (a *ABM) markAssembling(c int, cols storage.ColSet) {
+	a.assembling = append(a.assembling, assembly{chunk: c, cols: a.colsOrNSM(cols)})
+}
+
+func (a *ABM) unmarkAssembling(c int, cols storage.ColSet) {
+	m := assembly{chunk: c, cols: a.colsOrNSM(cols)}
+	for i, o := range a.assembling {
+		if o == m {
+			last := len(a.assembling) - 1
+			a.assembling[i] = a.assembling[last]
+			a.assembling = a.assembling[:last]
+			return
+		}
+	}
+}
+
+// assemblingPart reports whether some gatherer claims the part. The walk is
+// over the gatherers — the loads in flight, or the scans mid-load — not the
+// parts, and is empty-handed under the simulator's central-loader policies.
+func (a *ABM) assemblingPart(k partKey) bool {
+	for _, m := range a.assembling {
+		if m.chunk == k.chunk && (k.col < 0 || m.cols.Has(k.col)) {
+			return true
+		}
+	}
+	return false
 }
 
 // makeSpace evicts parts in LRU order until free() >= need, skipping parts
@@ -1083,11 +1119,30 @@ func (a *ABM) makeSpace(need int64, keep func(*part) bool) bool {
 }
 
 // freshUnpinned reports whether the chunk is a live-engine load no query
-// has pinned yet while some registered query still needs it (the guard
-// self-disables when the interested queries are gone). Always false in sim
-// mode, where fresh stays empty.
+// has pinned yet while some registered query can still pick it: the guard
+// holds a chunk for the queries its landing woke, so it lapses when they
+// are gone — and when the chunk is complete for none of them, because a
+// sibling ticket that was to supply the other columns aborted or the query
+// the load was for has left. Nobody can pin such a chunk, so a guard that
+// only a pin lifts would shield its parts from every eviction pass, last
+// resort included, and with them the room the completing load needs. Always
+// false in sim mode, where fresh stays empty.
 func (a *ABM) freshUnpinned(c int) bool {
-	return len(a.fresh) > 0 && a.fresh[c] && a.interestCount[c] > 0
+	return len(a.fresh) > 0 && a.fresh[c] && a.pickable(c)
+}
+
+// pickable reports whether chunk c is resident in every column of some
+// registered query that still needs it.
+func (a *ABM) pickable(c int) bool {
+	if a.groupIdx == nil { // NSM: one part serves every query
+		return a.interestCount[c] > 0 && a.cache.chunkLoadedFor(0, c)
+	}
+	for _, g := range a.groups {
+		if g.interested[c] > 0 && a.cache.chunkLoadedFor(g.cols, c) {
+			return true
+		}
+	}
+	return false
 }
 
 func sortPartsBySize(b *bufcache, keys []partKey) {

@@ -65,6 +65,27 @@ func (a *ABM) AuditDrained() error {
 	return a.auditByteAccounting()
 }
 
+// AuditStalled is the wedge check, for a driver whose IssueLoad with no veto
+// has just issued nothing. That is legitimate while anything can still move
+// without a load — a running query will release its pin, an open ticket
+// will land, a blocked query with a chunk to pick has its wake-up coming —
+// and an error when nothing can: queries are registered, every one of them
+// is blocked with nothing available, and no load is open, so the next
+// IssueLoad will see exactly this state again. Every guard on eviction is
+// meant to lapse before that point; one that did not has wedged the table.
+func (a *ABM) AuditStalled() error {
+	if len(a.queries) == 0 || a.blockedCount != len(a.queries) || a.openLoads != 0 {
+		return nil
+	}
+	for _, q := range a.queries {
+		if q.available() > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("core: stalled: all %d queries blocked with nothing available, no load open, and none issued (free %d of %d bytes, %d chunks held fresh)",
+		len(a.queries), a.cache.free(), a.cache.capBytes, len(a.fresh))
+}
+
 // EachPart reports every non-absent part: its key (col is -1 for an NSM
 // chunk), the buffer bytes its reservation accounts, and whether it is
 // resident (false: still loading). The live engine's frame audit walks it to

@@ -110,9 +110,13 @@ func (a *ABM) SetEvictHook(h func(chunk, col int)) { a.onEvict = h }
 // the ticket with Finish or Abort — once; a second landing panics, and a
 // ticket never landed fails AuditDrained.
 type Load struct {
-	a      *ABM
-	d      LoadDecision
-	landed bool
+	a *ABM
+	d LoadDecision
+	// assembled is the column set the policy proposed, before Decision was
+	// narrowed to the absent parts: the assembly mark the ticket holds
+	// until it lands.
+	assembled storage.ColSet
+	landed    bool
 }
 
 // Decision returns what to read: Chunk, the attributed Query, and Cols
@@ -131,28 +135,29 @@ func (l *Load) Decision() LoadDecision { return l.d }
 // caller performs the reads through its own substrate and lands the ticket;
 // nothing here blocks.
 //
-// The eviction pass runs with the chunk's resident sibling parts marked as
-// used — the paper's §6.2 rule that "the already-loaded part of the chunk
-// is marked as used, which prohibits its eviction": a DSM chunk can be
-// partially resident, and victimising those parts would widen the load
-// beyond the cold bytes just counted.
+// The proposal's chunk is marked as under assembly from before the eviction
+// pass until the ticket lands: a DSM chunk can be partially resident, and
+// victimising those parts would widen the load beyond the cold bytes just
+// counted. The mark outlives the pass because other tickets' passes run
+// while this one is in flight: were the siblings spared by its own pass
+// only, two loads completing each other's chunks would evict each other's
+// resident halves, every landing would leave a chunk complete for nobody,
+// and the streams would wait on loads that never add up.
 func (a *ABM) IssueLoad(accept func(LoadDecision) bool) *Load {
 	d, need, ok := a.proposeLoad(accept)
 	if !ok {
 		return nil
 	}
-	if need > 0 && a.cache.free() < need {
-		a.markAssembling(d.Chunk, d.Cols)
-		ok := a.strat.EnsureSpace(need, d.Query)
+	a.markAssembling(d.Chunk, d.Cols)
+	if need > 0 && a.cache.free() < need && !a.strat.EnsureSpace(need, d.Query) {
 		a.unmarkAssembling(d.Chunk, d.Cols)
-		if !ok {
-			return nil
-		}
+		return nil
 	}
 	a.strat.commitLoad(d)
-	d.Cols = a.beginLoad(d)
+	l := &Load{a: a, d: d, assembled: d.Cols}
+	l.d.Cols = a.beginLoad(d)
 	a.openLoads++
-	return &Load{a: a, d: d}
+	return l
 }
 
 // proposeLoad is the deciding half of a load, shared by IssueLoad and the
@@ -199,24 +204,7 @@ func (l *Load) land() {
 	}
 	l.landed = true
 	l.a.openLoads--
-}
-
-// markAssembling protects the parts of (chunk, cols) from eviction while
-// they are gathered into a complete chunk; unmarkAssembling releases them.
-func (a *ABM) markAssembling(c int, cols storage.ColSet) {
-	var kb [storage.MaxColumns]partKey
-	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(cols), c) {
-		a.assembling[k]++
-	}
-}
-
-func (a *ABM) unmarkAssembling(c int, cols storage.ColSet) {
-	var kb [storage.MaxColumns]partKey
-	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(cols), c) {
-		if a.assembling[k]--; a.assembling[k] == 0 {
-			delete(a.assembling, k)
-		}
-	}
+	l.a.unmarkAssembling(l.d.Chunk, l.assembled)
 }
 
 // beginLoad marks the absent parts of the decision's chunk as loading,

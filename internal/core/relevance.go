@@ -270,18 +270,16 @@ func (s *relevStrategy) EnsureSpace(need int64, trigger *Query) bool {
 	}()
 
 	if a.layout.Columnar() {
-		// First pass: evict column parts no interested query uses. Parts
-		// under live-engine assembly marks are spared (the map is always
-		// empty in simulation runs, where the central loader never overlaps
-		// with demand assembly — so this guard cannot perturb sim
-		// decisions).
+		// First pass: evict column parts no interested query uses. Parts of
+		// a chunk an open load ticket is assembling are spared (the
+		// simulator's central loader issues no tickets, so this guard
+		// cannot perturb sim decisions).
 		s.evictScratch = append(s.evictScratch[:0], a.cache.loadedParts()...)
-		assembling := len(a.assembling) > 0
 		for _, pt := range s.evictScratch {
 			if a.cache.free() >= need {
 				return true
 			}
-			if evictable(pt) && !(assembling && a.assembling[pt.key] > 0) && s.colUseless(pt.key) {
+			if evictable(pt) && !a.assemblingPart(pt.key) && s.colUseless(pt.key) {
 				a.evictPart(pt.key)
 			}
 		}

@@ -90,7 +90,7 @@ func ticketIssue(a *ABM, accept func(LoadDecision) bool) (LoadDecision, func(abo
 
 // refIssueLoad spells the call sequence every driver hand-rolled before the
 // ticket existed, over the primitives it wrapped: decide, count the cold
-// bytes, shield the resident siblings around the eviction pass, commit,
+// bytes, shield the chunk under assembly from the eviction pass on, commit,
 // reserve, and land with the columns narrowed by hand to what the
 // reservation marked. It is the reference IssueLoad is held against.
 func refIssueLoad(a *ABM, accept func(LoadDecision) bool) (LoadDecision, func(abort bool)) {
@@ -98,17 +98,18 @@ func refIssueLoad(a *ABM, accept func(LoadDecision) bool) (LoadDecision, func(ab
 	if !ok || !accept(d) {
 		return d, nil
 	}
+	proposed := d.Cols
+	a.markAssembling(d.Chunk, proposed)
 	if need := a.coldBytesFor(d.Chunk, d.Cols); need > 0 && a.FreeBytes() < need {
-		a.markAssembling(d.Chunk, d.Cols)
-		ok := a.strat.EnsureSpace(need, d.Query)
-		a.unmarkAssembling(d.Chunk, d.Cols)
-		if !ok {
+		if !a.strat.EnsureSpace(need, d.Query) {
+			a.unmarkAssembling(d.Chunk, proposed)
 			return d, nil
 		}
 	}
 	a.strat.commitLoad(d)
 	d.Cols = a.beginLoad(d)
 	return d, func(abort bool) {
+		a.unmarkAssembling(d.Chunk, proposed)
 		if abort {
 			a.abortLoad(d)
 		} else {

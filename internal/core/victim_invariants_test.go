@@ -23,7 +23,7 @@ func referenceVictim(a *ABM, keep func(*part) bool, score func(*part) float64) *
 	var victim *part
 	var best float64
 	for _, p := range a.cache.loadedParts() {
-		if !evictable(p) || a.assembling[p.key] > 0 || a.freshUnpinned(p.key.chunk) ||
+		if !evictable(p) || a.assemblingPart(p.key) || a.freshUnpinned(p.key.chunk) ||
 			(keep != nil && keep(p)) {
 			continue
 		}

@@ -252,10 +252,11 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 
 	// issue mirrors the engine's issueOne for one table, bounded to four
 	// loads in flight like the engine's default depth; now and then it
-	// vetoes the proposal, as the engine does for a quarantined part.
-	issue := func(t *soakTable) {
+	// vetoes the proposal, as the engine does for a quarantined part. A
+	// refusal nobody vetoed must leave the table a way forward.
+	issue := func(t *soakTable) error {
 		if len(t.inflight) >= 4 {
-			return
+			return nil
 		}
 		veto := rng.Intn(16) == 0
 		ld := t.abm.IssueLoad(func(d core.LoadDecision) bool {
@@ -264,10 +265,17 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		})
 		if ld == nil {
 			event("issue %s: nothing", t.name)
-			return
+			if veto {
+				return nil
+			}
+			if err := t.abm.AuditStalled(); err != nil {
+				return fmt.Errorf("soak: table %s: %w", t.name, err)
+			}
+			return nil
 		}
 		event("issue %s c%d %v", t.name, ld.Decision().Chunk, ld.Decision().Cols)
 		t.inflight = append(t.inflight, ld)
+		return nil
 	}
 
 	// land completes (or, rarely, aborts) a random in-flight load, in
@@ -379,7 +387,7 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 			}
 		case r < 45:
 			if t != nil {
-				issue(t)
+				err = issue(t)
 			}
 		case r < 65:
 			if t != nil {
