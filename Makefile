@@ -4,8 +4,8 @@
 # trajectory in docs/BENCHMARKS.md). The go-test benchmarks that remain at
 # the root are guards, not records: bench-sched fences the simulator's
 # decision cost, bench-kernels is the kernels' iteration tool, bench-obs and
-# bench-compress are opt-in A/Bs the suite does not cover yet. BENCH_PR1-10.json at the root are history; nothing writes
-# them any more.
+# bench-compress are opt-in A/Bs the suite does not cover yet.
+# docs/history/BENCH_PR1-10.json are history; nothing writes them any more.
 
 GO        ?= go
 BENCHTIME ?= 3x
@@ -14,7 +14,7 @@ FUZZTIME  ?= 10s
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench examples-check loc test-race test-serve test-fault-units fuzz-open fuzz-scan fuzz-decode vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
+.PHONY: build test test-bench examples-check loc test-race test-repeat test-serve test-fault-units fuzz-open fuzz-scan fuzz-decode vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ loc:
 # internal/engine/alias.go that the kernels and decoders read and write.
 test-race:
 	$(GO) test -race ./internal/engine/... ./internal/bufferpool/... ./internal/core/... ./internal/obs/... ./internal/soak/... ./internal/serve/... ./internal/exec/... ./internal/colstore/compress/...
+
+# Tier-1's concurrent packages twenty times over under the race detector —
+# the flake hunt CI runs on a schedule (a failure there is a real ordering
+# bug or a test synchronising on a sleep; neither shows in one run).
+test-repeat:
+	$(GO) test -race -count=20 ./internal/core/... ./internal/engine/... ./internal/serve/...
 
 # The HTTP/2 serving front-end (PR 9, internal/serve) under the race
 # detector: exact-bounded overload admission, the 1000-client disconnect
@@ -173,13 +179,15 @@ PAIR_CHANGE ?= .
 bench-pairs:
 	bash tools/bench-pairs.sh $(PARENT) $(PAIR_CHANGE) $(WORKLOAD) $(PAIR_SECONDS) $(PAIR_SEEDS)
 
-# Scheduler decision-cost fence (simulator side): TestSchedScalingGuard
+# Scheduler decision-cost fence (simulator side): TestSchedScalingGuardOptIn
 # compares the q512/q64 per-decision ratio measured in one process against
-# the flat PR-4 baseline, so a reintroduced linear walk fails it even on a
-# noisy box; the sweep prints sched-ns/decision from 64 to 8192 queries and
-# across chunk counts for a human to read.
+# the flat PR-4 baseline, so a reintroduced linear walk fails it; the sweep
+# prints sched-ns/decision from 64 to 8192 queries and across chunk counts
+# for a human to read. The guard is a wall-clock number and has failed under
+# load with nothing wrong, so plain `go test ./...` skips it: this target is
+# the only place it runs (COOPSCAN_SCHED_GUARD=1, the bench-obs idiom).
 bench-sched:
-	$(GO) test -run 'TestSchedScalingGuard' -count=1 -v .
+	COOPSCAN_SCHED_GUARD=1 $(GO) test -run 'TestSchedScalingGuardOptIn' -count=1 -v .
 	$(GO) test -run '^$$' -bench BenchmarkSchedulerScaling -benchmem -benchtime $(BENCHTIME) .
 
 # Kernel micro-benchmarks, for iterating in seconds without the 20 s suite;

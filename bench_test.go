@@ -1,5 +1,6 @@
 // BenchmarkSchedulerScaling is the simulator-side fence on scheduling cost,
-// with TestSchedScalingGuard (sched_guard_test.go) as its enforcement arm.
+// with TestSchedScalingGuardOptIn (sched_guard_test.go, `make bench-sched`) as
+// its enforcement arm.
 // Every other signal the per-PR benchmarks once carried — policy wall
 // times, I/O counts, live throughput — is measured by the one fixed suite
 // under bench/ (`make bench-record`, `make bench-compare`).

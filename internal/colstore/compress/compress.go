@@ -422,132 +422,6 @@ func decodeIntDict(out []int64, src []byte, n int, width uint) ([]int64, error) 
 	return out, nil
 }
 
-// EncodeStrings dictionary-compresses a string column (the paper's
-// PDICT(str) in Figure 9). Raw is also accepted.
-func EncodeStrings(s Scheme, values []string) ([]byte, error) {
-	switch s {
-	case PDict:
-		return encodeStringDict(values)
-	case Raw:
-		out := putHeader(nil, Raw, 0, len(values))
-		var b [4]byte
-		for _, v := range values {
-			binary.LittleEndian.PutUint32(b[:], uint32(len(v)))
-			out = append(out, b[:]...)
-			out = append(out, v...)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("compress: scheme %v not supported for strings", s)
-	}
-}
-
-// DecodeStrings decompresses a buffer produced by EncodeStrings.
-func DecodeStrings(buf []byte) ([]string, error) {
-	s, width, n, rest, err := readHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case PDict:
-		return decodeStringDict(rest, n, width)
-	case Raw:
-		capHint := n
-		if max := len(rest) / 4; capHint > max {
-			capHint = max
-		}
-		out := make([]string, 0, capHint)
-		for i := 0; i < n; i++ {
-			if len(rest) < 4 {
-				return nil, ErrCorrupt
-			}
-			l := int(binary.LittleEndian.Uint32(rest))
-			rest = rest[4:]
-			if len(rest) < l {
-				return nil, ErrCorrupt
-			}
-			out = append(out, string(rest[:l]))
-			rest = rest[l:]
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("compress: scheme %v not supported for strings: %w", s, ErrCorrupt)
-	}
-}
-
-func encodeStringDict(values []string) ([]byte, error) {
-	uniq := make(map[string]struct{}, 64)
-	for _, v := range values {
-		uniq[v] = struct{}{}
-	}
-	dict := make([]string, 0, len(uniq))
-	for v := range uniq {
-		dict = append(dict, v)
-	}
-	sort.Strings(dict)
-	idx := make(map[string]uint64, len(dict))
-	for i, v := range dict {
-		idx[v] = uint64(i)
-	}
-	width := bitsFor(uint64(len(dict) - 1))
-	if len(dict) <= 1 {
-		width = 0
-	}
-	codes := make([]uint64, len(values))
-	for i, v := range values {
-		codes[i] = idx[v]
-	}
-	out := putHeader(nil, PDict, width, len(values))
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(dict)))
-	out = append(out, b[:]...)
-	for _, v := range dict {
-		binary.LittleEndian.PutUint32(b[:], uint32(len(v)))
-		out = append(out, b[:]...)
-		out = append(out, v...)
-	}
-	return packBits(out, codes, width), nil
-}
-
-func decodeStringDict(src []byte, n int, width uint) ([]string, error) {
-	if len(src) < 4 {
-		return nil, ErrCorrupt
-	}
-	dn := int(binary.LittleEndian.Uint32(src[0:4]))
-	src = src[4:]
-	// Each dictionary entry costs at least its 4-byte length prefix, so a
-	// claimed size beyond len(src)/4 cannot be backed by real data.
-	if dn > len(src)/4 {
-		return nil, ErrCorrupt
-	}
-	dict := make([]string, dn)
-	for i := range dict {
-		if len(src) < 4 {
-			return nil, ErrCorrupt
-		}
-		l := int(binary.LittleEndian.Uint32(src))
-		src = src[4:]
-		if len(src) < l {
-			return nil, ErrCorrupt
-		}
-		dict[i] = string(src[:l])
-		src = src[l:]
-	}
-	if len(src) < packedLen(n, width) {
-		return nil, ErrCorrupt
-	}
-	codes := make([]int64, n)
-	unpackAdd(codes, src, width, 0)
-	out := make([]string, n)
-	for i, c := range codes {
-		if uint64(c) >= uint64(dn) {
-			return nil, ErrCorrupt
-		}
-		out[i] = dict[c]
-	}
-	return out, nil
-}
-
 // BitsPerValue reports the effective storage density of an encoded buffer in
 // bits per value; the DSM layouts use it to size physical column extents.
 func BitsPerValue(buf []byte) (float64, error) {

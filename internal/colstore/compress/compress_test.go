@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -121,43 +120,6 @@ func TestPDictLowCardinality(t *testing.T) {
 	}
 }
 
-func TestStringDictRoundTrip(t *testing.T) {
-	values := []string{"apple", "banana", "apple", "", "cherry", "banana", "apple"}
-	for _, s := range []Scheme{PDict, Raw} {
-		buf, err := EncodeStrings(s, values)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		got, err := DecodeStrings(buf)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if !reflect.DeepEqual(got, values) {
-			t.Errorf("%v: got %q want %q", s, got, values)
-		}
-	}
-}
-
-func TestStringDictEmpty(t *testing.T) {
-	buf, err := EncodeStrings(PDict, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeStrings(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("got %d values, want 0", len(got))
-	}
-}
-
-func TestUnsupportedStringScheme(t *testing.T) {
-	if _, err := EncodeStrings(PFOR, []string{"x"}); err == nil {
-		t.Error("expected error for PFOR on strings")
-	}
-}
-
 func TestCorruptBuffers(t *testing.T) {
 	valid, _ := EncodeInts(PFOR, []int64{1, 2, 3, 1000})
 	cases := map[string][]byte{
@@ -171,9 +133,6 @@ func TestCorruptBuffers(t *testing.T) {
 		if _, err := DecodeInts(buf); err == nil {
 			t.Errorf("%s: expected decode error", name)
 		}
-	}
-	if _, err := DecodeStrings([]byte{byte(PDict), 2, 4, 0, 0, 0, 0, 0, 0, 0, 1}); err == nil {
-		t.Error("corrupt string dict: expected error")
 	}
 }
 

@@ -134,31 +134,3 @@ func FuzzRoundTripInts(f *testing.F) {
 		}
 	})
 }
-
-func FuzzDecodeStrings(f *testing.F) {
-	for _, s := range []Scheme{Raw, PDict} {
-		buf, err := EncodeStrings(s, []string{"ship", "ship", "return", "", "x"})
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf)
-		f.Add(buf[:len(buf)-1])
-	}
-	bomb := make([]byte, headerSize+4)
-	bomb[0] = byte(PDict)
-	binary.LittleEndian.PutUint64(bomb[2:10], 100)
-	binary.LittleEndian.PutUint32(bomb[headerSize:], 1<<31) // dict size far beyond the buffer
-	f.Add(bomb)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := DecodeStrings(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("DecodeStrings: non-ErrCorrupt failure %v", err)
-			}
-			return
-		}
-		if len(out) > maxValues {
-			t.Fatalf("DecodeStrings: %d values exceeds maxValues", len(out))
-		}
-	})
-}

@@ -295,9 +295,9 @@ type ABM struct {
 	// variable plays this role.
 	activity *sim.Signal
 
-	// onEvict, when set, observes every part eviction (live mode: the
-	// engine returns the part's frame there).
-	onEvict func(chunk, col int)
+	// onEvict, when set, observes every part eviction and receives the
+	// part's frame (live mode: the engine returns it to its allocator).
+	onEvict func(chunk, col int, frame any)
 
 	closed bool
 	strat  strategy
@@ -890,14 +890,15 @@ func (a *ABM) partLeavingResidency(k partKey) {
 // evictPart evicts one part, keeping the availability state consistent.
 func (a *ABM) evictPart(k partKey) {
 	a.partLeavingResidency(k)
+	p := a.cache.parts[k]
 	if a.relev != nil {
 		a.markVicDirty(k.chunk)
-		a.relev.victims.remove(a.cache.parts[k])
+		a.relev.victims.remove(p)
 	}
 	a.cache.evict(k)
 	a.stats.Evictions++
 	if a.onEvict != nil {
-		a.onEvict(k.chunk, k.col)
+		a.onEvict(k.chunk, k.col, p.frame)
 	}
 }
 
@@ -1011,7 +1012,7 @@ func (a *ABM) awaitAvailable(p *sim.Proc, q *Query) (int, bool) {
 			return 0, false
 		}
 		if c := a.strat.PickAvailable(q); c >= 0 {
-			a.Pin(q, c)
+			a.Pin(q, c, nil)
 			return c, true
 		}
 		q.SetBlocked(true)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestAbortLoadRollsBackReservation(t *testing.T) {
 
 			// Drain: consume the one loaded chunk, finish the query, and
 			// check the quiescent invariants.
-			abm.Pin(q, chunk)
+			abm.Pin(q, chunk, nil)
 			abm.Release(q, chunk)
 			abm.Finish(q)
 			if err := abm.AuditDrained(); err != nil {
@@ -145,7 +146,7 @@ func TestAbortLoadSkipsSiblingParts(t *testing.T) {
 		if c := abm.Policy().PickAvailable(q); c != 0 {
 			t.Fatalf("%s PickAvailable = %d, want 0", q.Name, c)
 		}
-		abm.Pin(q, 0)
+		abm.Pin(q, 0, nil)
 		abm.Release(q, 0)
 		abm.Finish(q)
 	}
@@ -177,7 +178,7 @@ func TestLoadTicketLandsExactlyOnce(t *testing.T) {
 		fn()
 	}
 	for name, second := range map[string]func(*Load){
-		"Finish after Finish": (*Load).Finish,
+		"Finish after Finish": func(l *Load) { l.Finish() },
 		"Abort after Finish":  (*Load).Abort,
 	} {
 		abm, _ := newABM()
@@ -231,11 +232,168 @@ func TestLiveLoadDecisionIsMetered(t *testing.T) {
 	picks := 0
 	for c := abm.Policy().PickAvailable(q); c >= 0; c = abm.Policy().PickAvailable(q) {
 		picks++
-		abm.Pin(q, c)
+		abm.Pin(q, c, nil)
 		abm.Release(q, c)
 	}
 	picks++ // the closing pick that found nothing is a decision too
 	if _, calls := abm.SchedulingCost(); calls < decisions+int64(picks) {
 		t.Fatalf("%d load decisions + %d picks, only %d decisions metered", decisions, picks, calls)
+	}
+}
+
+// TestPartCarriesItsFrame follows the holder's buffers through the part
+// table: what a ticket hands over at Finish is what Pin hands every query
+// that reads the part — in the query's column order — and what the evict
+// hook receives when the part goes; an aborted ticket leaves nothing behind;
+// and the pinned-parts count moves only on a part's first pin and last
+// release, however many queries overlap on it.
+func TestPartCarriesItsFrame(t *testing.T) {
+	clk := &stepClock{}
+	evicted := map[partKey]any{}
+	setup := func() (abm *ABM, wide, narrow *Query) {
+		layout := dsmTestLayout(8, 4)
+		abm = NewLiveManager(clk, Config{Policy: Normal}).Attach(layout, layout.ChunkBytes(0, storage.AllCols(4))*2)
+		abm.SetEvictHook(func(chunk, col int, f any) { evicted[partKey{chunk, col}] = f })
+		all := storage.NewRangeSet(storage.Range{Start: 0, End: 8})
+		wide = abm.NewQuery("wide", all, storage.Cols(0, 1, 3))
+		narrow = abm.NewQuery("narrow", all, storage.Cols(1))
+		abm.Register(wide)
+		abm.Register(narrow)
+		return abm, wide, narrow
+	}
+	frames := func(abm *ABM) map[partKey]any {
+		out := map[partKey]any{}
+		abm.EachPart(func(chunk, col int, _ int64, resident bool, f any) {
+			if f != nil && !resident {
+				t.Errorf("part c%d/col%d carries a frame while loading", chunk, col)
+			}
+			out[partKey{chunk, col}] = f
+		})
+		return out
+	}
+
+	// Aborted: the parts go back to absent and no frame was ever theirs.
+	abm, _, _ := setup()
+	ld := abm.IssueLoad(nil)
+	if got := frames(abm); len(got) != 3 {
+		t.Fatalf("ticket covers %d parts, want 3", len(got))
+	}
+	ld.Abort()
+	if got := frames(abm); len(got) != 0 {
+		t.Fatalf("aborted ticket left parts behind: %v", got)
+	}
+	abm.ReleaseFrames(func(f any) { t.Errorf("aborted ticket left frame %v behind", f) })
+
+	// Landed: each part carries the frame handed over for its column.
+	abm, wide, narrow := setup()
+	audit := func(when string) {
+		t.Helper()
+		if err := abm.AuditIncremental(); err != nil {
+			t.Fatalf("audit %s: %v", when, err)
+		}
+	}
+	ld = abm.IssueLoad(nil)
+	if d := ld.Decision(); d.Chunk != 0 || d.Cols != wide.Cols {
+		t.Fatalf("ticket = %+v, want chunk 0 cols %v", d, wide.Cols)
+	}
+	ld.Finish("c0/col0", "c0/col1", "c0/col3")
+	audit("after landing")
+	want := map[partKey]any{{0, 0}: "c0/col0", {0, 1}: "c0/col1", {0, 3}: "c0/col3"}
+	if got := frames(abm); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parts carry %v, want %v", got, want)
+	}
+
+	// Pin hands the frames over in column order; two queries overlapping on
+	// column 1 pin one part twice, and the count sees one part.
+	buf := make([]any, 0, 4)
+	if got := abm.Pin(wide, 0, buf); len(got) != 3 || got[0] != "c0/col0" || got[1] != "c0/col1" || got[2] != "c0/col3" {
+		t.Fatalf("Pin(wide) handed %v", got)
+	}
+	if got := abm.PinnedParts(); got != 3 {
+		t.Fatalf("PinnedParts = %d after wide's pin, want 3", got)
+	}
+	if got := abm.Pin(narrow, 0, buf); len(got) != 1 || got[0] != "c0/col1" {
+		t.Fatalf("Pin(narrow) handed %v", got)
+	}
+	if got := abm.PinnedParts(); got != 3 {
+		t.Fatalf("PinnedParts = %d with column 1 pinned twice, want 3", got)
+	}
+	audit("with overlapping pins")
+	abm.Release(wide, 0)
+	if got := abm.PinnedParts(); got != 1 {
+		t.Fatalf("PinnedParts = %d after wide's release, want 1 (narrow still holds column 1)", got)
+	}
+	abm.Release(narrow, 0)
+	if got := abm.PinnedParts(); got != 0 {
+		t.Fatalf("PinnedParts = %d after both releases, want 0", got)
+	}
+	audit("after releases")
+
+	// A nil destination collects nothing; a ticket without frames lands parts
+	// that carry nil.
+	for abm.Policy().PickAvailable(wide) != 1 {
+		clk.now += 0.01
+		abm.IssueLoad(nil).Finish()
+	}
+	if got := abm.Pin(wide, 1, nil); got != nil {
+		t.Fatalf("Pin with a nil destination handed %v", got)
+	}
+	abm.Release(wide, 1)
+	if got := abm.Pin(narrow, 1, buf); len(got) != 1 || got[0] != nil {
+		t.Fatalf("Pin over a frameless part handed %v", got)
+	}
+	abm.Release(narrow, 1)
+
+	// Evicted: the hook receives the frame the part carried. Chunk 0 is
+	// consumed by everyone, so the next loads push it out.
+	chunk0Gone := func() bool {
+		for k := range want {
+			if _, ok := evicted[k]; !ok {
+				return false
+			}
+		}
+		return true
+	}
+	for !chunk0Gone() {
+		clk.now += 0.01
+		ld := abm.IssueLoad(nil)
+		if ld == nil {
+			t.Fatalf("no load to force chunk 0 out (evicted so far: %v)", evicted)
+		}
+		ld.Finish()
+		c := ld.Decision().Chunk
+		for _, q := range []*Query{wide, narrow} {
+			if abm.Policy().PickAvailable(q) == c {
+				abm.Pin(q, c, nil)
+				abm.Release(q, c)
+			}
+		}
+	}
+	for k, f := range want {
+		if evicted[k] != f {
+			t.Errorf("evict hook got %v for %v, want %v", evicted[k], k, f)
+		}
+	}
+	audit("after evictions")
+}
+
+// TestSimPartsCarryNoFrame: the simulator moves no bytes, so no part of a
+// simulated run ever carries a frame and the evict hook receives nil.
+func TestSimPartsCarryNoFrame(t *testing.T) {
+	for _, pol := range []Policy{Normal, Relevance} {
+		l := dsmTestLayout(12, 3)
+		ts := newTestSystem(t, l, pol, 2)
+		evictions := 0
+		check := func(chunk, col int, f any) {
+			if f != nil {
+				t.Errorf("%v: part c%d/col%d carries frame %v in a simulation", pol, chunk, col, f)
+			}
+		}
+		ts.abm.SetEvictHook(func(chunk, col int, f any) { evictions++; check(chunk, col, f) })
+		ts.runQueries(t, []scanSpec{{name: "q", ranges: fullRange(l), cols: storage.Cols(0, 2)}})
+		ts.abm.EachPart(func(chunk, col int, _ int64, _ bool, f any) { check(chunk, col, f) })
+		if evictions == 0 {
+			t.Errorf("%v: a 12-chunk scan through a 2-chunk pool evicted nothing", pol)
+		}
 	}
 }

@@ -87,24 +87,26 @@ func (a *ABM) AuditStalled() error {
 }
 
 // EachPart reports every non-absent part: its key (col is -1 for an NSM
-// chunk), the buffer bytes its reservation accounts, and whether it is
-// resident (false: still loading). The live engine's frame audit walks it to
-// check that every reservation is backed by exactly one frame of that size.
-func (a *ABM) EachPart(fn func(chunk, col int, bytes int64, resident bool)) {
+// chunk), the buffer bytes its reservation accounts, whether it is resident
+// (false: still loading) and the frame it carries. The live engine's frame
+// audit walks it to check that every resident part's reservation is backed
+// by exactly one frame of that size.
+func (a *ABM) EachPart(fn func(chunk, col int, bytes int64, resident bool, frame any)) {
 	for k, p := range a.cache.parts {
 		first, last := a.cache.pageRange(k)
-		fn(k.chunk, k.col, (last-first)*a.cache.pageBytes, p.state == partLoaded)
+		fn(k.chunk, k.col, (last-first)*a.cache.pageBytes, p.state == partLoaded, p.frame)
 	}
 }
 
-// auditResidency recomputes the per-chunk residency index from the parts
-// map.
+// auditResidency recomputes the per-chunk residency index and the
+// pinned-parts count from the parts map.
 func (a *ABM) auditResidency() error {
 	b := a.cache
 	n := a.layout.NumChunks()
 	resident := make([]storage.ColSet, n)
 	loading := make([]storage.ColSet, n)
 	partCount := make([]int, n)
+	pinned := 0
 	for k, p := range b.parts {
 		switch p.state {
 		case partLoaded:
@@ -115,6 +117,12 @@ func (a *ABM) auditResidency() error {
 			return fmt.Errorf("core: part %v in parts map with state %d", k, p.state)
 		}
 		partCount[k.chunk]++
+		if p.pins > 0 {
+			pinned++
+		}
+	}
+	if b.pinnedParts != pinned {
+		return fmt.Errorf("core: pinnedParts = %d, recomputed %d", b.pinnedParts, pinned)
 	}
 	for c := 0; c < n; c++ {
 		if b.residentCols[c] != resident[c] {

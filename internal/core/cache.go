@@ -50,6 +50,11 @@ type part struct {
 	// score the part was last keyed with.
 	vicIdx   int
 	vicScore float64
+
+	// frame is the holder's buffer for the part's bytes, opaque to the ABM:
+	// Load.Finish hands it over, Pin hands it to every query reading the
+	// part, the evict hook gets it back. Nil in the simulator.
+	frame any
 }
 
 // colBit maps a part column to its bit in the per-chunk residency sets. The
@@ -77,6 +82,8 @@ type bufcache struct {
 	pageBytes int64
 	capBytes  int64
 	usedBytes int64
+	// pinnedParts counts the parts with at least one pin.
+	pinnedParts int
 
 	pageRefs map[int64]int     // device page index -> #loaded parts using it
 	parts    map[partKey]*part // all non-absent parts
@@ -92,7 +99,7 @@ type bufcache struct {
 	// lru indexes every partLoaded part by (lastTouch, chunk, col), the LRU
 	// eviction order with the scheduler's deterministic tie-break. It is
 	// maintained at the events that change a part's recency — finishLoad,
-	// touch, unpin, evict — so selecting an LRU victim is a pop instead of a
+	// pin, unpin, evict — so selecting an LRU victim is a pop instead of a
 	// pool scan. part.lruIdx is the part's heap slot (-1 while absent,
 	// loading, or temporarily popped during an eviction pass).
 	lru indexedHeap[*part, lruOrder]
@@ -347,13 +354,25 @@ func (b *bufcache) evict(k partKey) int64 {
 	return freed
 }
 
-// pin and unpin guard a part against eviction while a query processes it.
-func (b *bufcache) pin(k partKey) {
+// pin is one part's share of a chunk delivery, on one lookup: the part is
+// guarded against eviction while the query processes it, its LRU recency is
+// refreshed (a buffer hit) and, when frames is non-nil, its frame appended
+// for the caller. unpin lifts the guard.
+func (b *bufcache) pin(k partKey, now float64, frames []any) []any {
 	p := b.parts[k]
 	if p == nil || p.state != partLoaded {
 		panic(fmt.Sprintf("core: pin(%v): not loaded", k))
 	}
+	if p.pins == 0 {
+		b.pinnedParts++
+	}
 	p.pins++
+	p.lastTouch = now
+	b.lru.fix(p)
+	if frames != nil {
+		frames = append(frames, p.frame)
+	}
+	return frames
 }
 
 func (b *bufcache) unpin(k partKey, now float64) {
@@ -362,24 +381,24 @@ func (b *bufcache) unpin(k partKey, now float64) {
 		panic(fmt.Sprintf("core: unpin(%v): not pinned", k))
 	}
 	p.pins--
+	if p.pins == 0 {
+		b.pinnedParts--
+	}
 	p.lastTouch = now
 	b.lru.fix(p)
 }
 
-// pinAll pins and touches every part of chunk c a query with cols reads;
-// the chunk must be fully resident for cols. Allocation-free.
-func (b *bufcache) pinAll(cols storage.ColSet, c int, now float64) {
+// pinAll pins every part of chunk c a query with cols reads, in column order
+// (the one chunk part in NSM); the chunk must be fully resident for cols.
+// Allocation-free.
+func (b *bufcache) pinAll(cols storage.ColSet, c int, now float64, frames []any) []any {
 	if !b.layout.Columnar() {
-		k := partKey{chunk: c, col: -1}
-		b.pin(k)
-		b.touch(k, now)
-		return
+		return b.pin(partKey{chunk: c, col: -1}, now, frames)
 	}
 	for v := uint64(cols); v != 0; v &= v - 1 {
-		k := partKey{chunk: c, col: bits.TrailingZeros64(v)}
-		b.pin(k)
-		b.touch(k, now)
+		frames = b.pin(partKey{chunk: c, col: bits.TrailingZeros64(v)}, now, frames)
 	}
+	return frames
 }
 
 // unpinAll releases the pins taken by pinAll.
@@ -390,14 +409,6 @@ func (b *bufcache) unpinAll(cols storage.ColSet, c int, now float64) {
 	}
 	for v := uint64(cols); v != 0; v &= v - 1 {
 		b.unpin(partKey{chunk: c, col: bits.TrailingZeros64(v)}, now)
-	}
-}
-
-// touch refreshes LRU recency (a buffer hit).
-func (b *bufcache) touch(k partKey, now float64) {
-	if p := b.parts[k]; p != nil {
-		p.lastTouch = now
-		b.lru.fix(p)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestCachePinPreventsEvict(t *testing.T) {
 	k := partKey{chunk: 1, col: -1}
 	b.beginLoad(k, 0)
 	b.finishLoad(k, 0)
-	b.pin(k)
+	b.pin(k, 0, nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -163,7 +163,7 @@ func TestCachePanicsOnMisuse(t *testing.T) {
 	for name, f := range map[string]func(){
 		"finish before begin": func() { b.finishLoad(k, 0) },
 		"evict absent":        func() { b.evict(k) },
-		"pin absent":          func() { b.pin(k) },
+		"pin absent":          func() { b.pin(k, 0, nil) },
 		"unpin absent":        func() { b.unpin(k, 0) },
 		"tiny capacity":       func() { newBufcache(nsmTestLayout(2), 1) },
 	} {

@@ -100,9 +100,37 @@ func (a *ABM) SetChunkCost(c float64) {
 }
 
 // SetEvictHook installs an observer invoked for every part eviction with
-// the part's (chunk, column) key; column is -1 for NSM parts. The live
-// engine returns the part's frame there.
-func (a *ABM) SetEvictHook(h func(chunk, col int)) { a.onEvict = h }
+// the part's (chunk, column) key — column is -1 for NSM parts — and its
+// frame. The live engine returns the frame to its allocator there.
+func (a *ABM) SetEvictHook(h func(chunk, col int, frame any)) { a.onEvict = h }
+
+// Idle reports whether no query is registered and no load ticket is open.
+func (a *ABM) Idle() bool { return len(a.queries) == 0 && a.openLoads == 0 }
+
+// PinnedParts returns the number of resident parts some query has pinned.
+func (a *ABM) PinnedParts() int { return a.cache.pinnedParts }
+
+// WakeQueries fires every registered query's waker, for a reason only the
+// holder knows (the live engine: a quarantine, a detach, shutdown).
+func (a *ABM) WakeQueries() {
+	for _, q := range a.queries {
+		if q.waker != nil {
+			q.waker()
+		}
+	}
+}
+
+// ReleaseFrames takes the frame off every part that carries one and hands it
+// to fn: teardown of a table whose parts will not be delivered again. The
+// parts stay accounted; a second call finds nothing.
+func (a *ABM) ReleaseFrames(fn func(frame any)) {
+	for _, p := range a.cache.loadedParts() {
+		if p.frame != nil {
+			fn(p.frame)
+			p.frame = nil
+		}
+	}
+}
 
 // Load is the ticket of one issued load: the decision is committed, the
 // absent parts it covers are marked loading and their buffer space is
@@ -180,13 +208,16 @@ func (a *ABM) proposeLoad(accept func(LoadDecision) bool) (d LoadDecision, need 
 }
 
 // Finish lands the ticket's parts: they become resident and every query
-// that gained the chunk is woken through its waker. The chunk is then
-// protected from eviction until a query pins it: the live engine's next
-// eviction pass may run before any woken query goroutine reacquires the
-// lock, and must not evict what was just loaded for them.
-func (l *Load) Finish() {
+// that gained the chunk is woken through its waker. frames, when given, are
+// the buffers the holder read the parts into, one per part in Decision's
+// column order (one for an NSM chunk); each part carries its own until it is
+// evicted. The chunk is then protected from eviction until a query pins it:
+// the live engine's next eviction pass may run before any woken query
+// goroutine reacquires the lock, and must not evict what was just loaded for
+// them.
+func (l *Load) Finish(frames ...any) {
 	l.land()
-	l.a.finishLoad(l.d)
+	l.a.finishLoad(l.d, frames)
 }
 
 // Abort rolls the ticket back: its parts return from loading to absent and
@@ -229,10 +260,13 @@ func (a *ABM) beginLoad(d LoadDecision) storage.ColSet {
 	return marked
 }
 
-func (a *ABM) finishLoad(d LoadDecision) {
+func (a *ABM) finishLoad(d LoadDecision, frames []any) {
 	var kb [storage.MaxColumns]partKey
-	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(d.Cols), d.Chunk) {
-		if a.cache.state(k) == partLoading {
+	for i, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(d.Cols), d.Chunk) {
+		if p := a.cache.parts[k]; p != nil && p.state == partLoading {
+			if len(frames) != 0 {
+				p.frame = frames[i]
+			}
 			a.finishPart(k)
 		}
 	}
@@ -251,10 +285,12 @@ func (a *ABM) abortLoad(d LoadDecision) {
 // Pin pins every part of chunk c that q reads (the chunk must be fully
 // resident for q's columns, i.e. PickAvailable returned it) and stamps the
 // query's service time. Release undoes it. The first pin also lifts the
-// chunk's fresh-load eviction protection.
-func (a *ABM) Pin(q *Query, c int) {
-	a.cache.pinAll(a.queryCols(q), c, a.clock.Now())
+// chunk's fresh-load eviction protection. The pinned parts' frames, in the
+// query's column order (one in NSM), are appended to a non-nil frames.
+func (a *ABM) Pin(q *Query, c int, frames []any) []any {
+	frames = a.cache.pinAll(a.queryCols(q), c, a.clock.Now(), frames)
 	q.lastService = a.clock.Now()
 	a.candFix(q)
 	delete(a.fresh, c)
+	return frames
 }

@@ -108,7 +108,7 @@ func TestLiveManagerRebalanceNeverShrinksBelowUsage(t *testing.T) {
 	// As the cold table drains, re-running the arbiter hands the freed
 	// bytes to the starved table.
 	for c := 0; c < 8; c++ {
-		cold.finishLoad(LoadDecision{Chunk: c})
+		cold.finishLoad(LoadDecision{Chunk: c}, nil)
 	}
 	for _, pt := range cold.cache.loadedParts() {
 		cold.evictPart(pt.key)
@@ -168,7 +168,7 @@ func TestLiveABMDrainExcess(t *testing.T) {
 	cold.SetBufferBytes(8 << 20)
 	for c := 0; c < 8; c++ {
 		cold.beginLoad(LoadDecision{Chunk: c})
-		cold.finishLoad(LoadDecision{Chunk: c})
+		cold.finishLoad(LoadDecision{Chunk: c}, nil)
 	}
 	cold.SetBufferBytes(4 << 20)
 	if cold.FreeBytes() >= 0 {

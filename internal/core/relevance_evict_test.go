@@ -94,8 +94,8 @@ func TestMakeSpaceLastResortSparesPinnedParts(t *testing.T) {
 	trigger := f.register("trigger", rangeOf(0, 10), 0)
 	f.load(t, 0, 0)
 	f.load(t, 1, 0)
-	f.abm.cache.pin(partKey{chunk: 0, col: -1})
-	f.abm.cache.pin(partKey{chunk: 1, col: -1})
+	f.abm.cache.pin(partKey{chunk: 0, col: -1}, 0, nil)
+	f.abm.cache.pin(partKey{chunk: 1, col: -1}, 0, nil)
 	trigger.SetBlocked(true)
 	if rs.EnsureSpace(chunkSize(f), trigger) {
 		t.Fatal("eviction claimed success with the whole pool pinned")

@@ -21,14 +21,14 @@ func TestLiveABMSetBufferBytesShrinkUnderPinnedLoad(t *testing.T) {
 	const chunk = 1 << 20
 	for c := 0; c < 4; c++ {
 		a.beginLoad(LoadDecision{Chunk: c})
-		a.finishLoad(LoadDecision{Chunk: c})
+		a.finishLoad(LoadDecision{Chunk: c}, nil)
 	}
 	pol := a.Policy()
 	pinned := pol.PickAvailable(q)
 	if pinned < 0 {
 		t.Fatal("PickAvailable found nothing with 4 chunks resident")
 	}
-	a.Pin(q, pinned)
+	a.Pin(q, pinned, nil)
 
 	a.SetBufferBytes(2 << 20)
 	if got := a.BufferBytes(); got != 2<<20 {
@@ -64,7 +64,7 @@ func TestLiveABMSetBufferBytesShrinkUnderPinnedLoad(t *testing.T) {
 		if c < 0 {
 			break
 		}
-		a.Pin(q, c)
+		a.Pin(q, c, nil)
 		a.Release(q, c)
 	}
 	if err := a.AuditIncremental(); err != nil {
@@ -149,7 +149,7 @@ func TestLiveManagerRebalanceHighStreamCounts(t *testing.T) {
 	// keep the sum within budget with the full population still registered.
 	for c := 0; c < 2; c++ {
 		abms[0].beginLoad(LoadDecision{Chunk: c})
-		abms[0].finishLoad(LoadDecision{Chunk: c})
+		abms[0].finishLoad(LoadDecision{Chunk: c}, nil)
 	}
 	grants = m.Rebalance(total)
 	sum = 0

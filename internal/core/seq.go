@@ -158,7 +158,7 @@ func (s *seqStrategy) next(p *sim.Proc, q *Query) (int, bool) {
 		return 0, false
 	}
 	hit := s.a.ensureChunkDemand(p, q, c)
-	s.a.cache.pinAll(s.a.queryCols(q), c, s.a.clock.Now())
+	s.a.cache.pinAll(s.a.queryCols(q), c, s.a.clock.Now(), nil)
 	if hit {
 		s.a.stats.BufferHits++
 	}

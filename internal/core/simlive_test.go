@@ -113,7 +113,7 @@ func refIssueLoad(a *ABM, accept func(LoadDecision) bool) (LoadDecision, func(ab
 		if abort {
 			a.abortLoad(d)
 		} else {
-			a.finishLoad(d)
+			a.finishLoad(d, nil)
 		}
 	}
 }
@@ -135,7 +135,7 @@ func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64, issue i
 	pol := a.Policy()
 	numChunks := a.layout.NumChunks()
 	var trace []string
-	a.SetEvictHook(func(chunk, col int) {
+	a.SetEvictHook(func(chunk, col int, _ any) {
 		trace = append(trace, fmt.Sprintf("evict c%d/%d", chunk, col))
 	})
 
@@ -210,7 +210,7 @@ func runDecisionScript(t *testing.T, a *ABM, clk *stepClock, seed int64, issue i
 			trace = append(trace, fmt.Sprintf("pick %s c%d", st.q.Name, c))
 			st.q.SetBlocked(c < 0)
 			if c >= 0 {
-				a.Pin(st.q, c)
+				a.Pin(st.q, c, nil)
 				st.pinned = c
 			}
 		default: // force an eviction pass on behalf of a random stream

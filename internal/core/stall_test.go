@@ -41,7 +41,7 @@ func TestFreshGuardLapsesWhenNobodyCanPick(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		half.Chunk = c
 		a.beginLoad(half)
-		a.finishLoad(half)
+		a.finishLoad(half, nil)
 	}
 	wide.SetBlocked(true)
 	tail.SetBlocked(true)
@@ -79,7 +79,7 @@ func TestFreshGuardLapsesWhenNobodyCanPick(t *testing.T) {
 	if !a.cache.chunkLoadedFor(all, 4) {
 		t.Fatal("chunk 4 was evicted between landing and tail's pin")
 	}
-	a.Pin(tail, 4)
+	a.Pin(tail, 4, nil)
 	a.Release(tail, 4)
 }
 
@@ -93,9 +93,9 @@ func TestAuditStalledNamesTheWedge(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		d := LoadDecision{Query: wide, Chunk: c, Cols: all}
 		a.beginLoad(d)
-		a.finishLoad(d)
+		a.finishLoad(d, nil)
 		for _, k := range a.cache.partsInto(nil, all, c) {
-			a.cache.pin(k)
+			a.cache.pin(k, 0, nil)
 		}
 	}
 	if err := a.AuditStalled(); err != nil {
@@ -109,7 +109,7 @@ func TestAuditStalledNamesTheWedge(t *testing.T) {
 	// wide consumes the two chunks: now nobody can pick anything, nothing
 	// is open, and the pinned buffer admits no load.
 	for c := 0; c < 2; c++ {
-		a.Pin(wide, c)
+		a.Pin(wide, c, nil)
 		a.Release(wide, c)
 	}
 	if ld := a.IssueLoad(nil); ld != nil {
@@ -140,7 +140,7 @@ func TestOpenTicketShieldsResidentSiblings(t *testing.T) {
 	// Chunk 0 holds column 0 from an earlier residency, long since released.
 	old := LoadDecision{Query: wide, Chunk: 0, Cols: storage.Cols(0)}
 	a.beginLoad(old)
-	a.finishLoad(old)
+	a.finishLoad(old, nil)
 	delete(a.fresh, 0)
 	wide.SetBlocked(true)
 

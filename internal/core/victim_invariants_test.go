@@ -283,7 +283,7 @@ func runVictimCrossCheck(t *testing.T, columnar bool, seed int64) {
 				if c < 0 {
 					continue
 				}
-				a.Pin(q, c)
+				a.Pin(q, c, nil)
 				a.Release(q, c)
 				if q.finished() {
 					a.unregister(q)
@@ -304,7 +304,7 @@ func runVictimCrossCheck(t *testing.T, columnar bool, seed int64) {
 				if pt.state != partLoaded {
 					continue
 				}
-				a.cache.pin(pt.key)
+				a.cache.pin(pt.key, a.clock.Now(), nil)
 				pinned = append(pinned, pt.key)
 			default: // evict through the real EnsureSpace
 				if len(queries) == 0 || a.cache.used() == 0 {

@@ -85,9 +85,7 @@ func (s *Server) DetachTable(name string) error {
 	// Wake this table's parked streams so they observe the detach and
 	// unregister; wake the scheduler so it fails queued registrations and
 	// finalises once the table quiesces.
-	for _, w := range t.streams {
-		w.Signal()
-	}
+	t.abm.WakeQueries()
 	s.cond.Signal()
 	for !t.detached && !s.closed {
 		s.detachCond.Wait()
@@ -108,7 +106,7 @@ func (s *Server) DetachTable(name string) error {
 // loop under mu.
 func (s *Server) finalizeDetaches() {
 	for _, t := range s.tables {
-		if !t.detaching || t.detached || t.inflight > 0 || len(t.streams) > 0 {
+		if !t.detaching || t.detached || !t.abm.Idle() {
 			continue
 		}
 		s.releaseFrames(t)

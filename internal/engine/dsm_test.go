@@ -216,8 +216,9 @@ func TestDSMIndependentColumnEviction(t *testing.T) {
 	tbl := srv.tables[0]
 	resident := func(col int) []int {
 		var out []int
+		frames := partFrames(tbl)
 		for c := 0; c < tf.NumChunks(); c++ {
-			if _, ok := tbl.frames[partID{chunk: c, col: col}]; ok {
+			if _, ok := frames[partID{chunk: c, col: col}]; ok {
 				out = append(out, c)
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,9 +97,10 @@ func TestScanSurvivesTransientFaults(t *testing.T) {
 func TestQuarantineIsolatesPersistentFault(t *testing.T) {
 	tf := newTestFileFormat(t, DSM, 16_000, 1000, 43)
 	base := chunkQ6Baseline(t, tf)
-	const badChunk = 3
+	const badChunk, otherBadChunk = 3, 1
 	off, size := tf.PartFileRange(badChunk, ColTax)
-	injectFaults(tf, iofault.Plan{BadRanges: []iofault.Range{{Off: off, Len: size}}}, 2)
+	off2, size2 := tf.PartFileRange(otherBadChunk, ColReturnFlag)
+	injectFaults(tf, iofault.Plan{BadRanges: []iofault.Range{{Off: off, Len: size}, {Off: off2, Len: size2}}}, 2)
 	srv, err := NewServer(ServerConfig{
 		Policy: core.Normal, BufferBytes: 4 * tf.ChunkBytes(),
 		LoadRetries: 1, RetryBackoff: 50 * time.Microsecond,
@@ -142,12 +144,27 @@ func TestQuarantineIsolatesPersistentFault(t *testing.T) {
 		t.Errorf("skips-bad-col Q6 = %+v, want %+v", gotB, want)
 	}
 
-	st := srv.Stats()
-	if st.Faults.QuarantinedParts != 1 {
-		t.Errorf("QuarantinedParts = %d, want 1", st.Faults.QuarantinedParts)
+	// A second dead part, in a column none of the scans above read. A scan
+	// that needs both names the lowest (chunk, column) — every time, not
+	// whichever the quarantine map happens to yield first.
+	if _, err := srv.Scan(0, "needs-other-bad-part", rangeSet(0, n), storage.Cols(ColReturnFlag), nil); !errors.Is(err, ErrChunkUnavailable) {
+		t.Fatalf("scan needing the second bad part: err = %v, want ErrChunkUnavailable", err)
 	}
-	if st.Faults.FailedScans != 1 {
-		t.Errorf("FailedScans = %d, want 1", st.Faults.FailedScans)
+	const runs = 20
+	want := fmt.Sprintf("chunk %d col %d", otherBadChunk, ColReturnFlag)
+	for i := 0; i < runs; i++ {
+		_, err := srv.Scan(0, "needs-both", rangeSet(0, n), withTax.Add(ColReturnFlag), nil)
+		if !errors.Is(err, ErrChunkUnavailable) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d of a scan needing both bad parts: err = %v, want ErrChunkUnavailable naming %s", i, err, want)
+		}
+	}
+
+	st := srv.Stats()
+	if st.Faults.QuarantinedParts != 2 {
+		t.Errorf("QuarantinedParts = %d, want 2", st.Faults.QuarantinedParts)
+	}
+	if st.Faults.FailedScans != 2+runs {
+		t.Errorf("FailedScans = %d, want %d", st.Faults.FailedScans, 2+runs)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -367,7 +384,7 @@ func runFaultSoak(t *testing.T, seed uint64, pol core.Policy) {
 			if err := tbl.abm.AuditIncremental(); err != nil && auditErr == nil {
 				auditErr = fmt.Errorf("%s: %w", tbl.name, err)
 			}
-			if err := tbl.auditFrames(); err != nil && auditErr == nil {
+			if err := tbl.auditFrames(false); err != nil && auditErr == nil {
 				auditErr = err
 			}
 		}

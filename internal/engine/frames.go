@@ -14,15 +14,12 @@ import (
 // view pread and the checksums take — and the kernels read it as it is. A
 // frame is drawn when its part's load is issued (after the load ticket
 // reserved the bytes), filled by a load worker outside the server lock,
-// published in its table's frame map when the load commits, and returned
-// when the ABM evicts the part or the load aborts. Nothing else holds part
-// bytes, so the ABM's byte accounting is the engine's memory.
+// handed to the ABM's part record when the ticket lands — which hands it to
+// every scan that pins the part — and returned when the ABM evicts the part
+// or the load aborts. Nothing else holds part bytes, so the ABM's byte
+// accounting is the engine's memory.
 type frame struct {
 	vals []int64
-	// pins counts the scans currently inside a delivery of this part. The
-	// ABM's own pin counts are what protect the part from eviction; this
-	// one feeds the pinned-parts gauge on its 0↔1 transitions.
-	pins int
 	// crcs memoises ChunkData.ColCRC for this residency: slot j holds the
 	// CRC-32 (IEEE) of column j's valid prefix on an NSM chunk frame, slot 0
 	// that of the one column a DSM part is; crcValid marks a filled slot.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func TestFrameAllocationsBounded(t *testing.T) {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
 			held := make(map[int64]int) // size class -> frames resident
-			for _, f := range srv.tables[0].frames {
+			for _, f := range partFrames(srv.tables[0]) {
 				held[f.bytes()]++
 			}
 			total := 0
@@ -110,6 +111,18 @@ func TestFrameAllocationsBounded(t *testing.T) {
 			}
 		})
 	}
+}
+
+// partFrames rebuilds the (part -> frame) view of a table from the ABM's
+// part table — the only place the frames are held. Callers hold srv.mu.
+func partFrames(tbl *serverTable) map[partID]*frame {
+	out := make(map[partID]*frame)
+	tbl.abm.EachPart(func(chunk, col int, _ int64, _ bool, f any) {
+		if f != nil {
+			out[partID{chunk: chunk, col: col}] = f.(*frame)
+		}
+	})
+	return out
 }
 
 // TestFramesFreedWithLastTableOfClass checks that a size class's free frames
@@ -209,8 +222,8 @@ func TestAbortMidRetryReturnsFrames(t *testing.T) {
 	}
 	counter.mu.Unlock()
 	srv.mu.Lock()
-	if tbl := srv.tables[0]; tbl.framesOut != 0 || len(tbl.frames) != 0 {
-		t.Errorf("aborted load left %d frames outstanding, %d published", tbl.framesOut, len(tbl.frames))
+	if tbl := srv.tables[0]; tbl.framesOut != 0 || len(partFrames(tbl)) != 0 {
+		t.Errorf("aborted load left %d frames outstanding, %d on parts", tbl.framesOut, len(partFrames(tbl)))
 	}
 	srv.mu.Unlock()
 	if err := srv.Close(); err != nil {
@@ -296,8 +309,132 @@ func TestCloseWithLoadsInFlight(t *testing.T) {
 		if err := srv.AuditDrained(); err != nil {
 			t.Error(err)
 		}
-		if st := srv.Stats(); st.Pool.Misses != 0 || st.Pool.Resident != 0 {
+		st := srv.Stats()
+		if st.Pool.Misses != 0 || st.Pool.Resident != 0 {
 			t.Errorf("parts landed from a device that never read: %+v", st.Pool)
 		}
+		// Shutdown cut the retries short; nothing showed the parts to be bad.
+		if st.Faults.QuarantinedParts != 0 {
+			t.Errorf("QuarantinedParts = %d after closing over transient faults only, want 0", st.Faults.QuarantinedParts)
+		}
 	})
+}
+
+// TestDetachThenCloseReturnsEachFrameOnce: a detached table's frames are
+// released when the detach is finalised and Close walks the tombstone again;
+// the second pass must find nothing, or a frame sits on its free list twice
+// and two later loads would share one buffer.
+func TestDetachThenCloseReturnsEachFrameOnce(t *testing.T) {
+	const rows, tpc = 8_000, 1000
+	tf0 := newTestFile(t, rows, tpc, 68)
+	tfSame := newTestFile(t, rows, tpc, 69)
+	srv, err := NewServer(ServerConfig{Policy: core.Normal, BufferBytes: 8 * tf0.ChunkBytes()}, tf0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, err := srv.Attach("same", tfSame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tf := range []*TableFile{tf0, tfSame} {
+		if _, err := srv.Scan(i, "warm", rangeSet(0, tf.NumChunks()), Q6Cols(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.mu.Lock()
+	if n := len(partFrames(srv.tables[slot])); n == 0 {
+		t.Fatal("the warm scan left nothing resident on the table about to be detached")
+	}
+	srv.mu.Unlock()
+	if err := srv.DetachTable("same"); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if tomb := srv.tables[slot]; tomb.framesOut != 0 || len(partFrames(tomb)) != 0 {
+			t.Errorf("%s: tombstone has %d frames outstanding, %d on parts", when, tomb.framesOut, len(partFrames(tomb)))
+		}
+		seen := make(map[*frame]bool)
+		for size, c := range srv.frames.classes {
+			for _, f := range c.free {
+				if seen[f] {
+					t.Errorf("%s: size class %d holds one frame twice", when, size)
+				}
+				seen[f] = true
+			}
+		}
+		// tf0 keeps the one size class alive, so every frame ever allocated
+		// is either on a part of tf0 or free — exactly once.
+		if got, want := int64(len(seen)+len(partFrames(srv.tables[0]))), srv.frames.allocs.n; got != want {
+			t.Errorf("%s: %d frames accounted for, %d allocated", when, got, want)
+		}
+	}
+	check("after detach")
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close")
+	if err := srv.AuditDrained(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFrameAuditsCatchCorruption corrupts a healthy one-part table directly
+// and requires the audits to name each damage: the checks that used to
+// compare the engine's frame map against the ABM's parts now read the one
+// part table, and must not have become weaker on the way.
+func TestFrameAuditsCatchCorruption(t *testing.T) {
+	tf := newTestFile(t, 4_000, 1000, 70)
+	// healthy builds a server around one table with chunk 0 landed on a frame
+	// of the right size and q registered over the whole table.
+	healthy := func(f *frame) (*Server, *serverTable, *core.Query) {
+		abm := core.NewLiveManager(wallClock{start: time.Now()}, core.Config{Policy: core.Normal}).
+			AttachAs("t", tf.Layout(), 2*tf.ChunkBytes())
+		q := abm.NewQuery("q", rangeSet(0, tf.NumChunks()), Q6Cols())
+		abm.Register(q)
+		abm.IssueLoad(nil).Finish(f)
+		tbl := &serverTable{tf: tf, abm: abm, name: "t", framesOut: 1}
+		return &Server{tables: []*serverTable{tbl}}, tbl, q
+	}
+	whole := func() *frame { return &frame{vals: make([]int64, tf.ChunkBytes()/8)} }
+	if srv, _, _ := healthy(whole()); srv.AuditTables() != nil || srv.AuditDrained() != nil {
+		t.Fatalf("healthy table fails its audits: %v / %v", srv.AuditTables(), srv.AuditDrained())
+	}
+	for _, tc := range []struct {
+		name    string
+		frame   *frame
+		corrupt func(*Server, *serverTable, *core.Query)
+		audit   func(*Server) error
+		want    string
+	}{
+		{"resident part without a frame", whole(),
+			func(_ *Server, tbl *serverTable, _ *core.Query) { tbl.abm.ReleaseFrames(func(any) {}) },
+			(*Server).AuditTables, "has no frame"},
+		{"frame of the wrong size", &frame{vals: make([]int64, 1)},
+			func(*Server, *serverTable, *core.Query) {},
+			(*Server).AuditTables, "frame 8 bytes"},
+		{"frames drawn != resident + loading", whole(),
+			func(_ *Server, tbl *serverTable, _ *core.Query) { tbl.framesOut++ },
+			(*Server).AuditTables, "2 frames outstanding, 1 on resident parts + 0 loading"},
+		{"frame stranded on a load job after drain", whole(),
+			func(_ *Server, tbl *serverTable, _ *core.Query) { tbl.framesOut++ },
+			(*Server).AuditDrained, "2 frames outstanding"},
+		{"pin left after drain", whole(),
+			func(_ *Server, tbl *serverTable, q *core.Query) { tbl.abm.Pin(q, 0, nil) },
+			(*Server).AuditDrained, "pins after drain"},
+		{"frame left on a detached slot", whole(),
+			func(_ *Server, tbl *serverTable, _ *core.Query) { tbl.detached = true },
+			(*Server).AuditDrained, "released table t: part (0,-1) still carries a frame"},
+		{"frame left after Close", whole(),
+			func(srv *Server, _ *serverTable, _ *core.Query) { srv.closed = true },
+			(*Server).AuditDrained, "released table t: part (0,-1) still carries a frame"},
+	} {
+		srv, tbl, q := healthy(tc.frame)
+		tc.corrupt(srv, tbl, q)
+		if err := tc.audit(srv); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
 }

@@ -48,8 +48,9 @@ type serverObs struct {
 
 	// The pool tallies and levels are PoolStats, in parts, fed from three
 	// sites: a load landing (misses, loaded, resident), the ABM's evict hook
-	// (evictions, resident) and a delivery's pin/unpin (hits; pinned on a
-	// frame's 0↔1 transitions).
+	// (evictions, resident) and a delivery's Pin/Release (hits; pinned by
+	// what each did to the ABM's pinned-parts count, which moves on a part's
+	// 0↔1 pin transitions).
 	hits, misses, evictions, loaded tally
 	resident, pinned                level
 

@@ -195,46 +195,34 @@ type ServerStats struct {
 	Faults FaultStats
 }
 
-// partID identifies one part in a table's frame map: a (chunk, column)
-// part in DSM, the whole chunk (col == -1) in NSM — the ABM's part keys, so
-// the evict hook's (chunk, col) names the frame to return.
+// partID names one part of a table: a (chunk, column) part in DSM, the whole
+// chunk (col == -1) in NSM — the ABM's part keys.
 type partID struct{ chunk, col int }
 
-// serverTable is one attached table: its file, its live ABM (own chunk map,
-// query registry and policy state, per the paper's §7.1 "separate
-// statistics and meta-data for each" table) and its resident parts' frames.
+// serverTable is one attached table: its file and its live ABM (own part
+// table, query registry and policy state, per the paper's §7.1 "separate
+// statistics and meta-data for each" table). The ABM's part records hold the
+// resident parts' frames — one per NSM chunk, one per DSM (chunk, column)
+// part, so a column part can be evicted while a sibling column stays; its
+// query registry is the table's stream registry (a query's waker signals its
+// stream) and its open-ticket count the table's loads in flight.
 type serverTable struct {
 	idx  int
 	tf   *TableFile
 	abm  *core.ABM
 	name string
-	// frames maps each ABM-resident part to its frame: one per NSM chunk,
-	// one per DSM (chunk, column) part — so a column part can be evicted
-	// (frame returned) while a sibling column of the same chunk stays
-	// resident. framesOut counts the frames this table has drawn and not
-	// returned: the resident ones here plus those travelling on in-flight
-	// load jobs. Both guarded by the server mutex.
-	frames    map[partID]*frame
+	// framesOut counts the frames this table has drawn and not returned: the
+	// ones its resident parts carry plus those travelling on in-flight load
+	// jobs. Guarded by the server mutex.
 	framesOut int
 	// quarantine holds the parts whose loads exhausted their retries,
 	// mapped to the final failure. The scheduler refuses decisions naming
 	// them and scans that still need them fail with ErrChunkUnavailable;
 	// everything else proceeds. Guarded by the server mutex.
 	quarantine map[partID]error
-	// streams maps each registered query to its stream's private condition
-	// variable. Wakes are targeted: a chunk landing wakes exactly the
-	// streams whose queries gained availability (via core's per-query
-	// waker), a quarantine wakes this table's streams, and only shutdown
-	// wakes everyone — so thousands of parked streams no longer stampede
-	// the lock on every load completion. Guarded by the server mutex.
-	streams map[*core.Query]*sync.Cond
 	// o holds the table's pre-resolved metric series and trace-lane
 	// freelist (see internal/engine/obs.go); zero when observability is off.
 	o tableObs
-	// inflight counts this table's issued-but-uncommitted loads; a
-	// detaching table is finalised only once it reaches zero. Guarded by
-	// the server mutex.
-	inflight int
 	// diskRead accumulates the stored bytes load workers transferred for
 	// this table (compressed widths on v4 files); pruned counts the chunks
 	// zonemap pruning removed from scan registrations. Both are bumped
@@ -300,10 +288,10 @@ func (t *serverTable) loadable(d core.LoadDecision) bool {
 type loadJob struct {
 	t  *serverTable
 	ld *core.Load
-	// parts are the job's frames, one per ticket part. They stay on the job
-	// across retries — a part already read keeps its bytes, only failed
-	// parts are re-read — until the load commits them into the table's frame
-	// map or aborts and returns them.
+	// parts are the job's frames, one per ticket part in the ticket's column
+	// order. They stay on the job across retries — a part already read keeps
+	// its bytes, only failed parts are re-read — until the load lands them on
+	// the ABM's parts or aborts and returns them.
 	parts []loadPart
 	// lane is the job's load-pipeline trace track (zero, and thus no-op,
 	// when tracing is off); issuedAt timestamps the issue for the queued
@@ -335,11 +323,11 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // loads' file reads. The scheduler round-robins core.ABM.IssueLoad over the
 // per-table ABMs and keeps up to InFlightDepth loads outstanding; each
 // ticket reserves its buffer space up front, so the decision state stays
-// coherent while several reads are in flight, and completions commit (frame
-// publish + Load.Finish) in whatever order the reads land. A freshly landed
-// chunk is eviction-protected until first pinned, per load — the same rule
-// the single-load engine enforced, now held for every member of the
-// in-flight set.
+// coherent while several reads are in flight, and completions commit
+// (Load.Finish, which hands the parts their frames) in whatever order the
+// reads land. A freshly landed chunk is eviction-protected until first
+// pinned, per load — the same rule the single-load engine enforced, now held
+// for every member of the in-flight set.
 //
 // Tables are NSM or DSM per file. On an NSM table a load is the whole
 // chunk; on a DSM table a load is the per-column extents of the decision's
@@ -349,15 +337,15 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // they project, and eviction retires column parts independently.
 //
 // The ABMs are the only residency and eviction authority: a resident part
-// owns one frame of its decoded size (see frame), drawn from the frame
-// allocator after the load ticket reserved its bytes and returned by the
-// ABM's evict hook, so the bytes held in frames are the bytes the ABMs
-// account.
+// carries one frame of its decoded size (see frame), drawn from the frame
+// allocator after the load ticket reserved its bytes, handed to the part when
+// the ticket lands, to every scan that pins it, and to the evict hook that
+// returns it — so the bytes held in frames are the bytes the ABMs account.
 //
-// All shared state (the ABMs, the policy state, the frame maps and
-// allocator and the budget arbiter) is guarded by mu; workers drop the lock
-// for the real file reads and queries drop it while processing delivered
-// chunks, so decision making, I/O depth and query CPU all overlap.
+// All shared state (the ABMs with their parts' frames, the policy state, the
+// frame allocator and the budget arbiter) is guarded by mu; workers drop the
+// lock for the real file reads and queries drop it while processing
+// delivered chunks, so decision making, I/O depth and query CPU all overlap.
 //
 // The budget arbiter (core.Manager.Rebalance) runs inside the scheduler
 // loop: whenever demand shifts, tables with starving streams are granted
@@ -371,8 +359,9 @@ type Server struct {
 	mu sync.Mutex
 	// cond is the scheduler's private condition variable — the scheduler
 	// goroutine is its only waiter, so every wake site uses Signal. Query
-	// streams park on their own per-stream conds (serverTable.streams) and
-	// are woken individually by the ABM's availability waker.
+	// streams park on their own per-stream conds and are woken individually
+	// through their queries' wakers: by the ABM on an availability gain, and
+	// by ABM.WakeQueries on a quarantine, a detach or shutdown.
 	cond   *sync.Cond
 	mgr    *core.Manager
 	tables []*serverTable
@@ -492,22 +481,18 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	t := &serverTable{
 		idx: idx, tf: tf, name: name,
-		frames:     make(map[partID]*frame),
 		quarantine: make(map[partID]error),
-		streams:    make(map[*core.Query]*sync.Cond),
 	}
 	s.frames.retain(partSizes(tf))
 	t.abm = s.mgr.AttachAs(name, tf.Layout(), 2*tf.ChunkBytes())
 	// Normalise relevance waiting time by a ~1 GB/s chunk load.
 	t.abm.SetChunkCost(float64(tf.ChunkBytes()) / 1e9)
-	t.abm.SetEvictHook(func(chunk, col int) {
+	t.abm.SetEvictHook(func(chunk, col int, f any) {
 		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
 		// column part: return its frame for the next load of that size.
 		// Sibling columns of the same chunk keep theirs. Runs under mu,
 		// from an EnsureSpace inside the scheduler.
-		k := partID{chunk: chunk, col: col}
-		s.returnFrame(t, t.frames[k])
-		delete(t.frames, k)
+		s.returnFrame(t, f.(*frame))
 		s.o.evictions.add(1)
 		s.o.resident.add(-1)
 		if s.o.tracer != nil {
@@ -537,17 +522,16 @@ func (s *Server) returnFrame(t *serverTable, f *frame) {
 	s.frames.put(f)
 }
 
-// releaseFrames returns every resident frame of t — a table being finalised
-// out of a detach, or any table at shutdown. A scan still inside a delivery
-// at shutdown keeps its pinned frames' bytes alive by reference; no load
-// can draw them again, because the scheduler is already gone. Callers hold
-// mu.
+// releaseFrames takes the frame off every resident part of t and returns it
+// — a table being finalised out of a detach, or any table still attached at
+// shutdown. A scan still inside a delivery at shutdown keeps its pinned
+// frames' bytes alive by reference; no load can draw them again, because the
+// scheduler is already gone. Callers hold mu.
 func (s *Server) releaseFrames(t *serverTable) {
-	s.o.resident.add(-int64(len(t.frames)))
-	for k, f := range t.frames {
-		delete(t.frames, k)
-		s.returnFrame(t, f)
-	}
+	t.abm.ReleaseFrames(func(f any) {
+		s.returnFrame(t, f.(*frame))
+		s.o.resident.add(-1)
+	})
 }
 
 // scheduler is the live ABM decision loop: it drains the registration
@@ -614,7 +598,6 @@ func (s *Server) drainRegs() {
 			q.SetWeight(r.weight)
 		}
 		r.t.abm.Register(q)
-		r.t.streams[q] = r.w
 		q.SetWaker(r.w.Signal)
 		r.q = q
 		r.done = true
@@ -622,22 +605,12 @@ func (s *Server) drainRegs() {
 	}
 }
 
-// wakeAllStreams signals every registered stream's cond — the shutdown
-// path's replacement for the old global broadcast. Callers hold mu.
-func (s *Server) wakeAllStreams() {
-	for _, t := range s.tables {
-		for _, w := range t.streams {
-			w.Signal()
-		}
-	}
-}
-
 // AuditTables cross-checks every table ABM's incrementally maintained
 // scheduler structures (counters, demand sums, availability and candidate
 // heaps, victim heap) against a linear recomputation from first principles,
-// and the table's frames against the ABM's parts, under the server lock. It
-// is the soak harness's mid-flight invariant probe; production code never
-// calls it.
+// and the frames its parts carry against their reservations, under the
+// server lock. It is the soak harness's mid-flight invariant probe;
+// production code never calls it.
 func (s *Server) AuditTables() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -648,71 +621,61 @@ func (s *Server) AuditTables() error {
 		if err := t.abm.AuditIncremental(); err != nil {
 			return fmt.Errorf("engine: table %s: %w", t.name, err)
 		}
-		if err := t.auditFrames(); err != nil {
+		if err := t.auditFrames(false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// auditFrames checks the one-part-one-frame invariant against the ABM:
-// every resident part has a frame of exactly the bytes its reservation
-// accounts, no frame backs a part the ABM does not hold resident, and the
-// frames the table has drawn are exactly its resident plus loading parts
-// (the latter travelling on in-flight load jobs).
-func (t *serverTable) auditFrames() error {
-	resident, loading := 0, 0
+// auditFrames checks the one-part-one-frame invariant on the ABM's part
+// table: every resident part carries a frame of exactly the bytes its
+// reservation accounts, and the frames the table has drawn are exactly those
+// plus one per loading part (travelling on its in-flight load job). On a
+// released table — detached, or any table once the server has closed — no
+// part carries a frame and none is drawn.
+func (t *serverTable) auditFrames(released bool) error {
+	held, loading := 0, 0
 	var err error
-	t.abm.EachPart(func(chunk, col int, bytes int64, isResident bool) {
-		if !isResident {
+	t.abm.EachPart(func(chunk, col int, bytes int64, resident bool, fr any) {
+		f, _ := fr.(*frame)
+		switch {
+		case !resident:
 			loading++
-			return
-		}
-		resident++
-		if f := t.frames[partID{chunk: chunk, col: col}]; f == nil {
-			err = fmt.Errorf("engine: table %s: resident part (%d,%d) has no frame", t.name, chunk, col)
-		} else if f.bytes() != bytes || bytes != t.partBytes(col) {
+		case f == nil:
+			if !released {
+				err = fmt.Errorf("engine: table %s: resident part (%d,%d) has no frame", t.name, chunk, col)
+			}
+		case released:
+			err = fmt.Errorf("engine: released table %s: part (%d,%d) still carries a frame", t.name, chunk, col)
+		case f.bytes() != bytes || bytes != t.partBytes(col):
 			err = fmt.Errorf("engine: table %s: part (%d,%d) frame %d bytes, ABM accounts %d, part is %d",
 				t.name, chunk, col, f.bytes(), bytes, t.partBytes(col))
+		default:
+			held++
 		}
 	})
-	if err != nil {
-		return err
+	if err == nil && t.framesOut != held+loading {
+		err = fmt.Errorf("engine: table %s: %d frames outstanding, %d on resident parts + %d loading",
+			t.name, t.framesOut, held, loading)
 	}
-	if len(t.frames) != resident {
-		return fmt.Errorf("engine: table %s: %d frames published, %d parts resident", t.name, len(t.frames), resident)
-	}
-	if t.framesOut != resident+loading {
-		return fmt.Errorf("engine: table %s: %d frames outstanding, %d parts resident + %d loading",
-			t.name, t.framesOut, resident, loading)
-	}
-	return nil
+	return err
 }
 
 // AuditDrained checks the quiescent-state invariants once every scan has
 // returned and no load is in flight: no pins or loading parts left behind,
-// no leaked assembly marks, byte accounting intact, no table over its
-// budget, and no frame held by anything but a resident part — none stranded
-// on a load job, none pinned, none on a detached slot. Like AuditTables it
-// exists for the soak harness.
+// no load ticket open, no leaked assembly marks, byte accounting intact, no
+// table over its budget, and no frame held by anything but a resident part —
+// none stranded on a load job, none on a detached slot, none at all once the
+// server has closed. Like AuditTables it exists for the soak harness.
 func (s *Server) AuditDrained() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, t := range s.tables {
-		if t.framesOut != len(t.frames) {
-			return fmt.Errorf("engine: table %s: %d frames outstanding, %d resident after drain", t.name, t.framesOut, len(t.frames))
-		}
-		for k, f := range t.frames {
-			if f.pins != 0 {
-				return fmt.Errorf("engine: table %s: part (%d,%d) frame holds %d pins after drain", t.name, k.chunk, k.col, f.pins)
-			}
+		if err := t.auditFrames(t.detached || s.closed); err != nil {
+			return err
 		}
 		if t.detached {
-			// A tombstoned slot must hold no frames (finalisation returned
-			// them) — a leak here would strand their memory forever.
-			if len(t.frames) != 0 {
-				return fmt.Errorf("engine: detached table %s still holds %d frames", t.name, len(t.frames))
-			}
 			continue
 		}
 		if err := t.abm.AuditDrained(); err != nil {
@@ -813,7 +776,6 @@ func (s *Server) issueOne() bool {
 			job.parts = append(job.parts, loadPart{col: col, f: s.drawFrame(t, col)})
 		})
 		s.inFlight++
-		t.inflight++
 		s.o.inflight.Add(1)
 		s.rr = (i + 1) % n
 		if s.o.enabled {
@@ -832,19 +794,19 @@ func (s *Server) issueOne() bool {
 }
 
 // worker executes issued loads: the real file reads happen without the
-// server lock, straight into the job's frames; then the completion —
-// publishing the frames in the table's frame map and landing the ticket —
-// commits under it. Completions land in read-completion order, not issue
-// order; the ABM's part states (marked loading at issue) keep the two
-// decoupled.
+// server lock, straight into the job's frames; then the completion — landing
+// the ticket, which hands each part its frame — commits under it.
+// Completions land in read-completion order, not issue order; the ABM's part
+// states (marked loading at issue) keep the two decoupled.
 //
 // A load is its own fault domain. A failed read or checksum verification
 // retries with bounded exponential backoff (the job stays counted in
 // inFlight, so the scheduler never over-issues while it heals); a load that
 // exhausts its retries — or fails during shutdown — is aborted: its frames
-// return to the allocator, its ticket is aborted (the ABM reservation is
-// rolled back, so the budget never leaks) and the failing part is
-// quarantined. No load failure takes the server down.
+// return to the allocator and its ticket is aborted (the ABM reservation is
+// rolled back, so the budget never leaks). Exhausted retries also quarantine
+// the failing part; a shutdown cutting the retries short does not — the part
+// was never shown to be bad. No load failure takes the server down.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for job := range s.loadCh {
@@ -867,11 +829,13 @@ func (s *Server) worker() {
 			s.loadHook(job.t.idx, job.ld.Decision().Chunk)
 		}
 		s.mu.Lock()
+		exhausted := false
 		for attempt := 0; err != nil; attempt++ {
 			if errors.Is(err, ErrChecksum) || errors.Is(err, ErrCorrupt) {
 				s.o.checksumErrors.add(1)
 			}
-			if s.closed || attempt >= s.cfg.LoadRetries {
+			exhausted = attempt >= s.cfg.LoadRetries
+			if exhausted || s.closed {
 				break
 			}
 			s.o.retries.add(1)
@@ -884,11 +848,18 @@ func (s *Server) worker() {
 		if err == nil {
 			s.completeLoad(job)
 		} else {
-			s.abortJob(job, err)
+			// Roll the load back: the frames return to the allocator and
+			// the ticket un-reserves its bytes; the parts stay loadable.
+			for _, p := range job.parts {
+				s.returnFrame(job.t, p.f)
+			}
+			job.ld.Abort()
+			if exhausted {
+				s.quarantine(job, err)
+			}
 		}
 		job.t.releaseLane(job.lane)
 		s.inFlight--
-		job.t.inflight--
 		s.o.inflight.Add(-1)
 		// A slot freed: only the scheduler cares. Streams interested in the
 		// landed chunk were woken by their queries' wakers in Load.Finish.
@@ -897,10 +868,10 @@ func (s *Server) worker() {
 	}
 }
 
-// completeLoad lands one fully read load under the server lock: publish its
-// frames in the table's frame map and finish the ticket. Nothing here can
-// fail or touch the file — the frames were drawn at issue and filled outside
-// the lock.
+// completeLoad lands one fully read load under the server lock: the ticket
+// finishes and hands each of its parts the frame the worker filled. Nothing
+// here can fail or touch the file — the frames were drawn at issue and filled
+// outside the lock.
 func (s *Server) completeLoad(job loadJob) {
 	var commitStart time.Time
 	if s.o.enabled {
@@ -908,8 +879,9 @@ func (s *Server) completeLoad(job loadJob) {
 	}
 	var bytes int64
 	chunk := job.ld.Decision().Chunk
-	for _, p := range job.parts {
-		job.t.frames[partID{chunk: chunk, col: p.col}] = p.f
+	frames := make([]any, len(job.parts))
+	for i, p := range job.parts {
+		frames[i] = p.f
 		bytes += p.f.bytes()
 	}
 	s.o.misses.add(int64(len(job.parts)))
@@ -918,7 +890,7 @@ func (s *Server) completeLoad(job loadJob) {
 	// Finish fires the waker of every query that gained availability, so
 	// exactly the interested streams wake; the worker signals the scheduler
 	// when it returns the in-flight slot.
-	job.ld.Finish()
+	job.ld.Finish(frames...)
 	if s.o.enabled {
 		now := time.Now()
 		s.o.pinSeconds.Observe(now.Sub(commitStart).Seconds())
@@ -941,17 +913,11 @@ func (s *Server) retryPause(attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + s.jitter.Float64()))
 }
 
-// abortJob rolls back a load that cannot complete: its frames return to the
-// allocator, its ticket is aborted (the space un-reserve that keeps the
-// budget from leaking), and the failing part is
-// quarantined so the scheduler stops re-proposing it and the scans that
-// need it fail fast. Blocked scans are woken to observe the quarantine.
-// Called under mu.
-func (s *Server) abortJob(job loadJob, cause error) {
-	for _, p := range job.parts {
-		s.returnFrame(job.t, p.f)
-	}
-	job.ld.Abort()
+// quarantine takes the failing part of a load that exhausted its retries out
+// of service, so the scheduler stops re-proposing it and the scans that need
+// it fail fast; the table's streams are woken to observe it (other tables'
+// streams are unaffected). Called under mu.
+func (s *Server) quarantine(job loadJob, cause error) {
 	for _, k := range quarantineTargets(job, cause) {
 		if _, dup := job.t.quarantine[k]; !dup {
 			job.t.quarantine[k] = cause
@@ -961,11 +927,7 @@ func (s *Server) abortJob(job loadJob, cause error) {
 			}
 		}
 	}
-	// Wake this table's streams so scans needing the dead part observe the
-	// quarantine and fail; other tables' streams are unaffected.
-	for _, w := range job.t.streams {
-		w.Signal()
-	}
+	job.t.abm.WakeQueries()
 }
 
 // quarantineTargets picks the parts to quarantine for a dead load: the
@@ -1067,27 +1029,32 @@ func (s *Server) readParts(job loadJob) (ioStats, error) {
 	return iost, firstErr
 }
 
-// quarantineError returns the typed failure for the first quarantined part
-// scan q still needs — its remaining range covers the part's chunk and (in
-// DSM) its projection includes the part's column — or nil. The fast path is
-// one map-length test, so fault-free scans pay nothing.
+// quarantineError returns the typed failure for the lowest (chunk, column)
+// quarantined part scan q still needs — its remaining range covers the
+// part's chunk and (in DSM) its projection includes the part's column — or
+// nil; the lowest, so that the error does not depend on map order. The fast
+// path is one map-length test, so fault-free scans pay nothing.
 func (s *Server) quarantineError(t *serverTable, q *core.Query) error {
 	if len(t.quarantine) == 0 {
 		return nil
 	}
-	for k, cause := range t.quarantine {
-		if !q.Needs(k.chunk) {
+	var first partID
+	var cause error
+	for k, err := range t.quarantine {
+		if !q.Needs(k.chunk) || (k.col >= 0 && !q.Cols.Has(k.col)) {
 			continue
 		}
-		if k.col >= 0 && !q.Cols.Has(k.col) {
-			continue
+		if cause == nil || k.chunk < first.chunk || (k.chunk == first.chunk && k.col < first.col) {
+			first, cause = k, err
 		}
-		if k.col < 0 {
-			return fmt.Errorf("%w: %s chunk %d: %w", ErrChunkUnavailable, t.name, k.chunk, cause)
-		}
-		return fmt.Errorf("%w: %s chunk %d col %d: %w", ErrChunkUnavailable, t.name, k.chunk, k.col, cause)
 	}
-	return nil
+	switch {
+	case cause == nil:
+		return nil
+	case first.col < 0:
+		return fmt.Errorf("%w: %s chunk %d: %w", ErrChunkUnavailable, t.name, first.chunk, cause)
+	}
+	return fmt.Errorf("%w: %s chunk %d col %d: %w", ErrChunkUnavailable, t.name, first.chunk, first.col, cause)
 }
 
 // NumTables returns the number of table slots, tombstoned (detached) slots
@@ -1261,8 +1228,8 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	name, ranges, cols := req.Name, req.Ranges, req.Cols
 	// w is this stream's private condition variable: the stream parks on it
 	// (never on the scheduler's cond) and is woken individually — by its
-	// query's availability waker, a quarantine on its table, its context
-	// watcher, or shutdown.
+	// query's waker (an availability gain, a quarantine or detach of its
+	// table, shutdown) or its context watcher.
 	w := sync.NewCond(&s.mu)
 	if done := ctx.Done(); done != nil {
 		// Watcher: a context firing must unblock a scan parked in w.Wait.
@@ -1284,10 +1251,10 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	}
 	dsm := t.tf.Format() == DSM
 	projBytes := ProjectionBytes(cols)
-	// held are the frames of the chunk being delivered (one on NSM, one per
-	// projected column on DSM); scratch is the delivery's column index and
-	// memo its index of the frames' receipt-sum slots.
-	held := make([]*frame, 0, NumCols)
+	// held are the frames of the chunk being delivered, as Pin hands them over
+	// (one on NSM, one per projected column on DSM); scratch is the delivery's
+	// column index and memo its index of the frames' receipt-sum slots.
+	held := make([]any, 0, NumCols)
 	scratch := make([][]int64, NumCols)
 	memo := make([]*atomic.Uint64, NumCols)
 	if s.o.enabled {
@@ -1351,7 +1318,6 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	// Close the scheduler is gone and the signal finds no waiter).
 	leave := func(err error, outcome *tally) (core.Stats, error) {
 		closeWait()
-		delete(t.streams, q)
 		st := t.abm.Finish(q)
 		if outcome != nil {
 			outcome.add(1)
@@ -1397,7 +1363,10 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		if s.o.enabled {
 			deliverStart = time.Now()
 		}
-		t.abm.Pin(q, c)
+		pinned := t.abm.PinnedParts()
+		held = t.abm.Pin(q, c, held[:0])
+		s.o.pinned.add(int64(t.abm.PinnedParts() - pinned))
+		s.o.hits.add(int64(len(held)))
 		// The pin lifts the chunk's fresh-load eviction protection: wake a
 		// scheduler parked on a failed EnsureSpace so the next load
 		// overlaps with this chunk's processing.
@@ -1405,27 +1374,22 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		tuples := t.tf.Layout().ChunkTuples(c)
 		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, receipts: &t.receipts}
 		if dsm {
-			// Per-column frames: deliver exactly the projection.
+			// Per-column frames, in the projection's column order: deliver
+			// exactly the projection.
+			i := 0
 			cols.Each(func(col int) {
-				f := t.frames[partID{chunk: c, col: col}]
-				held = append(held, f)
+				f := held[i].(*frame)
+				i++
 				scratch[col] = f.vals
 				memo[col] = &f.crcs[0]
 			})
 		} else {
 			// The NSM chunk frame holds the stripes in column order.
-			f := t.frames[partID{chunk: c, col: -1}]
-			held = append(held, f)
+			f := held[0].(*frame)
 			data.vecs = t.tf.stripes(scratch[:0], f.vals)
 			data.cols = storage.AllCols(NumCols)
 			for j := range memo {
 				memo[j] = &f.crcs[j]
-			}
-		}
-		s.o.hits.add(int64(len(held)))
-		for _, f := range held {
-			if f.pins++; f.pins == 1 {
-				s.o.pinned.add(1)
 			}
 		}
 		useful += tuples * projBytes
@@ -1445,13 +1409,9 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			track.SpanAt("process", procStart, time.Now(), obs.Args{"chunk": c})
 		}
 		s.mu.Lock()
+		pinned = t.abm.PinnedParts()
 		t.abm.Release(q, c)
-		for _, f := range held {
-			if f.pins--; f.pins == 0 {
-				s.o.pinned.add(-1)
-			}
-		}
-		held = held[:0]
+		s.o.pinned.add(int64(t.abm.PinnedParts() - pinned))
 		// The release unpins the chunk: a scheduler parked on a failed
 		// EnsureSpace may now find a victim. Availability of other streams
 		// only shrinks here, so no stream wake is needed.
@@ -1562,7 +1522,9 @@ func (s *Server) Close() error {
 		s.closed = true
 		s.cond.Signal()
 		s.detachCond.Broadcast()
-		s.wakeAllStreams()
+		for _, t := range s.tables {
+			t.abm.WakeQueries()
+		}
 		s.mu.Unlock()
 		<-s.schedDone
 		close(s.loadCh)

@@ -173,10 +173,11 @@ func TestFrameViewsAligned(t *testing.T) {
 			}
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
-			if len(srv.tables[0].frames) == 0 {
+			frames := partFrames(srv.tables[0])
+			if len(frames) == 0 {
 				t.Fatal("no resident frames to check")
 			}
-			for k, fr := range srv.tables[0].frames {
+			for k, fr := range frames {
 				words, err := bytesWords(wordBytes(fr.vals))
 				if err != nil || len(words) != len(fr.vals) || &words[0] != &fr.vals[0] {
 					t.Errorf("part (%d,%d): frame's byte view does not alias back to its words: %v", k.chunk, k.col, err)

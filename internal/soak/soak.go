@@ -201,7 +201,7 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		}
 		t.abm = mgr.AttachAs(name, t.layout, 2*t.chunkBytes)
 		t.abm.SetChunkCost(float64(t.chunkBytes) / 1e9)
-		t.abm.SetEvictHook(func(chunk, col int) { event("evict %s c%d/%d", name, chunk, col) })
+		t.abm.SetEvictHook(func(chunk, col int, _ any) { event("evict %s c%d/%d", name, chunk, col) })
 		tables = append(tables, t)
 		rep.Attaches++
 		event("attach %s columnar=%v chunks=%d cols=%d", name, t.columnar, t.chunks, t.ncols)
@@ -331,7 +331,7 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 			sq.q.SetBlocked(false)
 			sq.blocked = false
 		}
-		t.abm.Pin(sq.q, c)
+		t.abm.Pin(sq.q, c, nil)
 		sq.pinned = c
 	}
 

@@ -196,29 +196,6 @@ func (g *Generator) dateColumn(start int64, dst []int64, lag int64) {
 	}
 }
 
-// Strings fills dst with rows of a string column.
-func (g *Generator) Strings(col int, start int64, dst []string) {
-	instr := []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
-	modes := []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}
-	switch col {
-	case ColShipInstruct:
-		for i := range dst {
-			dst[i] = instr[bitsMod(g.rowRand(start+int64(i)), 46, 4)]
-		}
-	case ColShipMode:
-		for i := range dst {
-			dst[i] = modes[bitsMod(g.rowRand(start+int64(i)), 48, 7)]
-		}
-	case ColComment:
-		for i := range dst {
-			w := g.rowRand(start + int64(i))
-			dst[i] = fmt.Sprintf("synthetic comment %020d pad", w)
-		}
-	default:
-		panic(fmt.Sprintf("tpch: column %d has no string generator", col))
-	}
-}
-
 // ShipDateZoneMap builds the l_shipdate zonemap for a chunking of the table
 // into numChunks equal tuple partitions, by sampling chunk boundaries (the
 // generator's date model is monotone up to ±45-day jitter, so min/max are
@@ -273,14 +250,6 @@ func (g *Generator) MeasureDensity(col int, sample int) (float64, error) {
 			return 0, err
 		}
 		return compress.BitsPerValue(buf)
-	case storage.String:
-		vals := make([]string, sample)
-		g.Strings(col, 0, vals)
-		buf, err := compress.EncodeStrings(c.Compression, vals)
-		if err != nil {
-			return 0, err
-		}
-		return compress.BitsPerValue(buf)
 	}
-	return 0, fmt.Errorf("tpch: column %d has unknown type", col)
+	return 0, fmt.Errorf("tpch: column %d (%s) is not an integer column", col, c.Name)
 }

@@ -162,29 +162,6 @@ func TestZoneMapPrunesDateRange(t *testing.T) {
 	}
 }
 
-func TestStringsGenerated(t *testing.T) {
-	g := testGen()
-	modes := make([]string, 1000)
-	g.Strings(ColShipMode, 0, modes)
-	seen := map[string]bool{}
-	for _, m := range modes {
-		if m == "" {
-			t.Fatal("empty ship mode")
-		}
-		seen[m] = true
-	}
-	if len(seen) != 7 {
-		t.Errorf("ship modes seen = %d, want 7", len(seen))
-	}
-	comments := make([]string, 10)
-	g.Strings(ColComment, 0, comments)
-	for _, c := range comments {
-		if len(c) < 20 {
-			t.Errorf("comment too short: %q", c)
-		}
-	}
-}
-
 func TestMeasuredDensitiesNearDeclared(t *testing.T) {
 	g := testGen()
 	for _, col := range []int{ColOrderKey, ColReturnFlag, ColLineStatus, ColQuantity, ColDiscount} {
@@ -206,7 +183,6 @@ func TestGeneratorPanics(t *testing.T) {
 		"row overflow":  func() { g.Column(ColQuantity, g.Table().Rows-1, make([]int64, 2)) },
 		"negative row":  func() { g.Column(ColQuantity, -1, make([]int64, 1)) },
 		"string as int": func() { g.Column(ColComment, 0, make([]int64, 1)) },
-		"int as string": func() { g.Strings(ColQuantity, 0, make([]string, 1)) },
 	} {
 		func() {
 			defer func() {

@@ -1,4 +1,4 @@
-// TestSchedScalingGuard is the regression fence around the PR-4 flat
+// TestSchedScalingGuardOptIn is the regression fence around the PR-4 flat
 // scheduler: it re-measures the simulator's q64 and q512 decision costs in
 // one process and fails if q512 regresses more than 2× against the
 // BENCH_PR4 baseline. The guard compares the q512/q64 *ratio* rather than
@@ -9,9 +9,15 @@
 // heap-based paths keep per-decision cost flat as queries grow 8×); a
 // reintroduced linear walk makes q512 scale with the query count and blows
 // straight through the 2× fence.
+//
+// It is a ratio of two wall-clock measurements all the same, and under load
+// (other suites on the box) it has failed with nothing wrong in the tree, so
+// tier-1 does not assert it: it runs under `make bench-sched`
+// (COOPSCAN_SCHED_GUARD=1), which CI's bench-smoke job calls.
 package coopscan_test
 
 import (
+	"os"
 	"testing"
 
 	"coopscan/internal/experiments"
@@ -24,9 +30,9 @@ const (
 	baselineQ512PerDecision = 110.9
 )
 
-func TestSchedScalingGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scheduling-cost guard needs real measurement; skipped in -short")
+func TestSchedScalingGuardOptIn(t *testing.T) {
+	if os.Getenv("COOPSCAN_SCHED_GUARD") != "1" {
+		t.Skip("wall-clock guard: run `make bench-sched` (sets COOPSCAN_SCHED_GUARD=1) on an otherwise idle machine")
 	}
 	quick := experiments.QuickSchedScaling()
 
