@@ -97,7 +97,7 @@ soak:
 # shows every listed test passing.
 FAULT_UNITS = TestScanSurvivesTransientFaults TestQuarantineIsolatesPersistentFault \
 	TestOnDiskCorruptionSurfacesAsChecksum TestScanContextCancellation \
-	TestOpenTypedErrors TestCompressedOpenTypedErrors \
+	TestOpenTypedErrors TestCompressedOpenTypedErrors TestMetadataSeal \
 	TestReadPageChecksumMismatch TestCompressedCorruptExtent TestCompressedCreateRejectsBadGeometry
 empty :=
 space := $(empty) $(empty)

@@ -157,13 +157,13 @@ func TestOpenOrCreateKeepsOldFormatFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old[8] = 3 // the header's version word: the format before this one
+	old[8] = 4 // the header's version word: the format before this one
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = f.openOrCreate(path, 0)
 	if !errors.Is(err, engine.ErrBadVersion) || !strings.Contains(err.Error(), "remove the file and regenerate it") {
-		t.Fatalf("openOrCreate over a version-3 file: %v, want ErrBadVersion with the regenerate hint", err)
+		t.Fatalf("openOrCreate over a version-4 file: %v, want ErrBadVersion with the regenerate hint", err)
 	}
 	if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
 		t.Fatal("openOrCreate overwrote the old-format file")

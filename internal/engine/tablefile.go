@@ -27,9 +27,9 @@
 // page cache, where re-reads would otherwise be free.
 //
 // TableFile (this file) is the storage format, and there is one: a 64-byte
-// header, a metadata region (per-page checksums, per-column schemes,
-// per-page extent lengths, per-column zonemap bounds — see
-// docs/ARCHITECTURE.md), then NumChunks × NumCols column stripes of
+// header, a metadata region sealed by a CRC in the header (per-page
+// checksums, per-column schemes, per-page extent lengths, per-column zonemap
+// bounds — see docs/ARCHITECTURE.md), then NumChunks × NumCols column stripes of
 // deterministic tpch-generated data, each stored either as its raw bytes
 // (identity) or under a per-column codec, in one of two physical orders:
 //
@@ -168,9 +168,16 @@ const (
 	// over the stored bytes, a stored length and persisted zonemap bounds in
 	// the metadata region between the header and the data. Readers land
 	// every extent as fixed-width words, so everything downstream of the
-	// read path sees decoded stripes whatever the file stores.
-	fileVersion = 4
+	// read path sees decoded stripes whatever the file stores. Version 5
+	// sealed the metadata region (sealWord); the layout is version 4's.
+	fileVersion = 5
 	headerBytes = 64
+	// sealWord is the header word holding the CRC-32C of the header words
+	// before it and the metadata region: the per-page sums guard the data,
+	// this guards what says how many rows there are, where the data is, how
+	// it is coded and — the zonemap bounds — which chunks a predicate may
+	// decide without reading them.
+	sealWord = 7
 )
 
 // schemeIdentity marks a column whose extents are stored as the raw stripe
@@ -194,6 +201,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // pageChecksum is the per-page checksum as stored in the file's table.
 func pageChecksum(b []byte) uint64 { return uint64(crc32.Checksum(b, crcTable)) }
 
+// seal is the value of a header's sealWord over that header and meta.
+func seal(head, meta []byte) uint64 {
+	return uint64(crc32.Update(crc32.Checksum(head[:sealWord*8], crcTable), crcTable, meta))
+}
+
 // Typed failure modes of opening and reading table files. Open wraps these
 // with path context; match with errors.Is.
 var (
@@ -212,7 +224,8 @@ var (
 	ErrTruncated = errors.New("engine: truncated table file")
 	// ErrChecksum: a page's stored checksum does not match its bytes — a torn
 	// write, bit-flip, or corrupted read. Loads verify every page before
-	// committing it, so corrupt data never reaches a query kernel.
+	// committing it, so corrupt data never reaches a query kernel. Open
+	// returns it for a header or metadata region that does not match the seal.
 	ErrChecksum = errors.New("engine: page checksum mismatch")
 )
 
@@ -717,8 +730,9 @@ func (t *TableFile) metaOffsets() (schemes, extLens, zones int64) {
 // chunk's valid tuples only; the short last chunk's zero padding is part of
 // the stored values, so every extent decodes to exactly one fixed-width
 // stripe. The metadata is reserved with zeros, filled as the extents stream
-// out, written in place at the end, and then parsed by the loader Open uses,
-// so the descriptor returned is the one a reader of these bytes gets.
+// out, written in place at the end together with the header's seal over it,
+// and then parsed by the loader Open uses, so the descriptor returned is the
+// one a reader of these bytes gets.
 func (t *TableFile) write(compressed bool) error {
 	table := tpch.LineitemTable(1)
 	table.Rows = t.rows
@@ -770,7 +784,8 @@ func (t *TableFile) write(compressed bool) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if _, err := t.f.WriteAt(meta, headerBytes); err != nil {
+	binary.LittleEndian.PutUint64(head[sealWord*8:], seal(head, meta))
+	if _, err := t.f.WriteAt(head[sealWord*8:], sealWord*8); err != nil {
 		return err
 	}
 	if err := t.f.Sync(); err != nil {
@@ -800,11 +815,12 @@ func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk i
 }
 
 // Open opens an existing table file and validates it strictly: magic,
-// version, column count, format, geometry, every directory of the metadata
-// region and the exact file size. Failures come back as typed errors
-// (ErrBadMagic, ErrBadVersion, ErrBadGeometry, ErrTruncated) wrapped with
-// path context — a torn, truncated, or foreign file is an error, never a
-// panic, and nothing is allocated that the file's own size does not bound.
+// version, column count, format, geometry, the seal over the metadata
+// region, every directory in it and the exact file size. Failures come back
+// as typed errors (ErrBadMagic, ErrBadVersion, ErrBadGeometry, ErrTruncated,
+// ErrChecksum) wrapped with path context — a torn, truncated, or foreign file
+// is an error, never a panic, and nothing is allocated that the file's own
+// size does not bound.
 // A big-endian host gets ErrByteOrder: parts are read in place as native
 // words.
 func Open(path string) (*TableFile, error) {
@@ -865,6 +881,9 @@ func openFile(f *os.File, path string) (*TableFile, error) {
 	meta := make([]byte, t.dataOff-headerBytes)
 	if _, err := f.ReadAt(meta, headerBytes); err != nil {
 		return nil, fmt.Errorf("metadata region: %v: %w", err, ErrTruncated)
+	}
+	if got := seal(hdr[:], meta); got != word(sealWord) {
+		return nil, fmt.Errorf("header and metadata region: crc %#x, want %#x: %w", got, word(sealWord), ErrChecksum)
 	}
 	if err := t.loadMeta(meta); err != nil {
 		return nil, err

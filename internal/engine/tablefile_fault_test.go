@@ -27,6 +27,17 @@ func mutatedCopy(t *testing.T, tf *TableFile, mutate func(raw []byte) []byte) st
 	return path
 }
 
+// reseal re-takes the header's seal over raw, a copy of tf's bytes a test has
+// damaged on purpose, so that Open gets past the seal to the validation (or
+// the read) the test is about. A copy cut short of the metadata region is
+// left alone: Open answers that before it looks at the seal.
+func reseal(tf *TableFile, raw []byte) []byte {
+	if int64(len(raw)) >= tf.dataOff {
+		binary.LittleEndian.PutUint64(raw[sealWord*8:], seal(raw, raw[headerBytes:tf.dataOff]))
+	}
+	return raw
+}
+
 // openCase is one way of damaging a table file and the typed error Open
 // must answer it with.
 type openCase struct {
@@ -38,7 +49,9 @@ type openCase struct {
 
 // runOpenCases damages a file of every stored shape in every listed way and
 // checks Open refuses each with its typed error, never a panic or a
-// silently short table.
+// silently short table. Every copy is resealed after the damage: these cases
+// pin the validation behind the seal — what a writer bug or a forger would
+// meet — and TestMetadataSeal pins the seal.
 func runOpenCases(t *testing.T, cases []openCase) {
 	files := make([]*TableFile, len(storedShapes))
 	for i, shape := range storedShapes {
@@ -50,7 +63,7 @@ func runOpenCases(t *testing.T, cases []openCase) {
 				if tc.only != "" && tc.only != shape.name {
 					continue
 				}
-				path := mutatedCopy(t, files[i], func(raw []byte) []byte { return tc.mutate(files[i], raw) })
+				path := mutatedCopy(t, files[i], func(raw []byte) []byte { return reseal(files[i], tc.mutate(files[i], raw)) })
 				got, err := Open(path)
 				if err == nil {
 					got.Close()
@@ -152,8 +165,8 @@ func TestReadPageChecksumMismatch(t *testing.T) {
 	}
 }
 
-// TestChecksumTableCorruption verifies a flipped byte in the checksum table
-// itself also fails the affected page with ErrChecksum: the page data is
+// TestChecksumTableCorruption verifies a wrong entry in a (sealed) checksum
+// table also fails the affected page with ErrChecksum: the page data is
 // fine, but its provenance cannot be trusted.
 func TestChecksumTableCorruption(t *testing.T) {
 	for _, shape := range storedShapes {
@@ -161,8 +174,71 @@ func TestChecksumTableCorruption(t *testing.T) {
 		const badPage = 3
 		path := mutatedCopy(t, tf, func(raw []byte) []byte {
 			raw[headerBytes+badPage*8] ^= 0xFF
-			return raw
+			return reseal(tf, raw)
 		})
 		checkCorruptPage(t, path, badPage, ErrChecksum)
+	}
+}
+
+// TestMetadataSeal flips every bit of the header and the metadata region of
+// a three-chunk file of every stored shape, one at a time, and checks that
+// Open refuses each damaged file with a typed error: a flipped checksum,
+// scheme byte, extent length or zonemap bound — the last of which would
+// otherwise drop or admit a chunk silently — is ErrChecksum, a flipped header
+// bit that or whichever of the header's own checks it trips first.
+func TestMetadataSeal(t *testing.T) {
+	for _, shape := range storedShapes {
+		tf := shape.create(t, 150, 64, 7) // the last chunk is short
+		path := mutatedCopy(t, tf, func(raw []byte) []byte { return raw })
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		schemeOff, extOff, zoneOff := metaOffsets(tf)
+		region := func(off int64) string {
+			switch {
+			case off < headerBytes:
+				return "header"
+			case off < schemeOff:
+				return "checksum table"
+			case off < extOff:
+				return "scheme table"
+			case off < zoneOff:
+				return "extent directory"
+			}
+			return "zonemap footer"
+		}
+		var b [1]byte
+		for off := int64(0); off < tf.dataOff; off++ {
+			if _, err := f.ReadAt(b[:], off); err != nil {
+				t.Fatal(err)
+			}
+			for bit := 0; bit < 8; bit++ {
+				if _, err := f.WriteAt([]byte{b[0] ^ 1<<bit}, off); err != nil {
+					t.Fatal(err)
+				}
+				got, err := Open(path)
+				switch {
+				case err == nil:
+					got.Close()
+					t.Fatalf("%s: Open accepted the file with bit %d of byte %d (%s) flipped", shape.name, bit, off, region(off))
+				case errors.Is(err, ErrChecksum):
+				case off >= headerBytes:
+					t.Fatalf("%s: bit %d of byte %d (%s) flipped: Open error = %v, want ErrChecksum", shape.name, bit, off, region(off), err)
+				case !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadVersion) &&
+					!errors.Is(err, ErrBadGeometry) && !errors.Is(err, ErrTruncated):
+					t.Fatalf("%s: bit %d of header byte %d flipped: untyped error %v", shape.name, bit, off, err)
+				}
+			}
+			if _, err := f.WriteAt(b[:], off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := Open(path); err != nil {
+			t.Fatalf("%s: the restored file no longer opens: %v", shape.name, err)
+		} else {
+			got.Close()
+		}
 	}
 }

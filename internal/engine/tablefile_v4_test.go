@@ -267,7 +267,7 @@ func TestCompressedCorruptExtent(t *testing.T) {
 			ext := raw[off : off+size]
 			damage(ext)
 			binary.LittleEndian.PutUint64(raw[headerBytes+badPage*8:], pageChecksum(ext))
-			return raw
+			return reseal(tf, raw)
 		})
 	}
 
