@@ -14,7 +14,7 @@ FUZZTIME  ?= 10s
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench examples-check loc test-race test-repeat test-serve test-fault-units fuzz-open fuzz-scan fuzz-decode vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
+.PHONY: build test test-bench examples-check loc test-race test-repeat test-serve test-fault-units fuzz-open fuzz-scan fuzz-decode fuzz-kernels vet fmt-check soak soak-rand test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,15 @@ fuzz-scan:
 fuzz-decode:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDifferential -fuzztime $(FUZZTIME) ./internal/colstore/compress/
 
+# Fuzz the Q6 kernel given a chunk's bounds against the kernel given none and
+# the scalar reference (internal/exec/decided_test.go): columns clustered
+# around one predicate, an arbitrary second predicate, the columns' true
+# bounds and widened ones — whatever the bounds decide (no row can qualify,
+# every row passes the date conjunct, nothing), the aggregate is the same.
+# Findings land under internal/exec/testdata/fuzz/FuzzQ6KernelDecided.
+fuzz-kernels:
+	$(GO) test -run '^$$' -fuzz FuzzQ6KernelDecided -fuzztime $(FUZZTIME) ./internal/exec/
+
 # Randomized multi-seed soak (the PR-8 harness, internal/soak): per seed a
 # core-layer driver runs thousands of seeded register/scan/cancel/detach/
 # attach operations over mixed NSM+DSM layouts with incremental-vs-linear
@@ -192,8 +201,14 @@ bench-sched:
 
 # Kernel micro-benchmarks, for iterating in seconds without the 20 s suite;
 # not a record. internal/exec/kernel_bench_test.go: Q6Kernel and Q1Kernel over
-# one 16 384-row table, date-clustered (most vectors exit after the date pass)
-# and shuffled (every vector runs every pass), in ns/tuple.
+# 16 384 rows handed over with their true bounds, in ns/tuple. clustered and
+# shuffled are a whole seven-year table in one chunk, so the bounds decide
+# nothing and every vector runs the date pass (clustered: most qualify no date
+# and stop there; shuffled: every vector runs every pass). disjoint, inside
+# and edge are chunks of a date-ordered 48-chunk table as the engine meets
+# them: outside the predicate's dates (no column read — tens of ns per chunk),
+# inside them (no date pass), and across their lower end (inside's work plus
+# the date pass).
 # internal/colstore/compress/lineitem_bench_test.go: decode and encode of one
 # 16 384-value stripe of each stored lineitem column under the scheme the
 # table writer picks for it, in ns/value.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"hash/crc32"
-	"math"
 	"sync/atomic"
 
 	"coopscan/internal/exec"
@@ -22,10 +21,11 @@ func Q6Cols() storage.ColSet {
 // chunk whose persisted bounds exclude any conjunct cannot contribute a
 // matching tuple, so pruning with these never changes the Q6 aggregate.
 func Q6Preds(pred exec.Q6Predicate) []PredRange {
+	date, disc, qty := pred.Ranges()
 	return []PredRange{
-		{Col: ColShipDate, Lo: pred.DateLo, Hi: pred.DateHi - 1},
-		{Col: ColQuantity, Lo: math.MinInt64, Hi: pred.MaxQty - 1},
-		{Col: ColDiscount, Lo: pred.DiscLo, Hi: pred.DiscHi},
+		{Col: ColShipDate, Lo: date.Lo, Hi: date.Hi},
+		{Col: ColQuantity, Lo: qty.Lo, Hi: qty.Hi},
+		{Col: ColDiscount, Lo: disc.Lo, Hi: disc.Hi},
 	}
 }
 
@@ -63,9 +63,11 @@ type ChunkData struct {
 	cols   storage.ColSet // the delivered columns
 	tuples int64          // valid rows in this chunk (the last chunk is short)
 	// memo[col] is the slot of col's part that remembers ColCRC(col) (see
-	// frame.crcs); receipts counts how often it was filled and found filled.
-	memo     []*atomic.Uint64
-	receipts *receiptMeter
+	// frame.crcs); table — its file's bounds, its receipt and kernel meters —
+	// delivered chunk number chunk, and is nil on a ChunkData built by hand.
+	memo  []*atomic.Uint64
+	table *serverTable
+	chunk int
 }
 
 // Tuples returns the number of valid rows in the chunk.
@@ -102,30 +104,62 @@ func (d ChunkData) Col(col int) []byte { return wordBytes(d.vecs[col]) }
 func (d ChunkData) ColCRC(col int) uint32 {
 	slot := d.memo[col]
 	if v := slot.Load(); v&crcValid != 0 {
-		d.receipts.reused.add(1)
+		d.table.receipts.reused.add(1)
 		return uint32(v)
 	}
 	crc := crc32.ChecksumIEEE(d.Col(col)[:d.tuples*colWidths[col]])
 	slot.Store(crcValid | uint64(crc))
-	d.receipts.computed.add(1)
+	d.table.receipts.computed.add(1)
 	return crc
 }
 
+// Bounds returns the chunk's persisted zonemap bounds on column col: every
+// valid row's value lies in [lo, hi]. Where there are none — the comment
+// filler, a ChunkData no table delivered — ok is false and [lo, hi] everything.
+func (d ChunkData) Bounds(col int) (lo, hi int64, ok bool) {
+	if d.table == nil || d.table.tf.zones[col] == nil {
+		return storage.AnyZone.Lo, storage.AnyZone.Hi, false
+	}
+	lo, hi = d.table.tf.zones[col].Bounds(d.chunk)
+	return lo, hi, true
+}
+
+func (d ChunkData) zone(col int) storage.Zone {
+	lo, hi, _ := d.Bounds(col)
+	return storage.Zone{Lo: lo, Hi: hi}
+}
+
+// count meters what the chunk's bounds decided for a kernel.
+func (d ChunkData) count(decided storage.Decided) {
+	if d.table != nil {
+		d.table.kernels[decided].add(1)
+	}
+}
+
 // Q6Chunk evaluates the FAST query (TPC-H Q6) over one delivered chunk with
-// the vectorised kernel, straight from the pinned frames. It computes the
+// the vectorised kernel, straight from the pinned frames, after asking the
+// chunk's bounds what Q6Preds and ZoneMap.Prune ask at registration of a scan
+// that passes Preds: a chunk they exclude is answered without reading a
+// value, one inside the date range skips the date pass. It computes the
 // same aggregate as exec.Q6Chunk does over the generator, so live results
 // can be verified against the simulation substrate. The chunk must carry
 // Q6Cols.
 func Q6Chunk(d ChunkData, pred exec.Q6Predicate) exec.Q6Result {
-	return exec.Q6Kernel(d.Ints(ColShipDate), d.Ints(ColDiscount),
-		d.Ints(ColQuantity), d.Ints(ColExtendedPrice), pred)
+	res, decided := exec.Q6Kernel(d.Ints(ColShipDate), d.Ints(ColDiscount),
+		d.Ints(ColQuantity), d.Ints(ColExtendedPrice), pred,
+		d.zone(ColShipDate), d.zone(ColDiscount), d.zone(ColQuantity))
+	d.count(decided)
+	return res
 }
 
 // Q1Chunk evaluates the SLOW query (TPC-H Q1 with extraArith rounds of
 // additional arithmetic per row) over one delivered chunk, mirroring
-// exec.Q1Chunk. The chunk must carry Q1Cols.
+// exec.Q1Chunk; a chunk whose bounds put every date past dateMax is answered
+// empty without reading a value. The chunk must carry Q1Cols.
 func Q1Chunk(d ChunkData, dateMax int64, extraArith int) exec.Q1Result {
-	return exec.Q1Kernel(d.Ints(ColShipDate), d.Ints(ColQuantity), d.Ints(ColExtendedPrice),
+	res, decided := exec.Q1Kernel(d.Ints(ColShipDate), d.Ints(ColQuantity), d.Ints(ColExtendedPrice),
 		d.Ints(ColDiscount), d.Ints(ColTax), d.Ints(ColReturnFlag), d.Ints(ColLineStatus),
-		dateMax, extraArith)
+		dateMax, extraArith, d.zone(ColShipDate))
+	d.count(decided)
+	return res
 }

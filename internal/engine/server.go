@@ -146,6 +146,12 @@ type TableStats struct {
 	// shared between consumers the way Pool.Hits ÷ Pool.Misses is I/O shared.
 	ReceiptCRCsComputed int64
 	ReceiptCRCsReused   int64
+	// KernelChunks* count the delivered chunks Q6Chunk/Q1Chunk were handed by
+	// what their persisted bounds decided first: no row can qualify (nothing
+	// read), every row passes Q6's date conjunct (its pass skipped), nothing.
+	KernelChunksNone    int64
+	KernelChunksDateAll int64
+	KernelChunksSome    int64
 }
 
 // FaultStats counts the server's fault-handling activity. All fields are
@@ -230,9 +236,11 @@ type serverTable struct {
 	// path).
 	diskRead atomic.Int64
 	pruned   sharedTally
-	// receipts meters the table's ColCRC calls (scans bump it from their
-	// callbacks, outside the server mutex).
+	// receipts meters the table's ColCRC calls, kernels its Q6Chunk/Q1Chunk
+	// calls by what the chunk's bounds decided (storage.Decided); scans bump
+	// both from their callbacks, outside the server mutex.
 	receipts receiptMeter
+	kernels  [3]sharedTally
 	// detaching is set by DetachTable: the scheduler stops issuing the
 	// table's loads, queued and future registrations fail with
 	// ErrTableDetached, and parked streams wake to observe it. detached is
@@ -505,6 +513,9 @@ func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	t.pruned.c = s.o.prunedChunks.With(name, s.cfg.Policy.String())
 	t.receipts.computed.c = s.o.receiptCRCs.With(name, "computed")
 	t.receipts.reused.c = s.o.receiptCRCs.With(name, "reused")
+	for decided, label := range [...]string{storage.Some: "some", storage.None: "none", storage.All: "date_all"} {
+		t.kernels[decided].c = s.o.kernelChunks.With(name, label)
+	}
 	return t
 }
 
@@ -1372,7 +1383,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		// overlaps with this chunk's processing.
 		s.cond.Signal()
 		tuples := t.tf.Layout().ChunkTuples(c)
-		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, receipts: &t.receipts}
+		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, table: t, chunk: c}
 		if dsm {
 			// Per-column frames, in the projection's column order: deliver
 			// exactly the projection.
@@ -1462,6 +1473,9 @@ func (s *Server) statsLocked() ServerStats {
 
 			ReceiptCRCsComputed: t.receipts.computed.n.Load(),
 			ReceiptCRCsReused:   t.receipts.reused.n.Load(),
+			KernelChunksNone:    t.kernels[storage.None].n.Load(),
+			KernelChunksDateAll: t.kernels[storage.All].n.Load(),
+			KernelChunksSome:    t.kernels[storage.Some].n.Load(),
 		})
 	}
 	return out

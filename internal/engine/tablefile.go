@@ -168,15 +168,14 @@ const (
 	// over the stored bytes, a stored length and persisted zonemap bounds in
 	// the metadata region between the header and the data. Readers land
 	// every extent as fixed-width words, so everything downstream of the
-	// read path sees decoded stripes whatever the file stores. Version 5
-	// sealed the metadata region (sealWord); the layout is version 4's.
+	// read path sees decoded stripes whatever the file stores. Version 5 is
+	// version 4's layout, sealed.
 	fileVersion = 5
 	headerBytes = 64
 	// sealWord is the header word holding the CRC-32C of the header words
-	// before it and the metadata region: the per-page sums guard the data,
-	// this guards what says how many rows there are, where the data is, how
-	// it is coded and — the zonemap bounds — which chunks a predicate may
-	// decide without reading them.
+	// before it and the metadata region: the page sums guard the data, this
+	// what says where and how it is stored and — the zonemap bounds — which
+	// chunks a predicate may decide without reading them.
 	sealWord = 7
 )
 
@@ -224,8 +223,8 @@ var (
 	ErrTruncated = errors.New("engine: truncated table file")
 	// ErrChecksum: a page's stored checksum does not match its bytes — a torn
 	// write, bit-flip, or corrupted read. Loads verify every page before
-	// committing it, so corrupt data never reaches a query kernel. Open
-	// returns it for a header or metadata region that does not match the seal.
+	// committing it, so corrupt data never reaches a query kernel; Open
+	// verifies the header and metadata region against the seal the same way.
 	ErrChecksum = errors.New("engine: page checksum mismatch")
 )
 
@@ -730,9 +729,8 @@ func (t *TableFile) metaOffsets() (schemes, extLens, zones int64) {
 // chunk's valid tuples only; the short last chunk's zero padding is part of
 // the stored values, so every extent decodes to exactly one fixed-width
 // stripe. The metadata is reserved with zeros, filled as the extents stream
-// out, written in place at the end together with the header's seal over it,
-// and then parsed by the loader Open uses, so the descriptor returned is the
-// one a reader of these bytes gets.
+// out, written in place under the header's seal at the end, and then parsed by
+// the loader Open uses, so the descriptor returned is the one a reader gets.
 func (t *TableFile) write(compressed bool) error {
 	table := tpch.LineitemTable(1)
 	table.Rows = t.rows
@@ -815,12 +813,11 @@ func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk i
 }
 
 // Open opens an existing table file and validates it strictly: magic,
-// version, column count, format, geometry, the seal over the metadata
-// region, every directory in it and the exact file size. Failures come back
-// as typed errors (ErrBadMagic, ErrBadVersion, ErrBadGeometry, ErrTruncated,
-// ErrChecksum) wrapped with path context — a torn, truncated, or foreign file
-// is an error, never a panic, and nothing is allocated that the file's own
-// size does not bound.
+// version, column count, format, geometry, the seal, every directory of the
+// metadata region and the exact file size. Failures come back as typed errors
+// (ErrBadMagic, ErrBadVersion, ErrBadGeometry, ErrTruncated, ErrChecksum)
+// wrapped with path context — a torn, truncated, or foreign file is an error,
+// never a panic, and nothing is allocated that the file's own size does not bound.
 // A big-endian host gets ErrByteOrder: parts are read in place as native
 // words.
 func Open(path string) (*TableFile, error) {

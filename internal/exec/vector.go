@@ -1,5 +1,11 @@
 package exec
 
+import (
+	"math"
+
+	"coopscan/internal/storage"
+)
+
 // The live kernel set: the paper's two benchmark queries over typed column
 // vectors, in the style of the MonetDB/X100 host Cooperative Scans was built
 // in (§2, §7.2) — CScan hands a chunk's columns to operators that work a
@@ -24,22 +30,46 @@ func b2i(b bool) int {
 	return 0
 }
 
+// Ranges renders the conjuncts as the inclusive intervals a zonemap is asked
+// about (engine.Q6Preds names their columns). DateHi-1 and MaxQty-1 wrap only
+// when the conjunct is empty; the wrapped interval keeps more: safe for
+// pruning alone — Decide answers empty conjuncts from the fields themselves.
+func (p Q6Predicate) Ranges() (date, disc, qty storage.Zone) {
+	return storage.Zone{Lo: p.DateLo, Hi: p.DateHi - 1}, storage.Zone{Lo: p.DiscLo, Hi: p.DiscHi},
+		storage.Zone{Lo: math.MinInt64, Hi: p.MaxQty - 1}
+}
+
+// Decide asks a chunk's bounds what they already answer: None when a
+// conjunct is empty or excluded (no row qualifies), All when every row passes
+// the date conjunct, Some otherwise. Only the date conjunct gets an All: the
+// table is stored in date order, so four of 48 chunks lie inside DefaultQ6's
+// year, while discount and quantity are uniform in every chunk — their bounds
+// never decide, and six more kernel shapes for them would be dead code.
+func (p Q6Predicate) Decide(dates, discs, qtys storage.Zone) storage.Decided {
+	date, disc, qty := p.Ranges()
+	if p.DateHi <= p.DateLo || p.DiscHi < p.DiscLo || p.MaxQty == math.MinInt64 ||
+		discs.Decide(disc.Lo, disc.Hi) == storage.None || qtys.Decide(qty.Lo, qty.Hi) == storage.None {
+		return storage.None
+	}
+	return dates.Decide(date.Lo, date.Hi)
+}
+
 // Q6Kernel evaluates the FAST query over one chunk's column vectors
 // (dates[i], disc[i], qty[i], price[i] are row i; all four must be at least
-// len(dates) long). It computes exactly Q6Chunk's aggregate, wrap-around
-// included, for any predicate.
+// len(dates) long) and the chunk's bounds on the first three. It computes
+// exactly Q6Chunk's aggregate, wrap-around included, for any predicate and
+// any bounds that hold, and reports what the bounds decided: on None it
+// reads no column, on All not the dates.
 //
 // Vector at a time: the date conjunct runs first over the whole vector and
-// writes the selection; on the table's date-clustered data most vectors
-// qualify no row and touch neither disc, qty nor price. The two range
-// conjuncts are one unsigned compare each: for lo ≤ hi, v ∈ [lo, hi) iff
-// uint64(v-lo) < uint64(hi-lo), the subtraction wrapping the interval onto
-// [0, width) whatever the signs; an empty or inverted range qualifies
-// nothing and is answered before the loop.
-func Q6Kernel(dates, disc, qty, price []int64, pred Q6Predicate) Q6Result {
-	var res Q6Result
-	if pred.DateHi <= pred.DateLo || pred.DiscHi < pred.DiscLo {
-		return res
+// writes the selection; on a chunk across an end of the date range (no other
+// still runs it) many vectors qualify no row and touch neither disc, qty nor
+// price. The two range conjuncts are one unsigned compare each: for lo ≤ hi,
+// v ∈ [lo, hi) iff uint64(v-lo) < uint64(hi-lo), the subtraction wrapping
+// the interval onto [0, width) whatever the signs.
+func Q6Kernel(dates, disc, qty, price []int64, pred Q6Predicate, dateZ, discZ, qtyZ storage.Zone) (res Q6Result, decided storage.Decided) {
+	if decided = pred.Decide(dateZ, discZ, qtyZ); decided == storage.None {
+		return res, decided
 	}
 	dateLo, dateW := pred.DateLo, uint64(pred.DateHi)-uint64(pred.DateLo)
 	discLo, discW := pred.DiscLo, uint64(pred.DiscHi)-uint64(pred.DiscLo)
@@ -53,18 +83,22 @@ func Q6Kernel(dates, disc, qty, price []int64, pred Q6Predicate) Q6Result {
 		if m > vecRows {
 			m = vecRows
 		}
-		k := selRange(&sel, dates[:m], dateLo, dateW)
-		if k > 0 {
+		var k int
+		if decided == storage.All {
+			k = selRangeLessEvery(&sel, disc[:m], discLo, discW, qty[:m], maxQty)
+		} else if k = selRange(&sel, dates[:m], dateLo, dateW); k > 0 {
 			k = selRangeLess(&sel, k, disc[:m], discLo, discW, qty[:m], maxQty)
+		}
+		if k > 0 {
 			res.Revenue += mulSumSel(sel[:k], price[:m], disc[:m])
 			res.Rows += int64(k)
 		}
 		dates, disc, qty, price = dates[m:], disc[m:], qty[m:], price[m:]
 	}
-	return res
+	return res, decided
 }
 
-// The three vector primitives below are functions of their own, kept from
+// The four vector primitives below are functions of their own, kept from
 // being inlined back, so each compiles to a loop over a handful of
 // registers: as loops inside Q6Kernel, among its dozen live slice headers,
 // the register allocator spilled the cursors inside every pass (2.0 against
@@ -96,6 +130,20 @@ func selRangeLess(sel *[vecRows]uint16, k int, a []int64, lo int64, w uint64, b 
 		n += b2i(uint64(a[i]-lo) <= w) & b2i(b[i] < max)
 	}
 	return n
+}
+
+// selRangeLessEvery is selRangeLess as the first pass — the bounds decided
+// the one before it — over every position of a (at most vecRows, b as long).
+//
+//go:noinline
+func selRangeLessEvery(sel *[vecRows]uint16, a []int64, lo int64, w uint64, b []int64, max int64) int {
+	k := 0
+	b = b[:len(a)]
+	for i, v := range a {
+		sel[k&(vecRows-1)] = uint16(i)
+		k += b2i(uint64(v-lo) <= w) & b2i(b[i] < max)
+	}
+	return k
 }
 
 // mulSumSel sums a[i]*b[i] over the selection (Q6's revenue expression).
@@ -177,8 +225,12 @@ func (t *q1Table) result() Q1Result {
 // feeding the same skip, the same (byte(flag), byte(status)) grouping — as
 // one typed loop whose groups accumulate in a small table on the stack, not
 // in a map probed per row. Sums are wrap-around int64 additions, so the
-// fold order does not matter. It allocates only its result.
-func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64, extraArith int) Q1Result {
+// fold order does not matter. It allocates only its result. Bounds past
+// dateMax decide None, no column read; an All (a branch per row) is not built.
+func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64, extraArith int, dateZ storage.Zone) (Q1Result, storage.Decided) {
+	if dateZ.Decide(math.MinInt64, dateMax) == storage.None {
+		return Q1Result{}, storage.None
+	}
 	n := len(dates)
 	qty, price, disc, tax = qty[:n], price[:n], disc[:n], tax[:n]
 	flag, status = flag[:n], status[:n]
@@ -208,5 +260,5 @@ func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64,
 		grp.SumDisc += discPrice
 		grp.SumCharge += charge
 	}
-	return groups.result()
+	return groups.result(), storage.Some
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"coopscan/internal/storage"
 	"coopscan/internal/tpch"
 )
 
@@ -23,13 +24,26 @@ func genCols(g *tpch.Generator, start, n int64, cols ...int) [][]int64 {
 // the tests below pin them against the scalar reference over the same rows.
 func q6Vectorized(g *tpch.Generator, start, n int64, pred Q6Predicate) Q6Result {
 	c := genCols(g, start, n, tpch.ColShipDate, tpch.ColDiscount, tpch.ColQuantity, tpch.ColExtendedPrice)
-	return Q6Kernel(c[0], c[1], c[2], c[3], pred)
+	return q6Kernel(c, pred)
 }
 
 func q1Vectorized(g *tpch.Generator, start, n int64, dateMax int64, extraArith int) Q1Result {
 	c := genCols(g, start, n, tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
 		tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus)
-	return Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, extraArith)
+	return q1Kernel(c, dateMax, extraArith)
+}
+
+// q6Kernel and q1Kernel run the kernels told nothing of the chunk's bounds:
+// every pass runs, as on a chunk that carries none. (decided_test.go holds
+// the kernels given bounds against these.)
+func q6Kernel(c [][]int64, pred Q6Predicate) Q6Result {
+	res, _ := Q6Kernel(c[0], c[1], c[2], c[3], pred, storage.AnyZone, storage.AnyZone, storage.AnyZone)
+	return res
+}
+
+func q1Kernel(c [][]int64, dateMax int64, extraArith int) Q1Result {
+	res, _ := Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, extraArith, storage.AnyZone)
+	return res
 }
 
 func sameQ1(t *testing.T, got, want Q1Result) {
@@ -151,7 +165,7 @@ func TestQuickQ6KernelMatchesReference(t *testing.T) {
 		c, pred := synthQ6(seed, n)
 		want := q6Ref(c[0], c[1], c[2], c[3], pred)
 		hits += b2i(want.Rows > 0)
-		return Q6Kernel(c[0], c[1], c[2], c[3], pred) == want
+		return q6Kernel(c[:], pred) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Error(err)
@@ -174,7 +188,7 @@ func TestQuickQ6KernelMatchesReference(t *testing.T) {
 	for _, n := range kernelRowCounts {
 		c, _ := synthQ6(int64(n)+1, n)
 		for _, pred := range preds {
-			got, want := Q6Kernel(c[0], c[1], c[2], c[3], pred), q6Ref(c[0], c[1], c[2], c[3], pred)
+			got, want := q6Kernel(c[:], pred), q6Ref(c[0], c[1], c[2], c[3], pred)
 			if got != want {
 				t.Errorf("n=%d pred=%+v: kernel %+v, reference %+v", n, pred, got, want)
 			}
@@ -201,7 +215,7 @@ func FuzzQ6Kernel(f *testing.F) {
 				}
 			}
 		}
-		if got, want := Q6Kernel(c[0], c[1], c[2], c[3], pred), q6Ref(c[0], c[1], c[2], c[3], pred); got != want {
+		if got, want := q6Kernel(c[:], pred), q6Ref(c[0], c[1], c[2], c[3], pred); got != want {
 			t.Fatalf("pred=%+v n=%d: kernel %+v, reference %+v", pred, len(c[0]), got, want)
 		}
 	})
@@ -269,7 +283,7 @@ func TestQ1KernelGroupFallback(t *testing.T) {
 		// charge of -1 with no rounds), so each extraArith has its own
 		// reference: the skip must be fed exactly as in Q1Chunk.
 		for _, extra := range []int{0, 8, 25} {
-			got := Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], 700, extra)
+			got := q1Kernel(c[:], 700, extra)
 			sameQ1(t, got, q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], 700, extra))
 			if distinct > q1Slots && len(got) <= q1Slots {
 				t.Errorf("distinct=%d: only %d groups, the fallback was not exercised", distinct, len(got))
@@ -289,7 +303,7 @@ func TestKernelAllocs(t *testing.T) {
 	// passes run.
 	pred := Q6Predicate{DateLo: tpch.DateMin, DateHi: tpch.DateMax + 1, DiscLo: 5, DiscHi: 7, MaxQty: 24}
 	var q6 Q6Result
-	if a := testing.AllocsPerRun(20, func() { q6 = Q6Kernel(c[0], c[1], c[2], c[3], pred) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { q6 = q6Kernel(c, pred) }); a != 0 {
 		t.Errorf("Q6Kernel: %v allocs per call, want 0", a)
 	}
 	if q6.Rows == 0 {
@@ -298,7 +312,7 @@ func TestKernelAllocs(t *testing.T) {
 	q := genCols(g, 0, n, tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
 		tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus)
 	var q1 Q1Result
-	a := testing.AllocsPerRun(20, func() { q1 = Q1Kernel(q[0], q[1], q[2], q[3], q[4], q[5], q[6], tpch.DateMax, 8) })
+	a := testing.AllocsPerRun(20, func() { q1 = q1Kernel(q, tpch.DateMax, 8) })
 	if len(q1) < 2 {
 		t.Fatalf("Q1Kernel found %d groups", len(q1))
 	}

@@ -20,10 +20,13 @@ var updateGolden = flag.Bool("update", false, "rewrite the metrics exposition go
 // through the front-end — one queued-then-expired deadline, one queued
 // completion, one shed, one interactive completion — and compares the
 // front-end's full Prometheus exposition byte-for-byte against the golden
-// file, followed by the one engine family the sequence pins exactly: the
+// file, followed by the two engine families the sequence pins exactly: the
 // receipt sums, all computed by the first completed session over the
-// four-chunk table and all reused by the second, which finds it resident.
-// (The engine's other families carry wall-clock histograms.)
+// four-chunk table and all reused by the second, which finds it resident;
+// and what the chunks' bounds decided for the Q6 kernel of that second
+// session, the only one that folds the aggregate — the table's seven years
+// in four chunks put two of them past the predicate's year and none inside
+// it. (The engine's other families carry wall-clock histograms.)
 func TestMetricsExpositionGolden(t *testing.T) {
 	tf := newTestTable(t, 4_000, 1000, 32)
 	reg, engReg := obs.NewRegistry(), obs.NewRegistry()
@@ -69,7 +72,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	// is sometimes counted as queued.
 	waitFor(t, func() bool { return fx.f.gate.status().live == 0 })
 	if _, err := RunScan(context.Background(), nil, fx.url, ScanParams{
-		Table: table, Name: "vip", Tier: TierInteractive,
+		Table: table, Name: "vip", Tier: TierInteractive, AggQ6: true,
 	}, nil); err != nil {
 		t.Fatalf("interactive session: %v", err)
 	}
@@ -86,7 +89,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range strings.SplitAfter(eb.String(), "\n") {
-		if strings.Contains(line, "coopscan_receipt_crcs_total") {
+		if strings.Contains(line, "coopscan_receipt_crcs_total") || strings.Contains(line, "coopscan_kernel_chunks_total") {
 			sb.WriteString(line)
 		}
 	}
@@ -123,6 +126,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 	if tables := status.Engine.Tables; len(tables) != 1 || tables[0].ReceiptCRCsComputed != 16 || tables[0].ReceiptCRCsReused != 16 {
 		t.Errorf("statusz engine tables %+v, want one with 16 receipt sums computed and 16 reused", tables)
+	} else if tb := tables[0]; tb.KernelChunksNone != 2 || tb.KernelChunksDateAll != 0 || tb.KernelChunksSome != 2 {
+		t.Errorf("statusz engine table %+v, want 2 kernel chunks decided none, 0 date_all, 2 some", tb)
 	}
 	ss := status.Sessions
 	if ss.MaxLive != 1 || ss.Live != 0 || ss.PeakLive != 1 {

@@ -23,6 +23,7 @@ import (
 	"coopscan/internal/serve"
 	"coopscan/internal/serve/servetest"
 	"coopscan/internal/storage"
+	"coopscan/internal/tpch"
 )
 
 // ServeConfig parameterises one RunServe soak.
@@ -59,9 +60,10 @@ type tableGolden struct {
 }
 
 // goldenOf scans tf through a private clean engine (before any fault
-// wrapping) and records the per-chunk receipts the front-end must
-// reproduce — streamed from the bytes by the reference, not by the code
-// under test.
+// wrapping) and records what the front-end must reproduce, neither computed
+// by the code under test: the per-chunk receipts streamed from the bytes by
+// the reference, the per-chunk aggregates by the scalar kernel over the
+// generator the file was written from.
 func goldenOf(tf *engine.TableFile) (*tableGolden, error) {
 	eng, err := engine.NewServer(engine.ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 	if err != nil {
@@ -69,10 +71,13 @@ func goldenOf(tf *engine.TableFile) (*tableGolden, error) {
 	}
 	defer eng.Close()
 	g := &tableGolden{crcs: make([]uint32, tf.NumChunks()), q6: make([]exec.Q6Result, tf.NumChunks())}
+	table := tpch.LineitemTable(1)
+	table.Rows = tf.Rows()
+	gen := tpch.NewGenerator(table, tf.Seed())
 	cols := engine.Q6Cols()
 	_, err = eng.Scan(0, "golden", storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), cols, func(c int, d engine.ChunkData) {
 		g.crcs[c] = servetest.ReferenceChunkCRC(cols, d)
-		g.q6[c] = engine.Q6Chunk(d, exec.DefaultQ6())
+		g.q6[c] = exec.Q6Chunk(gen, int64(c)*tf.TuplesPerChunk(), d.Tuples(), exec.DefaultQ6())
 	})
 	if err != nil {
 		return nil, err
