@@ -153,3 +153,31 @@ func TestHandBuiltChunkDataStillAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestDecidedKernelsAllocateNothing: asking the bounds and counting the
+// answer add no allocation to a delivery — Q6Chunk allocates nothing on a
+// live chunk whatever was decided, Q1Chunk only the empty result of a chunk
+// its bounds exclude.
+func TestDecidedKernelsAllocateNothing(t *testing.T) {
+	const rows, tpc = 24_000, 1000
+	tf := newTestFileFormat(t, DSM, rows, tpc, 5)
+	srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
+	pred := exec.DefaultQ6()
+	var seen [3]bool
+	_, err := srv.Scan(0, "allocs", rangeSet(0, tf.NumChunks()), Q1Cols(), func(c int, d ChunkData) {
+		lo, hi, _ := d.Bounds(ColShipDate)
+		seen[storage.Zone{Lo: lo, Hi: hi}.Decide(pred.DateLo, pred.DateHi-1)] = true
+		if a := testing.AllocsPerRun(5, func() { Q6Chunk(d, pred) }); a != 0 {
+			t.Errorf("chunk %d: Q6Chunk allocates %v times per call", c, a)
+		}
+		if a := testing.AllocsPerRun(5, func() { Q1Chunk(d, lo-1, 0) }); a > 1 {
+			t.Errorf("chunk %d: Q1Chunk allocates %v times answering a chunk its bounds exclude", c, a)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != [3]bool{true, true, true} {
+		t.Errorf("the table's chunks decided (some, none, all) = %v: want every shape met", seen)
+	}
+}

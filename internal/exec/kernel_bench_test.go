@@ -87,21 +87,28 @@ func reportPerTuple(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/tuple")
 }
 
+// benchShape returns the named shape's columns (the dates first); [lo, hi] is
+// the inclusive date range the chunk shapes are picked against.
+func benchShape(b *testing.B, name string, lo, hi int64, cols ...int) [][]int64 {
+	switch name {
+	case "clustered":
+		return benchColumns(false, cols...)
+	case "shuffled":
+		return benchColumns(true, cols...)
+	case "disjoint":
+		return benchChunk(b, storage.None, lo, hi, cols...)
+	case "inside":
+		return benchChunk(b, storage.All, lo, hi, cols...)
+	}
+	return benchChunk(b, storage.Some, lo, hi, cols...) // "edge"
+}
+
 func BenchmarkQ6Kernel(b *testing.B) {
 	pred := DefaultQ6()
-	cols := []int{tpch.ColShipDate, tpch.ColDiscount, tpch.ColQuantity, tpch.ColExtendedPrice}
-	for _, shape := range []struct {
-		name string
-		cols func(b *testing.B) [][]int64
-	}{
-		{"clustered", func(*testing.B) [][]int64 { return benchColumns(false, cols...) }},
-		{"shuffled", func(*testing.B) [][]int64 { return benchColumns(true, cols...) }},
-		{"disjoint", func(b *testing.B) [][]int64 { return benchChunk(b, storage.None, pred.DateLo, pred.DateHi-1, cols...) }},
-		{"inside", func(b *testing.B) [][]int64 { return benchChunk(b, storage.All, pred.DateLo, pred.DateHi-1, cols...) }},
-		{"edge", func(b *testing.B) [][]int64 { return benchChunk(b, storage.Some, pred.DateLo, pred.DateHi-1, cols...) }},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
-			c := shape.cols(b)
+	for _, shape := range []string{"clustered", "shuffled", "disjoint", "inside", "edge"} {
+		b.Run(shape, func(b *testing.B) {
+			c := benchShape(b, shape, pred.DateLo, pred.DateHi-1,
+				tpch.ColShipDate, tpch.ColDiscount, tpch.ColQuantity, tpch.ColExtendedPrice)
 			dateZ, discZ, qtyZ := zoneOf(c[0]), zoneOf(c[1]), zoneOf(c[2])
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -115,18 +122,10 @@ func BenchmarkQ6Kernel(b *testing.B) {
 
 func BenchmarkQ1Kernel(b *testing.B) {
 	const dateMax = 700
-	cols := []int{tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
-		tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus}
-	for _, shape := range []struct {
-		name string
-		cols func(b *testing.B) [][]int64
-	}{
-		{"clustered", func(*testing.B) [][]int64 { return benchColumns(false, cols...) }},
-		{"shuffled", func(*testing.B) [][]int64 { return benchColumns(true, cols...) }},
-		{"disjoint", func(b *testing.B) [][]int64 { return benchChunk(b, storage.None, math.MinInt64, dateMax, cols...) }},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
-			c := shape.cols(b)
+	for _, shape := range []string{"clustered", "shuffled", "disjoint"} {
+		b.Run(shape, func(b *testing.B) {
+			c := benchShape(b, shape, math.MinInt64, dateMax, tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
+				tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus)
 			dateZ := zoneOf(c[0])
 			b.ReportAllocs()
 			b.ResetTimer()
