@@ -444,7 +444,9 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		if free := t.abm.FreeBytes(); free < 0 {
 			return rep, fmt.Errorf("soak: drained: table %s over budget: free = %d", t.name, free)
 		}
-		event("drained %s %+v", t.name, t.abm.Stats())
+		st := t.abm.Stats()
+		event("drained %s Loads=%d IORequests=%d BytesRead=%d Evictions=%d",
+			t.name, st.Loads, st.IORequests, st.BytesRead, st.Evictions)
 	}
 	rep.Digest = digest.Sum64()
 	return rep, nil

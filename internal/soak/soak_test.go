@@ -3,12 +3,18 @@ package soak
 import (
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"coopscan/internal/core"
 )
+
+// -capture writes the core soak's digest golden (TestSoakCoreDigestGolden)
+// to the given absolute path instead of comparing against it.
+var captureDigests = flag.String("capture", "", "write the core soak digest golden to this file")
 
 // -soak.seeds selects the seed list, e.g.
 //
@@ -126,5 +132,40 @@ func TestSoakCoreDeterministic(t *testing.T) {
 			t.Errorf("seeds %d and %d share digest %#x: the digest does not see the op sequence", other, seed, first.Digest)
 		}
 		seen[first.Digest] = seed
+	}
+}
+
+// TestSoakCoreDigestGolden pins the core soak's event digest for seeds 1–8
+// in TestSoakCoreDeterministic's configuration to testdata/core_digests.txt:
+// a refactor of the ABM, the arbiter or the soak driver that must not move
+// a decision, a landing, an eviction or a grant holds the file
+// byte-identical. After an intended change, re-record it with
+//
+//	go test ./internal/soak -run TestSoakCoreDigestGolden -args -capture=$PWD/internal/soak/testdata/core_digests.txt
+//
+// and state the diff.
+func TestSoakCoreDigestGolden(t *testing.T) {
+	var got strings.Builder
+	for seed := uint64(1); seed <= 8; seed++ {
+		pol := core.Policies[int(seed)%len(core.Policies)]
+		rep, err := RunCore(CoreConfig{Seed: seed, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "seed=%d policy=%v digest=%016x\n", seed, pol, rep.Digest)
+	}
+	golden := filepath.Join("testdata", "core_digests.txt")
+	if *captureDigests != "" {
+		if err := os.WriteFile(*captureDigests, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("core soak digests drifted from %s:\n got:\n%s want:\n%s", golden, got.String(), want)
 	}
 }
