@@ -52,9 +52,20 @@ type Manager struct {
 	SmallTableChunks int
 
 	tables map[string]*ABM
-	order  []string
+	order  []arbTable
+	// rebaseline is set by an attach: the next RebalanceIfShifted re-runs
+	// the arbiter and re-baselines every table's stored weight.
+	rebaseline bool
 
 	metrics ManagerMetrics
+}
+
+// arbTable is one attached table in attach order, with the demand weight
+// the arbiter last ran with for it (see RebalanceIfShifted).
+type arbTable struct {
+	name   string
+	abm    *ABM
+	weight int64
 }
 
 // SetMetrics installs the arbiter's metric handles (see ManagerMetrics).
@@ -109,7 +120,8 @@ func (m *Manager) AttachAs(name string, layout storage.Layout, bufferBytes int64
 		a = NewLive(m.clock, layout, cfg)
 	}
 	m.tables[name] = a
-	m.order = append(m.order, name)
+	m.order = append(m.order, arbTable{name: name, abm: a})
+	m.rebaseline = true
 	return a
 }
 
@@ -123,8 +135,8 @@ func (m *Manager) Detach(name string) bool {
 	}
 	a.Shutdown()
 	delete(m.tables, name)
-	for i, n := range m.order {
-		if n == name {
+	for i, t := range m.order {
+		if t.name == name {
 			m.order = append(m.order[:i], m.order[i+1:]...)
 			break
 		}
@@ -139,7 +151,13 @@ func (m *Manager) For(table string) (*ABM, bool) {
 }
 
 // Tables returns the attached table names in attach order.
-func (m *Manager) Tables() []string { return append([]string(nil), m.order...) }
+func (m *Manager) Tables() []string {
+	names := make([]string, len(m.order))
+	for i, t := range m.order {
+		names[i] = t.name
+	}
+	return names
+}
 
 // UseCScan reports whether a scan of the named table should go through the
 // cooperative machinery; small tables fall back to plain scans.
@@ -153,16 +171,16 @@ func (m *Manager) UseCScan(table string) bool {
 
 // Shutdown stops every table's loader processes.
 func (m *Manager) Shutdown() {
-	for _, name := range m.order {
-		m.tables[name].Shutdown()
+	for _, t := range m.order {
+		t.abm.Shutdown()
 	}
 }
 
 // Stats sums the per-table counters.
 func (m *Manager) Stats() SystemStats {
 	var total SystemStats
-	for _, name := range m.order {
-		s := m.tables[name].Stats()
+	for _, t := range m.order {
+		s := t.abm.Stats()
 		total.Loads += s.Loads
 		total.IORequests += s.IORequests
 		total.BytesRead += s.BytesRead
@@ -222,8 +240,8 @@ func (m *Manager) Rebalance(total int64) []int64 {
 	weights := make([]float64, n)
 	var sumFloor int64
 	var sumW float64
-	for i, name := range m.order {
-		a := m.tables[name]
+	for i, t := range m.order {
+		a := t.abm
 		floors[i] = chunkFloorBytes(a.layout)
 		used[i] = a.UsedBytes()
 		weights[i] = float64(a.DemandBytes())
@@ -273,16 +291,58 @@ func (m *Manager) Rebalance(total int64) []int64 {
 			}
 		}
 	}
-	for i, name := range m.order {
-		m.tables[name].SetBufferBytes(grants[i])
+	for i, t := range m.order {
+		t.abm.SetBufferBytes(grants[i])
 	}
 	m.metrics.Rebalances.Inc()
 	if m.metrics.GrantBytes != nil {
-		for i, name := range m.order {
-			m.metrics.GrantBytes.With(name).Set(grants[i])
+		for i, t := range m.order {
+			m.metrics.GrantBytes.With(t.name).Set(grants[i])
 		}
 	}
 	return grants
+}
+
+// RebalanceIfShifted runs Rebalance(total) when the demand weights moved
+// enough to matter and returns its grants, or nil when nothing moved. A
+// table's weight moved when it flipped between zero and non-zero or shifted
+// by at least an eighth of the weight the arbiter last ran with for it;
+// only a moved weight is stored, so a slow drift still adds up to a re-run.
+// Byte demand shrinks with every consumed chunk, and re-running on every
+// delta would churn budgets for integer-crumb gains. The first call after an
+// attach re-runs unconditionally and re-baselines every stored weight. It
+// is the live engine's per-scheduler-pass call, so when nothing moved it
+// reads one field per table and allocates nothing.
+func (m *Manager) RebalanceIfShifted(total int64) []int64 {
+	shifted := m.rebaseline
+	for i := range m.order {
+		t := &m.order[i]
+		if w := t.abm.DemandBytes(); m.rebaseline || weightShifted(t.weight, w) {
+			t.weight = w
+			shifted = true
+		}
+	}
+	m.rebaseline = false
+	if !shifted {
+		return nil
+	}
+	return m.Rebalance(total)
+}
+
+// weightShifted is RebalanceIfShifted's per-table test: a zero/non-zero
+// flip, or a move of at least an eighth of the stored weight.
+func weightShifted(old, new int64) bool {
+	if old == new {
+		return false
+	}
+	if old == 0 || new == 0 {
+		return true
+	}
+	d := new - old
+	if d < 0 {
+		d = -d
+	}
+	return d*8 >= old
 }
 
 // SplitBuffer divides a total buffer budget across layouts proportionally

@@ -280,3 +280,96 @@ func TestLiveABMDemandBytesStarvedDoubling(t *testing.T) {
 		t.Errorf("DemandBytes = %d, want %d (remaining bytes doubled while starved)", got, want)
 	}
 }
+
+// The arbiter re-runs when a table's demand weight flips between zero and
+// non-zero or moves by at least an eighth of the weight it last ran with,
+// in either direction, and not otherwise.
+func TestRebalanceIfShiftedRule(t *testing.T) {
+	const total = 32 << 20
+	for _, tc := range []struct {
+		name     string
+		from, to int64
+		rerun    bool
+	}{
+		{"unchanged", 800, 800, false},
+		{"zero stays zero", 0, 0, false},
+		{"flip to non-zero", 0, 1, true},
+		{"flip to zero", 800, 0, true},
+		{"up below an eighth", 800, 899, false},
+		{"down below an eighth", 800, 701, false},
+		{"up an eighth", 800, 900, true},
+		{"down an eighth", 800, 700, true},
+		{"up far", 800, 1 << 30, true},
+		{"down far", 800, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, hot, _ := liveManagerPair(t)
+			hot.demandBytes = tc.from
+			if m.RebalanceIfShifted(total) == nil {
+				t.Fatal("the first call after an attach did not run the arbiter")
+			}
+			if m.RebalanceIfShifted(total) != nil {
+				t.Fatal("re-ran with no weight moved")
+			}
+			hot.demandBytes = tc.to
+			if got := m.RebalanceIfShifted(total) != nil; got != tc.rerun {
+				t.Errorf("weight %d -> %d: re-ran %v, want %v", tc.from, tc.to, got, tc.rerun)
+			}
+		})
+	}
+}
+
+// Only a moved weight is stored, so drift below an eighth adds up to a
+// re-run; an attach re-runs the arbiter and re-baselines every stored
+// weight at the current demand.
+func TestRebalanceIfShiftedRebaselinesOnAttach(t *testing.T) {
+	const total = 32 << 20
+	m, hot, _ := liveManagerPair(t)
+	hot.demandBytes = 800
+	m.RebalanceIfShifted(total)
+	hot.demandBytes = 750
+	if m.RebalanceIfShifted(total) != nil {
+		t.Fatal("800 -> 750 re-ran")
+	}
+	hot.demandBytes = 700
+	if m.RebalanceIfShifted(total) == nil {
+		t.Fatal("800 -> 750 -> 700 did not add up to a re-run against the stored 800")
+	}
+	hot.demandBytes = 660
+	if m.RebalanceIfShifted(total) != nil {
+		t.Fatal("700 -> 660 re-ran")
+	}
+	third := nsmTestLayout(16)
+	third.Table().Name = "third"
+	m.Attach(third, 2<<20)
+	grants := m.RebalanceIfShifted(total)
+	if len(grants) != 3 {
+		t.Fatalf("grants after attach = %v, want a re-run over three tables", grants)
+	}
+	// Stored at 660 now: 580 is less than an eighth below it (but more than
+	// an eighth below the 700 stored before the attach), 577 is not.
+	hot.demandBytes = 580
+	if m.RebalanceIfShifted(total) != nil {
+		t.Error("660 -> 580 re-ran: the attach did not re-baseline the stored weight")
+	}
+	hot.demandBytes = 577
+	if m.RebalanceIfShifted(total) == nil {
+		t.Error("660 -> 577 did not re-run")
+	}
+}
+
+// RebalanceIfShifted runs on every scheduler pass of the live engine: when
+// no weight moved it must not allocate.
+func TestRebalanceIfShiftedAllocatesNothing(t *testing.T) {
+	const total = 32 << 20
+	m, hot, _ := liveManagerPair(t)
+	registerFullScan(hot, "hq")
+	m.RebalanceIfShifted(total)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if m.RebalanceIfShifted(total) != nil {
+			t.Fatal("re-ran with no weight moved")
+		}
+	}); allocs != 0 {
+		t.Errorf("RebalanceIfShifted allocated %v times per call with no weight moved", allocs)
+	}
+}

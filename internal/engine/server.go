@@ -731,11 +731,12 @@ func (s *Server) maybeRebalance() {
 			draining = true
 		}
 	}
-	if changed || draining {
-		grants := s.mgr.Rebalance(s.cfg.BufferBytes)
-		if s.o.tracer != nil {
-			s.o.schedTrack.Instant("rebalance", obs.Args{"grants": grants})
-		}
+	grants := s.mgr.RebalanceIfShifted(s.cfg.BufferBytes)
+	if old := changed || draining; old != (grants != nil) || draining {
+		panic(fmt.Sprintf("engine: arbiter re-run rules disagree: old %v (draining %v), new %v", old, draining, grants))
+	}
+	if grants != nil && s.o.tracer != nil {
+		s.o.schedTrack.Instant("rebalance", obs.Args{"grants": grants})
 	}
 }
 
