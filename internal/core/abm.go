@@ -222,13 +222,11 @@ type ABM struct {
 	// walk.
 	blockedCount int
 
-	// starvedQueries counts the registered queries currently starved, and
 	// demandBytes maintains the DemandBytes sum (per-query remaining ×
-	// per-chunk footprint, starved doubled) — so the live engine's
-	// per-scheduler-iteration demand polls are O(1) reads instead of
-	// registry walks. Query.demandContrib holds each query's term.
-	starvedQueries int
-	demandBytes    int64
+	// per-chunk footprint, starved doubled) — so the budget arbiter's
+	// per-scheduler-pass demand polls are O(1) reads instead of registry
+	// walks. Query.demandContrib holds each query's term.
+	demandBytes int64
 
 	// chunkQueries[c] lists the registered queries that still need chunk c
 	// (Query.chunkPos[c] is the slot), so part residency events touch only
@@ -531,9 +529,6 @@ func (a *ABM) unregister(q *Query) {
 			a.markVicDirty(c)
 		}
 	}
-	if q.starved {
-		a.starvedQueries--
-	}
 	q.starved, q.almostStarved = false, false
 	a.demandBytes -= q.demandContrib
 	q.demandContrib = 0
@@ -698,7 +693,6 @@ func (a *ABM) updateStarveFlags(q *Query) {
 	almost := q.available() < a.cfg.StarveThreshold+1
 	if starved != q.starved {
 		q.starved = starved
-		a.starvedQueries += flipDelta(starved)
 		var group []int
 		if q.group != nil {
 			group = q.group.starved

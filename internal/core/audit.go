@@ -373,17 +373,14 @@ func (a *ABM) auditLoadCands() error {
 }
 
 // auditDerivedCounters recomputes the registry-level scalar counters — the
-// blocked count, the starved count and the maintained DemandBytes sum —
-// against a full registry walk (the exact loops the counters replaced).
+// blocked count and the maintained DemandBytes sum — against a full
+// registry walk (the exact loops the counters replaced).
 func (a *ABM) auditDerivedCounters() error {
-	blocked, starved := 0, 0
+	blocked := 0
 	var demand int64
 	for _, q := range a.queries {
 		if q.blocked {
 			blocked++
-		}
-		if q.starved {
-			starved++
 		}
 		b := int64(float64(q.remaining()) * a.queryChunkBytes(q))
 		if q.starved {
@@ -399,9 +396,6 @@ func (a *ABM) auditDerivedCounters() error {
 	}
 	if a.blockedCount != blocked {
 		return fmt.Errorf("core: blockedCount = %d, recomputed %d", a.blockedCount, blocked)
-	}
-	if a.starvedQueries != starved {
-		return fmt.Errorf("core: starvedQueries = %d, recomputed %d", a.starvedQueries, starved)
 	}
 	if a.demandBytes != demand {
 		return fmt.Errorf("core: demandBytes = %d, recomputed %d", a.demandBytes, demand)

@@ -15,9 +15,9 @@ import (
 // Policy exposes the decision core of the configured policy.
 func (a *ABM) Policy() SchedulerPolicy { return a.strat }
 
-// FreeBytes returns the unreserved buffer capacity. It is negative while the
-// ABM holds more than a freshly shrunk budget; loads must then evict (or
-// wait) until the pool drains under the new cap.
+// FreeBytes returns the unreserved buffer capacity. SetBufferBytes below the
+// usage makes it negative; the budget arbiter never does that, so under the
+// live engine it is never negative (Server.AuditTables checks it).
 func (a *ABM) FreeBytes() int64 { return a.cache.free() }
 
 // UsedBytes returns the reserved bytes: resident parts plus the space held
@@ -30,45 +30,26 @@ func (a *ABM) BufferBytes() int64 { return a.cache.capBytes }
 // SetBufferBytes re-targets the buffer budget at runtime — the §7.1 remark
 // that ABM "can easily adjust itself to a changed buffer size" when the
 // system-wide load shifts. Growth takes effect immediately; a shrink below
-// the current usage leaves FreeBytes negative and the pool converges through
-// the ordinary eviction paths. The multi-table budget arbiter
-// (Manager.Rebalance) is the intended caller.
+// the current usage leaves FreeBytes negative until the ordinary eviction
+// paths bring the pool under it. The multi-table budget arbiter
+// (Manager.Rebalance) is the intended caller, and never shrinks a table
+// below its usage.
 func (a *ABM) SetBufferBytes(n int64) {
 	a.cache.resize(n)
 	a.cfg.BufferBytes = n
 	a.broadcast()
 }
 
-// DrainExcess evicts least-recently-touched parts until the pool fits the
-// current budget again, and reports whether it got there. The live engine
-// calls it for a table that is over a freshly shrunk budget but has no
-// registered queries: such a table issues no loads, so the ordinary
-// EnsureSpace paths would never run and the usage clamp in
-// Manager.Rebalance would strand its bytes forever. With no queries there
-// is nothing for a policy to protect (no pins, no starvation, and the
-// fresh-load guard self-disables), so plain LRU eviction is safe.
-func (a *ABM) DrainExcess() bool {
-	return a.makeSpace(0, nil)
-}
-
-// Demand summarises the table's current scheduling pressure: the number of
-// registered queries and how many of them are starved under the configured
-// threshold.
-func (a *ABM) Demand() (active, starved int) {
-	return len(a.queries), a.starvedQueries
-}
-
 // DemandBytes estimates the table's outstanding work in bytes: for every
 // registered query, the bytes its remaining chunks still have to deliver
-// (its column subset only, in DSM), with starved queries counted twice —
-// the byte-weighted analogue of Demand's active+starved stream count. The
-// budget arbiter (Manager.Rebalance) weighs tables by it, so a table whose
-// streams still have gigabytes to scan outweighs one with the same stream
-// count nursing a few trailing chunks — §7.1's "system-wide load", not
-// just stream arity.
+// (its column subset only, in DSM), with starved queries counted twice.
+// The budget arbiter (Manager.Rebalance) weighs tables by it, so a table
+// whose streams still have gigabytes to scan outweighs one with the same
+// stream count nursing a few trailing chunks — §7.1's "system-wide load",
+// not just stream arity.
 // The sum is maintained incrementally (refreshDemand at registration,
-// consumption and starvation flips), so the engine's per-iteration poll
-// across every table is a field read per table, not a registry walk.
+// consumption and starvation flips), so the arbiter's per-scheduler-pass
+// poll across every table is a field read per table, not a registry walk.
 func (a *ABM) DemandBytes() int64 { return a.demandBytes }
 
 // queryChunkBytes returns the average bytes one chunk delivers to q: the

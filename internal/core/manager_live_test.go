@@ -36,13 +36,12 @@ func registerFullScan(a *ABM, name string) *Query {
 func TestLiveManagerRebalanceStarvedVsIdle(t *testing.T) {
 	m, hot, cold := liveManagerPair(t)
 	for i := 0; i < 4; i++ {
-		registerFullScan(hot, "hq")
+		if q := registerFullScan(hot, "hq"); !q.starved {
+			t.Fatal("a full scan with nothing resident is not starved")
+		}
 	}
-	if a, s := hot.Demand(); a != 4 || s != 4 {
-		t.Fatalf("hot demand = (%d, %d), want (4, 4) — all queries starved", a, s)
-	}
-	if a, s := cold.Demand(); a != 0 || s != 0 {
-		t.Fatalf("cold demand = (%d, %d), want idle", a, s)
+	if d := cold.DemandBytes(); d != 0 {
+		t.Fatalf("cold demand = %d bytes, want idle", d)
 	}
 
 	const total = 32 << 20
@@ -159,38 +158,6 @@ func TestLiveManagerRebalanceOverageNeverCutsBelowFloor(t *testing.T) {
 	}
 }
 
-// A demand-less table over a shrunk budget must be drainable: with no
-// queries it never loads, so nothing else would run its eviction paths,
-// and the Rebalance usage clamp would strand the bytes forever (the live
-// engine calls DrainExcess from its scheduler for exactly this state).
-func TestLiveABMDrainExcess(t *testing.T) {
-	m, hot, cold := liveManagerPair(t)
-	cold.SetBufferBytes(8 << 20)
-	for c := 0; c < 8; c++ {
-		cold.beginLoad(LoadDecision{Chunk: c})
-		cold.finishLoad(LoadDecision{Chunk: c}, nil)
-	}
-	cold.SetBufferBytes(4 << 20)
-	if cold.FreeBytes() >= 0 {
-		t.Fatal("shrink below usage should leave FreeBytes negative")
-	}
-	if !cold.DrainExcess() {
-		t.Fatal("DrainExcess could not reach the shrunk budget")
-	}
-	if free := cold.FreeBytes(); free < 0 {
-		t.Errorf("FreeBytes = %d after drain, want >= 0", free)
-	}
-	if used := cold.UsedBytes(); used > 4<<20 {
-		t.Errorf("UsedBytes = %d after drain, want <= shrunk budget", used)
-	}
-	// The freed bytes are now grantable to the demanding table.
-	registerFullScan(hot, "hq")
-	grants := m.Rebalance(16 << 20)
-	if grants[0] <= grants[1] {
-		t.Errorf("grants after drain = %v, want the demanding table ahead", grants)
-	}
-}
-
 // Detaching a table frees its whole grant for the others on the next
 // rebalance — the "budget rebalance on table close" path.
 func TestLiveManagerRebalanceOnDetach(t *testing.T) {
@@ -240,13 +207,11 @@ func TestLiveManagerRebalanceUnderProvisioned(t *testing.T) {
 // chunks.
 func TestLiveManagerRebalanceWeighsRemainingBytes(t *testing.T) {
 	m, big, small := liveManagerPair(t)
-	registerFullScan(big, "bq") // 16 chunks remaining
+	bq := registerFullScan(big, "bq") // 16 chunks remaining
 	sq := small.NewQuery("sq", storage.NewRangeSet(storage.Range{Start: 0, End: 2}), 0)
 	small.Register(sq) // 2 chunks remaining
-	ab, sb := big.Demand()
-	as, ss := small.Demand()
-	if ab != as || sb != ss {
-		t.Fatalf("setup: stream demand must tie (big %d/%d, small %d/%d)", ab, sb, as, ss)
+	if !bq.starved || !sq.starved {
+		t.Fatal("setup: both streams must be starved, so only their bytes differ")
 	}
 	if big.DemandBytes() <= small.DemandBytes() {
 		t.Fatalf("DemandBytes: big %d must exceed small %d", big.DemandBytes(), small.DemandBytes())

@@ -22,34 +22,15 @@ import (
 // ErrAttachIncompatible for an empty name or a buffer budget that no longer
 // covers the two-chunk floor of every attached table.
 func (s *Server) Attach(name string, tf *TableFile) (int, error) {
-	if name == "" {
-		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if _, ok := s.names[name]; ok {
-		return 0, fmt.Errorf("%w: %q", ErrTableExists, name)
+	idx, err := s.admit(name, tf)
+	if err != nil {
+		return 0, err
 	}
-	if _, draining := s.mgr.For(name); draining {
-		return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
-	}
-	floor := 2 * tf.ChunkBytes()
-	for _, t := range s.tables {
-		if !t.detached {
-			floor += 2 * t.tf.ChunkBytes()
-		}
-	}
-	if s.cfg.BufferBytes < floor {
-		return 0, fmt.Errorf("%w: buffer %d bytes < two chunks per table (%d) with %q attached",
-			ErrAttachIncompatible, s.cfg.BufferBytes, floor, name)
-	}
-	idx := len(s.tables)
-	t := s.newTable(idx, name, tf)
-	s.tables = append(s.tables, t)
-	s.names[name] = idx
 	s.mgr.Rebalance(s.cfg.BufferBytes)
 	if s.o.tracer != nil {
 		s.o.schedTrack.Instant("attach", obs.Args{"table": name, "slot": idx})

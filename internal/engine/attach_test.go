@@ -197,6 +197,10 @@ func TestAttachTypedErrors(t *testing.T) {
 	if err := srv.DetachTable("a"); !errors.Is(err, ErrClosed) {
 		t.Errorf("detach after close: err = %v, want ErrClosed", err)
 	}
+	// NewServer admits its tables through the same step.
+	if _, err := NewServer(ServerConfig{BufferBytes: 3 * tf0.ChunkBytes()}, tf0, tfA); !errors.Is(err, ErrAttachIncompatible) {
+		t.Errorf("NewServer under the budget floor: err = %v, want ErrAttachIncompatible", err)
+	}
 }
 
 // TestAttachSmallerChunks attaches a table whose chunks — and so its

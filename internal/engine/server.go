@@ -355,12 +355,10 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // lock for the real file reads and queries drop it while processing
 // delivered chunks, so decision making, I/O depth and query CPU all overlap.
 //
-// The budget arbiter (core.Manager.Rebalance) runs inside the scheduler
-// loop: whenever demand shifts, tables with starving streams are granted
-// budget taken from idle or coasting ones, with the constraint that a
-// table's grant never drops below its current usage — shrinks materialise
-// as the table drains. The arbiter's invariant (grants sum to the budget)
-// is therefore the bound on frame memory.
+// The budget arbiter (core.Manager.RebalanceIfShifted) runs inside the
+// scheduler loop: whenever demand shifts it re-divides the budget by
+// demand, but never grants a table less than it currently uses, so every
+// table's frames stay within its grant (AuditTables checks it).
 type Server struct {
 	cfg ServerConfig
 
@@ -397,11 +395,6 @@ type Server struct {
 	// inFlight counts issued-but-uncommitted loads; bounded by
 	// cfg.InFlightDepth.
 	inFlight int
-	// demand is the last weight vector the arbiter ran with (per table,
-	// remaining demand bytes); rebalancing re-runs when a table's demand
-	// shifts materially (see demandShifted) or while a clamped shrink is
-	// still draining.
-	demand []int64
 
 	closed bool
 
@@ -430,7 +423,8 @@ type Server struct {
 // scheduler and load workers. Close must be called to stop them. The table
 // files are adopted in the given order (their index is the Scan table
 // argument) but remain owned by the caller. NSM and DSM tables mix freely
-// under the one shared budget.
+// under the one shared budget. Each table is admitted as Attach admits one,
+// so a budget below two chunks per table is ErrAttachIncompatible.
 func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	if len(tfs) == 0 {
 		return nil, errors.New("engine: NewServer with no tables")
@@ -443,13 +437,6 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = defaultRetryBackoff
-	}
-	var floor int64
-	for _, tf := range tfs {
-		floor += 2 * tf.ChunkBytes()
-	}
-	if cfg.BufferBytes < floor {
-		return nil, fmt.Errorf("engine: buffer %d bytes < two chunks per table (%d)", cfg.BufferBytes, floor)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -469,9 +456,9 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	})
 	s.mgr.SetMetrics(managerMetrics(cfg.Obs))
 	for i, tf := range tfs {
-		name := fmt.Sprintf("%s#%d", tf.Layout().Table().Name, i)
-		s.tables = append(s.tables, s.newTable(i, name, tf))
-		s.names[name] = i
+		if _, err := s.admit(fmt.Sprintf("%s#%d", tf.Layout().Table().Name, i), tf); err != nil {
+			return nil, err
+		}
 	}
 	s.mgr.Rebalance(cfg.BufferBytes)
 	for i := 0; i < cfg.InFlightDepth; i++ {
@@ -482,13 +469,35 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	return s, nil
 }
 
-// newTable builds one attached table's runtime state and registers its ABM
-// with the budget arbiter at the two-chunk floor (the arbiter grants the
-// rest of the budget by demand as soon as streams register). Shared by
-// construction and runtime Attach; callers of the latter hold mu.
-func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
+// admit is the admission step NewServer and Attach share: it refuses an
+// empty or taken name (ErrAttachIncompatible, ErrTableExists) and a table
+// the budget cannot cover at the two-chunk floor of every live table plus
+// its own (ErrAttachIncompatible); otherwise it builds the table's runtime
+// state in the next slot and registers its ABM with the budget arbiter at
+// the floor. The caller runs the arbiter, which grants the rest of the
+// budget by demand. Callers hold mu, or are NewServer.
+func (s *Server) admit(name string, tf *TableFile) (int, error) {
+	if name == "" {
+		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
+	}
+	if _, ok := s.names[name]; ok {
+		return 0, fmt.Errorf("%w: %q", ErrTableExists, name)
+	}
+	if _, draining := s.mgr.For(name); draining {
+		return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
+	}
+	floor := 2 * tf.ChunkBytes()
+	for _, t := range s.tables {
+		if !t.detached {
+			floor += 2 * t.tf.ChunkBytes()
+		}
+	}
+	if s.cfg.BufferBytes < floor {
+		return 0, fmt.Errorf("%w: buffer %d bytes < two chunks per table (%d) with %q attached",
+			ErrAttachIncompatible, s.cfg.BufferBytes, floor, name)
+	}
 	t := &serverTable{
-		idx: idx, tf: tf, name: name,
+		idx: len(s.tables), tf: tf, name: name,
 		quarantine: make(map[partID]error),
 	}
 	s.frames.retain(partSizes(tf))
@@ -516,7 +525,9 @@ func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	for decided, label := range [...]string{storage.Some: "some", storage.None: "none", storage.All: "date_all"} {
 		t.kernels[decided].c = s.o.kernelChunks.With(name, label)
 	}
-	return t
+	s.tables = append(s.tables, t)
+	s.names[name] = t.idx
+	return t.idx, nil
 }
 
 // drawFrame draws the frame for one part of t whose load is being issued;
@@ -619,15 +630,20 @@ func (s *Server) drainRegs() {
 // AuditTables cross-checks every table ABM's incrementally maintained
 // scheduler structures (counters, demand sums, availability and candidate
 // heaps, victim heap) against a linear recomputation from first principles,
-// and the frames its parts carry against their reservations, under the
-// server lock. It is the soak harness's mid-flight invariant probe;
-// production code never calls it.
+// the frames its parts carry against their reservations, and its usage
+// against its grant, under the server lock. The arbiter never grants a
+// table less than it uses and a load reserves only free bytes, so no table
+// is ever over its grant: nothing has to drain an excess. It is the soak
+// harness's mid-flight invariant probe; production code never calls it.
 func (s *Server) AuditTables() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, t := range s.tables {
 		if t.detached {
 			continue
+		}
+		if free := t.abm.FreeBytes(); free < 0 {
+			return fmt.Errorf("engine: table %s over its grant: free = %d", t.name, free)
 		}
 		if err := t.abm.AuditIncremental(); err != nil {
 			return fmt.Errorf("engine: table %s: %w", t.name, err)
@@ -699,65 +715,13 @@ func (s *Server) AuditDrained() error {
 	return nil
 }
 
-// maybeRebalance re-runs the budget arbiter when some table's demand (the
-// bytes its streams still have to scan, starved streams doubled) has
-// shifted materially, or while some table still uses more than the total
-// would grant it (a clamped shrink that must be re-applied as the table
-// drains).
+// maybeRebalance re-runs the budget arbiter when the tables' demand has
+// shifted (core.Manager.RebalanceIfShifted owns the rule).
 func (s *Server) maybeRebalance() {
-	changed := false
-	if len(s.demand) != len(s.tables) {
-		s.demand = make([]int64, len(s.tables))
-		changed = true
-	}
-	draining := false
-	for i, t := range s.tables {
-		if t.detached {
-			s.demand[i] = 0
-			continue
-		}
-		if w := t.abm.DemandBytes(); demandShifted(s.demand[i], w) {
-			s.demand[i] = w
-			changed = true
-		}
-		if t.abm.FreeBytes() < 0 {
-			// Over a shrunk grant. A table with queries drains through its
-			// own EnsureSpace calls; one without queries never loads, so
-			// evict its excess here or the usage clamp in Rebalance would
-			// strand the bytes against the demanding tables forever.
-			if active, _ := t.abm.Demand(); active == 0 {
-				t.abm.DrainExcess()
-			}
-			draining = true
-		}
-	}
 	grants := s.mgr.RebalanceIfShifted(s.cfg.BufferBytes)
-	if old := changed || draining; old != (grants != nil) || draining {
-		panic(fmt.Sprintf("engine: arbiter re-run rules disagree: old %v (draining %v), new %v", old, draining, grants))
-	}
 	if grants != nil && s.o.tracer != nil {
 		s.o.schedTrack.Instant("rebalance", obs.Args{"grants": grants})
 	}
-}
-
-// demandShifted reports whether a table's demand weight moved enough to
-// re-run the arbiter: any zero/non-zero flip, or a shift of at least an
-// eighth of the previous weight. Byte demand shrinks with every consumed
-// chunk, so rebalancing on every delta would churn budgets for
-// integer-crumb gains; the hysteresis keeps arbiter runs proportional to
-// real load shifts.
-func demandShifted(old, new int64) bool {
-	if old == new {
-		return false
-	}
-	if old == 0 || new == 0 {
-		return true
-	}
-	d := new - old
-	if d < 0 {
-		d = -d
-	}
-	return d*8 >= old
 }
 
 // issueOne asks the tables round-robin for a load ticket and hands the
@@ -1067,14 +1031,6 @@ func (s *Server) quarantineError(t *serverTable, q *core.Query) error {
 		return fmt.Errorf("%w: %s chunk %d: %w", ErrChunkUnavailable, t.name, first.chunk, cause)
 	}
 	return fmt.Errorf("%w: %s chunk %d col %d: %w", ErrChunkUnavailable, t.name, first.chunk, first.col, cause)
-}
-
-// NumTables returns the number of table slots, tombstoned (detached) slots
-// included: table indexes are stable for the server's lifetime.
-func (s *Server) NumTables() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tables)
 }
 
 // Table returns the table file at index i (the file of a detached slot is

@@ -247,3 +247,33 @@ func TestServerBudgetFollowsDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AuditTables fails a table whose usage exceeds its grant. The arbiter never
+// grants a table less than it uses and a load reserves only bytes its
+// eviction pass made room for, so nothing drains an excess: the audit is
+// where that is held.
+func TestAuditTablesFailsTableOverItsGrant(t *testing.T) {
+	tf := newTestFile(t, 8_000, 1000, 7)
+	srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
+	if _, err := srv.Scan(0, "full", rangeSet(0, tf.NumChunks()), Q6Cols(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AuditTables(); err != nil {
+		t.Fatalf("audit after a scan: %v", err)
+	}
+	srv.mu.Lock()
+	// Take the re-run the departed scan left pending, so no later scheduler
+	// pass moves the grant set below.
+	srv.mgr.RebalanceIfShifted(srv.cfg.BufferBytes)
+	a := srv.tables[0].abm
+	used := a.UsedBytes()
+	if used <= tf.ChunkBytes() {
+		srv.mu.Unlock()
+		t.Fatalf("usage %d after a full scan, want more than one chunk resident", used)
+	}
+	a.SetBufferBytes(used - 1)
+	srv.mu.Unlock()
+	if err := srv.AuditTables(); err == nil {
+		t.Fatal("AuditTables passed a table one byte over its grant")
+	}
+}
