@@ -174,7 +174,6 @@ type SystemStats struct {
 	IORequests int   // disk requests issued (one per contiguous cold run)
 	BytesRead  int64 // bytes transferred for those requests
 	Evictions  int   // chunk-parts evicted
-	BufferHits int   // chunk deliveries fully served from the buffer
 }
 
 // ABM is the Active Buffer Manager: it tracks every active CScan's data

@@ -41,7 +41,6 @@ type part struct {
 	key       partKey
 	state     partState
 	pins      int     // hard pins while a query processes the chunk
-	loadedAt  float64 // virtual time the load completed
 	lastTouch float64 // last load or consumption, for LRU
 	lruIdx    int     // slot in the cache's LRU victim heap, or -1
 
@@ -283,7 +282,6 @@ func (b *bufcache) finishLoad(k partKey, now float64) {
 		panic(fmt.Sprintf("core: finishLoad(%v) not loading", k))
 	}
 	p.state = partLoaded
-	p.loadedAt = now
 	p.lastTouch = now
 	b.loadingCols[k.chunk] &^= colBit(k.col)
 	b.residentCols[k.chunk] |= colBit(k.col)

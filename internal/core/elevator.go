@@ -72,7 +72,7 @@ func (s *elevStrategy) outstandingChunk(c int) bool {
 
 // PickAvailable prefers the query's outstanding loader-loaded chunks (in
 // load order), falling back to any other resident needed chunk — a
-// leftover from earlier in the sweep, counted as a buffer hit.
+// leftover from earlier in the sweep.
 func (s *elevStrategy) PickAvailable(q *Query) int {
 	a := s.a
 	cols := a.queryCols(q)
@@ -86,7 +86,6 @@ func (s *elevStrategy) PickAvailable(q *Query) int {
 	if q.avail.len() == 0 {
 		return -1
 	}
-	a.stats.BufferHits++
 	return q.avail.peek()
 }
 

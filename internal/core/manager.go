@@ -185,7 +185,6 @@ func (m *Manager) Stats() SystemStats {
 		total.IORequests += s.IORequests
 		total.BytesRead += s.BytesRead
 		total.Evictions += s.Evictions
-		total.BufferHits += s.BufferHits
 	}
 	return total
 }

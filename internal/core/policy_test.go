@@ -176,7 +176,7 @@ func TestAttachWrapsToSkippedPrefix(t *testing.T) {
 	}
 	var order []int
 	for {
-		c, ok := nextSeqChunk(q)
+		c, ok := nextFrom(q, q.cursor)
 		if !ok {
 			break
 		}

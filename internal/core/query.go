@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"coopscan/internal/sim"
 	"coopscan/internal/storage"
 )
 
@@ -89,16 +88,10 @@ type Query struct {
 	consumed  int
 
 	blocked bool
-	// waited records that the query found its next chunk non-resident at
-	// least once since the last delivery (live sequential policies use it
-	// to tell buffer hits from loader-served chunks).
-	waited bool
-	wakeup *sim.Signal
 
 	// cursor state for the sequential policies (normal/attach).
 	cursor      int
-	attachPoint int  // first chunk taken when attaching
-	wrapped     bool // whether the cursor wrapped past the range end
+	attachPoint int // first chunk taken when attaching
 }
 
 func (q *Query) String() string {

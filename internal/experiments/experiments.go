@@ -66,9 +66,3 @@ func speedCols(s workload.Speed) storage.ColSet {
 func header(b *strings.Builder, title string) {
 	fmt.Fprintf(b, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 }
-
-// NSMLineitemChunk is NSMLineitem with an explicit chunk size, for the
-// chunk-size ablation benchmarks.
-func NSMLineitemChunk(sf float64, chunkBytes int64) *storage.NSMLayout {
-	return storage.NewNSMLayoutWidth(tpch.LineitemTable(sf), chunkBytes, 0, PAXTupleBytes)
-}

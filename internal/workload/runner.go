@@ -125,7 +125,7 @@ type Result struct {
 	AvgNormLatency float64
 	TotalTime      float64
 	CPUUse         float64
-	// The ABM counters: Loads, IORequests, BytesRead, Evictions, BufferHits.
+	// The ABM counters: Loads, IORequests, BytesRead, Evictions.
 	core.SystemStats
 
 	Queries []QueryOutcome
