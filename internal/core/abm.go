@@ -137,12 +137,6 @@ type Config struct {
 	// decisions (for the paper's Figure 8).
 	MeasureScheduling bool
 
-	// ChunkCost overrides the assumed cost (in clock seconds) of loading
-	// one chunk, used to normalise waiting time in queryRelevance. Zero
-	// derives it from the simulated disk (sim mode) or a 1 GB/s estimate
-	// (live mode).
-	ChunkCost float64
-
 	// NoShortQueryPriority disables the -chunksNeeded(q) term of
 	// queryRelevance (ablation: queries are then served round-robin-ish by
 	// waiting time alone).
@@ -206,10 +200,10 @@ type ABM struct {
 	loadCands indexedHeap[*Query, candOrder]
 	regSeq    int
 	// candDirty marks the candidate keys stale: candKey embeds the
-	// registered-query count (the wait-normalisation denominator) and the
-	// chunk cost, so a register, unregister or SetChunkCost shifts every
-	// key. nextLoad re-keys and re-heapifies lazily — one rebuild per
-	// shift, not per decision, and batched registrations amortise to one.
+	// registered-query count (the wait-normalisation denominator), so a
+	// register or unregister shifts every key. nextLoad re-keys and
+	// re-heapifies lazily — one rebuild per shift, not per decision, and
+	// batched registrations amortise to one.
 	candDirty bool
 	// candAside is nextLoad's scratch for popped candidates with nothing
 	// loadable; they are re-pushed after the decision.
@@ -317,8 +311,9 @@ type ABM struct {
 	schedNanos int64
 	schedCalls int64
 
-	// chunkCost is the approximate virtual-time cost of loading one chunk,
-	// used to normalise waiting time in queryRelevance.
+	// chunkCost is the approximate clock-time cost of loading one full
+	// chunk, used to normalise waiting time in queryRelevance: its transfer
+	// time on the simulated disk, or its bytes at 1 GB/s in live mode.
 	chunkCost float64
 }
 
@@ -350,14 +345,9 @@ func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 // newSim is New without the loader process: loads must then be driven
 // externally, as the white-box tests that probe the relevance functions do.
 func newSim(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
-	a := newABM(env, layout, cfg)
+	a := newABM(env, d, layout, cfg)
 	a.env = env
-	a.disk = d
 	a.activity = env.NewSignal("abm-activity")
-	if a.chunkCost == 0 {
-		avg := layout.ChunkBytes(0, storage.AllCols(min(layout.Table().NumColumns(), storage.MaxColumns)))
-		a.chunkCost = d.TransferTime(maxI64(avg, 1))
-	}
 	return a
 }
 
@@ -368,19 +358,16 @@ func newSim(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM 
 // is the one New builds: both worlds run the same code on the same
 // structures.
 func NewLive(clock Clock, layout storage.Layout, cfg Config) *ABM {
-	a := newABM(clock, layout, cfg)
-	if a.chunkCost == 0 {
-		// Waiting-time normalisation only; any plausible per-chunk load
-		// cost works. Default to ~16 MB at 1 GB/s.
-		a.chunkCost = 0.016
-	}
-	return a
+	return newABM(clock, nil, layout, cfg)
 }
 
-func newABM(clock Clock, layout storage.Layout, cfg Config) *ABM {
+// newABM builds the state both modes share; d is the simulated disk, nil in
+// live mode.
+func newABM(clock Clock, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 	cfg = cfg.withDefaults()
 	a := &ABM{
 		clock:           clock,
+		disk:            d,
 		layout:          layout,
 		cfg:             cfg,
 		cache:           newBufcache(layout, cfg.BufferBytes),
@@ -389,8 +376,13 @@ func newABM(clock Clock, layout storage.Layout, cfg Config) *ABM {
 		almostInterest:  make([]int, layout.NumChunks()),
 		fresh:           make(map[int]bool),
 		chunkQueries:    make([][]*Query, layout.NumChunks()),
-		chunkCost:       cfg.ChunkCost,
 		timeBase:        time.Now(),
+	}
+	full := layout.ChunkBytes(0, storage.AllCols(min(layout.Table().NumColumns(), storage.MaxColumns)))
+	if d != nil {
+		a.chunkCost = d.TransferTime(maxI64(full, 1))
+	} else {
+		a.chunkCost = float64(full) / 1e9
 	}
 	if layout.Columnar() {
 		a.groupIdx = make(map[storage.ColSet]*colGroup)

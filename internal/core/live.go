@@ -68,18 +68,6 @@ func (a *ABM) queryChunkBytes(q *Query) float64 {
 	return float64(layoutBytes(a.layout)) / float64(n)
 }
 
-// SetChunkCost overrides the assumed cost (in clock seconds) of loading one
-// chunk, used to normalise waiting time in the relevance function. The live
-// engine sets it from the table's real chunk size; zero or negative values
-// are ignored.
-func (a *ABM) SetChunkCost(c float64) {
-	if c > 0 {
-		a.chunkCost = c
-		// The candidate keys embed the cost; re-key lazily.
-		a.candDirty = true
-	}
-}
-
 // SetEvictHook installs an observer invoked for every part eviction with
 // the part's (chunk, column) key — column is -1 for NSM parts — and its
 // frame. The live engine returns the frame to its allocator there.

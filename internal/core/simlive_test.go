@@ -34,18 +34,26 @@ func TestSimAndLiveABMsDecideIdentically(t *testing.T) {
 						layout = dsmTestLayout(24, 4)
 						buf = layout.ChunkBytes(0, storage.AllCols(4)) * bufChunks
 					}
-					cfg := Config{Policy: pol, BufferBytes: buf, ChunkCost: 0.01}
+					cfg := Config{Policy: pol, BufferBytes: buf}
 					clk := &stepClock{}
+					// One chunk cost for all three: the simulated ABM would
+					// derive its own from the disk, a live one from 1 GB/s.
+					live := func() *ABM {
+						a := NewLive(clk, layout, cfg)
+						a.chunkCost = 0.01
+						return a
+					}
 
 					env := sim.NewEnv()
 					simABM := newSim(env, disk.New(env, disk.Params{Bandwidth: 50 << 20, SeekTime: 1e-3}), layout, cfg)
 					simABM.clock = clk
+					simABM.chunkCost = 0.01
 					simTrace := runDecisionScript(t, simABM, clk, seed, ticketIssue)
 
 					clk.now = 0
-					liveTrace := runDecisionScript(t, NewLive(clk, layout, cfg), clk, seed, ticketIssue)
+					liveTrace := runDecisionScript(t, live(), clk, seed, ticketIssue)
 					clk.now = 0
-					refTrace := runDecisionScript(t, NewLive(clk, layout, cfg), clk, seed, refIssueLoad)
+					refTrace := runDecisionScript(t, live(), clk, seed, refIssueLoad)
 
 					requireSameTrace(t, seed, "sim", simTrace, "live", liveTrace)
 					requireSameTrace(t, seed, "old sequence", refTrace, "ticket", liveTrace)

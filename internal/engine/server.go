@@ -502,8 +502,6 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	}
 	s.frames.retain(partSizes(tf))
 	t.abm = s.mgr.AttachAs(name, tf.Layout(), 2*tf.ChunkBytes())
-	// Normalise relevance waiting time by a ~1 GB/s chunk load.
-	t.abm.SetChunkCost(float64(tf.ChunkBytes()) / 1e9)
 	t.abm.SetEvictHook(func(chunk, col int, f any) {
 		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
 		// column part: return its frame for the next load of that size.

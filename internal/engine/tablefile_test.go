@@ -328,3 +328,24 @@ func TestCommentFillerRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// The ABM derives its relevance chunk cost from the layout's full-chunk
+// bytes at 1 GB/s: for a table file those must be the decoded chunk the
+// engine loads, on every format.
+func TestLayoutFullChunkIsChunkBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tf   *TableFile
+	}{
+		{"nsm", newTestFileFormat(t, NSM, 8_000, 1000, 7)},
+		{"dsm", newTestFileFormat(t, DSM, 8_000, 1000, 7)},
+		{"compressed-dsm", newTestFileCompressed(t, 8_000, 1000, 7)},
+	} {
+		if n := tc.tf.Layout().Table().NumColumns(); n != NumCols {
+			t.Errorf("%s: layout has %d columns, the file %d", tc.name, n, NumCols)
+		}
+		if got, want := tc.tf.Layout().ChunkBytes(0, storage.AllCols(NumCols)), tc.tf.ChunkBytes(); got != want {
+			t.Errorf("%s: layout full chunk = %d bytes, ChunkBytes = %d", tc.name, got, want)
+		}
+	}
+}

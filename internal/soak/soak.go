@@ -194,7 +194,6 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 			t.chunkBytes = t.layout.ChunkBytes(0, 0)
 		}
 		t.abm = mgr.AttachAs(name, t.layout, 2*t.chunkBytes)
-		t.abm.SetChunkCost(float64(t.chunkBytes) / 1e9)
 		t.abm.SetEvictHook(func(chunk, col int, _ any) { event("evict %s c%d/%d", name, chunk, col) })
 		tables = append(tables, t)
 		rep.Attaches++
