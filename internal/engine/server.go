@@ -1195,26 +1195,18 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	// w is this stream's private condition variable: the stream parks on it
 	// (never on the scheduler's cond) and is woken individually — by its
 	// query's waker (an availability gain, a quarantine or detach of its
-	// table, shutdown) or its context watcher.
+	// table, shutdown) or its context firing.
 	w := sync.NewCond(&s.mu)
-	if done := ctx.Done(); done != nil {
-		// Watcher: a context firing must unblock a scan parked in w.Wait.
-		// Skipped entirely for non-cancellable contexts, so the fault-free
-		// fast path (Scan) pays nothing for cancellability. Taking mu orders
-		// the signal after the stream's park: the stream holds mu from its
-		// ctx.Err() check until the Wait releases it.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				s.mu.Lock()
-				w.Signal()
-				s.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
+	// A context firing must unblock a scan parked in w.Wait. Taking mu orders
+	// the signal after the stream's park: the stream holds mu from its
+	// ctx.Err() check until the Wait releases it. The callback runs in a
+	// goroutine of its own only once the context fires.
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		w.Signal()
+		s.mu.Unlock()
+	})
+	defer stop()
 	dsm := t.tf.Format() == DSM
 	projBytes := ProjectionBytes(cols)
 	// held are the frames of the chunk being delivered, as Pin hands them over
