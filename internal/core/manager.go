@@ -37,10 +37,10 @@ type ManagerMetrics struct {
 // (NewManager) attaches simulator-backed ABMs sharing one modelled disk.
 // Live mode (NewLiveManager) attaches live ABMs (NewLive) under a shared
 // wall clock, and additionally acts as the *budget arbiter* of the live
-// multi-table engine: Rebalance re-divides one shared buffer budget across
-// the attached tables as their demand (active and starved stream counts)
-// shifts — the §7.1 observation that ABM "can easily adjust itself to a
-// changed buffer size".
+// multi-table engine: RebalanceIfShifted re-divides one shared buffer
+// budget across the attached tables when their demand (the bytes their
+// streams still have to scan) shifts — the §7.1 observation that ABM "can
+// easily adjust itself to a changed buffer size".
 type Manager struct {
 	env   *sim.Env // nil in live mode
 	dsk   *disk.Disk
@@ -219,14 +219,15 @@ func chunkFloorBytes(l storage.Layout) int64 {
 // when nothing is registered.
 //
 // Grants are applied through SetBufferBytes with one safety rule: a table
-// is never granted less than it currently uses. Budget freed by a shrink
-// therefore materialises only as the table drains (its FreeBytes stays <= 0
-// until then, blocking new loads), and the overage is charged against the
-// growing tables' grants so the granted total never exceeds the budget by
-// more than integer-rounding crumbs. This keeps the engine's shared page
-// pool honest: the sum of per-table reservations stays within total at all
-// times, with no flag day where both the shrinker and the grower think
-// they own the same bytes.
+// is never granted less than it currently uses, and the overage is charged
+// against the tables granted more than their usage and floor. A table at
+// its grant makes room for its next load by evicting its own parts, so its
+// usage does not drop: once every table has filled its grant the split
+// stops moving, and the arbiter only ever grows a grant into budget nobody
+// uses (docs/ARCHITECTURE.md, "No-shrink-below-usage rule"). When the
+// overage exceeds the headroom — an attach under full usage — every table
+// keeps its usage and floor, and the grants sum above total until a detach
+// frees budget.
 //
 // It returns the applied grants in attach order.
 func (m *Manager) Rebalance(total int64) []int64 {
@@ -277,11 +278,8 @@ func (m *Manager) Rebalance(total int64) []int64 {
 			if h := grants[i] - maxI64(used[i], floors[i]); h > 0 {
 				// When excess exceeds headroom (heavy usage against a tight
 				// budget, e.g. an attach mid-traffic), the proportional cut
-				// would push the grant below usage/floor; cap it there. The
-				// granted total then transiently exceeds the budget — the
-				// same drain-to-converge state the no-shrink rule already
-				// creates — rather than handing a table less than it can
-				// operate with.
+				// would push the grant below usage/floor; cap it there,
+				// rather than hand a table less than it can operate with.
 				cut := excess * h / headroom
 				if cut > h {
 					cut = h
