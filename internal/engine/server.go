@@ -630,9 +630,11 @@ func (s *Server) drainRegs() {
 // heaps, victim heap) against a linear recomputation from first principles,
 // the frames its parts carry against their reservations, and its usage
 // against its grant, under the server lock. The arbiter never grants a
-// table less than it uses and a load reserves only free bytes, so no table
-// is ever over its grant: nothing has to drain an excess. It is the soak
-// harness's mid-flight invariant probe; production code never calls it.
+// table less than it uses, and a load reserves only the bytes its eviction
+// pass made room for (no page of a table file is shared between parts), so
+// no table is ever over its grant: nothing has to drain an excess. It is
+// the soak harness's mid-flight invariant probe; production code never
+// calls it.
 func (s *Server) AuditTables() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
