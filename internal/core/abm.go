@@ -82,6 +82,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"coopscan/internal/disk"
@@ -188,7 +189,10 @@ type ABM struct {
 
 	cache   *bufcache
 	queries []*Query
-	nextID  int
+	// queue holds the queries Enqueue accepted and AdmitQueued has not yet
+	// registered, in enqueue order.
+	queue  []*Query
+	nextID int
 
 	// loadCands indexes the registered queries that are starved AND still
 	// have a non-resident needed chunk — the exact candidate set of the
@@ -592,10 +596,17 @@ func (a *ABM) Release(q *Query, c int) {
 	a.broadcast()
 }
 
-// Finish completes the scan: records its end time and unregisters it.
+// Finish completes the scan: records its end time and unregisters it. A
+// query still queued for admission leaves the queue instead, entering and
+// finishing at the same instant.
 func (a *ABM) Finish(q *Query) Stats {
 	q.doneTime = a.clock.Now()
-	a.unregister(q)
+	if q.queued {
+		q.queued, q.enterTime, q.waker = false, q.doneTime, nil
+		a.queue = slices.DeleteFunc(a.queue, func(o *Query) bool { return o == q })
+	} else {
+		a.unregister(q)
+	}
 	return q.stats()
 }
 

@@ -44,12 +44,12 @@ func (a *ABM) AuditIncremental() error {
 
 // AuditDrained checks the quiescent-state invariants that must hold once
 // every scan has finished and no load is in flight: every load ticket
-// landed, no pins, no loading parts, no leaked assembly marks, and byte
-// accounting intact. A failure here is a leak — space a dead scan or
-// aborted load still holds.
+// landed, no query left queued, no pins, no loading parts, no leaked
+// assembly marks, and byte accounting intact. A failure here is a leak —
+// space a dead scan or aborted load still holds.
 func (a *ABM) AuditDrained() error {
-	if a.openLoads != 0 {
-		return fmt.Errorf("core: %d load tickets never landed", a.openLoads)
+	if a.openLoads != 0 || len(a.queue) != 0 {
+		return fmt.Errorf("core: %d load tickets never landed, %d queries still queued", a.openLoads, len(a.queue))
 	}
 	for _, p := range a.cache.loadedParts() {
 		if p.pins != 0 {
@@ -68,13 +68,14 @@ func (a *ABM) AuditDrained() error {
 // AuditStalled is the wedge check, for a driver whose IssueLoad with no veto
 // has just issued nothing. That is legitimate while anything can still move
 // without a load — a running query will release its pin, an open ticket
-// will land, a blocked query with a chunk to pick has its wake-up coming —
-// and an error when nothing can: queries are registered, every one of them
-// is blocked with nothing available, and no load is open, so the next
-// IssueLoad will see exactly this state again. Every guard on eviction is
-// meant to lapse before that point; one that did not has wedged the table.
+// will land, a blocked query with a chunk to pick has its wake-up coming, a
+// queued query will be admitted — and an error when nothing can: queries
+// are registered, every one of them is blocked with nothing available, none
+// waits in the queue, and no load is open, so the next IssueLoad will see
+// exactly this state again. Every guard on eviction is meant to lapse before
+// that point; one that did not has wedged the table.
 func (a *ABM) AuditStalled() error {
-	if len(a.queries) == 0 || a.blockedCount != len(a.queries) || a.openLoads != 0 {
+	if len(a.queries) == 0 || len(a.queue) != 0 || a.blockedCount != len(a.queries) || a.openLoads != 0 {
 		return nil
 	}
 	for _, q := range a.queries {
@@ -374,8 +375,15 @@ func (a *ABM) auditLoadCands() error {
 
 // auditDerivedCounters recomputes the registry-level scalar counters — the
 // blocked count and the maintained DemandBytes sum — against a full
-// registry walk (the exact loops the counters replaced).
+// registry walk (the exact loops the counters replaced), and checks that
+// the admission queue and the registry are disjoint: a queued query counts
+// in none of them.
 func (a *ABM) auditDerivedCounters() error {
+	for _, q := range a.queue {
+		if !q.queued || q.abm != nil || q.blocked {
+			return fmt.Errorf("core: queued %s: flagged %v, registered %v, blocked %v", q.Name, q.queued, q.abm != nil, q.blocked)
+		}
+	}
 	blocked := 0
 	var demand int64
 	for _, q := range a.queries {
@@ -390,8 +398,8 @@ func (a *ABM) auditDerivedCounters() error {
 			return fmt.Errorf("core: %s demandContrib = %d, recomputed %d", q.Name, q.demandContrib, b)
 		}
 		demand += b
-		if q.abm != a {
-			return fmt.Errorf("core: %s not backlinked to its ABM", q.Name)
+		if q.abm != a || q.queued {
+			return fmt.Errorf("core: %s not backlinked to its ABM, or still flagged queued", q.Name)
 		}
 	}
 	if a.blockedCount != blocked {

@@ -75,6 +75,9 @@ func (s *elevStrategy) outstandingChunk(c int) bool {
 // leftover from earlier in the sweep.
 func (s *elevStrategy) PickAvailable(q *Query) int {
 	a := s.a
+	if q.queued {
+		return -1
+	}
 	cols := a.queryCols(q)
 	for _, e := range s.outstanding {
 		if q.needs(e.chunk) && a.cache.chunkLoadedFor(cols, e.chunk) {

@@ -73,18 +73,51 @@ func (a *ABM) queryChunkBytes(q *Query) float64 {
 // frame. The live engine returns the frame to its allocator there.
 func (a *ABM) SetEvictHook(h func(chunk, col int, frame any)) { a.onEvict = h }
 
-// Idle reports whether no query is registered and no load ticket is open.
-func (a *ABM) Idle() bool { return len(a.queries) == 0 && a.openLoads == 0 }
+// Enqueue queues a built query for admission by the next AdmitQueued (a
+// CScan "registers itself as an active scan", §4, through this queue in the
+// live engine). A queued query is not in the registry: it adds no interest
+// count and no demand, is never marked blocked, so the relevance policy's
+// every-query-blocked relaxation does not count it, and it picks nothing.
+// Finish takes it back out without a trace.
+func (a *ABM) Enqueue(q *Query) {
+	q.queued = true
+	a.queue = append(a.queue, q)
+}
+
+// AdmitQueued registers every query enqueued before the call, in enqueue
+// order, and fires each one's waker. The live engine calls it once per
+// scheduler pass, which makes it the admission rule: a query enqueued during
+// pass k becomes registered and pickable at pass k+1, so newcomers join in
+// one batch behind the streams already delivering. The queue is taken whole
+// first, so a query enqueued while admission runs waits for the next call.
+func (a *ABM) AdmitQueued() []*Query {
+	batch := a.queue
+	a.queue = nil
+	for _, q := range batch {
+		q.queued = false
+		a.Register(q)
+		if q.waker != nil {
+			q.waker()
+		}
+	}
+	return batch
+}
+
+// Idle reports whether no query is registered or queued and no load ticket
+// is open.
+func (a *ABM) Idle() bool { return len(a.queries) == 0 && len(a.queue) == 0 && a.openLoads == 0 }
 
 // PinnedParts returns the number of resident parts some query has pinned.
 func (a *ABM) PinnedParts() int { return a.cache.pinnedParts }
 
-// WakeQueries fires every registered query's waker, for a reason only the
-// holder knows (the live engine: a quarantine, a detach, shutdown).
+// WakeQueries fires every registered and queued query's waker, for a reason
+// only the holder knows (the live engine: a quarantine, a detach, shutdown).
 func (a *ABM) WakeQueries() {
-	for _, q := range a.queries {
-		if q.waker != nil {
-			q.waker()
+	for _, qs := range [...][]*Query{a.queries, a.queue} {
+		for _, q := range qs {
+			if q.waker != nil {
+				q.waker()
+			}
 		}
 	}
 }

@@ -88,6 +88,9 @@ type Query struct {
 	consumed  int
 
 	blocked bool
+	// queued is set while the query waits in its ABM's admission queue
+	// (ABM.Enqueue), registered by nobody.
+	queued bool
 
 	// cursor state for the sequential policies (normal/attach).
 	cursor      int
@@ -136,9 +139,10 @@ func (q *Query) Needs(c int) bool { return q.needs(c) }
 // must do the same around its condition-variable waits, because the
 // relevance policy's eviction relaxation triggers only when every
 // registered query is blocked. The ABM's registry-wide blocked count is
-// maintained here, so that "is every query blocked?" is one comparison.
+// maintained here, so that "is every query blocked?" is one comparison. A
+// query queued for admission is never marked.
 func (q *Query) SetBlocked(b bool) {
-	if b == q.blocked {
+	if b == q.blocked || q.queued {
 		return
 	}
 	q.blocked = b

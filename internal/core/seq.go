@@ -113,7 +113,7 @@ func (s *seqStrategy) commitLoad(LoadDecision) {}
 // sim path assembles chunks on demand in next instead).
 func (s *seqStrategy) PickAvailable(q *Query) int {
 	c, ok := nextFrom(q, q.cursor)
-	if !ok || !s.a.cache.chunkLoadedFor(s.a.queryCols(q), c) {
+	if !ok || q.queued || !s.a.cache.chunkLoadedFor(s.a.queryCols(q), c) {
 		return -1
 	}
 	q.cursor = c + 1

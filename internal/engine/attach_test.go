@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coopscan/internal/core"
@@ -157,6 +158,70 @@ func TestDetachUnderTraffic(t *testing.T) {
 	}
 	if err := srv.AuditDrained(); err != nil {
 		t.Errorf("drained audit: %v", err)
+	}
+}
+
+// TestDetachRacesStartingStreams: DetachTable lands among 200 two-chunk
+// streams starting on the table, once 50 chunks were delivered — some
+// streams done, some registered, some still queued for admission, some
+// arriving after the detach began or after it completed. Every stream
+// returns nil or ErrTableDetached, and the drained audits are clean before
+// and after Close.
+func TestDetachRacesStartingStreams(t *testing.T) {
+	const rows, tpc, streams = 8_000, 1000, 200
+	tf0 := newTestFile(t, rows, tpc, 11)
+	tf1 := newTestFile(t, rows, tpc, 12)
+	srv, err := NewServer(ServerConfig{Policy: core.Relevance, BufferBytes: 6 * tf0.ChunkBytes()}, tf0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	slot, err := srv.Attach("racer", tf1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tf1.NumChunks()
+
+	var wg sync.WaitGroup
+	errs := make([]error, streams)
+	start, delivering := make(chan struct{}), make(chan struct{})
+	var delivered atomic.Int64
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[i] = srv.Scan(slot, fmt.Sprintf("s%d", i), rangeSet(i%(n-1), i%(n-1)+2), Q6Cols(), func(int, ChunkData) {
+				if delivered.Add(1) == streams/4 {
+					close(delivering)
+				}
+			})
+		}()
+	}
+	close(start)
+	<-delivering
+	if err := srv.DetachTable("racer"); err != nil {
+		t.Fatalf("DetachTable among starting streams: %v", err)
+	}
+	wg.Wait()
+	detached := 0
+	for i, err := range errs {
+		switch {
+		case errors.Is(err, ErrTableDetached):
+			detached++
+		case err != nil:
+			t.Fatalf("stream %d: err = %v, want nil or ErrTableDetached", i, err)
+		}
+	}
+	t.Logf("%d of %d streams returned ErrTableDetached", detached, streams)
+	if err := srv.AuditDrained(); err != nil {
+		t.Errorf("drained audit after the detach: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AuditDrained(); err != nil {
+		t.Errorf("drained audit after Close: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -383,11 +384,8 @@ type Server struct {
 	detachCond *sync.Cond
 	// frames is the frame allocator every table's loads draw from.
 	frames frameAlloc
-	// regQueue holds stream registrations awaiting the scheduler: streams
-	// append a request, signal the scheduler and park on the request's own
-	// cond; the scheduler drains the whole batch at its loop top under one
-	// arbiter pass, so a thousand streams starting together cost one
-	// rebalance instead of a thundering herd of them.
+	// regQueue is the old server-wide registration queue, run as a shadow of
+	// the per-table admission queues (see drainRegs).
 	regQueue []*regRequest
 	// rr rotates the scheduler's table scan so no table monopolises the
 	// load queue.
@@ -571,57 +569,33 @@ func (s *Server) scheduler() {
 		}
 		s.cond.Wait()
 	}
-	// Shutdown: registrations still queued can never be served — fail them
-	// (req.q stays nil) so their streams wake and return ErrClosed.
-	for _, r := range s.regQueue {
-		r.done = true
-		r.w.Signal()
-	}
-	s.regQueue = nil
 }
 
-// regRequest is one stream registration in flight from Scan to the
-// scheduler. The stream parks on w until done; q is nil when the server
-// closed (err nil) or the table detached (err set) before the registration
-// was served.
+// regRequest is one entry of the old registration queue, kept as a shadow.
 type regRequest struct {
-	t      *serverTable
-	name   string
-	ranges storage.RangeSet
-	cols   storage.ColSet
-	weight float64
-	w      *sync.Cond
-	q      *core.Query
-	err    error
-	done   bool
+	t *serverTable
+	q *core.Query
 }
 
-// drainRegs registers every queued stream in one batch under the lock the
-// scheduler already holds: the arbiter then runs once for the batch (from
-// the caller's maybeRebalance) instead of once per stream. Each query's
-// waker is wired to its stream's private cond before the stream can park.
+// drainRegs admits every live, non-detaching table's queue
+// (core.ABM.AdmitQueued) and panics unless the shadow queue admits the same
+// queries in the same per-table order. A detaching table's entries leave
+// the shadow, as the old drain failed them.
 func (s *Server) drainRegs() {
-	if len(s.regQueue) == 0 {
-		return
+	want := make(map[*serverTable][]*core.Query)
+	for _, r := range s.regQueue {
+		if !r.t.detaching {
+			want[r.t] = append(want[r.t], r.q)
+		}
 	}
-	regs := s.regQueue
 	s.regQueue = nil
-	for _, r := range regs {
-		if r.t.detaching || r.t.detached {
-			r.err = fmt.Errorf("engine: scan %q: %w: table %s", r.name, ErrTableDetached, r.t.name)
-			r.done = true
-			r.w.Signal()
+	for _, t := range s.tables {
+		if t.detaching {
 			continue
 		}
-		q := r.t.abm.NewQuery(r.name, r.ranges, r.cols)
-		if r.weight > 0 && r.weight != 1 {
-			q.SetWeight(r.weight)
+		if got := t.abm.AdmitQueued(); !slices.Equal(got, want[t]) {
+			panic(fmt.Sprintf("engine: table %s admitted %v, shadow queue %v", t.name, got, want[t]))
 		}
-		r.t.abm.Register(q)
-		q.SetWaker(r.w.Signal)
-		r.q = q
-		r.done = true
-		r.w.Signal()
 	}
 }
 
@@ -1188,10 +1162,10 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 	return st, err
 }
 
-// scanStream is the body of one query stream: it queues its registration
-// for the scheduler's batch drain, then loops pick → pin → deliver →
+// scanStream is the body of one query stream: it enqueues its query for the
+// scheduler's next admission pass, then loops pick → pin → deliver →
 // release until the range is consumed, parking on its own condition
-// variable while blocked (woken by the query's availability waker).
+// variable while queued or blocked (woken by the query's waker).
 func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
 	name, ranges, cols := req.Name, req.Ranges, req.Cols
 	// w is this stream's private condition variable: the stream parks on it
@@ -1240,44 +1214,28 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		}
 	}
 	s.mu.Lock()
-	if s.closed {
-		// A scan entered after Close must not register a query on a dead
-		// server: the scheduler is gone, so the query could never be served
-		// or unregistered.
-		s.mu.Unlock()
-		return core.Stats{}, ErrClosed
+	// Queue the query on its table's ABM. The scheduler's next pass admits
+	// the whole queue (core.ABM.AdmitQueued: one arbiter pass for any number
+	// of simultaneous arrivals) and fires the waker, which wakes this stream
+	// parked in the loop below. Until then the loop's closed, context,
+	// detach and quarantine checks cover the queued stream as they cover a
+	// registered one.
+	q := t.abm.NewQuery(name, ranges, cols)
+	if req.Weight > 0 && req.Weight != 1 {
+		q.SetWeight(req.Weight)
 	}
-	// Queue the registration for the scheduler and park until it is served:
-	// the scheduler drains the whole queue in one batch (one arbiter pass
-	// for any number of simultaneous arrivals) and wires the query's waker
-	// to w before this stream can ever block on availability.
-	if t.detaching || t.detached {
-		s.mu.Unlock()
-		return core.Stats{}, fmt.Errorf("engine: scan %q: %w: table %s", name, ErrTableDetached, t.name)
-	}
-	reg := &regRequest{t: t, name: name, ranges: ranges, cols: cols, weight: req.Weight, w: w}
-	s.regQueue = append(s.regQueue, reg)
+	q.SetWaker(w.Signal)
+	t.abm.Enqueue(q)
+	s.regQueue = append(s.regQueue, &regRequest{t: t, q: q})
 	s.cond.Signal()
-	for !reg.done {
-		w.Wait()
-	}
-	if reg.q == nil {
-		// The server closed — or the table detached — before the
-		// registration was served.
-		err := reg.err
-		s.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return core.Stats{}, err
-	}
-	q := reg.q
-	// leave is the stream's one exit: close an open wait span, unregister
-	// the query, count the outcome, and wake the scheduler — a departing
-	// query shifts demand and may be what a detach is quiescing on (after
-	// Close the scheduler is gone and the signal finds no waiter).
+	// leave is the stream's one exit: close an open wait span, finish the
+	// query (unregistered, or taken out of the queue), count the outcome,
+	// and wake the scheduler — a departing query shifts demand and may be
+	// what a detach is quiescing on (after Close the scheduler is gone and
+	// the signal finds no waiter).
 	leave := func(err error, outcome *tally) (core.Stats, error) {
 		closeWait()
+		s.regQueue = slices.DeleteFunc(s.regQueue, func(r *regRequest) bool { return r.q == q })
 		st := t.abm.Finish(q)
 		if outcome != nil {
 			outcome.add(1)

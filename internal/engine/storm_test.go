@@ -15,42 +15,58 @@ import (
 
 // TestScanCancellationStorm is the 4k-stream-scale cancellation test: 2000
 // in-flight streams over one table, 1000 of them cancelled after their
-// first delivery. The storm must not leak — goroutine count returns to the
-// pre-server level, the mid-flight audit holds while the cancellations
-// tear queries out of the scheduler, the drained-state audit finds no
-// stranded pins or budget after Close — and every surviving stream's
-// result stays byte-identical to the fault-free golden.
+// first delivery, plus 250 whose context is cancelled before they call
+// ScanWith, so they finish while still queued for admission. The storm must
+// not leak — goroutine count returns to the pre-server level, the heap to
+// within heapSlack of it, the mid-flight audit holds while the cancellations
+// tear queries out of the scheduler and its queues, the drained-state audit
+// finds no stranded pins or budget after Close — and every surviving
+// stream's result stays byte-identical to the fault-free golden.
 func TestScanCancellationStorm(t *testing.T) {
 	const (
-		streams = 2000
-		rows    = 16_000
-		tpc     = 1000
+		streams   = 2000
+		queued    = 250
+		rows      = 16_000
+		tpc       = 1000
+		heapSlack = 1 << 20
 	)
 	tf := newTestFile(t, rows, tpc, 77)
 	base := chunkQ6Baseline(t, tf)
 	n := tf.NumChunks()
 
+	type stream struct {
+		a, b              int
+		cancel, cancelled bool
+	}
+	plans := make([]stream, streams+queued)
+	for i := range plans {
+		a := i % (n - 3)
+		b := a + 3 + i%(n-a-2)
+		plans[i] = stream{a: a, b: b, cancel: i%2 == 1 && i < streams, cancelled: i >= streams}
+	}
+	errs := make([]error, len(plans))
+	results := make([]exec.Q6Result, len(plans))
+	delivered := make([]int, len(plans))
+
 	g0 := runtime.NumGoroutine()
+	// The runtime keeps every goroutine descriptor it ever made for reuse:
+	// make the storm's worth first, so the heap check below sees the server.
+	var warm sync.WaitGroup
+	for i := 0; i < len(plans)+16; i++ {
+		warm.Add(1)
+		go func() { defer warm.Done(); time.Sleep(time.Millisecond) }()
+	}
+	warm.Wait()
+	var mem runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&mem)
+	heap0 := mem.HeapInuse
 	srv, err := NewServer(ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	type stream struct {
-		a, b   int
-		cancel bool
-	}
-	plans := make([]stream, streams)
-	for i := range plans {
-		a := i % (n - 3)
-		b := a + 3 + i%(n-a-2)
-		plans[i] = stream{a: a, b: b, cancel: i%2 == 1}
-	}
-
 	var wg sync.WaitGroup
-	errs := make([]error, streams)
-	results := make([]exec.Q6Result, streams)
-	delivered := make([]int, streams)
 	for i := range plans {
 		i := i
 		wg.Add(1)
@@ -59,9 +75,12 @@ func TestScanCancellationStorm(t *testing.T) {
 			st := plans[i]
 			ctx := context.Background()
 			var cancel context.CancelFunc
-			if st.cancel {
+			if st.cancel || st.cancelled {
 				ctx, cancel = context.WithCancel(ctx)
 				defer cancel()
+			}
+			if st.cancelled {
+				cancel()
 			}
 			_, errs[i] = srv.ScanWith(ctx, ScanRequest{Name: fmt.Sprintf("s%d", i), Ranges: rangeSet(st.a, st.b), Cols: Q6Cols()}, func(c int, d ChunkData) {
 				delivered[i]++
@@ -101,10 +120,13 @@ func TestScanCancellationStorm(t *testing.T) {
 
 	cancelled := 0
 	for i, st := range plans {
-		if st.cancel {
+		if st.cancel || st.cancelled {
 			cancelled++
 			if !errors.Is(errs[i], context.Canceled) {
 				t.Fatalf("stream %d: err = %v, want context.Canceled", i, errs[i])
+			}
+			if st.cancelled && delivered[i] != 0 {
+				t.Fatalf("stream %d, cancelled before it started, delivered %d chunks", i, delivered[i])
 			}
 			continue
 		}
@@ -141,5 +163,15 @@ func TestScanCancellationStorm(t *testing.T) {
 				runtime.NumGoroutine(), g0, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Nothing the server held may outlive it: no queued query, no frame.
+	srv = nil
+	clear(errs)
+	runtime.GC()
+	runtime.ReadMemStats(&mem)
+	t.Logf("HeapInuse %d -> %d bytes (%+d)", heap0, mem.HeapInuse, int64(mem.HeapInuse)-int64(heap0))
+	if grown := int64(mem.HeapInuse) - int64(heap0); grown > heapSlack {
+		t.Errorf("HeapInuse grew %d bytes over the storm, more than %d", grown, heapSlack)
 	}
 }
