@@ -90,7 +90,7 @@ func (a *ABM) Enqueue(q *Query) {
 // pass k becomes registered and pickable at pass k+1, so newcomers join in
 // one batch behind the streams already delivering. The queue is taken whole
 // first, so a query enqueued while admission runs waits for the next call.
-func (a *ABM) AdmitQueued() []*Query {
+func (a *ABM) AdmitQueued() {
 	batch := a.queue
 	a.queue = nil
 	for _, q := range batch {
@@ -100,7 +100,6 @@ func (a *ABM) AdmitQueued() []*Query {
 			q.waker()
 		}
 	}
-	return batch
 }
 
 // Idle reports whether no query is registered or queued and no load ticket

@@ -40,11 +40,10 @@ func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 }
 
 // DetachTable removes the named table from the running server and blocks
-// until its drain completes: the name is freed immediately, queued and
-// future registrations against it fail with ErrTableDetached, parked
-// streams wake and return the same typed error, the scheduler stops
+// until its drain completes: the name is freed immediately, queued, parked
+// and future scans against it fail with ErrTableDetached, the scheduler stops
 // issuing its loads, and — once its last in-flight load lands and its last
-// stream unregisters — the scheduler finalises the slot (returns its
+// stream leaves — the scheduler finalises the slot (returns its
 // frames, clears the quarantine state, returns the grant to the arbiter and
 // shuts the ABM down). The slot stays behind as a tombstone;
 // the freed budget is rebalanced to the remaining tables. Returns
@@ -63,9 +62,9 @@ func (s *Server) DetachTable(name string) error {
 	t := s.tables[i]
 	t.detaching = true
 	delete(s.names, name)
-	// Wake this table's parked streams so they observe the detach and
-	// unregister; wake the scheduler so it fails queued registrations and
-	// finalises once the table quiesces.
+	// Wake this table's parked and queued streams so they observe the detach
+	// and leave; wake the scheduler so it stops admitting the table's queue
+	// and finalises it once it quiesces.
 	t.abm.WakeQueries()
 	s.cond.Signal()
 	for !t.detached && !s.closed {
@@ -78,13 +77,12 @@ func (s *Server) DetachTable(name string) error {
 }
 
 // finalizeDetaches retires every detaching table that has quiesced — no
-// in-flight loads, no registered streams (queued registrations were failed
-// by the drainRegs call preceding this one). Finalisation returns the
-// table's frames to the allocator (which drops the free frames of a size
-// class this was the last table to use), clears its quarantine map,
-// detaches the ABM from the budget arbiter (which shuts it down) and
-// rebalances the freed grant to the remaining tables. Runs in the scheduler
-// loop under mu.
+// in-flight loads, no registered or queued streams (core.ABM.Idle).
+// Finalisation returns the table's frames to the allocator (which drops the
+// free frames of a size class this was the last table to use), clears its
+// quarantine map, detaches the ABM from the budget arbiter (which shuts it
+// down) and rebalances the freed grant to the remaining tables. Runs in the
+// scheduler loop under mu.
 func (s *Server) finalizeDetaches() {
 	for _, t := range s.tables {
 		if !t.detaching || t.detached || !t.abm.Idle() {

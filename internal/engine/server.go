@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/pprof"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,9 +241,9 @@ type serverTable struct {
 	// both from their callbacks, outside the server mutex.
 	receipts receiptMeter
 	kernels  [3]sharedTally
-	// detaching is set by DetachTable: the scheduler stops issuing the
-	// table's loads, queued and future registrations fail with
-	// ErrTableDetached, and parked streams wake to observe it. detached is
+	// detaching is set by DetachTable: the scheduler stops admitting and
+	// issuing the table's scans and loads, and every queued, parked or later
+	// scan of it fails with ErrTableDetached. detached is
 	// set when the scheduler finalises the quiesced table (frames returned,
 	// quarantine cleared, grant returned to the arbiter, ABM shut down);
 	// the slot then stays behind as a tombstone — table indexes are stable
@@ -356,6 +355,13 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // lock for the real file reads and queries drop it while processing
 // delivered chunks, so decision making, I/O depth and query CPU all overlap.
 //
+// A stream joins through its table's admission queue: it enqueues its query
+// and the scheduler admits every live table's queue once per pass — its call
+// of core.ABM.AdmitQueued is the only one — so a query enqueued during pass
+// k is registered and pickable at pass k+1. That is the engine's fairness
+// valve: a burst of arrivals joins as one batch, under one arbiter run,
+// behind the streams already delivering.
+//
 // The budget arbiter (core.Manager.RebalanceIfShifted) runs inside the
 // scheduler loop: whenever demand shifts it re-divides the budget by
 // demand, but never grants a table less than it currently uses, so every
@@ -367,8 +373,9 @@ type Server struct {
 	// cond is the scheduler's private condition variable — the scheduler
 	// goroutine is its only waiter, so every wake site uses Signal. Query
 	// streams park on their own per-stream conds and are woken individually
-	// through their queries' wakers: by the ABM on an availability gain, and
-	// by ABM.WakeQueries on a quarantine, a detach or shutdown.
+	// through their queries' wakers: by the ABM on admission and on an
+	// availability gain, and by ABM.WakeQueries on a quarantine, a detach or
+	// shutdown.
 	cond   *sync.Cond
 	mgr    *core.Manager
 	tables []*serverTable
@@ -384,9 +391,6 @@ type Server struct {
 	detachCond *sync.Cond
 	// frames is the frame allocator every table's loads draw from.
 	frames frameAlloc
-	// regQueue is the old server-wide registration queue, run as a shadow of
-	// the per-table admission queues (see drainRegs).
-	regQueue []*regRequest
 	// rr rotates the scheduler's table scan so no table monopolises the
 	// load queue.
 	rr int
@@ -552,50 +556,29 @@ func (s *Server) releaseFrames(t *serverTable) {
 	})
 }
 
-// scheduler is the live ABM decision loop: it drains the registration
-// queue, keeps the budget arbiter current and up to InFlightDepth loads
-// issued across the tables, then parks until a completion, release or
-// registration changes the world.
+// scheduler is the live ABM decision loop: each pass admits every live
+// table's queued scans, keeps the budget arbiter current and up to
+// InFlightDepth loads issued across the tables, then parks until a
+// completion, release or arrival changes the world. Admission is the one
+// caller of core.ABM.AdmitQueued, so the rule that a scan enqueued during
+// pass k is pickable at pass k+1 holds here; a batch of arrivals then costs
+// one arbiter run.
 func (s *Server) scheduler() {
 	defer close(s.schedDone)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed {
-		s.drainRegs()
+		for _, t := range s.tables {
+			if !t.detaching {
+				t.abm.AdmitQueued()
+			}
+		}
 		s.finalizeDetaches()
 		s.maybeRebalance()
 		if s.inFlight < s.cfg.InFlightDepth && s.issueOne() {
 			continue
 		}
 		s.cond.Wait()
-	}
-}
-
-// regRequest is one entry of the old registration queue, kept as a shadow.
-type regRequest struct {
-	t *serverTable
-	q *core.Query
-}
-
-// drainRegs admits every live, non-detaching table's queue
-// (core.ABM.AdmitQueued) and panics unless the shadow queue admits the same
-// queries in the same per-table order. A detaching table's entries leave
-// the shadow, as the old drain failed them.
-func (s *Server) drainRegs() {
-	want := make(map[*serverTable][]*core.Query)
-	for _, r := range s.regQueue {
-		if !r.t.detaching {
-			want[r.t] = append(want[r.t], r.q)
-		}
-	}
-	s.regQueue = nil
-	for _, t := range s.tables {
-		if t.detaching {
-			continue
-		}
-		if got := t.abm.AdmitQueued(); !slices.Equal(got, want[t]) {
-			panic(fmt.Sprintf("engine: table %s admitted %v, shadow queue %v", t.name, got, want[t]))
-		}
 	}
 }
 
@@ -1103,7 +1086,7 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 	// Validate before touching shared state: core.NewQuery panics on these,
 	// and a panic while holding s.mu would wedge the whole server. The
 	// table file is immutable, so these reads are safe without the lock;
-	// a concurrent detach is caught at registration.
+	// a concurrent detach is caught by the delivery loop.
 	if req.Ranges.Empty() {
 		return core.Stats{}, fmt.Errorf("%w: scan %q over empty range set", ErrInvalidRange, req.Name)
 	}
@@ -1226,7 +1209,6 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	}
 	q.SetWaker(w.Signal)
 	t.abm.Enqueue(q)
-	s.regQueue = append(s.regQueue, &regRequest{t: t, q: q})
 	s.cond.Signal()
 	// leave is the stream's one exit: close an open wait span, finish the
 	// query (unregistered, or taken out of the queue), count the outcome,
@@ -1235,7 +1217,6 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	// the signal finds no waiter).
 	leave := func(err error, outcome *tally) (core.Stats, error) {
 		closeWait()
-		s.regQueue = slices.DeleteFunc(s.regQueue, func(r *regRequest) bool { return r.q == q })
 		st := t.abm.Finish(q)
 		if outcome != nil {
 			outcome.add(1)
@@ -1253,7 +1234,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			return leave(fmt.Errorf("engine: scan %q: %w", name, cerr), &s.o.cancelledScans)
 		}
 		if t.detaching {
-			// The table is being detached: unregister so the scheduler can
+			// The table is being detached: leave so the scheduler can
 			// quiesce and finalise it, and fail typed.
 			return leave(fmt.Errorf("engine: scan %q: %w: table %s", name, ErrTableDetached, t.name), nil)
 		}
@@ -1266,7 +1247,9 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			// re-evaluates eviction (the relevance relaxation passes fire
 			// only when every registered query is blocked), so wake it —
 			// then park on the stream's own cond until the query's waker
-			// (or a quarantine, cancellation or shutdown) fires.
+			// (its admission, an availability gain, a quarantine, a detach
+			// or shutdown) or its context fires. A queued query is never
+			// marked blocked.
 			q.SetBlocked(true)
 			s.cond.Signal()
 			if s.o.tracer != nil && waitStart.IsZero() {
