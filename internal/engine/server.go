@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -406,10 +406,6 @@ type Server struct {
 	// see internal/engine/obs.go).
 	o serverObs
 
-	// jitter randomises retry backoff so concurrent failed loads do not
-	// retry in lockstep; drawn under mu.
-	jitter *rand.Rand
-
 	loadCh    chan loadJob
 	schedDone chan struct{}
 	workerWG  sync.WaitGroup
@@ -444,7 +440,6 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 		cfg:       cfg,
 		names:     make(map[string]int),
 		frames:    newFrameAlloc(cfg.Obs),
-		jitter:    rand.New(rand.NewSource(1)),
 		loadCh:    make(chan loadJob, cfg.InFlightDepth),
 		schedDone: make(chan struct{}),
 		start:     time.Now(),
@@ -834,7 +829,8 @@ func (s *Server) completeLoad(job loadJob) {
 }
 
 // retryPause returns the backoff before retry `attempt`: exponential in the
-// configured base, capped at 100×, jittered to [50%, 150%). Called under mu.
+// configured base, capped at 100×, jittered to [50%, 150%) from the global
+// source, so concurrent failed loads do not retry in lockstep.
 func (s *Server) retryPause(attempt int) time.Duration {
 	d := s.cfg.RetryBackoff
 	for i := 0; i < attempt && d < 100*s.cfg.RetryBackoff; i++ {
@@ -843,7 +839,7 @@ func (s *Server) retryPause(attempt int) time.Duration {
 	if max := 100 * s.cfg.RetryBackoff; d > max {
 		d = max
 	}
-	return time.Duration(float64(d) * (0.5 + s.jitter.Float64()))
+	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
 
 // quarantine takes the failing part of a load that exhausted its retries out
