@@ -103,8 +103,8 @@ func TestFrameAllocationsBounded(t *testing.T) {
 				}
 			}
 			m := scrapeMetrics(t, reg)
-			if int64(total) != srv.frames.allocs.n || m["coopscan_recycle_allocs_total"] != float64(total) {
-				t.Errorf("allocs: classes hold %d frames, tally %d, scrape %v", total, srv.frames.allocs.n, m["coopscan_recycle_allocs_total"])
+			if int64(total) != srv.frames.allocs.n.Load() || m["coopscan_recycle_allocs_total"] != float64(total) {
+				t.Errorf("allocs: classes hold %d frames, tally %d, scrape %v", total, srv.frames.allocs.n.Load(), m["coopscan_recycle_allocs_total"])
 			}
 			if gets := int(m["coopscan_recycle_gets_total"]); gets != st.Pool.Misses || gets < scans*tf.NumChunks() {
 				t.Errorf("gets = %d, parts landed %d, want equal and >= %d", gets, st.Pool.Misses, scans*tf.NumChunks())
@@ -367,7 +367,7 @@ func TestDetachThenCloseReturnsEachFrameOnce(t *testing.T) {
 		}
 		// tf0 keeps the one size class alive, so every frame ever allocated
 		// is either on a part of tf0 or free — exactly once.
-		if got, want := int64(len(seen)+len(partFrames(srv.tables[0]))), srv.frames.allocs.n; got != want {
+		if got, want := int64(len(seen)+len(partFrames(srv.tables[0]))), srv.frames.allocs.n.Load(); got != want {
 			t.Errorf("%s: %d frames accounted for, %d allocated", when, got, want)
 		}
 	}

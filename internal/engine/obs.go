@@ -68,24 +68,14 @@ type serverObs struct {
 // exports it: add is the only place either moves, so Server.Stats and a
 // /metrics scrape cannot drift apart. The count is what Stats reports (a
 // registry may outlive the server and accumulate across several); the series
-// is nil — a no-op — without a registry. Guarded by the server mutex.
+// is nil — a no-op — without a registry. Both are atomic, so a site outside
+// the server mutex (pruning, receipts, kernels) counts with the same type.
 type tally struct {
-	n int64
-	c *obs.Counter
-}
-
-func (t *tally) add(d int64) {
-	t.n += d
-	t.c.Add(d)
-}
-
-// sharedTally is tally for an event counted outside the server mutex.
-type sharedTally struct {
 	n atomic.Int64
 	c *obs.Counter
 }
 
-func (t *sharedTally) add(d int64) {
+func (t *tally) add(d int64) {
 	t.n.Add(d)
 	t.c.Add(d)
 }
@@ -95,17 +85,17 @@ func (t *sharedTally) add(d int64) {
 // sharing fan-out of F deliveries per load, reused ÷ (computed + reused)
 // sits near 1 − 1/F when every scan asks for receipts.
 type receiptMeter struct {
-	computed, reused sharedTally
+	computed, reused tally
 }
 
 // level is tally's up-and-down sibling, exported as a gauge.
 type level struct {
-	n int64
+	n atomic.Int64
 	g *obs.Gauge
 }
 
 func (l *level) add(d int64) {
-	l.n += d
+	l.n.Add(d)
 	l.g.Add(d)
 }
 
@@ -124,8 +114,8 @@ type tableObs struct {
 
 // newServerObs resolves the server's metric series from reg and allocates
 // the scheduler trace track. Both arguments may be nil.
-func newServerObs(reg *obs.Registry, tracer *obs.Tracer) serverObs {
-	o := serverObs{enabled: reg != nil || tracer != nil, tracer: tracer}
+func newServerObs(reg *obs.Registry, tracer *obs.Tracer) *serverObs {
+	o := &serverObs{enabled: reg != nil || tracer != nil, tracer: tracer}
 	if reg != nil {
 		o.inflight = reg.Gauge("coopscan_load_inflight",
 			"Loads issued to workers and not yet completed or aborted.")

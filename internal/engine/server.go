@@ -235,12 +235,12 @@ type serverTable struct {
 	// outside the server mutex (workers and the pre-registration scan
 	// path).
 	diskRead atomic.Int64
-	pruned   sharedTally
+	pruned   tally
 	// receipts meters the table's ColCRC calls, kernels its Q6Chunk/Q1Chunk
 	// calls by what the chunk's bounds decided (storage.Decided); scans bump
 	// both from their callbacks, outside the server mutex.
 	receipts receiptMeter
-	kernels  [3]sharedTally
+	kernels  [3]tally
 	// detaching is set by DetachTable: the scheduler stops admitting and
 	// issuing the table's scans and loads, and every queued, parked or later
 	// scan of it fails with ErrTableDetached. detached is
@@ -404,7 +404,7 @@ type Server struct {
 	start time.Time
 	// o holds the server's metric handles and tracer (nil-safe throughout;
 	// see internal/engine/obs.go).
-	o serverObs
+	o *serverObs
 
 	loadCh    chan loadJob
 	schedDone chan struct{}
@@ -1328,19 +1328,19 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) statsLocked() ServerStats {
 	out := ServerStats{
 		Pool: PoolStats{
-			Hits:        int(s.o.hits.n),
-			Misses:      int(s.o.misses.n),
-			Evictions:   int(s.o.evictions.n),
-			BytesLoaded: s.o.loaded.n,
-			Resident:    int(s.o.resident.n),
-			Pinned:      int(s.o.pinned.n),
+			Hits:        int(s.o.hits.n.Load()),
+			Misses:      int(s.o.misses.n.Load()),
+			Evictions:   int(s.o.evictions.n.Load()),
+			BytesLoaded: s.o.loaded.n.Load(),
+			Resident:    int(s.o.resident.n.Load()),
+			Pinned:      int(s.o.pinned.n.Load()),
 		},
 		Faults: FaultStats{
-			Retries:          s.o.retries.n,
-			ChecksumErrors:   s.o.checksumErrors.n,
-			QuarantinedParts: s.o.quarantined.n,
-			FailedScans:      s.o.failedScans.n,
-			CancelledScans:   s.o.cancelledScans.n,
+			Retries:          s.o.retries.n.Load(),
+			ChecksumErrors:   s.o.checksumErrors.n.Load(),
+			QuarantinedParts: s.o.quarantined.n.Load(),
+			FailedScans:      s.o.failedScans.n.Load(),
+			CancelledScans:   s.o.cancelledScans.n.Load(),
 		},
 	}
 	for _, t := range s.tables {
