@@ -189,8 +189,7 @@ type ABM struct {
 
 	cache   *bufcache
 	queries []*Query
-	// queue holds the queries Enqueue accepted and AdmitQueued has not yet
-	// registered, in enqueue order.
+	// queue holds the queries enqueued for admission, in order (Enqueue).
 	queue  []*Query
 	nextID int
 

@@ -50,10 +50,9 @@ type SchedulerPolicy interface {
 	Consumed(q *Query, c int)
 
 	// PickAvailable returns the resident chunk q should consume next, or -1
-	// if none is deliverable — always for a query queued for admission,
-	// whose availability heap Register has not yet seeded. Policies may advance
-	// per-query cursor state, so callers must pin and deliver the returned
-	// chunk.
+	// if none is deliverable (always, for a query queued for admission).
+	// Policies may advance per-query cursor state, so callers must pin and
+	// deliver the returned chunk.
 	PickAvailable(q *Query) int
 	// EnsureSpace evicts parts under the policy's eviction rules until need
 	// bytes are free; false means it could not (everything pinned or

@@ -88,8 +88,7 @@ type Query struct {
 	consumed  int
 
 	blocked bool
-	// queued is set while the query waits in its ABM's admission queue
-	// (ABM.Enqueue), registered by nobody.
+	// queued is set while the query waits in its ABM's admission queue.
 	queued bool
 
 	// cursor state for the sequential policies (normal/attach).

@@ -552,12 +552,10 @@ func (s *Server) releaseFrames(t *serverTable) {
 }
 
 // scheduler is the live ABM decision loop: each pass admits every live
-// table's queued scans, keeps the budget arbiter current and up to
-// InFlightDepth loads issued across the tables, then parks until a
-// completion, release or arrival changes the world. Admission is the one
-// caller of core.ABM.AdmitQueued, so the rule that a scan enqueued during
-// pass k is pickable at pass k+1 holds here; a batch of arrivals then costs
-// one arbiter run.
+// table's queued scans (the one call of core.ABM.AdmitQueued; see Server),
+// keeps the budget arbiter current and up to InFlightDepth loads issued
+// across the tables, then parks until a completion, release or arrival
+// changes the world.
 func (s *Server) scheduler() {
 	defer close(s.schedDone)
 	s.mu.Lock()
@@ -1193,12 +1191,10 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		}
 	}
 	s.mu.Lock()
-	// Queue the query on its table's ABM. The scheduler's next pass admits
-	// the whole queue (core.ABM.AdmitQueued: one arbiter pass for any number
-	// of simultaneous arrivals) and fires the waker, which wakes this stream
-	// parked in the loop below. Until then the loop's closed, context,
-	// detach and quarantine checks cover the queued stream as they cover a
-	// registered one.
+	// Queue the query on its table's ABM for the scheduler's next admission
+	// pass, whose waker call wakes this stream parked in the loop below. Until
+	// then the loop's closed, context, detach and quarantine checks cover the
+	// queued stream as they cover a registered one.
 	q := t.abm.NewQuery(name, ranges, cols)
 	if req.Weight > 0 && req.Weight != 1 {
 		q.SetWeight(req.Weight)
