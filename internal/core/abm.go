@@ -83,6 +83,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"coopscan/internal/disk"
@@ -221,8 +222,9 @@ type ABM struct {
 	// demandBytes maintains the DemandBytes sum (per-query remaining ×
 	// per-chunk footprint, starved doubled) — so the budget arbiter's
 	// per-scheduler-pass demand polls are O(1) reads instead of registry
-	// walks. Query.demandContrib holds each query's term.
-	demandBytes int64
+	// walks. Query.demandContrib holds each query's term. Atomic, so the
+	// arbiter's poll reads it without the caller's table lock.
+	demandBytes atomic.Int64
 
 	// chunkQueries[c] lists the registered queries that still need chunk c
 	// (Query.chunkPos[c] is the slot), so part residency events touch only
@@ -524,7 +526,7 @@ func (a *ABM) unregister(q *Query) {
 		}
 	}
 	q.starved, q.almostStarved = false, false
-	a.demandBytes -= q.demandContrib
+	a.demandBytes.Add(-q.demandContrib)
 	q.demandContrib = 0
 	q.SetBlocked(false)
 	q.abm = nil
@@ -789,7 +791,7 @@ func (a *ABM) refreshDemand(q *Query) {
 	if q.starved {
 		contrib *= 2
 	}
-	a.demandBytes += contrib - q.demandContrib
+	a.demandBytes.Add(contrib - q.demandContrib)
 	q.demandContrib = contrib
 }
 

@@ -405,8 +405,8 @@ func (a *ABM) auditDerivedCounters() error {
 	if a.blockedCount != blocked {
 		return fmt.Errorf("core: blockedCount = %d, recomputed %d", a.blockedCount, blocked)
 	}
-	if a.demandBytes != demand {
-		return fmt.Errorf("core: demandBytes = %d, recomputed %d", a.demandBytes, demand)
+	if got := a.demandBytes.Load(); got != demand {
+		return fmt.Errorf("core: demandBytes = %d, recomputed %d", got, demand)
 	}
 	return nil
 }

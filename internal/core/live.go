@@ -9,8 +9,9 @@ import (
 
 // This file is the live-engine surface of the ABM: the entry points
 // internal/engine uses to drive the same bookkeeping the simulation driver
-// uses, minus the simulated disk. The engine serialises all calls under its
-// own mutex; nothing here blocks.
+// uses, minus the simulated disk. The engine serialises every call on one
+// ABM under that table's own mutex (DemandBytes alone is safe without it);
+// nothing here blocks.
 
 // Policy exposes the decision core of the configured policy.
 func (a *ABM) Policy() SchedulerPolicy { return a.strat }
@@ -48,9 +49,10 @@ func (a *ABM) SetBufferBytes(n int64) {
 // stream count nursing a few trailing chunks — §7.1's "system-wide load",
 // not just stream arity.
 // The sum is maintained incrementally (refreshDemand at registration,
-// consumption and starvation flips), so the arbiter's per-scheduler-pass
-// poll across every table is a field read per table, not a registry walk.
-func (a *ABM) DemandBytes() int64 { return a.demandBytes }
+// consumption and starvation flips) and published atomically, so the
+// arbiter's per-scheduler-pass poll across every table is one atomic load
+// per table, taken without the table's lock.
+func (a *ABM) DemandBytes() int64 { return a.demandBytes.Load() }
 
 // queryChunkBytes returns the average bytes one chunk delivers to q: the
 // query's column footprint per chunk in DSM, the table-average chunk size

@@ -85,8 +85,8 @@ func NewManager(env *sim.Env, d *disk.Disk, cfg Config) *Manager {
 // NewLiveManager creates an empty live-mode manager: attached tables get
 // live ABMs (NewLive) sharing the clock, and Rebalance arbitrates one
 // buffer budget across them. The caller (internal/engine's Server)
-// serialises all calls under its own mutex, exactly as it does for the
-// per-table ABMs.
+// serialises all calls under its server-wide mutex, and holds every attached
+// table's lock around Rebalance, which reads and re-targets their ABMs.
 func NewLiveManager(clock Clock, cfg Config) *Manager {
 	return &Manager{
 		clock: clock, cfg: cfg,
@@ -300,17 +300,27 @@ func (m *Manager) Rebalance(total int64) []int64 {
 	return grants
 }
 
-// RebalanceIfShifted runs Rebalance(total) when the demand weights moved
-// enough to matter and returns its grants, or nil when nothing moved. A
-// table's weight moved when it flipped between zero and non-zero or shifted
-// by at least an eighth of the weight the arbiter last ran with for it;
-// only a moved weight is stored, so a slow drift still adds up to a re-run.
-// Byte demand shrinks with every consumed chunk, and re-running on every
-// delta would churn budgets for integer-crumb gains. The first call after an
-// attach re-runs unconditionally and re-baselines every stored weight. It
-// is the live engine's per-scheduler-pass call, so when nothing moved it
-// reads one field per table and allocates nothing.
+// RebalanceIfShifted runs Rebalance(total) when DemandShifted reports that
+// the demand weights moved enough to matter and returns its grants, or nil
+// when nothing moved.
 func (m *Manager) RebalanceIfShifted(total int64) []int64 {
+	if !m.DemandShifted() {
+		return nil
+	}
+	return m.Rebalance(total)
+}
+
+// DemandShifted is the arbiter's re-run rule. A table's weight moved when it
+// flipped between zero and non-zero or shifted by at least an eighth of the
+// weight the arbiter last ran with for it; only a moved weight is stored, so
+// a slow drift still adds up to a re-run. Byte demand shrinks with every
+// consumed chunk, and re-running on every delta would churn budgets for
+// integer-crumb gains. The first call after an attach reports true and
+// re-baselines every stored weight. It is the live engine's per-scheduler-
+// pass call: it reads only DemandBytes, so the caller holds no table lock
+// and takes the ones Rebalance needs only when it reports true; when
+// nothing moved it allocates nothing.
+func (m *Manager) DemandShifted() bool {
 	shifted := m.rebaseline
 	for i := range m.order {
 		t := &m.order[i]
@@ -320,10 +330,7 @@ func (m *Manager) RebalanceIfShifted(total int64) []int64 {
 		}
 	}
 	m.rebaseline = false
-	if !shifted {
-		return nil
-	}
-	return m.Rebalance(total)
+	return shifted
 }
 
 // weightShifted is RebalanceIfShifted's per-table test: a zero/non-zero

@@ -269,14 +269,14 @@ func TestRebalanceIfShiftedRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, hot, _ := liveManagerPair(t)
-			hot.demandBytes = tc.from
+			hot.demandBytes.Store(tc.from)
 			if m.RebalanceIfShifted(total) == nil {
 				t.Fatal("the first call after an attach did not run the arbiter")
 			}
 			if m.RebalanceIfShifted(total) != nil {
 				t.Fatal("re-ran with no weight moved")
 			}
-			hot.demandBytes = tc.to
+			hot.demandBytes.Store(tc.to)
 			if got := m.RebalanceIfShifted(total) != nil; got != tc.rerun {
 				t.Errorf("weight %d -> %d: re-ran %v, want %v", tc.from, tc.to, got, tc.rerun)
 			}
@@ -290,17 +290,17 @@ func TestRebalanceIfShiftedRule(t *testing.T) {
 func TestRebalanceIfShiftedRebaselinesOnAttach(t *testing.T) {
 	const total = 32 << 20
 	m, hot, _ := liveManagerPair(t)
-	hot.demandBytes = 800
+	hot.demandBytes.Store(800)
 	m.RebalanceIfShifted(total)
-	hot.demandBytes = 750
+	hot.demandBytes.Store(750)
 	if m.RebalanceIfShifted(total) != nil {
 		t.Fatal("800 -> 750 re-ran")
 	}
-	hot.demandBytes = 700
+	hot.demandBytes.Store(700)
 	if m.RebalanceIfShifted(total) == nil {
 		t.Fatal("800 -> 750 -> 700 did not add up to a re-run against the stored 800")
 	}
-	hot.demandBytes = 660
+	hot.demandBytes.Store(660)
 	if m.RebalanceIfShifted(total) != nil {
 		t.Fatal("700 -> 660 re-ran")
 	}
@@ -313,11 +313,11 @@ func TestRebalanceIfShiftedRebaselinesOnAttach(t *testing.T) {
 	}
 	// Stored at 660 now: 580 is less than an eighth below it (but more than
 	// an eighth below the 700 stored before the attach), 577 is not.
-	hot.demandBytes = 580
+	hot.demandBytes.Store(580)
 	if m.RebalanceIfShifted(total) != nil {
 		t.Error("660 -> 580 re-ran: the attach did not re-baseline the stored weight")
 	}
-	hot.demandBytes = 577
+	hot.demandBytes.Store(577)
 	if m.RebalanceIfShifted(total) == nil {
 		t.Error("660 -> 577 did not re-run")
 	}

@@ -24,18 +24,18 @@ import (
 func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	idx, err := s.admit(name, tf)
 	if err != nil {
 		return 0, err
 	}
-	s.mgr.Rebalance(s.cfg.BufferBytes)
+	s.rebalance()
 	if s.o.tracer != nil {
 		s.o.schedTrack.Instant("attach", obs.Args{"table": name, "slot": idx})
 	}
-	s.cond.Signal()
+	s.wake()
 	return idx, nil
 }
 
@@ -52,22 +52,24 @@ func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 func (s *Server) DetachTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	i, ok := s.names[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTable, name)
 	}
-	t := s.tables[i]
-	t.detaching = true
+	t := s.slots()[i]
 	delete(s.names, name)
 	// Wake this table's parked and queued streams so they observe the detach
 	// and leave; wake the scheduler so it stops admitting the table's queue
 	// and finalises it once it quiesces.
+	s.lockTable(t)
+	t.detaching = true
 	t.abm.WakeQueries()
-	s.cond.Signal()
-	for !t.detached && !s.closed {
+	s.unlockTable(t)
+	s.wake()
+	for !t.detached && !s.closed.Load() {
 		s.detachCond.Wait()
 	}
 	if !t.detached {
@@ -82,20 +84,26 @@ func (s *Server) DetachTable(name string) error {
 // free frames of a size class this was the last table to use), clears its
 // quarantine map, detaches the ABM from the budget arbiter (which shuts it
 // down) and rebalances the freed grant to the remaining tables. Runs in the
-// scheduler loop under mu.
+// scheduler loop under Server.mu, taking each detaching table's lock.
 func (s *Server) finalizeDetaches() {
-	for _, t := range s.tables {
-		if !t.detaching || t.detached || !t.abm.Idle() {
+	for _, t := range s.slots() {
+		if !t.detaching || t.detached {
 			continue
 		}
-		s.releaseFrames(t)
-		s.frames.release(partSizes(t.tf))
-		for k := range t.quarantine {
-			delete(t.quarantine, k)
+		s.lockTable(t)
+		idle := t.abm.Idle()
+		if idle {
+			s.releaseFrames(t)
+			s.frames.release(partSizes(t.tf))
+			clear(t.quarantine)
+			s.mgr.Detach(t.name)
+			t.detached = true
 		}
-		s.mgr.Detach(t.name)
-		t.detached = true
-		s.mgr.Rebalance(s.cfg.BufferBytes)
+		s.unlockTable(t)
+		if !idle {
+			continue
+		}
+		s.rebalance()
 		if s.o.tracer != nil {
 			s.o.schedTrack.Instant("detach", obs.Args{"table": t.name, "slot": t.idx})
 		}

@@ -211,9 +211,9 @@ func TestDSMIndependentColumnEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	tbl := srv.tables[0]
+	freeze(srv)
+	defer thaw(srv)
+	tbl := srv.slots()[0]
 	resident := func(col int) []int {
 		var out []int
 		frames := partFrames(tbl)

@@ -375,12 +375,12 @@ func runFaultSoak(t *testing.T, seed uint64, pol core.Policy) {
 	var auditErr error
 	audits := 0
 	audit := func() {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
+		freeze(srv)
+		defer thaw(srv)
 		auditMu.Lock()
 		defer auditMu.Unlock()
 		audits++
-		for _, tbl := range srv.tables {
+		for _, tbl := range srv.slots() {
 			if err := tbl.abm.AuditIncremental(); err != nil && auditErr == nil {
 				auditErr = fmt.Errorf("%s: %w", tbl.name, err)
 			}

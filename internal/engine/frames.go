@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"coopscan/internal/obs"
@@ -13,7 +14,7 @@ import (
 // path reads and decodes straight into it — wordBytes (alias.go) is the byte
 // view pread and the checksums take — and the kernels read it as it is. A
 // frame is drawn when its part's load is issued (after the load ticket
-// reserved the bytes), filled by a load worker outside the server lock,
+// reserved the bytes), filled by a load worker holding no lock,
 // handed to the ABM's part record when the ticket lands — which hands it to
 // every scan that pins the part — and returned when the ABM evicts the part
 // or the load aborts. Nothing else holds part bytes, so the ABM's byte
@@ -23,9 +24,9 @@ type frame struct {
 	// crcs memoises ChunkData.ColCRC for this residency: slot j holds the
 	// CRC-32 (IEEE) of column j's valid prefix on an NSM chunk frame, slot 0
 	// that of the one column a DSM part is; crcValid marks a filled slot.
-	// Cleared when the allocator hands the frame to a new load (under the
-	// server mutex), filled without it by whichever scans pinning the part
-	// ask first — racing fillers store the same value.
+	// Cleared as the allocator hands the frame to a new load, filled without
+	// any lock by whichever scans pinning the part ask first — racing fillers
+	// store the same value.
 	crcs [NumCols]atomic.Uint64
 }
 
@@ -42,8 +43,10 @@ func (f *frame) bytes() int64 { return int64(len(f.vals)) * 8 }
 // number of its parts reserved at once, which the buffer budget bounds, and
 // the count is deterministic. A class lives while some attached table has
 // parts of its size; its free frames are dropped with its last user.
-// Guarded by the server mutex.
+// Guarded by its own mu, the innermost lock: callers may hold a table's lock
+// and the server's.
 type frameAlloc struct {
+	mu      sync.Mutex
 	classes map[int64]*frameClass
 	// gets counts every draw, allocs the draws that found the free list
 	// empty and allocated (coopscan_recycle_{gets,allocs}_total).
@@ -57,8 +60,8 @@ type frameClass struct {
 
 // newFrameAlloc returns an empty allocator exporting its draw counters into
 // reg (nil: unexported).
-func newFrameAlloc(reg *obs.Registry) frameAlloc {
-	return frameAlloc{
+func newFrameAlloc(reg *obs.Registry) *frameAlloc {
+	return &frameAlloc{
 		classes: make(map[int64]*frameClass),
 		gets: tally{c: reg.Counter("coopscan_recycle_gets_total",
 			"Frames drawn from the frame allocator (one per part load).")},
@@ -69,6 +72,8 @@ func newFrameAlloc(reg *obs.Registry) frameAlloc {
 
 // retain registers one more user of each of the given part sizes.
 func (a *frameAlloc) retain(sizes []int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for _, size := range sizes {
 		c := a.classes[size]
 		if c == nil {
@@ -82,6 +87,8 @@ func (a *frameAlloc) retain(sizes []int64) {
 // release is retain's inverse; a class without users is dropped together
 // with its free frames.
 func (a *frameAlloc) release(sizes []int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for _, size := range sizes {
 		if c := a.classes[size]; c != nil {
 			if c.users--; c.users == 0 {
@@ -96,14 +103,17 @@ func (a *frameAlloc) release(sizes []int64) {
 // whatever the previous tenant's scans left there describes other bytes.
 func (a *frameAlloc) get(size int64) *frame {
 	a.gets.add(1)
+	a.mu.Lock()
 	if c := a.classes[size]; c != nil && len(c.free) > 0 {
 		f := c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
+		a.mu.Unlock()
 		for j := range f.crcs {
 			f.crcs[j].Store(0)
 		}
 		return f
 	}
+	a.mu.Unlock()
 	a.allocs.add(1)
 	if size%8 != 0 {
 		panic("engine: a part's size is not whole 8-byte words")
@@ -114,6 +124,8 @@ func (a *frameAlloc) get(size int64) *frame {
 // put returns a frame to its class's free list (or to the garbage collector
 // when the class has already been dropped).
 func (a *frameAlloc) put(f *frame) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if c := a.classes[f.bytes()]; c != nil {
 		c.free = append(c.free, f)
 	}

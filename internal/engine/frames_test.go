@@ -25,13 +25,9 @@ import (
 func waitLoadsDrained(t *testing.T, srv *Server) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		srv.mu.Lock()
-		n := srv.inFlight
-		srv.mu.Unlock()
-		if n == 0 {
+		if n := srv.inFlight.Load(); n == 0 {
 			return
-		}
-		if time.Now().After(deadline) {
+		} else if time.Now().After(deadline) {
 			t.Fatalf("%d loads still in flight", n)
 		}
 	}
@@ -88,10 +84,10 @@ func TestFrameAllocationsBounded(t *testing.T) {
 					alloc, st.Pool.BytesLoaded, cfg.BufferBytes)
 			}
 
-			srv.mu.Lock()
-			defer srv.mu.Unlock()
+			freeze(srv)
+			defer thaw(srv)
 			held := make(map[int64]int) // size class -> frames resident
-			for _, f := range partFrames(srv.tables[0]) {
+			for _, f := range partFrames(srv.slots()[0]) {
 				held[f.bytes()]++
 			}
 			total := 0
@@ -114,7 +110,7 @@ func TestFrameAllocationsBounded(t *testing.T) {
 }
 
 // partFrames rebuilds the (part -> frame) view of a table from the ABM's
-// part table — the only place the frames are held. Callers hold srv.mu.
+// part table — the only place the frames are held. Callers hold tbl.mu.
 func partFrames(tbl *serverTable) map[partID]*frame {
 	out := make(map[partID]*frame)
 	tbl.abm.EachPart(func(chunk, col int, _ int64, _ bool, f any) {
@@ -144,8 +140,8 @@ func TestFramesFreedWithLastTableOfClass(t *testing.T) {
 		}
 	}
 	classes := func() map[int64]int {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
+		freeze(srv)
+		defer thaw(srv)
 		out := make(map[int64]int)
 		for size, c := range srv.frames.classes {
 			out[size] = c.users
@@ -221,11 +217,11 @@ func TestAbortMidRetryReturnsFrames(t *testing.T) {
 		}
 	}
 	counter.mu.Unlock()
-	srv.mu.Lock()
-	if tbl := srv.tables[0]; tbl.framesOut != 0 || len(partFrames(tbl)) != 0 {
+	freeze(srv)
+	if tbl := srv.slots()[0]; tbl.framesOut != 0 || len(partFrames(tbl)) != 0 {
 		t.Errorf("aborted load left %d frames outstanding, %d on parts", tbl.framesOut, len(partFrames(tbl)))
 	}
-	srv.mu.Unlock()
+	thaw(srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -341,19 +337,19 @@ func TestDetachThenCloseReturnsEachFrameOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.mu.Lock()
-	if n := len(partFrames(srv.tables[slot])); n == 0 {
+	freeze(srv)
+	if n := len(partFrames(srv.slots()[slot])); n == 0 {
 		t.Fatal("the warm scan left nothing resident on the table about to be detached")
 	}
-	srv.mu.Unlock()
+	thaw(srv)
 	if err := srv.DetachTable("same"); err != nil {
 		t.Fatal(err)
 	}
 	check := func(when string) {
 		t.Helper()
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		if tomb := srv.tables[slot]; tomb.framesOut != 0 || len(partFrames(tomb)) != 0 {
+		freeze(srv)
+		defer thaw(srv)
+		if tomb := srv.slots()[slot]; tomb.framesOut != 0 || len(partFrames(tomb)) != 0 {
 			t.Errorf("%s: tombstone has %d frames outstanding, %d on parts", when, tomb.framesOut, len(partFrames(tomb)))
 		}
 		seen := make(map[*frame]bool)
@@ -367,7 +363,7 @@ func TestDetachThenCloseReturnsEachFrameOnce(t *testing.T) {
 		}
 		// tf0 keeps the one size class alive, so every frame ever allocated
 		// is either on a part of tf0 or free — exactly once.
-		if got, want := int64(len(seen)+len(partFrames(srv.tables[0]))), srv.frames.allocs.n.Load(); got != want {
+		if got, want := int64(len(seen)+len(partFrames(srv.slots()[0]))), srv.frames.allocs.n.Load(); got != want {
 			t.Errorf("%s: %d frames accounted for, %d allocated", when, got, want)
 		}
 	}
@@ -395,8 +391,10 @@ func TestFrameAuditsCatchCorruption(t *testing.T) {
 		q := abm.NewQuery("q", rangeSet(0, tf.NumChunks()), Q6Cols())
 		abm.Register(q)
 		abm.IssueLoad(nil).Finish(f)
-		tbl := &serverTable{tf: tf, abm: abm, name: "t", framesOut: 1}
-		return &Server{tables: []*serverTable{tbl}}, tbl, q
+		srv := &Server{}
+		tbl := &serverTable{tf: tf, abm: abm, name: "t", framesOut: 1, mu: &srv.mu}
+		srv.tables.Store(&[]*serverTable{tbl})
+		return srv, tbl, q
 	}
 	whole := func() *frame { return &frame{vals: make([]int64, tf.ChunkBytes()/8)} }
 	if srv, _, _ := healthy(whole()); srv.AuditTables() != nil || srv.AuditDrained() != nil {
@@ -428,7 +426,7 @@ func TestFrameAuditsCatchCorruption(t *testing.T) {
 			func(_ *Server, tbl *serverTable, _ *core.Query) { tbl.detached = true },
 			(*Server).AuditDrained, "released table t: part (0,-1) still carries a frame"},
 		{"frame left after Close", whole(),
-			func(srv *Server, _ *serverTable, _ *core.Query) { srv.closed = true },
+			func(srv *Server, _ *serverTable, _ *core.Query) { srv.closed.Store(true) },
 			(*Server).AuditDrained, "released table t: part (0,-1) still carries a frame"},
 	} {
 		srv, tbl, q := healthy(tc.frame)

@@ -68,8 +68,8 @@ type serverObs struct {
 // exports it: add is the only place either moves, so Server.Stats and a
 // /metrics scrape cannot drift apart. The count is what Stats reports (a
 // registry may outlive the server and accumulate across several); the series
-// is nil — a no-op — without a registry. Both are atomic, so a site outside
-// the server mutex (pruning, receipts, kernels) counts with the same type.
+// is nil — a no-op — without a registry. Both are atomic, so a site holding
+// no lock (pruning, receipts, kernels) counts with the same type.
 type tally struct {
 	n atomic.Int64
 	c *obs.Counter
@@ -102,7 +102,7 @@ func (l *level) add(d int64) {
 // tableObs is one table's pre-resolved slice of the server metrics — the
 // label lookups happen once at construction, keeping the hot paths at plain
 // atomic updates — plus the table's trace-lane freelist (guarded by the
-// server mutex, like the rest of the per-table state).
+// table's mu, like the rest of its runtime state).
 type tableObs struct {
 	sched  *obs.Histogram
 	scan   *obs.Histogram
@@ -126,7 +126,7 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) *serverObs {
 		o.decompressSeconds = reg.Histogram("coopscan_load_decompress_seconds",
 			"Wall time spent decompressing v4 extents into frames, accumulated per load read.", obs.IOBuckets)
 		o.pinSeconds = reg.Histogram("coopscan_load_pin_seconds",
-			"Wall time of a load completion's commit section under the server lock (frame publish + Load.Finish).", obs.SchedBuckets)
+			"Wall time of a load completion's commit section under its table's lock (frame publish + Load.Finish).", obs.SchedBuckets)
 		o.readBytes = reg.Counter("coopscan_load_read_bytes_total",
 			"Bytes read from table files by load workers (stored/disk bytes: compressed widths on v4 tables).")
 		o.decodedBytes = reg.Counter("coopscan_load_decoded_bytes_total",
@@ -188,8 +188,7 @@ func managerMetrics(reg *obs.Registry) core.ManagerMetrics {
 
 // acquireLane claims a free load-pipeline trace lane for the table,
 // allocating a new track when all lanes are busy. Returns the zero Track
-// (whose span methods no-op) when tracing is off. Called under the server
-// mutex.
+// (whose span methods no-op) when tracing is off. Called under t.mu.
 func (t *serverTable) acquireLane(tracer *obs.Tracer) obs.Track {
 	if tracer == nil {
 		return obs.Track{}
@@ -203,8 +202,7 @@ func (t *serverTable) acquireLane(tracer *obs.Tracer) obs.Track {
 	return tracer.NewTrack(fmt.Sprintf("load %s lane %d", t.name, t.o.laneCount))
 }
 
-// releaseLane returns a lane to the table's freelist. Called under the
-// server mutex.
+// releaseLane returns a lane to the table's freelist. Called under t.mu.
 func (t *serverTable) releaseLane(l obs.Track) {
 	if l == (obs.Track{}) {
 		return

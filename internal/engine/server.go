@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -217,28 +218,33 @@ type serverTable struct {
 	tf   *TableFile
 	abm  *core.ABM
 	name string
+	// mu guards the table's runtime state: the ABM (parts with their pins
+	// and frames, the query registry, the admission queue, wakers, open
+	// tickets, policy heaps, SystemStats), framesOut, quarantine, the
+	// trace-lane free list and detaching/detached. Its streams and the
+	// workers landing its loads take this lock and no other.
+	mu *sync.Mutex
 	// framesOut counts the frames this table has drawn and not returned: the
 	// ones its resident parts carry plus those travelling on in-flight load
-	// jobs. Guarded by the server mutex.
+	// jobs. Guarded by mu.
 	framesOut int
 	// quarantine holds the parts whose loads exhausted their retries,
 	// mapped to the final failure. The scheduler refuses decisions naming
 	// them and scans that still need them fail with ErrChunkUnavailable;
-	// everything else proceeds. Guarded by the server mutex.
+	// everything else proceeds. Guarded by mu.
 	quarantine map[partID]error
 	// o holds the table's pre-resolved metric series and trace-lane
 	// freelist (see internal/engine/obs.go); zero when observability is off.
 	o tableObs
 	// diskRead accumulates the stored bytes load workers transferred for
 	// this table (compressed widths on v4 files); pruned counts the chunks
-	// zonemap pruning removed from scan registrations. Both are bumped
-	// outside the server mutex (workers and the pre-registration scan
-	// path).
+	// zonemap pruning removed from scan registrations. Both are atomic,
+	// bumped without a lock (workers and the pre-registration scan path).
 	diskRead atomic.Int64
 	pruned   tally
 	// receipts meters the table's ColCRC calls, kernels its Q6Chunk/Q1Chunk
 	// calls by what the chunk's bounds decided (storage.Decided); scans bump
-	// both from their callbacks, outside the server mutex.
+	// both from their callbacks, without a lock.
 	receipts receiptMeter
 	kernels  [3]tally
 	// detaching is set by DetachTable: the scheduler stops admitting and
@@ -247,7 +253,8 @@ type serverTable struct {
 	// set when the scheduler finalises the quiesced table (frames returned,
 	// quarantine cleared, grant returned to the arbiter, ABM shut down);
 	// the slot then stays behind as a tombstone — table indexes are stable
-	// for the server's lifetime.
+	// for the server's lifetime. Both are written under Server.mu and mu
+	// together, so either lock reads them.
 	detaching, detached bool
 }
 
@@ -350,10 +357,16 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // the ticket lands, to every scan that pins it, and to the evict hook that
 // returns it — so the bytes held in frames are the bytes the ABMs account.
 //
-// All shared state (the ABMs with their parts' frames, the policy state, the
-// frame allocator and the budget arbiter) is guarded by mu; workers drop the
-// lock for the real file reads and queries drop it while processing
-// delivered chunks, so decision making, I/O depth and query CPU all overlap.
+// Locks: each table's mu guards that table's ABM and runtime state, Server.mu
+// only the cross-table state, and the frame allocator has its own. The order
+// is Server.mu → table locks in slot order → frame allocator; streams and
+// workers take their own table's lock alone. Workers drop it for the real
+// file reads and streams while processing delivered chunks, so decision
+// making, I/O depth and query CPU all overlap, and tables never wait on each
+// other. A stream yields the processor between a delivery and retaking its
+// lock: an uncontended lock would otherwise let it run whole scans back to
+// back inside one time slice, so the yield is what keeps a table's
+// deliveries round-robin across its streams.
 //
 // A stream joins through its table's admission queue: it enqueues its query
 // and the scheduler admits every live table's queue once per pass — its call
@@ -369,16 +382,23 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 type Server struct {
 	cfg ServerConfig
 
+	// mu guards the cross-table state: slot and name registration, the
+	// budget arbiter (mgr), attach/detach and detachCond. No stream or worker
+	// takes it.
 	mu sync.Mutex
-	// cond is the scheduler's private condition variable — the scheduler
-	// goroutine is its only waiter, so every wake site uses Signal. Query
-	// streams park on their own per-stream conds and are woken individually
-	// through their queries' wakers: by the ABM on admission and on an
-	// availability gain, and by ABM.WakeQueries on a quarantine, a detach or
-	// shutdown.
-	cond   *sync.Cond
-	mgr    *core.Manager
-	tables []*serverTable
+	// kick wakes the scheduler goroutine, its only reader. Every wake site
+	// does a non-blocking send into the one slot, so wake-ups coalesce and
+	// none is lost: a send during a pass leaves the token for the next park.
+	// Query streams park on their own per-stream conds and are woken
+	// individually through their queries' wakers: by the ABM on admission
+	// and on an availability gain, and by ABM.WakeQueries on a quarantine, a
+	// detach or shutdown.
+	kick chan struct{}
+	mgr  *core.Manager
+	// tables is the slot snapshot, replaced copy-on-write by admit under mu
+	// and read with no lock, so a scan finds its table without a
+	// server-wide lock.
+	tables atomic.Pointer[[]*serverTable]
 	// names maps each live table's registration name to its slot in
 	// tables. DetachTable removes the name as soon as the detach begins;
 	// detached slots stay in tables as tombstones but are unreachable by
@@ -390,15 +410,15 @@ type Server struct {
 	// scheduler.
 	detachCond *sync.Cond
 	// frames is the frame allocator every table's loads draw from.
-	frames frameAlloc
+	frames *frameAlloc
 	// rr rotates the scheduler's table scan so no table monopolises the
-	// load queue.
+	// load queue; the scheduler goroutine alone touches it.
 	rr int
-	// inFlight counts issued-but-uncommitted loads; bounded by
-	// cfg.InFlightDepth.
-	inFlight int
+	// inFlight counts issued-but-unlanded loads; bounded by
+	// cfg.InFlightDepth. Only the scheduler adds to it.
+	inFlight atomic.Int64
 
-	closed bool
+	closed atomic.Bool
 
 	// start anchors wall-clock uptime (and the ABM clock's zero).
 	start time.Time
@@ -438,13 +458,14 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
+		kick:      make(chan struct{}, 1),
 		names:     make(map[string]int),
 		frames:    newFrameAlloc(cfg.Obs),
 		loadCh:    make(chan loadJob, cfg.InFlightDepth),
 		schedDone: make(chan struct{}),
 		start:     time.Now(),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.tables.Store(&[]*serverTable{})
 	s.detachCond = sync.NewCond(&s.mu)
 	s.o = newServerObs(cfg.Obs, cfg.Trace)
 	s.mgr = core.NewLiveManager(wallClock{start: s.start}, core.Config{
@@ -457,7 +478,7 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.mgr.Rebalance(cfg.BufferBytes)
+	s.rebalance()
 	for i := 0; i < cfg.InFlightDepth; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -471,8 +492,9 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 // the budget cannot cover at the two-chunk floor of every live table plus
 // its own (ErrAttachIncompatible); otherwise it builds the table's runtime
 // state in the next slot and registers its ABM with the budget arbiter at
-// the floor. The caller runs the arbiter, which grants the rest of the
-// budget by demand. Callers hold mu, or are NewServer.
+// the floor, publishing the new slot snapshot. The caller runs the arbiter,
+// which grants the rest of the budget by demand. Callers hold Server.mu, or
+// are NewServer.
 func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
@@ -484,7 +506,8 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 		return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
 	}
 	floor := 2 * tf.ChunkBytes()
-	for _, t := range s.tables {
+	slots := s.slots()
+	for _, t := range slots {
 		if !t.detached {
 			floor += 2 * t.tf.ChunkBytes()
 		}
@@ -494,7 +517,7 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 			ErrAttachIncompatible, s.cfg.BufferBytes, floor, name)
 	}
 	t := &serverTable{
-		idx: len(s.tables), tf: tf, name: name,
+		idx: len(slots), tf: tf, name: name, mu: &s.mu,
 		quarantine: make(map[partID]error),
 	}
 	s.frames.retain(partSizes(tf))
@@ -502,7 +525,7 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	t.abm.SetEvictHook(func(chunk, col int, f any) {
 		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
 		// column part: return its frame for the next load of that size.
-		// Sibling columns of the same chunk keep theirs. Runs under mu,
+		// Sibling columns of the same chunk keep theirs. Runs under t.mu,
 		// from an EnsureSpace inside the scheduler.
 		s.returnFrame(t, f.(*frame))
 		s.o.evictions.add(1)
@@ -520,15 +543,60 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	for decided, label := range [...]string{storage.Some: "some", storage.None: "none", storage.All: "date_all"} {
 		t.kernels[decided].c = s.o.kernelChunks.With(name, label)
 	}
-	s.tables = append(s.tables, t)
+	next := append(slots[:len(slots):len(slots)], t)
+	s.tables.Store(&next)
 	s.names[name] = t.idx
 	return t.idx, nil
+}
+
+// slots returns the current slot snapshot; callers must not modify it.
+func (s *Server) slots() []*serverTable { return *s.tables.Load() }
+
+// lockTable takes t's lock for a caller already holding Server.mu; unlockTable
+// undoes it. While every table's lock is the server's own mutex they do
+// nothing.
+func (s *Server) lockTable(t *serverTable) {
+	if t.mu != &s.mu {
+		t.mu.Lock()
+	}
+}
+
+func (s *Server) unlockTable(t *serverTable) {
+	if t.mu != &s.mu {
+		t.mu.Unlock()
+	}
+}
+
+// rebalance runs the budget arbiter holding every attached table's lock, in
+// slot order, and returns its grants. Callers hold Server.mu, or are
+// NewServer.
+func (s *Server) rebalance() []int64 {
+	var held []*serverTable
+	for _, t := range s.slots() {
+		if !t.detached {
+			s.lockTable(t)
+			held = append(held, t)
+		}
+	}
+	grants := s.mgr.Rebalance(s.cfg.BufferBytes)
+	for _, t := range held {
+		s.unlockTable(t)
+	}
+	return grants
+}
+
+// wake kicks the scheduler without blocking (see Server.kick).
+func (s *Server) wake() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
 }
 
 // drawFrame draws the frame for one part of t whose load is being issued;
 // returnFrame gives one back (eviction, abort, detach, shutdown). Together
 // they keep t.framesOut, the audited count of frames t holds. Callers hold
-// mu.
+// t.mu.
 func (s *Server) drawFrame(t *serverTable, col int) *frame {
 	t.framesOut++
 	return s.frames.get(t.partBytes(col))
@@ -543,7 +611,7 @@ func (s *Server) returnFrame(t *serverTable, f *frame) {
 // — a table being finalised out of a detach, or any table still attached at
 // shutdown. A scan still inside a delivery at shutdown keeps its pinned
 // frames' bytes alive by reference; no load can draw them again, because the
-// scheduler is already gone. Callers hold mu.
+// scheduler is already gone. Callers hold t.mu.
 func (s *Server) releaseFrames(t *serverTable) {
 	t.abm.ReleaseFrames(func(f any) {
 		s.returnFrame(t, f.(*frame))
@@ -552,26 +620,30 @@ func (s *Server) releaseFrames(t *serverTable) {
 }
 
 // scheduler is the live ABM decision loop: each pass admits every live
-// table's queued scans (the one call of core.ABM.AdmitQueued; see Server),
-// keeps the budget arbiter current and up to InFlightDepth loads issued
-// across the tables, then parks until a completion, release or arrival
-// changes the world.
+// table's queued scans under that table's lock (the one call of
+// core.ABM.AdmitQueued; see Server), finalises quiesced detaches and keeps
+// the budget arbiter current under Server.mu, and keeps up to InFlightDepth
+// loads issued across the tables, then parks until a kick says a
+// completion, release, arrival or departure changed the world.
 func (s *Server) scheduler() {
 	defer close(s.schedDone)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.closed {
-		for _, t := range s.tables {
+	for !s.closed.Load() {
+		tables := s.slots()
+		for _, t := range tables {
+			t.mu.Lock()
 			if !t.detaching {
 				t.abm.AdmitQueued()
 			}
+			t.mu.Unlock()
 		}
+		s.mu.Lock()
 		s.finalizeDetaches()
 		s.maybeRebalance()
-		if s.inFlight < s.cfg.InFlightDepth && s.issueOne() {
+		s.mu.Unlock()
+		if s.inFlight.Load() < int64(s.cfg.InFlightDepth) && s.issueOne(tables) {
 			continue
 		}
-		s.cond.Wait()
+		<-s.kick
 	}
 }
 
@@ -579,18 +651,16 @@ func (s *Server) scheduler() {
 // scheduler structures (counters, demand sums, availability and candidate
 // heaps, victim heap) against a linear recomputation from first principles,
 // the frames its parts carry against their reservations, and its usage
-// against its grant, under the server lock. The arbiter never grants a
-// table less than it uses, and a load reserves only the bytes its eviction
-// pass made room for (no page of a table file is shared between parts), so
-// no table is ever over its grant: nothing has to drain an excess. It is
-// the soak harness's mid-flight invariant probe; production code never
-// calls it.
+// against its grant, each table under its own lock. The arbiter never
+// grants a table less than it uses, and a load reserves only the bytes its
+// eviction pass made room for (no page of a table file is shared between
+// parts), so no table is ever over its grant: nothing has to drain an
+// excess. It is the soak harness's mid-flight invariant probe; production
+// code never calls it.
 func (s *Server) AuditTables() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.tables {
+	return s.eachTable(func(t *serverTable) error {
 		if t.detached {
-			continue
+			return nil
 		}
 		if free := t.abm.FreeBytes(); free < 0 {
 			return fmt.Errorf("engine: table %s over its grant: free = %d", t.name, free)
@@ -598,7 +668,18 @@ func (s *Server) AuditTables() error {
 		if err := t.abm.AuditIncremental(); err != nil {
 			return fmt.Errorf("engine: table %s: %w", t.name, err)
 		}
-		if err := t.auditFrames(false); err != nil {
+		return t.auditFrames(false)
+	})
+}
+
+// eachTable runs fn on every slot under that table's lock alone, stopping at
+// the first error.
+func (s *Server) eachTable(fn func(t *serverTable) error) error {
+	for _, t := range s.slots() {
+		t.mu.Lock()
+		err := fn(t)
+		t.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
@@ -646,14 +727,9 @@ func (t *serverTable) auditFrames(released bool) error {
 // none stranded on a load job, none on a detached slot, none at all once the
 // server has closed. Like AuditTables it exists for the soak harness.
 func (s *Server) AuditDrained() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.tables {
-		if err := t.auditFrames(t.detached || s.closed); err != nil {
+	return s.eachTable(func(t *serverTable) error {
+		if err := t.auditFrames(t.detached || s.closed.Load()); err != nil || t.detached {
 			return err
-		}
-		if t.detached {
-			continue
 		}
 		if err := t.abm.AuditDrained(); err != nil {
 			return fmt.Errorf("engine: table %s: %w", t.name, err)
@@ -661,67 +737,80 @@ func (s *Server) AuditDrained() error {
 		if free := t.abm.FreeBytes(); free < 0 {
 			return fmt.Errorf("engine: table %s over budget after drain: free = %d", t.name, free)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // maybeRebalance re-runs the budget arbiter when the tables' demand has
-// shifted (core.Manager.RebalanceIfShifted owns the rule).
+// shifted (core.Manager.DemandShifted owns the rule, and reads no table
+// state a lock guards). Runs under Server.mu.
 func (s *Server) maybeRebalance() {
-	grants := s.mgr.RebalanceIfShifted(s.cfg.BufferBytes)
-	if grants != nil && s.o.tracer != nil {
+	if !s.mgr.DemandShifted() {
+		return
+	}
+	grants := s.rebalance()
+	if s.o.tracer != nil {
 		s.o.schedTrack.Instant("rebalance", obs.Args{"grants": grants})
 	}
 }
 
-// issueOne asks the tables round-robin for a load ticket and hands the
-// first one issued to a worker. A table whose proposal names a quarantined
-// part, or whose pool cannot make room, is skipped this round; the others
-// still get their turn. It reports whether a load was issued.
-func (s *Server) issueOne() bool {
-	n := len(s.tables)
+// issueOne asks the tables round-robin, each under its own lock, for a load
+// ticket and hands the first one issued to a worker. A table whose proposal
+// names a quarantined part, or whose pool cannot make room, is skipped this
+// round; the others still get their turn. It reports whether a load was
+// issued.
+func (s *Server) issueOne(tables []*serverTable) bool {
+	n := len(tables)
 	for off := 0; off < n; off++ {
 		i := (s.rr + off) % n
-		t := s.tables[i]
-		if t.detaching || t.detached {
-			continue
+		if job, ok := s.issueFrom(tables[i]); ok {
+			s.inFlight.Add(1)
+			s.o.inflight.Add(1)
+			s.rr = (i + 1) % n
+			// Never blocks: inFlight < depth == cap(loadCh) and workers drain.
+			s.loadCh <- job
+			return true
 		}
-		var decStart time.Time
-		if s.o.enabled {
-			decStart = time.Now()
-		}
-		ld := t.abm.IssueLoad(t.loadable)
-		if ld == nil {
-			continue
-		}
-		d := ld.Decision()
-		job := loadJob{t: t, ld: ld}
-		// The bytes are reserved; draw the frames they pay for.
-		job.parts = make([]loadPart, 0, max(1, d.Cols.Count()))
-		t.eachPart(d.Cols, func(col int) {
-			job.parts = append(job.parts, loadPart{col: col, f: s.drawFrame(t, col)})
-		})
-		s.inFlight++
-		s.o.inflight.Add(1)
-		s.rr = (i + 1) % n
-		if s.o.enabled {
-			job.issuedAt = time.Now()
-			t.o.sched.Observe(job.issuedAt.Sub(decStart).Seconds())
-			if s.o.tracer != nil {
-				job.lane = t.acquireLane(s.o.tracer)
-				s.o.schedTrack.Instant("load", obs.Args{"table": t.name, "chunk": d.Chunk})
-			}
-		}
-		// Never blocks: inFlight < depth == cap(loadCh) and workers drain.
-		s.loadCh <- job
-		return true
 	}
 	return false
 }
 
-// worker executes issued loads: the real file reads happen without the
-// server lock, straight into the job's frames; then the completion — landing
-// the ticket, which hands each part its frame — commits under it.
+// issueFrom is issueOne's step on one table, under t.mu: the ticket, then
+// the frames its reserved bytes pay for.
+func (s *Server) issueFrom(t *serverTable) (loadJob, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.detaching || t.detached {
+		return loadJob{}, false
+	}
+	var decStart time.Time
+	if s.o.enabled {
+		decStart = time.Now()
+	}
+	ld := t.abm.IssueLoad(t.loadable)
+	if ld == nil {
+		return loadJob{}, false
+	}
+	d := ld.Decision()
+	job := loadJob{t: t, ld: ld}
+	job.parts = make([]loadPart, 0, max(1, d.Cols.Count()))
+	t.eachPart(d.Cols, func(col int) {
+		job.parts = append(job.parts, loadPart{col: col, f: s.drawFrame(t, col)})
+	})
+	if s.o.enabled {
+		job.issuedAt = time.Now()
+		t.o.sched.Observe(job.issuedAt.Sub(decStart).Seconds())
+		if s.o.tracer != nil {
+			job.lane = t.acquireLane(s.o.tracer)
+			s.o.schedTrack.Instant("load", obs.Args{"table": t.name, "chunk": d.Chunk})
+		}
+	}
+	return job, true
+}
+
+// worker executes issued loads: the real file reads happen without a lock,
+// straight into the job's frames; then the completion — landing the ticket,
+// which hands each part its frame — commits under the job's table lock.
 // Completions land in read-completion order, not issue order; the ABM's part
 // states (marked loading at issue) keep the two decoupled.
 //
@@ -754,50 +843,48 @@ func (s *Server) worker() {
 		if s.loadHook != nil {
 			s.loadHook(job.t.idx, job.ld.Decision().Chunk)
 		}
-		s.mu.Lock()
 		exhausted := false
 		for attempt := 0; err != nil; attempt++ {
 			if errors.Is(err, ErrChecksum) || errors.Is(err, ErrCorrupt) {
 				s.o.checksumErrors.add(1)
 			}
 			exhausted = attempt >= s.cfg.LoadRetries
-			if exhausted || s.closed {
+			if exhausted || s.closed.Load() {
 				break
 			}
 			s.o.retries.add(1)
-			pause := s.retryPause(attempt)
-			s.mu.Unlock()
-			time.Sleep(pause)
+			time.Sleep(s.retryPause(attempt))
 			_, err = s.readParts(job)
-			s.mu.Lock()
 		}
+		t := job.t
+		t.mu.Lock()
 		if err == nil {
 			s.completeLoad(job)
 		} else {
 			// Roll the load back: the frames return to the allocator and
 			// the ticket un-reserves its bytes; the parts stay loadable.
 			for _, p := range job.parts {
-				s.returnFrame(job.t, p.f)
+				s.returnFrame(t, p.f)
 			}
 			job.ld.Abort()
 			if exhausted {
 				s.quarantine(job, err)
 			}
 		}
-		job.t.releaseLane(job.lane)
-		s.inFlight--
+		t.releaseLane(job.lane)
+		t.mu.Unlock()
+		s.inFlight.Add(-1)
 		s.o.inflight.Add(-1)
 		// A slot freed: only the scheduler cares. Streams interested in the
 		// landed chunk were woken by their queries' wakers in Load.Finish.
-		s.cond.Signal()
-		s.mu.Unlock()
+		s.wake()
 	}
 }
 
-// completeLoad lands one fully read load under the server lock: the ticket
+// completeLoad lands one fully read load under its table's lock: the ticket
 // finishes and hands each of its parts the frame the worker filled. Nothing
 // here can fail or touch the file — the frames were drawn at issue and filled
-// outside the lock.
+// without a lock.
 func (s *Server) completeLoad(job loadJob) {
 	var commitStart time.Time
 	if s.o.enabled {
@@ -843,7 +930,7 @@ func (s *Server) retryPause(attempt int) time.Duration {
 // quarantine takes the failing part of a load that exhausted its retries out
 // of service, so the scheduler stops re-proposing it and the scans that need
 // it fail fast; the table's streams are woken to observe it (other tables'
-// streams are unaffected). Called under mu.
+// streams are unaffected). Called under job.t.mu.
 func (s *Server) quarantine(job loadJob, cause error) {
 	for _, k := range quarantineTargets(job, cause) {
 		if _, dup := job.t.quarantine[k]; !dup {
@@ -899,7 +986,7 @@ type ioStats struct {
 // not stop the others: the parts that read keep their bytes across the
 // retry, which re-reads only the failures — every faulty extent advances
 // through its transient-fault window in parallel instead of one extent per
-// retry. The first error comes back. Called without the server lock; only
+// retry. The first error comes back. Called without a lock; only
 // the worker owning the job touches its parts until the load commits. When
 // observability is enabled it also observes the read, verify and byte
 // metrics and reports its measurements.
@@ -986,11 +1073,7 @@ func (s *Server) quarantineError(t *serverTable, q *core.Query) error {
 
 // Table returns the table file at index i (the file of a detached slot is
 // still returned; it remains owned by the caller who attached it).
-func (s *Server) Table(i int) *TableFile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tables[i].tf
-}
+func (s *Server) Table(i int) *TableFile { return s.slots()[i].tf }
 
 // Lookup returns the slot serving the named live table. Detached tables are
 // not found — their names are freed the moment the detach begins.
@@ -1002,11 +1085,7 @@ func (s *Server) Lookup(name string) (int, bool) {
 }
 
 // TableName returns the registration name of table slot i.
-func (s *Server) TableName(i int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tables[i].name
-}
+func (s *Server) TableName(i int) string { return s.slots()[i].name }
 
 // Scan executes one cooperative scan over the given chunk ranges of table
 // `table` in the calling goroutine, invoking onChunk for every delivered
@@ -1069,18 +1148,15 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 	if req.Weight < 0 {
 		return core.Stats{}, fmt.Errorf("%w: scan %q weight %v", ErrInvalidWeight, req.Name, req.Weight)
 	}
-	s.mu.Lock()
-	if req.Table < 0 || req.Table >= len(s.tables) {
-		n := len(s.tables)
-		s.mu.Unlock()
-		return core.Stats{}, fmt.Errorf("%w: scan %q over table %d of %d", ErrUnknownTable, req.Name, req.Table, n)
+	tables := s.slots()
+	if req.Table < 0 || req.Table >= len(tables) {
+		return core.Stats{}, fmt.Errorf("%w: scan %q over table %d of %d", ErrUnknownTable, req.Name, req.Table, len(tables))
 	}
-	t := s.tables[req.Table]
-	s.mu.Unlock()
+	t := tables[req.Table]
 	// Validate before touching shared state: core.NewQuery panics on these,
-	// and a panic while holding s.mu would wedge the whole server. The
-	// table file is immutable, so these reads are safe without the lock;
-	// a concurrent detach is caught by the delivery loop.
+	// and a panic while holding t.mu would wedge the table. The table file
+	// is immutable, so these reads are safe without the lock; a concurrent
+	// detach is caught by the delivery loop.
 	if req.Ranges.Empty() {
 		return core.Stats{}, fmt.Errorf("%w: scan %q over empty range set", ErrInvalidRange, req.Name)
 	}
@@ -1145,19 +1221,19 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 // variable while queued or blocked (woken by the query's waker).
 func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
 	name, ranges, cols := req.Name, req.Ranges, req.Cols
-	// w is this stream's private condition variable: the stream parks on it
-	// (never on the scheduler's cond) and is woken individually — by its
-	// query's waker (an availability gain, a quarantine or detach of its
-	// table, shutdown) or its context firing.
-	w := sync.NewCond(&s.mu)
-	// A context firing must unblock a scan parked in w.Wait. Taking mu orders
-	// the signal after the stream's park: the stream holds mu from its
-	// ctx.Err() check until the Wait releases it. The callback runs in a
+	// w is this stream's private condition variable on its table's lock:
+	// the stream parks on it and is woken individually — by its query's
+	// waker (an availability gain, a quarantine or detach of its table,
+	// shutdown) or its context firing.
+	w := sync.NewCond(t.mu)
+	// A context firing must unblock a scan parked in w.Wait. Taking t.mu
+	// orders the signal after the stream's park: the stream holds t.mu from
+	// its ctx.Err() check until the Wait releases it. The callback runs in a
 	// goroutine of its own only once the context fires.
 	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
+		t.mu.Lock()
 		w.Signal()
-		s.mu.Unlock()
+		t.mu.Unlock()
 	})
 	defer stop()
 	dsm := t.tf.Format() == DSM
@@ -1190,7 +1266,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			waitStart = time.Time{}
 		}
 	}
-	s.mu.Lock()
+	t.mu.Lock()
 	// Queue the query on its table's ABM for the scheduler's next admission
 	// pass, whose waker call wakes this stream parked in the loop below. Until
 	// then the loop's closed, context, detach and quarantine checks cover the
@@ -1201,25 +1277,25 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	}
 	q.SetWaker(w.Signal)
 	t.abm.Enqueue(q)
-	s.cond.Signal()
+	s.wake()
 	// leave is the stream's one exit: close an open wait span, finish the
 	// query (unregistered, or taken out of the queue), count the outcome,
-	// and wake the scheduler — a departing query shifts demand and may be
-	// what a detach is quiescing on (after Close the scheduler is gone and
-	// the signal finds no waiter).
+	// and kick the scheduler off the lock — a departing query shifts demand
+	// and may be what a detach is quiescing on (after Close the scheduler is
+	// gone and the token is never read).
 	leave := func(err error, outcome *tally) (core.Stats, error) {
 		closeWait()
 		st := t.abm.Finish(q)
 		if outcome != nil {
 			outcome.add(1)
 		}
-		s.cond.Signal()
-		s.mu.Unlock()
+		t.mu.Unlock()
+		s.wake()
 		st.BytesUseful = useful
 		return st, err
 	}
 	for !q.Finished() {
-		if s.closed {
+		if s.closed.Load() {
 			return leave(ErrClosed, nil)
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -1243,7 +1319,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 			// or shutdown) or its context fires. A queued query is never
 			// marked blocked.
 			q.SetBlocked(true)
-			s.cond.Signal()
+			s.wake()
 			if s.o.tracer != nil && waitStart.IsZero() {
 				waitStart = time.Now()
 			}
@@ -1263,7 +1339,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		// The pin lifts the chunk's fresh-load eviction protection: wake a
 		// scheduler parked on a failed EnsureSpace so the next load
 		// overlaps with this chunk's processing.
-		s.cond.Signal()
+		s.wake()
 		tuples := t.tf.Layout().ChunkTuples(c)
 		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, table: t, chunk: c}
 		if dsm {
@@ -1290,7 +1366,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		if s.o.tracer != nil {
 			track.SpanAt("deliver", deliverStart, time.Now(), obs.Args{"chunk": c})
 		}
-		s.mu.Unlock()
+		t.mu.Unlock()
 		var procStart time.Time
 		if s.o.tracer != nil {
 			procStart = time.Now()
@@ -1301,14 +1377,17 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		if s.o.tracer != nil {
 			track.SpanAt("process", procStart, time.Now(), obs.Args{"chunk": c})
 		}
-		s.mu.Lock()
+		// Yield before retaking the lock, so the table's other streams get
+		// their turn (see Server).
+		runtime.Gosched()
+		t.mu.Lock()
 		pinned = t.abm.PinnedParts()
 		t.abm.Release(q, c)
 		s.o.pinned.add(int64(t.abm.PinnedParts() - pinned))
 		// The release unpins the chunk: a scheduler parked on a failed
 		// EnsureSpace may now find a victim. Availability of other streams
 		// only shrinks here, so no stream wake is needed.
-		s.cond.Signal()
+		s.wake()
 	}
 	return leave(nil, nil)
 }
@@ -1316,12 +1395,6 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 // Stats returns the server's counters: one entry per table plus the
 // buffer's part traffic and the fault counters.
 func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statsLocked()
-}
-
-func (s *Server) statsLocked() ServerStats {
 	out := ServerStats{
 		Pool: PoolStats{
 			Hits:        int(s.o.hits.n.Load()),
@@ -1339,9 +1412,9 @@ func (s *Server) statsLocked() ServerStats {
 			CancelledScans:   s.o.cancelledScans.n.Load(),
 		},
 	}
-	for _, t := range s.tables {
+	s.eachTable(func(t *serverTable) error {
 		if t.detached {
-			continue
+			return nil
 		}
 		schedDur, schedCalls := t.abm.SchedulingCost()
 		out.Tables = append(out.Tables, TableStats{
@@ -1359,7 +1432,8 @@ func (s *Server) statsLocked() ServerStats {
 			KernelChunksDateAll: t.kernels[storage.All].n.Load(),
 			KernelChunksSome:    t.kernels[storage.Some].n.Load(),
 		})
-	}
+		return nil
+	})
 	return out
 }
 
@@ -1378,13 +1452,11 @@ type Status struct {
 
 // StatusSnapshot returns the server's current Status.
 func (s *Server) StatusSnapshot() Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.statsLocked()
+	st := s.Stats()
 	return Status{
 		Policy:        s.cfg.Policy.String(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		InFlight:      s.inFlight,
+		InFlight:      int(s.inFlight.Load()),
 		Tables:        st.Tables,
 		Pool:          st.Pool,
 		Faults:        st.Faults,
@@ -1394,14 +1466,15 @@ func (s *Server) StatusSnapshot() Status {
 // Budgets returns the current arbiter grants in table-slot order (zero for
 // detached slots).
 func (s *Server) Budgets() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.tables))
-	for i, t := range s.tables {
+	var out []int64
+	s.eachTable(func(t *serverTable) error {
+		var b int64
 		if !t.detached {
-			out[i] = t.abm.BufferBytes()
+			b = t.abm.BufferBytes()
 		}
-	}
+		out = append(out, b)
+		return nil
+	})
 	return out
 }
 
@@ -1414,22 +1487,25 @@ func (s *Server) Budgets() []int64 {
 // the server (load failures stay in their load's fault domain).
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
+		s.closed.Store(true)
+		s.wake()
 		s.mu.Lock()
-		s.closed = true
-		s.cond.Signal()
 		s.detachCond.Broadcast()
-		for _, t := range s.tables {
-			t.abm.WakeQueries()
-		}
 		s.mu.Unlock()
+		// A stream checks closed under its table's lock and parks without
+		// dropping it, so waking each table's queries under that lock
+		// reaches every stream that did not see the flag.
+		s.eachTable(func(t *serverTable) error {
+			t.abm.WakeQueries()
+			return nil
+		})
 		<-s.schedDone
 		close(s.loadCh)
 		s.workerWG.Wait()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, t := range s.tables {
+		s.eachTable(func(t *serverTable) error {
 			s.releaseFrames(t)
-		}
+			return nil
+		})
 	})
 	return nil
 }

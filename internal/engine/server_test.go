@@ -26,6 +26,23 @@ func newTestServer(t *testing.T, cfg ServerConfig, tfs ...*TableFile) *Server {
 	return srv
 }
 
+// freeze takes Server.mu and every table's lock in slot order, so a test can
+// read any state while nothing moves — the frame allocator too, which only
+// moves under one of those locks; thaw releases them.
+func freeze(s *Server) {
+	s.mu.Lock()
+	for _, t := range s.slots() {
+		s.lockTable(t)
+	}
+}
+
+func thaw(s *Server) {
+	for _, t := range s.slots() {
+		s.unlockTable(t)
+	}
+	s.mu.Unlock()
+}
+
 // setLoadHook installs the test-only load delay hook. Taking the server
 // lock publishes the write to the workers (they first observe a job only
 // through a later lock acquisition by the scheduler).
@@ -261,18 +278,18 @@ func TestAuditTablesFailsTableOverItsGrant(t *testing.T) {
 	if err := srv.AuditTables(); err != nil {
 		t.Fatalf("audit after a scan: %v", err)
 	}
-	srv.mu.Lock()
+	freeze(srv)
 	// Take the re-run the departed scan left pending, so no later scheduler
 	// pass moves the grant set below.
 	srv.mgr.RebalanceIfShifted(srv.cfg.BufferBytes)
-	a := srv.tables[0].abm
+	a := srv.slots()[0].abm
 	used := a.UsedBytes()
 	if used <= tf.ChunkBytes() {
-		srv.mu.Unlock()
+		thaw(srv)
 		t.Fatalf("usage %d after a full scan, want more than one chunk resident", used)
 	}
 	a.SetBufferBytes(used - 1)
-	srv.mu.Unlock()
+	thaw(srv)
 	if err := srv.AuditTables(); err == nil {
 		t.Fatal("AuditTables passed a table one byte over its grant")
 	}

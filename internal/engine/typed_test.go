@@ -171,9 +171,9 @@ func TestFrameViewsAligned(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			srv.mu.Lock()
-			defer srv.mu.Unlock()
-			frames := partFrames(srv.tables[0])
+			freeze(srv)
+			defer thaw(srv)
+			frames := partFrames(srv.slots()[0])
 			if len(frames) == 0 {
 				t.Fatal("no resident frames to check")
 			}
