@@ -44,14 +44,10 @@ func (a *ABM) SetBufferBytes(n int64) {
 // DemandBytes estimates the table's outstanding work in bytes: for every
 // registered query, the bytes its remaining chunks still have to deliver
 // (its column subset only, in DSM), with starved queries counted twice.
-// The budget arbiter (Manager.Rebalance) weighs tables by it, so a table
-// whose streams still have gigabytes to scan outweighs one with the same
-// stream count nursing a few trailing chunks — §7.1's "system-wide load",
-// not just stream arity.
-// The sum is maintained incrementally (refreshDemand at registration,
-// consumption and starvation flips) and published atomically, so the
-// arbiter's per-scheduler-pass poll across every table is one atomic load
-// per table, taken without the table's lock.
+// The budget arbiter (Manager.Rebalance) weighs tables by it — §7.1's
+// "system-wide load", not just stream arity. The sum is maintained
+// incrementally (refreshDemand) and published atomically, so the arbiter's
+// per-pass poll is one atomic load per table, taken without its lock.
 func (a *ABM) DemandBytes() int64 { return a.demandBytes.Load() }
 
 // queryChunkBytes returns the average bytes one chunk delivers to q: the
@@ -175,12 +171,14 @@ func (l *Load) Decision() LoadDecision { return l.d }
 // resident halves, every landing would leave a chunk complete for nobody,
 // and the streams would wait on loads that never add up.
 func (a *ABM) IssueLoad(accept func(LoadDecision) bool) *Load {
+	a.spaceWait = false
 	d, need, ok := a.proposeLoad(accept)
 	if !ok {
 		return nil
 	}
 	a.markAssembling(d.Chunk, d.Cols)
-	if need > 0 && a.cache.free() < need && !a.strat.EnsureSpace(need, d.Query) {
+	a.spaceWait = need > 0 && a.cache.free() < need && !a.strat.EnsureSpace(need, d.Query)
+	if a.spaceWait {
 		a.unmarkAssembling(d.Chunk, d.Cols)
 		return nil
 	}
@@ -190,6 +188,9 @@ func (a *ABM) IssueLoad(accept func(LoadDecision) bool) *Load {
 	a.openLoads++
 	return l
 }
+
+// WaitsForSpace reports whether the last IssueLoad found no room.
+func (a *ABM) WaitsForSpace() bool { return a.spaceWait }
 
 // proposeLoad is the deciding half of a load, shared by IssueLoad and the
 // simulator's loader process: the policy's proposal, the caller's veto, and

@@ -300,9 +300,7 @@ func (m *Manager) Rebalance(total int64) []int64 {
 	return grants
 }
 
-// RebalanceIfShifted runs Rebalance(total) when DemandShifted reports that
-// the demand weights moved enough to matter and returns its grants, or nil
-// when nothing moved.
+// RebalanceIfShifted returns Rebalance(total) if DemandShifted, else nil.
 func (m *Manager) RebalanceIfShifted(total int64) []int64 {
 	if !m.DemandShifted() {
 		return nil
@@ -310,16 +308,14 @@ func (m *Manager) RebalanceIfShifted(total int64) []int64 {
 	return m.Rebalance(total)
 }
 
-// DemandShifted is the arbiter's re-run rule. A table's weight moved when it
+// DemandShifted is the arbiter's re-run rule: a table's weight moved when it
 // flipped between zero and non-zero or shifted by at least an eighth of the
-// weight the arbiter last ran with for it; only a moved weight is stored, so
-// a slow drift still adds up to a re-run. Byte demand shrinks with every
-// consumed chunk, and re-running on every delta would churn budgets for
-// integer-crumb gains. The first call after an attach reports true and
-// re-baselines every stored weight. It is the live engine's per-scheduler-
-// pass call: it reads only DemandBytes, so the caller holds no table lock
-// and takes the ones Rebalance needs only when it reports true; when
-// nothing moved it allocates nothing.
+// weight the arbiter last ran with for it. Only a moved weight is stored, so
+// a slow drift still adds up, while the crumb every consumed chunk takes off
+// byte demand does not churn budgets. The first call after an attach reports
+// true and re-baselines every weight. It is the live engine's per-pass call:
+// it reads only DemandBytes, so the caller takes the table locks Rebalance
+// needs only when it reports true, and it allocates nothing.
 func (m *Manager) DemandShifted() bool {
 	shifted := m.rebaseline
 	for i := range m.order {

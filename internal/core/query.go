@@ -139,10 +139,11 @@ func (q *Query) Needs(c int) bool { return q.needs(c) }
 // relevance policy's eviction relaxation triggers only when every
 // registered query is blocked. The ABM's registry-wide blocked count is
 // maintained here, so that "is every query blocked?" is one comparison. A
-// query queued for admission is never marked.
-func (q *Query) SetBlocked(b bool) {
+// query queued for admission is never marked. It reports whether the flag
+// changed.
+func (q *Query) SetBlocked(b bool) bool {
 	if b == q.blocked || q.queued {
-		return
+		return false
 	}
 	q.blocked = b
 	if q.abm != nil {
@@ -152,7 +153,12 @@ func (q *Query) SetBlocked(b bool) {
 			q.abm.blockedCount--
 		}
 	}
+	return true
 }
+
+// WantsLoad reports whether the query is starved with a needed chunk not
+// fully resident: a load the policy may propose for it.
+func (q *Query) WantsLoad() bool { return q.loadPos >= 0 }
 
 // SetWeight sets the query's starvation weight (SLO tier priority): the
 // relevance policy divides the query's remaining-work penalty by w, so
@@ -174,7 +180,7 @@ func (q *Query) SetWeight(w float64) {
 func (q *Query) Weight() float64 { return q.weight }
 
 // SetWaker installs the live engine's per-stream wake callback, invoked
-// (under the engine's lock) whenever the query gains an available chunk.
+// (under its table's lock) whenever the query gains an available chunk.
 // Gaining availability is a complete wake condition for every policy: the
 // relevance and elevator pickers deliver only chunks on the availability
 // list, and the sequential cursor's next chunk becoming fully resident is

@@ -64,10 +64,10 @@ func (s *Server) DetachTable(name string) error {
 	// Wake this table's parked and queued streams so they observe the detach
 	// and leave; wake the scheduler so it stops admitting the table's queue
 	// and finalises it once it quiesces.
-	s.lockTable(t)
+	t.mu.Lock()
 	t.detaching = true
 	t.abm.WakeQueries()
-	s.unlockTable(t)
+	t.mu.Unlock()
 	s.wake()
 	for !t.detached && !s.closed.Load() {
 		s.detachCond.Wait()
@@ -90,7 +90,7 @@ func (s *Server) finalizeDetaches() {
 		if !t.detaching || t.detached {
 			continue
 		}
-		s.lockTable(t)
+		t.mu.Lock()
 		idle := t.abm.Idle()
 		if idle {
 			s.releaseFrames(t)
@@ -99,7 +99,7 @@ func (s *Server) finalizeDetaches() {
 			s.mgr.Detach(t.name)
 			t.detached = true
 		}
-		s.unlockTable(t)
+		t.mu.Unlock()
 		if !idle {
 			continue
 		}

@@ -392,7 +392,7 @@ func TestFrameAuditsCatchCorruption(t *testing.T) {
 		abm.Register(q)
 		abm.IssueLoad(nil).Finish(f)
 		srv := &Server{}
-		tbl := &serverTable{tf: tf, abm: abm, name: "t", framesOut: 1, mu: &srv.mu}
+		tbl := &serverTable{tf: tf, abm: abm, name: "t", framesOut: 1}
 		srv.tables.Store(&[]*serverTable{tbl})
 		return srv, tbl, q
 	}

@@ -223,7 +223,7 @@ type serverTable struct {
 	// tickets, policy heaps, SystemStats), framesOut, quarantine, the
 	// trace-lane free list and detaching/detached. Its streams and the
 	// workers landing its loads take this lock and no other.
-	mu *sync.Mutex
+	mu sync.Mutex
 	// framesOut counts the frames this table has drawn and not returned: the
 	// ones its resident parts carry plus those travelling on in-flight load
 	// jobs. Guarded by mu.
@@ -389,6 +389,8 @@ type Server struct {
 	// kick wakes the scheduler goroutine, its only reader. Every wake site
 	// does a non-blocking send into the one slot, so wake-ups coalesce and
 	// none is lost: a send during a pass leaves the token for the next park.
+	// Sites: an arrival, the blocked flag, a departure, a freed in-flight
+	// slot, attach/detach, and a pin while core.ABM.WaitsForSpace.
 	// Query streams park on their own per-stream conds and are woken
 	// individually through their queries' wakers: by the ABM on admission
 	// and on an availability gain, and by ABM.WakeQueries on a quarantine, a
@@ -517,7 +519,7 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 			ErrAttachIncompatible, s.cfg.BufferBytes, floor, name)
 	}
 	t := &serverTable{
-		idx: len(slots), tf: tf, name: name, mu: &s.mu,
+		idx: len(slots), tf: tf, name: name,
 		quarantine: make(map[partID]error),
 	}
 	s.frames.retain(partSizes(tf))
@@ -552,21 +554,6 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 // slots returns the current slot snapshot; callers must not modify it.
 func (s *Server) slots() []*serverTable { return *s.tables.Load() }
 
-// lockTable takes t's lock for a caller already holding Server.mu; unlockTable
-// undoes it. While every table's lock is the server's own mutex they do
-// nothing.
-func (s *Server) lockTable(t *serverTable) {
-	if t.mu != &s.mu {
-		t.mu.Lock()
-	}
-}
-
-func (s *Server) unlockTable(t *serverTable) {
-	if t.mu != &s.mu {
-		t.mu.Unlock()
-	}
-}
-
 // rebalance runs the budget arbiter holding every attached table's lock, in
 // slot order, and returns its grants. Callers hold Server.mu, or are
 // NewServer.
@@ -574,13 +561,13 @@ func (s *Server) rebalance() []int64 {
 	var held []*serverTable
 	for _, t := range s.slots() {
 		if !t.detached {
-			s.lockTable(t)
+			t.mu.Lock()
 			held = append(held, t)
 		}
 	}
 	grants := s.mgr.Rebalance(s.cfg.BufferBytes)
 	for _, t := range held {
-		s.unlockTable(t)
+		t.mu.Unlock()
 	}
 	return grants
 }
@@ -1225,7 +1212,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	// the stream parks on it and is woken individually — by its query's
 	// waker (an availability gain, a quarantine or detach of its table,
 	// shutdown) or its context firing.
-	w := sync.NewCond(t.mu)
+	w := sync.NewCond(&t.mu)
 	// A context firing must unblock a scan parked in w.Wait. Taking t.mu
 	// orders the signal after the stream's park: the stream holds t.mu from
 	// its ctx.Err() check until the Wait releases it. The callback runs in a
@@ -1311,15 +1298,15 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		}
 		c := t.abm.Policy().PickAvailable(q)
 		if c < 0 {
-			// The blocked flag must be visible to the scheduler before it
-			// re-evaluates eviction (the relevance relaxation passes fire
-			// only when every registered query is blocked), so wake it —
-			// then park on the stream's own cond until the query's waker
-			// (its admission, an availability gain, a quarantine, a detach
-			// or shutdown) or its context fires. A queued query is never
-			// marked blocked.
-			q.SetBlocked(true)
-			s.wake()
+			// A newly set blocked flag must reach the scheduler before it
+			// re-evaluates eviction (the relevance relaxation passes fire only
+			// when every registered query is blocked), so kick it; a queued
+			// query is never marked. Then park until the query's waker (its
+			// admission, an availability gain, a quarantine, a detach or
+			// shutdown) or the context fires.
+			if q.SetBlocked(true) {
+				s.wake()
+			}
 			if s.o.tracer != nil && waitStart.IsZero() {
 				waitStart = time.Now()
 			}
@@ -1336,10 +1323,11 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		held = t.abm.Pin(q, c, held[:0])
 		s.o.pinned.add(int64(t.abm.PinnedParts() - pinned))
 		s.o.hits.add(int64(len(held)))
-		// The pin lifts the chunk's fresh-load eviction protection: wake a
-		// scheduler parked on a failed EnsureSpace so the next load
-		// overlaps with this chunk's processing.
-		s.wake()
+		// The pin and the Release ending the last turn may have freed the
+		// room a failed EnsureSpace waits for, or starved q: kick only then.
+		if t.abm.WaitsForSpace() || q.WantsLoad() {
+			s.wake()
+		}
 		tuples := t.tf.Layout().ChunkTuples(c)
 		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, table: t, chunk: c}
 		if dsm {
@@ -1384,10 +1372,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		pinned = t.abm.PinnedParts()
 		t.abm.Release(q, c)
 		s.o.pinned.add(int64(t.abm.PinnedParts() - pinned))
-		// The release unpins the chunk: a scheduler parked on a failed
-		// EnsureSpace may now find a victim. Availability of other streams
-		// only shrinks here, so no stream wake is needed.
-		s.wake()
+		// No kick: the next Pin, the blocked flag or leave kicks (Server.kick).
 	}
 	return leave(nil, nil)
 }

@@ -32,13 +32,13 @@ func newTestServer(t *testing.T, cfg ServerConfig, tfs ...*TableFile) *Server {
 func freeze(s *Server) {
 	s.mu.Lock()
 	for _, t := range s.slots() {
-		s.lockTable(t)
+		t.mu.Lock()
 	}
 }
 
 func thaw(s *Server) {
 	for _, t := range s.slots() {
-		s.unlockTable(t)
+		t.mu.Unlock()
 	}
 	s.mu.Unlock()
 }
