@@ -37,9 +37,9 @@ type ManagerMetrics struct {
 // (NewManager) attaches simulator-backed ABMs sharing one modelled disk.
 // Live mode (NewLiveManager) attaches live ABMs (NewLive) under a shared
 // wall clock, and additionally acts as the *budget arbiter* of the live
-// multi-table engine: RebalanceIfShifted re-divides one shared buffer
-// budget across the attached tables when their demand (the bytes their
-// streams still have to scan) shifts — the §7.1 observation that ABM "can
+// multi-table engine: Rebalance re-divides one shared buffer budget across
+// the attached tables when their demand (the bytes their streams still have
+// to scan) shifts (DemandShifted) — the §7.1 observation that ABM "can
 // easily adjust itself to a changed buffer size".
 type Manager struct {
 	env   *sim.Env // nil in live mode
@@ -53,15 +53,15 @@ type Manager struct {
 
 	tables map[string]*ABM
 	order  []arbTable
-	// rebaseline is set by an attach: the next RebalanceIfShifted re-runs
-	// the arbiter and re-baselines every table's stored weight.
+	// rebaseline is set by an attach: the next DemandShifted reports true
+	// and re-baselines every table's stored weight.
 	rebaseline bool
 
 	metrics ManagerMetrics
 }
 
 // arbTable is one attached table in attach order, with the demand weight
-// the arbiter last ran with for it (see RebalanceIfShifted).
+// the arbiter last ran with for it (see DemandShifted).
 type arbTable struct {
 	name   string
 	abm    *ABM
@@ -300,14 +300,6 @@ func (m *Manager) Rebalance(total int64) []int64 {
 	return grants
 }
 
-// RebalanceIfShifted returns Rebalance(total) if DemandShifted, else nil.
-func (m *Manager) RebalanceIfShifted(total int64) []int64 {
-	if !m.DemandShifted() {
-		return nil
-	}
-	return m.Rebalance(total)
-}
-
 // DemandShifted is the arbiter's re-run rule: a table's weight moved when it
 // flipped between zero and non-zero or shifted by at least an eighth of the
 // weight the arbiter last ran with for it. Only a moved weight is stored, so
@@ -329,7 +321,7 @@ func (m *Manager) DemandShifted() bool {
 	return shifted
 }
 
-// weightShifted is RebalanceIfShifted's per-table test: a zero/non-zero
+// weightShifted is DemandShifted's per-table test: a zero/non-zero
 // flip, or a move of at least an eighth of the stored weight.
 func weightShifted(old, new int64) bool {
 	if old == new {

@@ -270,14 +270,14 @@ func TestRebalanceIfShiftedRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m, hot, _ := liveManagerPair(t)
 			hot.demandBytes.Store(tc.from)
-			if m.RebalanceIfShifted(total) == nil {
+			if rebalanceIfShifted(m, total) == nil {
 				t.Fatal("the first call after an attach did not run the arbiter")
 			}
-			if m.RebalanceIfShifted(total) != nil {
+			if rebalanceIfShifted(m, total) != nil {
 				t.Fatal("re-ran with no weight moved")
 			}
 			hot.demandBytes.Store(tc.to)
-			if got := m.RebalanceIfShifted(total) != nil; got != tc.rerun {
+			if got := rebalanceIfShifted(m, total) != nil; got != tc.rerun {
 				t.Errorf("weight %d -> %d: re-ran %v, want %v", tc.from, tc.to, got, tc.rerun)
 			}
 		})
@@ -291,50 +291,59 @@ func TestRebalanceIfShiftedRebaselinesOnAttach(t *testing.T) {
 	const total = 32 << 20
 	m, hot, _ := liveManagerPair(t)
 	hot.demandBytes.Store(800)
-	m.RebalanceIfShifted(total)
+	rebalanceIfShifted(m, total)
 	hot.demandBytes.Store(750)
-	if m.RebalanceIfShifted(total) != nil {
+	if rebalanceIfShifted(m, total) != nil {
 		t.Fatal("800 -> 750 re-ran")
 	}
 	hot.demandBytes.Store(700)
-	if m.RebalanceIfShifted(total) == nil {
+	if rebalanceIfShifted(m, total) == nil {
 		t.Fatal("800 -> 750 -> 700 did not add up to a re-run against the stored 800")
 	}
 	hot.demandBytes.Store(660)
-	if m.RebalanceIfShifted(total) != nil {
+	if rebalanceIfShifted(m, total) != nil {
 		t.Fatal("700 -> 660 re-ran")
 	}
 	third := nsmTestLayout(16)
 	third.Table().Name = "third"
 	m.Attach(third, 2<<20)
-	grants := m.RebalanceIfShifted(total)
+	grants := rebalanceIfShifted(m, total)
 	if len(grants) != 3 {
 		t.Fatalf("grants after attach = %v, want a re-run over three tables", grants)
 	}
 	// Stored at 660 now: 580 is less than an eighth below it (but more than
 	// an eighth below the 700 stored before the attach), 577 is not.
 	hot.demandBytes.Store(580)
-	if m.RebalanceIfShifted(total) != nil {
+	if rebalanceIfShifted(m, total) != nil {
 		t.Error("660 -> 580 re-ran: the attach did not re-baseline the stored weight")
 	}
 	hot.demandBytes.Store(577)
-	if m.RebalanceIfShifted(total) == nil {
+	if rebalanceIfShifted(m, total) == nil {
 		t.Error("660 -> 577 did not re-run")
 	}
 }
 
-// RebalanceIfShifted runs on every scheduler pass of the live engine: when
-// no weight moved it must not allocate.
+// rebalanceIfShifted is the live engine's per-pass arbiter step
+// (Server.maybeRebalance): Rebalance's grants if DemandShifted, else nil.
+func rebalanceIfShifted(m *Manager, total int64) []int64 {
+	if !m.DemandShifted() {
+		return nil
+	}
+	return m.Rebalance(total)
+}
+
+// DemandShifted runs on every scheduler pass of the live engine: when no
+// weight moved it must not allocate.
 func TestRebalanceIfShiftedAllocatesNothing(t *testing.T) {
 	const total = 32 << 20
 	m, hot, _ := liveManagerPair(t)
 	registerFullScan(hot, "hq")
-	m.RebalanceIfShifted(total)
+	rebalanceIfShifted(m, total)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if m.RebalanceIfShifted(total) != nil {
+		if rebalanceIfShifted(m, total) != nil {
 			t.Fatal("re-ran with no weight moved")
 		}
 	}); allocs != 0 {
-		t.Errorf("RebalanceIfShifted allocated %v times per call with no weight moved", allocs)
+		t.Errorf("DemandShifted allocated %v times per call with no weight moved", allocs)
 	}
 }

@@ -375,8 +375,8 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // valve: a burst of arrivals joins as one batch, under one arbiter run,
 // behind the streams already delivering.
 //
-// The budget arbiter (core.Manager.RebalanceIfShifted) runs inside the
-// scheduler loop: whenever demand shifts it re-divides the budget by
+// The budget arbiter (core.Manager) runs inside the scheduler loop:
+// whenever demand shifts (DemandShifted) it re-divides the budget by
 // demand, but never grants a table less than it currently uses, so every
 // table's frames stay within its grant (AuditTables checks it).
 type Server struct {
@@ -390,7 +390,8 @@ type Server struct {
 	// does a non-blocking send into the one slot, so wake-ups coalesce and
 	// none is lost: a send during a pass leaves the token for the next park.
 	// Sites: an arrival, the blocked flag, a departure, a freed in-flight
-	// slot, attach/detach, and a pin while core.ABM.WaitsForSpace.
+	// slot, attach/detach, and a pin while core.ABM.WaitsForSpace or while
+	// the pinning query core.Query.WantsLoad.
 	// Query streams park on their own per-stream conds and are woken
 	// individually through their queries' wakers: by the ABM on admission
 	// and on an availability gain, and by ABM.WakeQueries on a quarantine, a
@@ -398,8 +399,7 @@ type Server struct {
 	kick chan struct{}
 	mgr  *core.Manager
 	// tables is the slot snapshot, replaced copy-on-write by admit under mu
-	// and read with no lock, so a scan finds its table without a
-	// server-wide lock.
+	// and read with no lock, so a scan takes no server-wide lock.
 	tables atomic.Pointer[[]*serverTable]
 	// names maps each live table's registration name to its slot in
 	// tables. DetachTable removes the name as soon as the detach begins;

@@ -281,7 +281,9 @@ func TestAuditTablesFailsTableOverItsGrant(t *testing.T) {
 	freeze(srv)
 	// Take the re-run the departed scan left pending, so no later scheduler
 	// pass moves the grant set below.
-	srv.mgr.RebalanceIfShifted(srv.cfg.BufferBytes)
+	if srv.mgr.DemandShifted() {
+		srv.mgr.Rebalance(srv.cfg.BufferBytes)
+	}
 	a := srv.slots()[0].abm
 	used := a.UsedBytes()
 	if used <= tf.ChunkBytes() {

@@ -59,15 +59,22 @@ func meet(t *testing.T, n int, what string) func() {
 }
 
 // TestKickOnFreedSlot: at depth one, the second stream's load can be issued
-// only once the first load has landed, and nothing but the worker returning
-// its in-flight slot kicks the scheduler then — the first stream holds its
-// chunk until the second has its own.
+// only once the first load has landed. The first load lands only after the
+// second stream has blocked (its kick spent on a full pipeline), and the
+// first stream then holds its chunk until the second has its own: nothing
+// but the worker returning its in-flight slot kicks the scheduler.
 func TestKickOnFreedSlot(t *testing.T) {
 	tf := newTestFile(t, 4_000, 1000, 92)
 	srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes(), InFlightDepth: 1}, tf)
+	landing := make(chan struct{})
+	setLoadHook(srv, func(_, chunk int) {
+		if chunk == 0 {
+			<-landing
+		}
+	})
 	both := meet(t, 2, "both streams inside a chunk")
 	var wg sync.WaitGroup
-	for c := range 2 {
+	scan := func(c int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -76,6 +83,11 @@ func TestKickOnFreedSlot(t *testing.T) {
 			}
 		}()
 	}
+	scan(0)
+	until(t, "chunk 0's load issued", func() bool { return srv.inFlight.Load() == 1 })
+	scan(1)
+	waitParked()
+	close(landing)
 	wg.Wait()
 }
 
@@ -144,6 +156,40 @@ func TestKickOnPinWhileWaitingForSpace(t *testing.T) {
 	tbl.mu.Lock()
 	tbl.abm.Finish(qw)
 	tbl.mu.Unlock()
+}
+
+// TestKickOnPinOfStarvedQuery: the unpin kicks nothing, so when it starves
+// its query, the next pin kicks for it and the load overlaps that chunk's
+// processing. A warm scan leaves chunks 0 and 1 resident; the next scan over
+// 0-2 starts with both available (not starved: nothing to load), its first
+// release starves it, and it holds its second chunk until chunk 2 has loaded,
+// so no blocked flag or departure kicks the scheduler meanwhile.
+func TestKickOnPinOfStarvedQuery(t *testing.T) {
+	tf := newTestFile(t, 4_000, 1000, 94)
+	srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
+	if _, err := srv.Scan(0, "warm", rangeSet(0, 2), Q6Cols(), nil); err != nil {
+		t.Fatal(err)
+	}
+	loaded2 := make(chan struct{})
+	var once sync.Once
+	setLoadHook(srv, func(_, chunk int) {
+		if chunk == 2 {
+			once.Do(func() { close(loaded2) })
+		}
+	})
+	waitParked()
+	delivered := 0
+	if _, err := srv.Scan(0, "starves", rangeSet(0, 3), Q6Cols(), func(int, ChunkData) {
+		if delivered++; delivered == 2 {
+			select {
+			case <-loaded2:
+			case <-time.After(kickDeadline):
+				t.Errorf("chunk 2 not loaded within %v of the starved scan's pin", kickDeadline)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // until polls cond until it holds, failing the test after kickDeadline.
