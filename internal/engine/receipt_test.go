@@ -100,12 +100,9 @@ func TestColCRCAcrossRecycledFrames(t *testing.T) {
 				t.Errorf("meter: %d computed + %d reused, %d asked", ts.ReceiptCRCsComputed, ts.ReceiptCRCsReused, asked.Load())
 			}
 			// Each residency of a part is hashed at least once if anyone asks;
-			// only racing first askers hash it again, and the scans pinning a
-			// residency at once are all the racers it can have. Streams yield
-			// between deliveries, so the scans do meet on one residency.
-			scans := int64(2 * len(projections))
-			if parts := int64(st.Pool.Misses); ts.ReceiptCRCsComputed > parts*NumCols*scans || ts.ReceiptCRCsReused <= ts.ReceiptCRCsComputed {
-				t.Errorf("%d sums computed, %d reused over %d part residencies", ts.ReceiptCRCsComputed, ts.ReceiptCRCsReused, parts)
+			// only racing first askers hash it again.
+			if parts := int64(st.Pool.Misses); ts.ReceiptCRCsComputed > parts*NumCols {
+				t.Errorf("%d sums computed over %d part residencies", ts.ReceiptCRCsComputed, parts)
 			}
 			m := scrapeMetrics(t, reg)
 			for outcome, want := range map[string]int64{"computed": ts.ReceiptCRCsComputed, "reused": ts.ReceiptCRCsReused} {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -363,10 +362,7 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // workers take their own table's lock alone. Workers drop it for the real
 // file reads and streams while processing delivered chunks, so decision
 // making, I/O depth and query CPU all overlap, and tables never wait on each
-// other. A stream yields the processor between a delivery and retaking its
-// lock: an uncontended lock would otherwise let it run whole scans back to
-// back inside one time slice, so the yield is what keeps a table's
-// deliveries round-robin across its streams.
+// other.
 //
 // A stream joins through its table's admission queue: it enqueues its query
 // and the scheduler admits every live table's queue once per pass — its call
@@ -1365,9 +1361,6 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		if s.o.tracer != nil {
 			track.SpanAt("process", procStart, time.Now(), obs.Args{"chunk": c})
 		}
-		// Yield before retaking the lock, so the table's other streams get
-		// their turn (see Server).
-		runtime.Gosched()
 		t.mu.Lock()
 		pinned = t.abm.PinnedParts()
 		t.abm.Release(q, c)
