@@ -283,7 +283,6 @@ type ABM struct {
 	// openLoads counts the tickets IssueLoad handed out that have not been
 	// landed; AuditDrained requires zero.
 	openLoads int
-	spaceWait bool // the last IssueLoad found no room (WaitsForSpace)
 
 	// activity is the global "something changed" broadcast: chunk loaded,
 	// chunk consumed, query registered/unregistered. Blocked parties wake

@@ -171,14 +171,12 @@ func (l *Load) Decision() LoadDecision { return l.d }
 // resident halves, every landing would leave a chunk complete for nobody,
 // and the streams would wait on loads that never add up.
 func (a *ABM) IssueLoad(accept func(LoadDecision) bool) *Load {
-	a.spaceWait = false
 	d, need, ok := a.proposeLoad(accept)
 	if !ok {
 		return nil
 	}
 	a.markAssembling(d.Chunk, d.Cols)
-	a.spaceWait = need > 0 && a.cache.free() < need && !a.strat.EnsureSpace(need, d.Query)
-	if a.spaceWait {
+	if need > 0 && a.cache.free() < need && !a.strat.EnsureSpace(need, d.Query) {
 		a.unmarkAssembling(d.Chunk, d.Cols)
 		return nil
 	}
@@ -188,9 +186,6 @@ func (a *ABM) IssueLoad(accept func(LoadDecision) bool) *Load {
 	a.openLoads++
 	return l
 }
-
-// WaitsForSpace reports whether the last IssueLoad found no room.
-func (a *ABM) WaitsForSpace() bool { return a.spaceWait }
 
 // proposeLoad is the deciding half of a load, shared by IssueLoad and the
 // simulator's loader process: the policy's proposal, the caller's veto, and

@@ -156,10 +156,6 @@ func (q *Query) SetBlocked(b bool) bool {
 	return true
 }
 
-// WantsLoad reports whether the query is starved with a needed chunk not
-// fully resident: a load the policy may propose for it.
-func (q *Query) WantsLoad() bool { return q.loadPos >= 0 }
-
 // SetWeight sets the query's starvation weight (SLO tier priority): the
 // relevance policy divides the query's remaining-work penalty by w, so
 // higher-weight queries are serviced as if they were shorter. Must be called

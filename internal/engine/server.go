@@ -386,8 +386,7 @@ type Server struct {
 	// does a non-blocking send into the one slot, so wake-ups coalesce and
 	// none is lost: a send during a pass leaves the token for the next park.
 	// Sites: an arrival, the blocked flag, a departure, a freed in-flight
-	// slot, attach/detach, and a pin while core.ABM.WaitsForSpace or while
-	// the pinning query core.Query.WantsLoad.
+	// slot, attach/detach, and every pin.
 	// Query streams park on their own per-stream conds and are woken
 	// individually through their queries' wakers: by the ABM on admission
 	// and on an availability gain, and by ABM.WakeQueries on a quarantine, a
@@ -1319,11 +1318,10 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		held = t.abm.Pin(q, c, held[:0])
 		s.o.pinned.add(int64(t.abm.PinnedParts() - pinned))
 		s.o.hits.add(int64(len(held)))
-		// The pin and the Release ending the last turn may have freed the
-		// room a failed EnsureSpace waits for, or starved q: kick only then.
-		if t.abm.WaitsForSpace() || q.WantsLoad() {
-			s.wake()
-		}
+		// The pin lifts the chunk's fresh-load eviction protection, and the
+		// Release ending the last turn may have freed room or starved q: kick
+		// the scheduler so the next load overlaps this chunk's processing.
+		s.wake()
 		tuples := t.tf.Layout().ChunkTuples(c)
 		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, table: t, chunk: c}
 		if dsm {

@@ -141,11 +141,8 @@ func TestKickOnPinWhileWaitingForSpace(t *testing.T) {
 		}
 	}()
 	<-inChunk1
-	until(t, "the scheduler waiting for room for chunk 2", func() bool {
-		tbl.mu.Lock()
-		defer tbl.mu.Unlock()
-		return tbl.abm.WaitsForSpace()
-	})
+	// Let the scheduler find no room for chunk 2 and park.
+	waitParked()
 	go func() {
 		defer wg.Done()
 		if _, err := srv.Scan(0, "narrow", rangeSet(0, 1), narrowCols, func(int, ChunkData) { waitLoaded2() }); err != nil {
