@@ -139,6 +139,57 @@ func unpackSubByte(out []int64, src []byte, width uint, base uint64) int {
 	return i
 }
 
+// unpackDict is unpackSubByte through a dictionary: each code is replaced by
+// its table entry as it comes off the byte or word, so a sub-byte PDICT
+// column is decoded in one pass. A code at or past the entry count reads an
+// entry the caller left zero; the returned word has bit c set for every code
+// c met, for the caller to check against the entry count once.
+func unpackDict(out []int64, src []byte, width uint, table *[256]int64) (int, uint64) {
+	var seen uint64
+	i := 0
+	switch width {
+	case 1:
+		for ; i+8 <= len(out) && len(src) >= 1; i, src = i+8, src[1:] {
+			o, x := (*[8]int64)(out[i:]), uint(src[0])
+			o[0], o[1] = table[x&1], table[x>>1&1]
+			o[2], o[3] = table[x>>2&1], table[x>>3&1]
+			o[4], o[5] = table[x>>4&1], table[x>>5&1]
+			o[6], o[7] = table[x>>6&1], table[x>>7]
+			// Code 1 is met unless the byte is zero, code 0 unless it is 0xff.
+			seen |= uint64(b2u(x != 0xff) | b2u(x != 0)<<1)
+		}
+	case 2:
+		for ; i+8 <= len(out) && len(src) >= 2; i, src = i+8, src[2:] {
+			o, x := (*[8]int64)(out[i:]), uint(binary.LittleEndian.Uint16(src))
+			o[0], o[1] = table[x&3], table[x>>2&3]
+			o[2], o[3] = table[x>>4&3], table[x>>6&3]
+			o[4], o[5] = table[x>>8&3], table[x>>10&3]
+			o[6], o[7] = table[x>>12&3], table[x>>14]
+			seen |= 1<<(x&3) | 1<<(x>>2&3) | 1<<(x>>4&3) | 1<<(x>>6&3) |
+				1<<(x>>8&3) | 1<<(x>>10&3) | 1<<(x>>12&3) | 1<<(x>>14)
+		}
+	case 4:
+		for ; i+8 <= len(out) && len(src) >= 4; i, src = i+8, src[4:] {
+			o, x := (*[8]int64)(out[i:]), uint(binary.LittleEndian.Uint32(src))
+			o[0], o[1] = table[x&15], table[x>>4&15]
+			o[2], o[3] = table[x>>8&15], table[x>>12&15]
+			o[4], o[5] = table[x>>16&15], table[x>>20&15]
+			o[6], o[7] = table[x>>24&15], table[x>>28]
+			seen |= 1<<(x&15) | 1<<(x>>4&15) | 1<<(x>>8&15) | 1<<(x>>12&15) |
+				1<<(x>>16&15) | 1<<(x>>20&15) | 1<<(x>>24&15) | 1<<(x>>28)
+		}
+	}
+	return i, seen
+}
+
+// b2u is the branch-free bool → 0/1.
+func b2u(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // unpackNarrow handles widths 3, 5, 6 and 7: a block's eight values lie
 // inside one 8-byte load and come off it by repeated shifts.
 func unpackNarrow(out []int64, src []byte, width uint, base uint64) int {

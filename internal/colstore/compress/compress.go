@@ -376,11 +376,14 @@ func encodeIntDict(values []int64) ([]byte, error) {
 }
 
 // decodeIntDict decodes a PDICT payload: entry count, entries, packed codes.
-// It unpacks a block of codes into the output and replaces each by its
-// entry while the block is in L1. A dictionary of up to 256 entries — the
-// flag columns the scheme exists for — is copied once into a table on the
-// stack, which a code indexes without a bounds check; a larger one is read
-// where it lies.
+// A dictionary of up to 256 entries — the flag columns the scheme exists
+// for — is copied once into a table on the stack, which a code indexes
+// without a bounds check; a larger one is read where it lies. At widths 1, 2
+// and 4 with the table, each code goes through it as it is unpacked
+// (unpackDict): one pass, the codes met gathered in a word and checked
+// against the entry count once. Otherwise, and for the ragged tail, it
+// unpacks a block of codes into the output and replaces each by its entry
+// while the block is in L1.
 func decodeIntDict(out []int64, src []byte, n int, width uint) ([]int64, error) {
 	if len(src) < 8 {
 		return nil, ErrCorrupt
@@ -400,7 +403,14 @@ func decodeIntDict(out []int64, src []byte, n int, width uint) ([]int64, error) 
 	if small {
 		unpack64(table[:dn], dict, 0)
 	}
-	for i := 0; i < n; i += blockValues {
+	i := 0
+	if small && (width == 1 || width == 2 || width == 4) {
+		var seen uint64
+		if i, seen = unpackDict(out[:n], src, width, &table); seen>>dn != 0 {
+			return nil, ErrCorrupt
+		}
+	}
+	for ; i < n; i += blockValues {
 		blk := out[i:min(i+blockValues, n)]
 		unpackAdd(blk, src[i/8*int(width):], width, 0)
 		if small {

@@ -208,6 +208,18 @@ func addLineitemWidthSeeds(f *testing.F) {
 		f.Add(dictBuffer(width, []int64{'A', 'N', 'R'}, randomFields(rng, 600, width, 3)))
 	}
 	f.Add(dictBuffer(9, make([]int64, 300), randomFields(rng, 100, 9, 300)))
+	// A code past the dictionary at the sub-byte widths, once in a block of
+	// eight the one-pass loop decodes and once in the ragged tail it leaves
+	// to the block loop: ErrCorrupt from both places, as from the reference.
+	const n = 603
+	for _, width := range []uint{1, 2, 4} {
+		dict := []int64{'A', 'N', 'R'}[:min(3, 1<<width-1)]
+		for _, at := range []int{8*40 + 5, n - 2} {
+			codes := randomFields(rng, n, width, uint64(len(dict)))
+			codes[at] = uint64(len(dict))
+			f.Add(dictBuffer(width, dict, codes))
+		}
+	}
 }
 
 // FuzzDecodeDifferential feeds arbitrary buffers to both decoders: both fail
