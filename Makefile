@@ -137,14 +137,18 @@ fuzz-scan:
 fuzz-decode:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDifferential -fuzztime $(FUZZTIME) ./internal/colstore/compress/
 
-# Fuzz the Q6 kernel given a chunk's bounds against the kernel given none and
-# the scalar reference (internal/exec/decided_test.go): columns clustered
-# around one predicate, an arbitrary second predicate, the columns' true
-# bounds and widened ones — whatever the bounds decide (no row can qualify,
-# every row passes the date conjunct, nothing), the aggregate is the same.
-# Findings land under internal/exec/testdata/fuzz/FuzzQ6KernelDecided.
+# Fuzz the two kernels, FUZZTIME each. The Q6 kernel given a chunk's bounds
+# against the kernel given none and the scalar reference
+# (internal/exec/decided_test.go): columns clustered around one predicate, an
+# arbitrary second predicate, the columns' true bounds and widened ones —
+# whatever the bounds decide (no row can qualify, every row passes the date
+# conjunct, nothing), the aggregate is the same. The Q1 kernel against q1Ref
+# (internal/exec/vector_test.go): edge-valued columns, more groups than its
+# table holds, any dateMax and round count, block-ragged lengths, the true
+# bounds and none. Findings land under internal/exec/testdata/fuzz/.
 fuzz-kernels:
-	$(GO) test -run '^$$' -fuzz FuzzQ6KernelDecided -fuzztime $(FUZZTIME) ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzQ6KernelDecided$$' -fuzztime $(FUZZTIME) ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzQ1Kernel$$' -fuzztime $(FUZZTIME) ./internal/exec/
 
 # Randomized multi-seed soak (the PR-8 harness, internal/soak): per seed a
 # core-layer driver runs thousands of seeded register/scan/cancel/detach/
@@ -218,8 +222,8 @@ bench-sched:
 # and stop there; shuffled: every vector runs every pass). disjoint, inside
 # and edge are chunks of a date-ordered 48-chunk table as the engine meets
 # them: outside the predicate's dates (no column read — tens of ns per chunk),
-# inside them (no date pass), and across their lower end (inside's work plus
-# the date pass).
+# inside them (no date pass), and across their upper end (most of inside's
+# work plus the date pass); Q1's SLOW scans on dsmz-cpu meet inside and edge.
 # internal/colstore/compress/lineitem_bench_test.go: decode and encode of one
 # 16 384-value stripe of each stored lineitem column under the scheme the
 # table writer picks for it, in ns/value.

@@ -101,9 +101,12 @@ func TestKernelsDecideFromBounds(t *testing.T) {
 					if !sameQ1(got, ref) {
 						t.Errorf("chunk %d dates [%d, %d] Q1 dateMax %d differs from the reference", c, dLo, dHi, dateMax)
 					}
-					if dateMax < dLo {
+					switch {
+					case dateMax < dLo:
 						want[storage.None]++
-					} else {
+					case dHi <= dateMax:
+						want[storage.All]++
+					default:
 						want[storage.Some]++
 					}
 				}

@@ -164,7 +164,7 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) *serverObs {
 		o.receiptCRCs = reg.CounterVec("coopscan_receipt_crcs_total",
 			"Per-column receipt CRCs scans asked of delivered parts: computed from the part's bytes, or reused from the sum an earlier scan left on the resident part.", "table", "outcome")
 		o.kernelChunks = reg.CounterVec("coopscan_kernel_chunks_total",
-			"Chunks the Q6/Q1 kernels were handed, by what the chunk's zonemap bounds decided before a value was read: none qualifies (no column read), date_all (Q6's date pass skipped), or some (every pass runs).", "table", "decided")
+			"Chunks the Q6/Q1 kernels were handed, by what the chunk's zonemap bounds decided before a value was read: none qualifies (no column read), date_all (the date pass skipped), or some (every pass runs).", "table", "decided")
 	}
 	if tracer != nil {
 		o.schedTrack = tracer.NewTrack("scheduler")

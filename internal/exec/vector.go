@@ -162,47 +162,243 @@ func mulSumSel(sel []uint16, a, b []int64) int64 {
 // than eight distinct keys folds the rest through a map.
 const q1Slots = 8
 
+// q1Block is Q1Kernel's block: the rows each pass runs over before the next
+// pass starts. Its scratch — a selection, the group ordinals and four
+// measure vectors — and the table with its sums make a 6.3 KiB frame; twice
+// the block would pass 8 KiB.
+const q1Block = 128
+
+// The group ordinals: 0 to 2·q1Slots-1 are the table's entries; past them, a
+// row the x == -1 skip drops and a row whose group is in the spill map. The
+// sums are indexed by ordinal & q1Mask, which the compiler needs no bounds
+// check for.
+const (
+	q1Skip  = 2 * q1Slots
+	q1Spill = q1Skip + 1
+	q1Mask  = 31
+)
+
 // q1Table is Q1Kernel's accumulator: an open-addressed table of 2×q1Slots
-// entries on the stack, never more than half full, so a probe ends at the
-// key or at an empty entry after a step or two — and, unlike a scan of the
-// used keys, takes the same (predictable) branches whichever group a row
-// belongs to.
+// keys on the stack, never more than half full, and the sums of each
+// ordinal. A key is looked up at its home entry first — where every key of
+// TPC-H's six lands, they do not collide — and probed for only past it.
 type q1Table struct {
-	keys   [2 * q1Slots]uint32 // (flag<<8 | status) + 1; 0 = empty
-	groups [2 * q1Slots]Q1Group
-	used   int
-	spill  Q1Result // groups beyond q1Slots, nil until needed
+	keys  [2 * q1Slots]uint32 // q1Key of the entry's group; 0 = empty
+	used  int
+	sums  [q1Mask + 1]Q1Group // by ordinal; Flag and Status are set at the fold
+	spill Q1Result            // groups beyond q1Slots, nil until needed
 }
 
-// group returns the accumulator of (flag, status), claiming a table entry —
-// or a spill entry once the table holds q1Slots groups — on first sight.
-func (t *q1Table) group(flag, status byte) *Q1Group {
-	key := (uint32(flag)<<8 | uint32(status)) + 1
-	for i := (uint(flag)*31 + uint(status)) % (2 * q1Slots); ; i = (i + 1) % (2 * q1Slots) {
+// q1Key is a row's group key: 1<<16 | byte(flag)<<8 | byte(status), never 0.
+func q1Key(flag, status int64) uint32 {
+	return 1<<16 | uint32(uint8(flag))<<8 | uint32(uint8(status))
+}
+
+// q1Home is a key's home entry: flag ^ status<<1 in the low four bits, which
+// tells TPC-H's six keys apart.
+func q1Home(key uint32) uint32 { return (key>>8 ^ key<<1) % (2 * q1Slots) }
+
+// probe returns the ordinal of key when it is not at its home entry: the
+// entry holding it, an empty one it claims, or — once the table holds
+// q1Slots groups — q1Spill.
+//
+//go:noinline
+func (t *q1Table) probe(key uint32) uint8 {
+	for i := q1Home(key); ; i = (i + 1) % (2 * q1Slots) {
 		switch t.keys[i] {
 		case key:
-			return &t.groups[i]
+			return uint8(i)
 		case 0:
-			if t.used < q1Slots {
-				t.used++
-				t.keys[i], t.groups[i] = key, Q1Group{Flag: flag, Status: status}
-				return &t.groups[i]
+			if t.used == q1Slots {
+				return q1Spill
 			}
-			if t.spill == nil {
-				t.spill = make(Q1Result)
-			}
-			grp := t.spill[[2]byte{flag, status}]
-			if grp == nil {
-				grp = &Q1Group{Flag: flag, Status: status}
-				t.spill[[2]byte{flag, status}] = grp
-			}
-			return grp
+			t.used++
+			t.keys[i] = key
+			return uint8(i)
 		}
 	}
 }
 
+// ordinals writes each row's group ordinal into gid and reports whether any
+// row spilled.
+//
+//go:noinline
+func (t *q1Table) ordinals(gid *[q1Block]uint8, flag, status []int64) bool {
+	status = status[:len(flag)]
+	spilled := false
+	for i, f := range flag {
+		key := q1Key(f, status[i])
+		g := uint8(q1Home(key))
+		if t.keys[g] != key {
+			g = t.probe(key)
+			spilled = spilled || g == q1Spill
+		}
+		gid[i&(q1Block-1)] = g
+	}
+	return spilled
+}
+
+// ordinalsSel is ordinals over the selected rows.
+//
+//go:noinline
+func (t *q1Table) ordinalsSel(gid *[q1Block]uint8, sel []uint16, flag, status []int64) bool {
+	spilled := false
+	for k, i := range sel {
+		key := q1Key(flag[i], status[i])
+		g := uint8(q1Home(key))
+		if t.keys[g] != key {
+			g = t.probe(key)
+			spilled = spilled || g == q1Spill
+		}
+		gid[k&(q1Block-1)] = g
+	}
+	return spilled
+}
+
+// selAtMost writes the positions i of col (at most q1Block long) with
+// col[i] <= max into sel, ascending, and returns how many.
+//
+//go:noinline
+func selAtMost(sel *[q1Block]uint16, col []int64, max int64) int {
+	k := 0
+	for i, v := range col {
+		sel[k&(q1Block-1)] = uint16(i)
+		k += b2i(v <= max)
+	}
+	return k
+}
+
+// q1Arith computes each row's discounted price and charge.
+//
+//go:noinline
+func q1Arith(dp, ch *[q1Block]int64, price, disc, tax []int64) {
+	disc, tax = disc[:len(price)], tax[:len(price)]
+	for i, p := range price {
+		d := p * (100 - disc[i]) / 100
+		dp[i&(q1Block-1)] = d
+		ch[i&(q1Block-1)] = d * (100 + tax[i]) / 100
+	}
+}
+
+// q1ArithSel is q1Arith over the selected rows, which it also gathers the
+// quantity and price of into q and p.
+//
+//go:noinline
+func q1ArithSel(q, p, dp, ch *[q1Block]int64, sel []uint16, qty, price, disc, tax []int64) {
+	for k, i := range sel {
+		pr := price[i]
+		d := pr * (100 - disc[i]) / 100
+		k &= q1Block - 1
+		q[k], p[k] = qty[i], pr
+		dp[k] = d
+		ch[k] = d * (100 + tax[i]) / 100
+	}
+}
+
+// q1Rounds runs the extraArith rounds — the paper's "more CPU-intensive Q1"
+// — of every row, in order, from its charge, and moves a row whose result is
+// -1 to the skip ordinal. Eight rows at a time are eight independent chains
+// held in registers: a row's rounds are a serial multiply-shift-xor chain,
+// which one row at a time leaves the core waiting on. The multiplier, 31,
+// comes in as an argument: times a constant, the compiler shifts and
+// subtracts, which needs a copy of each x, and spills the eight chains to
+// the stack; times a register it is one IMUL.
+//
+//go:noinline
+func q1Rounds(gid *[q1Block]uint8, ch, qty []int64, rounds int, mul int64) {
+	qty = qty[:len(ch)]
+	i := 0
+	for ; i+8 <= len(ch); i += 8 {
+		c, q := (*[8]int64)(ch[i:]), (*[8]int64)(qty[i:])
+		x0, x1, x2, x3, x4, x5, x6, x7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+		for r := rounds; r > 0; r-- {
+			x0 = x0*mul + q[0]
+			x0 ^= x0 >> 7
+			x1 = x1*mul + q[1]
+			x1 ^= x1 >> 7
+			x2 = x2*mul + q[2]
+			x2 ^= x2 >> 7
+			x3 = x3*mul + q[3]
+			x3 ^= x3 >> 7
+			x4 = x4*mul + q[4]
+			x4 ^= x4 >> 7
+			x5 = x5*mul + q[5]
+			x5 ^= x5 >> 7
+			x6 = x6*mul + q[6]
+			x6 ^= x6 >> 7
+			x7 = x7*mul + q[7]
+			x7 ^= x7 >> 7
+		}
+		// Practically never taken; keeps every x live.
+		if x0 == -1 || x1 == -1 || x2 == -1 || x3 == -1 || x4 == -1 || x5 == -1 || x6 == -1 || x7 == -1 {
+			for j, x := range [8]int64{x0, x1, x2, x3, x4, x5, x6, x7} {
+				if x == -1 {
+					gid[(i+j)&(q1Block-1)] = q1Skip
+				}
+			}
+		}
+	}
+	for ; i < len(ch); i++ {
+		x := ch[i]
+		for r := rounds; r > 0; r-- {
+			x = x*mul + qty[i]
+			x ^= x >> 7
+		}
+		if x == -1 {
+			gid[i&(q1Block-1)] = q1Skip
+		}
+	}
+}
+
+// sum adds each row to its ordinal's sums: the count and the four measures.
+// One loop for all five, not one per measure: the row's ordinal is read once
+// and its five sums are adjacent.
+//
+//go:noinline
+func (t *q1Table) sum(gid []uint8, qty, price, dp, ch []int64) {
+	qty, price, dp, ch = qty[:len(gid)], price[:len(gid)], dp[:len(gid)], ch[:len(gid)]
+	for i, g := range gid {
+		s := &t.sums[g&q1Mask]
+		s.Count++
+		s.SumQty += qty[i]
+		s.SumBase += price[i]
+		s.SumDisc += dp[i]
+		s.SumCharge += ch[i]
+	}
+}
+
+// spillRows adds the rows of ordinal q1Spill to their groups in the spill
+// map; row k of the block is row sel[k] of flag and status, or row k when
+// sel is nil.
+func (t *q1Table) spillRows(gid []uint8, sel []uint16, flag, status, qty, price, dp, ch []int64) {
+	if t.spill == nil {
+		t.spill = make(Q1Result)
+	}
+	for k, g := range gid {
+		if g != q1Spill {
+			continue
+		}
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		key := [2]byte{byte(flag[i]), byte(status[i])}
+		grp := t.spill[key]
+		if grp == nil {
+			grp = &Q1Group{Flag: key[0], Status: key[1]}
+			t.spill[key] = grp
+		}
+		grp.Count++
+		grp.SumQty += qty[k]
+		grp.SumBase += price[k]
+		grp.SumDisc += dp[k]
+		grp.SumCharge += ch[k]
+	}
+}
+
 // result renders the accumulator as a Q1Result: the spill map if there is
-// one, plus the table's groups in one allocation.
+// one, plus the table's groups in one allocation. An entry whose every row
+// the skip dropped is no group.
 func (t *q1Table) result() Q1Result {
 	res := t.spill
 	if res == nil {
@@ -210,11 +406,13 @@ func (t *q1Table) result() Q1Result {
 	}
 	out := make([]Q1Group, 0, t.used)
 	for i, k := range t.keys {
-		if k != 0 {
-			out = append(out, t.groups[i])
-			g := &out[len(out)-1]
-			res[[2]byte{g.Flag, g.Status}] = g
+		if k == 0 || t.sums[i].Count == 0 {
+			continue
 		}
+		out = append(out, t.sums[i])
+		g := &out[len(out)-1]
+		g.Flag, g.Status = byte(k>>8), byte(k)
+		res[[2]byte{g.Flag, g.Status}] = g
 	}
 	return res
 }
@@ -222,43 +420,61 @@ func (t *q1Table) result() Q1Result {
 // Q1Kernel evaluates the SLOW query over one chunk's column vectors (every
 // column at least len(dates) long), computing exactly Q1Chunk's result: the
 // same per-row arithmetic, the same extraArith rounds per qualifying row
-// feeding the same skip, the same (byte(flag), byte(status)) grouping — as
-// one typed loop whose groups accumulate in a small table on the stack, not
-// in a map probed per row. Sums are wrap-around int64 additions, so the
-// fold order does not matter. It allocates only its result. Bounds past
-// dateMax decide None, no column read; an All (a branch per row) is not built.
+// feeding the same skip, the same (byte(flag), byte(status)) grouping. Sums
+// are wrap-around int64 additions, so the fold order does not matter. It
+// allocates only its result, and reports what the chunk's date bounds
+// decided: past dateMax, None, no column read; at or before it, All, and no
+// row's date is tested.
+//
+// A block of q1Block rows at a time, pass by pass: on a Some chunk the date
+// test writes a selection and the passes run over the selected rows; then
+// the price arithmetic, each row's group ordinal (its table entry), the
+// rounds eight rows abreast, and one loop per measure adding into the
+// ordinal's sums, which fold into Q1Groups once per call.
 func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64, extraArith int, dateZ storage.Zone) (Q1Result, storage.Decided) {
-	if dateZ.Decide(math.MinInt64, dateMax) == storage.None {
-		return Q1Result{}, storage.None
+	decided := dateZ.Decide(math.MinInt64, dateMax)
+	if decided == storage.None {
+		return Q1Result{}, decided
 	}
 	n := len(dates)
 	qty, price, disc, tax = qty[:n], price[:n], disc[:n], tax[:n]
 	flag, status = flag[:n], status[:n]
 
-	var groups q1Table
-	for i, date := range dates {
-		if date > dateMax {
-			continue
+	var (
+		t            q1Table
+		sel          [q1Block]uint16
+		gid          [q1Block]uint8
+		q, p, dp, ch [q1Block]int64
+	)
+	for lo := 0; lo < n; lo += q1Block {
+		hi := min(lo+q1Block, n)
+		var rows []uint16 // the block's selected rows; nil: all of them
+		if decided == storage.Some {
+			k := selAtMost(&sel, dates[lo:hi], dateMax)
+			if k == 0 {
+				continue
+			}
+			if k < hi-lo {
+				rows = sel[:k]
+			}
 		}
-		q, p := qty[i], price[i]
-		discPrice := p * (100 - disc[i]) / 100
-		charge := discPrice * (100 + tax[i]) / 100
-		// The paper's "more CPU-intensive Q1": extraArith rounds per
-		// qualifying row, kept observable through the skip below.
-		x := charge
-		for r := 0; r < extraArith; r++ {
-			x = x*31 + q
-			x ^= x >> 7
+		bq, bp := qty[lo:hi], price[lo:hi]
+		spilled := false
+		if rows == nil {
+			q1Arith(&dp, &ch, bp, disc[lo:hi], tax[lo:hi])
+			spilled = t.ordinals(&gid, flag[lo:hi], status[lo:hi])
+		} else {
+			k := len(rows)
+			q1ArithSel(&q, &p, &dp, &ch, rows, bq, bp, disc[lo:hi], tax[lo:hi])
+			spilled = t.ordinalsSel(&gid, rows, flag[lo:hi], status[lo:hi])
+			bq, bp = q[:k], p[:k]
 		}
-		if x == -1 {
-			continue // practically never; keeps x live
+		m := len(bq)
+		q1Rounds(&gid, ch[:m], bq, extraArith, 31)
+		t.sum(gid[:m], bq, bp, dp[:m], ch[:m])
+		if spilled {
+			t.spillRows(gid[:m], rows, flag[lo:hi], status[lo:hi], bq, bp, dp[:m], ch[:m])
 		}
-		grp := groups.group(byte(flag[i]), byte(status[i]))
-		grp.Count++
-		grp.SumQty += q
-		grp.SumBase += p
-		grp.SumDisc += discPrice
-		grp.SumCharge += charge
 	}
-	return groups.result(), storage.Some
+	return t.result(), decided
 }

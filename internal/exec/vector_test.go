@@ -292,6 +292,90 @@ func TestQ1KernelGroupFallback(t *testing.T) {
 	}
 }
 
+// synthQ1 builds n rows of Q1 columns from seed: edge-valued measures, so
+// the x == -1 skip fires; dates that by the seed's draw all lie at or before
+// dateMax (true bounds decide All), all past it (None, unless nothing is),
+// or span int64 with a third planted on dateMax or beside it (Some); and
+// flag and status words whose low bytes — all that keys a group — take
+// groups distinct pairs under arbitrary high bits.
+func synthQ1(seed int64, n int, dateMax int64, groups int) (c [7][]int64) {
+	rng := rand.New(rand.NewSource(seed))
+	mode := rng.Intn(3)
+	for j := range c {
+		c[j] = make([]int64, n)
+	}
+	for i := 0; i < n; i++ {
+		step := int64(rng.Intn(1000))
+		switch {
+		case mode == 0:
+			if c[0][i] = dateMax - step; c[0][i] > dateMax {
+				c[0][i] = math.MinInt64
+			}
+		case mode == 1:
+			if c[0][i] = dateMax + 1 + step; c[0][i] <= dateMax {
+				c[0][i] = math.MaxInt64
+			}
+		case step%3 == 0:
+			c[0][i] = dateMax + step%5 - 2
+		default:
+			c[0][i] = edgeInt64(rng)
+		}
+		for j := 1; j <= 4; j++ {
+			c[j][i] = edgeInt64(rng)
+		}
+		key := int64(rng.Intn(groups))
+		c[5][i] = int64(rng.Uint64())&^0xff | key%16
+		c[6][i] = int64(rng.Uint64())&^0xff | key/16
+	}
+	return c
+}
+
+// checkQ1 holds Q1Kernel, given the columns' true bounds and given none, to
+// q1Ref, and what the bounds decided to what they say.
+func checkQ1(t *testing.T, c [7][]int64, dateMax int64, rounds int) {
+	t.Helper()
+	want := q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, rounds)
+	for _, z := range []storage.Zone{zoneOf(c[0]), storage.AnyZone} {
+		got, decided := Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, rounds, z)
+		if d := z.Decide(math.MinInt64, dateMax); decided != d {
+			t.Fatalf("n=%d dateMax=%d bounds %v: decided %d, the bounds say %d", len(c[0]), dateMax, z, decided, d)
+		}
+		sameQ1(t, got, want)
+	}
+}
+
+// TestQ1KernelMatchesReference: every decision, block-ragged lengths, both
+// ends of int64 for dateMax, every round count and more groups than the
+// table holds, against q1Ref.
+func TestQ1KernelMatchesReference(t *testing.T) {
+	var seen [3]int
+	for seed := int64(0); seed < 300; seed++ {
+		n := []int{0, 1, 7, q1Block - 1, q1Block, q1Block + 1, 3*q1Block + 77}[seed%7]
+		dateMax := []int64{0, -1, 700, math.MinInt64, math.MaxInt64 - 1, math.MaxInt64}[seed%6]
+		c := synthQ1(seed, n, dateMax, 1+int(seed)%40)
+		checkQ1(t, c, dateMax, int(seed)%26)
+		seen[zoneOf(c[0]).Decide(math.MinInt64, dateMax)]++
+	}
+	for d, n := range seen {
+		if n < 30 {
+			t.Errorf("only %d cases decided %d: the generator no longer exercises that shape", n, d)
+		}
+	}
+}
+
+func FuzzQ1Kernel(f *testing.F) {
+	for i, n := range []int{0, 1, 7, q1Block - 1, q1Block + 1, 3*q1Block + 77} {
+		f.Add(int64(i), uint16(n), int64(700), uint8(8), uint8(6))
+	}
+	f.Add(int64(6), uint16(2*q1Block+3), int64(math.MaxInt64), uint8(0), uint8(q1Slots+1))
+	f.Add(int64(7), uint16(q1Block+9), int64(math.MinInt64), uint8(25), uint8(40))
+	f.Add(int64(8), uint16(5*q1Block), int64(-1), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, dateMax int64, rounds, groups uint8) {
+		c := synthQ1(seed, int(n)%(8*q1Block), dateMax, 1+int(groups)%40)
+		checkQ1(t, c, dateMax, int(rounds)%26)
+	})
+}
+
 // TestKernelAllocs: the Q6 kernel allocates nothing (its selection scratch
 // is on the stack), the Q1 kernel only its result — a reintroduced per-call
 // make, closure-per-row primitive or per-row map insert fails this.
@@ -318,5 +402,16 @@ func TestKernelAllocs(t *testing.T) {
 	}
 	if max := float64(len(q1) + 1); a > max {
 		t.Errorf("Q1Kernel: %v allocs per call for %d groups, want <= %v", a, len(q1), max)
+	}
+	// The same with the dates' true bounds, which decide All.
+	var decided storage.Decided
+	a = testing.AllocsPerRun(20, func() {
+		q1, decided = Q1Kernel(q[0], q[1], q[2], q[3], q[4], q[5], q[6], tpch.DateMax, 8, zoneOf(q[0]))
+	})
+	if decided != storage.All || len(q1) < 2 {
+		t.Fatalf("Q1Kernel over its true bounds decided %d and found %d groups", decided, len(q1))
+	}
+	if max := float64(len(q1) + 1); a > max {
+		t.Errorf("Q1Kernel, All: %v allocs per call for %d groups, want <= %v", a, len(q1), max)
 	}
 }
