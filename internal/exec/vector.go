@@ -189,14 +189,13 @@ type q1Table struct {
 	spill Q1Result            // groups beyond q1Slots, nil until needed
 }
 
-// q1Key is a row's group key: 1<<16 | byte(flag)<<8 | byte(status), never 0.
+// q1Key is a row's group key: byte(flag) and byte(status) above four bits
+// naming the key's home entry, flag ^ status<<1, which tell TPC-H's six
+// keys apart. Never 0.
 func q1Key(flag, status int64) uint32 {
-	return 1<<16 | uint32(uint8(flag))<<8 | uint32(uint8(status))
+	f, s := uint32(uint8(flag)), uint32(uint8(status))
+	return 1<<20 | f<<12 | s<<4 | (f^s<<1)%(2*q1Slots)
 }
-
-// q1Home is a key's home entry: flag ^ status<<1 in the low four bits, which
-// tells TPC-H's six keys apart.
-func q1Home(key uint32) uint32 { return (key>>8 ^ key<<1) % (2 * q1Slots) }
 
 // probe returns the ordinal of key when it is not at its home entry: the
 // entry holding it, an empty one it claims, or — once the table holds
@@ -204,7 +203,7 @@ func q1Home(key uint32) uint32 { return (key>>8 ^ key<<1) % (2 * q1Slots) }
 //
 //go:noinline
 func (t *q1Table) probe(key uint32) uint8 {
-	for i := q1Home(key); ; i = (i + 1) % (2 * q1Slots) {
+	for i := key % (2 * q1Slots); ; i = (i + 1) % (2 * q1Slots) {
 		switch t.keys[i] {
 		case key:
 			return uint8(i)
@@ -219,40 +218,32 @@ func (t *q1Table) probe(key uint32) uint8 {
 	}
 }
 
-// ordinals writes each row's group ordinal into gid and reports whether any
-// row spilled.
+// ordinal returns key's group ordinal: its home entry when the key is there,
+// else what probe finds.
+func (t *q1Table) ordinal(key uint32) uint8 {
+	if g := key % (2 * q1Slots); t.keys[g] == key {
+		return uint8(g)
+	}
+	return t.probe(key)
+}
+
+// ordinals writes each row's group ordinal into gid.
 //
 //go:noinline
-func (t *q1Table) ordinals(gid *[q1Block]uint8, flag, status []int64) bool {
+func (t *q1Table) ordinals(gid *[q1Block]uint8, flag, status []int64) {
 	status = status[:len(flag)]
-	spilled := false
 	for i, f := range flag {
-		key := q1Key(f, status[i])
-		g := uint8(q1Home(key))
-		if t.keys[g] != key {
-			g = t.probe(key)
-			spilled = spilled || g == q1Spill
-		}
-		gid[i&(q1Block-1)] = g
+		gid[i&(q1Block-1)] = t.ordinal(q1Key(f, status[i]))
 	}
-	return spilled
 }
 
 // ordinalsSel is ordinals over the selected rows.
 //
 //go:noinline
-func (t *q1Table) ordinalsSel(gid *[q1Block]uint8, sel []uint16, flag, status []int64) bool {
-	spilled := false
+func (t *q1Table) ordinalsSel(gid *[q1Block]uint8, sel []uint16, flag, status []int64) {
 	for k, i := range sel {
-		key := q1Key(flag[i], status[i])
-		g := uint8(q1Home(key))
-		if t.keys[g] != key {
-			g = t.probe(key)
-			spilled = spilled || g == q1Spill
-		}
-		gid[k&(q1Block-1)] = g
+		gid[k&(q1Block-1)] = t.ordinal(q1Key(flag[i], status[i]))
 	}
-	return spilled
 }
 
 // selAtMost writes the positions i of col (at most q1Block long) with
@@ -371,12 +362,12 @@ func (t *q1Table) sum(gid []uint8, qty, price, dp, ch []int64) {
 // map; row k of the block is row sel[k] of flag and status, or row k when
 // sel is nil.
 func (t *q1Table) spillRows(gid []uint8, sel []uint16, flag, status, qty, price, dp, ch []int64) {
-	if t.spill == nil {
-		t.spill = make(Q1Result)
-	}
 	for k, g := range gid {
 		if g != q1Spill {
 			continue
+		}
+		if t.spill == nil {
+			t.spill = make(Q1Result)
 		}
 		i := k
 		if sel != nil {
@@ -411,7 +402,7 @@ func (t *q1Table) result() Q1Result {
 		}
 		out = append(out, t.sums[i])
 		g := &out[len(out)-1]
-		g.Flag, g.Status = byte(k>>8), byte(k)
+		g.Flag, g.Status = byte(k>>12), byte(k>>4)
 		res[[2]byte{g.Flag, g.Status}] = g
 	}
 	return res
@@ -459,20 +450,19 @@ func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64,
 			}
 		}
 		bq, bp := qty[lo:hi], price[lo:hi]
-		spilled := false
 		if rows == nil {
 			q1Arith(&dp, &ch, bp, disc[lo:hi], tax[lo:hi])
-			spilled = t.ordinals(&gid, flag[lo:hi], status[lo:hi])
+			t.ordinals(&gid, flag[lo:hi], status[lo:hi])
 		} else {
 			k := len(rows)
 			q1ArithSel(&q, &p, &dp, &ch, rows, bq, bp, disc[lo:hi], tax[lo:hi])
-			spilled = t.ordinalsSel(&gid, rows, flag[lo:hi], status[lo:hi])
+			t.ordinalsSel(&gid, rows, flag[lo:hi], status[lo:hi])
 			bq, bp = q[:k], p[:k]
 		}
 		m := len(bq)
 		q1Rounds(&gid, ch[:m], bq, extraArith, 31)
 		t.sum(gid[:m], bq, bp, dp[:m], ch[:m])
-		if spilled {
+		if t.used == q1Slots { // only a full table spills
 			t.spillRows(gid[:m], rows, flag[lo:hi], status[lo:hi], bq, bp, dp[:m], ch[:m])
 		}
 	}
