@@ -199,9 +199,13 @@ bench-compare:
 #
 #	make bench-pairs PARENT=/root/scratch/parent WORKLOAD=serve-dsmz
 #	make bench-pairs PARENT=../parent WORKLOAD=nsm-io PAIR_SECONDS=8 PAIR_SEEDS="1 2 3 4"
+#
+# Without PAIR_SECONDS the window is the parent's run_seconds, spelled out:
+# the script takes its first argument after WORKLOAD as the window, so an
+# empty PAIR_SECONDS would turn the first of PAIR_SEEDS into one.
 PAIR_CHANGE ?= .
 bench-pairs:
-	bash tools/bench-pairs.sh $(PARENT) $(PAIR_CHANGE) $(WORKLOAD) $(PAIR_SECONDS) $(PAIR_SEEDS)
+	bash tools/bench-pairs.sh $(PARENT) $(PAIR_CHANGE) $(WORKLOAD) $(or $(PAIR_SECONDS),$$(jq -r .run_seconds $(PARENT)/BENCHMARK.json)) $(PAIR_SEEDS)
 
 # Scheduler decision-cost fence (simulator side): TestSchedScalingGuardOptIn
 # compares the q512/q64 per-decision ratio measured in one process against
