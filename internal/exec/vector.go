@@ -420,8 +420,8 @@ func (t *q1Table) result() Q1Result {
 // A block of q1Block rows at a time, pass by pass: on a Some chunk the date
 // test writes a selection and the passes run over the selected rows; then
 // the price arithmetic, each row's group ordinal (its table entry), the
-// rounds eight rows abreast, and one loop per measure adding into the
-// ordinal's sums, which fold into Q1Groups once per call.
+// rounds eight rows abreast, and one loop adding each row's count and
+// measures into its ordinal's sums, which fold into Q1Groups once per call.
 func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64, extraArith int, dateZ storage.Zone) (Q1Result, storage.Decided) {
 	decided := dateZ.Decide(math.MinInt64, dateMax)
 	if decided == storage.None {
