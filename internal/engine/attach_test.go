@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"coopscan/internal/core"
 	"coopscan/internal/exec"
@@ -86,6 +88,74 @@ func TestAttachDetachLifecycle(t *testing.T) {
 	}
 	if err := srv.AuditDrained(); err != nil {
 		t.Errorf("drained audit with tombstoned slot: %v", err)
+	}
+}
+
+// TestDetachDrainingWindow holds a detach mid-drain — a stream parked
+// inside onChunk on the table keeps it from quiescing — and checks the
+// window: the name no longer resolves, and attaching it again is refused
+// with ErrTableExists naming the drain. Once the stream returns and
+// DetachTable returns, the name attaches to a fresh slot.
+func TestDetachDrainingWindow(t *testing.T) {
+	const rows, tpc = 8_000, 1000
+	tf0 := newTestFile(t, rows, tpc, 3)
+	tf1 := newTestFile(t, rows, tpc, 4)
+	srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 8 * tf0.ChunkBytes()}, tf0)
+	slot, err := srv.Attach("drain", tf1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	scanErr := make(chan error, 1)
+	go func() {
+		var once sync.Once
+		_, err := srv.Scan(slot, "held", rangeSet(0, tf1.NumChunks()), Q6Cols(), func(int, ChunkData) {
+			once.Do(func() { close(parked) })
+			<-release
+		})
+		scanErr <- err
+	}()
+	<-parked
+	detached := make(chan error, 1)
+	go func() { detached <- srv.DetachTable("drain") }()
+	for tb := srv.slots()[slot]; ; {
+		tb.mu.Lock()
+		detaching := tb.detaching
+		tb.mu.Unlock()
+		if detaching {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, ok := srv.Lookup("drain"); ok {
+		t.Error("Lookup resolves a draining name")
+	}
+	if _, err := srv.Attach("drain", tf1); !errors.Is(err, ErrTableExists) || !strings.Contains(err.Error(), "draining") {
+		t.Errorf("Attach of a draining name: err = %v, want ErrTableExists naming the drain", err)
+	}
+	select {
+	case err := <-detached:
+		t.Fatalf("DetachTable returned %v with a stream still inside onChunk", err)
+	default:
+	}
+
+	close(release)
+	if err := <-scanErr; err != nil && !errors.Is(err, ErrTableDetached) {
+		t.Fatalf("held stream: err = %v, want nil or ErrTableDetached", err)
+	}
+	if err := <-detached; err != nil {
+		t.Fatalf("DetachTable: %v", err)
+	}
+	slot2, err := srv.Attach("drain", tf1)
+	if err != nil {
+		t.Fatalf("Attach after the drain: %v", err)
+	}
+	if slot2 == slot {
+		t.Fatalf("reattach reused tombstoned slot %d", slot)
+	}
+	if got, ok := srv.Lookup("drain"); !ok || got != slot2 {
+		t.Fatalf("Lookup(drain) = %d, %v; want %d, true", got, ok, slot2)
 	}
 }
 

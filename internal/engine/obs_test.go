@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -193,6 +195,41 @@ func TestServerObsEndToEnd(t *testing.T) {
 // trace-event JSON and asserts the shape Perfetto requires: a JSON array of
 // events, metadata naming every track, complete spans with non-negative
 // durations, and the span names the scan/load pipelines emit.
+// TestStatusDocumentKeys pins the shape of the /statusz document: its
+// top-level keys and the keys of one table entry, as StatusSnapshot marshals
+// them. The serving tier embeds the document and operators read it, so a
+// renamed or re-nested field must show here.
+func TestStatusDocumentKeys(t *testing.T) {
+	tf := newTestFile(t, 4_000, 1000, 3)
+	srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 4 * tf.ChunkBytes()}, tf)
+	if _, err := srv.Scan(0, "q", rangeSet(0, tf.NumChunks()), Q6Cols(), nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(srv.StatusSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]json.RawMessage) []string { return slices.Sorted(maps.Keys(m)) }
+	wantTop := []string{"faults", "in_flight", "policy", "pool", "tables", "uptime_seconds"}
+	if got := keys(doc); !slices.Equal(got, wantTop) {
+		t.Errorf("/statusz keys = %v, want %v", got, wantTop)
+	}
+	var tables []map[string]json.RawMessage
+	if err := json.Unmarshal(doc["tables"], &tables); err != nil || len(tables) != 1 {
+		t.Fatalf("/statusz tables = %s (%v), want one entry", doc["tables"], err)
+	}
+	wantTable := []string{"ABM", "BudgetBytes", "ChunksPruned", "DiskBytesRead",
+		"KernelChunksDateAll", "KernelChunksNone", "KernelChunksSome",
+		"Name", "ReceiptCRCsComputed", "ReceiptCRCsReused", "SchedCalls", "SchedNanos"}
+	if got := keys(tables[0]); !slices.Equal(got, wantTable) {
+		t.Errorf("/statusz table keys = %v, want %v", got, wantTable)
+	}
+}
+
 func validateTraceFile(t *testing.T, path string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
