@@ -1,10 +1,127 @@
 package engine
 
+// Lock rule: everything in this file runs under Server.mu (NewServer's
+// admissions excepted: nothing else runs yet). A step that touches a table's
+// runtime state takes that table's lock inside it, in slot order.
+
 import (
 	"fmt"
 
 	"coopscan/internal/obs"
+	"coopscan/internal/storage"
 )
+
+// admit is the admission step NewServer and Attach share: it refuses an
+// empty or taken name (ErrAttachIncompatible, ErrTableExists) and a table
+// the budget cannot cover at the two-chunk floor of every live table plus
+// its own (ErrAttachIncompatible); otherwise it builds the table's runtime
+// state in the next slot and registers its ABM with the budget arbiter at
+// the floor, publishing the new slot snapshot. The caller runs the arbiter,
+// which grants the rest of the budget by demand. Callers hold Server.mu, or
+// are NewServer.
+func (s *Server) admit(name string, tf *TableFile) (int, error) {
+	if name == "" {
+		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
+	}
+	if _, ok := s.names[name]; ok {
+		return 0, fmt.Errorf("%w: %q", ErrTableExists, name)
+	}
+	if _, draining := s.mgr.For(name); draining {
+		return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
+	}
+	floor := 2 * tf.ChunkBytes()
+	slots := s.slots()
+	for _, t := range slots {
+		if !t.detached {
+			floor += 2 * t.tf.ChunkBytes()
+		}
+	}
+	if s.cfg.BufferBytes < floor {
+		return 0, fmt.Errorf("%w: buffer %d bytes < two chunks per table (%d) with %q attached",
+			ErrAttachIncompatible, s.cfg.BufferBytes, floor, name)
+	}
+	t := &serverTable{
+		idx: len(slots), tf: tf, name: name,
+		quarantine: make(map[partID]error),
+	}
+	s.frames.retain(partSizes(tf))
+	t.abm = s.mgr.AttachAs(name, tf.Layout(), 2*tf.ChunkBytes())
+	t.abm.SetEvictHook(func(chunk, col int, f any) {
+		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
+		// column part: return its frame for the next load of that size.
+		// Sibling columns of the same chunk keep theirs. Runs under t.mu,
+		// from an EnsureSpace inside the scheduler.
+		s.returnFrame(t, f.(*frame))
+		s.o.evictions.add(1)
+		s.o.resident.add(-1)
+		if s.o.tracer != nil {
+			s.o.schedTrack.Instant("evict", obs.Args{"table": t.name, "chunk": chunk, "col": col})
+		}
+	})
+	t.o.sched = s.o.schedSeconds.With(name, s.cfg.Policy.String())
+	t.o.scan = s.o.scanSeconds.With(name, s.cfg.Policy.String())
+	t.o.useful = s.o.usefulBytes.With(name)
+	t.pruned.c = s.o.prunedChunks.With(name, s.cfg.Policy.String())
+	t.receipts.computed.c = s.o.receiptCRCs.With(name, "computed")
+	t.receipts.reused.c = s.o.receiptCRCs.With(name, "reused")
+	for decided, label := range [...]string{storage.Some: "some", storage.None: "none", storage.All: "date_all"} {
+		t.kernels[decided].c = s.o.kernelChunks.With(name, label)
+	}
+	next := append(slots[:len(slots):len(slots)], t)
+	s.tables.Store(&next)
+	s.names[name] = t.idx
+	return t.idx, nil
+}
+
+// slots returns the current slot snapshot; callers must not modify it.
+func (s *Server) slots() []*serverTable { return *s.tables.Load() }
+
+// Table returns the table file at index i (the file of a detached slot is
+// still returned; it remains owned by the caller who attached it).
+func (s *Server) Table(i int) *TableFile { return s.slots()[i].tf }
+
+// Lookup returns the slot serving the named live table. Detached tables are
+// not found — their names are freed the moment the detach begins.
+func (s *Server) Lookup(name string) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.names[name]
+	return i, ok
+}
+
+// TableName returns the registration name of table slot i.
+func (s *Server) TableName(i int) string { return s.slots()[i].name }
+
+// rebalance runs the budget arbiter holding every attached table's lock, in
+// slot order, and returns its grants. Callers hold Server.mu, or are
+// NewServer.
+func (s *Server) rebalance() []int64 {
+	var held []*serverTable
+	for _, t := range s.slots() {
+		if !t.detached {
+			t.mu.Lock()
+			held = append(held, t)
+		}
+	}
+	grants := s.mgr.Rebalance(s.cfg.BufferBytes)
+	for _, t := range held {
+		t.mu.Unlock()
+	}
+	return grants
+}
+
+// maybeRebalance re-runs the budget arbiter when the tables' demand has
+// shifted (core.Manager.DemandShifted owns the rule, and reads no table
+// state a lock guards). Runs under Server.mu.
+func (s *Server) maybeRebalance() {
+	if !s.mgr.DemandShifted() {
+		return
+	}
+	grants := s.rebalance()
+	if s.o.tracer != nil {
+		s.o.schedTrack.Instant("rebalance", obs.Args{"grants": grants})
+	}
+}
 
 // Attach adds a table file to the running server under the given
 // registration name and returns its slot. The table joins the shared budget

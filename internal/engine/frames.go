@@ -1,5 +1,9 @@
 package engine
 
+// Lock rule: frameAlloc's mu is the innermost lock; callers may hold a
+// table's lock and Server.mu. drawFrame, returnFrame and releaseFrames run
+// under the table's lock, which guards its framesOut.
+
 import (
 	"sync"
 	"sync/atomic"
@@ -142,4 +146,30 @@ func partSizes(tf *TableFile) []int64 {
 		out[j] = tf.ColStripeBytes(j)
 	}
 	return out
+}
+
+// drawFrame draws the frame for one part of t whose load is being issued;
+// returnFrame gives one back (eviction, abort, detach, shutdown). Together
+// they keep t.framesOut, the audited count of frames t holds. Callers hold
+// t.mu.
+func (s *Server) drawFrame(t *serverTable, col int) *frame {
+	t.framesOut++
+	return s.frames.get(t.partBytes(col))
+}
+
+func (s *Server) returnFrame(t *serverTable, f *frame) {
+	t.framesOut--
+	s.frames.put(f)
+}
+
+// releaseFrames takes the frame off every resident part of t and returns it
+// — a table being finalised out of a detach, or any table still attached at
+// shutdown. A scan still inside a delivery at shutdown keeps its pinned
+// frames' bytes alive by reference; no load can draw them again, because the
+// scheduler is already gone. Callers hold t.mu.
+func (s *Server) releaseFrames(t *serverTable) {
+	t.abm.ReleaseFrames(func(f any) {
+		s.returnFrame(t, f.(*frame))
+		s.o.resident.add(-1)
+	})
 }
