@@ -23,17 +23,17 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
 	}
-	if _, ok := s.names[name]; ok {
-		return 0, fmt.Errorf("%w: %q", ErrTableExists, name)
-	}
-	if _, draining := s.mgr.For(name); draining {
-		return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
-	}
 	floor := 2 * tf.ChunkBytes()
 	slots := s.slots()
 	for _, t := range slots {
-		if !t.detached {
+		switch {
+		case t.detached:
+		case t.name != name:
 			floor += 2 * t.tf.ChunkBytes()
+		case t.detaching:
+			return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
+		default:
+			return 0, fmt.Errorf("%w: %q", ErrTableExists, name)
 		}
 	}
 	if s.cfg.BufferBytes < floor {
@@ -69,7 +69,6 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	}
 	next := append(slots[:len(slots):len(slots)], t)
 	s.tables.Store(&next)
-	s.names[name] = t.idx
 	return t.idx, nil
 }
 
@@ -85,8 +84,18 @@ func (s *Server) Table(i int) *TableFile { return s.slots()[i].tf }
 func (s *Server) Lookup(name string) (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.names[name]
-	return i, ok
+	return s.live(name)
+}
+
+// live is Lookup for a caller holding Server.mu (detaching is written under
+// it): the slot of that name whose detach has not begun.
+func (s *Server) live(name string) (int, bool) {
+	for _, t := range s.slots() {
+		if t.name == name && !t.detaching {
+			return t.idx, true
+		}
+	}
+	return 0, false
 }
 
 // TableName returns the registration name of table slot i.
@@ -172,12 +181,11 @@ func (s *Server) DetachTable(name string) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	i, ok := s.names[name]
+	i, ok := s.live(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTable, name)
 	}
 	t := s.slots()[i]
-	delete(s.names, name)
 	// Wake this table's parked and queued streams so they observe the detach
 	// and leave; wake the scheduler so it stops admitting the table's queue
 	// and finalises it once it quiesces.

@@ -255,9 +255,9 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 type Server struct {
 	cfg ServerConfig
 
-	// mu guards the cross-table state: slot and name registration, the
-	// budget arbiter (mgr), attach/detach and detachCond. No stream or worker
-	// takes it.
+	// mu guards the cross-table state: slot registration, the budget
+	// arbiter (mgr), attach/detach and detachCond. No stream or worker takes
+	// it.
 	mu sync.Mutex
 	// kick wakes the scheduler goroutine, its only reader. Every wake site
 	// does a non-blocking send into the one slot, so wake-ups coalesce and
@@ -271,14 +271,10 @@ type Server struct {
 	kick chan struct{}
 	mgr  *core.Manager
 	// tables is the slot snapshot, replaced copy-on-write by admit under mu
-	// and read with no lock, so a scan takes no server-wide lock.
+	// and read with no lock, so a scan takes no server-wide lock. It is the
+	// one name registry too: a name resolves to its slot until the detach
+	// begins (Server.live), and a detached slot stays as a tombstone.
 	tables atomic.Pointer[[]*serverTable]
-	// names maps each live table's registration name to its slot in
-	// tables. DetachTable removes the name as soon as the detach begins;
-	// detached slots stay in tables as tombstones but are unreachable by
-	// name, so a detached name can be reattached (to a fresh slot) once
-	// its drain completes. Guarded by mu.
-	names map[string]int
 	// detachCond wakes DetachTable callers when the scheduler finalises a
 	// quiesced detach, and on shutdown so no caller waits on a dead
 	// scheduler.
@@ -333,7 +329,6 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		kick:      make(chan struct{}, 1),
-		names:     make(map[string]int),
 		frames:    newFrameAlloc(cfg.Obs),
 		loadCh:    make(chan loadJob, cfg.InFlightDepth),
 		schedDone: make(chan struct{}),
