@@ -38,15 +38,15 @@ func TestRunResultGolden(t *testing.T) {
 	outs1 := []liveOutcome{{name: "s0-q0", chunks: 9, latency: 301 * time.Millisecond, useful: 900}}
 	one := runResult{
 		policy: core.Relevance, total: 2 * time.Second, perTable: [][]liveOutcome{outs0},
-		status:    engine.Status{Tables: []engine.TableStats{lineitem}},
+		status:    engine.Status{ServerStats: engine.ServerStats{Tables: []engine.TableStats{lineitem}}},
 		realBytes: 330 << 20, usefulBytes: 60<<20 + 512<<10,
 	}
 	two := runResult{
 		policy: core.Elevator, total: 1500 * time.Millisecond, perTable: [][]liveOutcome{outs0, outs1},
-		status: engine.Status{
+		status: engine.Status{ServerStats: engine.ServerStats{
 			Tables: []engine.TableStats{lineitem, orders},
 			Faults: engine.FaultStats{Retries: 7, ChecksumErrors: 2, QuarantinedParts: 1, FailedScans: 1, CancelledScans: 3},
-		},
+		}},
 		realBytes: 440 << 20, usefulBytes: 3 << 30, unavailable: 1,
 	}
 	verbose := func(r runResult) *runResult { r.verbose = true; return &r }
@@ -61,7 +61,7 @@ func TestRunResultGolden(t *testing.T) {
 		{"two tables, verbose", verbose(two)},
 		{"nothing read, nothing run", &runResult{
 			policy: core.Normal, total: time.Second, perTable: [][]liveOutcome{nil},
-			status: engine.Status{Tables: []engine.TableStats{{Name: "empty#0", ChunksPruned: 4}}},
+			status: engine.Status{ServerStats: engine.ServerStats{Tables: []engine.TableStats{{Name: "empty#0", ChunksPruned: 4}}}},
 		}},
 	} {
 		sb.WriteString("== " + c.name + "\n" + c.r.String())

@@ -86,9 +86,9 @@ type PoolStats struct {
 // ServerStats aggregates a run's counters: per-table ABM decisions plus the
 // buffer's part traffic and the fault-handling counters.
 type ServerStats struct {
-	Tables []TableStats
-	Pool   PoolStats
-	Faults FaultStats
+	Tables []TableStats `json:"tables"`
+	Pool   PoolStats    `json:"pool"`
+	Faults FaultStats   `json:"faults"`
 }
 
 // Stats returns the server's counters: one entry per table plus the
@@ -138,27 +138,21 @@ func (s *Server) Stats() ServerStats {
 
 // Status is the server's live snapshot — the JSON document /statusz serves
 // and the CLIs' shared report renders: identity (policy, uptime), the
-// instantaneous scheduler state, and the same per-table/pool/fault counters
-// Stats returns.
+// instantaneous scheduler state, and the counters Stats returns.
 type Status struct {
-	Policy        string       `json:"policy"`
-	UptimeSeconds float64      `json:"uptime_seconds"`
-	InFlight      int          `json:"in_flight"`
-	Tables        []TableStats `json:"tables"`
-	Pool          PoolStats    `json:"pool"`
-	Faults        FaultStats   `json:"faults"`
+	Policy        string  `json:"policy"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	InFlight      int     `json:"in_flight"`
+	ServerStats
 }
 
 // StatusSnapshot returns the server's current Status.
 func (s *Server) StatusSnapshot() Status {
-	st := s.Stats()
 	return Status{
 		Policy:        s.cfg.Policy.String(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		InFlight:      int(s.inFlight.Load()),
-		Tables:        st.Tables,
-		Pool:          st.Pool,
-		Faults:        st.Faults,
+		ServerStats:   s.Stats(),
 	}
 }
 
