@@ -58,8 +58,10 @@ func TestAttachDetachLifecycle(t *testing.T) {
 	if _, err := srv.Scan(slot, "late", rangeSet(0, n), Q6Cols(), nil); !errors.Is(err, ErrTableDetached) {
 		t.Fatalf("scan against detached slot: err = %v, want ErrTableDetached", err)
 	}
-	if b := srv.Budgets(); b[slot] != 0 {
-		t.Fatalf("detached slot still holds budget %d", b[slot])
+	for _, ts := range srv.Stats().Tables {
+		if ts.Name == "extra" {
+			t.Fatalf("detached table still in Stats with budget %d", ts.BudgetBytes)
+		}
 	}
 	if err := srv.DetachTable("extra"); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("double detach: err = %v, want ErrUnknownTable", err)

@@ -250,13 +250,13 @@ func TestServerBudgetFollowsDemand(t *testing.T) {
 
 	deadline := time.After(5 * time.Second)
 	for {
-		b := srv.Budgets()
-		if b[0] > b[1] {
+		st := srv.Stats().Tables
+		if st[0].BudgetBytes > st[1].BudgetBytes {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("budget never shifted to the demanding table: %v", b)
+			t.Fatalf("budget never shifted to the demanding table: %d, %d", st[0].BudgetBytes, st[1].BudgetBytes)
 		case <-time.After(2 * time.Millisecond):
 		}
 	}

@@ -156,21 +156,6 @@ func (s *Server) StatusSnapshot() Status {
 	}
 }
 
-// Budgets returns the current arbiter grants in table-slot order (zero for
-// detached slots).
-func (s *Server) Budgets() []int64 {
-	var out []int64
-	s.eachTable(func(t *serverTable) error {
-		var b int64
-		if !t.detached {
-			b = t.abm.BufferBytes()
-		}
-		out = append(out, b)
-		return nil
-	})
-	return out
-}
-
 // eachTable runs fn on every slot under that table's lock alone, stopping at
 // the first error.
 func (s *Server) eachTable(fn func(t *serverTable) error) error {
