@@ -181,18 +181,7 @@ func (s *Server) eachTable(fn func(t *serverTable) error) error {
 // excess. It is the soak harness's mid-flight invariant probe; production
 // code never calls it.
 func (s *Server) AuditTables() error {
-	return s.eachTable(func(t *serverTable) error {
-		if t.detached {
-			return nil
-		}
-		if free := t.abm.FreeBytes(); free < 0 {
-			return fmt.Errorf("engine: table %s over its grant: free = %d", t.name, free)
-		}
-		if err := t.abm.AuditIncremental(); err != nil {
-			return fmt.Errorf("engine: table %s: %w", t.name, err)
-		}
-		return t.auditFrames(false)
-	})
+	return s.eachTable(func(t *serverTable) error { return t.audit((*core.ABM).AuditIncremental, t.detached) })
 }
 
 // AuditDrained checks the quiescent-state invariants once every scan has
@@ -203,17 +192,24 @@ func (s *Server) AuditTables() error {
 // server has closed. Like AuditTables it exists for the soak harness.
 func (s *Server) AuditDrained() error {
 	return s.eachTable(func(t *serverTable) error {
-		if err := t.auditFrames(t.detached || s.closed.Load()); err != nil || t.detached {
-			return err
-		}
-		if err := t.abm.AuditDrained(); err != nil {
-			return fmt.Errorf("engine: table %s: %w", t.name, err)
-		}
-		if free := t.abm.FreeBytes(); free < 0 {
-			return fmt.Errorf("engine: table %s over budget after drain: free = %d", t.name, free)
-		}
-		return nil
+		return t.audit((*core.ABM).AuditDrained, t.detached || s.closed.Load())
 	})
+}
+
+// audit is AuditTables' and AuditDrained's check of one table, under its
+// lock: its frames (released: none may be drawn), then, unless the table is
+// detached, the ABM's own invariants (check) and its usage against its grant.
+func (t *serverTable) audit(check func(*core.ABM) error, released bool) error {
+	if err := t.auditFrames(released); err != nil || t.detached {
+		return err
+	}
+	if err := check(t.abm); err != nil {
+		return fmt.Errorf("engine: table %s: %w", t.name, err)
+	}
+	if free := t.abm.FreeBytes(); free < 0 {
+		return fmt.Errorf("engine: table %s over its grant: free = %d", t.name, free)
+	}
+	return nil
 }
 
 // auditFrames checks the one-part-one-frame invariant on the ABM's part
