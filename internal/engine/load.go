@@ -305,13 +305,8 @@ func (s *Server) completeLoad(job loadJob) {
 // configured base, capped at 100×, jittered to [50%, 150%) from the global
 // source, so concurrent failed loads do not retry in lockstep.
 func (s *Server) retryPause(attempt int) time.Duration {
-	d := s.cfg.RetryBackoff
-	for i := 0; i < attempt && d < 100*s.cfg.RetryBackoff; i++ {
-		d *= 2
-	}
-	if max := 100 * s.cfg.RetryBackoff; d > max {
-		d = max
-	}
+	base := s.cfg.RetryBackoff
+	d := min(base<<min(attempt, 7), 100*base)
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
 

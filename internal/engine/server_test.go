@@ -296,3 +296,17 @@ func TestAuditTablesFailsTableOverItsGrant(t *testing.T) {
 		t.Fatal("AuditTables passed a table one byte over its grant")
 	}
 }
+
+// retryPause doubles from the base per attempt up to 100 × base, jittered
+// to [50%, 150%) of that.
+func TestRetryPauseBounds(t *testing.T) {
+	const base = 3 * time.Millisecond
+	s := &Server{cfg: ServerConfig{RetryBackoff: base}}
+	for attempt, want := range []time.Duration{base, 2 * base, 4 * base, 8 * base, 16 * base, 32 * base, 64 * base, 100 * base, 100 * base, 100 * base} {
+		for range 50 {
+			if d := s.retryPause(attempt); d < want/2 || d >= want*3/2 {
+				t.Fatalf("retryPause(%d) = %v, want in [%v, %v)", attempt, d, want/2, want*3/2)
+			}
+		}
+	}
+}
