@@ -44,7 +44,7 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 		idx: len(slots), tf: tf, name: name,
 		quarantine: make(map[partID]error),
 	}
-	s.frames.retain(partSizes(tf))
+	s.frames.retain(t.partSizes())
 	t.abm = s.mgr.AttachAs(name, tf.Layout(), 2*tf.ChunkBytes())
 	t.abm.SetEvictHook(func(chunk, col int, f any) {
 		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
@@ -219,7 +219,7 @@ func (s *Server) finalizeDetaches() {
 		idle := t.abm.Idle()
 		if idle {
 			s.releaseFrames(t)
-			s.frames.release(partSizes(t.tf))
+			s.frames.release(t.partSizes())
 			clear(t.quarantine)
 			s.mgr.Detach(t.name)
 			t.detached = true

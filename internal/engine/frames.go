@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"coopscan/internal/obs"
+	"coopscan/internal/storage"
 )
 
 // frame is the buffer of one ABM part — an NSM chunk or a DSM column stripe,
@@ -47,8 +48,6 @@ func (f *frame) bytes() int64 { return int64(len(f.vals)) * 8 }
 // number of its parts reserved at once, which the buffer budget bounds, and
 // the count is deterministic. A class lives while some attached table has
 // parts of its size; its free frames are dropped with its last user.
-// Guarded by its own mu, the innermost lock: callers may hold a table's lock
-// and the server's.
 type frameAlloc struct {
 	mu      sync.Mutex
 	classes map[int64]*frameClass
@@ -135,17 +134,30 @@ func (a *frameAlloc) put(f *frame) {
 	}
 }
 
-// partSizes returns the size of every part kind of a table: the chunk on
-// NSM, each column's stripe on DSM (one entry per column, so sizes repeat).
-func partSizes(tf *TableFile) []int64 {
-	if tf.Format() == NSM {
-		return []int64{tf.ChunkBytes()}
+// partBytes returns the decoded size of one part — its frame size and the
+// bytes its ABM reservation holds.
+func (t *serverTable) partBytes(col int) int64 {
+	if col < 0 {
+		return t.tf.ChunkBytes()
 	}
-	out := make([]int64, NumCols)
-	for j := range out {
-		out[j] = tf.ColStripeBytes(j)
+	return t.tf.ColStripeBytes(col)
+}
+
+// eachPart invokes fn for every ABM part a load decision covers: the single
+// pseudo-column part in NSM, one part per column in DSM.
+func (t *serverTable) eachPart(cols storage.ColSet, fn func(col int)) {
+	if t.tf.Format() == NSM {
+		fn(-1)
+		return
 	}
-	return out
+	cols.Each(fn)
+}
+
+// partSizes returns the size of every part kind of t: the chunk on NSM, each
+// column's stripe on DSM (one entry per column, so sizes repeat).
+func (t *serverTable) partSizes() (sizes []int64) {
+	t.eachPart(storage.AllCols(NumCols), func(col int) { sizes = append(sizes, t.partBytes(col)) })
+	return sizes
 }
 
 // drawFrame draws the frame for one part of t whose load is being issued;

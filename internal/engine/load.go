@@ -1,9 +1,8 @@
 package engine
 
-// Lock rule: the load pipeline holds one table's lock at a time and never
-// across a file read. The scheduler issues a load under its table's lock, a
-// worker reads it with no lock held, and lands or aborts it under the lock
-// again.
+// Lock rule: the load pipeline holds one table's lock at a time, never across
+// a file read: a load is issued under its table's lock, read with no lock
+// held, and landed or aborted under the lock again.
 
 import (
 	"errors"

@@ -1,10 +1,13 @@
 package engine
 
-// Lock order: Server.mu → table locks (serverTable.mu) in slot order → the
-// frame allocator's mu. Streams and workers hold one table's lock at most;
-// the scheduler loop below takes each table's lock alone to admit, then
-// Server.mu for the cross-table step (attach.go), then one table's lock at a
-// time to issue (load.go).
+// Locks: each table's mu guards that table's ABM and runtime state, Server.mu
+// only the cross-table state, and the frame allocator has its own. The order
+// is Server.mu → table locks in slot order → frame allocator; streams and
+// workers take their own table's lock alone. Workers drop it for the real
+// file reads and streams while processing delivered chunks, so decision
+// making, I/O depth and query CPU all overlap, and tables never wait on each
+// other. The scheduler loop and Close below take one table's lock at a time,
+// or Server.mu with table locks inside it (attach.go).
 
 import (
 	"errors"
@@ -15,7 +18,6 @@ import (
 
 	"coopscan/internal/core"
 	"coopscan/internal/obs"
-	"coopscan/internal/storage"
 )
 
 // ErrClosed is returned by Scan when the engine shuts down mid-scan, and
@@ -180,25 +182,6 @@ type serverTable struct {
 	detaching, detached bool
 }
 
-// partBytes returns the decoded size of one part — its frame size and the
-// bytes its ABM reservation holds.
-func (t *serverTable) partBytes(col int) int64 {
-	if col < 0 {
-		return t.tf.ChunkBytes()
-	}
-	return t.tf.ColStripeBytes(col)
-}
-
-// eachPart invokes fn for every ABM part a load decision covers: the single
-// pseudo-column part in NSM, one part per column in DSM.
-func (t *serverTable) eachPart(cols storage.ColSet, fn func(col int)) {
-	if t.tf.Format() == NSM {
-		fn(-1)
-		return
-	}
-	cols.Each(fn)
-}
-
 // wallClock is the live ABM clock: seconds since server start.
 type wallClock struct{ start time.Time }
 
@@ -232,14 +215,6 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // allocator after the load ticket reserved its bytes, handed to the part when
 // the ticket lands, to every scan that pins it, and to the evict hook that
 // returns it — so the bytes held in frames are the bytes the ABMs account.
-//
-// Locks: each table's mu guards that table's ABM and runtime state, Server.mu
-// only the cross-table state, and the frame allocator has its own. The order
-// is Server.mu → table locks in slot order → frame allocator; streams and
-// workers take their own table's lock alone. Workers drop it for the real
-// file reads and streams while processing delivered chunks, so decision
-// making, I/O depth and query CPU all overlap, and tables never wait on each
-// other.
 //
 // A stream joins through its table's admission queue: it enqueues its query
 // and the scheduler admits every live table's queue once per pass — its call

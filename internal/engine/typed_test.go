@@ -145,7 +145,7 @@ func TestFrameViewsAligned(t *testing.T) {
 	for _, f := range storedShapes {
 		t.Run(f.name, func(t *testing.T) {
 			tf := f.create(t, 7_777, 500, 5) // a short last chunk
-			for _, size := range partSizes(tf) {
+			for _, size := range (&serverTable{tf: tf}).partSizes() {
 				if size%8 != 0 {
 					t.Errorf("part size %d is not whole words", size)
 				}
