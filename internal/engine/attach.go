@@ -158,9 +158,7 @@ func (s *Server) Attach(name string, tf *TableFile) (int, error) {
 		return 0, err
 	}
 	s.rebalance()
-	if s.o.tracer != nil {
-		s.o.schedTrack.Instant("attach", obs.Args{"table": name, "slot": idx})
-	}
+	s.o.schedTrack.Instant("attach", obs.Args{"table": name, "slot": idx})
 	s.wake()
 	return idx, nil
 }
@@ -216,22 +214,18 @@ func (s *Server) finalizeDetaches() {
 			continue
 		}
 		t.mu.Lock()
-		idle := t.abm.Idle()
-		if idle {
-			s.releaseFrames(t)
-			s.frames.release(t.partSizes())
-			clear(t.quarantine)
-			s.mgr.Detach(t.name)
-			t.detached = true
-		}
-		t.mu.Unlock()
-		if !idle {
+		if !t.abm.Idle() {
+			t.mu.Unlock()
 			continue
 		}
+		s.releaseFrames(t)
+		s.frames.release(t.partSizes())
+		clear(t.quarantine)
+		s.mgr.Detach(t.name)
+		t.detached = true
+		t.mu.Unlock()
 		s.rebalance()
-		if s.o.tracer != nil {
-			s.o.schedTrack.Instant("detach", obs.Args{"table": t.name, "slot": t.idx})
-		}
+		s.o.schedTrack.Instant("detach", obs.Args{"table": t.name, "slot": t.idx})
 		s.detachCond.Broadcast()
 	}
 }

@@ -25,7 +25,7 @@ import (
 func waitLoadsDrained(t *testing.T, srv *Server) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if n := srv.inFlight.Load(); n == 0 {
+		if n := srv.o.inflight.n.Load(); n == 0 {
 			return
 		} else if time.Now().After(deadline) {
 			t.Fatalf("%d loads still in flight", n)

@@ -53,10 +53,9 @@ func (s *Server) issueOne(tables []*serverTable) bool {
 	for off := 0; off < n; off++ {
 		i := (s.rr + off) % n
 		if job, ok := s.issueFrom(tables[i]); ok {
-			s.inFlight.Add(1)
-			s.o.inflight.Add(1)
+			s.o.inflight.add(1)
 			s.rr = (i + 1) % n
-			// Never blocks: inFlight < depth == cap(loadCh) and workers drain.
+			// Never blocks: inflight < depth == cap(loadCh) and workers drain.
 			s.loadCh <- job
 			return true
 		}
@@ -121,8 +120,8 @@ func (t *serverTable) loadable(d core.LoadDecision) bool {
 // states (marked loading at issue) keep the two decoupled.
 //
 // A load is its own fault domain. A failed read or checksum verification
-// retries with bounded exponential backoff (the job stays counted in
-// inFlight, so the scheduler never over-issues while it heals); a load that
+// retries with bounded exponential backoff (the job keeps its in-flight
+// slot, so the scheduler never over-issues while it heals); a load that
 // exhausts its retries — or fails during shutdown — is aborted: its frames
 // return to the allocator and its ticket is aborted (the ABM reservation is
 // rolled back, so the budget never leaks). Exhausted retries also quarantine
@@ -138,13 +137,11 @@ func (s *Server) worker() {
 			job.lane.SpanAt("queued", job.issuedAt, iost.start, nil)
 			vStart := iost.end.Add(-iost.verify - iost.decomp)
 			job.lane.SpanAt("read", iost.start, vStart, obs.Args{"bytes": iost.bytes, "disk": iost.diskBytes})
+			dEnd := vStart.Add(iost.decomp)
 			if iost.decomp > 0 {
-				dEnd := vStart.Add(iost.decomp)
 				job.lane.SpanAt("decompress", vStart, dEnd, nil)
-				job.lane.SpanAt("verify", dEnd, iost.end, nil)
-			} else {
-				job.lane.SpanAt("verify", vStart, iost.end, nil)
 			}
+			job.lane.SpanAt("verify", dEnd, iost.end, nil)
 		}
 		if s.loadHook != nil {
 			s.loadHook(job.t.idx, job.ld.Decision().Chunk)
@@ -179,8 +176,7 @@ func (s *Server) worker() {
 		}
 		t.releaseLane(job.lane)
 		t.mu.Unlock()
-		s.inFlight.Add(-1)
-		s.o.inflight.Add(-1)
+		s.o.inflight.add(-1)
 		// A slot freed: only the scheduler cares. Streams interested in the
 		// landed chunk were woken by their queries' wakers in Load.Finish.
 		s.wake()
@@ -246,12 +242,9 @@ func (s *Server) readParts(job loadJob) (ioStats, error) {
 		if bw := s.cfg.ReadBandwidth; bw > 0 {
 			// Device model: this load stream moves at bw bytes/s over the
 			// stored widths — a compressed extent costs its compressed size.
-			// Sleep off whatever the page cache served faster than that.
-			if budget := time.Duration(float64(stored) / float64(bw) * float64(time.Second)); budget > 0 {
-				if spent := time.Since(start); spent < budget {
-					time.Sleep(budget - spent)
-				}
-			}
+			// Sleep off whatever the page cache served faster than that (a
+			// negative pause returns at once).
+			time.Sleep(time.Duration(float64(stored)/float64(bw)*float64(time.Second)) - time.Since(start))
 		}
 	}
 	t.diskRead.Add(iost.diskBytes)
@@ -318,9 +311,7 @@ func (s *Server) quarantine(job loadJob, cause error) {
 		if _, dup := job.t.quarantine[k]; !dup {
 			job.t.quarantine[k] = cause
 			s.o.quarantined.add(1)
-			if s.o.tracer != nil {
-				s.o.schedTrack.Instant("quarantine", obs.Args{"table": job.t.name, "chunk": k.chunk, "col": k.col})
-			}
+			s.o.schedTrack.Instant("quarantine", obs.Args{"table": job.t.name, "chunk": k.chunk, "col": k.col})
 		}
 	}
 	job.t.abm.WakeQueries()

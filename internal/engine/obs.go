@@ -11,8 +11,9 @@ import (
 // serverObs bundles the server's resolved metric series and its tracer.
 // Every handle is nil-safe (see internal/obs), so instrumented code updates
 // them without guards; the enabled flag gates only the work that exists to
-// feed a metric — time.Now() pairs and trace-arg construction — so a server
-// built without ServerConfig.Obs/Trace pays nil checks and nothing else.
+// feed a metric — time.Now() pairs and the trace args of the per-load and
+// per-eviction events — so a server built without ServerConfig.Obs/Trace pays
+// nil checks, and an args map at the rare attach, detach and quarantine.
 //
 // Trace layout: one "scheduler" track carries instant events for every
 // decision the scheduler goroutine takes (load issues, evictions, arbiter
@@ -29,7 +30,10 @@ type serverObs struct {
 	enabled bool
 	tracer  *obs.Tracer
 
-	inflight          *obs.Gauge
+	// inflight counts issued-but-unlanded loads, bounded by
+	// cfg.InFlightDepth; only the scheduler adds to it.
+	inflight level
+
 	readSeconds       *obs.Histogram
 	verifySeconds     *obs.Histogram
 	decompressSeconds *obs.Histogram
@@ -117,7 +121,7 @@ type tableObs struct {
 func newServerObs(reg *obs.Registry, tracer *obs.Tracer) *serverObs {
 	o := &serverObs{enabled: reg != nil || tracer != nil, tracer: tracer}
 	if reg != nil {
-		o.inflight = reg.Gauge("coopscan_load_inflight",
+		o.inflight.g = reg.Gauge("coopscan_load_inflight",
 			"Loads issued to workers and not yet completed or aborted.")
 		o.readSeconds = reg.Histogram("coopscan_load_read_seconds",
 			"Wall time of a load's part reads, verify and decompress time excluded (includes the device-model sleep).", obs.IOBuckets)

@@ -109,18 +109,14 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 	// them. An empty Lo>Hi interval legitimately prunes
 	// everything (e.g. a quantity filter below the column's domain).
 	if len(req.Preds) > 0 {
+		kept := req.Ranges
 		for _, p := range req.Preds {
 			if p.Col < 0 || p.Col >= NumCols {
 				return core.Stats{}, fmt.Errorf("%w: scan %q predicate on column %d of %d", ErrInvalidColumns, req.Name, p.Col, NumCols)
 			}
-		}
-		kept := req.Ranges
-		for _, p := range req.Preds {
-			zm := t.tf.ZoneMap(p.Col)
-			if zm == nil {
-				continue
+			if zm := t.tf.ZoneMap(p.Col); zm != nil {
+				kept = kept.Intersect(zm.Prune(p.Lo, p.Hi))
 			}
-			kept = kept.Intersect(zm.Prune(p.Lo, p.Hi))
 		}
 		if skipped := req.Ranges.Len() - kept.Len(); skipped > 0 {
 			t.pruned.add(int64(skipped))

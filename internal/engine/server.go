@@ -259,9 +259,6 @@ type Server struct {
 	// rr rotates the scheduler's table scan so no table monopolises the
 	// load queue; the scheduler goroutine alone touches it.
 	rr int
-	// inFlight counts issued-but-unlanded loads; bounded by
-	// cfg.InFlightDepth. Only the scheduler adds to it.
-	inFlight atomic.Int64
 
 	closed atomic.Bool
 
@@ -352,7 +349,7 @@ func (s *Server) scheduler() {
 		s.finalizeDetaches()
 		s.maybeRebalance()
 		s.mu.Unlock()
-		if s.inFlight.Load() < int64(s.cfg.InFlightDepth) && s.issueOne(tables) {
+		if s.o.inflight.n.Load() < int64(s.cfg.InFlightDepth) && s.issueOne(tables) {
 			continue
 		}
 		<-s.kick

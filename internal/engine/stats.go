@@ -151,7 +151,7 @@ func (s *Server) StatusSnapshot() Status {
 	return Status{
 		Policy:        s.cfg.Policy.String(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		InFlight:      int(s.inFlight.Load()),
+		InFlight:      int(s.o.inflight.n.Load()),
 		ServerStats:   s.Stats(),
 	}
 }

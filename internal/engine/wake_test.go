@@ -84,7 +84,7 @@ func TestKickOnFreedSlot(t *testing.T) {
 		}()
 	}
 	scan(0)
-	until(t, "chunk 0's load issued", func() bool { return srv.inFlight.Load() == 1 })
+	until(t, "chunk 0's load issued", func() bool { return srv.o.inflight.n.Load() == 1 })
 	scan(1)
 	waitParked()
 	close(landing)
