@@ -14,7 +14,7 @@ FUZZTIME  ?= 10s
 # Where bench-record writes; .bench_build/ is the suite's ignored scratch.
 RECORD    ?= .bench_build/record-$(shell git rev-parse --short HEAD).json
 
-.PHONY: build test test-bench examples-check loc test-race test-repeat test-serve test-fault-units fuzz-open fuzz-scan fuzz-decode fuzz-kernels vet fmt-check soak soak-rand soak-long test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
+.PHONY: build test test-bench examples-check loc test-race test-repeat test-serve test-named test-fault-units fuzz-open fuzz-scan fuzz-decode fuzz-kernels vet fmt-check soak soak-rand soak-long test-soak-nondeterminism bench-record bench-compare bench-pairs bench-sched bench-kernels bench-obs bench-compress
 
 build:
 	$(GO) build ./...
@@ -91,26 +91,40 @@ vet:
 # must stay byte-identical to its fault-free golden and the server must
 # drain with zero budget leak (see internal/engine/fault_test.go).
 soak:
-	$(GO) test -race -count=1 -run 'TestFaultSoak' -v ./internal/engine/
+	@$(call must-pass,-race -count=1,./internal/engine/,TestFaultSoak)
+
+# must-pass runs the tests named in $(3), exact top-level names, in package
+# $(2) with the go test flags $(1), prints the -v output, and fails unless it
+# shows every named test passing. `go test -run` passes when a name matches
+# nothing, so a step that names a test would go green having run nothing
+# after a rename or a skip; every target and CI step that names tests goes
+# through here (test-named is the form CI calls).
+empty :=
+space := $(empty) $(empty)
+must-pass = log=$$(mktemp); \
+	$(GO) test -v $(1) -run '^($(subst $(space),|,$(strip $(3))))$$' $(2) > $$log 2>&1; st=$$?; \
+	cat $$log; \
+	for t in $(strip $(3)); do \
+		[ $$st -ne 0 ] || grep -q -- "^--- PASS: $$t " $$log || { echo "$$t did not run: the name is stale"; st=1; }; \
+	done; \
+	rm -f $$log; exit $$st
+
+# The tests TESTS (exact names) in the package TEST_PKG with the go test
+# flags TEST_FLAGS, every one of which must pass:
+#
+#	make test-named TESTS='TestDSMColumnSelectiveIO' TEST_PKG=./internal/engine/ TEST_FLAGS=-count=1
+test-named:
+	@$(call must-pass,$(TEST_FLAGS),$(TEST_PKG),$(TESTS))
 
 # The fault-domain unit tests CI's fault-soak job runs beside the soak: typed
 # on-disk failures (torn headers, damaged metadata, checksum mismatches,
 # undecodable extents), transient-fault healing, quarantine, cancellation.
-# `go test -run` passes when a name matches nothing, so the list would go
-# stale silently after a rename; this target fails unless the -v output
-# shows every listed test passing.
 FAULT_UNITS = TestScanSurvivesTransientFaults TestQuarantineIsolatesPersistentFault \
 	TestOnDiskCorruptionSurfacesAsChecksum TestScanContextCancellation \
 	TestOpenTypedErrors TestCompressedOpenTypedErrors TestMetadataSeal \
 	TestReadPageChecksumMismatch TestCompressedCorruptExtent TestCompressedCreateRejectsBadGeometry
-empty :=
-space := $(empty) $(empty)
 test-fault-units:
-	@out=$$($(GO) test -race -count=1 -v -run '^($(subst $(space),|,$(strip $(FAULT_UNITS))))$$' ./internal/engine/ 2>&1) || { echo "$$out"; exit 1; }; \
-	for t in $(FAULT_UNITS); do \
-		echo "$$out" | grep -q -- "^--- PASS: $$t " || { echo "$$out"; echo "$$t did not run: FAULT_UNITS in the Makefile is stale"; exit 1; }; \
-	done; \
-	echo "$$out" | grep -- '^--- PASS\|^ok'
+	@$(call must-pass,-race -count=1,./internal/engine/,$(FAULT_UNITS))
 
 # Fuzz the one opener: header and metadata-region damage, truncation and
 # extension over a file of every stored shape; Open answers with a typed
@@ -214,8 +228,9 @@ bench-pairs:
 # for a human to read. The guard is a wall-clock number and has failed under
 # load with nothing wrong, so plain `go test ./...` skips it: this target is
 # the only place it runs (COOPSCAN_SCHED_GUARD=1, the bench-obs idiom).
+bench-sched: export COOPSCAN_SCHED_GUARD = 1
 bench-sched:
-	COOPSCAN_SCHED_GUARD=1 $(GO) test -run 'TestSchedScalingGuardOptIn' -count=1 -v .
+	@$(call must-pass,-count=1,.,TestSchedScalingGuardOptIn)
 	$(GO) test -run '^$$' -bench BenchmarkSchedulerScaling -benchmem -benchtime $(BENCHTIME) .
 
 # Kernel micro-benchmarks, for iterating in seconds without the 20 s suite;
