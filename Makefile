@@ -143,13 +143,17 @@ fuzz-scan:
 	$(GO) test -run '^$$' -fuzz FuzzScanQuery -fuzztime $(FUZZTIME) ./internal/serve/
 
 # Fuzz the codec's decoder against the decoder it replaced
-# (internal/colstore/compress/reference_test.go): arbitrary buffers, both
-# fail with ErrCorrupt or both return the same values — unsorted and
-# duplicate exception positions, codes past the dictionary, truncated tails,
-# dirty and undersized destinations. Findings land under
-# internal/colstore/compress/testdata/fuzz/FuzzDecodeDifferential.
+# (internal/colstore/compress/reference_test.go), FUZZTIME each:
+# FuzzDecodeDifferential — arbitrary buffers, both fail with ErrCorrupt or
+# both return the same values: unsorted and duplicate exception positions,
+# codes past the dictionary, truncated tails, dirty and undersized
+# destinations — then FuzzCheckThenDecode, the decoder's two halves: Check
+# accepts exactly what the decoder and the reference accept, and
+# DecodeChecked after it never panics and equals the reference. Findings
+# land under internal/colstore/compress/testdata/fuzz/.
 fuzz-decode:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeDifferential -fuzztime $(FUZZTIME) ./internal/colstore/compress/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/colstore/compress/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckThenDecode$$' -fuzztime $(FUZZTIME) ./internal/colstore/compress/
 
 # Fuzz the two kernels, FUZZTIME each. The Q6 kernel given a chunk's bounds
 # against the kernel given none and the scalar reference

@@ -141,11 +141,9 @@ func unpackSubByte(out []int64, src []byte, width uint, base uint64) int {
 
 // unpackDict is unpackSubByte through a dictionary: each code is replaced by
 // its table entry as it comes off the byte or word, so a sub-byte PDICT
-// column is decoded in one pass. A code at or past the entry count reads an
-// entry the caller left zero; the returned word has bit c set for every code
-// c met, for the caller to check against the entry count once.
-func unpackDict(out []int64, src []byte, width uint, table *[256]int64) (int, uint64) {
-	var seen uint64
+// column is decoded in one pass. The codes were checked below the entry
+// count before (checkIntDict).
+func unpackDict(out []int64, src []byte, width uint, table *[256]int64) int {
 	i := 0
 	switch width {
 	case 1:
@@ -155,8 +153,6 @@ func unpackDict(out []int64, src []byte, width uint, table *[256]int64) (int, ui
 			o[2], o[3] = table[x>>2&1], table[x>>3&1]
 			o[4], o[5] = table[x>>4&1], table[x>>5&1]
 			o[6], o[7] = table[x>>6&1], table[x>>7]
-			// Code 1 is met unless the byte is zero, code 0 unless it is 0xff.
-			seen |= uint64(b2u(x != 0xff) | b2u(x != 0)<<1)
 		}
 	case 2:
 		for ; i+8 <= len(out) && len(src) >= 2; i, src = i+8, src[2:] {
@@ -165,8 +161,6 @@ func unpackDict(out []int64, src []byte, width uint, table *[256]int64) (int, ui
 			o[2], o[3] = table[x>>4&3], table[x>>6&3]
 			o[4], o[5] = table[x>>8&3], table[x>>10&3]
 			o[6], o[7] = table[x>>12&3], table[x>>14]
-			seen |= 1<<(x&3) | 1<<(x>>2&3) | 1<<(x>>4&3) | 1<<(x>>6&3) |
-				1<<(x>>8&3) | 1<<(x>>10&3) | 1<<(x>>12&3) | 1<<(x>>14)
 		}
 	case 4:
 		for ; i+8 <= len(out) && len(src) >= 4; i, src = i+8, src[4:] {
@@ -175,19 +169,29 @@ func unpackDict(out []int64, src []byte, width uint, table *[256]int64) (int, ui
 			o[2], o[3] = table[x>>8&15], table[x>>12&15]
 			o[4], o[5] = table[x>>16&15], table[x>>20&15]
 			o[6], o[7] = table[x>>24&15], table[x>>28]
-			seen |= 1<<(x&15) | 1<<(x>>4&15) | 1<<(x>>8&15) | 1<<(x>>12&15) |
-				1<<(x>>16&15) | 1<<(x>>20&15) | 1<<(x>>24&15) | 1<<(x>>28)
 		}
 	}
-	return i, seen
+	return i
 }
 
-// b2u is the branch-free bool → 0/1.
-func b2u(b bool) uint {
-	if b {
-		return 1
+// subByteCodesBelow tests the codes of width 1, 2 or 4 packed in the whole
+// 8-byte words of codes against an entry count dn below 1<<width, and
+// returns how many codes it tested and whether all are below dn. Each pass
+// over a word moves one code of every byte into the low bits of that byte
+// and adds 0x80-dn to each byte: the byte's top bit comes up exactly when
+// the code is dn or more, and no byte carries into the next.
+func subByteCodesBelow(codes []byte, width uint, dn uint64) (int, bool) {
+	mask := uint64(0x0101010101010101) * (1<<width - 1)
+	k := uint64(0x0101010101010101) * (0x80 - dn)
+	var top uint64
+	i := 0
+	for ; len(codes) >= 8; i, codes = i+64/int(width), codes[8:] {
+		x := binary.LittleEndian.Uint64(codes)
+		for s := uint(0); s < 8; s += width {
+			top |= x>>s&mask + k
+		}
 	}
-	return 0
+	return i, top&0x8080808080808080 == 0
 }
 
 // unpackNarrow handles widths 3, 5, 6 and 7: a block's eight values lie

@@ -13,7 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Scheme identifies a compression scheme.
@@ -104,13 +104,49 @@ func DecodeInts(buf []byte) ([]int64, error) {
 // DecodeIntsInto decompresses like DecodeInts but reuses dst's backing array
 // when it is large enough, so a hot decode loop allocates nothing: the live
 // engine hands it the words of the buffer frame the part lands in, and the
-// codec's output is the part. The returned slice is the decoded data; dst's
-// contents are overwritten, also when decoding fails.
+// codec's output is the part. The returned slice is the decoded data. It is
+// Check followed by DecodeChecked, so a buffer that fails leaves dst as it
+// was.
 func DecodeIntsInto(dst []int64, buf []byte) ([]int64, error) {
-	s, width, n, rest, err := readHeader(buf)
-	if err != nil {
+	if _, err := Check(buf); err != nil {
 		return nil, err
 	}
+	return DecodeChecked(dst, buf), nil
+}
+
+// Check makes every test of buf's structure the decoder relies on — header,
+// payload lengths, exception positions, dictionary codes — and returns the
+// number of values buf decodes to, or the error DecodeIntsInto returns for
+// it. It writes nothing, so a reader can check a stored buffer where it lies
+// and decode it later, with DecodeChecked.
+func Check(buf []byte) (int, error) {
+	s, width, n, rest, err := readHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	switch s {
+	case Raw:
+		if len(rest) < 8*n {
+			err = ErrCorrupt
+		}
+	case PFOR, PFORDelta:
+		_, _, err = pforParts(rest, n, width)
+	case PDict:
+		err = checkIntDict(rest, n, width)
+	default:
+		err = fmt.Errorf("compress: unknown scheme %v: %w", s, ErrCorrupt)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// DecodeChecked decodes a buffer Check accepted into dst's backing array when
+// it is large enough (else into a new one) and returns the values. It has no
+// error path: handed a buffer Check refuses, it may panic.
+func DecodeChecked(dst []int64, buf []byte) []int64 {
+	s, width, n, rest, _ := readHeader(buf)
 	out := dst
 	if cap(out) >= n {
 		out = out[:n]
@@ -119,16 +155,13 @@ func DecodeIntsInto(dst []int64, buf []byte) ([]int64, error) {
 	}
 	switch s {
 	case Raw:
-		return decodeRaw(out, rest, n)
-	case PFOR:
-		return decodePFOR(out, rest, n, width, false)
-	case PFORDelta:
-		return decodePFOR(out, rest, n, width, true)
+		unpack64(out, rest, 0)
+	case PFOR, PFORDelta:
+		decodePFOR(out, rest, width, s == PFORDelta)
 	case PDict:
-		return decodeIntDict(out, rest, n, width)
-	default:
-		return nil, fmt.Errorf("compress: unknown scheme %v: %w", s, ErrCorrupt)
+		decodeIntDict(out, rest, width)
 	}
+	return out
 }
 
 func encodeRaw(values []int64) []byte {
@@ -139,14 +172,6 @@ func encodeRaw(values []int64) []byte {
 		out = append(out, b[:]...)
 	}
 	return out
-}
-
-func decodeRaw(out []int64, src []byte, n int) ([]int64, error) {
-	if len(src) < 8*n {
-		return nil, ErrCorrupt
-	}
-	unpack64(out, src, 0)
-	return out, nil
 }
 
 // encodePFOR implements patched frame-of-reference: values are encoded as
@@ -269,39 +294,52 @@ func pforPayload(scheme Scheme, u []uint64, base uint64) []byte {
 // packed stream.
 const blockValues = 512
 
-// decodePFOR decodes a PFOR or PFOR-DELTA payload: base, exception count,
-// packed values, exception list of (position, value) pairs. PFOR adds the
-// base as it unpacks and patches its exceptions, base added, afterwards: the
-// patches are independent stores. PFOR-DELTA must see a patched delta before
-// the running sum passes it, so it works a block at a time — unpack, patch
-// from a cursor over the exception list, sum — which needs the list's
-// positions strictly ascending, as the encoder writes them. Any other list
-// (duplicates, where the last entry wins; unsorted) is decoded the long way:
-// unpack everything, patch in list order, sum.
-func decodePFOR(out []int64, src []byte, n int, width uint, delta bool) ([]int64, error) {
+// pforParts splits a PFOR or PFOR-DELTA payload — base, exception count,
+// packed values, exception list of (position, value) pairs — checking that
+// the payload holds them and that every exception position lies below n, and
+// reports whether the positions are strictly ascending, as the encoder
+// writes them. The packed values start at byte 12 of src.
+func pforParts(src []byte, n int, width uint) (excs []byte, ascending bool, err error) {
 	if n == 0 {
-		return out[:0], nil
+		return nil, true, nil
 	}
 	if len(src) < 12 {
-		return nil, ErrCorrupt
+		return nil, false, ErrCorrupt
 	}
-	base := binary.LittleEndian.Uint64(src[0:8])
 	nexc := int(binary.LittleEndian.Uint32(src[8:12]))
-	src = src[12:]
 	packed := packedLen(n, width)
-	if packed+12*nexc > len(src) {
-		return nil, ErrCorrupt
+	if packed+12*nexc > len(src)-12 {
+		return nil, false, ErrCorrupt
 	}
-	excs := src[packed:][:12*nexc]
-	ascending := true
+	excs = src[12+packed:][:12*nexc]
+	ascending = true
 	for e, last := excs, -1; len(e) >= 12; e = e[12:] {
 		pos := int(binary.LittleEndian.Uint32(e))
 		if pos >= n {
-			return nil, ErrCorrupt
+			return nil, false, ErrCorrupt
 		}
 		ascending = ascending && pos > last
 		last = pos
 	}
+	return excs, ascending, nil
+}
+
+// decodePFOR decodes a checked PFOR or PFOR-DELTA payload into out. PFOR
+// adds the base as it unpacks and patches its exceptions, base added,
+// afterwards: the patches are independent stores. PFOR-DELTA must see a
+// patched delta before the running sum passes it, so it works a block at a
+// time — unpack, patch from a cursor over the exception list, sum — which
+// needs the list's positions strictly ascending. Any other list (duplicates,
+// where the last entry wins; unsorted) is decoded the long way: unpack
+// everything, patch in list order, sum.
+func decodePFOR(out []int64, src []byte, width uint, delta bool) {
+	n := len(out)
+	excs, ascending, _ := pforParts(src, n, width)
+	if n == 0 {
+		return
+	}
+	base := binary.LittleEndian.Uint64(src[0:8])
+	src = src[12:]
 	if !delta || !ascending {
 		if delta {
 			base = 0
@@ -313,7 +351,7 @@ func decodePFOR(out []int64, src []byte, n int, width uint, delta bool) ([]int64
 		if delta {
 			prefixSum(out, 0)
 		}
-		return out, nil
+		return
 	}
 	sum := int64(0)
 	for i := 0; i < n; i += blockValues {
@@ -329,7 +367,6 @@ func decodePFOR(out []int64, src []byte, n int, width uint, delta bool) ([]int64
 		}
 		sum = prefixSum(blk, sum)
 	}
-	return out, nil
 }
 
 // prefixSum replaces each zigzagged delta in vals by the running sum that
@@ -342,27 +379,31 @@ func prefixSum(vals []int64, sum int64) int64 {
 	return sum
 }
 
+// encodeIntDict builds the dictionary from a sorted, deduplicated copy of
+// the values and finds each value's code by search in it: by counting the
+// entries below the value, without a branch, in a dictionary of up to
+// smallDict entries — the flag columns the scheme exists for — and by binary
+// search in a larger one. No map, and the bytes the map-built encoder wrote.
 func encodeIntDict(values []int64) ([]byte, error) {
-	uniq := make(map[int64]struct{}, 64)
-	for _, v := range values {
-		uniq[v] = struct{}{}
-	}
-	dict := make([]int64, 0, len(uniq))
-	for v := range uniq {
-		dict = append(dict, v)
-	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	idx := make(map[int64]uint64, len(dict))
-	for i, v := range dict {
-		idx[v] = uint64(i)
-	}
+	dict := slices.Clone(values)
+	slices.Sort(dict)
+	dict = slices.Compact(dict)
 	width := bitsFor(uint64(len(dict) - 1))
 	if len(dict) <= 1 {
 		width = 0
 	}
 	codes := make([]uint64, len(values))
 	for i, v := range values {
-		codes[i] = idx[v]
+		if len(dict) > smallDict {
+			c, _ := slices.BinarySearch(dict, v)
+			codes[i] = uint64(c)
+			continue
+		}
+		c := uint64(0)
+		for _, e := range dict {
+			c += uint64(b2u(e < v))
+		}
+		codes[i] = c
 	}
 	out := putHeader(nil, PDict, width, len(values))
 	var b [8]byte
@@ -375,29 +416,77 @@ func encodeIntDict(values []int64) ([]byte, error) {
 	return packBits(out, codes, width), nil
 }
 
-// decodeIntDict decodes a PDICT payload: entry count, entries, packed codes.
-// A dictionary of up to 256 entries — the flag columns the scheme exists
-// for — is copied once into a table on the stack, which a code indexes
-// without a bounds check; a larger one is read where it lies. At widths 1, 2
-// and 4 with the table, each code goes through it as it is unpacked
-// (unpackDict): one pass, the codes met gathered in a word and checked
-// against the entry count once. Otherwise, and for the ragged tail, it
-// unpacks a block of codes into the output and replaces each by its entry
-// while the block is in L1.
-func decodeIntDict(out []int64, src []byte, n int, width uint) ([]int64, error) {
-	if len(src) < 8 {
-		return nil, ErrCorrupt
+// smallDict is the largest dictionary encodeIntDict searches by counting.
+const smallDict = 16
+
+// b2u is the branch-free bool → 0/1.
+func b2u(b bool) uint {
+	if b {
+		return 1
 	}
-	dn := binary.LittleEndian.Uint64(src[0:8])
+	return 0
+}
+
+// dictParts splits a PDICT payload — entry count, entries, packed codes —
+// checking that it holds them.
+func dictParts(src []byte, n int, width uint) (dn uint64, dict, codes []byte, err error) {
+	if len(src) < 8 {
+		return 0, nil, nil, ErrCorrupt
+	}
+	dn = binary.LittleEndian.Uint64(src[0:8])
 	src = src[8:]
 	if dn > uint64(len(src)/8) { // divide: 8*dn overflows on adversarial sizes
-		return nil, ErrCorrupt
+		return 0, nil, nil, ErrCorrupt
 	}
-	dict := src[:8*dn]
-	src = src[8*dn:]
-	if len(src) < packedLen(n, width) {
-		return nil, ErrCorrupt
+	dict, codes = src[:8*dn], src[8*dn:]
+	if len(codes) < packedLen(n, width) {
+		return 0, nil, nil, ErrCorrupt
 	}
+	return dn, dict, codes, nil
+}
+
+// checkIntDict checks a PDICT payload: its parts, and every code below the
+// entry count. A width whose every code is below it needs no look at the
+// codes. At widths 1, 2 and 4 the packed codes are tested eight bytes at a
+// time where they lie (subByteCodesBelow); the rest, and the other widths,
+// are unpacked a block at a time onto the stack.
+func checkIntDict(src []byte, n int, width uint) error {
+	dn, _, codes, err := dictParts(src, n, width)
+	if err != nil || n == 0 || (width < 64 && dn >= 1<<width) {
+		return err
+	}
+	i := 0
+	if width == 1 || width == 2 || width == 4 {
+		var ok bool
+		if i, ok = subByteCodesBelow(codes[:n*int(width)/8], width, dn); !ok {
+			return ErrCorrupt
+		}
+	}
+	var blk [blockValues]int64
+	for ; i < n; i += blockValues {
+		b := blk[:min(blockValues, n-i)]
+		unpackAdd(b, codes[i/8*int(width):], width, 0)
+		var top uint64
+		for _, c := range b {
+			top = max(top, uint64(c))
+		}
+		if top >= dn {
+			return ErrCorrupt
+		}
+	}
+	return nil
+}
+
+// decodeIntDict decodes a checked PDICT payload into out. A dictionary of up
+// to 256 entries — the flag columns the scheme exists for — is copied once
+// into a table on the stack, which a code indexes without a bounds check; a
+// larger one is read where it lies. At widths 1, 2 and 4 with the table,
+// each code goes through it as it is unpacked (unpackDict): one pass.
+// Otherwise, and for the ragged tail, it unpacks a block of codes into the
+// output and replaces each by its entry while the block is in L1.
+func decodeIntDict(out []int64, src []byte, width uint) {
+	n := len(out)
+	dn, dict, src, _ := dictParts(src, n, width)
 	var table [256]int64
 	small := dn <= uint64(len(table))
 	if small {
@@ -405,31 +494,21 @@ func decodeIntDict(out []int64, src []byte, n int, width uint) ([]int64, error) 
 	}
 	i := 0
 	if small && (width == 1 || width == 2 || width == 4) {
-		var seen uint64
-		if i, seen = unpackDict(out[:n], src, width, &table); seen>>dn != 0 {
-			return nil, ErrCorrupt
-		}
+		i = unpackDict(out, src, width, &table)
 	}
 	for ; i < n; i += blockValues {
 		blk := out[i:min(i+blockValues, n)]
 		unpackAdd(blk, src[i/8*int(width):], width, 0)
 		if small {
 			for j, c := range blk {
-				if uint64(c) >= dn {
-					return nil, ErrCorrupt
-				}
 				blk[j] = table[uint8(c)]
 			}
 			continue
 		}
 		for j, c := range blk {
-			if uint64(c) >= dn {
-				return nil, ErrCorrupt
-			}
 			blk[j] = int64(binary.LittleEndian.Uint64(dict[8*c:]))
 		}
 	}
-	return out, nil
 }
 
 // BitsPerValue reports the effective storage density of an encoded buffer in

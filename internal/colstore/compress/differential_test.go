@@ -231,3 +231,45 @@ func FuzzDecodeDifferential(f *testing.F) {
 		requireSameDecode(t, "fuzz input", data)
 	})
 }
+
+// FuzzCheckThenDecode holds the decoder's two halves to the whole and to the
+// reference: Check accepts a buffer exactly when DecodeIntsInto and the
+// reference decode it, and says how many values; once it has, DecodeChecked
+// neither panics nor differs from the reference, into a dirty destination of
+// the right size or an undersized one.
+func FuzzCheckThenDecode(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Add(encodeRaw([]int64{1, 2, 3}))
+	addCorpus(f, "FuzzDecodeInts")
+	addCorpus(f, "FuzzDecodeDifferential")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := Check(data)
+		want, werr := refDecodeIntsInto(nil, data)
+		_, derr := DecodeIntsInto(nil, data)
+		switch {
+		case err != nil && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("Check: %v, not ErrCorrupt", err)
+		case (err == nil) != (werr == nil) || (err == nil) != (derr == nil):
+			t.Fatalf("Check says %v, the reference %v, DecodeIntsInto %v", err, werr, derr)
+		case err != nil:
+			return
+		case n != len(want):
+			t.Fatalf("Check counts %d values, the reference decodes %d", n, len(want))
+		}
+		for _, size := range []int{n, n / 2} {
+			dst := make([]int64, size)
+			for i := range dst {
+				dst[i] = -0x0123456789abcdef
+			}
+			got := DecodeChecked(dst, data)
+			if len(got) != n {
+				t.Fatalf("DecodeChecked into %d words: %d values, want %d", size, len(got), n)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("DecodeChecked into %d words: value %d = %d, reference %d", size, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}

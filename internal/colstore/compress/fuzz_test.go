@@ -12,6 +12,10 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -42,7 +46,10 @@ func fuzzValues(data []byte) []int64 {
 	return vals
 }
 
-func FuzzDecodeInts(f *testing.F) {
+// addDecodeSeeds seeds a decode fuzzer with every scheme's own output, its
+// truncations, adversarial headers (huge n, oversized width, unknown scheme)
+// and the lineitem-width buffers of addLineitemWidthSeeds.
+func addDecodeSeeds(f *testing.F) {
 	for _, s := range []Scheme{Raw, PFOR, PFORDelta, PDict} {
 		buf, err := EncodeInts(s, []int64{1, 2, 3, 3, 3, -9, 1 << 40})
 		if err != nil {
@@ -60,6 +67,10 @@ func FuzzDecodeInts(f *testing.F) {
 	f.Add([]byte{byte(PFOR), 200, 8, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{7, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	addLineitemWidthSeeds(f)
+}
+
+func FuzzDecodeInts(f *testing.F) {
+	addDecodeSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecodeInts(data)
 		if err != nil {
@@ -133,4 +144,25 @@ func FuzzRoundTripInts(f *testing.F) {
 			}
 		}
 	})
+}
+
+// addCorpus seeds f with the inputs checked in under testdata/fuzz/<target>:
+// what another decode fuzzer once found worth keeping.
+func addCorpus(f *testing.F, target string) {
+	files, _ := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if lit, ok := strings.CutPrefix(line, "[]byte("); ok {
+				v, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+				if err != nil {
+					f.Fatalf("%s: %v", name, err)
+				}
+				f.Add([]byte(v))
+			}
+		}
+	}
 }

@@ -51,6 +51,7 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 		// column part: return its frame for the next load of that size.
 		// Sibling columns of the same chunk keep theirs. Runs under t.mu,
 		// from an EnsureSpace inside the scheduler.
+		t.leave(f.(*frame))
 		s.returnFrame(t, f.(*frame))
 		s.o.evictions.add(1)
 		s.o.resident.add(-1)
@@ -64,6 +65,9 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	t.pruned.c = s.o.prunedChunks.With(name, s.cfg.Policy.String())
 	t.receipts.computed.c = s.o.receiptCRCs.With(name, "computed")
 	t.receipts.reused.c = s.o.receiptCRCs.With(name, "reused")
+	t.decodes.decoded.c = s.o.partDecodes.With(name, "decoded")
+	t.decodes.unread.c = s.o.partDecodes.With(name, "unread")
+	t.o.decompress = s.o.decompressSeconds
 	for decided, label := range [...]string{storage.Some: "some", storage.None: "none", storage.All: "date_all"} {
 		t.kernels[decided].c = s.o.kernelChunks.With(name, label)
 	}

@@ -2,11 +2,13 @@ package engine
 
 // Lock rule: frameAlloc's mu is the innermost lock; callers may hold a
 // table's lock and Server.mu. drawFrame, returnFrame and releaseFrames run
-// under the table's lock, which guards its framesOut.
+// under the table's lock, which guards its framesOut. A frame's own mu is a
+// leaf too, taken only by decode inside a delivery, with no engine lock held.
 
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"coopscan/internal/obs"
 	"coopscan/internal/storage"
@@ -16,14 +18,19 @@ import (
 // always exactly one TableFile.PartPages run: one contiguous typed column
 // vector of the part's decoded size (every part is whole 8-byte words: the
 // int64 columns, the four-word comment filler, whole NSM chunks). The load
-// path reads and decodes straight into it — wordBytes (alias.go) is the byte
-// view pread and the checksums take — and the kernels read it as it is. A
-// frame is drawn when its part's load is issued (after the load ticket
-// reserved the bytes), filled by a load worker holding no lock,
-// handed to the ABM's part record when the ticket lands — which hands it to
-// every scan that pins the part — and returned when the ABM evicts the part
-// or the load aborts. Nothing else holds part bytes, so the ABM's byte
-// accounting is the engine's memory.
+// path reads straight into it — wordBytes (alias.go) is the byte view pread
+// and the checksums take — and the kernels read it as it is. A frame is
+// drawn when its part's load is issued (after the load ticket reserved the
+// bytes), filled by a load worker holding no lock, handed to the ABM's part
+// record when the ticket lands — which hands it to every scan that pins the
+// part — and returned when the ABM evicts the part or the load aborts.
+// Nothing else holds part bytes, so the ABM's byte accounting is the
+// engine's memory.
+//
+// A coded DSM part lands undecoded: its checked extent, coded bytes long,
+// in the tail of vals. The first scan to read it decodes it in place, under
+// mu, and sets decoded; every later reader of the residency sees the bit and
+// reads vals. Every other part lands decoded.
 type frame struct {
 	vals []int64
 	// crcs memoises ChunkData.ColCRC for this residency: slot j holds the
@@ -33,6 +40,15 @@ type frame struct {
 	// any lock by whichever scans pinning the part ask first — racing fillers
 	// store the same value.
 	crcs [NumCols]atomic.Uint64
+	// decoded is set once vals holds the part's values: by the load worker
+	// for a part that lands decoded, by decode for one that does not. coded
+	// is the length of the extent a load left in the tail of vals, written
+	// by the load worker before the load lands. mu, a leaf, serialises
+	// decode: two 128 KiB decodes racing over the same words would tear
+	// them.
+	decoded atomic.Bool
+	coded   int
+	mu      sync.Mutex
 }
 
 // crcValid is the filled bit of a frame.crcs slot; the sum is the low word.
@@ -102,8 +118,9 @@ func (a *frameAlloc) release(sizes []int64) {
 }
 
 // get draws a frame of exactly size bytes from its class's free list,
-// allocating when the list is empty. The frame's CRC memo comes back clear:
-// whatever the previous tenant's scans left there describes other bytes.
+// allocating when the list is empty. The frame's CRC memo and its decoded
+// bit come back clear: what the previous tenant's scans left there describes
+// other bytes.
 func (a *frameAlloc) get(size int64) *frame {
 	a.gets.add(1)
 	a.mu.Lock()
@@ -114,6 +131,7 @@ func (a *frameAlloc) get(size int64) *frame {
 		for j := range f.crcs {
 			f.crcs[j].Store(0)
 		}
+		f.decoded.Store(false)
 		return f
 	}
 	a.mu.Unlock()
@@ -181,7 +199,41 @@ func (s *Server) returnFrame(t *serverTable, f *frame) {
 // scheduler is already gone. Callers hold t.mu.
 func (s *Server) releaseFrames(t *serverTable) {
 	t.abm.ReleaseFrames(func(f any) {
+		t.leave(f.(*frame))
 		s.returnFrame(t, f.(*frame))
 		s.o.resident.add(-1)
 	})
+}
+
+// leave counts a part leaving residency — evicted, or released by a detach
+// or shutdown — with its extent never decoded: a decode no scan needed.
+// Callers hold t.mu.
+func (t *serverTable) leave(f *frame) {
+	if !f.decoded.Load() {
+		t.decodes.unread.add(1)
+	}
+}
+
+// decode gives f's part its values, once per residency: the first reader
+// decodes the extent the load left in the tail of f.vals, every reader after
+// it — and every reader racing it, who waits on f.mu — finds decoded set.
+// It reads memory only, never the file, so a scan still inside its delivery
+// at a detach or Close decodes safely. Called inside a delivery, with no
+// engine lock held.
+func (t *serverTable) decode(f *frame) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.decoded.Load() {
+		return
+	}
+	var start time.Time
+	if t.o.decompress != nil {
+		start = time.Now()
+	}
+	t.tf.decodeTail(f.vals, f.coded)
+	f.decoded.Store(true)
+	t.decodes.decoded.add(1)
+	if t.o.decompress != nil {
+		t.o.decompress.Observe(time.Since(start).Seconds())
+	}
 }

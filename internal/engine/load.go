@@ -184,16 +184,16 @@ func (s *Server) worker() {
 }
 
 // ioStats carries one readParts call's measurements out for metric
-// observation and trace rendering: the reads' wall interval, the bytes
-// decoded into frames, and the slices of the interval spent verifying
-// checksums and decompressing v4 extents (accumulated across the call's
-// parts). diskBytes is what the device transferred — the stored (compressed
-// on v4) widths — and is counted even when observability is off, because
-// the per-table disk accounting feeds TableStats; everything else is zero
-// when observability is off.
+// observation and trace rendering: the reads' wall interval, the decoded
+// bytes of the frames read, and the slices of the interval spent verifying
+// (checksums and codec checks) and decoding the extents too large to defer
+// (accumulated across the call's parts). diskBytes is what the device
+// transferred — the stored (compressed) widths — and is counted even when
+// observability is off, because the per-table disk accounting feeds
+// TableStats; everything else is zero when observability is off.
 type ioStats struct {
 	start, end time.Time
-	bytes      int64 // decoded bytes read into frames
+	bytes      int64 // decoded bytes of the frames read
 	diskBytes  int64 // stored bytes the device actually served
 	verify     time.Duration
 	decomp     time.Duration
@@ -202,8 +202,10 @@ type ioStats struct {
 // readParts reads every not-yet-read part of the job from the table file
 // straight into its frame: one positioned read per part — an NSM chunk's
 // stripes or a DSM column extent are one contiguous page run — verified
-// and, on a v4 table, decoded on the way in, while disk, the device-
-// bandwidth model and diskBytes pay the stored widths. A failing part does
+// and, for a coded extent, checked on the way in and left in the tail of
+// the frame for the part's first reader to decode (an extent larger than its
+// frame is decoded here), while disk, the device-bandwidth model and
+// diskBytes pay the stored widths. A failing part does
 // not stop the others: the parts that read keep their bytes across the
 // retry, which re-reads only the failures — every faulty extent advances
 // through its transient-fault window in parallel instead of one extent per
@@ -231,12 +233,15 @@ func (s *Server) readParts(job loadJob) (ioStats, error) {
 		first, count := t.tf.PartPages(chunk, p.col)
 		stored := t.tf.StoredRunBytes(first, count)
 		iost.diskBytes += stored
-		if err := t.tf.readPageRange(first, count, p.f.vals, verify, decomp); err != nil {
+		coded, err := t.tf.readPageRange(first, count, p.f.vals, true, verify, decomp)
+		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("engine: read %s pages [%d,%d): %w", t.name, first, first+int64(count), err)
 			}
 			continue
 		}
+		p.f.coded = coded
+		p.f.decoded.Store(coded == 0)
 		p.read = true
 		iost.bytes += p.f.bytes()
 		if bw := s.cfg.ReadBandwidth; bw > 0 {

@@ -64,6 +64,7 @@ type serverObs struct {
 	prunedChunks *obs.CounterVec   // {table, policy}
 	receiptCRCs  *obs.CounterVec   // {table, outcome}
 	kernelChunks *obs.CounterVec   // {table, decided}
+	partDecodes  *obs.CounterVec   // {table, outcome}
 
 	schedTrack obs.Track
 }
@@ -92,6 +93,13 @@ type receiptMeter struct {
 	computed, reused tally
 }
 
+// decodeMeter counts one table's coded DSM parts by how their residency
+// ended: decoded by a first reader, or left unread — evicted, detached or
+// released at shutdown without any scan having asked for its values.
+type decodeMeter struct {
+	decoded, unread tally
+}
+
 // level is tally's up-and-down sibling, exported as a gauge.
 type level struct {
 	n atomic.Int64
@@ -108,9 +116,10 @@ func (l *level) add(d int64) {
 // atomic updates — plus the table's trace-lane freelist (guarded by the
 // table's mu, like the rest of its runtime state).
 type tableObs struct {
-	sched  *obs.Histogram
-	scan   *obs.Histogram
-	useful *obs.Counter
+	sched      *obs.Histogram
+	scan       *obs.Histogram
+	useful     *obs.Counter
+	decompress *obs.Histogram // the server's, observed by the table's decodes
 
 	lanes     []obs.Track
 	laneCount int
@@ -128,7 +137,7 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) *serverObs {
 		o.verifySeconds = reg.Histogram("coopscan_load_verify_seconds",
 			"Wall time of per-page checksum verification, accumulated per load read.", obs.IOBuckets)
 		o.decompressSeconds = reg.Histogram("coopscan_load_decompress_seconds",
-			"Wall time spent decompressing v4 extents into frames, accumulated per load read.", obs.IOBuckets)
+			"Wall time of one coded part's decode into its frame: at the part's first read, or at load for an extent larger than its frame.", obs.IOBuckets)
 		o.pinSeconds = reg.Histogram("coopscan_load_pin_seconds",
 			"Wall time of a load completion's commit section under its table's lock (frame publish + Load.Finish).", obs.SchedBuckets)
 		o.readBytes = reg.Counter("coopscan_load_read_bytes_total",
@@ -167,6 +176,8 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) *serverObs {
 			"Chunks zonemap-pruned out of scan registrations before reaching the scheduler.", "table", "policy")
 		o.receiptCRCs = reg.CounterVec("coopscan_receipt_crcs_total",
 			"Per-column receipt CRCs scans asked of delivered parts: computed from the part's bytes, or reused from the sum an earlier scan left on the resident part.", "table", "outcome")
+		o.partDecodes = reg.CounterVec("coopscan_part_decodes_total",
+			"Coded DSM parts that landed undecoded, by how their residency ended: decoded by their first reader, or left unread (evicted, detached or shut down with no scan having read them).", "table", "outcome")
 		o.kernelChunks = reg.CounterVec("coopscan_kernel_chunks_total",
 			"Chunks the Q6/Q1 kernels were handed, by what the chunk's zonemap bounds decided before a value was read: none qualifies (no column read), date_all (the date pass skipped), or some (every pass runs).", "table", "decided")
 	}

@@ -224,7 +224,7 @@ func TestStatusDocumentKeys(t *testing.T) {
 	}
 	wantTable := []string{"ABM", "BudgetBytes", "ChunksPruned", "DiskBytesRead",
 		"KernelChunksDateAll", "KernelChunksNone", "KernelChunksSome",
-		"Name", "ReceiptCRCsComputed", "ReceiptCRCsReused", "SchedCalls", "SchedNanos"}
+		"Name", "PartsDecoded", "PartsUnread", "ReceiptCRCsComputed", "ReceiptCRCsReused", "SchedCalls", "SchedNanos"}
 	if got := keys(tables[0]); !slices.Equal(got, wantTable) {
 		t.Errorf("/statusz table keys = %v, want %v", got, wantTable)
 	}

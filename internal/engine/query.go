@@ -43,9 +43,9 @@ func ProjectionBytes(cols storage.ColSet) int64 {
 	return w
 }
 
-// ChunkData is one delivered chunk's contents: the pinned typed column
-// vectors of a resident chunk. Only the columns the scan declared are
-// populated — on a DSM table the other columns were never read from disk.
+// ChunkData is one delivered chunk's contents: the pinned parts of a
+// resident chunk. Only the columns the scan declared are populated — on a
+// DSM table the other columns were never read from disk.
 //
 // A ChunkData, and every slice Ints or Col returns, is valid for the
 // duration of the OnChunk callback and no longer: the slices are the parts'
@@ -55,17 +55,20 @@ func ProjectionBytes(cols storage.ColSet) int64 {
 // so a callback reads them and never writes; a result it keeps is a value it
 // computed (an aggregate, a CRC), not a slice.
 //
-// What the engine itself may keep on a part for its consumers to share is
-// the same kind of thing: a pure function of the part's bytes, valid for one
-// residency (ColCRC is the first).
+// What the engine itself keeps on a part for its consumers to share is the
+// same kind of thing: a pure function of the part's bytes, valid for one
+// residency — the decoded values of a coded part, which the first of Ints,
+// Col and ColCRC to ask for decodes, and ColCRC's sum.
 type ChunkData struct {
-	vecs   [][]int64      // indexed by column; nil when not delivered
+	// parts[col] is the frame of the part holding column col, nil when col
+	// was not delivered: the column's own part on DSM, the chunk's one part
+	// on NSM, where wins[col] is the column's window of it (nil on DSM).
+	parts  []*frame
+	wins   [][]int64
 	cols   storage.ColSet // the delivered columns
 	tuples int64          // valid rows in this chunk (the last chunk is short)
-	// memo[col] is the slot of col's part that remembers ColCRC(col) (see
-	// frame.crcs); table — its file's bounds, its receipt and kernel meters —
+	// table — its file's bounds, its receipt, kernel and decode meters —
 	// delivered chunk number chunk, and is nil on a ChunkData built by hand.
-	memo  []*atomic.Uint64
 	table *serverTable
 	chunk int
 }
@@ -79,21 +82,45 @@ func (d ChunkData) Cols() storage.ColSet { return d.cols }
 // Has reports whether column col was delivered.
 func (d ChunkData) Has(col int) bool { return d.cols.Has(col) }
 
+// vec returns column col's whole stripe of words and the slot on its part
+// that memoises ColCRC(col) (see frame.crcs), or nils when col was not
+// delivered. It is where a coded part is decoded: by the residency's first
+// reader, once.
+func (d ChunkData) vec(col int) ([]int64, *atomic.Uint64) {
+	f := d.parts[col]
+	if f == nil {
+		return nil, nil
+	}
+	if !f.decoded.Load() {
+		d.table.decode(f)
+	}
+	if d.wins != nil {
+		return d.wins[col], &f.crcs[col]
+	}
+	return f.vals, &f.crcs[0]
+}
+
 // Ints returns the valid rows of the stored 8-byte column col as a typed
 // vector, Tuples long — what the kernels read (nil if the column was not
 // delivered). The comment filler, whose tuples are four words wide, has no
 // such view; use Col.
 func (d ChunkData) Ints(col int) []int64 {
-	if d.vecs[col] == nil || colWidths[col] != 8 {
+	if colWidths[col] != 8 {
 		return nil
 	}
-	return d.vecs[col][:d.tuples]
+	if v, _ := d.vec(col); v != nil {
+		return v[:d.tuples]
+	}
+	return nil
 }
 
 // Col returns the whole stripe of a stored column as raw little-endian
 // bytes, zero padding of a short last chunk included (nil if the column was
 // not delivered): the view receipts and byte-for-byte comparisons take.
-func (d ChunkData) Col(col int) []byte { return wordBytes(d.vecs[col]) }
+func (d ChunkData) Col(col int) []byte {
+	v, _ := d.vec(col)
+	return wordBytes(v)
+}
 
 // ColCRC returns the CRC-32 (IEEE) of the valid prefix — Tuples × ColWidth
 // bytes — of delivered column col. The sum is a function of the part alone,
@@ -102,12 +129,12 @@ func (d ChunkData) Col(col int) []byte { return wordBytes(d.vecs[col]) }
 // part while it stays resident reads it back. Nothing waits: two scans
 // asking at once both hash, and store the same word.
 func (d ChunkData) ColCRC(col int) uint32 {
-	slot := d.memo[col]
-	if v := slot.Load(); v&crcValid != 0 {
+	v, slot := d.vec(col)
+	if s := slot.Load(); s&crcValid != 0 {
 		d.table.receipts.reused.add(1)
-		return uint32(v)
+		return uint32(s)
 	}
-	crc := crc32.ChecksumIEEE(d.Col(col)[:d.tuples*colWidths[col]])
+	crc := crc32.ChecksumIEEE(wordBytes(v)[:d.tuples*colWidths[col]])
 	slot.Store(crcValid | uint64(crc))
 	d.table.receipts.computed.add(1)
 	return crc
@@ -136,30 +163,45 @@ func (d ChunkData) count(decided storage.Decided) {
 	}
 }
 
+// dates returns the dates a kernel reads under what the chunk's bounds
+// decided: none unless the date pass runs, so the dates of a chunk the
+// bounds answered are never read — on a coded part, never decoded.
+func (d ChunkData) dates(decided storage.Decided) []int64 {
+	if decided != storage.Some {
+		return nil
+	}
+	return d.Ints(ColShipDate)
+}
+
 // Q6Chunk evaluates the FAST query (TPC-H Q6) over one delivered chunk with
 // the vectorised kernel, straight from the pinned frames, after asking the
 // chunk's bounds what Q6Preds and ZoneMap.Prune ask at registration of a scan
 // that passes Preds: a chunk they exclude is answered without reading a
-// value, one inside the date range skips the date pass. It computes the
-// same aggregate as exec.Q6Chunk does over the generator, so live results
+// column, one inside the date range without reading its dates. It computes
+// the same aggregate as exec.Q6Chunk does over the generator, so live results
 // can be verified against the simulation substrate. The chunk must carry
 // Q6Cols.
 func Q6Chunk(d ChunkData, pred exec.Q6Predicate) exec.Q6Result {
-	res, decided := exec.Q6Kernel(d.Ints(ColShipDate), d.Ints(ColDiscount),
-		d.Ints(ColQuantity), d.Ints(ColExtendedPrice), pred,
-		d.zone(ColShipDate), d.zone(ColDiscount), d.zone(ColQuantity))
+	decided := pred.Decide(d.zone(ColShipDate), d.zone(ColDiscount), d.zone(ColQuantity))
 	d.count(decided)
-	return res
+	if decided == storage.None {
+		return exec.Q6Result{}
+	}
+	return exec.Q6Kernel(d.dates(decided), d.Ints(ColDiscount), d.Ints(ColQuantity), d.Ints(ColExtendedPrice),
+		int(d.tuples), pred, decided)
 }
 
 // Q1Chunk evaluates the SLOW query (TPC-H Q1 with extraArith rounds of
 // additional arithmetic per row) over one delivered chunk, mirroring
 // exec.Q1Chunk; a chunk whose bounds put every date past dateMax is answered
-// empty without reading a value. The chunk must carry Q1Cols.
+// empty without reading a column, one whose bounds put none past it without
+// reading its dates. The chunk must carry Q1Cols.
 func Q1Chunk(d ChunkData, dateMax int64, extraArith int) exec.Q1Result {
-	res, decided := exec.Q1Kernel(d.Ints(ColShipDate), d.Ints(ColQuantity), d.Ints(ColExtendedPrice),
-		d.Ints(ColDiscount), d.Ints(ColTax), d.Ints(ColReturnFlag), d.Ints(ColLineStatus),
-		dateMax, extraArith, d.zone(ColShipDate))
+	decided := exec.Q1Decide(d.zone(ColShipDate), dateMax)
 	d.count(decided)
-	return res
+	if decided == storage.None {
+		return exec.Q1Result{}
+	}
+	return exec.Q1Kernel(d.dates(decided), d.Ints(ColQuantity), d.Ints(ColExtendedPrice), d.Ints(ColDiscount),
+		d.Ints(ColTax), d.Ints(ColReturnFlag), d.Ints(ColLineStatus), int(d.tuples), dateMax, extraArith, decided)
 }

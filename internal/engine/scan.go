@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"coopscan/internal/core"
@@ -165,11 +164,14 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	dsm := t.tf.Format() == DSM
 	projBytes := ProjectionBytes(cols)
 	// held are the frames of the chunk being delivered, as Pin hands them over
-	// (one on NSM, one per projected column on DSM); scratch is the delivery's
-	// column index and memo its index of the frames' receipt-sum slots.
+	// (one on NSM, one per projected column on DSM); parts is the delivery's
+	// index of them by column and wins, on NSM, of the columns' windows.
 	held := make([]any, 0, NumCols)
-	scratch := make([][]int64, NumCols)
-	memo := make([]*atomic.Uint64, NumCols)
+	parts := make([]*frame, NumCols)
+	var wins [][]int64
+	if !dsm {
+		wins = make([][]int64, 0, NumCols)
+	}
 	if s.o.enabled {
 		scanStart := time.Now()
 		defer func() { t.o.scan.Observe(time.Since(scanStart).Seconds()) }()
@@ -267,25 +269,23 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 		// the scheduler so the next load overlaps this chunk's processing.
 		s.wake()
 		tuples := t.tf.Layout().ChunkTuples(c)
-		data := ChunkData{vecs: scratch, cols: cols, tuples: tuples, memo: memo, table: t, chunk: c}
+		data := ChunkData{parts: parts, cols: cols, tuples: tuples, table: t, chunk: c}
 		if dsm {
 			// Per-column frames, in the projection's column order: deliver
 			// exactly the projection.
 			i := 0
 			cols.Each(func(col int) {
-				f := held[i].(*frame)
+				parts[col] = held[i].(*frame)
 				i++
-				scratch[col] = f.vals
-				memo[col] = &f.crcs[0]
 			})
 		} else {
 			// The NSM chunk frame holds the stripes in column order.
 			f := held[0].(*frame)
-			data.vecs = t.tf.stripes(scratch[:0], f.vals)
-			data.cols = storage.AllCols(NumCols)
-			for j := range memo {
-				memo[j] = &f.crcs[j]
+			for j := range parts {
+				parts[j] = f
 			}
+			data.wins = t.tf.stripes(wins[:0], f.vals)
+			data.cols = storage.AllCols(NumCols)
 		}
 		useful += tuples * projBytes
 		t.o.useful.Add(tuples * projBytes)

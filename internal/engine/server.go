@@ -167,10 +167,12 @@ type serverTable struct {
 	diskRead atomic.Int64
 	pruned   tally
 	// receipts meters the table's ColCRC calls, kernels its Q6Chunk/Q1Chunk
-	// calls by what the chunk's bounds decided (storage.Decided); scans bump
-	// both from their callbacks, without a lock.
+	// calls by what the chunk's bounds decided (storage.Decided), decodes its
+	// coded parts by whether a reader decoded them; scans bump all three from
+	// their callbacks without a lock, evictions decodes.unread under mu.
 	receipts receiptMeter
 	kernels  [3]tally
+	decodes  decodeMeter
 	// detaching is set by DetachTable: the scheduler stops admitting and
 	// issuing the table's scans and loads, and every queued, parked or later
 	// scan of it fails with ErrTableDetached. detached is

@@ -42,6 +42,12 @@ type TableStats struct {
 	KernelChunksNone    int64
 	KernelChunksDateAll int64
 	KernelChunksSome    int64
+	// PartsDecoded and PartsUnread count the coded DSM parts that landed
+	// undecoded by how their residency ended: decoded at their first read,
+	// or gone — evicted, detached, shut down — with no scan having read them.
+	// PartsUnread is decode work the deferral saved.
+	PartsDecoded int64
+	PartsUnread  int64
 }
 
 // FaultStats counts the server's fault-handling activity. All fields are
@@ -130,6 +136,8 @@ func (s *Server) Stats() ServerStats {
 			KernelChunksNone:    t.kernels[storage.None].n.Load(),
 			KernelChunksDateAll: t.kernels[storage.All].n.Load(),
 			KernelChunksSome:    t.kernels[storage.Some].n.Load(),
+			PartsDecoded:        t.decodes.decoded.n.Load(),
+			PartsUnread:         t.decodes.unread.n.Load(),
 		})
 		return nil
 	})

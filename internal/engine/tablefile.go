@@ -283,9 +283,11 @@ type TableFile struct {
 	sums    []uint64
 	extOff  []int64
 	zones   [NumCols]*storage.ZoneMap
-	// storedScratch pools the stored-byte scratch (*[]byte) a run holding a
-	// coded extent is read into; the decoded values go straight into the
-	// caller's words. Identity runs never touch it.
+	// storedScratch pools the stored-byte scratch (*[]byte) a coded extent
+	// is decoded from: a run read eagerly is read into it, an extent left in
+	// the tail of its frame is copied into it at its first read (decodeTail).
+	// The decoded values go straight into the caller's words. Identity runs
+	// never touch it.
 	storedScratch sync.Pool
 }
 
@@ -447,7 +449,8 @@ func (t *TableFile) ReadPageRange(first int64, count int, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	return t.readPageRange(first, count, dst, nil, nil)
+	_, err = t.readPageRange(first, count, dst, false, nil, nil)
+	return err
 }
 
 // identityRun reports whether every page of the run is stored as its raw
@@ -478,91 +481,135 @@ func lap(d *time.Duration, start time.Time) {
 	}
 }
 
+// scratch draws pooled stored-byte scratch of at least n bytes; the caller
+// puts it back.
+func (t *TableFile) scratch(n int64) *[]byte {
+	sc, _ := t.storedScratch.Get().(*[]byte)
+	if sc == nil {
+		sc = new([]byte)
+	}
+	if int64(cap(*sc)) < n {
+		*sc = make([]byte, n)
+	}
+	return sc
+}
+
 // readPageRange is the one landing routine — of ReadPageRange's byte
 // buffers and of the load path's frames alike: one positioned read of the
 // coalesced stored run, a CRC over every extent's stored bytes, and the
-// pages' decoded words in dst. An identity run is read straight into dst
-// and verified in place; a run holding a coded extent is read into pooled
-// scratch and decoded into dst — the codec's output is the part, there is
-// no second pass over the values. CRC failures surface as ErrChecksum and
-// post-CRC decode failures as ErrCorrupt, both wrapped in a *PageError
-// naming the precise page, so the engine retries or quarantines exactly the
-// affected part and a corrupt extent can never decode into wrong tuples.
-// When verify or decomp are non-nil, the time spent verifying and decoding
-// is added to them, so the instrumented load path can report read, verify
-// and decompress latency separately.
-func (t *TableFile) readPageRange(first int64, count int, dst []int64, verify, decomp *time.Duration) error {
+// pages in dst. An identity run is read straight into dst and verified in
+// place. With deferDecode, a run of one coded page whose stored bytes fit
+// in dst — every DSM part of a compressed table, bar a column stored as
+// compress.Raw — is read into the tail of dst, verified and checked there
+// (compress.Check: every structural test the decoder makes), and left for
+// decodeTail; the returned length is its stored bytes. Any other run holding
+// a coded extent is read into pooled scratch, checked and decoded into dst,
+// and the length returned is zero: dst holds the decoded pages. CRC failures
+// surface as ErrChecksum and check failures as ErrCorrupt, both wrapped in a
+// *PageError naming the precise page, so the engine retries or quarantines
+// exactly the affected part and a corrupt extent can never decode into wrong
+// tuples. When verify or decomp are non-nil, the time spent verifying (the
+// deferred check included) and decoding is added to them, so the
+// instrumented load path can report read, verify and decompress latency
+// separately.
+func (t *TableFile) readPageRange(first int64, count int, dst []int64, deferDecode bool, verify, decomp *time.Duration) (int, error) {
 	end := first + int64(count)
 	var want int64
 	for p := first; p < end; p++ {
 		want += t.PageBytes(p)
 	}
 	if int64(len(dst))*8 != want {
-		return fmt.Errorf("engine: ReadPageRange buffer %d bytes, want %d", len(dst)*8, want)
+		return 0, fmt.Errorf("engine: ReadPageRange buffer %d bytes, want %d", len(dst)*8, want)
 	}
 	stored := wordBytes(dst)
+	n := t.StoredRunBytes(first, count)
 	inPlace := t.identityRun(first, count)
-	if !inPlace {
-		sc, _ := t.storedScratch.Get().(*[]byte)
-		if sc == nil {
-			sc = new([]byte)
-		}
+	tail := !inPlace && deferDecode && count == 1 && n <= want
+	switch {
+	case tail:
+		stored = stored[want-n:]
+	case !inPlace:
+		sc := t.scratch(n)
 		defer t.storedScratch.Put(sc)
-		n := t.StoredRunBytes(first, count)
-		if int64(cap(*sc)) < n {
-			*sc = make([]byte, n)
-		}
 		stored = (*sc)[:n]
 	}
 	if _, err := t.r.ReadAt(stored, t.dataOff+t.extOff[first]); err != nil {
-		return &PageError{Page: first, Err: err}
+		return 0, &PageError{Page: first, Err: err}
 	}
 	start := time.Now()
 	for p := first; p < end; p++ {
 		if got := pageChecksum(t.extent(stored, first, p)); got != t.sums[p] {
 			lap(verify, start)
 			chunk, col := t.PagePart(p)
-			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
+			return 0, &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
 				t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
 		}
 	}
-	lap(verify, start)
-	if inPlace {
-		return nil
+	switch {
+	case inPlace:
+		lap(verify, start)
+		return 0, nil
+	case tail:
+		err := t.checkExtent(first, stored)
+		lap(verify, start)
+		if err != nil {
+			return 0, err
+		}
+		return int(n), nil
 	}
+	lap(verify, start)
 	start = time.Now()
 	err := t.decodeRun(first, end, dst, stored)
 	lap(decomp, start)
-	return err
+	return 0, err
 }
 
-// decodeRun decodes the verified stored bytes of pages [first, end) into
-// their words in dst.
+// checkExtent checks coded page p's verified stored bytes ext: they must
+// pass compress.Check and hold exactly one stripe of values.
+func (t *TableFile) checkExtent(p int64, ext []byte) error {
+	n, err := compress.Check(ext)
+	if err == nil && int64(n) != t.tuplesPerChunk {
+		err = fmt.Errorf("decodes to %d values, want %d: %w", n, t.tuplesPerChunk, ErrCorrupt)
+	}
+	if err != nil {
+		chunk, col := t.pageStripe(p)
+		return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decode: %w",
+			t.path, p, chunk, col, err)}
+	}
+	return nil
+}
+
+// decodeRun checks and decodes the verified stored bytes of pages
+// [first, end) into their words in dst.
 func (t *TableFile) decodeRun(first, end int64, dst []int64, stored []byte) error {
 	var off int64
 	for p := first; p < end; p++ {
 		ext := t.extent(stored, first, p)
 		n := t.PageBytes(p) / 8
-		// Capped at the page, so an extent claiming more values than a stripe
-		// decodes elsewhere (and fails the length check) instead of running
-		// over the next page's words.
-		page := dst[off : off+n : off+n]
+		page := dst[off : off+n]
 		off += n
-		chunk, col := t.pageStripe(p)
-		if t.schemes[col] == schemeIdentity {
+		if t.schemes[t.pageCol(p)] == schemeIdentity {
 			copy(wordBytes(page), ext)
 			continue
 		}
-		vals, err := compress.DecodeIntsInto(page, ext)
-		if err == nil && int64(len(vals)) != t.tuplesPerChunk {
-			err = fmt.Errorf("decoded %d values, want %d: %w", len(vals), t.tuplesPerChunk, ErrCorrupt)
+		if err := t.checkExtent(p, ext); err != nil {
+			return err
 		}
-		if err != nil {
-			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decode: %w",
-				t.path, p, chunk, col, err)}
-		}
+		compress.DecodeChecked(page, ext)
 	}
 	return nil
+}
+
+// decodeTail decodes the coded extent of n stored bytes a deferred
+// readPageRange left, checked, in the tail of dst into dst. The extent is
+// copied out into pooled scratch first: the decoder's output would overrun
+// the bytes it has still to read.
+func (t *TableFile) decodeTail(dst []int64, n int) {
+	sc := t.scratch(int64(n))
+	defer t.storedScratch.Put(sc)
+	ext := (*sc)[:n]
+	copy(ext, wordBytes(dst)[len(dst)*8-n:])
+	compress.DecodeChecked(dst, ext)
 }
 
 // tableMeta builds the stored table's metadata: 8-byte int64 columns plus

@@ -217,22 +217,25 @@ func TestTableFileCoalescedRead(t *testing.T) {
 
 // readChunkDataCols assembles a ChunkData straight from the file (bypassing
 // the engine) for kernel verification, delivering the requested columns: each
-// stripe is read as bytes through the public ReadPageRange and viewed as
-// words through the same alias helper the load path's frames use.
+// stripe is read as bytes through the public ReadPageRange, which decodes
+// eagerly, and viewed as the words of a decoded frame through the same alias
+// helper the load path's frames use.
 func readChunkDataCols(t testing.TB, tf *TableFile, c int, cols storage.ColSet) ChunkData {
 	t.Helper()
-	vecs := make([][]int64, NumCols)
+	parts := make([]*frame, NumCols)
 	cols.Each(func(j int) {
 		stripe := make([]byte, tf.ColStripeBytes(j))
 		if err := tf.ReadPageRange(stripePage(tf, c, j), 1, stripe); err != nil {
 			t.Fatalf("ReadPageRange: %v", err)
 		}
-		var err error
-		if vecs[j], err = bytesWords(stripe); err != nil {
+		vals, err := bytesWords(stripe)
+		if err != nil {
 			t.Fatal(err)
 		}
+		parts[j] = &frame{vals: vals}
+		parts[j].decoded.Store(true)
 	})
-	return ChunkData{vecs: vecs, cols: cols, tuples: tf.Layout().ChunkTuples(c)}
+	return ChunkData{parts: parts, cols: cols, tuples: tf.Layout().ChunkTuples(c)}
 }
 
 // readChunkData is readChunkDataCols over every stored column.

@@ -245,11 +245,11 @@ func TestHostByteOrder(t *testing.T) {
 // the file stores it. An identity part — the whole chunk of an NSM file, a
 // stripe of a DSM one, the comment filler of a compressed one — is read
 // straight into the frame: cold it allocates no copy of the part and the
-// stored-byte scratch is never touched. A coded part decodes straight into the frame:
-// cold — a freshly opened file, nothing pooled — it allocates less than one
-// decoded stripe, so no scratch of decoded values exists anywhere to copy
-// from. Warm, neither allocates; and a load writes its part's words and no
-// others.
+// stored-byte scratch is never touched. A coded part lands, checked, in the
+// tail of its frame and its first read decodes it in place: cold — a freshly
+// opened file, nothing pooled — the two allocate less than one decoded
+// stripe, so no scratch of decoded values exists anywhere to copy from.
+// Warm, neither allocates; and they write the part's words and no others.
 func TestV4LoadLandsInFrame(t *testing.T) {
 	for _, shape := range storedShapes {
 		created := shape.create(t, 8_000, 1000, 3)
@@ -275,8 +275,15 @@ func TestV4LoadLandsInFrame(t *testing.T) {
 			}
 			fr := &frame{vals: arena[n : 2*n : 2*n]}
 			load := func() {
-				if err := tf.readPageRange(first, count, fr.vals, nil, nil); err != nil {
+				left, err := tf.readPageRange(first, count, fr.vals, true, nil, nil)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if (left > 0) != coded {
+					t.Fatalf("%s column %d: load left %d coded bytes to decode, coded %v", shape.name, col, left, coded)
+				}
+				if left > 0 {
+					tf.decodeTail(fr.vals, left)
 				}
 			}
 			var before, after runtime.MemStats
@@ -297,11 +304,11 @@ func TestV4LoadLandsInFrame(t *testing.T) {
 			if a := testing.AllocsPerRun(50, load); a != 0 {
 				t.Errorf("%s column %d: %v allocs per steady-state part load, want 0", shape.name, col, a)
 			}
-			want := readChunkDataCols(t, tf, 3, storage.Cols(col)).vecs[col]
+			want := readChunkDataCols(t, tf, 3, storage.Cols(col)).parts[col].vals
 			if tf.Format() == NSM {
 				want = nil
-				for _, vec := range readChunkData(t, tf, 3).vecs {
-					want = append(want, vec...)
+				for _, f := range readChunkData(t, tf, 3).parts {
+					want = append(want, f.vals...)
 				}
 			}
 			for i, v := range arena {

@@ -38,6 +38,31 @@ func widen(z storage.Zone, rng *rand.Rand, slack int64) storage.Zone {
 	return storage.Zone{Lo: lo, Hi: hi}
 }
 
+// q6Bounded and q1Bounded run the kernels as the engine's wrappers do: the
+// chunk's bounds decide first, and the columns the decision leaves unread
+// are handed over as nil, so a kernel that reads one anyway panics.
+func q6Bounded(c [4][]int64, pred Q6Predicate, dateZ, discZ, qtyZ storage.Zone) (Q6Result, storage.Decided) {
+	decided, n := pred.Decide(dateZ, discZ, qtyZ), len(c[0])
+	switch decided {
+	case storage.None:
+		c = [4][]int64{}
+	case storage.All:
+		c[0] = nil
+	}
+	return Q6Kernel(c[0], c[1], c[2], c[3], n, pred, decided), decided
+}
+
+func q1Bounded(c [7][]int64, dateMax int64, rounds int, dateZ storage.Zone) (Q1Result, storage.Decided) {
+	decided, n := Q1Decide(dateZ, dateMax), len(c[0])
+	switch decided {
+	case storage.None:
+		c = [7][]int64{}
+	case storage.All:
+		c[0] = nil
+	}
+	return Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], n, dateMax, rounds, decided), decided
+}
+
 // checkDecided runs the Q6 kernel over c with the columns' true bounds, with
 // widened ones and with none, holds all three to the scalar reference, and
 // returns what the true bounds decided.
@@ -48,7 +73,7 @@ func checkDecided(t testing.TB, c [4][]int64, pred Q6Predicate, rng *rand.Rand) 
 		t.Fatalf("pred=%+v n=%d: kernel without bounds %+v, reference %+v", pred, len(c[0]), got, want)
 	}
 	dateZ, discZ, qtyZ := zoneOf(c[0]), zoneOf(c[1]), zoneOf(c[2])
-	got, decided := Q6Kernel(c[0], c[1], c[2], c[3], pred, dateZ, discZ, qtyZ)
+	got, decided := q6Bounded(c, pred, dateZ, discZ, qtyZ)
 	if got != want {
 		t.Fatalf("pred=%+v n=%d bounds %v %v %v (decided %d): kernel %+v, reference %+v",
 			pred, len(c[0]), dateZ, discZ, qtyZ, decided, got, want)
@@ -58,7 +83,7 @@ func checkDecided(t testing.TB, c [4][]int64, pred Q6Predicate, rng *rand.Rand) 
 	}
 	for _, slack := range []int64{1, 50, math.MaxInt64 - 1} {
 		dw, cw, qw := widen(dateZ, rng, slack), widen(discZ, rng, slack), widen(qtyZ, rng, slack)
-		if got, _ := Q6Kernel(c[0], c[1], c[2], c[3], pred, dw, cw, qw); got != want {
+		if got, _ := q6Bounded(c, pred, dw, cw, qw); got != want {
 			t.Fatalf("pred=%+v n=%d widened bounds %v %v %v: kernel %+v, reference %+v", pred, len(c[0]), dw, cw, qw, got, want)
 		}
 	}
@@ -232,12 +257,12 @@ func TestQ6KernelDecidedAtTheEnds(t *testing.T) {
 	dates := []int64{hi, hi, hi}
 	other := []int64{0, 0, 0}
 	pred := with(func(p *Q6Predicate) { p.DateHi = lo })
-	if res, d := Q6Kernel(dates, other, other, other, pred, zoneOf(dates), zoneOf(other), zoneOf(other)); d != storage.None || res != (Q6Result{}) {
+	if res, d := q6Bounded([4][]int64{dates, other, other, other}, pred, zoneOf(dates), zoneOf(other), zoneOf(other)); d != storage.None || res != (Q6Result{}) {
 		t.Errorf("DateHi=MinInt64 over dates at MaxInt64: %+v decided %d, want nothing, decided none", res, d)
 	}
 	qtys := []int64{lo, lo, lo}
 	pred = with(func(p *Q6Predicate) { p.MaxQty = lo })
-	if res, d := Q6Kernel(other, other, qtys, other, pred, zoneOf(other), zoneOf(other), zoneOf(qtys)); d != storage.None || res != (Q6Result{}) {
+	if res, d := q6Bounded([4][]int64{other, other, qtys, other}, pred, zoneOf(other), zoneOf(other), zoneOf(qtys)); d != storage.None || res != (Q6Result{}) {
 		t.Errorf("MaxQty=MinInt64 over quantities at MinInt64: %+v decided %d, want nothing, decided none", res, d)
 	}
 }
@@ -287,7 +312,7 @@ func TestQ1KernelDecided(t *testing.T) {
 		want := q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, 3)
 		sameQ1(t, q1Kernel(c[:], dateMax, 3), want)
 		for _, zone := range []storage.Zone{z, widen(z, rng, 1), widen(z, rng, 1000), storage.AnyZone} {
-			got, decided := Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, 3, zone)
+			got, decided := q1Bounded(c, dateMax, 3, zone)
 			sameQ1(t, got, want)
 			if wantNone := zone.Lo > dateMax; (decided == storage.None) != wantNone {
 				t.Errorf("dateMax %d, bounds %v: decided %d, want none: %v", dateMax, zone, decided, wantNone)

@@ -111,7 +111,7 @@ func BenchmarkQ6Kernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkQ6, _ = Q6Kernel(c[0], c[1], c[2], c[3], pred, dateZ, discZ, qtyZ)
+				sinkQ6, _ = q6Bounded([4][]int64(c), pred, dateZ, discZ, qtyZ)
 			}
 			reportPerTuple(b)
 		})
@@ -128,7 +128,7 @@ func BenchmarkQ1Kernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkQ1, _ = Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, 8, dateZ)
+				sinkQ1, _ = q1Bounded([7][]int64(c), dateMax, 8, dateZ)
 			}
 			reportPerTuple(b)
 		})

@@ -54,12 +54,13 @@ func (p Q6Predicate) Decide(dates, discs, qtys storage.Zone) storage.Decided {
 	return dates.Decide(date.Lo, date.Hi)
 }
 
-// Q6Kernel evaluates the FAST query over one chunk's column vectors
-// (dates[i], disc[i], qty[i], price[i] are row i; all four must be at least
-// len(dates) long) and the chunk's bounds on the first three. It computes
-// exactly Q6Chunk's aggregate, wrap-around included, for any predicate and
-// any bounds that hold, and reports what the bounds decided: on None it
-// reads no column, on All not the dates.
+// Q6Kernel evaluates the FAST query over the first n rows of one chunk's
+// column vectors (dates[i], disc[i], qty[i], price[i] are row i), given what
+// the chunk's bounds decided of pred (Decide): on None it reads no column,
+// on All not the dates, and a column it does not read may be nil; the ones
+// it reads hold at least n rows. Given a decision that bounds holding for
+// the chunk give, it computes exactly Q6Chunk's aggregate, wrap-around
+// included, for any predicate.
 //
 // Vector at a time: the date conjunct runs first over the whole vector and
 // writes the selection; on a chunk across an end of the date range (no other
@@ -67,9 +68,9 @@ func (p Q6Predicate) Decide(dates, discs, qtys storage.Zone) storage.Decided {
 // price. The two range conjuncts are one unsigned compare each: for lo ≤ hi,
 // v ∈ [lo, hi) iff uint64(v-lo) < uint64(hi-lo), the subtraction wrapping
 // the interval onto [0, width) whatever the signs.
-func Q6Kernel(dates, disc, qty, price []int64, pred Q6Predicate, dateZ, discZ, qtyZ storage.Zone) (res Q6Result, decided storage.Decided) {
-	if decided = pred.Decide(dateZ, discZ, qtyZ); decided == storage.None {
-		return res, decided
+func Q6Kernel(dates, disc, qty, price []int64, n int, pred Q6Predicate, decided storage.Decided) (res Q6Result) {
+	if decided == storage.None {
+		return res
 	}
 	dateLo, dateW := pred.DateLo, uint64(pred.DateHi)-uint64(pred.DateLo)
 	discLo, discW := pred.DiscLo, uint64(pred.DiscHi)-uint64(pred.DiscLo)
@@ -78,24 +79,20 @@ func Q6Kernel(dates, disc, qty, price []int64, pred Q6Predicate, dateZ, discZ, q
 	// Offsets within the vector: 2 KiB of stack per call, not 4 — 512
 	// streams run this concurrently on the resident-fanin workload.
 	var sel [vecRows]uint16
-	for len(dates) > 0 {
-		m := len(dates)
-		if m > vecRows {
-			m = vecRows
-		}
+	for lo := 0; lo < n; lo += vecRows {
+		hi := min(lo+vecRows, n)
 		var k int
 		if decided == storage.All {
-			k = selRangeLessEvery(&sel, disc[:m], discLo, discW, qty[:m], maxQty)
-		} else if k = selRange(&sel, dates[:m], dateLo, dateW); k > 0 {
-			k = selRangeLess(&sel, k, disc[:m], discLo, discW, qty[:m], maxQty)
+			k = selRangeLessEvery(&sel, disc[lo:hi], discLo, discW, qty[lo:hi], maxQty)
+		} else if k = selRange(&sel, dates[lo:hi], dateLo, dateW); k > 0 {
+			k = selRangeLess(&sel, k, disc[lo:hi], discLo, discW, qty[lo:hi], maxQty)
 		}
 		if k > 0 {
-			res.Revenue += mulSumSel(sel[:k], price[:m], disc[:m])
+			res.Revenue += mulSumSel(sel[:k], price[lo:hi], disc[lo:hi])
 			res.Rows += int64(k)
 		}
-		dates, disc, qty, price = dates[m:], disc[m:], qty[m:], price[m:]
 	}
-	return res, decided
+	return res
 }
 
 // The four vector primitives below are functions of their own, kept from
@@ -408,26 +405,30 @@ func (t *q1Table) result() Q1Result {
 	return res
 }
 
-// Q1Kernel evaluates the SLOW query over one chunk's column vectors (every
-// column at least len(dates) long), computing exactly Q1Chunk's result: the
-// same per-row arithmetic, the same extraArith rounds per qualifying row
-// feeding the same skip, the same (byte(flag), byte(status)) grouping. Sums
-// are wrap-around int64 additions, so the fold order does not matter. It
-// allocates only its result, and reports what the chunk's date bounds
-// decided: past dateMax, None, no column read; at or before it, All, and no
-// row's date is tested.
+// Q1Decide asks a chunk's date bounds what they already answer of Q1 at
+// dateMax: None when every date is past it, All when none is, Some otherwise.
+func Q1Decide(dateZ storage.Zone, dateMax int64) storage.Decided {
+	return dateZ.Decide(math.MinInt64, dateMax)
+}
+
+// Q1Kernel evaluates the SLOW query over the first n rows of one chunk's
+// column vectors, given what the chunk's date bounds decided (Q1Decide): on
+// None it reads no column, on All not the dates, and a column it does not
+// read may be nil; the ones it reads hold at least n rows. It computes
+// exactly Q1Chunk's result: the same per-row arithmetic, the same extraArith
+// rounds per qualifying row feeding the same skip, the same (byte(flag),
+// byte(status)) grouping. Sums are wrap-around int64 additions, so the fold
+// order does not matter. It allocates only its result.
 //
 // A block of q1Block rows at a time, pass by pass: on a Some chunk the date
 // test writes a selection and the passes run over the selected rows; then
 // the price arithmetic, each row's group ordinal (its table entry), the
 // rounds eight rows abreast, and one loop adding each row's count and
 // measures into its ordinal's sums, which fold into Q1Groups once per call.
-func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64, extraArith int, dateZ storage.Zone) (Q1Result, storage.Decided) {
-	decided := dateZ.Decide(math.MinInt64, dateMax)
+func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, n int, dateMax int64, extraArith int, decided storage.Decided) Q1Result {
 	if decided == storage.None {
-		return Q1Result{}, decided
+		return Q1Result{}
 	}
-	n := len(dates)
 	qty, price, disc, tax = qty[:n], price[:n], disc[:n], tax[:n]
 	flag, status = flag[:n], status[:n]
 
@@ -466,5 +467,5 @@ func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, dateMax int64,
 			t.spillRows(gid[:m], rows, flag[lo:hi], status[lo:hi], bq, bp, dp[:m], ch[:m])
 		}
 	}
-	return t.result(), decided
+	return t.result()
 }

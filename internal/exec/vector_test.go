@@ -37,12 +37,12 @@ func q1Vectorized(g *tpch.Generator, start, n int64, dateMax int64, extraArith i
 // every pass runs, as on a chunk that carries none. (decided_test.go holds
 // the kernels given bounds against these.)
 func q6Kernel(c [][]int64, pred Q6Predicate) Q6Result {
-	res, _ := Q6Kernel(c[0], c[1], c[2], c[3], pred, storage.AnyZone, storage.AnyZone, storage.AnyZone)
+	res, _ := q6Bounded([4][]int64(c), pred, storage.AnyZone, storage.AnyZone, storage.AnyZone)
 	return res
 }
 
 func q1Kernel(c [][]int64, dateMax int64, extraArith int) Q1Result {
-	res, _ := Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, extraArith, storage.AnyZone)
+	res, _ := q1Bounded([7][]int64(c), dateMax, extraArith, storage.AnyZone)
 	return res
 }
 
@@ -336,7 +336,7 @@ func checkQ1(t *testing.T, c [7][]int64, dateMax int64, rounds int) {
 	t.Helper()
 	want := q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, rounds)
 	for _, z := range []storage.Zone{zoneOf(c[0]), storage.AnyZone} {
-		got, decided := Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, rounds, z)
+		got, decided := q1Bounded(c, dateMax, rounds, z)
 		if d := z.Decide(math.MinInt64, dateMax); decided != d {
 			t.Fatalf("n=%d dateMax=%d bounds %v: decided %d, the bounds say %d", len(c[0]), dateMax, z, decided, d)
 		}
@@ -406,7 +406,7 @@ func TestKernelAllocs(t *testing.T) {
 	// The same with the dates' true bounds, which decide All.
 	var decided storage.Decided
 	a = testing.AllocsPerRun(20, func() {
-		q1, decided = Q1Kernel(q[0], q[1], q[2], q[3], q[4], q[5], q[6], tpch.DateMax, 8, zoneOf(q[0]))
+		q1, decided = q1Bounded([7][]int64(q), tpch.DateMax, 8, zoneOf(q[0]))
 	})
 	if decided != storage.All || len(q1) < 2 {
 		t.Fatalf("Q1Kernel over its true bounds decided %d and found %d groups", decided, len(q1))
