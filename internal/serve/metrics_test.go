@@ -20,13 +20,15 @@ var updateGolden = flag.Bool("update", false, "rewrite the metrics exposition go
 // through the front-end — one queued-then-expired deadline, one queued
 // completion, one shed, one interactive completion — and compares the
 // front-end's full Prometheus exposition byte-for-byte against the golden
-// file, followed by the two engine families the sequence pins exactly: the
+// file, followed by the engine families the sequence pins exactly: the
 // receipt sums, all computed by the first completed session over the
 // four-chunk table and all reused by the second, which finds it resident;
 // and what the chunks' bounds decided for the Q6 kernel of that second
 // session, the only one that folds the aggregate — the table's seven years
 // in four chunks put two of them past the predicate's year and none inside
-// it. (The engine's other families carry wall-clock histograms.)
+// it; and the coded-part decodes, none either way — the table is NSM, whose
+// parts land decoded — with the help line of the decode-time histogram.
+// (The engine's other families carry wall-clock histograms.)
 func TestMetricsExpositionGolden(t *testing.T) {
 	tf := newTestTable(t, 4_000, 1000, 32)
 	reg, engReg := obs.NewRegistry(), obs.NewRegistry()
@@ -89,7 +91,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range strings.SplitAfter(eb.String(), "\n") {
-		if strings.Contains(line, "coopscan_receipt_crcs_total") || strings.Contains(line, "coopscan_kernel_chunks_total") {
+		if strings.Contains(line, "coopscan_receipt_crcs_total") || strings.Contains(line, "coopscan_kernel_chunks_total") ||
+			strings.Contains(line, "coopscan_part_decodes_total") || strings.HasPrefix(line, "# HELP coopscan_load_decompress_seconds ") {
 			sb.WriteString(line)
 		}
 	}
