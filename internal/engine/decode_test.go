@@ -324,7 +324,7 @@ func TestOversizeExtentDecodesAtLoad(t *testing.T) {
 		t.Fatal("the Raw extent fits its frame")
 	}
 	f := &frame{vals: make([]int64, re.ColStripeBytes(ColExtendedPrice)/8)}
-	left, err := re.readPageRange(first, count, f.vals, true, nil, nil)
+	left, err := re.readPageRange(first, count, f.vals, nil, nil)
 	if err != nil || left != 0 {
 		t.Fatalf("deferred read of the Raw part: %d bytes left to decode, err %v; want it decoded at load", left, err)
 	}

@@ -233,7 +233,7 @@ func (s *Server) readParts(job loadJob) (ioStats, error) {
 		first, count := t.tf.PartPages(chunk, p.col)
 		stored := t.tf.StoredRunBytes(first, count)
 		iost.diskBytes += stored
-		coded, err := t.tf.readPageRange(first, count, p.f.vals, true, verify, decomp)
+		coded, err := t.tf.readPageRange(first, count, p.f.vals, verify, decomp)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("engine: read %s pages [%d,%d): %w", t.name, first, first+int64(count), err)

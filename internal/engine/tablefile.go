@@ -449,7 +449,10 @@ func (t *TableFile) ReadPageRange(first int64, count int, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = t.readPageRange(first, count, dst, false, nil, nil)
+	left, err := t.readPageRange(first, count, dst, nil, nil)
+	if left > 0 {
+		t.decodeTail(dst, left)
+	}
 	return err
 }
 
@@ -498,12 +501,13 @@ func (t *TableFile) scratch(n int64) *[]byte {
 // buffers and of the load path's frames alike: one positioned read of the
 // coalesced stored run, a CRC over every extent's stored bytes, and the
 // pages in dst. An identity run is read straight into dst and verified in
-// place. With deferDecode, a run of one coded page whose stored bytes fit
-// in dst — every DSM part of a compressed table, bar a column stored as
-// compress.Raw — is read into the tail of dst, verified and checked there
-// (compress.Check: every structural test the decoder makes), and left for
-// decodeTail; the returned length is its stored bytes. Any other run holding
-// a coded extent is read into pooled scratch, checked and decoded into dst,
+// place. A run of one coded page whose stored bytes fit in dst — every DSM
+// part of a compressed table, bar a column stored as compress.Raw — is read
+// into the tail of dst, verified and checked there (compress.Check: every
+// structural test the decoder makes), and left for decodeTail: the load
+// path leaves it for the part's first reader, ReadPageRange decodes it at
+// once. The returned length is its stored bytes. Any other run holding a
+// coded extent is read into pooled scratch, checked and decoded into dst,
 // and the length returned is zero: dst holds the decoded pages. CRC failures
 // surface as ErrChecksum and check failures as ErrCorrupt, both wrapped in a
 // *PageError naming the precise page, so the engine retries or quarantines
@@ -512,7 +516,7 @@ func (t *TableFile) scratch(n int64) *[]byte {
 // deferred check included) and decoding is added to them, so the
 // instrumented load path can report read, verify and decompress latency
 // separately.
-func (t *TableFile) readPageRange(first int64, count int, dst []int64, deferDecode bool, verify, decomp *time.Duration) (int, error) {
+func (t *TableFile) readPageRange(first int64, count int, dst []int64, verify, decomp *time.Duration) (int, error) {
 	end := first + int64(count)
 	var want int64
 	for p := first; p < end; p++ {
@@ -524,7 +528,7 @@ func (t *TableFile) readPageRange(first int64, count int, dst []int64, deferDeco
 	stored := wordBytes(dst)
 	n := t.StoredRunBytes(first, count)
 	inPlace := t.identityRun(first, count)
-	tail := !inPlace && deferDecode && count == 1 && n <= want
+	tail := !inPlace && count == 1 && n <= want
 	switch {
 	case tail:
 		stored = stored[want-n:]

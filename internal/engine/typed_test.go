@@ -275,7 +275,7 @@ func TestV4LoadLandsInFrame(t *testing.T) {
 			}
 			fr := &frame{vals: arena[n : 2*n : 2*n]}
 			load := func() {
-				left, err := tf.readPageRange(first, count, fr.vals, true, nil, nil)
+				left, err := tf.readPageRange(first, count, fr.vals, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
