@@ -15,6 +15,7 @@ import (
 
 	"coopscan/internal/colstore/compress"
 	"coopscan/internal/core"
+	"coopscan/internal/exec"
 	"coopscan/internal/storage"
 )
 
@@ -345,5 +346,43 @@ func TestOversizeExtentDecodesAtLoad(t *testing.T) {
 	}
 	if ts := tableStats(t, srv); ts.PartsDecoded != 0 || ts.PartsUnread != 0 {
 		t.Errorf("%d parts decoded at first read, %d unread, want 0 and 0: the Raw parts land decoded", ts.PartsDecoded, ts.PartsUnread)
+	}
+}
+
+// TestKernelsDecodeOnlyWhatTheyRead: Q6Chunk and Q1Chunk decide from the
+// chunk's bounds before they read a column, so on a compressed table a
+// chunk the bounds answer decodes no part, one inside the date range decodes
+// every part but its dates, and only a chunk across an end of the range
+// decodes all the query's parts. Each query runs on a server of its own,
+// whose buffer holds the table, so no part is decoded twice.
+func TestKernelsDecodeOnlyWhatTheyRead(t *testing.T) {
+	tf := newTestFileCompressed(t, 48_000, 1000, 65)
+	n := tf.NumChunks()
+	for _, q := range []struct {
+		name   string
+		cols   storage.ColSet
+		kernel func(ChunkData)
+	}{
+		{"q6", Q6Cols(), func(d ChunkData) { Q6Chunk(d, exec.DefaultQ6()) }},
+		{"q1", Q1Cols(), func(d ChunkData) { Q1Chunk(d, 700, 1) }},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			if coded := codedParts(tf, q.cols); coded != int64(n*q.cols.Count()) {
+				t.Fatalf("%d of the %d parts of %v coded: every one must be", coded, n*q.cols.Count(), q.cols)
+			}
+			srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: int64(n) * tf.ChunkBytes()}, tf)
+			if _, err := srv.Scan(0, q.name, rangeSet(0, n), q.cols, func(_ int, d ChunkData) { q.kernel(d) }); err != nil {
+				t.Fatal(err)
+			}
+			ts := tableStats(t, srv)
+			if ts.KernelChunksNone == 0 || ts.KernelChunksDateAll == 0 || ts.KernelChunksSome == 0 {
+				t.Fatalf("decided none %d, date_all %d, some %d: every shape must occur", ts.KernelChunksNone, ts.KernelChunksDateAll, ts.KernelChunksSome)
+			}
+			width := int64(q.cols.Count())
+			if want := ts.KernelChunksDateAll*(width-1) + ts.KernelChunksSome*width; ts.PartsDecoded != want {
+				t.Errorf("%d parts decoded, want %d: none for %d chunks decided none, all but the dates for %d date_all, all for %d some",
+					ts.PartsDecoded, want, ts.KernelChunksNone, ts.KernelChunksDateAll, ts.KernelChunksSome)
+			}
+		})
 	}
 }
