@@ -393,17 +393,17 @@ func encodeIntDict(values []int64) ([]byte, error) {
 		width = 0
 	}
 	codes := make([]uint64, len(values))
-	for i, v := range values {
-		if len(dict) > smallDict {
+	if len(dict) > smallDict {
+		for i, v := range values {
 			c, _ := slices.BinarySearch(dict, v)
 			codes[i] = uint64(c)
-			continue
 		}
-		c := uint64(0)
-		for _, e := range dict {
-			c += uint64(b2u(e < v))
+	} else {
+		for i, v := range values {
+			for _, e := range dict {
+				codes[i] += uint64(b2u(e < v))
+			}
 		}
-		codes[i] = c
 	}
 	out := putHeader(nil, PDict, width, len(values))
 	var b [8]byte

@@ -51,7 +51,7 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 		// column part: return its frame for the next load of that size.
 		// Sibling columns of the same chunk keep theirs. Runs under t.mu,
 		// from an EnsureSpace inside the scheduler.
-		t.leave(f.(*frame))
+		t.countUnread(f.(*frame))
 		s.returnFrame(t, f.(*frame))
 		s.o.evictions.add(1)
 		s.o.resident.add(-1)

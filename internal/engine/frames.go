@@ -199,16 +199,16 @@ func (s *Server) returnFrame(t *serverTable, f *frame) {
 // scheduler is already gone. Callers hold t.mu.
 func (s *Server) releaseFrames(t *serverTable) {
 	t.abm.ReleaseFrames(func(f any) {
-		t.leave(f.(*frame))
+		t.countUnread(f.(*frame))
 		s.returnFrame(t, f.(*frame))
 		s.o.resident.add(-1)
 	})
 }
 
-// leave counts a part leaving residency — evicted, or released by a detach
-// or shutdown — with its extent never decoded: a decode no scan needed.
-// Callers hold t.mu.
-func (t *serverTable) leave(f *frame) {
+// countUnread counts a part leaving residency — evicted, or released by a
+// detach or shutdown — with its extent never decoded: a decode no scan
+// needed. Callers hold t.mu.
+func (t *serverTable) countUnread(f *frame) {
 	if !f.decoded.Load() {
 		t.decodes.unread.add(1)
 	}
