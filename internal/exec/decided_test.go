@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coopscan/internal/storage"
@@ -40,8 +41,9 @@ func widen(z storage.Zone, rng *rand.Rand, slack int64) storage.Zone {
 
 // q6Bounded and q1Bounded run the kernels as the engine's wrappers do: the
 // chunk's bounds decide first, and the columns the decision leaves unread
-// are handed over as nil, so a kernel that reads one anyway panics.
-func q6Bounded(c [4][]int64, pred Q6Predicate, dateZ, discZ, qtyZ storage.Zone) (Q6Result, storage.Decided) {
+// are handed over as nil, so a kernel that reads one anyway panics. avx2
+// picks the Q6 kernel's body.
+func q6Bounded(avx2 bool, c [4][]int64, pred Q6Predicate, dateZ, discZ, qtyZ storage.Zone) (Q6Result, storage.Decided) {
 	decided, n := pred.Decide(dateZ, discZ, qtyZ), len(c[0])
 	switch decided {
 	case storage.None:
@@ -49,7 +51,7 @@ func q6Bounded(c [4][]int64, pred Q6Predicate, dateZ, discZ, qtyZ storage.Zone) 
 	case storage.All:
 		c[0] = nil
 	}
-	return Q6Kernel(c[0], c[1], c[2], c[3], n, pred, decided), decided
+	return q6Body(avx2, c[0], c[1], c[2], c[3], n, pred, decided), decided
 }
 
 func q1Bounded(c [7][]int64, dateMax int64, rounds int, dateZ storage.Zone) (Q1Result, storage.Decided) {
@@ -63,29 +65,33 @@ func q1Bounded(c [7][]int64, dateMax int64, rounds int, dateZ storage.Zone) (Q1R
 	return Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], n, dateMax, rounds, decided), decided
 }
 
-// checkDecided runs the Q6 kernel over c with the columns' true bounds, with
+// checkDecided runs each Q6 body over c with the columns' true bounds, with
 // widened ones and with none, holds all three to the scalar reference, and
 // returns what the true bounds decided.
-func checkDecided(t testing.TB, c [4][]int64, pred Q6Predicate, rng *rand.Rand) storage.Decided {
+func checkDecided(t testing.TB, c [4][]int64, pred Q6Predicate, rng *rand.Rand) (decided storage.Decided) {
 	t.Helper()
 	want := q6Ref(c[0], c[1], c[2], c[3], pred)
-	if got := q6Kernel(c[:], pred); got != want {
-		t.Fatalf("pred=%+v n=%d: kernel without bounds %+v, reference %+v", pred, len(c[0]), got, want)
-	}
 	dateZ, discZ, qtyZ := zoneOf(c[0]), zoneOf(c[1]), zoneOf(c[2])
-	got, decided := q6Bounded(c, pred, dateZ, discZ, qtyZ)
-	if got != want {
-		t.Fatalf("pred=%+v n=%d bounds %v %v %v (decided %d): kernel %+v, reference %+v",
-			pred, len(c[0]), dateZ, discZ, qtyZ, decided, got, want)
+	for _, avx2 := range q6Bodies(t) {
+		if got := q6Kernel(c[:], pred, avx2); got != want {
+			t.Fatalf("%s body, pred=%+v n=%d: kernel without bounds %+v, reference %+v", bodyName(avx2), pred, len(c[0]), got, want)
+		}
+		var got Q6Result
+		got, decided = q6Bounded(avx2, c, pred, dateZ, discZ, qtyZ)
+		if got != want {
+			t.Fatalf("%s body, pred=%+v n=%d bounds %v %v %v (decided %d): kernel %+v, reference %+v",
+				bodyName(avx2), pred, len(c[0]), dateZ, discZ, qtyZ, decided, got, want)
+		}
+		for _, slack := range []int64{1, 50, math.MaxInt64 - 1} {
+			dw, cw, qw := widen(dateZ, rng, slack), widen(discZ, rng, slack), widen(qtyZ, rng, slack)
+			if got, _ := q6Bounded(avx2, c, pred, dw, cw, qw); got != want {
+				t.Fatalf("%s body, pred=%+v n=%d widened bounds %v %v %v: kernel %+v, reference %+v",
+					bodyName(avx2), pred, len(c[0]), dw, cw, qw, got, want)
+			}
+		}
 	}
 	if decided == storage.None && want.Rows != 0 {
 		t.Fatalf("pred=%+v: decided none, %d rows qualify", pred, want.Rows)
-	}
-	for _, slack := range []int64{1, 50, math.MaxInt64 - 1} {
-		dw, cw, qw := widen(dateZ, rng, slack), widen(discZ, rng, slack), widen(qtyZ, rng, slack)
-		if got, _ := q6Bounded(c, pred, dw, cw, qw); got != want {
-			t.Fatalf("pred=%+v n=%d widened bounds %v %v %v: kernel %+v, reference %+v", pred, len(c[0]), dw, cw, qw, got, want)
-		}
 	}
 	return decided
 }
@@ -256,19 +262,21 @@ func TestQ6KernelDecidedAtTheEnds(t *testing.T) {
 	// under DateHi == MinInt64 render as [DateLo, MaxInt64] ∋ MaxInt64.
 	dates := []int64{hi, hi, hi}
 	other := []int64{0, 0, 0}
-	pred := with(func(p *Q6Predicate) { p.DateHi = lo })
-	if res, d := q6Bounded([4][]int64{dates, other, other, other}, pred, zoneOf(dates), zoneOf(other), zoneOf(other)); d != storage.None || res != (Q6Result{}) {
-		t.Errorf("DateHi=MinInt64 over dates at MaxInt64: %+v decided %d, want nothing, decided none", res, d)
-	}
 	qtys := []int64{lo, lo, lo}
-	pred = with(func(p *Q6Predicate) { p.MaxQty = lo })
-	if res, d := q6Bounded([4][]int64{other, other, qtys, other}, pred, zoneOf(other), zoneOf(other), zoneOf(qtys)); d != storage.None || res != (Q6Result{}) {
-		t.Errorf("MaxQty=MinInt64 over quantities at MinInt64: %+v decided %d, want nothing, decided none", res, d)
+	for _, avx2 := range q6Bodies(t) {
+		pred := with(func(p *Q6Predicate) { p.DateHi = lo })
+		if res, d := q6Bounded(avx2, [4][]int64{dates, other, other, other}, pred, zoneOf(dates), zoneOf(other), zoneOf(other)); d != storage.None || res != (Q6Result{}) {
+			t.Errorf("%s body, DateHi=MinInt64 over dates at MaxInt64: %+v decided %d, want nothing, decided none", bodyName(avx2), res, d)
+		}
+		pred = with(func(p *Q6Predicate) { p.MaxQty = lo })
+		if res, d := q6Bounded(avx2, [4][]int64{other, other, qtys, other}, pred, zoneOf(other), zoneOf(other), zoneOf(qtys)); d != storage.None || res != (Q6Result{}) {
+			t.Errorf("%s body, MaxQty=MinInt64 over quantities at MinInt64: %+v decided %d, want nothing, decided none", bodyName(avx2), res, d)
+		}
 	}
 }
 
 func FuzzQ6KernelDecided(f *testing.F) {
-	for i, n := range kernelRowCounts {
+	for i, n := range slices.Concat(kernelRowCounts, stepRowCounts) {
 		_, p := clusteredQ6(int64(i), 0)
 		f.Add(int64(i), uint16(n), p.DateLo, p.DateHi, p.DiscLo, p.DiscHi, p.MaxQty)
 	}

@@ -24,7 +24,9 @@ import (
 // is read: ns/op does not depend on the rows), "inside" wholly inside them
 // (no date pass) and "edge" across their upper end with most rows inside
 // (nearly the work of "inside", plus the date pass). Q1's SLOW scans in the
-// suite's dsmz-cpu workload are "inside" and "edge" chunks.
+// suite's dsmz-cpu workload are "inside" and "edge" chunks. Each Q6 shape runs
+// the Go body and then, where the CPU has it, the AVX2 one ("inside/go",
+// "inside/avx2"), so one run compares the two.
 
 const benchRows = 16 * vecRows
 
@@ -108,12 +110,15 @@ func BenchmarkQ6Kernel(b *testing.B) {
 			c := benchShape(b, shape, pred.DateLo, pred.DateHi-1,
 				tpch.ColShipDate, tpch.ColDiscount, tpch.ColQuantity, tpch.ColExtendedPrice)
 			dateZ, discZ, qtyZ := zoneOf(c[0]), zoneOf(c[1]), zoneOf(c[2])
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sinkQ6, _ = q6Bounded([4][]int64(c), pred, dateZ, discZ, qtyZ)
+			for _, avx2 := range q6Bodies(b) {
+				b.Run(bodyName(avx2), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkQ6, _ = q6Bounded(avx2, [4][]int64(c), pred, dateZ, discZ, qtyZ)
+					}
+					reportPerTuple(b)
+				})
 			}
-			reportPerTuple(b)
 		})
 	}
 }

@@ -62,13 +62,46 @@ func (p Q6Predicate) Decide(dates, discs, qtys storage.Zone) storage.Decided {
 // the chunk give, it computes exactly Q6Chunk's aggregate, wrap-around
 // included, for any predicate.
 //
-// Vector at a time: the date conjunct runs first over the whole vector and
-// writes the selection; on a chunk across an end of the date range (no other
-// still runs it) many vectors qualify no row and touch neither disc, qty nor
-// price. The two range conjuncts are one unsigned compare each: for lo ≤ hi,
+// The two range conjuncts are one unsigned compare each: for lo ≤ hi,
 // v ∈ [lo, hi) iff uint64(v-lo) < uint64(hi-lo), the subtraction wrapping
-// the interval onto [0, width) whatever the signs.
-func Q6Kernel(dates, disc, qty, price []int64, n int, pred Q6Predicate, decided storage.Decided) (res Q6Result) {
+// the interval onto [0, width) whatever the signs. On a CPU with AVX2 the
+// kernel runs as one branch-free pass four rows at a time (q6_amd64.s), the
+// rows past the last multiple of four through the Go body, q6Sel, which is
+// the portable path and the reference the AVX2 body is tested against. A
+// race build always takes the Go body: the race detector does not see the
+// assembly's reads of a shared frame.
+func Q6Kernel(dates, disc, qty, price []int64, n int, pred Q6Predicate, decided storage.Decided) Q6Result {
+	return q6Body(hasAVX2 && !raceBuild, dates, disc, qty, price, n, pred, decided)
+}
+
+// q6Body is Q6Kernel on the body avx2 chooses.
+func q6Body(avx2 bool, dates, disc, qty, price []int64, n int, pred Q6Predicate, decided storage.Decided) Q6Result {
+	if !avx2 || decided == storage.None {
+		return q6Sel(dates, disc, qty, price, n, pred, decided)
+	}
+	// Resliced to n: a short column panics here rather than being read past.
+	disc, qty, price = disc[:n], qty[:n], price[:n]
+	all := decided == storage.All
+	if !all {
+		dates = dates[:n]
+	}
+	var res Q6Result
+	res.Revenue, res.Rows = q6AVX2(dates, disc, qty, price, pred.DateLo, uint64(pred.DateHi)-uint64(pred.DateLo),
+		pred.DiscLo, uint64(pred.DiscHi)-uint64(pred.DiscLo), pred.MaxQty, all)
+	if m := n &^ 3; m < n {
+		if !all {
+			dates = dates[m:]
+		}
+		res.Add(q6Sel(dates, disc[m:], qty[m:], price[m:], n-m, pred, decided))
+	}
+	return res
+}
+
+// q6Sel is the Go body, vector at a time: the date conjunct runs first over
+// the whole vector and writes the selection; on a chunk across an end of the
+// date range (no other still runs it) many vectors qualify no row and touch
+// neither disc, qty nor price.
+func q6Sel(dates, disc, qty, price []int64, n int, pred Q6Predicate, decided storage.Decided) (res Q6Result) {
 	if decided == storage.None {
 		return res
 	}
@@ -97,7 +130,7 @@ func Q6Kernel(dates, disc, qty, price []int64, n int, pred Q6Predicate, decided 
 
 // The four vector primitives below are functions of their own, kept from
 // being inlined back, so each compiles to a loop over a handful of
-// registers: as loops inside Q6Kernel, among its dozen live slice headers,
+// registers: as loops inside q6Sel, among its dozen live slice headers,
 // the register allocator spilled the cursors inside every pass (2.0 against
 // 1.0 ns/tuple on BenchmarkQ6Kernel). One call per primitive per 1024 rows
 // costs nothing.

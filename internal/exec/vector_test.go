@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,9 +23,9 @@ func genCols(g *tpch.Generator, start, n int64, cols ...int) [][]int64 {
 
 // q6Vectorized and q1Vectorized run the live kernels over generated rows, so
 // the tests below pin them against the scalar reference over the same rows.
-func q6Vectorized(g *tpch.Generator, start, n int64, pred Q6Predicate) Q6Result {
+func q6Vectorized(g *tpch.Generator, start, n int64, pred Q6Predicate, avx2 bool) Q6Result {
 	c := genCols(g, start, n, tpch.ColShipDate, tpch.ColDiscount, tpch.ColQuantity, tpch.ColExtendedPrice)
-	return q6Kernel(c, pred)
+	return q6Kernel(c, pred, avx2)
 }
 
 func q1Vectorized(g *tpch.Generator, start, n int64, dateMax int64, extraArith int) Q1Result {
@@ -36,9 +37,27 @@ func q1Vectorized(g *tpch.Generator, start, n int64, dateMax int64, extraArith i
 // q6Kernel and q1Kernel run the kernels told nothing of the chunk's bounds:
 // every pass runs, as on a chunk that carries none. (decided_test.go holds
 // the kernels given bounds against these.)
-func q6Kernel(c [][]int64, pred Q6Predicate) Q6Result {
-	res, _ := q6Bounded([4][]int64(c), pred, storage.AnyZone, storage.AnyZone, storage.AnyZone)
+func q6Kernel(c [][]int64, pred Q6Predicate, avx2 bool) Q6Result {
+	res, _ := q6Bounded(avx2, [4][]int64(c), pred, storage.AnyZone, storage.AnyZone, storage.AnyZone)
 	return res
+}
+
+// q6Bodies returns the Q6 kernel's bodies this CPU runs, for a test to check
+// each of: the Go body (false) and, unless CPUID reports no AVX2 — which it
+// logs — the AVX2 one (true).
+func q6Bodies(tb testing.TB) []bool {
+	if !hasAVX2 {
+		tb.Log("CPUID reports no AVX2: the Q6 kernel's AVX2 body is not checked")
+		return []bool{false}
+	}
+	return []bool{false, true}
+}
+
+func bodyName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "go"
 }
 
 func q1Kernel(c [][]int64, dateMax int64, extraArith int) Q1Result {
@@ -63,9 +82,10 @@ func TestQ6VectorizedMatchesScalar(t *testing.T) {
 	g := tpch.NewGenerator(tpch.LineitemTable(0.01), 21)
 	pred := DefaultQ6()
 	a := Q6Chunk(g, 0, 30000, pred)
-	b := q6Vectorized(g, 0, 30000, pred)
-	if a != b {
-		t.Errorf("scalar %+v != vectorized %+v", a, b)
+	for _, avx2 := range q6Bodies(t) {
+		if b := q6Vectorized(g, 0, 30000, pred, avx2); a != b {
+			t.Errorf("scalar %+v != vectorized %+v (%s body)", a, b, bodyName(avx2))
+		}
 	}
 	if a.Rows == 0 {
 		t.Error("empty result")
@@ -86,7 +106,13 @@ func TestQuickQ6VectorizedEquivalence(t *testing.T) {
 		}
 		pred.DateHi = pred.DateLo + rng.Int63n(tpch.DateMax-pred.DateLo+1)
 		pred.DiscHi = pred.DiscLo + rng.Int63n(4)
-		return Q6Chunk(g, start, n, pred) == q6Vectorized(g, start, n, pred)
+		want := Q6Chunk(g, start, n, pred)
+		for _, avx2 := range q6Bodies(t) {
+			if q6Vectorized(g, start, n, pred, avx2) != want {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -158,6 +184,10 @@ func synthQ6(seed int64, n int) (cols [4][]int64, pred Q6Predicate) {
 // of a vector, exactly one, one over, and several vectors with a short tail.
 var kernelRowCounts = []int{0, 1, vecRows - 1, vecRows, vecRows + 1, 3*vecRows + 77}
 
+// stepRowCounts are the counts from one to nine: the AVX2 body's four-row
+// steps with each tail, and none.
+var stepRowCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
+
 func TestQuickQ6KernelMatchesReference(t *testing.T) {
 	hits := 0
 	f := func(seed int64) bool {
@@ -165,7 +195,13 @@ func TestQuickQ6KernelMatchesReference(t *testing.T) {
 		c, pred := synthQ6(seed, n)
 		want := q6Ref(c[0], c[1], c[2], c[3], pred)
 		hits += b2i(want.Rows > 0)
-		return q6Kernel(c[:], pred) == want
+		for _, avx2 := range q6Bodies(t) {
+			if q6Kernel(c[:], pred, avx2) != want {
+				t.Logf("%s body differs from the reference", bodyName(avx2))
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Error(err)
@@ -185,19 +221,21 @@ func TestQuickQ6KernelMatchesReference(t *testing.T) {
 		{DateLo: math.MaxInt64 - 1, DateHi: math.MaxInt64, DiscLo: math.MaxInt64, DiscHi: math.MaxInt64, MaxQty: math.MinInt64},
 		{DateLo: -1, DateHi: 1, DiscLo: -1, DiscHi: 0, MaxQty: 1},
 	}
-	for _, n := range kernelRowCounts {
+	for _, n := range slices.Concat(kernelRowCounts, stepRowCounts) {
 		c, _ := synthQ6(int64(n)+1, n)
 		for _, pred := range preds {
-			got, want := q6Kernel(c[:], pred), q6Ref(c[0], c[1], c[2], c[3], pred)
-			if got != want {
-				t.Errorf("n=%d pred=%+v: kernel %+v, reference %+v", n, pred, got, want)
+			want := q6Ref(c[0], c[1], c[2], c[3], pred)
+			for _, avx2 := range q6Bodies(t) {
+				if got := q6Kernel(c[:], pred, avx2); got != want {
+					t.Errorf("%s body, n=%d pred=%+v: kernel %+v, reference %+v", bodyName(avx2), n, pred, got, want)
+				}
 			}
 		}
 	}
 }
 
 func FuzzQ6Kernel(f *testing.F) {
-	for i, n := range kernelRowCounts {
+	for i, n := range slices.Concat(kernelRowCounts, stepRowCounts) {
 		_, p := synthQ6(int64(i), 0)
 		f.Add(int64(i), uint16(n), p.DateLo, p.DateHi, p.DiscLo, p.DiscHi, p.MaxQty)
 	}
@@ -215,10 +253,92 @@ func FuzzQ6Kernel(f *testing.F) {
 				}
 			}
 		}
-		if got, want := q6Kernel(c[:], pred), q6Ref(c[0], c[1], c[2], c[3], pred); got != want {
-			t.Fatalf("pred=%+v n=%d: kernel %+v, reference %+v", pred, len(c[0]), got, want)
+		want := q6Ref(c[0], c[1], c[2], c[3], pred)
+		for _, avx2 := range q6Bodies(t) {
+			if got := q6Kernel(c[:], pred, avx2); got != want {
+				t.Fatalf("%s body, pred=%+v n=%d: kernel %+v, reference %+v", bodyName(avx2), pred, len(c[0]), got, want)
+			}
 		}
 	})
+}
+
+// TestQ6KernelRaggedColumns holds both bodies to the reference on the shapes
+// the AVX2 body's four-row step makes new: every row count from one to nine
+// and around a vector; columns starting one element into their arrays, so
+// no load is aligned; columns longer than n whose rows past n — and the
+// element before each column's start — pass every conjunct with a large
+// price, so a read past either end moves the sum; and, on an All decision,
+// nil dates.
+func TestQ6KernelRaggedColumns(t *testing.T) {
+	pred := Q6Predicate{DateLo: 100, DateHi: 200, DiscLo: 5, DiscHi: 7, MaxQty: 24}
+	poison := [4]int64{pred.DateLo, pred.DiscLo, pred.MaxQty - 1, 1 << 40}
+	// Per column, the values of the first n rows: around each conjunct's
+	// ends, and prices anywhere, so the product wraps.
+	windows := [3][2]int64{{50, 250}, {3, 9}, {20, 28}}
+	const past = 7
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range slices.Concat(stepRowCounts, []int{vecRows - 1, vecRows, vecRows + 1, vecRows + 6}) {
+		for _, decided := range []storage.Decided{storage.Some, storage.All} {
+			var c [4][]int64
+			for j := range c {
+				arr := make([]int64, 1+n+past)
+				for i := range arr {
+					arr[i] = poison[j]
+				}
+				c[j] = arr[1:]
+				for i := range c[j][:n] {
+					if j < 3 {
+						c[j][i] = windows[j][0] + rng.Int63n(windows[j][1]-windows[j][0]+1)
+					} else {
+						c[j][i] = edgeInt64(rng)
+					}
+				}
+			}
+			dates := c[0]
+			if decided == storage.All {
+				for i := range c[0][:n] {
+					c[0][i] = pred.DateLo + rng.Int63n(pred.DateHi-pred.DateLo)
+				}
+				dates = nil
+			}
+			want := q6Ref(c[0][:n], c[1][:n], c[2][:n], c[3][:n], pred)
+			for _, avx2 := range q6Bodies(t) {
+				if got := q6Body(avx2, dates, c[1], c[2], c[3], n, pred, decided); got != want {
+					t.Errorf("%s body, n=%d decided %d: kernel %+v, reference %+v", bodyName(avx2), n, decided, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestQ6KernelShortColumnPanics: a column the decision reads that holds
+// fewer than n rows is a bug in the caller, and each body panics on it
+// rather than reading past the column's end.
+func TestQ6KernelShortColumnPanics(t *testing.T) {
+	pred := Q6Predicate{DateLo: 0, DateHi: 10, DiscLo: 0, DiscHi: 10, MaxQty: 10}
+	const n = 8
+	for _, avx2 := range q6Bodies(t) {
+		for short := range 4 {
+			for _, decided := range []storage.Decided{storage.Some, storage.All} {
+				if short == 0 && decided == storage.All {
+					continue // the dates are not read
+				}
+				var c [4][]int64
+				for j := range c {
+					c[j] = make([]int64, n)
+				}
+				c[short] = c[short][: n-1 : n-1]
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s body, column %d one row short, decided %d: no panic", bodyName(avx2), short, decided)
+						}
+					}()
+					q6Body(avx2, c[0], c[1], c[2], c[3], n, pred, decided)
+				}()
+			}
+		}
+	}
 }
 
 // q1Ref is Q1Chunk's loop over column slices: the map-per-row reference for
@@ -386,12 +506,14 @@ func TestKernelAllocs(t *testing.T) {
 	// A predicate every vector passes its date conjunct under, so all
 	// passes run.
 	pred := Q6Predicate{DateLo: tpch.DateMin, DateHi: tpch.DateMax + 1, DiscLo: 5, DiscHi: 7, MaxQty: 24}
-	var q6 Q6Result
-	if a := testing.AllocsPerRun(20, func() { q6 = q6Kernel(c, pred) }); a != 0 {
-		t.Errorf("Q6Kernel: %v allocs per call, want 0", a)
-	}
-	if q6.Rows == 0 {
-		t.Error("Q6Kernel qualified no row")
+	for _, avx2 := range q6Bodies(t) {
+		var q6 Q6Result
+		if a := testing.AllocsPerRun(20, func() { q6 = q6Kernel(c, pred, avx2) }); a != 0 {
+			t.Errorf("Q6Kernel, %s body: %v allocs per call, want 0", bodyName(avx2), a)
+		}
+		if q6.Rows == 0 {
+			t.Errorf("Q6Kernel, %s body: qualified no row", bodyName(avx2))
+		}
 	}
 	q := genCols(g, 0, n, tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
 		tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus)
