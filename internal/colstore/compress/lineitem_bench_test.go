@@ -5,9 +5,12 @@ package compress_test
 // lineitem column from a 786 432-row table, under the scheme the table writer
 // picks for it — the cheapest of PFOR / PFOR-DELTA / PDICT on the column's
 // first chunk. A decode iteration is one DecodeIntsInto into a warm
-// destination, as the load path does it; ns/value is the figure the suite
-// reports as compress.decode_ns_per_value.*. For iterating on the codec in
-// seconds; not a record.
+// destination, Check and DecodeChecked back to back, as the suite's probe
+// times it for compress.decode_ns_per_value.*. The live engine splits the
+// two: the load runs Check on the stored buffer and a part's first reader
+// runs DecodeChecked into its frame, so the "checked/" sub-benchmarks time
+// DecodeChecked alone, what a first read pays. In ns/value; for iterating
+// on the codec in seconds, not a record.
 
 import (
 	"fmt"
@@ -48,12 +51,14 @@ func BenchmarkDecodeLineitem(b *testing.B) {
 	names, schemes, stripes := benchStripes(b)
 	bufs := make([][]byte, len(stripes))
 	dst := make([]int64, stripeValues)
-	decode := func(b *testing.B, bufs [][]byte) {
+	decode := func(b *testing.B, bufs [][]byte, checked bool) {
 		b.SetBytes(int64(8 * stripeValues * len(bufs)))
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			for _, buf := range bufs {
-				if _, err := compress.DecodeIntsInto(dst, buf); err != nil {
+				if checked {
+					compress.DecodeChecked(dst, buf)
+				} else if _, err := compress.DecodeIntsInto(dst, buf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,10 +70,18 @@ func BenchmarkDecodeLineitem(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := compress.Check(buf); err != nil {
+			b.Fatal(err)
+		}
 		bufs[i] = buf
-		b.Run(fmt.Sprintf("%s/%v-w%d", names[i], schemes[i], buf[1]), func(b *testing.B) { decode(b, bufs[i:i+1]) })
 	}
-	b.Run("all-ten", func(b *testing.B) { decode(b, bufs) })
+	for _, prefix := range []string{"", "checked/"} {
+		checked := prefix != ""
+		for i, buf := range bufs {
+			b.Run(fmt.Sprintf("%s%s/%v-w%d", prefix, names[i], schemes[i], buf[1]), func(b *testing.B) { decode(b, bufs[i:i+1], checked) })
+		}
+		b.Run(prefix+"all-ten", func(b *testing.B) { decode(b, bufs, checked) })
+	}
 }
 
 func BenchmarkEncodeLineitem(b *testing.B) {
