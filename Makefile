@@ -155,7 +155,11 @@ fuzz-decode:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/colstore/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckThenDecode$$' -fuzztime $(FUZZTIME) ./internal/colstore/compress/
 
-# Fuzz the two kernels, FUZZTIME each. The Q6 kernel given a chunk's bounds
+# Fuzz the two kernels, FUZZTIME each; every Q6 target checks both of the
+# Q6 kernel's bodies, the Go one and, where the CPU has AVX2, the assembly.
+# FuzzQ6Kernel: edge-valued columns and an arbitrary predicate, its bounds
+# planted in the data, against the scalar reference (internal/exec/
+# vector_test.go). FuzzQ6KernelDecided: the kernel given a chunk's bounds
 # against the kernel given none and the scalar reference
 # (internal/exec/decided_test.go): columns clustered around one predicate, an
 # arbitrary second predicate, the columns' true bounds and widened ones —
@@ -165,6 +169,7 @@ fuzz-decode:
 # table holds, any dateMax and round count, block-ragged lengths, the true
 # bounds and none. Findings land under internal/exec/testdata/fuzz/.
 fuzz-kernels:
+	$(GO) test -run '^$$' -fuzz '^FuzzQ6Kernel$$' -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzQ6KernelDecided$$' -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzQ1Kernel$$' -fuzztime $(FUZZTIME) ./internal/exec/
 
@@ -247,9 +252,12 @@ bench-sched:
 # them: outside the predicate's dates (no column read — tens of ns per chunk),
 # inside them (no date pass), and across their upper end (most of inside's
 # work plus the date pass); Q1's SLOW scans on dsmz-cpu meet inside and edge.
+# Each Q6 shape runs on both of the kernel's bodies in turn (inside/go, then
+# inside/avx2 where the CPU has AVX2), so one run compares them.
 # internal/colstore/compress/lineitem_bench_test.go: decode and encode of one
 # 16 384-value stripe of each stored lineitem column under the scheme the
-# table writer picks for it, in ns/value.
+# table writer picks for it, in ns/value, and DecodeChecked alone, what a
+# part's first reader pays after the load's Check.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Benchmark(Q6|Q1)Kernel' -benchmem -benchtime $(BENCHTIME) ./internal/exec/
 	$(GO) test -run '^$$' -bench 'Benchmark(Decode|Encode)Lineitem' -benchmem -benchtime $(BENCHTIME) ./internal/colstore/compress/
