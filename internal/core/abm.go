@@ -335,6 +335,9 @@ type strategy interface {
 	// space has been ensured): the elevator logs the interested queries and
 	// advances its cursor here.
 	commitLoad(d LoadDecision)
+	// dropLoad undoes commitLoad's bookkeeping for a live ticket that
+	// aborted: its parts are absent again, so nobody waits on them.
+	dropLoad(d LoadDecision)
 }
 
 // New creates an ABM over the layout, backed by the simulated disk, and

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"coopscan/internal/storage"
 )
 
@@ -161,6 +163,15 @@ func (s *elevStrategy) commitLoad(d LoadDecision) {
 	}
 	s.outstanding = append(s.outstanding, entry)
 	s.cursor = (d.Chunk + 1) % a.layout.NumChunks()
+}
+
+// dropLoad forgets the aborted chunk's outstanding entries. Its parts are
+// absent again, so the recorded queries cannot consume it until the sweep
+// comes back round to load it; an entry left behind would count against
+// the window until they finish, and a window full of such entries would
+// stop the loader with every query waiting on it.
+func (s *elevStrategy) dropLoad(d LoadDecision) {
+	s.outstanding = slices.DeleteFunc(s.outstanding, func(e *elevEntry) bool { return e.chunk == d.Chunk })
 }
 
 // EnsureSpace evicts LRU victims but never outstanding (loader-loaded,

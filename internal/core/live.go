@@ -279,6 +279,7 @@ func (a *ABM) abortLoad(d LoadDecision) {
 			a.cache.abortLoad(k)
 		}
 	}
+	a.strat.dropLoad(d)
 }
 
 // Pin pins every part of chunk c that q reads (the chunk must be fully

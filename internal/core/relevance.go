@@ -53,6 +53,7 @@ func (s *relevStrategy) Consumed(*Query, int) {}
 // commitLoad is a no-op: relevance keeps no per-load bookkeeping beyond
 // what the cache state transitions already record.
 func (s *relevStrategy) commitLoad(LoadDecision) {}
+func (s *relevStrategy) dropLoad(LoadDecision)   {}
 
 // ---- CScan side -----------------------------------------------------------
 

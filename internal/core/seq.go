@@ -105,8 +105,9 @@ func (s *seqStrategy) nextLoad() (LoadDecision, bool) {
 	return LoadDecision{}, false
 }
 
-// commitLoad is a no-op for the sequential policies.
+// commitLoad and dropLoad are no-ops for the sequential policies.
 func (s *seqStrategy) commitLoad(LoadDecision) {}
+func (s *seqStrategy) dropLoad(LoadDecision)   {}
 
 // PickAvailable delivers the next chunk in (possibly wrapped) cursor order
 // once it is fully resident, advancing the cursor (live engine only; the

@@ -173,3 +173,26 @@ func TestOpenTicketShieldsResidentSiblings(t *testing.T) {
 		t.Errorf("%d tickets behind, %d assembly marks left after every landing", len(behind), len(a.assembling))
 	}
 }
+
+// The elevator waits on every chunk it loaded until the queries recorded at
+// load time consume it, and loads nothing while ElevatorWindow such chunks
+// are outstanding. An aborted ticket leaves its chunk absent, so nobody can
+// consume it: four aborts in a row once filled the window for good, with
+// the one query blocked and buffer free.
+func TestElevatorAbortsDoNotFillTheWindow(t *testing.T) {
+	layout := nsmTestLayout(16)
+	a := NewLiveManager(&stepClock{}, Config{Policy: Elevator}).Attach(layout, 8<<20)
+	q := a.NewQuery("q", storage.NewRangeSet(storage.Range{Start: 0, End: 16}), 0)
+	a.Register(q)
+	for i := 0; i < a.cfg.ElevatorWindow; i++ {
+		ld := a.IssueLoad(nil)
+		if ld == nil {
+			t.Fatalf("load %d not issued", i)
+		}
+		ld.Abort()
+	}
+	q.SetBlocked(true)
+	if ld := a.IssueLoad(nil); ld == nil {
+		t.Fatalf("no load issued after %d aborts: %v", a.cfg.ElevatorWindow, a.AuditStalled())
+	}
+}
