@@ -94,15 +94,17 @@ soak:
 	@$(call must-pass,-race -count=1,./internal/engine/,TestFaultSoak)
 
 # must-pass runs the tests named in $(3), exact top-level names, in package
-# $(2) with the go test flags $(1), prints the -v output, and fails unless it
-# shows every named test passing. `go test -run` passes when a name matches
+# $(2) with the go test flags $(1) and the optional arguments $(4) after the
+# package (e.g. `-args -soak.seeds=1,2`), prints the -v output, and fails
+# unless it shows every named test passing. `go test -run` passes when a name matches
 # nothing, so a step that names a test would go green having run nothing
 # after a rename or a skip; every target and CI step that names tests goes
 # through here (test-named is the form CI calls).
 empty :=
 space := $(empty) $(empty)
+comma := ,
 must-pass = log=$$(mktemp); \
-	$(GO) test -v $(1) -run '^($(subst $(space),|,$(strip $(3))))$$' $(2) > $$log 2>&1; st=$$?; \
+	$(GO) test -v $(1) -run '^($(subst $(space),|,$(strip $(3))))$$' $(2) $(4) > $$log 2>&1; st=$$?; \
 	cat $$log; \
 	for t in $(strip $(3)); do \
 		[ $$st -ne 0 ] || grep -q -- "^--- PASS: $$t " $$log || { echo "$$t did not run: the name is stale"; st=1; }; \
@@ -183,20 +185,20 @@ fuzz-kernels:
 #
 #	make soak-rand SEEDS=12345
 soak-rand:
-	$(GO) test -race -count=1 -run 'TestSoakRand' -v ./internal/soak/ -args -soak.seeds=$(SEEDS)
+	@$(call must-pass,-race -count=1,./internal/soak/,TestSoakRand,-args -soak.seeds=$(SEEDS))
 
 # The long run: the same soak over seeds 1-500, about a second per seed on
 # two vCPUs, so past go test's default ten-minute timeout. A failure that
 # eight seeds miss, one seed in a hundred, shows here; CI runs it nightly.
 # Replay a failing seed with `make soak-rand SEEDS=<seed>`.
 soak-long:
-	$(GO) test -race -count=1 -timeout 60m -run 'TestSoakRand' -v ./internal/soak/ -args -soak.seeds=$$(seq -s, 1 500)
+	@$(call must-pass,-race -count=1 -timeout 60m,./internal/soak/,TestSoakRand,-args -soak.seeds=$$(seq -s$(comma) 1 500))
 
 # Determinism is asserted, not claimed: every seed's core-layer soak runs
 # twice and the two event digests (every proposal, veto, landing, pick,
 # eviction and grant, in order) must be equal.
 test-soak-nondeterminism:
-	$(GO) test -count=1 -run 'TestSoakCoreDeterministic' -v ./internal/soak/ -args -soak.seeds=$(SEEDS)
+	@$(call must-pass,-count=1,./internal/soak/,TestSoakCoreDeterministic,-args -soak.seeds=$(SEEDS))
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

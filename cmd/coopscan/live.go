@@ -97,7 +97,7 @@ func (o *liveOpts) header(tfs []*engine.TableFile) {
 // device). With -dsm the files are stored column-major, so queries read
 // only the columns they project — the paper's §5 DSM cooperative scans.
 // With several tables this is the paper's §7 scenario executed for real:
-// per-table ABMs, the demand-driven budget arbiter, and a bounded
+// per-table ABMs, the footprint-split budget arbiter, and a bounded
 // in-flight load queue overlapping reads across tables.
 func runLive(cmd string, args []string) {
 	o := parseLive(cmd, args)

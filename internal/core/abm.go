@@ -83,7 +83,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"coopscan/internal/disk"
@@ -218,13 +217,6 @@ type ABM struct {
 	// blocked?" eviction relaxation is one comparison instead of a registry
 	// walk.
 	blockedCount int
-
-	// demandBytes maintains the DemandBytes sum (per-query remaining ×
-	// per-chunk footprint, starved doubled) — so the budget arbiter's
-	// per-scheduler-pass demand polls are O(1) reads instead of registry
-	// walks. Query.demandContrib holds each query's term. Atomic, so the
-	// arbiter's poll reads it without the caller's table lock.
-	demandBytes atomic.Int64
 
 	// chunkQueries[c] lists the registered queries that still need chunk c
 	// (Query.chunkPos[c] is the slot), so part residency events touch only
@@ -467,7 +459,6 @@ func (a *ABM) Register(q *Query) {
 	a.regSeq++
 	q.loadPos = -1
 	q.abm = a
-	q.chunkBytesAvg = a.queryChunkBytes(q)
 	a.queries = append(a.queries, q)
 	a.candDirty = true
 	q.group = a.joinGroup(q.Cols)
@@ -492,7 +483,6 @@ func (a *ABM) Register(q *Query) {
 	}
 	q.avail.init()
 	a.updateStarveFlags(q)
-	a.refreshDemand(q)
 	a.strat.Register(q)
 	a.broadcast()
 }
@@ -529,8 +519,6 @@ func (a *ABM) unregister(q *Query) {
 		}
 	}
 	q.starved, q.almostStarved = false, false
-	a.demandBytes.Add(-q.demandContrib)
-	q.demandContrib = 0
 	q.SetBlocked(false)
 	q.abm = nil
 	q.waker = nil
@@ -594,7 +582,6 @@ func (a *ABM) Release(q *Query, c int) {
 	a.markVicDirty(c)
 	a.loseAvailability(q, c)
 	q.lastService = a.clock.Now()
-	a.refreshDemand(q)
 	a.candFix(q)
 	a.strat.Consumed(q, c)
 	a.broadcast()
@@ -704,7 +691,6 @@ func (a *ABM) updateStarveFlags(q *Query) {
 			group = q.group.starved
 		}
 		a.bumpNeededCounts(a.starvedInterest, group, q, flipDelta(starved))
-		a.refreshDemand(q)
 	}
 	if almost != q.almostStarved {
 		q.almostStarved = almost
@@ -783,19 +769,6 @@ func (a *ABM) candRebuild() {
 	}
 	a.loadCands.init()
 	a.candDirty = false
-}
-
-// refreshDemand recomputes q's term of the maintained DemandBytes sum
-// (remaining × per-chunk footprint, doubled while starved) and folds the
-// delta into the ABM total. Called at registration, consumption and
-// starvation flips — the only events that move the term.
-func (a *ABM) refreshDemand(q *Query) {
-	contrib := int64(float64(q.remaining()) * q.chunkBytesAvg)
-	if q.starved {
-		contrib *= 2
-	}
-	a.demandBytes.Add(contrib - q.demandContrib)
-	q.demandContrib = contrib
 }
 
 // markVicDirty flags chunk c for re-keying in the incremental victim heap

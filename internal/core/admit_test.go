@@ -29,7 +29,7 @@ func scanOf(a *ABM, name string, start, end int, cols storage.ColSet) *Query {
 }
 
 // TestQueuedQueryIsInNoIndex: a queued query moves no interest counter, no
-// column group, no demand and no blocked count, passes the incremental
+// column group and no blocked count, passes the incremental
 // audit, and cannot be picked although a chunk it needs is resident —
 // until AdmitQueued registers it.
 func TestQueuedQueryIsInNoIndex(t *testing.T) {
@@ -49,7 +49,7 @@ func TestQueuedQueryIsInNoIndex(t *testing.T) {
 
 				interest := slices.Clone(a.interestCount)
 				starved, almost := slices.Clone(a.starvedInterest), slices.Clone(a.almostInterest)
-				demand, blocked, groups := a.DemandBytes(), a.blockedCount, len(a.groups)
+				blocked, groups := a.blockedCount, len(a.groups)
 				q := scanOf(a, "q", 0, 8, cols)
 				a.Enqueue(q)
 				q.SetBlocked(true)
@@ -57,9 +57,9 @@ func TestQueuedQueryIsInNoIndex(t *testing.T) {
 					!slices.Equal(a.almostInterest, almost) || len(a.groups) != groups {
 					t.Error("enqueueing moved an interest counter or a column group")
 				}
-				if a.DemandBytes() != demand || a.blockedCount != blocked || len(a.queries) != 1 {
-					t.Errorf("demand %d → %d, blocked %d → %d, %d registered: want all unchanged",
-						demand, a.DemandBytes(), blocked, a.blockedCount, len(a.queries))
+				if a.blockedCount != blocked || len(a.queries) != 1 {
+					t.Errorf("blocked %d → %d, %d registered: want both unchanged",
+						blocked, a.blockedCount, len(a.queries))
 				}
 				auditIncrementalState(t, a, "query queued")
 				if got := a.Policy().PickAvailable(q); got != -1 {
@@ -68,9 +68,8 @@ func TestQueuedQueryIsInNoIndex(t *testing.T) {
 
 				a.AdmitQueued()
 				auditIncrementalState(t, a, "query admitted")
-				if a.interestCount[c] != interest[c]+1 || a.DemandBytes() <= demand {
-					t.Errorf("admitted: interest in chunk %d %d → %d, demand %d → %d",
-						c, interest[c], a.interestCount[c], demand, a.DemandBytes())
+				if a.interestCount[c] != interest[c]+1 {
+					t.Errorf("admitted: interest in chunk %d %d → %d", c, interest[c], a.interestCount[c])
 				}
 				if got := a.Policy().PickAvailable(q); got != c {
 					t.Errorf("admitted query picks %d, want resident chunk %d", got, c)

@@ -10,8 +10,7 @@ import (
 // This file is the live-engine surface of the ABM: the entry points
 // internal/engine uses to drive the same bookkeeping the simulation driver
 // uses, minus the simulated disk. The engine serialises every call on one
-// ABM under that table's own mutex (DemandBytes alone is safe without it);
-// nothing here blocks.
+// ABM under that table's own mutex; nothing here blocks.
 
 // Policy exposes the decision core of the configured policy.
 func (a *ABM) Policy() SchedulerPolicy { return a.strat }
@@ -41,31 +40,6 @@ func (a *ABM) SetBufferBytes(n int64) {
 	a.broadcast()
 }
 
-// DemandBytes estimates the table's outstanding work in bytes: for every
-// registered query, the bytes its remaining chunks still have to deliver
-// (its column subset only, in DSM), with starved queries counted twice.
-// The budget arbiter (Manager.Rebalance) weighs tables by it — §7.1's
-// "system-wide load", not just stream arity. The sum is maintained
-// incrementally (refreshDemand) and published atomically, so the arbiter's
-// per-pass poll is one atomic load per table, taken without its lock.
-func (a *ABM) DemandBytes() int64 { return a.demandBytes.Load() }
-
-// queryChunkBytes returns the average bytes one chunk delivers to q: the
-// query's column footprint per chunk in DSM, the table-average chunk size
-// otherwise.
-func (a *ABM) queryChunkBytes(q *Query) float64 {
-	if d, ok := a.layout.(*storage.DSMLayout); ok {
-		var per float64
-		q.Cols.Each(func(col int) { per += d.ColumnBytesPerChunk(col) })
-		return per
-	}
-	n := a.layout.NumChunks()
-	if n == 0 {
-		return 0
-	}
-	return float64(layoutBytes(a.layout)) / float64(n)
-}
-
 // SetEvictHook installs an observer invoked for every part eviction with
 // the part's (chunk, column) key — column is -1 for NSM parts — and its
 // frame. The live engine returns the frame to its allocator there.
@@ -74,7 +48,7 @@ func (a *ABM) SetEvictHook(h func(chunk, col int, frame any)) { a.onEvict = h }
 // Enqueue queues a built query for admission by the next AdmitQueued (a
 // CScan "registers itself as an active scan", §4, through this queue in the
 // live engine). A queued query is not in the registry: it adds no interest
-// count and no demand, is never marked blocked, so the relevance policy's
+// count, is never marked blocked, so the relevance policy's
 // every-query-blocked relaxation does not count it, and it picks nothing.
 // Finish takes it back out without a trace.
 func (a *ABM) Enqueue(q *Query) {

@@ -14,7 +14,8 @@ import (
 // live engine resolves them from its registry and installs them with
 // SetMetrics.
 type ManagerMetrics struct {
-	// Rebalances counts arbiter runs (Rebalance calls).
+	// Rebalances counts arbiter runs (Rebalance calls): in the live engine,
+	// one at server start, one per attach and one per detach.
 	Rebalances *obs.Counter
 	// GrantBytes tracks each table's current grant, labelled by the table's
 	// registration name.
@@ -38,9 +39,9 @@ type ManagerMetrics struct {
 // Live mode (NewLiveManager) attaches live ABMs (NewLive) under a shared
 // wall clock, and additionally acts as the *budget arbiter* of the live
 // multi-table engine: Rebalance re-divides one shared buffer budget across
-// the attached tables when their demand (the bytes their streams still have
-// to scan) shifts (DemandShifted) — the §7.1 observation that ABM "can
-// easily adjust itself to a changed buffer size".
+// the attached tables by footprint — the split SplitBuffer gives the
+// simulator — whenever a table attaches or detaches, the §7.1 observation
+// that ABM "can easily adjust itself to a changed buffer size".
 type Manager struct {
 	env   *sim.Env // nil in live mode
 	dsk   *disk.Disk
@@ -53,19 +54,14 @@ type Manager struct {
 
 	tables map[string]*ABM
 	order  []arbTable
-	// rebaseline is set by an attach: the next DemandShifted reports true
-	// and re-baselines every table's stored weight.
-	rebaseline bool
 
 	metrics ManagerMetrics
 }
 
-// arbTable is one attached table in attach order, with the demand weight
-// the arbiter last ran with for it (see DemandShifted).
+// arbTable is one attached table in attach order.
 type arbTable struct {
-	name   string
-	abm    *ABM
-	weight int64
+	name string
+	abm  *ABM
 }
 
 // SetMetrics installs the arbiter's metric handles (see ManagerMetrics).
@@ -121,7 +117,6 @@ func (m *Manager) AttachAs(name string, layout storage.Layout, bufferBytes int64
 	}
 	m.tables[name] = a
 	m.order = append(m.order, arbTable{name: name, abm: a})
-	m.rebaseline = true
 	return a
 }
 
@@ -209,25 +204,19 @@ func chunkFloorBytes(l storage.Layout) int64 {
 
 // Rebalance is the live engine's budget arbiter: it re-divides the shared
 // budget of total bytes across the attached tables in proportion to their
-// current demand — each table weighs the bytes its registered streams
-// still have to scan (DemandBytes: remaining chunk bytes per query, with
-// starved streams doubled), so a table whose streams are starving over a
-// lot of outstanding data pulls budget away from one that is idle,
-// coasting on buffer hits, or finishing its last chunks. Every table keeps
-// a floor of two chunks (the minimum to overlap one load with one
-// consumption), and the split of the remainder falls back to even shares
-// when nothing is registered.
+// on-disk footprint, the weight SplitBuffer uses. Every table keeps a floor
+// of two chunks (the minimum to overlap one load with one consumption),
+// and the remainder splits by footprint. The engine runs it when the table
+// set changes: at server start, on every attach and on every detach.
 //
 // Grants are applied through SetBufferBytes with one safety rule: a table
 // is never granted less than it currently uses, and the overage is charged
 // against the tables granted more than their usage and floor. A table at
 // its grant makes room for its next load by evicting its own parts, so its
-// usage does not drop: once every table has filled its grant the split
-// stops moving, and the arbiter only ever grows a grant into budget nobody
-// uses (docs/ARCHITECTURE.md, "No-shrink-below-usage rule"). When the
-// overage exceeds the headroom — an attach under full usage — every table
-// keeps its usage and floor, and the grants sum above total until a detach
-// frees budget.
+// usage does not drop (docs/ARCHITECTURE.md, "No-shrink-below-usage
+// rule"). When the overage exceeds the headroom — an attach under full
+// usage — every table keeps its usage and floor, and the grants sum above
+// total until a detach frees budget.
 //
 // It returns the applied grants in attach order.
 func (m *Manager) Rebalance(total int64) []int64 {
@@ -237,16 +226,16 @@ func (m *Manager) Rebalance(total int64) []int64 {
 	}
 	floors := make([]int64, n)
 	used := make([]int64, n)
-	weights := make([]float64, n)
+	sizes := make([]float64, n)
 	var sumFloor int64
-	var sumW float64
+	var sumSize float64
 	for i, t := range m.order {
 		a := t.abm
 		floors[i] = chunkFloorBytes(a.layout)
 		used[i] = a.UsedBytes()
-		weights[i] = float64(a.DemandBytes())
+		sizes[i] = float64(layoutBytes(a.layout))
 		sumFloor += floors[i]
-		sumW += weights[i]
+		sumSize += sizes[i]
 	}
 	rem := total - sumFloor
 	if rem < 0 {
@@ -254,11 +243,7 @@ func (m *Manager) Rebalance(total int64) []int64 {
 	}
 	targets := make([]int64, n)
 	for i := range targets {
-		share := rem / int64(n)
-		if sumW > 0 {
-			share = int64(float64(rem) * weights[i] / sumW)
-		}
-		targets[i] = floors[i] + share
+		targets[i] = floors[i] + int64(float64(rem)*sizes[i]/sumSize)
 	}
 	// Apply the no-shrink-below-usage rule, charging the overage against the
 	// tables with headroom (granted above both their usage and their floor).
@@ -298,43 +283,6 @@ func (m *Manager) Rebalance(total int64) []int64 {
 		}
 	}
 	return grants
-}
-
-// DemandShifted is the arbiter's re-run rule: a table's weight moved when it
-// flipped between zero and non-zero or shifted by at least an eighth of the
-// weight the arbiter last ran with for it. Only a moved weight is stored, so
-// a slow drift still adds up, while the crumb every consumed chunk takes off
-// byte demand does not churn budgets. The first call after an attach reports
-// true and re-baselines every weight. It is the live engine's per-pass call:
-// it reads only DemandBytes, so the caller takes the table locks Rebalance
-// needs only when it reports true, and it allocates nothing.
-func (m *Manager) DemandShifted() bool {
-	shifted := m.rebaseline
-	for i := range m.order {
-		t := &m.order[i]
-		if w := t.abm.DemandBytes(); m.rebaseline || weightShifted(t.weight, w) {
-			t.weight = w
-			shifted = true
-		}
-	}
-	m.rebaseline = false
-	return shifted
-}
-
-// weightShifted is DemandShifted's per-table test: a zero/non-zero
-// flip, or a move of at least an eighth of the stored weight.
-func weightShifted(old, new int64) bool {
-	if old == new {
-		return false
-	}
-	if old == 0 || new == 0 {
-		return true
-	}
-	d := new - old
-	if d < 0 {
-		d = -d
-	}
-	return d*8 >= old
 }
 
 // SplitBuffer divides a total buffer budget across layouts proportionally

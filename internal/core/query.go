@@ -60,11 +60,6 @@ type Query struct {
 	// chunkPos[c] is the query's slot in the ABM's chunkQueries[c] inverted
 	// index (registered queries still needing chunk c), or -1.
 	chunkPos []int
-	// demandContrib is the query's current term in the ABM's maintained
-	// DemandBytes sum: remaining chunks × per-chunk byte footprint, doubled
-	// while starved. chunkBytesAvg caches the footprint at registration.
-	demandContrib int64
-	chunkBytesAvg float64
 	// waker, when set (live engine), is invoked whenever the query gains an
 	// available chunk — the engine wakes exactly that stream instead of
 	// broadcasting to every parked goroutine.

@@ -17,8 +17,8 @@ import (
 // its own (ErrAttachIncompatible); otherwise it builds the table's runtime
 // state in the next slot and registers its ABM with the budget arbiter at
 // the floor, publishing the new slot snapshot. The caller runs the arbiter,
-// which grants the rest of the budget by demand. Callers hold Server.mu, or
-// are NewServer.
+// which grants the rest of the budget by footprint. Callers hold Server.mu,
+// or are NewServer.
 func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
@@ -106,9 +106,10 @@ func (s *Server) live(name string) (int, bool) {
 func (s *Server) TableName(i int) string { return s.slots()[i].name }
 
 // rebalance runs the budget arbiter holding every attached table's lock, in
-// slot order, and returns its grants. Callers hold Server.mu, or are
-// NewServer.
-func (s *Server) rebalance() []int64 {
+// slot order, and traces its grants. It is called when the table set
+// changes: by NewServer, Attach and finalizeDetaches. Callers hold
+// Server.mu, or are NewServer.
+func (s *Server) rebalance() {
 	var held []*serverTable
 	for _, t := range s.slots() {
 		if !t.detached {
@@ -120,17 +121,6 @@ func (s *Server) rebalance() []int64 {
 	for _, t := range held {
 		t.mu.Unlock()
 	}
-	return grants
-}
-
-// maybeRebalance re-runs the budget arbiter when the tables' demand has
-// shifted (core.Manager.DemandShifted owns the rule, and reads no table
-// state a lock guards). Runs under Server.mu.
-func (s *Server) maybeRebalance() {
-	if !s.mgr.DemandShifted() {
-		return
-	}
-	grants := s.rebalance()
 	if s.o.tracer != nil {
 		s.o.schedTrack.Instant("rebalance", obs.Args{"grants": grants})
 	}

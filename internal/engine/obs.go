@@ -195,7 +195,7 @@ func managerMetrics(reg *obs.Registry) core.ManagerMetrics {
 	}
 	return core.ManagerMetrics{
 		Rebalances: reg.Counter("coopscan_arbiter_rebalances_total",
-			"Budget arbiter runs."),
+			"Budget arbiter runs: one at server start, one per Attach and one per detach."),
 		GrantBytes: reg.GaugeVec("coopscan_arbiter_grant_bytes",
 			"Current arbiter grant per table.", "table"),
 	}

@@ -172,6 +172,13 @@ func TestServerObsEndToEnd(t *testing.T) {
 		t.Errorf("pprof status = %d", resp.StatusCode)
 	}
 
+	// Attach a third table: the budget covers exactly two chunks of each of
+	// the three, and the arbiter run the Attach makes is traced with three
+	// grants.
+	if _, err := srv.Attach("third", newTestFileFormat(t, NSM, rows/3, tpc, 3)); err != nil {
+		t.Fatal(err)
+	}
+
 	// Close the server, then the trace, and validate the file end to end.
 	// After Close every cached view is released, so the pinned-pages gauge
 	// must read zero.
@@ -188,13 +195,24 @@ func TestServerObsEndToEnd(t *testing.T) {
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	validateTraceFile(t, tracePath)
+	var attachRun bool
+	for _, ev := range validateTraceFile(t, tracePath) {
+		if ev["ph"] == "i" && ev["name"] == "rebalance" {
+			args, _ := ev["args"].(map[string]any)
+			grants, _ := args["grants"].([]any)
+			attachRun = attachRun || len(grants) == 3
+		}
+	}
+	if !attachRun {
+		t.Error("trace has no rebalance instant with three grants after the Attach")
+	}
 }
 
 // validateTraceFile decodes a finished trace file as strict Chrome
 // trace-event JSON and asserts the shape Perfetto requires: a JSON array of
 // events, metadata naming every track, complete spans with non-negative
-// durations, and the span names the scan/load pipelines emit.
+// durations, and the span names the scan/load pipelines emit. It returns
+// the decoded events.
 // TestStatusDocumentKeys pins the shape of the /statusz document: its
 // top-level keys and the keys of one table entry, as StatusSnapshot marshals
 // them. The serving tier embeds the document and operators read it, so a
@@ -230,7 +248,7 @@ func TestStatusDocumentKeys(t *testing.T) {
 	}
 }
 
-func validateTraceFile(t *testing.T, path string) {
+func validateTraceFile(t *testing.T, path string) []map[string]any {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -287,4 +305,5 @@ func validateTraceFile(t *testing.T, path string) {
 			t.Errorf("trace has no %q span (saw %v)", want, spanNames)
 		}
 	}
+	return events
 }

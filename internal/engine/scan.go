@@ -208,8 +208,8 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	s.wake()
 	// leave is the stream's one exit: close an open wait span, finish the
 	// query (unregistered, or taken out of the queue), count the outcome,
-	// and kick the scheduler off the lock — a departing query shifts demand
-	// and may be what a detach is quiescing on (after Close the scheduler is
+	// and kick the scheduler off the lock — a departing query changes what
+	// is worth loading and may be what a detach is quiescing on (after Close the scheduler is
 	// gone and the token is never read).
 	leave := func(err error, outcome *tally) (core.Stats, error) {
 		closeWait()

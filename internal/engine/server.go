@@ -70,9 +70,9 @@ type ServerConfig struct {
 	// decision core with the simulator).
 	Policy core.Policy
 	// BufferBytes is the *shared* buffer budget across all tables. The
-	// budget arbiter (core.Manager.Rebalance) re-divides it between the
-	// per-table ABMs as demand shifts; it must cover at least two chunks
-	// of every attached table.
+	// budget arbiter (core.Manager.Rebalance) divides it between the
+	// per-table ABMs by footprint whenever a table attaches or detaches;
+	// it must cover at least two chunks of every attached table.
 	BufferBytes int64
 	// InFlightDepth bounds the number of chunk loads the scheduler may
 	// have outstanding at once, across all tables. Depth 1 reproduces the
@@ -222,13 +222,14 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // and the scheduler admits every live table's queue once per pass — its call
 // of core.ABM.AdmitQueued is the only one — so a query enqueued during pass
 // k is registered and pickable at pass k+1. That is the engine's fairness
-// valve: a burst of arrivals joins as one batch, under one arbiter run,
-// behind the streams already delivering.
+// valve: a burst of arrivals joins as one batch, behind the streams already
+// delivering.
 //
-// The budget arbiter (core.Manager) runs inside the scheduler loop:
-// whenever demand shifts (DemandShifted) it re-divides the budget by
-// demand, but never grants a table less than it currently uses, so every
-// table's frames stay within its grant (AuditTables checks it).
+// The budget arbiter (core.Manager) runs when the table set changes — at
+// NewServer, on every Attach and on every detach's finalisation: it
+// re-divides the budget by table footprint, but never grants a table less
+// than it currently uses, so every table's frames stay within its grant
+// (AuditTables checks it).
 type Server struct {
 	cfg ServerConfig
 
@@ -332,9 +333,8 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 
 // scheduler is the live ABM decision loop: each pass admits every live
 // table's queued scans under that table's lock (the one call of
-// core.ABM.AdmitQueued; see Server), finalises quiesced detaches and keeps
-// the budget arbiter current under Server.mu, and keeps up to InFlightDepth
-// loads issued across the tables, then parks until a kick says a
+// core.ABM.AdmitQueued; see Server), finalises quiesced detaches under
+// Server.mu, and keeps up to InFlightDepth loads issued across the tables, then parks until a kick says a
 // completion, release, arrival or departure changed the world.
 func (s *Server) scheduler() {
 	defer close(s.schedDone)
@@ -349,7 +349,6 @@ func (s *Server) scheduler() {
 		}
 		s.mu.Lock()
 		s.finalizeDetaches()
-		s.maybeRebalance()
 		s.mu.Unlock()
 		if s.o.inflight.n.Load() < int64(s.cfg.InFlightDepth) && s.issueOne(tables) {
 			continue

@@ -6,6 +6,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"coopscan/internal/core"
 	"coopscan/internal/exec"
+	"coopscan/internal/obs"
 )
 
 // newTestServer builds a server over freshly generated table files.
@@ -229,39 +231,81 @@ func TestServerDepthOneSerialisesLoads(t *testing.T) {
 	}
 }
 
-// The budget arbiter must move the shared budget toward the table whose
-// streams are demanding chunks, away from an idle one.
-func TestServerBudgetFollowsDemand(t *testing.T) {
-	tf1 := newTestFile(t, 48_000, 1000, 41)
-	tf2 := newTestFile(t, 48_000, 1000, 42)
+// The budget arbiter splits the shared budget by table footprint and runs
+// only when the table set changes: NewServer splits it, a long scan moves
+// neither the grants nor the run count, an Attach re-splits it three ways
+// and that table's detach re-splits it back.
+func TestServerBudgetFollowsFootprint(t *testing.T) {
+	big := newTestFile(t, 48_000, 1000, 41)
+	small := newTestFile(t, 16_000, 1000, 42)
+	mid := newTestFile(t, 32_000, 1000, 43)
+	chunk := big.ChunkBytes()
+	reg := obs.NewRegistry()
+	// Enough budget that no table's usage reaches its share, so the
+	// no-shrink-below-usage rule never bends the split.
 	srv := newTestServer(t, ServerConfig{
 		Policy:      core.Relevance,
-		BufferBytes: 16 * tf1.ChunkBytes(),
-	}, tf1, tf2)
+		BufferBytes: 200 * chunk,
+		Obs:         reg,
+	}, big, small)
 
-	scanDone := make(chan error, 1)
-	go func() {
-		// A slow consumer keeps demand on table 0 alive while we observe.
-		_, err := srv.Scan(0, "hot", rangeSet(0, tf1.NumChunks()), Q6Cols(), func(int, ChunkData) {
-			time.Sleep(2 * time.Millisecond)
-		})
-		scanDone <- err
-	}()
-
-	deadline := time.After(5 * time.Second)
-	for {
-		st := srv.Stats().Tables
-		if st[0].BudgetBytes > st[1].BudgetBytes {
-			break
+	grants := func() []int64 {
+		var g []int64
+		for _, ts := range srv.Stats().Tables {
+			g = append(g, ts.BudgetBytes)
 		}
-		select {
-		case <-deadline:
-			t.Fatalf("budget never shifted to the demanding table: %d, %d", st[0].BudgetBytes, st[1].BudgetBytes)
-		case <-time.After(2 * time.Millisecond):
+		return g
+	}
+	runs := func() float64 { return scrapeMetrics(t, reg)["coopscan_arbiter_rebalances_total"] }
+	// Above the two-chunk floor, every table's grant per chunk of footprint
+	// is the same, to within the integer rounding of the split.
+	footprintSplit := func(g []int64, chunks ...int64) {
+		t.Helper()
+		if len(g) != len(chunks) {
+			t.Fatalf("grants %v, want %d tables", g, len(chunks))
+		}
+		for i := 1; i < len(g); i++ {
+			d := (g[0]-2*chunk)*chunks[i] - (g[i]-2*chunk)*chunks[0]
+			if d < -4*chunks[0]*chunks[i] || d > 4*chunks[0]*chunks[i] {
+				t.Errorf("grants %v are not split %v by footprint", g, chunks)
+			}
 		}
 	}
-	if err := <-scanDone; err != nil {
+
+	start := grants()
+	footprintSplit(start, 48, 16)
+	if got := runs(); got != 1 {
+		t.Errorf("arbiter runs after NewServer = %v, want 1", got)
+	}
+
+	// A slow consumer keeps a stream on the big table for the whole scan.
+	if _, err := srv.Scan(0, "long", rangeSet(0, big.NumChunks()), Q6Cols(), func(int, ChunkData) {
+		time.Sleep(time.Millisecond)
+	}); err != nil {
 		t.Fatal(err)
+	}
+	if got := grants(); !slices.Equal(got, start) {
+		t.Errorf("grants moved during a scan: %v -> %v", start, got)
+	}
+	if got := runs(); got != 1 {
+		t.Errorf("arbiter runs after a scan = %v, want 1", got)
+	}
+
+	if _, err := srv.Attach("mid", mid); err != nil {
+		t.Fatal(err)
+	}
+	footprintSplit(grants(), 48, 16, 32)
+	if got := runs(); got != 2 {
+		t.Errorf("arbiter runs after an Attach = %v, want 2", got)
+	}
+	if err := srv.DetachTable("mid"); err != nil {
+		t.Fatal(err)
+	}
+	if got := grants(); !slices.Equal(got, start) {
+		t.Errorf("grants after the detach = %v, want the two-table split %v again", got, start)
+	}
+	if got := runs(); got != 3 {
+		t.Errorf("arbiter runs after a detach = %v, want 3", got)
 	}
 }
 
@@ -279,11 +323,6 @@ func TestAuditTablesFailsTableOverItsGrant(t *testing.T) {
 		t.Fatalf("audit after a scan: %v", err)
 	}
 	freeze(srv)
-	// Take the re-run the departed scan left pending, so no later scheduler
-	// pass moves the grant set below.
-	if srv.mgr.DemandShifted() {
-		srv.mgr.Rebalance(srv.cfg.BufferBytes)
-	}
 	a := srv.slots()[0].abm
 	used := a.UsedBytes()
 	if used <= tf.ChunkBytes() {

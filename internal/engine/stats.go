@@ -179,7 +179,7 @@ func (s *Server) eachTable(fn func(t *serverTable) error) error {
 }
 
 // AuditTables cross-checks every table ABM's incrementally maintained
-// scheduler structures (counters, demand sums, availability and candidate
+// scheduler structures (counters, availability and candidate
 // heaps, victim heap) against a linear recomputation from first principles,
 // the frames its parts carry against their reservations, and its usage
 // against its grant, each table under its own lock. The arbiter never

@@ -19,9 +19,9 @@
 // executing the file reads, so completions commit out of issue order while
 // the ABM's part states keep the decision machine coherent. Each table has
 // its own live ABM (the paper's §7.1 "separate statistics and meta-data
-// for each" table); one shared buffer budget is moved between them by the
-// demand-driven arbiter in core.Manager.Rebalance. An optional
-// device-bandwidth model
+// for each" table); one shared buffer budget is split between them by
+// footprint in core.Manager.Rebalance, re-run at every attach and detach.
+// An optional device-bandwidth model
 // (ServerConfig.ReadBandwidth) restores the paper's premise — device
 // bandwidth as the scarce resource — when the table files sit in the OS
 // page cache, where re-reads would otherwise be free.
