@@ -96,10 +96,10 @@ soak:
 # must-pass runs the tests named in $(3), exact top-level names, in package
 # $(2) with the go test flags $(1) and the optional arguments $(4) after the
 # package (e.g. `-args -soak.seeds=1,2`), prints the -v output, and fails
-# unless it shows every named test passing. `go test -run` passes when a name matches
-# nothing, so a step that names a test would go green having run nothing
-# after a rename or a skip; every target and CI step that names tests goes
-# through here (test-named is the form CI calls).
+# unless it shows every named test passing. `go test -run` passes when a
+# name matches nothing, so a step that names a test would go green having
+# run nothing after a rename or a skip; every target and CI step that names
+# tests goes through here (test-named is the form CI calls).
 empty :=
 space := $(empty) $(empty)
 comma := ,

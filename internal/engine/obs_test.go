@@ -208,11 +208,6 @@ func TestServerObsEndToEnd(t *testing.T) {
 	}
 }
 
-// validateTraceFile decodes a finished trace file as strict Chrome
-// trace-event JSON and asserts the shape Perfetto requires: a JSON array of
-// events, metadata naming every track, complete spans with non-negative
-// durations, and the span names the scan/load pipelines emit. It returns
-// the decoded events.
 // TestStatusDocumentKeys pins the shape of the /statusz document: its
 // top-level keys and the keys of one table entry, as StatusSnapshot marshals
 // them. The serving tier embeds the document and operators read it, so a
@@ -248,6 +243,11 @@ func TestStatusDocumentKeys(t *testing.T) {
 	}
 }
 
+// validateTraceFile decodes a finished trace file as strict Chrome
+// trace-event JSON and asserts the shape Perfetto requires: a JSON array of
+// events, metadata naming every track, complete spans with non-negative
+// durations, and the span names the scan/load pipelines emit. It returns
+// the decoded events.
 func validateTraceFile(t *testing.T, path string) []map[string]any {
 	t.Helper()
 	raw, err := os.ReadFile(path)
