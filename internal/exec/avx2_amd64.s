@@ -1,7 +1,9 @@
+#include "go_asm.h"
 #include "textflag.h"
 
-// The Q6 kernel's AVX2 body (q6_amd64.go): four rows per step, each conjunct
-// a lane mask of all ones or all zeros, no branch but the loop's.
+// The kernels' AVX2 bodies (avx2_amd64.go). Q6: four rows per step, each
+// conjunct a lane mask of all ones or all zeros, no branch but the loop's.
+// Q1's rounds: four chains of four rows per step, every round of every row.
 
 // func cpuHasAVX2() bool
 //
@@ -128,5 +130,85 @@ done:
 	HSUM(Y8, X8)
 	VMOVQ X9, revenue+144(FP)
 	VMOVQ X8, rows+152(FP)
+	VZEROUPPER
+	RET
+
+// ROUND is one of q1Rounds' rounds on the four rows of X, with their
+// quantities in Q and T as scratch: x = x*q1Mul + q, then x ^= x >> q1Shift.
+// AVX2 has neither a 64 × 64 multiply nor VPSRAQ. q1Mul is 2^q1MulShift - 1,
+// so x*q1Mul is (x << q1MulShift) - x, exact modulo 2⁶⁴; the arithmetic
+// shift is the logical one with its sign bit, which lands on bit
+// 63-q1Shift, extended: ((x >>> q1Shift) ^ s) - s, s = 1 << (63-q1Shift),
+// in Y12. Seven one-cycle ops, each on the one before: four chains keep the
+// vector ports busy.
+#define ROUND(X, Q, T) \
+	VPSLLQ $const_q1MulShift, X, T; \
+	VPSUBQ X, T, X; \
+	VPADDQ Q, X, X; \
+	VPSRLQ $const_q1Shift, X, T; \
+	VPXOR  Y12, T, T; \
+	VPSUBQ Y12, T, T; \
+	VPXOR  T, X, X
+
+// FOLD adds the four results of X to the sum lanes Y15 and ORs into Y14 the
+// lanes where a result is -1 (Y13 all ones).
+#define FOLD(X, T) \
+	VPCMPEQQ Y13, X, T; \
+	VPOR     T, Y14, Y14; \
+	VPADDQ   X, Y15, Y15
+
+// func q1RoundsAVX2(ch, qty []int64, rounds int) (sum int64, skip bool)
+TEXT ·q1RoundsAVX2(SB), NOSPLIT, $0-65
+	MOVQ ch_base+0(FP), SI
+	MOVQ ch_len+8(FP), CX
+	MOVQ qty_base+24(FP), DI
+	MOVQ rounds+48(FP), DX
+	ANDQ $-16, CX
+	SHLQ $3, CX                     // the bytes of whole sixteen-row steps
+	XORQ AX, AX
+
+	MOVQ         $(1<<(63-const_q1Shift)), BX
+	MOVQ         BX, X12
+	VPBROADCASTQ X12, Y12
+	VPCMPEQQ     Y13, Y13, Y13
+	VPXOR        Y14, Y14, Y14
+	VPXOR        Y15, Y15, Y15
+
+step:
+	CMPQ    AX, CX
+	JAE     done
+	VMOVDQU (SI)(AX*1), Y0
+	VMOVDQU 32(SI)(AX*1), Y1
+	VMOVDQU 64(SI)(AX*1), Y2
+	VMOVDQU 96(SI)(AX*1), Y3
+	VMOVDQU (DI)(AX*1), Y4
+	VMOVDQU 32(DI)(AX*1), Y5
+	VMOVDQU 64(DI)(AX*1), Y6
+	VMOVDQU 96(DI)(AX*1), Y7
+	MOVQ    DX, R8
+
+round:
+	CMPQ R8, $0
+	JLE  fold
+	ROUND(Y0, Y4, Y8)
+	ROUND(Y1, Y5, Y9)
+	ROUND(Y2, Y6, Y10)
+	ROUND(Y3, Y7, Y11)
+	DECQ R8
+	JMP  round
+
+fold:
+	FOLD(Y0, Y8)
+	FOLD(Y1, Y9)
+	FOLD(Y2, Y10)
+	FOLD(Y3, Y11)
+	ADDQ $128, AX
+	JMP  step
+
+done:
+	HSUM(Y15, X15)
+	VMOVQ X15, sum+56(FP)
+	VPTEST Y14, Y14
+	SETNE  skip+64(FP)
 	VZEROUPPER
 	RET

@@ -42,7 +42,7 @@ func widen(z storage.Zone, rng *rand.Rand, slack int64) storage.Zone {
 // q6Bounded and q1Bounded run the kernels as the engine's wrappers do: the
 // chunk's bounds decide first, and the columns the decision leaves unread
 // are handed over as nil, so a kernel that reads one anyway panics. avx2
-// picks the Q6 kernel's body.
+// picks the kernel's body.
 func q6Bounded(avx2 bool, c [4][]int64, pred Q6Predicate, dateZ, discZ, qtyZ storage.Zone) (Q6Result, storage.Decided) {
 	decided, n := pred.Decide(dateZ, discZ, qtyZ), len(c[0])
 	switch decided {
@@ -54,7 +54,7 @@ func q6Bounded(avx2 bool, c [4][]int64, pred Q6Predicate, dateZ, discZ, qtyZ sto
 	return q6Body(avx2, c[0], c[1], c[2], c[3], n, pred, decided), decided
 }
 
-func q1Bounded(c [7][]int64, dateMax int64, rounds int, dateZ storage.Zone) (Q1Result, storage.Decided) {
+func q1Bounded(avx2 bool, c [7][]int64, dateMax int64, rounds int, dateZ storage.Zone) (Q1Result, storage.Decided) {
 	decided, n := Q1Decide(dateZ, dateMax), len(c[0])
 	switch decided {
 	case storage.None:
@@ -62,7 +62,7 @@ func q1Bounded(c [7][]int64, dateMax int64, rounds int, dateZ storage.Zone) (Q1R
 	case storage.All:
 		c[0] = nil
 	}
-	return Q1Kernel(c[0], c[1], c[2], c[3], c[4], c[5], c[6], n, dateMax, rounds, decided), decided
+	return q1Body(avx2, c[0], c[1], c[2], c[3], c[4], c[5], c[6], n, dateMax, rounds, decided), decided
 }
 
 // checkDecided runs each Q6 body over c with the columns' true bounds, with
@@ -72,7 +72,7 @@ func checkDecided(t testing.TB, c [4][]int64, pred Q6Predicate, rng *rand.Rand) 
 	t.Helper()
 	want := q6Ref(c[0], c[1], c[2], c[3], pred)
 	dateZ, discZ, qtyZ := zoneOf(c[0]), zoneOf(c[1]), zoneOf(c[2])
-	for _, avx2 := range q6Bodies(t) {
+	for _, avx2 := range avx2Bodies(t) {
 		if got := q6Kernel(c[:], pred, avx2); got != want {
 			t.Fatalf("%s body, pred=%+v n=%d: kernel without bounds %+v, reference %+v", bodyName(avx2), pred, len(c[0]), got, want)
 		}
@@ -263,7 +263,7 @@ func TestQ6KernelDecidedAtTheEnds(t *testing.T) {
 	dates := []int64{hi, hi, hi}
 	other := []int64{0, 0, 0}
 	qtys := []int64{lo, lo, lo}
-	for _, avx2 := range q6Bodies(t) {
+	for _, avx2 := range avx2Bodies(t) {
 		pred := with(func(p *Q6Predicate) { p.DateHi = lo })
 		if res, d := q6Bounded(avx2, [4][]int64{dates, other, other, other}, pred, zoneOf(dates), zoneOf(other), zoneOf(other)); d != storage.None || res != (Q6Result{}) {
 			t.Errorf("%s body, DateHi=MinInt64 over dates at MaxInt64: %+v decided %d, want nothing, decided none", bodyName(avx2), res, d)
@@ -316,17 +316,19 @@ func TestQ1KernelDecided(t *testing.T) {
 	}
 	c[0][3] = 500 // the chunk's earliest date
 	z := zoneOf(c[0])
-	for _, dateMax := range []int64{math.MinInt64, 0, 499, 500, 501, 550, 599, 600, math.MaxInt64} {
-		want := q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, 3)
-		sameQ1(t, q1Kernel(c[:], dateMax, 3), want)
-		for _, zone := range []storage.Zone{z, widen(z, rng, 1), widen(z, rng, 1000), storage.AnyZone} {
-			got, decided := q1Bounded(c, dateMax, 3, zone)
-			sameQ1(t, got, want)
-			if wantNone := zone.Lo > dateMax; (decided == storage.None) != wantNone {
-				t.Errorf("dateMax %d, bounds %v: decided %d, want none: %v", dateMax, zone, decided, wantNone)
-			}
-			if got == nil {
-				t.Errorf("dateMax %d: nil result", dateMax)
+	for _, avx2 := range avx2Bodies(t) {
+		for _, dateMax := range []int64{math.MinInt64, 0, 499, 500, 501, 550, 599, 600, math.MaxInt64} {
+			want := q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, 3)
+			sameQ1(t, q1Kernel(c[:], dateMax, 3, avx2), want)
+			for _, zone := range []storage.Zone{z, widen(z, rng, 1), widen(z, rng, 1000), storage.AnyZone} {
+				got, decided := q1Bounded(avx2, c, dateMax, 3, zone)
+				sameQ1(t, got, want)
+				if wantNone := zone.Lo > dateMax; (decided == storage.None) != wantNone {
+					t.Errorf("%s body, dateMax %d, bounds %v: decided %d, want none: %v", bodyName(avx2), dateMax, zone, decided, wantNone)
+				}
+				if got == nil {
+					t.Errorf("%s body, dateMax %d: nil result", bodyName(avx2), dateMax)
+				}
 			}
 		}
 	}

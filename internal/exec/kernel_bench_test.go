@@ -24,9 +24,10 @@ import (
 // is read: ns/op does not depend on the rows), "inside" wholly inside them
 // (no date pass) and "edge" across their upper end with most rows inside
 // (nearly the work of "inside", plus the date pass). Q1's SLOW scans in the
-// suite's dsmz-cpu workload are "inside" and "edge" chunks. Each Q6 shape runs
+// suite's dsmz-cpu workload are "inside" and "edge" chunks. Each shape runs
 // the Go body and then, where the CPU has it, the AVX2 one ("inside/go",
-// "inside/avx2"), so one run compares the two.
+// "inside/avx2"), so one run compares the two. BenchmarkQ1Rounds is Q1's
+// rounds pass alone, over one block.
 
 const benchRows = 16 * vecRows
 
@@ -79,8 +80,9 @@ func benchChunk(b *testing.B, want storage.Decided, lo, hi int64, cols ...int) [
 }
 
 var (
-	sinkQ6 Q6Result
-	sinkQ1 Q1Result
+	sinkQ6     Q6Result
+	sinkQ1     Q1Result
+	sinkRounds int64
 )
 
 func reportPerTuple(b *testing.B) {
@@ -110,7 +112,7 @@ func BenchmarkQ6Kernel(b *testing.B) {
 			c := benchShape(b, shape, pred.DateLo, pred.DateHi-1,
 				tpch.ColShipDate, tpch.ColDiscount, tpch.ColQuantity, tpch.ColExtendedPrice)
 			dateZ, discZ, qtyZ := zoneOf(c[0]), zoneOf(c[1]), zoneOf(c[2])
-			for _, avx2 := range q6Bodies(b) {
+			for _, avx2 := range avx2Bodies(b) {
 				b.Run(bodyName(avx2), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
@@ -130,12 +132,34 @@ func BenchmarkQ1Kernel(b *testing.B) {
 			c := benchShape(b, shape, math.MinInt64, dateMax, tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
 				tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus)
 			dateZ := zoneOf(c[0])
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sinkQ1, _ = q1Bounded([7][]int64(c), dateMax, 8, dateZ)
+			for _, avx2 := range avx2Bodies(b) {
+				b.Run(bodyName(avx2), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkQ1, _ = q1Bounded(avx2, [7][]int64(c), dateMax, 8, dateZ)
+					}
+					reportPerTuple(b)
+				})
 			}
-			reportPerTuple(b)
+		})
+	}
+}
+
+// BenchmarkQ1Rounds runs the eight rounds the suite's SLOW scans ask for over
+// one whole block, as Q1Kernel does on an "inside" chunk, on each body.
+func BenchmarkQ1Rounds(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ch, qty := make([]int64, q1Block), make([]int64, q1Block)
+	for i := range ch {
+		ch[i], qty[i] = rng.Int63n(1<<40), 1+rng.Int63n(50)
+	}
+	var gid [q1Block]uint8
+	for _, avx2 := range avx2Bodies(b) {
+		b.Run(bodyName(avx2), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkRounds = q1RoundsBody(avx2, gid[:], ch, qty, 8)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/q1Block, "ns/row")
 		})
 	}
 }

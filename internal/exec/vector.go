@@ -316,45 +316,57 @@ func q1ArithSel(q, p, dp, ch *[q1Block]int64, sel []uint16, qty, price, disc, ta
 	}
 }
 
+// q1Rounds' round is x = x*q1Mul + q, then x ^= x >> q1Shift (arithmetic).
+// q1Mul is one less than a power of two, so the AVX2 body, which has no
+// 64 × 64 multiply, shifts and subtracts.
+const (
+	q1MulShift = 5
+	q1Mul      = 1<<q1MulShift - 1
+	q1Shift    = 7
+)
+
 // q1Rounds runs the extraArith rounds — the paper's "more CPU-intensive Q1"
-// — of every row, in order, from its charge, and moves a row whose result is
-// -1 to the skip ordinal. Eight rows at a time are eight independent chains
-// held in registers: a row's rounds are a serial multiply-shift-xor chain,
-// which one row at a time leaves the core waiting on. The multiplier, 31,
-// comes in as an argument: times a constant, the compiler shifts and
-// subtracts, which needs a copy of each x, and spills the eight chains to
-// the stack; times a register it is one IMUL.
+// — of every row, in order, from its charge, moves a row whose result is -1
+// to the skip ordinal (gid holds a byte per row), and returns the wrapping
+// sum of the results, which only the tests read. Eight rows at a time are
+// eight independent chains held in registers: a row's rounds are a serial
+// multiply-shift-xor chain, which one row at a time leaves the core waiting
+// on. The multiplier comes in as an argument: times a constant, the
+// compiler shifts and subtracts, which needs a copy of each x, and spills
+// the eight chains to the stack; times a register it is one IMUL.
 //
 //go:noinline
-func q1Rounds(gid *[q1Block]uint8, ch, qty []int64, rounds int, mul int64) {
-	qty = qty[:len(ch)]
+func q1Rounds(gid []uint8, ch, qty []int64, rounds int, mul int64) (sum int64) {
+	gid, qty = gid[:len(ch)], qty[:len(ch)]
 	i := 0
 	for ; i+8 <= len(ch); i += 8 {
 		c, q := (*[8]int64)(ch[i:]), (*[8]int64)(qty[i:])
 		x0, x1, x2, x3, x4, x5, x6, x7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
 		for r := rounds; r > 0; r-- {
 			x0 = x0*mul + q[0]
-			x0 ^= x0 >> 7
+			x0 ^= x0 >> q1Shift
 			x1 = x1*mul + q[1]
-			x1 ^= x1 >> 7
+			x1 ^= x1 >> q1Shift
 			x2 = x2*mul + q[2]
-			x2 ^= x2 >> 7
+			x2 ^= x2 >> q1Shift
 			x3 = x3*mul + q[3]
-			x3 ^= x3 >> 7
+			x3 ^= x3 >> q1Shift
 			x4 = x4*mul + q[4]
-			x4 ^= x4 >> 7
+			x4 ^= x4 >> q1Shift
 			x5 = x5*mul + q[5]
-			x5 ^= x5 >> 7
+			x5 ^= x5 >> q1Shift
 			x6 = x6*mul + q[6]
-			x6 ^= x6 >> 7
+			x6 ^= x6 >> q1Shift
 			x7 = x7*mul + q[7]
-			x7 ^= x7 >> 7
+			x7 ^= x7 >> q1Shift
 		}
-		// Practically never taken; keeps every x live.
+		sum += x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7
+		// Taken only when rounds is 0 and a charge is -1: a round's
+		// x ^= x >> q1Shift clears the sign bit, so no round ends at -1.
 		if x0 == -1 || x1 == -1 || x2 == -1 || x3 == -1 || x4 == -1 || x5 == -1 || x6 == -1 || x7 == -1 {
 			for j, x := range [8]int64{x0, x1, x2, x3, x4, x5, x6, x7} {
 				if x == -1 {
-					gid[(i+j)&(q1Block-1)] = q1Skip
+					gid[i+j] = q1Skip
 				}
 			}
 		}
@@ -363,12 +375,30 @@ func q1Rounds(gid *[q1Block]uint8, ch, qty []int64, rounds int, mul int64) {
 		x := ch[i]
 		for r := rounds; r > 0; r-- {
 			x = x*mul + qty[i]
-			x ^= x >> 7
+			x ^= x >> q1Shift
 		}
+		sum += x
 		if x == -1 {
-			gid[i&(q1Block-1)] = q1Skip
+			gid[i] = q1Skip
 		}
 	}
+	return sum
+}
+
+// q1RoundsBody is q1Rounds on the body avx2 chooses. The AVX2 body runs the
+// whole sixteen-row steps and the Go body the rest; when the AVX2 body
+// reports a -1 — its rows are not known — the Go body runs them all again,
+// so that it moves exactly those rows to the skip ordinal.
+func q1RoundsBody(avx2 bool, gid []uint8, ch, qty []int64, rounds int) (sum int64) {
+	m := 0
+	if avx2 && len(ch) >= 16 {
+		m = len(ch) &^ 15
+		var skip bool
+		if sum, skip = q1RoundsAVX2(ch[:m], qty[:m], rounds); skip {
+			m, sum = 0, 0
+		}
+	}
+	return sum + q1Rounds(gid[m:len(ch)], ch[m:], qty[m:], rounds, q1Mul)
 }
 
 // sum adds each row to its ordinal's sums: the count and the four measures.
@@ -456,9 +486,18 @@ func Q1Decide(dateZ storage.Zone, dateMax int64) storage.Decided {
 // A block of q1Block rows at a time, pass by pass: on a Some chunk the date
 // test writes a selection and the passes run over the selected rows; then
 // the price arithmetic, each row's group ordinal (its table entry), the
-// rounds eight rows abreast, and one loop adding each row's count and
-// measures into its ordinal's sums, which fold into Q1Groups once per call.
+// rounds, and one loop adding each row's count and measures into its
+// ordinal's sums, which fold into Q1Groups once per call. On a CPU with AVX2
+// the rounds run sixteen rows a step (q1RoundsAVX2), the rows past the last
+// multiple of sixteen through the Go body, q1Rounds, which is the portable
+// path and the reference; a race build takes the Go body, as Q6Kernel does.
+// Neither body skips a round: every qualifying row pays them all.
 func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, n int, dateMax int64, extraArith int, decided storage.Decided) Q1Result {
+	return q1Body(hasAVX2 && !raceBuild, dates, qty, price, disc, tax, flag, status, n, dateMax, extraArith, decided)
+}
+
+// q1Body is Q1Kernel on the rounds' body avx2 chooses.
+func q1Body(avx2 bool, dates, qty, price, disc, tax, flag, status []int64, n int, dateMax int64, extraArith int, decided storage.Decided) Q1Result {
 	if decided == storage.None {
 		return Q1Result{}
 	}
@@ -494,7 +533,7 @@ func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, n int, dateMax
 			bq, bp = q[:k], p[:k]
 		}
 		m := len(bq)
-		q1Rounds(&gid, ch[:m], bq, extraArith, 31)
+		q1RoundsBody(avx2, gid[:m], ch[:m], bq, extraArith)
 		t.sum(gid[:m], bq, bp, dp[:m], ch[:m])
 		if t.used == q1Slots { // only a full table spills
 			t.spillRows(gid[:m], rows, flag[lo:hi], status[lo:hi], bq, bp, dp[:m], ch[:m])

@@ -28,10 +28,10 @@ func q6Vectorized(g *tpch.Generator, start, n int64, pred Q6Predicate, avx2 bool
 	return q6Kernel(c, pred, avx2)
 }
 
-func q1Vectorized(g *tpch.Generator, start, n int64, dateMax int64, extraArith int) Q1Result {
+func q1Vectorized(g *tpch.Generator, start, n int64, dateMax int64, extraArith int, avx2 bool) Q1Result {
 	c := genCols(g, start, n, tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
 		tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus)
-	return q1Kernel(c, dateMax, extraArith)
+	return q1Kernel(c, dateMax, extraArith, avx2)
 }
 
 // q6Kernel and q1Kernel run the kernels told nothing of the chunk's bounds:
@@ -42,12 +42,12 @@ func q6Kernel(c [][]int64, pred Q6Predicate, avx2 bool) Q6Result {
 	return res
 }
 
-// q6Bodies returns the Q6 kernel's bodies this CPU runs, for a test to check
+// avx2Bodies returns the kernels' bodies this CPU runs, for a test to check
 // each of: the Go body (false) and, unless CPUID reports no AVX2 — which it
 // logs — the AVX2 one (true).
-func q6Bodies(tb testing.TB) []bool {
+func avx2Bodies(tb testing.TB) []bool {
 	if !hasAVX2 {
-		tb.Log("CPUID reports no AVX2: the Q6 kernel's AVX2 body is not checked")
+		tb.Log("CPUID reports no AVX2: the kernels' AVX2 bodies are not checked")
 		return []bool{false}
 	}
 	return []bool{false, true}
@@ -60,8 +60,8 @@ func bodyName(avx2 bool) string {
 	return "go"
 }
 
-func q1Kernel(c [][]int64, dateMax int64, extraArith int) Q1Result {
-	res, _ := q1Bounded([7][]int64(c), dateMax, extraArith, storage.AnyZone)
+func q1Kernel(c [][]int64, dateMax int64, extraArith int, avx2 bool) Q1Result {
+	res, _ := q1Bounded(avx2, [7][]int64(c), dateMax, extraArith, storage.AnyZone)
 	return res
 }
 
@@ -82,7 +82,7 @@ func TestQ6VectorizedMatchesScalar(t *testing.T) {
 	g := tpch.NewGenerator(tpch.LineitemTable(0.01), 21)
 	pred := DefaultQ6()
 	a := Q6Chunk(g, 0, 30000, pred)
-	for _, avx2 := range q6Bodies(t) {
+	for _, avx2 := range avx2Bodies(t) {
 		if b := q6Vectorized(g, 0, 30000, pred, avx2); a != b {
 			t.Errorf("scalar %+v != vectorized %+v (%s body)", a, b, bodyName(avx2))
 		}
@@ -107,7 +107,7 @@ func TestQuickQ6VectorizedEquivalence(t *testing.T) {
 		pred.DateHi = pred.DateLo + rng.Int63n(tpch.DateMax-pred.DateLo+1)
 		pred.DiscHi = pred.DiscLo + rng.Int63n(4)
 		want := Q6Chunk(g, start, n, pred)
-		for _, avx2 := range q6Bodies(t) {
+		for _, avx2 := range avx2Bodies(t) {
 			if q6Vectorized(g, start, n, pred, avx2) != want {
 				return false
 			}
@@ -123,7 +123,9 @@ func TestQ1VectorizedMatchesScalar(t *testing.T) {
 	g := tpch.NewGenerator(tpch.LineitemTable(0.01), 31)
 	want := Q1Chunk(g, 0, 40000, tpch.DateMax-90, 0)
 	for _, extra := range []int{0, 8, 25} {
-		sameQ1(t, q1Vectorized(g, 0, 40000, tpch.DateMax-90, extra), want)
+		for _, avx2 := range avx2Bodies(t) {
+			sameQ1(t, q1Vectorized(g, 0, 40000, tpch.DateMax-90, extra, avx2), want)
+		}
 		sameQ1(t, Q1Chunk(g, 0, 40000, tpch.DateMax-90, extra), want)
 	}
 }
@@ -195,7 +197,7 @@ func TestQuickQ6KernelMatchesReference(t *testing.T) {
 		c, pred := synthQ6(seed, n)
 		want := q6Ref(c[0], c[1], c[2], c[3], pred)
 		hits += b2i(want.Rows > 0)
-		for _, avx2 := range q6Bodies(t) {
+		for _, avx2 := range avx2Bodies(t) {
 			if q6Kernel(c[:], pred, avx2) != want {
 				t.Logf("%s body differs from the reference", bodyName(avx2))
 				return false
@@ -225,7 +227,7 @@ func TestQuickQ6KernelMatchesReference(t *testing.T) {
 		c, _ := synthQ6(int64(n)+1, n)
 		for _, pred := range preds {
 			want := q6Ref(c[0], c[1], c[2], c[3], pred)
-			for _, avx2 := range q6Bodies(t) {
+			for _, avx2 := range avx2Bodies(t) {
 				if got := q6Kernel(c[:], pred, avx2); got != want {
 					t.Errorf("%s body, n=%d pred=%+v: kernel %+v, reference %+v", bodyName(avx2), n, pred, got, want)
 				}
@@ -254,7 +256,7 @@ func FuzzQ6Kernel(f *testing.F) {
 			}
 		}
 		want := q6Ref(c[0], c[1], c[2], c[3], pred)
-		for _, avx2 := range q6Bodies(t) {
+		for _, avx2 := range avx2Bodies(t) {
 			if got := q6Kernel(c[:], pred, avx2); got != want {
 				t.Fatalf("%s body, pred=%+v n=%d: kernel %+v, reference %+v", bodyName(avx2), pred, len(c[0]), got, want)
 			}
@@ -302,7 +304,7 @@ func TestQ6KernelRaggedColumns(t *testing.T) {
 				dates = nil
 			}
 			want := q6Ref(c[0][:n], c[1][:n], c[2][:n], c[3][:n], pred)
-			for _, avx2 := range q6Bodies(t) {
+			for _, avx2 := range avx2Bodies(t) {
 				if got := q6Body(avx2, dates, c[1], c[2], c[3], n, pred, decided); got != want {
 					t.Errorf("%s body, n=%d decided %d: kernel %+v, reference %+v", bodyName(avx2), n, decided, got, want)
 				}
@@ -317,7 +319,7 @@ func TestQ6KernelRaggedColumns(t *testing.T) {
 func TestQ6KernelShortColumnPanics(t *testing.T) {
 	pred := Q6Predicate{DateLo: 0, DateHi: 10, DiscLo: 0, DiscHi: 10, MaxQty: 10}
 	const n = 8
-	for _, avx2 := range q6Bodies(t) {
+	for _, avx2 := range avx2Bodies(t) {
 		for short := range 4 {
 			for _, decided := range []storage.Decided{storage.Some, storage.All} {
 				if short == 0 && decided == storage.All {
@@ -403,10 +405,13 @@ func TestQ1KernelGroupFallback(t *testing.T) {
 		// charge of -1 with no rounds), so each extraArith has its own
 		// reference: the skip must be fed exactly as in Q1Chunk.
 		for _, extra := range []int{0, 8, 25} {
-			got := q1Kernel(c[:], 700, extra)
-			sameQ1(t, got, q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], 700, extra))
-			if distinct > q1Slots && len(got) <= q1Slots {
-				t.Errorf("distinct=%d: only %d groups, the fallback was not exercised", distinct, len(got))
+			want := q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], 700, extra)
+			for _, avx2 := range avx2Bodies(t) {
+				got := q1Kernel(c[:], 700, extra, avx2)
+				sameQ1(t, got, want)
+				if distinct > q1Slots && len(got) <= q1Slots {
+					t.Errorf("%s body, distinct=%d: only %d groups, the fallback was not exercised", bodyName(avx2), distinct, len(got))
+				}
 			}
 		}
 	}
@@ -450,17 +455,19 @@ func synthQ1(seed int64, n int, dateMax int64, groups int) (c [7][]int64) {
 	return c
 }
 
-// checkQ1 holds Q1Kernel, given the columns' true bounds and given none, to
-// q1Ref, and what the bounds decided to what they say.
+// checkQ1 holds each Q1 body, given the columns' true bounds and given none,
+// to q1Ref, and what the bounds decided to what they say.
 func checkQ1(t *testing.T, c [7][]int64, dateMax int64, rounds int) {
 	t.Helper()
 	want := q1Ref(c[0], c[1], c[2], c[3], c[4], c[5], c[6], dateMax, rounds)
-	for _, z := range []storage.Zone{zoneOf(c[0]), storage.AnyZone} {
-		got, decided := q1Bounded(c, dateMax, rounds, z)
-		if d := z.Decide(math.MinInt64, dateMax); decided != d {
-			t.Fatalf("n=%d dateMax=%d bounds %v: decided %d, the bounds say %d", len(c[0]), dateMax, z, decided, d)
+	for _, avx2 := range avx2Bodies(t) {
+		for _, z := range []storage.Zone{zoneOf(c[0]), storage.AnyZone} {
+			got, decided := q1Bounded(avx2, c, dateMax, rounds, z)
+			if d := z.Decide(math.MinInt64, dateMax); decided != d {
+				t.Fatalf("%s body, n=%d dateMax=%d bounds %v: decided %d, the bounds say %d", bodyName(avx2), len(c[0]), dateMax, z, decided, d)
+			}
+			sameQ1(t, got, want)
 		}
-		sameQ1(t, got, want)
 	}
 }
 
@@ -496,8 +503,81 @@ func FuzzQ1Kernel(f *testing.F) {
 	})
 }
 
+// q1RoundsRef is q1Rounds' arithmetic spelled as q1Ref spells it: the sum of
+// the rows' results and which of them are -1.
+func q1RoundsRef(ch, qty []int64, rounds int) (sum int64, skip []int) {
+	for i, x := range ch {
+		for r := 0; r < rounds; r++ {
+			x = x*31 + qty[i]
+			x ^= x >> 7
+		}
+		sum += x
+		if x == -1 {
+			skip = append(skip, i)
+		}
+	}
+	return sum, skip
+}
+
+// TestQ1RoundsBodiesAgree holds each rounds body to q1RoundsRef, and the
+// AVX2 assembly alone to q1Rounds over its sixteen-row steps: the sum of the
+// results, which the arithmetic of every round moves, and the rows moved to
+// the skip ordinal. Charges and quantities are edge-valued, the round counts
+// run from 0 to 25, the lengths from 0 to 40 — no step, whole steps, steps
+// with each tail — and one block. At rounds 0, the one count a result can
+// be -1 at, a charge of -1 is planted in turn at the first row, a middle one
+// and the last, so the AVX2 body's re-run runs and the tail is checked.
+func TestQ1RoundsBodiesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for n := 0; n <= q1Block; n++ {
+		if n > 40 && n < q1Block {
+			continue
+		}
+		ch, qty := make([]int64, n), make([]int64, n)
+		for i := range ch {
+			ch[i], qty[i] = edgeInt64(rng), edgeInt64(rng)
+		}
+		for rounds := 0; rounds <= 25; rounds++ {
+			plants := []int{-1}
+			if rounds == 0 && n > 0 {
+				plants = append(plants, 0, n/2, n-1)
+			}
+			for _, at := range plants {
+				c := slices.Clone(ch)
+				if at >= 0 {
+					c[at] = -1
+				}
+				wantSum, wantSkip := q1RoundsRef(c, qty, rounds)
+				for _, avx2 := range avx2Bodies(t) {
+					gid := make([]uint8, n)
+					sum := q1RoundsBody(avx2, gid, c, qty, rounds)
+					var skip []int
+					for i, g := range gid {
+						if g == q1Skip {
+							skip = append(skip, i)
+						}
+					}
+					if sum != wantSum || !slices.Equal(skip, wantSkip) {
+						t.Errorf("%s body, n=%d rounds=%d -1 at %d: sum %d, skip %v; reference %d, %v",
+							bodyName(avx2), n, rounds, at, sum, skip, wantSum, wantSkip)
+					}
+				}
+				if m := n &^ 15; hasAVX2 && m > 0 {
+					sum, skip := q1RoundsAVX2(c, qty, rounds)
+					gid := make([]uint8, m)
+					want := q1Rounds(gid, c[:m], qty, rounds, q1Mul)
+					if wantSkip := slices.Contains(gid, q1Skip); sum != want || skip != wantSkip {
+						t.Errorf("assembly, n=%d rounds=%d -1 at %d: sum %d, skip %v; q1Rounds %d, %v",
+							n, rounds, at, sum, skip, want, wantSkip)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelAllocs: the Q6 kernel allocates nothing (its selection scratch
-// is on the stack), the Q1 kernel only its result — a reintroduced per-call
+// is on the stack), the Q1 kernel only its result, on either body — a reintroduced per-call
 // make, closure-per-row primitive or per-row map insert fails this.
 func TestKernelAllocs(t *testing.T) {
 	g := tpch.NewGenerator(tpch.LineitemTable(0.01), 41)
@@ -506,7 +586,7 @@ func TestKernelAllocs(t *testing.T) {
 	// A predicate every vector passes its date conjunct under, so all
 	// passes run.
 	pred := Q6Predicate{DateLo: tpch.DateMin, DateHi: tpch.DateMax + 1, DiscLo: 5, DiscHi: 7, MaxQty: 24}
-	for _, avx2 := range q6Bodies(t) {
+	for _, avx2 := range avx2Bodies(t) {
 		var q6 Q6Result
 		if a := testing.AllocsPerRun(20, func() { q6 = q6Kernel(c, pred, avx2) }); a != 0 {
 			t.Errorf("Q6Kernel, %s body: %v allocs per call, want 0", bodyName(avx2), a)
@@ -517,23 +597,25 @@ func TestKernelAllocs(t *testing.T) {
 	}
 	q := genCols(g, 0, n, tpch.ColShipDate, tpch.ColQuantity, tpch.ColExtendedPrice,
 		tpch.ColDiscount, tpch.ColTax, tpch.ColReturnFlag, tpch.ColLineStatus)
-	var q1 Q1Result
-	a := testing.AllocsPerRun(20, func() { q1 = q1Kernel(q, tpch.DateMax, 8) })
-	if len(q1) < 2 {
-		t.Fatalf("Q1Kernel found %d groups", len(q1))
-	}
-	if max := float64(len(q1) + 1); a > max {
-		t.Errorf("Q1Kernel: %v allocs per call for %d groups, want <= %v", a, len(q1), max)
-	}
-	// The same with the dates' true bounds, which decide All.
-	var decided storage.Decided
-	a = testing.AllocsPerRun(20, func() {
-		q1, decided = q1Bounded([7][]int64(q), tpch.DateMax, 8, zoneOf(q[0]))
-	})
-	if decided != storage.All || len(q1) < 2 {
-		t.Fatalf("Q1Kernel over its true bounds decided %d and found %d groups", decided, len(q1))
-	}
-	if max := float64(len(q1) + 1); a > max {
-		t.Errorf("Q1Kernel, All: %v allocs per call for %d groups, want <= %v", a, len(q1), max)
+	for _, avx2 := range avx2Bodies(t) {
+		var q1 Q1Result
+		a := testing.AllocsPerRun(20, func() { q1 = q1Kernel(q, tpch.DateMax, 8, avx2) })
+		if len(q1) < 2 {
+			t.Fatalf("Q1Kernel, %s body: found %d groups", bodyName(avx2), len(q1))
+		}
+		if max := float64(len(q1) + 1); a > max {
+			t.Errorf("Q1Kernel, %s body: %v allocs per call for %d groups, want <= %v", bodyName(avx2), a, len(q1), max)
+		}
+		// The same with the dates' true bounds, which decide All.
+		var decided storage.Decided
+		a = testing.AllocsPerRun(20, func() {
+			q1, decided = q1Bounded(avx2, [7][]int64(q), tpch.DateMax, 8, zoneOf(q[0]))
+		})
+		if decided != storage.All || len(q1) < 2 {
+			t.Fatalf("Q1Kernel, %s body, over its true bounds decided %d and found %d groups", bodyName(avx2), decided, len(q1))
+		}
+		if max := float64(len(q1) + 1); a > max {
+			t.Errorf("Q1Kernel, %s body, All: %v allocs per call for %d groups, want <= %v", bodyName(avx2), a, len(q1), max)
+		}
 	}
 }
