@@ -199,7 +199,7 @@ func chunkFloorBytes(l storage.Layout) int64 {
 	if n == 0 {
 		return 0
 	}
-	return 2 * (layoutBytes(l) + n - 1) / n
+	return 2 * ((layoutBytes(l) + n - 1) / n)
 }
 
 // Rebalance is the live engine's budget arbiter: it re-divides the shared

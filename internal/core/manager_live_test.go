@@ -41,6 +41,9 @@ func TestLiveManagerRebalanceByFootprint(t *testing.T) {
 	// Both tables have 1 MiB chunks, so the same two-chunk floor; the
 	// remainder splits 24 : 8.
 	floor := chunkFloorBytes(nsmTestLayout(8))
+	if floor != 2<<20 {
+		t.Fatalf("floor of 1 MiB chunks = %d, want two chunks, %d", floor, 2<<20)
+	}
 	rem := total - 2*floor
 	want := []int64{floor + rem*3/4, floor + rem/4}
 	for _, tc := range []struct {
