@@ -157,8 +157,8 @@ fuzz-decode:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/colstore/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckThenDecode$$' -fuzztime $(FUZZTIME) ./internal/colstore/compress/
 
-# Fuzz the two kernels, FUZZTIME each; every Q6 target checks both of the
-# Q6 kernel's bodies, the Go one and, where the CPU has AVX2, the assembly.
+# Fuzz the two kernels, FUZZTIME each; every kernel target checks both of
+# the kernel's bodies, the Go one and, where the CPU has AVX2, the assembly.
 # FuzzQ6Kernel: edge-valued columns and an arbitrary predicate, its bounds
 # planted in the data, against the scalar reference (internal/exec/
 # vector_test.go). FuzzQ6KernelDecided: the kernel given a chunk's bounds
@@ -254,14 +254,16 @@ bench-sched:
 # them: outside the predicate's dates (no column read — tens of ns per chunk),
 # inside them (no date pass), and across their upper end (most of inside's
 # work plus the date pass); Q1's SLOW scans on dsmz-cpu meet inside and edge.
-# Each Q6 shape runs on both of the kernel's bodies in turn (inside/go, then
-# inside/avx2 where the CPU has AVX2), so one run compares them.
+# Each shape runs on both of the kernel's bodies in turn (inside/go, then
+# inside/avx2 where the CPU has AVX2), so one run compares them;
+# BenchmarkQ1Rounds is Q1's rounds pass alone over one 128-row block, eight
+# rounds, on each body, in ns/row.
 # internal/colstore/compress/lineitem_bench_test.go: decode and encode of one
 # 16 384-value stripe of each stored lineitem column under the scheme the
 # table writer picks for it, in ns/value, and DecodeChecked alone, what a
 # part's first reader pays after the load's Check.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Benchmark(Q6|Q1)Kernel' -benchmem -benchtime $(BENCHTIME) ./internal/exec/
+	$(GO) test -run '^$$' -bench 'Benchmark(Q6Kernel|Q1Kernel|Q1Rounds)' -benchmem -benchtime $(BENCHTIME) ./internal/exec/
 	$(GO) test -run '^$$' -bench 'Benchmark(Decode|Encode)Lineitem' -benchmem -benchtime $(BENCHTIME) ./internal/colstore/compress/
 
 # Observability overhead guard: the `coopscan multi -read-mbps 200`

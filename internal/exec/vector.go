@@ -65,7 +65,7 @@ func (p Q6Predicate) Decide(dates, discs, qtys storage.Zone) storage.Decided {
 // The two range conjuncts are one unsigned compare each: for lo ≤ hi,
 // v ∈ [lo, hi) iff uint64(v-lo) < uint64(hi-lo), the subtraction wrapping
 // the interval onto [0, width) whatever the signs. On a CPU with AVX2 the
-// kernel runs as one branch-free pass four rows at a time (q6_amd64.s), the
+// kernel runs as one branch-free pass four rows at a time (q6AVX2), the
 // rows past the last multiple of four through the Go body, q6Sel, which is
 // the portable path and the reference the AVX2 body is tested against. A
 // race build always takes the Go body: the race detector does not see the
