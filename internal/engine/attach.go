@@ -201,8 +201,7 @@ func (s *Server) DetachTable(name string) error {
 // free frames of a size class this was the last table to use), clears its
 // quarantine map, detaches the ABM from the budget arbiter (which shuts it
 // down) and rebalances the freed grant to the remaining tables. Runs in the
-// scheduler loop under Server.mu, taking each detaching table's lock, on a
-// pass that saw a table still draining.
+// scheduler loop under Server.mu, taking each detaching table's lock.
 func (s *Server) finalizeDetaches() {
 	for _, t := range s.slots() {
 		if !t.detaching || t.detached {

@@ -334,28 +334,22 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 // scheduler is the live ABM decision loop: each pass admits every live
 // table's queued scans under that table's lock (the one call of
 // core.ABM.AdmitQueued; see Server), finalises quiesced detaches under
-// Server.mu — only while a table is draining, so a steady-state pass takes
-// no server-wide lock — and keeps up to InFlightDepth loads issued across
-// the tables, then parks until a kick says a completion, release, arrival
-// or departure changed the world.
+// Server.mu, and keeps up to InFlightDepth loads issued across the tables, then parks until a kick says a
+// completion, release, arrival or departure changed the world.
 func (s *Server) scheduler() {
 	defer close(s.schedDone)
 	for !s.closed.Load() {
 		tables := s.slots()
-		draining := false
 		for _, t := range tables {
 			t.mu.Lock()
 			if !t.detaching {
 				t.abm.AdmitQueued()
 			}
-			draining = draining || t.detaching && !t.detached
 			t.mu.Unlock()
 		}
-		if draining {
-			s.mu.Lock()
-			s.finalizeDetaches()
-			s.mu.Unlock()
-		}
+		s.mu.Lock()
+		s.finalizeDetaches()
+		s.mu.Unlock()
 		if s.o.inflight.n.Load() < int64(s.cfg.InFlightDepth) && s.issueOne(tables) {
 			continue
 		}
