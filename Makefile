@@ -167,7 +167,8 @@ fuzz-decode:
 # arbitrary second predicate, the columns' true bounds and widened ones —
 # whatever the bounds decide (no row can qualify, every row passes the date
 # conjunct, nothing), the aggregate is the same. The Q1 kernel against q1Ref
-# (internal/exec/vector_test.go): edge-valued columns, more groups than its
+# (internal/exec/vector_test.go): edge-valued columns or measures in the AVX2
+# pass's range with a row now and then outside it, more groups than its
 # table holds, any dateMax and round count, block-ragged lengths, the true
 # bounds and none. Findings land under internal/exec/testdata/fuzz/.
 fuzz-kernels:
@@ -256,14 +257,14 @@ bench-sched:
 # work plus the date pass); Q1's SLOW scans on dsmz-cpu meet inside and edge.
 # Each shape runs on both of the kernel's bodies in turn (inside/go, then
 # inside/avx2 where the CPU has AVX2), so one run compares them;
-# BenchmarkQ1Rounds is Q1's rounds pass alone over one 128-row block, eight
-# rounds, on each body, in ns/row.
+# BenchmarkQ1ArithRounds is Q1's price arithmetic and rounds alone over one
+# 128-row block of generator-like rows, eight rounds, on each body, in ns/row.
 # internal/colstore/compress/lineitem_bench_test.go: decode and encode of one
 # 16 384-value stripe of each stored lineitem column under the scheme the
 # table writer picks for it, in ns/value, and DecodeChecked alone, what a
 # part's first reader pays after the load's Check.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Benchmark(Q6Kernel|Q1Kernel|Q1Rounds)' -benchmem -benchtime $(BENCHTIME) ./internal/exec/
+	$(GO) test -run '^$$' -bench 'Benchmark(Q6Kernel|Q1Kernel|Q1ArithRounds)' -benchmem -benchtime $(BENCHTIME) ./internal/exec/
 	$(GO) test -run '^$$' -bench 'Benchmark(Decode|Encode)Lineitem' -benchmem -benchtime $(BENCHTIME) ./internal/colstore/compress/
 
 # Observability overhead guard: the `coopscan multi -read-mbps 200`

@@ -9,6 +9,14 @@ func q6AVX2(dates, disc, qty, price []int64, dateLo int64, dateW uint64, discLo 
 	panic("exec: the Q6 AVX2 body runs on amd64 only")
 }
 
-func q1RoundsAVX2(ch, qty []int64, rounds int) (sum int64, skip bool) {
-	panic("exec: the Q1 rounds' AVX2 body runs on amd64 only")
+func q1ArithRoundsAVX2(dp, ch, price, disc, tax, qty []int64, rounds int) (sum int64, rows int) {
+	panic("exec: the Q1 AVX2 body runs on amd64 only")
+}
+
+func q1SumAVX2(sums *[q1Mask + 1]Q1Group, gid []uint8, qty, price, dp, ch []int64) {
+	panic("exec: the Q1 AVX2 body runs on amd64 only")
+}
+
+func q1OrdinalsAVX2(keys *[2 * q1Slots]uint32, gid []uint8, flag, status []int64) (rows int) {
+	panic("exec: the Q1 AVX2 body runs on amd64 only")
 }

@@ -26,8 +26,8 @@ import (
 // (nearly the work of "inside", plus the date pass). Q1's SLOW scans in the
 // suite's dsmz-cpu workload are "inside" and "edge" chunks. Each shape runs
 // the Go body and then, where the CPU has it, the AVX2 one ("inside/go",
-// "inside/avx2"), so one run compares the two. BenchmarkQ1Rounds is Q1's
-// rounds pass alone, over one block.
+// "inside/avx2"), so one run compares the two. BenchmarkQ1ArithRounds is
+// Q1's price arithmetic and rounds alone, over one block.
 
 const benchRows = 16 * vecRows
 
@@ -145,19 +145,24 @@ func BenchmarkQ1Kernel(b *testing.B) {
 	}
 }
 
-// BenchmarkQ1Rounds runs the eight rounds the suite's SLOW scans ask for over
-// one whole block, as Q1Kernel does on an "inside" chunk, on each body.
-func BenchmarkQ1Rounds(b *testing.B) {
+// BenchmarkQ1ArithRounds runs the price arithmetic and the eight rounds the
+// suite's SLOW scans ask for over one whole block of generator-like rows, as
+// Q1Kernel does on an "inside" chunk, on each body.
+func BenchmarkQ1ArithRounds(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	ch, qty := make([]int64, q1Block), make([]int64, q1Block)
-	for i := range ch {
-		ch[i], qty[i] = rng.Int63n(1<<40), 1+rng.Int63n(50)
+	price, disc, tax, qty := make([]int64, q1Block), make([]int64, q1Block), make([]int64, q1Block), make([]int64, q1Block)
+	for i := range price {
+		qty[i] = 1 + rng.Int63n(50)
+		price[i], disc[i], tax[i] = qty[i]*(90_000+rng.Int63n(110_000))/100, rng.Int63n(11), rng.Int63n(9)
 	}
-	var gid [q1Block]uint8
+	var (
+		gid    [q1Block]uint8
+		dp, ch [q1Block]int64
+	)
 	for _, avx2 := range avx2Bodies(b) {
 		b.Run(bodyName(avx2), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sinkRounds = q1RoundsBody(avx2, gid[:], ch, qty, 8)
+				sinkRounds = q1ArithRoundsBody(avx2, gid[:], dp[:], ch[:], price, disc, tax, qty, 8)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/q1Block, "ns/row")
 		})

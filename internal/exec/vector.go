@@ -260,11 +260,23 @@ func (t *q1Table) ordinal(key uint32) uint8 {
 // ordinals writes each row's group ordinal into gid.
 //
 //go:noinline
-func (t *q1Table) ordinals(gid *[q1Block]uint8, flag, status []int64) {
-	status = status[:len(flag)]
+func (t *q1Table) ordinals(gid []uint8, flag, status []int64) {
+	gid, status = gid[:len(flag)], status[:len(flag)]
 	for i, f := range flag {
-		gid[i&(q1Block-1)] = t.ordinal(q1Key(f, status[i]))
+		gid[i] = t.ordinal(q1Key(f, status[i]))
 	}
+}
+
+// ordinalsBody is ordinals on the body avx2 chooses: the AVX2 body up to
+// the first four-row step with a key away from its home entry, the Go body
+// from there.
+func (t *q1Table) ordinalsBody(avx2 bool, gid []uint8, flag, status []int64) {
+	gid, status = gid[:len(flag)], status[:len(flag)]
+	m := 0
+	if avx2 {
+		m = q1OrdinalsAVX2(&t.keys, gid, flag, status)
+	}
+	t.ordinals(gid[m:], flag[m:], status[m:])
 }
 
 // ordinalsSel is ordinals over the selected rows.
@@ -289,30 +301,28 @@ func selAtMost(sel *[q1Block]uint16, col []int64, max int64) int {
 	return k
 }
 
-// q1Arith computes each row's discounted price and charge.
+// q1Gather copies the selected rows' quantity, price, discount and tax
+// into q, p, d and tx.
 //
 //go:noinline
-func q1Arith(dp, ch *[q1Block]int64, price, disc, tax []int64) {
-	disc, tax = disc[:len(price)], tax[:len(price)]
-	for i, p := range price {
-		d := p * (100 - disc[i]) / 100
-		dp[i&(q1Block-1)] = d
-		ch[i&(q1Block-1)] = d * (100 + tax[i]) / 100
+func q1Gather(q, p, d, tx *[q1Block]int64, sel []uint16, qty, price, disc, tax []int64) {
+	for k, i := range sel {
+		k &= q1Block - 1
+		q[k], p[k], d[k], tx[k] = qty[i], price[i], disc[i], tax[i]
 	}
 }
 
-// q1ArithSel is q1Arith over the selected rows, which it also gathers the
-// quantity and price of into q and p.
+// q1Arith writes each row's discounted price and charge into dp and ch. A
+// row's discount and tax are read before its results are written, so disc
+// and tax may be dp and ch: the work runs in place.
 //
 //go:noinline
-func q1ArithSel(q, p, dp, ch *[q1Block]int64, sel []uint16, qty, price, disc, tax []int64) {
-	for k, i := range sel {
-		pr := price[i]
-		d := pr * (100 - disc[i]) / 100
-		k &= q1Block - 1
-		q[k], p[k] = qty[i], pr
-		dp[k] = d
-		ch[k] = d * (100 + tax[i]) / 100
+func q1Arith(dp, ch, price, disc, tax []int64) {
+	dp, ch, disc, tax = dp[:len(price)], ch[:len(price)], disc[:len(price)], tax[:len(price)]
+	for i, p := range price {
+		d := p * (100 - disc[i]) / 100
+		dp[i] = d
+		ch[i] = d * (100 + tax[i]) / 100
 	}
 }
 
@@ -385,20 +395,23 @@ func q1Rounds(gid []uint8, ch, qty []int64, rounds int, mul int64) (sum int64) {
 	return sum
 }
 
-// q1RoundsBody is q1Rounds on the body avx2 chooses. The AVX2 body runs the
-// whole sixteen-row steps and the Go body the rest; when the AVX2 body
-// reports a -1 — its rows are not known — the Go body runs them all again,
-// so that it moves exactly those rows to the skip ordinal.
-func q1RoundsBody(avx2 bool, gid []uint8, ch, qty []int64, rounds int) (sum int64) {
+// q1ArithRoundsBody is q1Arith and then q1Rounds, on the body avx2 chooses,
+// over the rows of price, in place as q1Arith may be; it returns q1Rounds'
+// sum. The AVX2 body runs the whole sixteen-row steps up to the first with
+// a row outside the range it is exact over, and the Go bodies the rest.
+// Where the AVX2 body runs no result is -1, so the skip ordinal is only
+// ever set by q1Rounds.
+func q1ArithRoundsBody(avx2 bool, gid []uint8, dp, ch, price, disc, tax, qty []int64, rounds int) (sum int64) {
+	// Resliced to the rows: a short vector panics here rather than being
+	// read past.
+	n := len(price)
+	gid, dp, ch, disc, tax, qty = gid[:n], dp[:n], ch[:n], disc[:n], tax[:n], qty[:n]
 	m := 0
-	if avx2 && len(ch) >= 16 {
-		m = len(ch) &^ 15
-		var skip bool
-		if sum, skip = q1RoundsAVX2(ch[:m], qty[:m], rounds); skip {
-			m, sum = 0, 0
-		}
+	if avx2 {
+		sum, m = q1ArithRoundsAVX2(dp, ch, price, disc, tax, qty, rounds)
 	}
-	return sum + q1Rounds(gid[m:len(ch)], ch[m:], qty[m:], rounds, q1Mul)
+	q1Arith(dp[m:], ch[m:], price[m:], disc[m:], tax[m:])
+	return sum + q1Rounds(gid[m:], ch[m:], qty[m:], rounds, q1Mul)
 }
 
 // sum adds each row to its ordinal's sums: the count and the four measures.
@@ -416,6 +429,18 @@ func (t *q1Table) sum(gid []uint8, qty, price, dp, ch []int64) {
 		s.SumDisc += dp[i]
 		s.SumCharge += ch[i]
 	}
+}
+
+// sumBody is sum on the body avx2 chooses: the AVX2 body adds the whole
+// four-row steps, the Go body the rest.
+func (t *q1Table) sumBody(avx2 bool, gid []uint8, qty, price, dp, ch []int64) {
+	qty, price, dp, ch = qty[:len(gid)], price[:len(gid)], dp[:len(gid)], ch[:len(gid)]
+	m := 0
+	if avx2 {
+		m = len(gid) &^ 3
+		q1SumAVX2(&t.sums, gid, qty, price, dp, ch)
+	}
+	t.sum(gid[m:], qty[m:], price[m:], dp[m:], ch[m:])
 }
 
 // spillRows adds the rows of ordinal q1Spill to their groups in the spill
@@ -484,19 +509,26 @@ func Q1Decide(dateZ storage.Zone, dateMax int64) storage.Decided {
 // order does not matter. It allocates only its result.
 //
 // A block of q1Block rows at a time, pass by pass: on a Some chunk the date
-// test writes a selection and the passes run over the selected rows; then
-// the price arithmetic, each row's group ordinal (its table entry), the
-// rounds, and one loop adding each row's count and measures into its
-// ordinal's sums, which fold into Q1Groups once per call. On a CPU with AVX2
-// the rounds run sixteen rows a step (q1RoundsAVX2), the rows past the last
-// multiple of sixteen through the Go body, q1Rounds, which is the portable
-// path and the reference; a race build takes the Go body, as Q6Kernel does.
-// Neither body skips a round: every qualifying row pays them all.
+// test writes a selection and the selected rows' measures are gathered
+// (the discount and tax into the vectors the price arithmetic then
+// overwrites); then each row's group ordinal (its table entry), the price
+// arithmetic and the rounds, and one loop adding each row's count and
+// measures into its ordinal's sums, which fold into Q1Groups once per call.
+// On a CPU with AVX2 the price arithmetic and the rounds are one pass,
+// sixteen rows a step (q1ArithRoundsAVX2), over the steps whose prices,
+// discounts and taxes lie in the range that pass is exact over — the
+// generator's always do — and the ordinals (of a block with every row
+// selected, up to the first key away from its home entry) and the sums are
+// two more, four rows a step (q1OrdinalsAVX2, q1SumAVX2). The rest runs through the
+// Go bodies — ordinals, q1Arith, q1Rounds and sum — which are the portable
+// path and the reference; a race build takes the Go bodies, as Q6Kernel
+// does. Neither body skips a round: every qualifying
+// row pays them all.
 func Q1Kernel(dates, qty, price, disc, tax, flag, status []int64, n int, dateMax int64, extraArith int, decided storage.Decided) Q1Result {
 	return q1Body(hasAVX2 && !raceBuild, dates, qty, price, disc, tax, flag, status, n, dateMax, extraArith, decided)
 }
 
-// q1Body is Q1Kernel on the rounds' body avx2 chooses.
+// q1Body is Q1Kernel on the body avx2 chooses.
 func q1Body(avx2 bool, dates, qty, price, disc, tax, flag, status []int64, n int, dateMax int64, extraArith int, decided storage.Decided) Q1Result {
 	if decided == storage.None {
 		return Q1Result{}
@@ -522,19 +554,18 @@ func q1Body(avx2 bool, dates, qty, price, disc, tax, flag, status []int64, n int
 				rows = sel[:k]
 			}
 		}
-		bq, bp := qty[lo:hi], price[lo:hi]
+		bq, bp, bd, bt := qty[lo:hi], price[lo:hi], disc[lo:hi], tax[lo:hi]
 		if rows == nil {
-			q1Arith(&dp, &ch, bp, disc[lo:hi], tax[lo:hi])
-			t.ordinals(&gid, flag[lo:hi], status[lo:hi])
+			t.ordinalsBody(avx2, gid[:hi-lo], flag[lo:hi], status[lo:hi])
 		} else {
 			k := len(rows)
-			q1ArithSel(&q, &p, &dp, &ch, rows, bq, bp, disc[lo:hi], tax[lo:hi])
+			q1Gather(&q, &p, &dp, &ch, rows, bq, bp, bd, bt)
 			t.ordinalsSel(&gid, rows, flag[lo:hi], status[lo:hi])
-			bq, bp = q[:k], p[:k]
+			bq, bp, bd, bt = q[:k], p[:k], dp[:k], ch[:k]
 		}
 		m := len(bq)
-		q1RoundsBody(avx2, gid[:m], ch[:m], bq, extraArith)
-		t.sum(gid[:m], bq, bp, dp[:m], ch[:m])
+		q1ArithRoundsBody(avx2, gid[:m], dp[:m], ch[:m], bp, bd, bt, bq, extraArith)
+		t.sumBody(avx2, gid[:m], bq, bp, dp[:m], ch[:m])
 		if t.used == q1Slots { // only a full table spills
 			t.spillRows(gid[:m], rows, flag[lo:hi], status[lo:hi], bq, bp, dp[:m], ch[:m])
 		}

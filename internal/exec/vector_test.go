@@ -418,14 +418,16 @@ func TestQ1KernelGroupFallback(t *testing.T) {
 }
 
 // synthQ1 builds n rows of Q1 columns from seed: edge-valued measures, so
-// the x == -1 skip fires; dates that by the seed's draw all lie at or before
+// the x == -1 skip fires, or — by the seed's draw — prices, discounts and
+// taxes in the range the AVX2 pass is exact over with one row in 64 just
+// outside it, so that pass runs, stops and hands over; dates that by the seed's draw all lie at or before
 // dateMax (true bounds decide All), all past it (None, unless nothing is),
 // or span int64 with a third planted on dateMax or beside it (Some); and
 // flag and status words whose low bytes — all that keys a group — take
 // groups distinct pairs under arbitrary high bits.
 func synthQ1(seed int64, n int, dateMax int64, groups int) (c [7][]int64) {
 	rng := rand.New(rand.NewSource(seed))
-	mode := rng.Intn(3)
+	mode, inRange := rng.Intn(3), rng.Intn(2) == 0
 	for j := range c {
 		c[j] = make([]int64, n)
 	}
@@ -447,6 +449,12 @@ func synthQ1(seed int64, n int, dateMax int64, groups int) (c [7][]int64) {
 		}
 		for j := 1; j <= 4; j++ {
 			c[j][i] = edgeInt64(rng)
+		}
+		if inRange {
+			c[2][i], c[3][i], c[4][i] = q1InRange(rng)
+			if rng.Intn(64) == 0 {
+				c[2][i], c[3][i], c[4][i] = q1OutOfRange(rng, c[2][i], c[3][i], c[4][i])
+			}
 		}
 		key := int64(rng.Intn(groups))
 		c[5][i] = int64(rng.Uint64())&^0xff | key%16
@@ -503,10 +511,14 @@ func FuzzQ1Kernel(f *testing.F) {
 	})
 }
 
-// q1RoundsRef is q1Rounds' arithmetic spelled as q1Ref spells it: the sum of
-// the rows' results and which of them are -1.
-func q1RoundsRef(ch, qty []int64, rounds int) (sum int64, skip []int) {
-	for i, x := range ch {
+// q1ArithRoundsRef is q1Arith and q1Rounds spelled as q1Ref spells them:
+// each row's discounted price and charge, the sum of the rows' results and
+// which of them are -1.
+func q1ArithRoundsRef(price, disc, tax, qty []int64, rounds int) (dp, ch []int64, sum int64, skip []int) {
+	for i, p := range price {
+		d := p * (100 - disc[i]) / 100
+		x := d * (100 + tax[i]) / 100
+		dp, ch = append(dp, d), append(ch, x)
 		for r := 0; r < rounds; r++ {
 			x = x*31 + qty[i]
 			x ^= x >> 7
@@ -516,61 +528,241 @@ func q1RoundsRef(ch, qty []int64, rounds int) (sum int64, skip []int) {
 			skip = append(skip, i)
 		}
 	}
-	return sum, skip
+	return dp, ch, sum, skip
 }
 
-// TestQ1RoundsBodiesAgree holds each rounds body to q1RoundsRef, and the
-// AVX2 assembly alone to q1Rounds over its sixteen-row steps: the sum of the
-// results, which the arithmetic of every round moves, and the rows moved to
-// the skip ordinal. Charges and quantities are edge-valued, the round counts
-// run from 0 to 25, the lengths from 0 to 40 — no step, whole steps, steps
-// with each tail — and one block. At rounds 0, the one count a result can
-// be -1 at, a charge of -1 is planted in turn at the first row, a middle one
-// and the last, so the AVX2 body's re-run runs and the tail is checked.
-func TestQ1RoundsBodiesAgree(t *testing.T) {
+// q1InRange draws a price, discount and tax the AVX2 body is exact over
+// (q1ArithRoundsAVX2): each at an end of its range, beside one, or anywhere
+// inside it.
+func q1InRange(rng *rand.Rand) (price, disc, tax int64) {
+	pick := func(lo, hi int64) int64 {
+		if v := []int64{lo, lo + 1, hi - 1, hi}; rng.Intn(2) == 0 {
+			return v[rng.Intn(len(v))]
+		}
+		return lo + rng.Int63n(hi-lo+1)
+	}
+	return pick(0, 1<<31-1), pick(-27, 100), pick(-100, 155)
+}
+
+// q1OutOfRange returns the row (price, disc, tax) with one of them moved
+// just outside the AVX2 body's range, or to an edge value.
+func q1OutOfRange(rng *rand.Rand, price, disc, tax int64) (int64, int64, int64) {
+	out := func(v ...int64) int64 {
+		if rng.Intn(4) == 0 {
+			return edgeInt64(rng)
+		}
+		return v[rng.Intn(len(v))]
+	}
+	switch rng.Intn(3) {
+	case 0:
+		price = out(-1, 1<<31, math.MinInt64)
+	case 1:
+		disc = out(-28, 101, math.MaxInt64)
+	default:
+		tax = out(-101, 156, math.MinInt64)
+	}
+	return price, disc, tax
+}
+
+// TestQ1ArithRoundsBodiesAgree holds each body of the price arithmetic and
+// the rounds to q1ArithRoundsRef — the discounted prices and charges, the
+// sum of the results, which the arithmetic of every round moves, and the
+// rows moved to the skip ordinal — run apart and in place, and the AVX2
+// assembly alone to the Go bodies over the sixteen-row steps it must run:
+// every one before the first with a row out of its range. Rows are
+// edge-valued, all in that range (its ends, their neighbours, anything
+// inside), or in it but for one row just outside; the round counts run from
+// 0 to 25, the lengths from 0 to 40 — no step, whole steps, steps with each
+// tail — and one block. At rounds 0, the one count a result can be -1 at, a
+// charge of -1 (a price of -1, a discount of -100, a tax of -50) is planted
+// in turn at the first row, a middle one and the last, so the tail and the
+// rows after a step out of range are checked.
+func TestQ1ArithRoundsBodiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	for n := 0; n <= q1Block; n++ {
 		if n > 40 && n < q1Block {
 			continue
 		}
-		ch, qty := make([]int64, n), make([]int64, n)
-		for i := range ch {
-			ch[i], qty[i] = edgeInt64(rng), edgeInt64(rng)
-		}
-		for rounds := 0; rounds <= 25; rounds++ {
-			plants := []int{-1}
-			if rounds == 0 && n > 0 {
-				plants = append(plants, 0, n/2, n-1)
-			}
-			for _, at := range plants {
-				c := slices.Clone(ch)
-				if at >= 0 {
-					c[at] = -1
+		for mode, name := range []string{"edge", "in range", "one out"} {
+			price, disc, tax, qty := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+			for i := range price {
+				qty[i] = edgeInt64(rng)
+				if mode == 0 {
+					price[i], disc[i], tax[i] = edgeInt64(rng), edgeInt64(rng), edgeInt64(rng)
+				} else {
+					price[i], disc[i], tax[i] = q1InRange(rng)
 				}
-				wantSum, wantSkip := q1RoundsRef(c, qty, rounds)
-				for _, avx2 := range avx2Bodies(t) {
-					gid := make([]uint8, n)
-					sum := q1RoundsBody(avx2, gid, c, qty, rounds)
-					var skip []int
-					for i, g := range gid {
-						if g == q1Skip {
-							skip = append(skip, i)
+			}
+			if mode == 2 && n > 0 {
+				i := rng.Intn(n)
+				price[i], disc[i], tax[i] = q1OutOfRange(rng, price[i], disc[i], tax[i])
+			}
+			for rounds := 0; rounds <= 25; rounds++ {
+				plants := []int{-1}
+				if rounds == 0 && n > 0 {
+					plants = append(plants, 0, n/2, n-1)
+				}
+				for _, at := range plants {
+					p, d, tx := slices.Clone(price), slices.Clone(disc), slices.Clone(tax)
+					if at >= 0 {
+						p[at], d[at], tx[at] = -1, -100, -50
+					}
+					wantDP, wantCH, wantSum, wantSkip := q1ArithRoundsRef(p, d, tx, qty, rounds)
+					for _, avx2 := range avx2Bodies(t) {
+						for _, inPlace := range []bool{false, true} {
+							gid, dp, ch := make([]uint8, n), make([]int64, n), make([]int64, n)
+							bd, bt := d, tx
+							if inPlace {
+								copy(dp, d)
+								copy(ch, tx)
+								bd, bt = dp, ch
+							}
+							sum := q1ArithRoundsBody(avx2, gid, dp, ch, p, bd, bt, qty, rounds)
+							var skip []int
+							for i, g := range gid {
+								if g == q1Skip {
+									skip = append(skip, i)
+								}
+							}
+							if sum != wantSum || !slices.Equal(skip, wantSkip) || !slices.Equal(dp, wantDP) || !slices.Equal(ch, wantCH) {
+								t.Errorf("%s body, %s, in place %v, n=%d rounds=%d -1 at %d: sum %d, skip %v; reference %d, %v (prices and charges equal: %v)",
+									bodyName(avx2), name, inPlace, n, rounds, at, sum, skip, wantSum, wantSkip,
+									slices.Equal(dp, wantDP) && slices.Equal(ch, wantCH))
+							}
 						}
 					}
-					if sum != wantSum || !slices.Equal(skip, wantSkip) {
-						t.Errorf("%s body, n=%d rounds=%d -1 at %d: sum %d, skip %v; reference %d, %v",
-							bodyName(avx2), n, rounds, at, sum, skip, wantSum, wantSkip)
+					if !hasAVX2 {
+						continue
+					}
+					m := 0 // the rows of the whole steps before the first out of range
+					for m+16 <= n {
+						in := true
+						for i := m; i < m+16; i++ {
+							in = in && p[i] >= 0 && p[i] < 1<<31 && d[i] >= -27 && d[i] <= 100 && tx[i] >= -100 && tx[i] <= 155
+						}
+						if !in {
+							break
+						}
+						m += 16
+					}
+					dp, ch := make([]int64, n), make([]int64, n)
+					sum, rows := q1ArithRoundsAVX2(dp, ch, p, d, tx, qty, rounds)
+					if rows != m {
+						t.Fatalf("assembly, %s, n=%d rounds=%d -1 at %d: ran %d rows, want %d", name, n, rounds, at, rows, m)
+					}
+					goDP, goCH := make([]int64, m), make([]int64, m)
+					q1Arith(goDP, goCH, p[:m], d, tx)
+					want := q1Rounds(make([]uint8, m), goCH, qty, rounds, q1Mul)
+					if sum != want || !slices.Equal(dp[:m], goDP) || !slices.Equal(ch[:m], goCH) {
+						t.Errorf("assembly, %s, n=%d rounds=%d: sum %d, q1Rounds %d (prices and charges equal: %v)",
+							name, n, rounds, sum, want, slices.Equal(dp[:m], goDP) && slices.Equal(ch[:m], goCH))
 					}
 				}
-				if m := n &^ 15; hasAVX2 && m > 0 {
-					sum, skip := q1RoundsAVX2(c, qty, rounds)
-					gid := make([]uint8, m)
-					want := q1Rounds(gid, c[:m], qty, rounds, q1Mul)
-					if wantSkip := slices.Contains(gid, q1Skip); sum != want || skip != wantSkip {
-						t.Errorf("assembly, n=%d rounds=%d -1 at %d: sum %d, skip %v; q1Rounds %d, %v",
-							n, rounds, at, sum, skip, want, wantSkip)
+			}
+		}
+	}
+}
+
+// TestQ1OrdinalsBodiesAgree holds each body of q1Table.ordinals to the Go
+// body — the ordinals and the table after them — and the AVX2 assembly alone
+// to the steps it must run: every four-row step before the first with a key
+// away from its home entry. The table starts empty, holding TPC-H's six
+// keys, or holding keys that collide on their home entries, some of them
+// displaced; rows draw TPC-H's keys, or those and other low bytes, under
+// arbitrary high bits; the lengths run from 0 to 9 and one block.
+func TestQ1OrdinalsBodiesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var tpchKeys [][2]int64
+	for _, f := range []int64{'A', 'N', 'R'} {
+		for _, st := range []int64{'F', 'O'} {
+			tpchKeys = append(tpchKeys, [2]int64{f, st})
+		}
+	}
+	// (0, 0) and (2, 1) share home entry 0, as (1, 0) and (3, 1) share 1:
+	// the second of each pair is displaced.
+	colliding := [][2]int64{{0, 0}, {2, 1}, {1, 0}, {3, 1}}
+	presets := map[string][][2]int64{"empty": nil, "TPC-H": tpchKeys, "colliding": colliding}
+	for name, preset := range presets {
+		var base q1Table
+		for _, k := range preset {
+			base.ordinal(q1Key(k[0], k[1]))
+		}
+		for _, mixed := range []bool{false, true} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, q1Block} {
+				flag, status := make([]int64, n), make([]int64, n)
+				for i := range flag {
+					k := [2]int64{int64(rng.Intn(256)), int64(rng.Intn(256))}
+					if pool := append(tpchKeys, colliding...); !mixed || rng.Intn(4) > 0 {
+						k = pool[rng.Intn(len(pool))]
+					}
+					flag[i] = int64(rng.Uint64())&^0xff | k[0]
+					status[i] = int64(rng.Uint64())&^0xff | k[1]
+				}
+				want, wantGid := base, make([]uint8, n)
+				want.ordinals(wantGid, flag, status)
+				for _, avx2 := range avx2Bodies(t) {
+					got, gid := base, make([]uint8, n)
+					got.ordinalsBody(avx2, gid, flag, status)
+					if !slices.Equal(gid, wantGid) || got.keys != want.keys || got.used != want.used {
+						t.Errorf("%s body, table %s, mixed %v, n=%d: ordinals %v, table %v/%d; Go body %v, %v/%d",
+							bodyName(avx2), name, mixed, n, gid, got.keys, got.used, wantGid, want.keys, want.used)
 					}
 				}
+				if !hasAVX2 {
+					continue
+				}
+				m := 0 // the rows of the whole steps before the first away from home
+				for ; m+4 <= n; m += 4 {
+					home := true
+					for i := m; i < m+4; i++ {
+						key := q1Key(flag[i], status[i])
+						home = home && base.keys[key%(2*q1Slots)] == key
+					}
+					if !home {
+						break
+					}
+				}
+				tbl, gid := base, make([]uint8, n)
+				if rows := q1OrdinalsAVX2(&tbl.keys, gid, flag, status); rows != m || !slices.Equal(gid[:m], wantGid[:m]) {
+					t.Errorf("assembly, table %s, mixed %v, n=%d: ran %d rows, want %d; ordinals %v, Go body %v",
+						name, mixed, n, rows, m, gid[:m], wantGid[:min(m, n)])
+				}
+			}
+		}
+	}
+}
+
+// TestQ1SumBodiesAgree holds each body of q1Table.sum to adding row by row:
+// every ordinal the mask leaves, edge-valued measures, the lengths 0 to 9 —
+// no step, whole steps, steps with each tail — and one block.
+func TestQ1SumBodiesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, q1Block} {
+		gid := make([]uint8, n)
+		var m [4][]int64
+		for j := range m {
+			m[j] = make([]int64, n)
+		}
+		for i := range gid {
+			gid[i] = uint8(rng.Intn(256))
+			for j := range m {
+				m[j][i] = edgeInt64(rng)
+			}
+		}
+		var want q1Table
+		for i, g := range gid {
+			s := &want.sums[g&q1Mask]
+			s.Count++
+			s.SumQty += m[0][i]
+			s.SumBase += m[1][i]
+			s.SumDisc += m[2][i]
+			s.SumCharge += m[3][i]
+		}
+		for _, avx2 := range avx2Bodies(t) {
+			var got q1Table
+			got.sumBody(avx2, gid, m[0], m[1], m[2], m[3])
+			if got.sums != want.sums {
+				t.Errorf("%s body, n=%d: sums %v, row by row %v", bodyName(avx2), n, got.sums, want.sums)
 			}
 		}
 	}
