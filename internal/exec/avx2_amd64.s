@@ -160,8 +160,8 @@ done:
 // 0.01 exceeds it by under 2^-54 relative, so a multiple of 100 times it is
 // within half an ulp of the quotient and rounds to it exactly, and any
 // other a lies 0.01 or more below the next multiple, far beyond the
-// product's error, under 2^-17. Each row's inputs are read before its outputs are written, so
-// disc and tax may be dp and ch.
+// product's error, under 2^-17. Each row's inputs are read before its
+// outputs are written, so disc and tax may be dp and ch.
 #define PRICE(OFF, X) \
 	VMOVDQU  OFF(R8)(AX*1), Y8; \
 	VPSUBQ   Y8, Y13, Y8; \
@@ -261,6 +261,8 @@ step:
 	VMOVDQU 96(R10)(AX*1), Y7
 	MOVQ    BX, R11
 
+	// Y11-Y15 hold constants and sums: the fourth chain borrows the
+	// first's scratch register.
 round:
 	CMPQ R11, $0
 	JLE  fold
