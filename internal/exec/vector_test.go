@@ -264,55 +264,6 @@ func FuzzQ6Kernel(f *testing.F) {
 	})
 }
 
-// TestQ6KernelRaggedColumns holds both bodies to the reference on the shapes
-// the AVX2 body's four-row step makes new: every row count from one to nine
-// and around a vector; columns starting one element into their arrays, so
-// no load is aligned; columns longer than n whose rows past n — and the
-// element before each column's start — pass every conjunct with a large
-// price, so a read past either end moves the sum; and, on an All decision,
-// nil dates.
-func TestQ6KernelRaggedColumns(t *testing.T) {
-	pred := Q6Predicate{DateLo: 100, DateHi: 200, DiscLo: 5, DiscHi: 7, MaxQty: 24}
-	poison := [4]int64{pred.DateLo, pred.DiscLo, pred.MaxQty - 1, 1 << 40}
-	// Per column, the values of the first n rows: around each conjunct's
-	// ends, and prices anywhere, so the product wraps.
-	windows := [3][2]int64{{50, 250}, {3, 9}, {20, 28}}
-	const past = 7
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range slices.Concat(stepRowCounts, []int{vecRows - 1, vecRows, vecRows + 1, vecRows + 6}) {
-		for _, decided := range []storage.Decided{storage.Some, storage.All} {
-			var c [4][]int64
-			for j := range c {
-				arr := make([]int64, 1+n+past)
-				for i := range arr {
-					arr[i] = poison[j]
-				}
-				c[j] = arr[1:]
-				for i := range c[j][:n] {
-					if j < 3 {
-						c[j][i] = windows[j][0] + rng.Int63n(windows[j][1]-windows[j][0]+1)
-					} else {
-						c[j][i] = edgeInt64(rng)
-					}
-				}
-			}
-			dates := c[0]
-			if decided == storage.All {
-				for i := range c[0][:n] {
-					c[0][i] = pred.DateLo + rng.Int63n(pred.DateHi-pred.DateLo)
-				}
-				dates = nil
-			}
-			want := q6Ref(c[0][:n], c[1][:n], c[2][:n], c[3][:n], pred)
-			for _, avx2 := range avx2Bodies(t) {
-				if got := q6Body(avx2, dates, c[1], c[2], c[3], n, pred, decided); got != want {
-					t.Errorf("%s body, n=%d decided %d: kernel %+v, reference %+v", bodyName(avx2), n, decided, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestQ6KernelShortColumnPanics: a column the decision reads that holds
 // fewer than n rows is a bug in the caller, and each body panics on it
 // rather than reading past the column's end.
@@ -562,216 +513,6 @@ func q1OutOfRange(rng *rand.Rand, price, disc, tax int64) (int64, int64, int64) 
 		tax = out(-101, 156, math.MinInt64)
 	}
 	return price, disc, tax
-}
-
-// TestQ1ArithRoundsBodiesAgree holds each body of the price arithmetic and
-// the rounds to q1ArithRoundsRef — the discounted prices and charges, the
-// sum of the results, which the arithmetic of every round moves, and the
-// rows moved to the skip ordinal — run apart and in place, and the AVX2
-// assembly alone to the Go bodies over the sixteen-row steps it must run:
-// every one before the first with a row out of its range. Rows are
-// edge-valued, all in that range (its ends, their neighbours, anything
-// inside), or in it but for one row just outside; the round counts run from
-// 0 to 25, the lengths from 0 to 40 — no step, whole steps, steps with each
-// tail — and one block. At rounds 0, the one count a result can be -1 at, a
-// charge of -1 (a price of -1, a discount of -100, a tax of -50) is planted
-// in turn at the first row, a middle one and the last, so the tail and the
-// rows after a step out of range are checked.
-func TestQ1ArithRoundsBodiesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	for n := 0; n <= q1Block; n++ {
-		if n > 40 && n < q1Block {
-			continue
-		}
-		for mode, name := range []string{"edge", "in range", "one out"} {
-			price, disc, tax, qty := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
-			for i := range price {
-				qty[i] = edgeInt64(rng)
-				if mode == 0 {
-					price[i], disc[i], tax[i] = edgeInt64(rng), edgeInt64(rng), edgeInt64(rng)
-				} else {
-					price[i], disc[i], tax[i] = q1InRange(rng)
-				}
-			}
-			if mode == 2 && n > 0 {
-				i := rng.Intn(n)
-				price[i], disc[i], tax[i] = q1OutOfRange(rng, price[i], disc[i], tax[i])
-			}
-			for rounds := 0; rounds <= 25; rounds++ {
-				plants := []int{-1}
-				if rounds == 0 && n > 0 {
-					plants = append(plants, 0, n/2, n-1)
-				}
-				for _, at := range plants {
-					p, d, tx := slices.Clone(price), slices.Clone(disc), slices.Clone(tax)
-					if at >= 0 {
-						p[at], d[at], tx[at] = -1, -100, -50
-					}
-					wantDP, wantCH, wantSum, wantSkip := q1ArithRoundsRef(p, d, tx, qty, rounds)
-					for _, avx2 := range avx2Bodies(t) {
-						for _, inPlace := range []bool{false, true} {
-							gid, dp, ch := make([]uint8, n), make([]int64, n), make([]int64, n)
-							bd, bt := d, tx
-							if inPlace {
-								copy(dp, d)
-								copy(ch, tx)
-								bd, bt = dp, ch
-							}
-							sum := q1ArithRoundsBody(avx2, gid, dp, ch, p, bd, bt, qty, rounds)
-							var skip []int
-							for i, g := range gid {
-								if g == q1Skip {
-									skip = append(skip, i)
-								}
-							}
-							if sum != wantSum || !slices.Equal(skip, wantSkip) || !slices.Equal(dp, wantDP) || !slices.Equal(ch, wantCH) {
-								t.Errorf("%s body, %s, in place %v, n=%d rounds=%d -1 at %d: sum %d, skip %v; reference %d, %v (prices and charges equal: %v)",
-									bodyName(avx2), name, inPlace, n, rounds, at, sum, skip, wantSum, wantSkip,
-									slices.Equal(dp, wantDP) && slices.Equal(ch, wantCH))
-							}
-						}
-					}
-					if !hasAVX2 {
-						continue
-					}
-					m := 0 // the rows of the whole steps before the first out of range
-					for m+16 <= n {
-						in := true
-						for i := m; i < m+16; i++ {
-							in = in && p[i] >= 0 && p[i] < 1<<31 && d[i] >= -27 && d[i] <= 100 && tx[i] >= -100 && tx[i] <= 155
-						}
-						if !in {
-							break
-						}
-						m += 16
-					}
-					dp, ch := make([]int64, n), make([]int64, n)
-					sum, rows := q1ArithRoundsAVX2(dp, ch, p, d, tx, qty, rounds)
-					if rows != m {
-						t.Fatalf("assembly, %s, n=%d rounds=%d -1 at %d: ran %d rows, want %d", name, n, rounds, at, rows, m)
-					}
-					goDP, goCH := make([]int64, m), make([]int64, m)
-					q1Arith(goDP, goCH, p[:m], d, tx)
-					want := q1Rounds(make([]uint8, m), goCH, qty, rounds, q1Mul)
-					if sum != want || !slices.Equal(dp[:m], goDP) || !slices.Equal(ch[:m], goCH) {
-						t.Errorf("assembly, %s, n=%d rounds=%d: sum %d, q1Rounds %d (prices and charges equal: %v)",
-							name, n, rounds, sum, want, slices.Equal(dp[:m], goDP) && slices.Equal(ch[:m], goCH))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestQ1OrdinalsBodiesAgree holds each body of q1Table.ordinals to the Go
-// body — the ordinals and the table after them — and the AVX2 assembly alone
-// to the steps it must run: every four-row step before the first with a key
-// away from its home entry. The table starts empty, holding TPC-H's six keys
-// (at home entries in both halves of the table), or holding keys that
-// collide on their home entries, three of them displaced; rows draw the
-// table's keys (TPC-H's for the empty one), or those and, one row in eight,
-// other low bytes, under arbitrary high bits; the lengths run from 0 to 9
-// and one block.
-func TestQ1OrdinalsBodiesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	var tpchKeys [][2]int64
-	for _, f := range []int64{'A', 'N', 'R'} {
-		for _, st := range []int64{'F', 'O'} {
-			tpchKeys = append(tpchKeys, [2]int64{f, st})
-		}
-	}
-	// (0, 0) and (2, 1) share home entry 0, as (1, 0) and (3, 1) share 1:
-	// the second of each pair is displaced.
-	colliding := [][2]int64{{0, 0}, {2, 1}, {1, 0}, {3, 1}}
-	presets := map[string][][2]int64{"empty": nil, "TPC-H": tpchKeys, "colliding": colliding}
-	for name, preset := range presets {
-		var base q1Table
-		for _, k := range preset {
-			base.ordinal(q1Key(k[0], k[1]))
-		}
-		pool := preset
-		if len(pool) == 0 {
-			pool = tpchKeys
-		}
-		for _, mixed := range []bool{false, true} {
-			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, q1Block} {
-				flag, status := make([]int64, n), make([]int64, n)
-				for i := range flag {
-					k := pool[rng.Intn(len(pool))]
-					if mixed && rng.Intn(8) == 0 {
-						k = [2]int64{int64(rng.Intn(256)), int64(rng.Intn(256))}
-					}
-					flag[i] = int64(rng.Uint64())&^0xff | k[0]
-					status[i] = int64(rng.Uint64())&^0xff | k[1]
-				}
-				want, wantGid := base, make([]uint8, n)
-				want.ordinals(wantGid, flag, status)
-				for _, avx2 := range avx2Bodies(t) {
-					got, gid := base, make([]uint8, n)
-					got.ordinalsBody(avx2, gid, flag, status)
-					if !slices.Equal(gid, wantGid) || got.keys != want.keys || got.used != want.used {
-						t.Errorf("%s body, table %s, mixed %v, n=%d: ordinals %v, table %v/%d; Go body %v, %v/%d",
-							bodyName(avx2), name, mixed, n, gid, got.keys, got.used, wantGid, want.keys, want.used)
-					}
-				}
-				if !hasAVX2 {
-					continue
-				}
-				m := 0 // the rows of the whole steps before the first away from home
-				for ; m+4 <= n; m += 4 {
-					home := true
-					for i := m; i < m+4; i++ {
-						key := q1Key(flag[i], status[i])
-						home = home && base.keys[key%(2*q1Slots)] == key
-					}
-					if !home {
-						break
-					}
-				}
-				tbl, gid := base, make([]uint8, n)
-				if rows := q1OrdinalsAVX2(&tbl.keys, gid, flag, status); rows != m || !slices.Equal(gid[:m], wantGid[:m]) {
-					t.Errorf("assembly, table %s, mixed %v, n=%d: ran %d rows, want %d; ordinals %v, Go body %v",
-						name, mixed, n, rows, m, gid[:m], wantGid[:min(m, n)])
-				}
-			}
-		}
-	}
-}
-
-// TestQ1SumBodiesAgree holds each body of q1Table.sum to adding row by row:
-// every ordinal the mask leaves, edge-valued measures, the lengths 0 to 9 —
-// no step, whole steps, steps with each tail — and one block.
-func TestQ1SumBodiesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, q1Block} {
-		gid := make([]uint8, n)
-		var m [4][]int64
-		for j := range m {
-			m[j] = make([]int64, n)
-		}
-		for i := range gid {
-			gid[i] = uint8(rng.Intn(256))
-			for j := range m {
-				m[j][i] = edgeInt64(rng)
-			}
-		}
-		var want q1Table
-		for i, g := range gid {
-			s := &want.sums[g&q1Mask]
-			s.Count++
-			s.SumQty += m[0][i]
-			s.SumBase += m[1][i]
-			s.SumDisc += m[2][i]
-			s.SumCharge += m[3][i]
-		}
-		for _, avx2 := range avx2Bodies(t) {
-			var got q1Table
-			got.sumBody(avx2, gid, m[0], m[1], m[2], m[3])
-			if got.sums != want.sums {
-				t.Errorf("%s body, n=%d: sums %v, row by row %v", bodyName(avx2), n, got.sums, want.sums)
-			}
-		}
-	}
 }
 
 // TestKernelAllocs: the Q6 kernel allocates nothing (its selection scratch
