@@ -130,7 +130,7 @@ func Check(buf []byte) (int, error) {
 			err = ErrCorrupt
 		}
 	case PFOR, PFORDelta:
-		_, _, err = pforParts(rest, n, width)
+		_, err = pforParts(rest, n, width)
 	case PDict:
 		err = checkIntDict(rest, n, width)
 	default:
@@ -296,60 +296,50 @@ const blockValues = 512
 
 // pforParts splits a PFOR or PFOR-DELTA payload — base, exception count,
 // packed values, exception list of (position, value) pairs — checking that
-// the payload holds them and that every exception position lies below n, and
-// reports whether the positions are strictly ascending, as the encoder
-// writes them. The packed values start at byte 12 of src.
-func pforParts(src []byte, n int, width uint) (excs []byte, ascending bool, err error) {
+// the payload holds them and that the exception positions are strictly
+// ascending and below n: the one order the encoder writes, so any other
+// list is a damaged payload. The packed values start at byte 12 of src.
+func pforParts(src []byte, n int, width uint) (excs []byte, err error) {
 	if n == 0 {
-		return nil, true, nil
+		return nil, nil
 	}
 	if len(src) < 12 {
-		return nil, false, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	nexc := int(binary.LittleEndian.Uint32(src[8:12]))
 	packed := packedLen(n, width)
 	if packed+12*nexc > len(src)-12 {
-		return nil, false, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	excs = src[12+packed:][:12*nexc]
-	ascending = true
 	for e, last := excs, -1; len(e) >= 12; e = e[12:] {
 		pos := int(binary.LittleEndian.Uint32(e))
-		if pos >= n {
-			return nil, false, ErrCorrupt
+		if pos >= n || pos <= last {
+			return nil, ErrCorrupt
 		}
-		ascending = ascending && pos > last
 		last = pos
 	}
-	return excs, ascending, nil
+	return excs, nil
 }
 
 // decodePFOR decodes a checked PFOR or PFOR-DELTA payload into out. PFOR
 // adds the base as it unpacks and patches its exceptions, base added,
 // afterwards: the patches are independent stores. PFOR-DELTA must see a
 // patched delta before the running sum passes it, so it works a block at a
-// time — unpack, patch from a cursor over the exception list, sum — which
-// needs the list's positions strictly ascending. Any other list (duplicates,
-// where the last entry wins; unsorted) is decoded the long way: unpack
-// everything, patch in list order, sum.
+// time — unpack, patch from a cursor over the exception list, whose
+// positions Check found strictly ascending, sum.
 func decodePFOR(out []int64, src []byte, width uint, delta bool) {
 	n := len(out)
-	excs, ascending, _ := pforParts(src, n, width)
+	excs, _ := pforParts(src, n, width)
 	if n == 0 {
 		return
 	}
 	base := binary.LittleEndian.Uint64(src[0:8])
 	src = src[12:]
-	if !delta || !ascending {
-		if delta {
-			base = 0
-		}
+	if !delta {
 		unpackAdd(out, src, width, base)
 		for e := excs; len(e) >= 12; e = e[12:] {
 			out[binary.LittleEndian.Uint32(e)] = int64(binary.LittleEndian.Uint64(e[4:]) + base)
-		}
-		if delta {
-			prefixSum(out, 0)
 		}
 		return
 	}

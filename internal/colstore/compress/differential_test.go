@@ -14,12 +14,32 @@ import (
 	"testing"
 )
 
-// requireSameDecode decodes buf with the reference and with the product —
-// into a fresh slice, into a dirty slice of exactly the right size, and into
-// a dirty undersized one — and fails unless all agree.
+// wantDecode is what the product must make of buf: what the reference
+// makes of it, except that a PFOR or PFOR-DELTA exception list whose
+// positions are not strictly ascending — an order the encoder never writes,
+// which the reference decodes anyway — is ErrCorrupt.
+func wantDecode(buf []byte) ([]int64, error) {
+	want, err := refDecodeIntsInto(nil, buf)
+	if s, width, n, rest, _ := readHeader(buf); err == nil && (s == PFOR || s == PFORDelta) && n > 0 {
+		excs := rest[12+(n*int(width)+7)/8:][:12*binary.LittleEndian.Uint32(rest[8:12])]
+		for last := -1; len(excs) > 0; excs = excs[12:] {
+			if pos := int(binary.LittleEndian.Uint32(excs)); pos > last {
+				last = pos
+				continue
+			}
+			return nil, fmt.Errorf("exceptions out of order: %w", ErrCorrupt)
+		}
+	}
+	return want, err
+}
+
+// requireSameDecode decodes buf with the reference, under the order rule
+// (wantDecode), and with the product — into a fresh slice, into a dirty
+// slice of exactly the right size, and into a dirty undersized one — and
+// fails unless all agree.
 func requireSameDecode(t testing.TB, what string, buf []byte) {
 	t.Helper()
-	want, werr := refDecodeIntsInto(nil, buf)
+	want, werr := wantDecode(buf)
 	if werr != nil && !errors.Is(werr, ErrCorrupt) {
 		t.Fatalf("%s: reference failed with %v, not ErrCorrupt", what, werr)
 	}
@@ -156,9 +176,9 @@ func everyNth(rng *rand.Rand, n, step int) []exception {
 }
 
 // TestDecodeDamagedMatchesReference walks the failure surface by hand: every
-// truncation of a buffer of each scheme, and the exception lists the block
-// decoder must hand to the long way round or refuse — unsorted, duplicated
-// (the last entry wins), out of range.
+// truncation of a buffer of each scheme, and the exception lists the decoder
+// must refuse, though the reference decodes some of them — unsorted,
+// duplicated, out of range.
 func TestDecodeDamagedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 1100 // three blocks, the last ragged
@@ -176,7 +196,11 @@ func TestDecodeDamagedMatchesReference(t *testing.T) {
 				{"far out of range", []exception{{1 << 31, 1}}},
 				{"descending", []exception{{n - 1, 1}, {512, 2}, {0, 3}}},
 			} {
-				requireSameDecode(t, fmt.Sprintf("%v width %d exceptions %s", s, width, list.name), pforBuffer(s, width, 77, packed, list.excs))
+				buf := pforBuffer(s, width, 77, packed, list.excs)
+				requireSameDecode(t, fmt.Sprintf("%v width %d exceptions %s", s, width, list.name), buf)
+				if _, err := Check(buf); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%v width %d exceptions %s: Check says %v, not ErrCorrupt", s, width, list.name, err)
+				}
 			}
 			buf := pforBuffer(s, width, 77, packed, everyNth(rng, n, 50))
 			for cut := 0; cut < len(buf); cut += 1 + cut/64 {
@@ -222,7 +246,8 @@ func addLineitemWidthSeeds(f *testing.F) {
 	}
 }
 
-// FuzzDecodeDifferential feeds arbitrary buffers to both decoders: both fail
+// FuzzDecodeDifferential feeds arbitrary buffers to both decoders: an
+// exception list not strictly ascending is ErrCorrupt; otherwise both fail
 // with ErrCorrupt, or both return the same values.
 func FuzzDecodeDifferential(f *testing.F) {
 	addLineitemWidthSeeds(f)
@@ -233,10 +258,11 @@ func FuzzDecodeDifferential(f *testing.F) {
 }
 
 // FuzzCheckThenDecode holds the decoder's two halves to the whole and to the
-// reference: Check accepts a buffer exactly when DecodeIntsInto and the
-// reference decode it, and says how many values; once it has, DecodeChecked
-// neither panics nor differs from the reference, into a dirty destination of
-// the right size or an undersized one.
+// reference under the order rule (wantDecode): Check accepts a buffer
+// exactly when DecodeIntsInto decodes it and the rule does, and says how
+// many values; once it has, DecodeChecked neither panics nor differs from
+// the reference, into a dirty destination of the right size or an
+// undersized one.
 func FuzzCheckThenDecode(f *testing.F) {
 	addDecodeSeeds(f)
 	f.Add(encodeRaw([]int64{1, 2, 3}))
@@ -244,7 +270,7 @@ func FuzzCheckThenDecode(f *testing.F) {
 	addCorpus(f, "FuzzDecodeDifferential")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := Check(data)
-		want, werr := refDecodeIntsInto(nil, data)
+		want, werr := wantDecode(data)
 		_, derr := DecodeIntsInto(nil, data)
 		switch {
 		case err != nil && !errors.Is(err, ErrCorrupt):
