@@ -5,7 +5,8 @@
 //
 //   - RunCore drives a live-mode core.Manager and its ABMs directly,
 //     single-threaded, mirroring the engine's legal call sequences
-//     (IssueLoad → Load.Finish/Abort, PickAvailable → Pin → Release) with
+//     (IssueLoad → Load.Finish/Abort, PickAvailable → Pin → Release,
+//     Enqueue → AdmitQueued or a Finish while still queued) with
 //     tables attaching and detaching mid-run — and audits every
 //     incrementally maintained structure against a linear recomputation
 //     (core.ABM.AuditIncremental, which includes the incremental-vs-linear
@@ -96,6 +97,8 @@ type CoreReport struct {
 	Attaches   int
 	Detaches   int
 	Registered int
+	Enqueued   int // of the registered, how many waited in the admission queue
+	Dequeued   int // finished while still queued, never admitted
 	Cancelled  int
 	Finished   int
 	Loads      int
@@ -126,6 +129,7 @@ type soakTable struct {
 	ncols      int
 	chunkBytes int64
 	queries    []*soakQuery
+	queued     []*core.Query // enqueued, not yet admitted
 	inflight   []*core.Load
 }
 
@@ -206,7 +210,7 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 	detach := func(op int) error {
 		for _, i := range rng.Perm(len(tables)) {
 			t := tables[i]
-			if len(t.queries) > 0 || len(t.inflight) > 0 {
+			if len(t.queries) > 0 || len(t.queued) > 0 || len(t.inflight) > 0 {
 				continue
 			}
 			mgr.Detach(t.name)
@@ -218,8 +222,11 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		return nil
 	}
 
-	register := func(t *soakTable) {
-		if len(t.queries) >= 40 {
+	// register builds a query and registers it at once, or — queued — puts
+	// it in the admission queue, as every engine scan starts, for a later
+	// admit to register.
+	register := func(t *soakTable, queued bool) {
+		if len(t.queries)+len(t.queued) >= 40 {
 			return
 		}
 		s := rng.Intn(t.chunks)
@@ -229,11 +236,44 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		if t.columnar {
 			cols = cols.Add(rng.Intn(t.ncols)).Add(rng.Intn(t.ncols))
 		}
-		q := t.abm.NewQuery(fmt.Sprintf("%s-q%d", t.name, len(t.queries)), rs, cols)
+		q := t.abm.NewQuery(fmt.Sprintf("%s-q%d", t.name, len(t.queries)+len(t.queued)), rs, cols)
+		rep.Registered++
+		if queued {
+			q.SetWaker(func() { event("admitted %s", q.Name) })
+			t.abm.Enqueue(q)
+			t.queued = append(t.queued, q)
+			rep.Enqueued++
+			event("enqueue %s %v %v", q.Name, rs, cols)
+			return
+		}
 		t.abm.Register(q)
 		t.queries = append(t.queries, &soakQuery{q: q, pinned: -1})
-		rep.Registered++
 		event("register %s %v %v", q.Name, rs, cols)
+	}
+
+	// admit registers every queued query, in enqueue order, as the engine's
+	// scheduler pass does; each one's waker records its admission.
+	admit := func(t *soakTable) {
+		event("admit %s %d", t.name, len(t.queued))
+		t.abm.AdmitQueued()
+		for _, q := range t.queued {
+			t.queries = append(t.queries, &soakQuery{q: q, pinned: -1})
+		}
+		t.queued = nil
+	}
+
+	// dequeue finishes a query still in the admission queue: a scan
+	// cancelled before the scheduler admitted it.
+	dequeue := func(t *soakTable) {
+		if len(t.queued) == 0 {
+			return
+		}
+		i := rng.Intn(len(t.queued))
+		q := t.queued[i]
+		t.abm.Finish(q)
+		t.queued = append(t.queued[:i], t.queued[i+1:]...)
+		rep.Dequeued++
+		event("dequeue %s", q.Name)
 	}
 
 	finish := func(t *soakTable, i int) {
@@ -381,9 +421,21 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 			err = attach(op)
 		case r < 6:
 			err = detach(op)
+		case r < 12:
+			if t != nil {
+				register(t, false)
+			}
+		case r < 16:
+			if t != nil {
+				register(t, true)
+			}
 		case r < 18:
 			if t != nil {
-				register(t)
+				admit(t)
+			}
+		case r < 19:
+			if t != nil {
+				dequeue(t)
 			}
 		case r < 21:
 			if t != nil {
@@ -416,8 +468,12 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 	rep.Ops = cfg.Ops
 
 	// Drain: abort what is still in flight, release held pins, finish every
-	// query, and hold the quiescent-state invariants on every table.
+	// query, queued or registered, and hold the quiescent-state invariants
+	// on every table.
 	for _, t := range tables {
+		for len(t.queued) > 0 {
+			dequeue(t)
+		}
 		for _, ld := range t.inflight {
 			ld.Abort()
 			rep.Aborts++

@@ -61,8 +61,8 @@ func TestSoakRand(t *testing.T) {
 			if rep.Loads == 0 || rep.Finished == 0 || rep.Audits == 0 {
 				t.Fatalf("soak too tame: %+v", rep)
 			}
-			if rep.Attaches < 2 || rep.Registered < 10 {
-				t.Fatalf("soak never churned tables/queries: %+v", rep)
+			if rep.Attaches < 2 || rep.Registered < 10 || rep.Enqueued == 0 || rep.Dequeued == 0 {
+				t.Fatalf("soak never churned tables/queries/admission: %+v", rep)
 			}
 			t.Logf("core soak: %+v", rep)
 		})
