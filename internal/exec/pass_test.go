@@ -11,12 +11,11 @@ import (
 
 // The kernels' AVX2 passes in one table, checked by one runner. An entry
 // gives the pass's step, its kernel's block and its regimes, which draw
-// cases. A case gives the assembly alone; the body through the kernel's
-// *Body(avx2, …) seam, the Go body or the AVX2 one and the Go body after
-// it; an independent reference; and the rows the assembly refuses: its
-// hand-over contract is to run every whole step before the first of them.
-// Each regime asserts reach: the assembly ran at least that many whole
-// steps over its cases, so a generator that stops reaching it fails.
+// cases; a case gives the assembly alone, the body through the kernel's
+// *Body(avx2, …) seam (the Go body, or the AVX2 one and the Go body after
+// it), an independent reference, and the rows the assembly refuses, before
+// the first of which it must run every whole step. Each regime asserts its
+// reach, the whole steps its cases make the assembly run, or fails.
 var avx2Passes = map[string]pass{
 	"q6AVX2": {4, vecRows, []regime{{"some", 1500, 4, q6Cases(storage.Some)}, {"all, nil dates", 1500, 4, q6Cases(storage.All)}}},
 	"q1ArithRoundsAVX2": {16, q1Block, []regime{{"edge", 0, 52, roundsCases("edge")}, {"in range", 1000, 52, roundsCases("in range")},
@@ -221,7 +220,10 @@ func ordinalsCases(mixed bool) func(*rand.Rand, int, int) passCase {
 				}
 				return fmt.Sprint(gid, keys)
 			},
-			refuses: func(i int) bool { key := q1Key(flag[i], status[i]); return base.keys[key%(2*q1Slots)] != key }, // away from home
+			refuses: func(i int) bool { // a key away from its home entry
+				key := q1Key(flag[i], status[i])
+				return base.keys[key%(2*q1Slots)] != key
+			},
 		}
 	}
 }

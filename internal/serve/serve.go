@@ -43,10 +43,9 @@ type Config struct {
 	// Default 10s; negative disables.
 	WriteTimeout time.Duration
 	// PruneQ6, when set, attaches the default Q6 predicate ranges to every
-	// Q6-aggregating scan (?agg=q6), so tables with persisted zonemaps
-	// prune chunks that cannot match before they reach the scheduler. Raw
-	// tables ignore the hint; the trailer's aggregate is unchanged either
-	// way.
+	// Q6-aggregating scan (?agg=q6), so chunks whose persisted zonemaps
+	// (every table file carries them) cannot match are pruned before they
+	// reach the scheduler; the trailer's aggregate is unchanged either way.
 	PruneQ6 bool
 	// Obs, when non-nil, receives the per-tier session metrics and mounts
 	// the obs debug handler (/metrics, /statusz with a sessions section,
