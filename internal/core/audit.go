@@ -357,13 +357,15 @@ func (a *ABM) auditLoadCands() error {
 	}
 	// candKey is an exact algebraic transform of queryRelevance, but the two
 	// compute through different float operations, so the comparison carries
-	// a relative tolerance. The root is not compared with itself: under a
-	// wall clock two reads of its relevance differ.
+	// a relative tolerance. Under a wall clock every query's relevance grows
+	// at the same rate, so a later read is higher by the time since an
+	// earlier one: the root is read after each query it is compared with,
+	// never before, so the clock favours the root, not the other query.
 	if rs := a.relev; rs != nil && h.len() > 0 {
 		best := h.peek()
-		br := rs.queryRelevance(best)
 		for _, q := range h.items[1:] {
 			qr := rs.queryRelevance(q)
+			br := rs.queryRelevance(best)
 			if tol := 1e-9 * (abs64(br) + abs64(qr) + 1); qr > br+tol {
 				return fmt.Errorf("core: candidate heap root %s (rel %v) loses to %s (rel %v)",
 					best.Name, br, q.Name, qr)
