@@ -186,10 +186,7 @@ func TestQ6KernelEveryDecision(t *testing.T) {
 					}
 					c[j][0], c[j][n-1] = w[0], w[1] // the window's ends are the bounds
 				}
-				c[3] = make([]int64, n)
-				for i := range c[3] {
-					c[3][i] = edgeInt64(rng)
-				}
+				c[3] = edgeCol(rng, n)
 				want := date
 				if date == storage.None || disc == storage.None || qty == storage.None {
 					want = storage.None

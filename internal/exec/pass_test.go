@@ -11,10 +11,10 @@ import (
 
 // The kernels' AVX2 passes in one table, checked by one runner. An entry
 // gives the pass's step, its kernel's block and its regimes, which draw
-// cases; a case gives the assembly alone, the body through the kernel's
-// *Body(avx2, …) seam (the Go body, or the AVX2 one and the Go body after
-// it), an independent reference, and the rows the assembly refuses, before
-// the first of which it must run every whole step. Each regime asserts its
+// cases; a case binds its rows in functions that print what they compute:
+// the assembly alone, the body through the kernel's *Body(avx2, …) seam,
+// an independent reference, and the rows the assembly refuses, before the
+// first of which it must run every whole step. Each regime asserts its
 // reach, the whole steps its cases make the assembly run, or fails.
 var avx2Passes = map[string]pass{
 	"q6AVX2": {4, vecRows, []regime{{"some", 1500, 4, q6Cases(storage.Some)}, {"all, nil dates", 1500, 4, q6Cases(storage.All)}}},
@@ -24,10 +24,10 @@ var avx2Passes = map[string]pass{
 	"q1SumAVX2":      {4, q1Block, []regime{{"every ordinal, edge-valued measures", 200, 4, sumCases}}},
 }
 
-func TestQ6KernelRaggedColumns(t *testing.T)    { avx2Passes["q6AVX2"].check(t) }
-func TestQ1ArithRoundsBodiesAgree(t *testing.T) { avx2Passes["q1ArithRoundsAVX2"].check(t) }
-func TestQ1OrdinalsBodiesAgree(t *testing.T)    { avx2Passes["q1OrdinalsAVX2"].check(t) }
-func TestQ1SumBodiesAgree(t *testing.T)         { avx2Passes["q1SumAVX2"].check(t) }
+func TestQ6KernelRaggedColumns(t *testing.T)    { checkPass(t, "q6AVX2") }
+func TestQ1ArithRoundsBodiesAgree(t *testing.T) { checkPass(t, "q1ArithRoundsAVX2") }
+func TestQ1OrdinalsBodiesAgree(t *testing.T)    { checkPass(t, "q1OrdinalsAVX2") }
+func TestQ1SumBodiesAgree(t *testing.T)         { checkPass(t, "q1SumAVX2") }
 
 type pass struct {
 	step, block int // rows per step of the assembly; the kernel's block
@@ -40,7 +40,6 @@ type regime struct {
 	draw         func(rng *rand.Rand, n, i int) passCase // case i of n rows
 }
 
-// passCase is a case's rows bound in functions that print what they compute.
 type passCase struct {
 	asm     func() (rows int, out string)
 	body    func(avx2 bool) string
@@ -48,7 +47,11 @@ type passCase struct {
 	refuses func(row int) bool    // nil: the assembly takes every row
 }
 
-func (p pass) check(t *testing.T) {
+func checkPass(t *testing.T, name string) {
+	p, ok := avx2Passes[name]
+	if !ok {
+		t.Fatalf("no pass %s in the table", name)
+	}
 	bodies, rng := avx2Bodies(t), rand.New(rand.NewSource(41))
 	lengths := []int{p.block - 1, p.block, p.block + 1} // and no step up to two and a row
 	for n := 0; n <= 2*p.step+1; n++ {
