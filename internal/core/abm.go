@@ -35,22 +35,24 @@
 //     the queries interested in that chunk, so starvation checks are O(1)
 //     flag reads and chooseAvailableChunk iterates one query's available
 //     chunks, not the pool.
+//   - There is one interest index, and each count lives in it once.
+//     ABM.chunkQueries[c] lists the registered queries that still need
+//     chunk c, so its length is the chunk's interest. The registered
+//     queries are grouped by the column set they read (groups.go), each
+//     group keeping per-chunk counts of its interested, starved and
+//     almost-starved members. An NSM layout reads no columns, so all its
+//     queries share one group and its loadRelevance and keepRelevance read
+//     one counter instead of scanning every registered query per candidate
+//     chunk. The Figure-11 column-overlap terms of a DSM layout (starved
+//     overlap counts and column unions in loadRelevance/keepRelevance,
+//     per-column usefulness, the elevator's per-chunk load set) iterate
+//     the handful of distinct column sets instead of every query.
 //   - Query.starved/almostStarved flip only when the availability count
 //     crosses the configured thresholds; each flip is folded into the
-//     per-chunk ABM.starvedInterest/almostInterest counters (alongside the
-//     long-standing interestCount) with one walk over the query's remaining
-//     range. The NSM loadRelevance and keepRelevance then read a counter
-//     instead of scanning every registered query per candidate chunk.
-//   - For DSM, registered queries are additionally grouped by their exact
-//     column set (groups.go), with the same interest counters kept per
-//     group. The Figure-11 column-overlap terms (starved-overlap counts and
-//     column unions in loadRelevance/keepRelevance, per-column usefulness,
-//     the elevator's per-chunk load set) iterate the handful of distinct
-//     column sets instead of every query.
+//     query's group counters with one walk over its remaining range.
 //   - bufcache.residentCols/loadingCols hold per-chunk residency bit sets,
 //     making "is chunk c resident / in flight for these columns?" a single
-//     bit test, and bufcache.occupied lists the chunks with buffered parts
-//     so registration seeds availability without a table scan.
+//     bit test.
 //   - Load-candidate ranking and victim selection are heap-ordered, on one
 //     indexedHeap implementation (heap.go). ABM.loadCands ranks the starved
 //     queries by a time-free transform of queryRelevance, re-keyed at the
@@ -219,8 +221,9 @@ type ABM struct {
 	blockedCount int
 
 	// chunkQueries[c] lists the registered queries that still need chunk c
-	// (Query.chunkPos[c] is the slot), so part residency events touch only
-	// the interested queries instead of the whole registry. List order is
+	// (Query.chunkPos[c] is the slot), so its length is the chunk's interest
+	// and part residency events touch only the interested queries instead
+	// of the whole registry. List order is
 	// arbitrary: every consumer either updates per-query state or takes a
 	// strict-total-order extremum, so decisions are order-independent.
 	chunkQueries [][]*Query
@@ -234,24 +237,11 @@ type ABM struct {
 	vicDirty     []bool
 	vicDirtyList []int
 
-	// interestCount[c] is the number of registered queries that still need
-	// chunk c, maintained incrementally so relevance functions are O(1) in
-	// the common (NSM) case.
-	interestCount []int
-
-	// starvedInterest[c] / almostInterest[c] count the currently starved
-	// (resp. almost-starved) queries that still need chunk c. They are
-	// updated only when a query's starvation state flips or a needed chunk
-	// is consumed, so loadRelevance and keepRelevance read them in O(1)
-	// instead of scanning every registered query per candidate chunk.
-	starvedInterest []int
-	almostInterest  []int
-
-	// groups indexes the registered queries of a DSM layout by their exact
-	// column set, with per-group per-chunk interest counters maintained at
-	// the same events as the global ones. The Figure-11 column-overlap
-	// terms then iterate the distinct column sets instead of every query
-	// (see groups.go). Nil for NSM layouts.
+	// groups indexes the registered queries by the column set they read
+	// (queryCols, so an NSM layout has one group), with per-group per-chunk
+	// interested, starved and almost-starved counters; beside chunkQueries
+	// it is the only interest index. The Figure-11 column-overlap terms
+	// iterate the distinct column sets instead of every query (groups.go).
 	groups   []*colGroup
 	groupIdx map[storage.ColSet]*colGroup
 
@@ -366,26 +356,21 @@ func NewLive(clock Clock, layout storage.Layout, cfg Config) *ABM {
 func newABM(clock Clock, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 	cfg = cfg.withDefaults()
 	a := &ABM{
-		clock:           clock,
-		disk:            d,
-		layout:          layout,
-		cfg:             cfg,
-		cache:           newBufcache(layout, cfg.BufferBytes),
-		interestCount:   make([]int, layout.NumChunks()),
-		starvedInterest: make([]int, layout.NumChunks()),
-		almostInterest:  make([]int, layout.NumChunks()),
-		fresh:           make(map[int]bool),
-		chunkQueries:    make([][]*Query, layout.NumChunks()),
-		timeBase:        time.Now(),
+		clock:        clock,
+		disk:         d,
+		layout:       layout,
+		cfg:          cfg,
+		cache:        newBufcache(layout, cfg.BufferBytes),
+		fresh:        make(map[int]bool),
+		chunkQueries: make([][]*Query, layout.NumChunks()),
+		groupIdx:     make(map[storage.ColSet]*colGroup),
+		timeBase:     time.Now(),
 	}
 	full := layout.ChunkBytes(0, storage.AllCols(min(layout.Table().NumColumns(), storage.MaxColumns)))
 	if d != nil {
 		a.chunkCost = d.TransferTime(maxI64(full, 1))
 	} else {
 		a.chunkCost = float64(full) / 1e9
-	}
-	if layout.Columnar() {
-		a.groupIdx = make(map[storage.ColSet]*colGroup)
 	}
 	switch cfg.Policy {
 	case Normal:
@@ -461,24 +446,19 @@ func (a *ABM) Register(q *Query) {
 	q.abm = a
 	a.queries = append(a.queries, q)
 	a.candDirty = true
-	q.group = a.joinGroup(q.Cols)
+	g := a.joinGroup(a.queryCols(q))
+	q.group = g
+	// One walk indexes q's interest in every chunk it needs and seeds its
+	// availability from the chunks already resident for its columns.
 	for c := 0; c < len(q.needed); c++ {
 		if q.needed[c] {
-			a.interestCount[c]++
-			if q.group != nil {
-				q.group.interested[c]++
-			}
+			g.interested[c]++
 			q.chunkPos[c] = len(a.chunkQueries[c])
 			a.chunkQueries[c] = append(a.chunkQueries[c], q)
 			a.markVicDirty(c)
-		}
-	}
-	// Seed the availability index from the chunks already buffered: only
-	// occupied chunks can be resident, so this is bounded by the pool.
-	cols := a.queryCols(q)
-	for _, c := range a.cache.occupiedChunks() {
-		if q.needs(c) && a.cache.chunkLoadedFor(cols, c) {
-			q.avail.items = append(q.avail.items, c)
+			if a.cache.chunkLoadedFor(g.cols, c) {
+				q.avail.items = append(q.avail.items, c)
+			}
 		}
 	}
 	q.avail.init()
@@ -498,24 +478,7 @@ func (a *ABM) unregister(q *Query) {
 	a.candDirty = true
 	for c := 0; c < len(q.needed); c++ {
 		if q.needed[c] {
-			a.interestCount[c]--
-			if q.starved {
-				a.starvedInterest[c]--
-			}
-			if q.almostStarved {
-				a.almostInterest[c]--
-			}
-			if g := q.group; g != nil {
-				g.interested[c]--
-				if q.starved {
-					g.starved[c]--
-				}
-				if q.almostStarved {
-					g.almost[c]--
-				}
-			}
-			a.dropChunkQuery(q, c)
-			a.markVicDirty(c)
+			a.dropNeed(q, c)
 		}
 	}
 	q.starved, q.almostStarved = false, false
@@ -529,20 +492,25 @@ func (a *ABM) unregister(q *Query) {
 	a.broadcast()
 }
 
-// dropChunkQuery removes q from the chunkQueries[c] inverted index
-// (swap-remove; list order is decision-irrelevant).
-func (a *ABM) dropChunkQuery(q *Query, c int) {
-	i := q.chunkPos[c]
-	if i < 0 {
-		return
+// dropNeed retires q's interest in chunk c, at consumption or when q
+// leaves: its group's counters, its slot in chunkQueries[c] (swap-remove;
+// list order is decision-irrelevant) and the chunk's victim-heap key.
+func (a *ABM) dropNeed(q *Query, c int) {
+	g := q.group
+	g.interested[c]--
+	if q.starved {
+		g.starved[c]--
 	}
-	list := a.chunkQueries[c]
+	if q.almostStarved {
+		g.almost[c]--
+	}
+	i, list := q.chunkPos[c], a.chunkQueries[c]
 	last := len(list) - 1
-	moved := list[last]
-	list[i] = moved
-	moved.chunkPos[c] = i
+	list[i] = list[last]
+	list[i].chunkPos[c] = i
 	a.chunkQueries[c] = list[:last]
 	q.chunkPos[c] = -1
+	a.markVicDirty(c)
 }
 
 // Next delivers the next chunk for q (pinned) or ok=false at end of scan.
@@ -562,24 +530,7 @@ func (a *ABM) Next(p *sim.Proc, q *Query) (int, bool) {
 func (a *ABM) Release(q *Query, c int) {
 	a.cache.unpinAll(a.queryCols(q), c, a.clock.Now())
 	q.markConsumed(c)
-	a.interestCount[c]--
-	if q.starved {
-		a.starvedInterest[c]--
-	}
-	if q.almostStarved {
-		a.almostInterest[c]--
-	}
-	if g := q.group; g != nil {
-		g.interested[c]--
-		if q.starved {
-			g.starved[c]--
-		}
-		if q.almostStarved {
-			g.almost[c]--
-		}
-	}
-	a.dropChunkQuery(q, c)
-	a.markVicDirty(c)
+	a.dropNeed(q, c)
 	a.loseAvailability(q, c)
 	q.lastService = a.clock.Now()
 	a.candFix(q)
@@ -678,27 +629,18 @@ func (a *ABM) starved(q *Query) bool       { return q.starved }
 func (a *ABM) almostStarved(q *Query) bool { return q.almostStarved }
 
 // updateStarveFlags re-derives q's starvation flags from the maintained
-// availability count and folds any flip into the per-chunk starved/almost
-// interest counters (global and column-group) with one walk over the
-// query's remaining range.
+// availability count and folds any flip into its group's per-chunk
+// starved/almost counters with one walk over the query's remaining range.
 func (a *ABM) updateStarveFlags(q *Query) {
 	starved := q.available() < a.cfg.StarveThreshold
 	almost := q.available() < a.cfg.StarveThreshold+1
 	if starved != q.starved {
 		q.starved = starved
-		var group []int
-		if q.group != nil {
-			group = q.group.starved
-		}
-		a.bumpNeededCounts(a.starvedInterest, group, q, flipDelta(starved))
+		a.bumpNeededCounts(q.group.starved, q, flipDelta(starved))
 	}
 	if almost != q.almostStarved {
 		q.almostStarved = almost
-		var group []int
-		if q.group != nil {
-			group = q.group.almost
-		}
-		a.bumpNeededCounts(a.almostInterest, group, q, flipDelta(almost))
+		a.bumpNeededCounts(q.group.almost, q, flipDelta(almost))
 	}
 	// Re-derive loadCands membership: starved with at least one needed
 	// chunk not fully resident. A starved query whose whole remainder is
@@ -789,18 +731,15 @@ func flipDelta(on bool) int {
 	return -1
 }
 
-// bumpNeededCounts adds delta to counts[c] (and groupCounts[c], when
-// non-nil) for every chunk q still needs, walking only the query's own
-// range span. The touched chunks are marked for victim-heap re-keying:
-// starved/almost interest flips move their keepRelevance scores.
-func (a *ABM) bumpNeededCounts(counts, groupCounts []int, q *Query, delta int) {
+// bumpNeededCounts adds delta to counts[c] for every chunk q still needs,
+// walking only the query's own range span. The touched chunks are marked
+// for victim-heap re-keying: starved/almost interest flips move their
+// keepRelevance scores.
+func (a *ABM) bumpNeededCounts(counts []int, q *Query, delta int) {
 	lo, hi := q.Ranges.Min(), q.Ranges.Max()
 	for c := lo; c <= hi; c++ {
 		if q.needed[c] {
 			counts[c] += delta
-			if groupCounts != nil {
-				groupCounts[c] += delta
-			}
 			a.markVicDirty(c)
 		}
 	}
@@ -891,7 +830,7 @@ func (a *ABM) vicAdd(k partKey) {
 // not a query scan.
 func (a *ABM) interested(c int, overlap storage.ColSet) int {
 	if overlap == 0 || !a.layout.Columnar() {
-		return a.interestCount[c]
+		return len(a.chunkQueries[c])
 	}
 	return a.interestedOverlap(c, overlap)
 }
@@ -1108,9 +1047,6 @@ func (a *ABM) freshUnpinned(c int) bool {
 // pickable reports whether chunk c is resident in every column of some
 // registered query that still needs it.
 func (a *ABM) pickable(c int) bool {
-	if a.groupIdx == nil { // NSM: one part serves every query
-		return a.interestCount[c] > 0 && a.cache.chunkLoadedFor(0, c)
-	}
 	for _, g := range a.groups {
 		if g.interested[c] > 0 && a.cache.chunkLoadedFor(g.cols, c) {
 			return true

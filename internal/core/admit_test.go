@@ -47,14 +47,14 @@ func TestQueuedQueryIsInNoIndex(t *testing.T) {
 				c := ld.Decision().Chunk
 				r.SetBlocked(true)
 
-				interest := slices.Clone(a.interestCount)
-				starved, almost := slices.Clone(a.starvedInterest), slices.Clone(a.almostInterest)
+				interest, starved, almost := groupSums(a)
 				blocked, groups := a.blockedCount, len(a.groups)
 				q := scanOf(a, "q", 0, 8, cols)
 				a.Enqueue(q)
 				q.SetBlocked(true)
-				if !slices.Equal(a.interestCount, interest) || !slices.Equal(a.starvedInterest, starved) ||
-					!slices.Equal(a.almostInterest, almost) || len(a.groups) != groups {
+				nowInterest, nowStarved, nowAlmost := groupSums(a)
+				if !slices.Equal(nowInterest, interest) || !slices.Equal(nowStarved, starved) ||
+					!slices.Equal(nowAlmost, almost) || len(a.groups) != groups {
 					t.Error("enqueueing moved an interest counter or a column group")
 				}
 				if a.blockedCount != blocked || len(a.queries) != 1 {
@@ -68,8 +68,8 @@ func TestQueuedQueryIsInNoIndex(t *testing.T) {
 
 				a.AdmitQueued()
 				auditIncrementalState(t, a, "query admitted")
-				if a.interestCount[c] != interest[c]+1 {
-					t.Errorf("admitted: interest in chunk %d %d → %d", c, interest[c], a.interestCount[c])
+				if n := len(a.chunkQueries[c]); n != interest[c]+1 {
+					t.Errorf("admitted: interest in chunk %d %d → %d", c, interest[c], n)
 				}
 				if got := a.Policy().PickAvailable(q); got != c {
 					t.Errorf("admitted query picks %d, want resident chunk %d", got, c)

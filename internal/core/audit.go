@@ -106,7 +106,6 @@ func (a *ABM) auditResidency() error {
 	n := a.layout.NumChunks()
 	resident := make([]storage.ColSet, n)
 	loading := make([]storage.ColSet, n)
-	partCount := make([]int, n)
 	pinned := 0
 	for k, p := range b.parts {
 		switch p.state {
@@ -117,7 +116,6 @@ func (a *ABM) auditResidency() error {
 		default:
 			return fmt.Errorf("core: part %v in parts map with state %d", k, p.state)
 		}
-		partCount[k.chunk]++
 		if p.pins > 0 {
 			pinned++
 		}
@@ -132,38 +130,15 @@ func (a *ABM) auditResidency() error {
 		if b.loadingCols[c] != loading[c] {
 			return fmt.Errorf("core: loadingCols[%d] = %v, recomputed %v", c, b.loadingCols[c], loading[c])
 		}
-		if b.partCount[c] != partCount[c] {
-			return fmt.Errorf("core: partCount[%d] = %d, recomputed %d", c, b.partCount[c], partCount[c])
-		}
-		if partCount[c] > 0 {
-			i := b.occupiedPos[c]
-			if i < 0 || i >= len(b.occupied) || b.occupied[i] != c {
-				return fmt.Errorf("core: chunk %d with %d parts not indexed in occupied", c, partCount[c])
-			}
-		} else if b.occupiedPos[c] != -1 {
-			return fmt.Errorf("core: empty chunk %d has occupiedPos %d", c, b.occupiedPos[c])
-		}
-	}
-	occupied := 0
-	for _, c := range partCount {
-		if c > 0 {
-			occupied++
-		}
-	}
-	if len(b.occupied) != occupied {
-		return fmt.Errorf("core: occupied list has %d chunks, recomputed %d", len(b.occupied), occupied)
 	}
 	return nil
 }
 
-// auditQueryAvailability recomputes per-query availability, starvation
-// flags and, from those, the per-chunk interest counters.
+// auditQueryAvailability recomputes per-query availability and starvation
+// flags.
 func (a *ABM) auditQueryAvailability() error {
 	b := a.cache
 	n := a.layout.NumChunks()
-	interest := make([]int, n)
-	starvedInt := make([]int, n)
-	almostInt := make([]int, n)
 	for _, q := range a.queries {
 		req := b.requiredBits(a.queryCols(q))
 		avail := 0
@@ -198,42 +173,14 @@ func (a *ABM) auditQueryAvailability() error {
 			return fmt.Errorf("core: %s flags starved=%v almost=%v, recomputed %v/%v (avail %d, threshold %d)",
 				q.Name, q.starved, q.almostStarved, starved, almost, avail, a.cfg.StarveThreshold)
 		}
-		for c := 0; c < n; c++ {
-			if q.needs(c) {
-				interest[c]++
-				if starved {
-					starvedInt[c]++
-				}
-				if almost {
-					almostInt[c]++
-				}
-			}
-		}
-	}
-	for c := 0; c < n; c++ {
-		if a.interestCount[c] != interest[c] {
-			return fmt.Errorf("core: interestCount[%d] = %d, recomputed %d", c, a.interestCount[c], interest[c])
-		}
-		if a.starvedInterest[c] != starvedInt[c] {
-			return fmt.Errorf("core: starvedInterest[%d] = %d, recomputed %d", c, a.starvedInterest[c], starvedInt[c])
-		}
-		if a.almostInterest[c] != almostInt[c] {
-			return fmt.Errorf("core: almostInterest[%d] = %d, recomputed %d", c, a.almostInterest[c], almostInt[c])
-		}
 	}
 	return nil
 }
 
-// auditColGroups recomputes the DSM column-group index (per-colset member
+// auditColGroups recomputes the column-group index (per-colset member
 // counts and per-chunk interested/starved/almost counters) from the query
-// registry.
+// registry; an NSM layout's queries all key the one group of column set 0.
 func (a *ABM) auditColGroups() error {
-	if !a.layout.Columnar() {
-		if len(a.groups) != 0 || a.groupIdx != nil {
-			return fmt.Errorf("core: NSM layout carries column groups")
-		}
-		return nil
-	}
 	n := a.layout.NumChunks()
 	type ref struct {
 		members                     int
@@ -241,10 +188,11 @@ func (a *ABM) auditColGroups() error {
 	}
 	want := map[storage.ColSet]*ref{}
 	for _, q := range a.queries {
-		r := want[q.Cols]
+		cols := a.queryCols(q)
+		r := want[cols]
 		if r == nil {
 			r = &ref{interested: make([]int, n), starved: make([]int, n), almost: make([]int, n)}
-			want[q.Cols] = r
+			want[cols] = r
 		}
 		r.members++
 		for c := 0; c < n; c++ {
@@ -258,7 +206,7 @@ func (a *ABM) auditColGroups() error {
 				}
 			}
 		}
-		if q.group == nil || q.group.cols != q.Cols {
+		if q.group == nil || q.group.cols != cols {
 			return fmt.Errorf("core: query %s not linked to its column group", q.Name)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"coopscan/internal/storage"
 )
@@ -72,10 +73,9 @@ func colBit(col int) storage.ColSet {
 // fewer cold bytes — the logical-chunk/physical-page mismatch of paper §6.1.
 //
 // Beyond the per-part map, the cache maintains a per-chunk residency index
-// (residentCols, loadingCols, occupied) so the scheduling hot paths —
-// "which columns of chunk c are resident / in flight?", "which chunks have
-// buffered parts at all?" — are O(1) bit tests and bounded iterations
-// instead of pool scans.
+// (residentCols, loadingCols) so the scheduling hot path's question "which
+// columns of chunk c are resident / in flight?" is an O(1) bit test instead
+// of a pool scan.
 type bufcache struct {
 	layout    storage.Layout
 	pageBytes int64
@@ -91,9 +91,6 @@ type bufcache struct {
 	// Per-chunk incremental residency index.
 	residentCols []storage.ColSet // colBit set iff the part is partLoaded
 	loadingCols  []storage.ColSet // colBit set iff the part is partLoading
-	partCount    []int            // non-absent parts per chunk
-	occupied     []int            // chunks with >= 1 non-absent part
-	occupiedPos  []int            // chunk -> index in occupied, or -1
 
 	// lru indexes every partLoaded part by (lastTouch, chunk, col), the LRU
 	// eviction order with the scheduler's deterministic tie-break. It is
@@ -116,7 +113,7 @@ func newBufcache(layout storage.Layout, capBytes int64) *bufcache {
 		panic(fmt.Sprintf("core: buffer capacity %d smaller than one page (%d)", capBytes, pageBytes))
 	}
 	n := layout.NumChunks()
-	b := &bufcache{
+	return &bufcache{
 		layout:       layout,
 		pageBytes:    pageBytes,
 		capBytes:     capBytes,
@@ -124,13 +121,7 @@ func newBufcache(layout storage.Layout, capBytes int64) *bufcache {
 		parts:        make(map[partKey]*part),
 		residentCols: make([]storage.ColSet, n),
 		loadingCols:  make([]storage.ColSet, n),
-		partCount:    make([]int, n),
-		occupiedPos:  make([]int, n),
 	}
-	for c := range b.occupiedPos {
-		b.occupiedPos[c] = -1
-	}
-	return b
 }
 
 // requiredBits maps a query's column set to the residency bits a chunk must
@@ -195,32 +186,6 @@ func (b *bufcache) loadingBits(cols storage.ColSet, c int) storage.ColSet {
 	return b.requiredBits(cols) & b.loadingCols[c]
 }
 
-// occupiedChunks returns the chunks with at least one buffered (loading or
-// loaded) part, in no particular order; callers must not modify it.
-func (b *bufcache) occupiedChunks() []int { return b.occupied }
-
-// addChunkPart / dropChunkPart maintain the occupied-chunk index.
-func (b *bufcache) addChunkPart(c int) {
-	if b.partCount[c] == 0 {
-		b.occupiedPos[c] = len(b.occupied)
-		b.occupied = append(b.occupied, c)
-	}
-	b.partCount[c]++
-}
-
-func (b *bufcache) dropChunkPart(c int) {
-	b.partCount[c]--
-	if b.partCount[c] == 0 {
-		i := b.occupiedPos[c]
-		last := len(b.occupied) - 1
-		moved := b.occupied[last]
-		b.occupied[i] = moved
-		b.occupiedPos[moved] = i
-		b.occupied = b.occupied[:last]
-		b.occupiedPos[c] = -1
-	}
-}
-
 // coldBytes returns how many bytes of the part are not yet buffered.
 func (b *bufcache) coldBytes(k partKey) int64 {
 	first, last := b.pageRange(k)
@@ -263,7 +228,6 @@ func (b *bufcache) beginLoad(k partKey, now float64) *part {
 	b.parts[k] = p
 	b.loaded = append(b.loaded, p)
 	b.loadingCols[k.chunk] |= colBit(k.col)
-	b.addChunkPart(k.chunk)
 	// Reserve the pages up front so concurrent space checks see the demand.
 	first, last := b.pageRange(k)
 	for pg := first; pg < last; pg++ {
@@ -297,26 +261,8 @@ func (b *bufcache) abortLoad(k partKey) {
 	if p == nil || p.state != partLoading {
 		panic(fmt.Sprintf("core: abortLoad(%v) not loading", k))
 	}
-	delete(b.parts, k)
-	// Order-preserving compaction for the same determinism reason as evict:
-	// the relevance policy's useless-column pass reads b.loaded in load
-	// order.
-	for i, lp := range b.loaded {
-		if lp == p {
-			b.loaded = append(b.loaded[:i], b.loaded[i+1:]...)
-			break
-		}
-	}
 	b.loadingCols[k.chunk] &^= colBit(k.col)
-	b.dropChunkPart(k.chunk)
-	first, last := b.pageRange(k)
-	for pg := first; pg < last; pg++ {
-		b.pageRefs[pg]--
-		if b.pageRefs[pg] == 0 {
-			delete(b.pageRefs, pg)
-			b.usedBytes -= b.pageBytes
-		}
-	}
+	b.remove(p)
 }
 
 // evict removes a loaded, unpinned part and returns the bytes freed.
@@ -325,22 +271,24 @@ func (b *bufcache) evict(k partKey) int64 {
 	if p == nil || p.state != partLoaded || p.pins > 0 {
 		panic(fmt.Sprintf("core: evict(%v): not evictable", k))
 	}
-	delete(b.parts, k)
 	b.lru.remove(p)
-	// Order-preserving compaction, deliberately not a swap-remove: the
-	// relevance policy's DSM useless-column eviction pass consumes this
-	// slice in load order, so reordering it would change which useless
-	// parts go first (and break decision bit-identity).
-	for i, lp := range b.loaded {
-		if lp == p {
-			b.loaded = append(b.loaded[:i], b.loaded[i+1:]...)
-			break
-		}
-	}
 	b.residentCols[k.chunk] &^= colBit(k.col)
-	b.dropChunkPart(k.chunk)
+	return b.remove(p)
+}
+
+// remove drops a part from the parts map and the loaded slice and releases
+// its page references, returning the bytes freed. The slice removal
+// preserves order, deliberately not a swap-remove: the relevance policy's
+// DSM useless-column eviction pass consumes the slice in load order, so
+// reordering it would change which useless parts go first (and break
+// decision bit-identity).
+func (b *bufcache) remove(p *part) int64 {
+	delete(b.parts, p.key)
+	if i := slices.Index(b.loaded, p); i >= 0 {
+		b.loaded = slices.Delete(b.loaded, i, i+1)
+	}
 	var freed int64
-	first, last := b.pageRange(k)
+	first, last := b.pageRange(p.key)
 	for pg := first; pg < last; pg++ {
 		b.pageRefs[pg]--
 		if b.pageRefs[pg] == 0 {

@@ -96,15 +96,15 @@ func (s *elevStrategy) PickAvailable(q *Query) int {
 
 // nextToLoad finds the next chunk in cursor order that some query needs and
 // that requires I/O, together with the union of needed columns. Interest is
-// one counter read per chunk and the column union comes off the column-group
-// index, so the sweep no longer scans the query registry per chunk.
+// the length of the chunk's query list and the column union comes off the
+// column-group index, so the sweep does not scan the query registry per chunk.
 func (s *elevStrategy) nextToLoad() (int, storage.ColSet, bool) {
 	a := s.a
 	n := a.layout.NumChunks()
 	columnar := a.layout.Columnar()
 	for off := 0; off < n; off++ {
 		c := (s.cursor + off) % n
-		if a.interestCount[c] == 0 {
+		if len(a.chunkQueries[c]) == 0 {
 			continue
 		}
 		var cols storage.ColSet

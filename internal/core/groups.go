@@ -2,24 +2,25 @@ package core
 
 import "coopscan/internal/storage"
 
-// This file implements the DSM interest index: registered queries grouped
-// by their exact column set, with per-group, per-chunk counters maintained
-// at the same events that drive the global interest counters (register,
-// unregister, consume, starvation flip). The Figure-11 relevance terms —
-// "starved queries whose columns overlap mine", "almost-starved queries
-// needing this chunk", "any interested query reading this column" — then
-// reduce to a walk over the distinct column sets (a handful in any real
-// workload) instead of a walk over every registered query, flattening the
-// scheduler's remaining O(queries) hot paths for columnar layouts. NSM
-// layouts carry no groups: their single pseudo-column makes the global
-// counters sufficient.
+// This file implements the interest index: registered queries grouped by
+// the column set they read (queryCols), with per-group, per-chunk counters
+// maintained at the events that move them (register, unregister, consume,
+// starvation flip). Together with ABM.chunkQueries it is the only record of
+// which queries need a chunk. Every NSM query reads the one pseudo-column,
+// so an NSM layout has exactly one group and its counters are the table's.
+// On DSM, the Figure-11 relevance terms — "starved queries whose columns
+// overlap mine", "almost-starved queries needing this chunk", "any
+// interested query reading this column" — reduce to a walk over the
+// distinct column sets (a handful in any real workload) instead of a walk
+// over every registered query. A read with no query at hand sums over the
+// groups.
 
-// colGroup aggregates the registered queries sharing one exact column set.
+// colGroup aggregates the registered queries sharing one column set.
 type colGroup struct {
 	cols    storage.ColSet
 	members int
-	// Per-chunk counters over the group's members, mirroring the ABM's
-	// global interestCount/starvedInterest/almostInterest.
+	// Per-chunk counts of the members that still need the chunk, and of
+	// those that are starved and almost starved.
 	interested []int
 	starved    []int
 	almost     []int
@@ -27,9 +28,6 @@ type colGroup struct {
 
 // joinGroup finds or creates the group for cols and adds one member.
 func (a *ABM) joinGroup(cols storage.ColSet) *colGroup {
-	if a.groupIdx == nil {
-		return nil // NSM: no group index
-	}
 	g, ok := a.groupIdx[cols]
 	if !ok {
 		n := a.layout.NumChunks()
@@ -49,9 +47,6 @@ func (a *ABM) joinGroup(cols storage.ColSet) *colGroup {
 // leaveGroup drops one member, removing an emptied group so the derived
 // reads iterate only live column sets.
 func (a *ABM) leaveGroup(g *colGroup) {
-	if g == nil {
-		return
-	}
 	g.members--
 	if g.members > 0 {
 		return
@@ -80,9 +75,19 @@ func (a *ABM) starvedOverlap(c int, cols storage.ColSet) (int, storage.ColSet) {
 	return n, union
 }
 
+// starvedNeeding returns the number of starved queries that still need
+// chunk c.
+func (a *ABM) starvedNeeding(c int) int {
+	n := 0
+	for _, g := range a.groups {
+		n += g.starved[c]
+	}
+	return n
+}
+
 // almostNeeding returns the number of almost-starved queries that still
 // need chunk c and the union of their column sets — the e and Cols(QAS)
-// terms of the DSM keepRelevance.
+// terms of the DSM keepRelevance (the union is empty on NSM).
 func (a *ABM) almostNeeding(c int) (int, storage.ColSet) {
 	n, union := 0, storage.ColSet(0)
 	for _, g := range a.groups {

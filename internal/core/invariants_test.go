@@ -135,8 +135,8 @@ func TestInvariantCacheDrainedState(t *testing.T) {
 		if pageBytes != abm.cache.usedBytes {
 			t.Errorf("%v: page map %d bytes != used %d", pol, pageBytes, abm.cache.usedBytes)
 		}
-		for c, n := range abm.interestCount {
-			if n != 0 {
+		for c, qs := range abm.chunkQueries {
+			if n := len(qs); n != 0 {
 				t.Errorf("%v: interest count for chunk %d = %d after drain", pol, c, n)
 			}
 		}

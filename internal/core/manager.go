@@ -192,9 +192,11 @@ func layoutBytes(l storage.Layout) int64 {
 	return int64(l.NumChunks()) * l.ChunkBytes(0, 0)
 }
 
-// chunkFloorBytes is the minimum budget a table's ABM needs to make
-// progress: two average chunks (one being consumed, one being loaded).
-func chunkFloorBytes(l storage.Layout) int64 {
+// ChunkFloorBytes is the minimum budget a table's ABM needs to make
+// progress: two average chunks (one being consumed, one being loaded). The
+// arbiter never grants less, and the live engine admits a table only while
+// the budget covers every table's floor.
+func ChunkFloorBytes(l storage.Layout) int64 {
 	n := int64(l.NumChunks())
 	if n == 0 {
 		return 0
@@ -231,7 +233,7 @@ func (m *Manager) Rebalance(total int64) []int64 {
 	var sumSize float64
 	for i, t := range m.order {
 		a := t.abm
-		floors[i] = chunkFloorBytes(a.layout)
+		floors[i] = ChunkFloorBytes(a.layout)
 		used[i] = a.UsedBytes()
 		sizes[i] = float64(layoutBytes(a.layout))
 		sumFloor += floors[i]

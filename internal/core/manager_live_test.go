@@ -40,7 +40,7 @@ func TestLiveManagerRebalanceByFootprint(t *testing.T) {
 	const total = 32 << 20
 	// Both tables have 1 MiB chunks, so the same two-chunk floor; the
 	// remainder splits 24 : 8.
-	floor := chunkFloorBytes(nsmTestLayout(8))
+	floor := ChunkFloorBytes(nsmTestLayout(8))
 	if floor != 2<<20 {
 		t.Fatalf("floor of 1 MiB chunks = %d, want two chunks, %d", floor, 2<<20)
 	}
@@ -142,7 +142,7 @@ func TestLiveManagerRebalanceOverageNeverCutsBelowFloor(t *testing.T) {
 		l.Table().Name = name
 		abms[i] = m.Attach(l, 2<<20)
 	}
-	floor := chunkFloorBytes(abms[0].layout) // 2 MiB
+	floor := ChunkFloorBytes(abms[0].layout) // 2 MiB
 
 	// Park 6 MiB of reservations on table a. With a 7 MiB budget the floors
 	// alone take 6 MiB, so a's overage of nearly 4 MiB dwarfs the 2/3 MiB of
@@ -199,7 +199,7 @@ func TestLiveManagerRebalanceUnderProvisioned(t *testing.T) {
 	m, hot, _ := liveManagerPair(t)
 	registerFullScan(hot, "hq")
 	grants := m.Rebalance(3 << 20) // less than the ~4 MiB of floors
-	floor := chunkFloorBytes(hot.layout)
+	floor := ChunkFloorBytes(hot.layout)
 	if grants[0] != floor || grants[1] != floor {
 		t.Errorf("grants = %v, want both at the %d floor", grants, floor)
 	}

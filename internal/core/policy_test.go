@@ -84,7 +84,7 @@ func TestNSMUseRelevancePrefersLeastShared(t *testing.T) {
 	}
 	// After q1 consumes chunk 2, only the shared one remains.
 	q1.markConsumed(2)
-	f.abm.interestCount[2]--
+	f.abm.dropNeed(q1, 2)
 	if got := rs.PickAvailable(q1); got != 7 {
 		t.Errorf("PickAvailable = %d, want 7", got)
 	}

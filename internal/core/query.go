@@ -31,14 +31,14 @@ type Query struct {
 	avail indexedHeap[int, availOrder]
 
 	// starved/almostStarved mirror avail.len() against the configured
-	// starvation thresholds; the ABM folds every flip into its per-chunk
-	// starved/almost-starved interest counters.
+	// starvation thresholds; the ABM folds every flip into the per-chunk
+	// starved/almost-starved counters of the query's group.
 	starved       bool
 	almostStarved bool
 
-	// group is the DSM column-set group this query belongs to while
-	// registered (nil for NSM); its per-chunk counters are maintained in
-	// lock step with the ABM's global interest counters.
+	// group is the column-set group this query belongs to while
+	// registered (keyed by queryCols, so every NSM query shares one), whose
+	// per-chunk counters hold this query's interest and starvation.
 	group *colGroup
 
 	// seq is the query's registration sequence number: the relevance

@@ -19,8 +19,8 @@ const qMax = 1024.0
 //
 // All starvation and interest state is maintained incrementally by the ABM
 // (see the package comment); the strategy reads Query.starved/almostStarved
-// flags, the per-chunk interest counters and the DSM column-group index
-// instead of rescanning the pool or the query registry.
+// flags and the interest index (chunkQueries and the column groups) instead
+// of rescanning the pool or the query registry.
 type relevStrategy struct {
 	a *ABM
 
@@ -76,7 +76,7 @@ func (s *relevStrategy) PickAvailable(q *Query) int {
 			if !q.needed[c] {
 				continue // defensive: availability normally retires via Release
 			}
-			n := a.interestCount[c]
+			n := len(a.chunkQueries[c])
 			if best < 0 || n < bestCount || (n == bestCount && c < best) {
 				best, bestCount = c, n
 			}
@@ -216,15 +216,15 @@ func (s *relevStrategy) loadState(q *Query, c int) (needsIO, inFlight bool) {
 }
 
 // loadRelevance scores a load candidate. NSM (Figure 3): chunks needed by
-// many starved queries dominate (an O(1) counter read), with total interest
-// as the tie-breaker. DSM (Figure 11): starved-queries-served per cold
-// byte, loading the union of the overlapping starved queries' columns —
-// both the count and the union read off the column-group index instead of a
-// query scan.
+// many starved queries dominate (a read of the one group's counter), with
+// total interest as the tie-breaker. DSM (Figure 11): starved-queries-served
+// per cold byte, loading the union of the overlapping starved queries'
+// columns — both the count and the union read off the column-group index
+// instead of a query scan.
 func (s *relevStrategy) loadRelevance(c int, q *Query) (float64, storage.ColSet) {
 	a := s.a
 	if !a.layout.Columnar() {
-		return float64(a.starvedInterest[c])*qMax + float64(a.interestCount[c]), 0
+		return float64(q.group.starved[c])*qMax + float64(len(a.chunkQueries[c])), 0
 	}
 	l, union := a.starvedOverlap(c, q.Cols)
 	cols := q.Cols.Union(union)
@@ -333,7 +333,7 @@ func (s *relevStrategy) EnsureSpace(need int64, trigger *Query) bool {
 			trig = append(trig, p)
 			continue
 		}
-		if pass < 1 && a.starvedInterest[c] > 0 {
+		if pass < 1 && a.starvedNeeding(c) > 0 {
 			useful = append(useful, p)
 			continue
 		}
@@ -373,8 +373,8 @@ func (s *relevStrategy) flushVicDirty() {
 				s.vicFix(a.cache.parts[partKey{chunk: c, col: bits.TrailingZeros64(v)}], score)
 			}
 		} else if a.cache.residentCols[c] != 0 {
-			score := float64(a.almostInterest[c])*qMax + float64(a.interestCount[c])
-			s.vicFix(a.cache.parts[partKey{chunk: c, col: -1}], score)
+			pt := a.cache.parts[partKey{chunk: c, col: -1}]
+			s.vicFix(pt, s.keepRelevanceScore(pt))
 		}
 	}
 	a.vicDirtyList = a.vicDirtyList[:0]
@@ -417,24 +417,24 @@ func (s *relevStrategy) vicFix(p *part, score float64) {
 func (s *relevStrategy) colUseless(k partKey) bool {
 	a := s.a
 	if k.col < 0 || !a.layout.Columnar() {
-		return a.interestCount[k.chunk] == 0
+		return len(a.chunkQueries[k.chunk]) == 0
 	}
 	return !a.colInterested(k.chunk, k.col)
 }
 
 // keepRelevanceScore is the eviction score: lower evicts first. NSM
-// (Figure 3): almost-starved interest (a counter read) dominates, total
-// interest breaks ties. DSM (Figure 11): almost-starved queries served per
-// cached byte, via the column-group index. It reads the live counters —
-// the first-principles reference the audits hold the victim heap's frozen
-// per-round scores against.
+// (Figure 3): almost-starved interest (the one group's counter) dominates,
+// total interest breaks ties. DSM (Figure 11): almost-starved queries
+// served per cached byte, via the column-group index. It reads the live
+// counters — the first-principles reference the audits hold the victim
+// heap's frozen per-round scores against.
 func (s *relevStrategy) keepRelevanceScore(pt *part) float64 {
 	a := s.a
 	c := pt.key.chunk
-	if !a.layout.Columnar() {
-		return float64(a.almostInterest[c])*qMax + float64(a.interestCount[c])
-	}
 	n, cols := a.almostNeeding(c)
+	if !a.layout.Columnar() {
+		return float64(n)*qMax + float64(len(a.chunkQueries[c]))
+	}
 	pe := float64(s.cachedBytes(c, cols))
 	if pe < 1 {
 		pe = 1

@@ -117,7 +117,7 @@ func TestLiveManagerRebalanceHighStreamCounts(t *testing.T) {
 	if len(grants) != tables {
 		t.Fatalf("grants = %v, want %d entries", grants, tables)
 	}
-	floor := chunkFloorBytes(abms[0].layout)
+	floor := ChunkFloorBytes(abms[0].layout)
 	var sum int64
 	for i, g := range grants {
 		if g < floor {

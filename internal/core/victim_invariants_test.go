@@ -133,7 +133,7 @@ func auditVictimSelection(t *testing.T, a *ABM, when string) {
 	for _, trigger := range a.queries {
 		guards := []func(*part) bool{
 			func(p *part) bool {
-				return trigger.needs(p.key.chunk) || a.starvedInterest[p.key.chunk] > 0
+				return trigger.needs(p.key.chunk) || a.starvedNeeding(p.key.chunk) > 0
 			},
 			func(p *part) bool { return trigger.needs(p.key.chunk) },
 			nil,
