@@ -7,29 +7,31 @@ package engine
 import (
 	"fmt"
 
+	"coopscan/internal/core"
 	"coopscan/internal/obs"
 	"coopscan/internal/storage"
 )
 
 // admit is the admission step NewServer and Attach share: it refuses an
 // empty or taken name (ErrAttachIncompatible, ErrTableExists) and a table
-// the budget cannot cover at the two-chunk floor of every live table plus
-// its own (ErrAttachIncompatible); otherwise it builds the table's runtime
-// state in the next slot and registers its ABM with the budget arbiter at
-// the floor, publishing the new slot snapshot. The caller runs the arbiter,
+// the budget cannot cover at the arbiter's two-chunk floor
+// (core.ChunkFloorBytes) of every live table plus its own
+// (ErrAttachIncompatible); otherwise it builds the table's runtime state in
+// the next slot and registers its ABM with the arbiter at the floor,
+// publishing the new slot snapshot. The caller runs the arbiter,
 // which grants the rest of the budget by footprint. Callers hold Server.mu,
 // or are NewServer.
 func (s *Server) admit(name string, tf *TableFile) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty table name", ErrAttachIncompatible)
 	}
-	floor := 2 * tf.ChunkBytes()
+	floor := core.ChunkFloorBytes(tf.Layout())
 	slots := s.slots()
 	for _, t := range slots {
 		switch {
 		case t.detached:
 		case t.name != name:
-			floor += 2 * t.tf.ChunkBytes()
+			floor += core.ChunkFloorBytes(t.tf.Layout())
 		case t.detaching:
 			return 0, fmt.Errorf("%w: %q is still draining", ErrTableExists, name)
 		default:
@@ -45,7 +47,7 @@ func (s *Server) admit(name string, tf *TableFile) (int, error) {
 		quarantine: make(map[partID]error),
 	}
 	s.frames.retain(t.partSizes())
-	t.abm = s.mgr.AttachAs(name, tf.Layout(), 2*tf.ChunkBytes())
+	t.abm = s.mgr.AttachAs(name, tf.Layout(), core.ChunkFloorBytes(tf.Layout()))
 	t.abm.SetEvictHook(func(chunk, col int, f any) {
 		// The ABM evicted one part — an NSM chunk (col -1) or a DSM
 		// column part: return its frame for the next load of that size.

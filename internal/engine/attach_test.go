@@ -340,6 +340,38 @@ func TestAttachTypedErrors(t *testing.T) {
 	}
 }
 
+// TestAdmitAtTheFloor pins the admission boundary: a budget of exactly two
+// chunks per table admits the tables, one byte less refuses the last one
+// typed, on every stored shape and on a table whose last chunk is short.
+// The floor is core.ChunkFloorBytes, the arbiter's own, so admission and
+// the grants it leads to read one definition.
+func TestAdmitAtTheFloor(t *testing.T) {
+	for _, shape := range storedShapes {
+		for _, rows := range []int64{4000, 4999} {
+			t.Run(fmt.Sprintf("%s/rows=%d", shape.name, rows), func(t *testing.T) {
+				a, b := shape.create(t, rows, 1000, 1), shape.create(t, 1001, 500, 2)
+				floor := 2*a.ChunkBytes() + 2*b.ChunkBytes()
+				if _, err := NewServer(ServerConfig{BufferBytes: floor - 1}, a, b); !errors.Is(err, ErrAttachIncompatible) {
+					t.Errorf("NewServer one byte under the floors: err = %v, want ErrAttachIncompatible", err)
+				}
+				srv, err := NewServer(ServerConfig{BufferBytes: floor}, a, b)
+				if err != nil {
+					t.Fatalf("NewServer at the floors: %v", err)
+				}
+				srv.Close()
+				srv, err = NewServer(ServerConfig{BufferBytes: floor - 1}, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				if _, err := srv.Attach("b", b); !errors.Is(err, ErrAttachIncompatible) {
+					t.Errorf("Attach one byte under the floors: err = %v, want ErrAttachIncompatible", err)
+				}
+			})
+		}
+	}
+}
+
 // TestAttachSmallerChunks attaches a table whose chunks — and so its
 // frames — are a quarter the size of the resident table's, and scans both
 // concurrently under the one budget: frames are drawn per part size, so

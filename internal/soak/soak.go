@@ -121,16 +121,15 @@ type soakQuery struct {
 
 // soakTable is one attached table and its driver-side state.
 type soakTable struct {
-	name       string
-	abm        *core.ABM
-	layout     storage.Layout
-	columnar   bool
-	chunks     int
-	ncols      int
-	chunkBytes int64
-	queries    []*soakQuery
-	queued     []*core.Query // enqueued, not yet admitted
-	inflight   []*core.Load
+	name     string
+	abm      *core.ABM
+	layout   storage.Layout
+	columnar bool
+	chunks   int
+	ncols    int
+	queries  []*soakQuery
+	queued   []*core.Query // enqueued, not yet admitted
+	inflight []*core.Load
 }
 
 // RunCore executes one seeded core-layer soak and returns its report. Any
@@ -192,12 +191,10 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		if t.columnar {
 			t.ncols = 2 + rng.Intn(4)
 			t.layout = dsmSoakLayout(name, t.chunks, t.ncols)
-			t.chunkBytes = t.layout.ChunkBytes(0, storage.AllCols(t.ncols))
 		} else {
 			t.layout = nsmSoakLayout(name, t.chunks)
-			t.chunkBytes = t.layout.ChunkBytes(0, 0)
 		}
-		t.abm = mgr.AttachAs(name, t.layout, 2*t.chunkBytes)
+		t.abm = mgr.AttachAs(name, t.layout, core.ChunkFloorBytes(t.layout))
 		t.abm.SetEvictHook(func(chunk, col int, _ any) { event("evict %s c%d/%d", name, chunk, col) })
 		tables = append(tables, t)
 		rep.Attaches++
