@@ -41,19 +41,21 @@ examples-check:
 	done; echo "examples-check: $(words $(EXAMPLES)) examples match examples/testdata/"
 
 # The line ledger CHANGES.md records per PR: per package directory its
-# non-test Go lines and its assembly lines, their totals outside bench/, and
-# bench/ (a nested module with its own rules) on its own line. The round's
-# target is fewer lines at equal suite numbers, assembly included, so the
-# count is printed by a machine, in CI too, not by hand.
-LOC_GO  = -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'
-LOC_ASM = -name '*.s' ! -path './.bench_build/*'
+# non-test Go lines, its assembly lines and its test Go lines, their totals
+# outside bench/, and bench/ (a nested module with its own rules) on its own
+# line. The round's target is fewer lines at equal suite numbers, assembly
+# included; the test column shows whether lines left the program or moved
+# into its tests. The count is printed by a machine, in CI too, not by hand.
+LOC_GO   = -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'
+LOC_ASM  = -name '*.s' ! -path './.bench_build/*'
+LOC_TEST = -name '*_test.go' ! -path './.bench_build/*'
 loc:
-	@printf '%6s %6s\n' go asm
-	@for d in $$(find . \( $(LOC_GO) -o $(LOC_ASM) \) ! -path './bench/*' -exec dirname {} \; | sort -u); do \
-		printf '%6d %6d %s\n' $$(find $$d -maxdepth 1 $(LOC_GO) | xargs -r cat | wc -l) $$(find $$d -maxdepth 1 $(LOC_ASM) | xargs -r cat | wc -l) $$d; \
+	@printf '%6s %6s %6s\n' go asm test
+	@for d in $$(find . \( $(LOC_GO) -o $(LOC_ASM) -o $(LOC_TEST) \) ! -path './bench/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d %6d %6d %s\n' $$(find $$d -maxdepth 1 $(LOC_GO) | xargs -r cat | wc -l) $$(find $$d -maxdepth 1 $(LOC_ASM) | xargs -r cat | wc -l) $$(find $$d -maxdepth 1 $(LOC_TEST) | xargs -r cat | wc -l) $$d; \
 	done
-	@printf '%6d %6d total outside bench/\n' $$(find . $(LOC_GO) ! -path './bench/*' | xargs -r cat | wc -l) $$(find . $(LOC_ASM) ! -path './bench/*' | xargs -r cat | wc -l)
-	@printf '%6d %6d bench/\n' $$(find ./bench $(LOC_GO) | xargs -r cat | wc -l) $$(find ./bench $(LOC_ASM) | xargs -r cat | wc -l)
+	@printf '%6d %6d %6d total outside bench/\n' $$(find . $(LOC_GO) ! -path './bench/*' | xargs -r cat | wc -l) $$(find . $(LOC_ASM) ! -path './bench/*' | xargs -r cat | wc -l) $$(find . $(LOC_TEST) ! -path './bench/*' | xargs -r cat | wc -l)
+	@printf '%6d %6d %6d bench/\n' $$(find ./bench $(LOC_GO) | xargs -r cat | wc -l) $$(find ./bench $(LOC_ASM) | xargs -r cat | wc -l) $$(find ./bench $(LOC_TEST) | xargs -r cat | wc -l)
 
 # The live engine is the repo's first truly concurrent code; its tests (and
 # the core arbiter state they drive) must stay race-clean. bufferpool is no
