@@ -64,12 +64,13 @@ loc:
 # compress are here for checkptr (on under -race): it is the machine check on
 # the tree's one unsafe conversion, the []int64 <-> []byte part views of
 # internal/engine/alias.go that the kernels and decoders read and write.
-# The second step runs the engine and the soak at one and at four
-# processors: each table has its own lock, and interleavings that two
+# The second step runs the engine, the soak and the serving front-end at one
+# and at four processors: each table has its own lock, a session's scan and
+# its writer share the session's pending lines, and interleavings that two
 # processors rarely produce must be raced too.
 test-race:
 	$(GO) test -race ./internal/engine/... ./internal/bufferpool/... ./internal/core/... ./internal/obs/... ./internal/soak/... ./internal/serve/... ./internal/exec/... ./internal/colstore/compress/...
-	$(GO) test -race -cpu 1,4 ./internal/engine/ ./internal/soak/
+	$(GO) test -race -cpu 1,4 ./internal/engine/ ./internal/soak/ ./internal/serve/
 
 # Tier-1's concurrent packages twenty times over under the race detector —
 # the flake hunt CI runs on a schedule (a failure there is a real ordering

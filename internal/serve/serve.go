@@ -34,13 +34,16 @@ type Config struct {
 	// ceiling).
 	MaxQueue int
 	// Heartbeat is the idle interval after which a session emits an
-	// {"hb":true} line so stalled scans keep the connection (and any
-	// intermediary timeouts) alive. Default 5s; negative disables.
+	// {"hb":true} line: the session's writer sends one after Heartbeat
+	// with no line written, so a stalled scan keeps the connection (and
+	// any intermediary timeouts) alive and a streaming one sends none.
+	// Default 5s; negative disables.
 	Heartbeat time.Duration
-	// WriteTimeout bounds every chunk/heartbeat write to the client. A
-	// client that stops reading blows the deadline, which cancels the
-	// session's scan and releases its admission slot and buffer budget.
-	// Default 10s; negative disables.
+	// WriteTimeout bounds each write-and-flush of the session's writer,
+	// which carries every line queued since its last one. A client that
+	// stops reading blows the deadline, which cancels the session's scan
+	// and releases its admission slot and buffer budget; the scan itself
+	// never waits on the client. Default 10s; negative disables.
 	WriteTimeout time.Duration
 	// PruneQ6, when set, attaches the default Q6 predicate ranges to every
 	// Q6-aggregating scan (?agg=q6), so chunks whose persisted zonemaps
@@ -280,7 +283,8 @@ func (f *Frontend) Shutdown(ctx context.Context) error {
 		}
 		f.mu.Unlock()
 		// Scans observe cancellation between chunk deliveries, so this
-		// second wait is bounded by one delivery, not by ctx.
+		// second wait is bounded by one delivery and the session writer's
+		// last write (WriteTimeout), not by ctx.
 		<-done
 	}
 	err := f.eng.Close()
@@ -498,7 +502,10 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	defer f.gate.Release()
+	// runSession gives the slot back before its trailer; this catches a
+	// session that panics.
+	release := sync.OnceFunc(f.gate.Release)
+	defer release()
 	f.led.admitted.inc(tier)
 
 	req := engine.ScanRequest{
@@ -520,76 +527,107 @@ func (f *Frontend) handleScan(w http.ResponseWriter, r *http.Request) {
 		TuplesPerChunk: tf.TuplesPerChunk(),
 	}
 	if !f.obsOn {
-		f.runSession(ctx, cancel, w, tier, req, hdr, doQ6)
+		f.runSession(ctx, cancel, release, w, tier, req, hdr, doQ6)
 		return
 	}
 	pprof.Do(ctx, pprof.Labels("session", name, "tier", tier.String()), func(ctx context.Context) {
-		f.runSession(ctx, cancel, w, tier, req, hdr, doQ6)
+		f.runSession(ctx, cancel, release, w, tier, req, hdr, doQ6)
 	})
 }
 
-// runSession streams one admitted scan: header line, per-chunk receipts
-// interleaved with heartbeats, then a trailer with totals or the error.
-// Every write carries the stall deadline; a failed write cancels the scan
-// so the engine releases the query and its budget.
-func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, tier Tier, req engine.ScanRequest, hdr Header, doQ6 bool) {
-	rc := http.NewResponseController(w)
-	var wmu sync.Mutex
-	writeLine := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
+// hbLine is the heartbeat a session's writer sends after Config.Heartbeat
+// with no line written.
+var hbLine, _ = json.Marshal(Chunk{Chunk: -1, HB: true})
+
+// runSession streams one admitted scan: a header line, a receipt per
+// chunk, then a trailer with totals or the error. The scan's delivery
+// callback never touches the network: it appends each receipt to the
+// session's pending lines and signals the session's one writer goroutine,
+// which owns w. The writer takes whatever is pending, writes it under the
+// stall deadline and flushes once, so a client that reads slowly holds no
+// chunk pinned and receipts that queue behind a flush go out in one frame.
+// Pending is bounded by the scan: the header, one line per chunk of the
+// range and the trailer. A failed write cancels the scan, so the engine
+// releases the query and its budget, and drops every line queued after it.
+// The outcome is recorded and the admission slot given back (release)
+// before the trailer is queued, so a client that asks again on reading the
+// trailer never finds its own old slot taken.
+func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, release func(), w http.ResponseWriter, tier Tier, req engine.ScanRequest, hdr Header, doQ6 bool) {
+	var (
+		mu      sync.Mutex
+		pending []byte // whole lines the writer has not taken yet
+		failed  bool   // a write failed: the client is gone
+	)
+	kick := make(chan struct{}, 1) // pending gained a line
+	stop := make(chan struct{})    // the trailer is queued
+	done := make(chan struct{})
+	queue := func(v any) {
+		b, _ := json.Marshal(v) // the wire types always marshal
+		mu.Lock()
+		if !failed {
+			pending = append(append(pending, b...), '\n')
 		}
-		b = append(b, '\n')
-		wmu.Lock()
-		defer wmu.Unlock()
-		if f.writeTimeout > 0 {
-			rc.SetWriteDeadline(time.Now().Add(f.writeTimeout))
+		mu.Unlock()
+		select {
+		case kick <- struct{}{}:
+		default:
 		}
-		if _, err := w.Write(b); err != nil {
-			cancel()
-			return err
-		}
-		if err := rc.Flush(); err != nil {
-			cancel()
-			return err
-		}
-		return nil
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := writeLine(hdr); err != nil {
-		f.led.disconnected.inc(tier)
-		return
-	}
-
-	if f.heartbeat > 0 {
-		hbStop := make(chan struct{})
-		hbDone := make(chan struct{})
-		// The ResponseWriter dies with the handler: join the heartbeat
-		// goroutine before returning, don't just signal it.
-		defer func() {
-			close(hbStop)
-			<-hbDone
-		}()
-		go func() {
-			defer close(hbDone)
-			t := time.NewTicker(f.heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := writeLine(Chunk{Chunk: -1, HB: true}); err != nil {
-						return
-					}
-				case <-hbStop:
-					return
-				case <-ctx.Done():
+	queue(hdr)
+	// The ResponseWriter dies with the handler: the writer is joined
+	// before runSession returns, not just signalled.
+	go func() {
+		defer close(done)
+		rc := http.NewResponseController(w)
+		var idle *time.Timer
+		var idleC <-chan time.Time
+		if f.heartbeat > 0 {
+			idle = time.NewTimer(f.heartbeat)
+			defer idle.Stop()
+			idleC = idle.C
+		}
+		var out []byte
+		for {
+			hb, last := false, false
+			select {
+			case <-kick:
+			case <-idleC:
+				hb = true
+			case <-stop:
+				last = true
+			}
+			mu.Lock()
+			out, pending = pending, out[:0]
+			mu.Unlock()
+			if hb && len(out) == 0 {
+				out = append(append(out, hbLine...), '\n')
+			}
+			if len(out) > 0 {
+				if f.writeTimeout > 0 {
+					rc.SetWriteDeadline(time.Now().Add(f.writeTimeout))
+				}
+				_, err := w.Write(out)
+				if err == nil {
+					err = rc.Flush()
+				}
+				if err != nil {
+					mu.Lock()
+					failed, pending = true, nil
+					mu.Unlock()
+					cancel()
 					return
 				}
+				if idle != nil {
+					idle.Reset(f.heartbeat)
+				}
 			}
-		}()
-	}
+			if last {
+				return
+			}
+		}
+	}()
 
 	var agg exec.Q6Result
 	var chunks int
@@ -601,26 +639,31 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w 
 		}
 		chunks++
 		tuples += d.Tuples()
-		// A write error cancelled ctx; the scan unwinds at the next
-		// delivery boundary.
-		writeLine(Chunk{Chunk: c, Tuples: d.Tuples(), CRC: crc})
+		queue(Chunk{Chunk: c, Tuples: d.Tuples(), CRC: crc})
 	})
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			f.led.deadline.inc(tier)
-		case errors.Is(err, context.Canceled):
-			f.led.disconnected.inc(tier)
+	mu.Lock()
+	gone := failed
+	mu.Unlock()
+	tr := Trailer{Chunks: chunks, Tuples: tuples}
+	switch {
+	case err == nil && !gone:
+		f.led.completed.inc(tier)
+		tr.Done, tr.IOs, tr.BytesRead = true, st.IOs, st.BytesRead
+		if doQ6 {
+			tr.Q6Revenue, tr.Q6Rows = agg.Revenue, agg.Rows
 		}
-		writeLine(Trailer{Error: err.Error(), Chunks: chunks, Tuples: tuples})
-		return
+	case err == nil, errors.Is(err, context.Canceled): // err == nil: it finished behind a client already gone
+		f.led.disconnected.inc(tier)
+	case errors.Is(err, context.DeadlineExceeded):
+		f.led.deadline.inc(tier)
 	}
-	f.led.completed.inc(tier)
-	tr := Trailer{Done: true, Chunks: chunks, Tuples: tuples, IOs: st.IOs, BytesRead: st.BytesRead}
-	if doQ6 {
-		tr.Q6Revenue, tr.Q6Rows = agg.Revenue, agg.Rows
+	if err != nil {
+		tr.Error = err.Error()
 	}
-	writeLine(tr)
+	release()
+	queue(tr)
+	close(stop)
+	<-done
 }
 
 // ---- /admin ----

@@ -105,9 +105,10 @@ func TestClientDisconnectStorm(t *testing.T) {
 	wg.Wait()
 
 	// The clients returning is not the accounting barrier: a handler whose
-	// client hung up records its outcome only when its next write fails. A
-	// handler records before it releases its admission slot, so the gate
-	// running empty is.
+	// client hung up records its outcome only when its scan ends, cancelled
+	// by the failed write or the request's context, or run to its end behind
+	// the writer. A handler records before it releases its admission slot,
+	// so the gate running empty is.
 	waitFor(t, func() bool {
 		ss := f.Sessions()
 		return ss.Live == 0 && ss.Queued == 0
@@ -135,7 +136,7 @@ func TestClientDisconnectStorm(t *testing.T) {
 	}
 	ts.Close()
 
-	// Every session handler, heartbeat ticker and context watcher must be
+	// Every session handler, session writer and context watcher must be
 	// gone: the goroutine count returns to (about) the pre-storm baseline.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
