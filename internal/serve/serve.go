@@ -576,8 +576,6 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, re
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	queue(hdr)
-	// The ResponseWriter dies with the handler: the writer is joined
-	// before runSession returns, not just signalled.
 	go func() {
 		defer close(done)
 		rc := http.NewResponseController(w)
@@ -628,6 +626,12 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, re
 			}
 		}
 	}()
+	// The ResponseWriter dies with the handler: join the writer before
+	// returning, don't just signal it.
+	defer func() {
+		close(stop)
+		<-done
+	}()
 
 	var agg exec.Q6Result
 	var chunks int
@@ -662,8 +666,6 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, re
 	}
 	release()
 	queue(tr)
-	close(stop)
-	<-done
 }
 
 // ---- /admin ----
